@@ -86,6 +86,16 @@ def _build_resources(
     collection = corpus.load_document_collection(config.resources.docs_path)
     if config.resources.index_path:
         index = retrieval.load_index(config.resources.index_path)
+        # BM25 impacts are fixed when the index is built, so the config
+        # cannot override the index's own k1 and b.
+        wanted = (config.retrieval.bm25_k1, config.retrieval.bm25_b)
+        if (index.k1, index.b) != wanted:
+            raise QfsError(
+                f"{config.resources.index_path}: index was built with k1={index.k1}, "
+                f"b={index.b}, but the config sets retrieval.bm25_k1={wanted[0]}, "
+                f"retrieval.bm25_b={wanted[1]}; rebuild it with `qfs index --k1 "
+                f"{wanted[0]} --b {wanted[1]}` or change the config"
+            )
     else:
         index = retrieval.build_index(
             collection, k1=config.retrieval.bm25_k1, b=config.retrieval.bm25_b

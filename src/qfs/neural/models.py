@@ -26,6 +26,9 @@ from .ops import relu, sigmoid
 NNC_KIND = "nnc"
 POOLED_KIND = "pooled"
 
+_PROB_MIN = float(np.nextafter(0.0, 1.0))
+_PROB_MAX = float(np.nextafter(1.0, 0.0))
+
 DEFAULT_EMBEDDING_DIM = 100
 DEFAULT_LSTM_HIDDEN = 100
 DEFAULT_DENSE_HIDDEN = 50
@@ -176,8 +179,11 @@ def _head_forward(
     h = relu(a1)
     if dropout_mask is not None:
         h = h * dropout_mask
-    z = float(output.w @ h + output.b)
-    return _HeadCache(x=x, a1=a1, h=h, prob=float(sigmoid(z)), dropout_mask=dropout_mask)
+    z = output.w[0] @ h + output.b[0]
+    # A saturated sigmoid rounds to exactly 0.0 or 1.0; the documented
+    # contract is the open interval, so clamp to its nearest floats.
+    prob = min(max(sigmoid(z), _PROB_MIN), _PROB_MAX)
+    return _HeadCache(x=x, a1=a1, h=h, prob=prob, dropout_mask=dropout_mask)
 
 
 def _head_backward(

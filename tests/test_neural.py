@@ -158,7 +158,7 @@ class TestNncForward:
         q_vec, s_vec = encode(q), encode(s)
         x = np.concatenate([s_vec, s_vec * q_vec, [pos]])
         h = np.maximum(hidden.w @ x + hidden.b, 0.0)
-        z = float(output.w @ h + output.b)
+        z = output.w[0] @ h + output.b[0]
         expected = 1.0 / (1.0 + math.exp(-z))
 
         assert nnc_forward(params, q, s, pos) == pytest.approx(expected, abs=1e-9)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qfs.corpus import DocumentCollection
 from qfs.errors import (
@@ -17,6 +19,8 @@ from qfs.errors import (
     MalformedInput,
 )
 from qfs.retrieval import (
+    DEFAULT_B,
+    DEFAULT_K1,
     DenseStore,
     bm25_search,
     build_index,
@@ -29,6 +33,7 @@ from qfs.retrieval import (
     save_dense_store,
     save_index,
 )
+from qfs.textproc import token_surfaces
 
 from conftest import make_doc, random_unit_vectors
 
@@ -39,11 +44,23 @@ def collection_of(*texts: str) -> DocumentCollection:
     )
 
 
+def postings(index, term: str) -> list[tuple[str, int]]:
+    """One term's (doc id, tf) pairs, read from the CSR arrays."""
+    row = index.terms[term]
+    span = slice(index.indptr[row], index.indptr[row + 1])
+    docs, tfs = index.post_doc[span].tolist(), index.post_tf[span].tolist()
+    return [(index.doc_ids[d], tf) for d, tf in zip(docs, tfs)]
+
+
+def doc_length(index, doc_id: str) -> int:
+    return int(index.doc_len[index.doc_ids.index(doc_id)])
+
+
 class TestBuildIndex:
     def test_postings_and_avgdl(self):
         index = build_index(collection_of("a b a"))
-        assert index.postings["a"] == [("d1", 2)]
-        assert index.postings["b"] == [("d1", 1)]
+        assert postings(index, "a") == [("d1", 2)]
+        assert postings(index, "b") == [("d1", 1)]
         assert index.avgdl == 3.0
 
     def test_avgdl_is_mean(self):
@@ -52,14 +69,14 @@ class TestBuildIndex:
 
     def test_stopwords_absent_from_postings(self):
         index = build_index(collection_of("the cat sat"), stopwords=frozenset({"the"}))
-        assert "the" not in index.postings
-        assert index.doc_len["d1"] == 2
+        assert "the" not in index.terms
+        assert doc_length(index, "d1") == 2
 
     def test_sections_concatenated(self):
         doc = make_doc("d1", ("title", "alpha beta"), ("abstract", "beta gamma"))
         index = build_index(DocumentCollection([doc]))
-        assert index.postings["beta"] == [("d1", 2)]
-        assert index.doc_len["d1"] == 4
+        assert postings(index, "beta") == [("d1", 2)]
+        assert doc_length(index, "d1") == 4
 
     def test_empty_collection_rejected(self):
         with pytest.raises(EmptyCollection):
@@ -221,6 +238,147 @@ class TestRerankTop:
             rerank_top(index, dense, query, q_vec, k=5, lam=0.5, pool_size=3)
 
 
+def reference_bm25(collection, query, stopwords=frozenset(), k1=DEFAULT_K1, b=DEFAULT_B):
+    """Plain-Python BM25 over dict postings: the loop the CSR index replaced."""
+    plists: dict[str, list[tuple[str, int]]] = {}
+    lengths: dict[str, int] = {}
+    for doc in collection:
+        tokens = [
+            t for _, text in doc.sections for t in token_surfaces(text) if t not in stopwords
+        ]
+        lengths[doc.id] = len(tokens)
+        counts: dict[str, int] = {}
+        for t in tokens:
+            counts[t] = counts.get(t, 0) + 1
+        for term, tf in counts.items():
+            plists.setdefault(term, []).append((doc.id, tf))
+    n, avgdl = len(lengths), sum(lengths.values()) / len(lengths)
+    scores: dict[str, float] = {}
+    for term in dict.fromkeys(query):
+        plist = plists.get(term)
+        if not plist:
+            continue
+        idf = math.log(1.0 + (n - len(plist) + 0.5) / (len(plist) + 0.5))
+        for doc_id, tf in plist:
+            norm = k1 * (1.0 - b + b * lengths[doc_id] / avgdl)
+            scores[doc_id] = scores.get(doc_id, 0.0) + idf * tf * (k1 + 1.0) / (tf + norm)
+    return scores
+
+
+def reference_rank(scores, k):
+    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+
+
+def reference_hybrid(
+    collection, dense, query, q_vec, k, lam, pool_size=None, stopwords=frozenset()
+):
+    raw = reference_bm25(collection, query, stopwords)
+    vec = np.asarray(q_vec, dtype=np.float64)
+    vec = vec / float(np.linalg.norm(vec))
+    if pool_size is None:
+        pool = sorted(doc.id for doc in collection)
+    else:
+        pool = [doc_id for doc_id, _ in reference_rank(raw, pool_size)]
+        if not pool:
+            return []
+    pool_scores = [raw.get(doc_id, 0.0) for doc_id in pool]
+    lo, hi = min(pool_scores), max(pool_scores)
+    normed = [1.0] * len(pool) if hi == lo else [(x - lo) / (hi - lo) for x in pool_scores]
+    combined = {
+        doc_id: lam * bm + (1.0 - lam) * dense.cosine(doc_id, vec)
+        for doc_id, bm in zip(pool, normed)
+    }
+    return reference_rank(combined, k)
+
+
+WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "the", "of"]
+STOPWORDS = frozenset({"the", "of"})
+
+
+@st.composite
+def search_cases(draw):
+    """A shuffled collection with duplicate documents, a query and vectors."""
+    text = st.lists(st.sampled_from(WORDS), max_size=9).map(" ".join)
+    texts = draw(st.lists(text, min_size=1, max_size=7))
+    texts += draw(st.lists(st.sampled_from(texts), max_size=5))  # equal scores
+    order = draw(st.permutations(range(len(texts))))
+    docs = [make_doc(f"d{j}", ("body", texts[j])) for j in order]
+    query = draw(st.lists(st.sampled_from(WORDS + ["unknown"]), max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    # Few distinct vectors, so equal cosines also join different BM25 scores.
+    vectors = random_unit_vectors(rng, ["v0", "v1", "v2"], 3)
+    by_text = {t: vectors[draw(st.sampled_from(sorted(vectors)))] for t in sorted(set(texts))}
+    dense = DenseStore.from_vectors({f"d{j}": by_text[t] for j, t in enumerate(texts)})
+    q_vec = rng.uniform(0.1, 1.0, size=3)
+    stopwords = draw(st.sampled_from([frozenset(), STOPWORDS]))
+    return DocumentCollection(docs), query, dense, q_vec, stopwords
+
+
+def cut_points(matched: int) -> list[int]:
+    return sorted({k for k in (1, matched - 1, matched, matched + 5) if k >= 1})
+
+
+class TestMatchesReference:
+    """Every ranked list equals the plain-Python loop's, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(search_cases())
+    def test_bm25_search(self, case):
+        collection, query, _, _, stopwords = case
+        index = build_index(collection, stopwords)
+        ref = reference_bm25(collection, query, stopwords)
+        for k in cut_points(len(ref)):
+            assert bm25_search(index, query, k) == reference_rank(ref, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(search_cases(), st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    def test_nir_search_and_rerank_top(self, case, lam):
+        collection, query, dense, q_vec, stopwords = case
+        index = build_index(collection, stopwords)
+        matched = len(reference_bm25(collection, query, stopwords))
+        for k in cut_points(len(collection)):
+            assert nir_search(index, dense, query, q_vec, k, lam) == reference_hybrid(
+                collection, dense, query, q_vec, k, lam, stopwords=stopwords
+            )
+        for pool in cut_points(matched):
+            for k in cut_points(pool):
+                if k <= pool:
+                    assert rerank_top(
+                        index, dense, query, q_vec, k, lam, pool_size=pool
+                    ) == reference_hybrid(collection, dense, query, q_vec, k, lam, pool, stopwords)
+
+    @pytest.mark.parametrize("query", [[], ["unknown", "words"], ["the", "of"]])
+    def test_queries_without_known_terms(self, query):
+        collection = collection_of("the alpha", "of beta", "alpha beta")
+        index = build_index(collection, STOPWORDS)
+        rng = np.random.default_rng(5)
+        dense = DenseStore.from_vectors(random_unit_vectors(rng, ["d1", "d2", "d3"], 3))
+        q_vec = np.array([0.2, 0.5, 0.7])
+        assert bm25_search(index, query, 3) == []
+        assert rerank_top(index, dense, query, q_vec, 2, 0.5, pool_size=3) == []
+        expected = reference_hybrid(collection, dense, query, q_vec, 3, 0.5, stopwords=STOPWORDS)
+        assert nir_search(index, dense, query, q_vec, 3, 0.5) == expected
+        assert len(expected) == 3
+
+    def test_every_document_frequency(self):
+        # Doc i holds words w0..wi, so wj has df = n - j: every df from 1 to n.
+        n = 29
+        collection = collection_of(*(" ".join(f"w{j}" for j in range(i + 1)) for i in range(n)))
+        index = build_index(collection)
+        for j in range(n):
+            ref = reference_bm25(collection, [f"w{j}"])
+            assert bm25_search(index, [f"w{j}"], n) == reference_rank(ref, n)
+
+    def test_ordinals_follow_doc_id_order(self):
+        collection = DocumentCollection(
+            [make_doc(i, ("body", "alpha")) for i in ["d2", "d10", "d1"]]
+        )
+        index = build_index(collection)
+        assert index.doc_ids == ["d1", "d10", "d2"]
+        assert postings(index, "alpha") == [("d1", 1), ("d10", 1), ("d2", 1)]
+        assert [d for d, _ in bm25_search(index, ["alpha"], 2)] == ["d1", "d10"]
+
+
 class TestDenseStoreIO:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -270,7 +428,73 @@ class TestDenseStoreIO:
         assert np.linalg.norm(store.vectors["a"]) == pytest.approx(1.0, abs=1e-6)
 
 
+def restamp(data: bytes) -> bytes:
+    """Recompute the trailing CRC32, so only the structure checks can object."""
+    return data[:-4] + struct.pack("<I", zlib.crc32(data[:-4]))
+
+
+def qidx_offsets(index) -> dict[str, int]:
+    """Byte offset of each section of a QIDX v2 snapshot of ``index``."""
+    n_docs, n_terms, n_post = index.n_docs, len(index.terms), len(index.post_doc)
+    blob = sum(len(t.encode("utf-8")) for t in [*index.doc_ids, *index.terms])
+    offsets = {"n_docs": 24, "n_terms": 28, "n_post": 32, "lengths": 40}
+    offsets["blob"] = offsets["lengths"] + 4 * (n_docs + n_terms)
+    offsets["doc_len"] = offsets["blob"] + blob
+    offsets["indptr"] = offsets["doc_len"] + 4 * n_docs
+    offsets["post_doc"] = offsets["indptr"] + 8 * (n_terms + 1)
+    offsets["post_tf"] = offsets["post_doc"] + 4 * n_post
+    return offsets
+
+
+def patch_i32(data: bytearray, offset: int, fn) -> None:
+    (value,) = struct.unpack_from("<i", data, offset)
+    struct.pack_into("<i", data, offset, fn(value))
+
+
+def patch_i64(data: bytearray, offset: int, fn) -> None:
+    (value,) = struct.unpack_from("<q", data, offset)
+    struct.pack_into("<q", data, offset, fn(value))
+
+
+def _count(name, delta):
+    return lambda data, at, index: patch_i32(data, at[name], lambda v: v + delta)
+
+
+# Each corrupts one field of the small snapshot; the CRC is then restamped.
+STRUCTURE_DEFECTS = {
+    "n_docs+1": _count("n_docs", 1),
+    "n_docs-1": _count("n_docs", -1),
+    "n_docs=0": lambda data, at, index: patch_i32(data, at["n_docs"], lambda v: 0),
+    "n_terms+1": _count("n_terms", 1),
+    "n_terms-1": _count("n_terms", -1),
+    "n_post+1": _count("n_post", 1),
+    "n_post-1": _count("n_post", -1),
+    "indptr[0]=1": lambda data, at, index: patch_i64(data, at["indptr"], lambda v: 1),
+    "indptr[-1] short": lambda data, at, index: patch_i64(
+        data, at["post_doc"] - 8, lambda v: v - 1
+    ),
+    "indptr falls": lambda data, at, index: patch_i64(
+        data, at["indptr"] + 8, lambda v: len(index.post_doc) + 1
+    ),
+    "post_doc=n_docs": lambda data, at, index: patch_i32(
+        data, at["post_doc"], lambda v: index.n_docs
+    ),
+    "post_doc<0": lambda data, at, index: patch_i32(data, at["post_doc"], lambda v: -1),
+    "tf=0": lambda data, at, index: patch_i32(data, at["post_tf"], lambda v: 0),
+    "doc_len+1": lambda data, at, index: patch_i32(data, at["doc_len"], lambda v: v + 1),
+    "doc ids unsorted": lambda data, at, index: data.__setitem__(at["blob"] + 1, ord("9")),
+    "bad utf-8": lambda data, at, index: data.__setitem__(at["blob"], 0xFF),
+    "trailing byte": lambda data, at, index: data.__setitem__(slice(-4, -4), b"\x00"),
+}
+
+
 class TestIndexSnapshot:
+    def small_snapshot(self, tmp_path):
+        index = build_index(collection_of("a b a", "b c", "c d a"))
+        path = tmp_path / "idx.qidx"
+        save_index(index, path)
+        return index, path, path.read_bytes()
+
     def test_roundtrip_preserves_search(self, tmp_path):
         index = build_index(collection_of("a b a", "b c", "c d a"))
         path = tmp_path / "idx.qidx"
@@ -279,6 +503,59 @@ class TestIndexSnapshot:
         assert loaded.n_docs == index.n_docs
         assert loaded.avgdl == pytest.approx(index.avgdl)
         assert bm25_search(loaded, ["a", "c"], k=3) == bm25_search(index, ["a", "c"], k=3)
+
+    def test_save_load_save_is_byte_stable(self, tmp_path):
+        _, path, data = self.small_snapshot(tmp_path)
+        loaded = load_index(path)
+        save_index(loaded, tmp_path / "again.qidx")
+        assert (tmp_path / "again.qidx").read_bytes() == data
+        assert np.array_equal(loaded.impact, build_index(
+            collection_of("a b a", "b c", "c d a")
+        ).impact)
+
+    def test_newline_and_non_ascii_ids_round_trip(self, tmp_path):
+        ids = ["line\nbreak", "caf\u00e9", "\u4e2d\u6587", "tab\tid"]
+        collection = DocumentCollection(
+            [make_doc(doc_id, ("body", f"shared na\u00efve w{n}")) for n, doc_id in enumerate(ids)]
+        )
+        index = build_index(collection)
+        save_index(index, tmp_path / "u.qidx")
+        loaded = load_index(tmp_path / "u.qidx")
+        assert loaded.doc_ids == sorted(ids)
+        assert loaded.terms == index.terms
+        query = ["na\u00efve", "w2"]
+        assert bm25_search(loaded, query, 4) == bm25_search(index, query, 4)
+
+    def test_truncation_at_every_offset_rejected(self, tmp_path):
+        _, path, data = self.small_snapshot(tmp_path)
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(MalformedInput):
+                load_index(path)
+
+    def test_every_flipped_byte_rejected(self, tmp_path):
+        _, path, data = self.small_snapshot(tmp_path)
+        for offset in range(len(data)):
+            flipped = bytearray(data)
+            flipped[offset] ^= 0x01
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(MalformedInput):
+                load_index(path)
+
+    @pytest.mark.parametrize("defect", sorted(STRUCTURE_DEFECTS))
+    def test_structure_checked_behind_a_valid_crc(self, tmp_path, defect):
+        index, path, data = self.small_snapshot(tmp_path)
+        corrupted = bytearray(data)
+        STRUCTURE_DEFECTS[defect](corrupted, qidx_offsets(index), index)
+        path.write_bytes(restamp(bytes(corrupted)))
+        with pytest.raises(MalformedInput):
+            load_index(path)
+
+    def test_version_1_asks_for_a_rebuild(self, tmp_path):
+        path = tmp_path / "old.qidx"
+        path.write_bytes(b"QIDX" + struct.pack("<Idd", 1, DEFAULT_K1, DEFAULT_B) + b"\x00" * 8)
+        with pytest.raises(MalformedInput, match="qfs index"):
+            load_index(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.qidx"
