@@ -1,9 +1,23 @@
 """Command-line entry points for every pipeline stage.
 
-Exit codes: 0 success, 1 partial failure (some questions skipped),
-2 data error, 64 usage error. Set QFS_LOG to a logging level name to
-control verbosity. All randomness is controlled by --seed flags or the
-config seed, so identical inputs give byte-identical outputs.
+The commands compose the stages of :mod:`qfs.pipeline`. ``retrieve``
+writes ``pipeline.retrieve``; ``snippets`` writes
+``pipeline.select_snippets`` with judged snippets dropped and the list
+capped as ``pipeline.answer_question`` does, so ``snippets`` and
+``answer`` report the same snippets for the same config. Questions are
+answered one after another in one thread.
+
+Exit codes:
+
+* 0: success;
+* 1: partial failure (``answer`` skipped some questions);
+* 2: data error: a missing, unreadable or malformed input file or
+  config, reported as one ``error: ...`` line on stderr;
+* 64: usage error.
+
+Set QFS_LOG to a logging level name to control verbosity. All
+randomness is controlled by --seed flags or the config seed, so
+identical inputs give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -12,15 +26,14 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import click
 
 from . import corpus, pipeline, retrieval, textproc
-from .config import PipelineConfig, emit_config, load_config, parse_config
+from .config import PipelineConfig, emit_config, load_config
 from .embeddings import load_context_embeddings, load_word_embeddings
 from .errors import QfsError
+from .fileio import write_json
 from .metrics import evaluate_run
 from .neural import (
     NNC_KIND,
@@ -139,24 +152,17 @@ def cmd_retrieve(config_path, questions_path, out_path, feedback_path, k) -> int
     if k is not None:
         config.retrieval.round_docs = {}
         config.retrieval.round_docs_default = k
-    out = []
-    for question in questions:
-        ranked = pipeline._retrieve(question, config, resources)
-        doc_ids = corpus.filter_judged(
-            [d for d, _ in ranked],
-            resources.feedback,
-            question.id,
-            corpus.EXCLUDE_ALL_JUDGED,
-        )
-        scores = dict(ranked)
-        out.append(
-            {
-                "id": question.id,
-                "ranked": [{"document": d, "score": scores[d]} for d in doc_ids],
-            }
-        )
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump({"questions": out}, fh, ensure_ascii=False, indent=1)
+    out = [
+        {
+            "id": question.id,
+            "ranked": [
+                {"document": d, "score": s}
+                for d, s in pipeline.retrieve(question, config, resources)
+            ],
+        }
+        for question in questions
+    ]
+    write_json(out_path, {"questions": out})
     click.echo(f"ranked {len(out)} questions -> {out_path}")
     return 0
 
@@ -174,46 +180,15 @@ def cmd_snippets(config_path, questions_path, out_path, feedback_path) -> int:
     resources = _build_resources(config, feedback_path, needs_model=needs_model)
     out = []
     for question in questions:
-        ranked = pipeline._retrieve(question, config, resources)
-        doc_ids = corpus.filter_judged(
-            [d for d, _ in ranked],
-            resources.feedback,
-            question.id,
-            corpus.EXCLUDE_ALL_JUDGED,
-        )[: config.retrieval.final_doc_cap]
-        kept = [(d, s) for d, s in ranked if d in set(doc_ids)]
-        if config.snippets.strategy == "cosine":
-            spans = pipeline.snip_cosine(
-                question, kept, resources.collection, config.snippets.per_doc
-            )
-        else:
-            spans = pipeline.snip_model(
-                question,
-                kept,
-                resources.collection,
-                resources.scorer,
-                config.snippets.per_doc,
-            )
+        ranked = pipeline.retrieve(question, config, resources)
+        spans = pipeline.select_snippets(
+            question, ranked[: config.retrieval.final_doc_cap], config, resources
+        )
         spans = corpus.filter_judged(
             spans, resources.feedback, question.id, corpus.EXCLUDE_ALL_JUDGED
         )[: config.retrieval.final_snippet_cap]
-        out.append(
-            {
-                "id": question.id,
-                "snippets": [
-                    {
-                        "document": s.doc_id,
-                        "section": s.section_id,
-                        "offsetInBeginSection": s.begin_char,
-                        "offsetInEndSection": s.end_char,
-                        "text": s.text,
-                    }
-                    for s in spans
-                ],
-            }
-        )
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump({"questions": out}, fh, ensure_ascii=False, indent=1)
+        out.append({"id": question.id, "snippets": [corpus.snippet_to_json(s) for s in spans]})
+    write_json(out_path, {"questions": out})
     click.echo(f"snippets for {len(out)} questions -> {out_path}")
     return 0
 
@@ -233,6 +208,30 @@ def cmd_label(questions_path, out_path, docs_path) -> int:
     return 0
 
 
+def _train_config(model_kind, epochs, batch_size, dropout, lr, seed, clip_len) -> TrainConfig:
+    """Training settings from the flags; an unset flag takes the model's default."""
+    defaults = NNC_TRAIN_DEFAULTS if model_kind == NNC_KIND else POOLED_TRAIN_DEFAULTS
+    return TrainConfig(
+        epochs=defaults.epochs if epochs is None else epochs,
+        batch_size=defaults.batch_size if batch_size is None else batch_size,
+        dropout_rate=defaults.dropout_rate if dropout is None else dropout,
+        learning_rate=lr,
+        seed=seed,
+        clip_len=defaults.clip_len if clip_len is None else clip_len,
+    )
+
+
+def _model_source(model_kind, embeddings_path, cemb_path):
+    """The word vectors (nnc) or context embeddings (pooled) a model trains on."""
+    if model_kind == NNC_KIND:
+        if not embeddings_path:
+            raise click.UsageError("--embeddings is required for the nnc model")
+        return load_word_embeddings(embeddings_path)
+    if not cemb_path:
+        raise click.UsageError("--cemb is required for the pooled model")
+    return load_context_embeddings(cemb_path)
+
+
 @cli.command("train")
 @click.option("--labels", "labels_path", required=True, type=click.Path())
 @click.option("--model", "model_kind", required=True, type=click.Choice([NNC_KIND, POOLED_KIND]))
@@ -250,24 +249,9 @@ def cmd_label(questions_path, out_path, docs_path) -> int:
 def cmd_train(labels_path, model_kind, out_path, embeddings_path, cemb_path,
               epochs, batch_size, dropout, lr, seed, clip_len) -> int:
     """Train a sentence classifier on a labels file."""
-    defaults = NNC_TRAIN_DEFAULTS if model_kind == NNC_KIND else POOLED_TRAIN_DEFAULTS
-    config = TrainConfig(
-        epochs=epochs if epochs is not None else defaults.epochs,
-        batch_size=batch_size if batch_size is not None else defaults.batch_size,
-        dropout_rate=dropout if dropout is not None else defaults.dropout_rate,
-        learning_rate=lr,
-        seed=seed,
-        clip_len=clip_len if clip_len is not None else defaults.clip_len,
-    )
+    config = _train_config(model_kind, epochs, batch_size, dropout, lr, seed, clip_len)
+    source = _model_source(model_kind, embeddings_path, cemb_path)
     examples = pipeline.load_labels(labels_path)
-    if model_kind == NNC_KIND:
-        if not embeddings_path:
-            raise click.UsageError("--embeddings is required for the nnc model")
-        source = load_word_embeddings(embeddings_path)
-    else:
-        if not cemb_path:
-            raise click.UsageError("--cemb is required for the pooled model")
-        source = load_context_embeddings(cemb_path)  # type: ignore[assignment]
     result = train(model_kind, examples, source, config)
     save_params(result.params, out_path)
     click.echo(
@@ -282,34 +266,19 @@ def cmd_train(labels_path, model_kind, out_path, embeddings_path, cemb_path,
 @click.option("--questions", "questions_path", required=True, type=click.Path())
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--feedback", "feedback_path", type=click.Path(), default=None)
-@click.option("--threads", type=int, default=1, show_default=True)
-def cmd_answer(config_path, questions_path, out_path, feedback_path, threads) -> int:
+def cmd_answer(config_path, questions_path, out_path, feedback_path) -> int:
     """Answer every question and write a submission file."""
     config = load_config(config_path)
     questions = corpus.load_question_set(questions_path)
     resources = _build_resources(config, feedback_path)
-
-    def answer_one(question):
-        return pipeline.answer_question(question, config, resources)
-
     results = []
     skipped = 0
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [(q, pool.submit(answer_one, q)) for q in questions]
-        for question, future in futures:
-            try:
-                results.append(future.result())
-            except QfsError as exc:
-                skipped += 1
-                logger.error("skipping question %s: %s", question.id, exc)
-    else:
-        for question in questions:
-            try:
-                results.append(answer_one(question))
-            except QfsError as exc:
-                skipped += 1
-                logger.error("skipping question %s: %s", question.id, exc)
+    for question in questions:
+        try:
+            results.append(pipeline.answer_question(question, config, resources))
+        except QfsError as exc:
+            skipped += 1
+            logger.error("skipping question %s: %s", question.id, exc)
     pipeline.save_submission(results, out_path)
     click.echo(
         f"answered {len(results)} questions"
@@ -330,8 +299,7 @@ def cmd_evaluate(questions_path, submission_path, out_path) -> int:
     report = evaluate_run(questions, answers)
     click.echo(report.to_table())
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, ensure_ascii=False, indent=1)
+        write_json(out_path, report.to_json())
     return 0
 
 
@@ -360,30 +328,16 @@ def cmd_cv(questions_path, docs_path, model_kind, embeddings_path, cemb_path,
     elif model_kind == "oracle":
         spec = pipeline.OracleModelSpec()
     else:
-        defaults = NNC_TRAIN_DEFAULTS if model_kind == NNC_KIND else POOLED_TRAIN_DEFAULTS
-        config = TrainConfig(
-            epochs=epochs if epochs is not None else defaults.epochs,
-            batch_size=batch_size if batch_size is not None else defaults.batch_size,
-            dropout_rate=dropout if dropout is not None else defaults.dropout_rate,
-            learning_rate=lr,
-            seed=seed,
-            clip_len=clip_len if clip_len is not None else defaults.clip_len,
-        )
-        if model_kind == NNC_KIND:
-            if not embeddings_path:
-                raise click.UsageError("--embeddings is required for the nnc model")
-            spec = pipeline.NncModelSpec(load_word_embeddings(embeddings_path), config)
-        else:
-            if not cemb_path:
-                raise click.UsageError("--cemb is required for the pooled model")
-            spec = pipeline.PooledModelSpec(load_context_embeddings(cemb_path), config)
+        config = _train_config(model_kind, epochs, batch_size, dropout, lr, seed, clip_len)
+        source = _model_source(model_kind, embeddings_path, cemb_path)
+        model_spec = pipeline.NncModelSpec if model_kind == NNC_KIND else pipeline.PooledModelSpec
+        spec = model_spec(source, config)
     result = pipeline.cross_validate(questions, collection, spec, k=k, seed=seed)
     for i, (size, f1) in enumerate(zip(result.fold_sizes, result.fold_mean_f1), 1):
         click.echo(f"fold {i:2d}: {size:5d} questions  mean SU4-F1 {f1:.4f}")
     click.echo(f"overall mean SU4-F1 {result.mean_f1:.4f}")
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(result.to_json(), fh, ensure_ascii=False, indent=1, sort_keys=True)
+        write_json(out_path, result.to_json(), sort_keys=True)
     return 0
 
 

@@ -8,11 +8,11 @@ and ``round``. Every field has a default, so ``{}`` is a valid config.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import MalformedInput
+from .fileio import read_json
 from .pipeline import DEFAULT_ANSWER_LENGTHS, FINAL_DOC_CAP, FINAL_SNIPPET_CAP
 from .retrieval import DEFAULT_B, DEFAULT_K1
 
@@ -83,6 +83,26 @@ def _require(condition: bool, message: str) -> None:
         raise MalformedInput(f"config: {message}")
 
 
+def _number(kind: type, value, name: str):
+    """``kind(value)`` (int or float), or MalformedInput naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedInput(f"config: {name} must be a number, got {value!r}") from None
+
+
+def _section(payload: dict, name: str) -> dict:
+    value = payload.get(name, {})
+    _require(isinstance(value, dict), f"{name} must be an object")
+    return dict(value)
+
+
+def _path(section: dict, where: str, key: str) -> str | None:
+    value = section.pop(key, None)
+    _require(value is None or isinstance(value, str), f"{where}.{key} must be a string")
+    return value
+
+
 def parse_config(payload: dict) -> PipelineConfig:
     """Validate and bind a JSON config object; unknown keys rejected."""
     _require(isinstance(payload, dict), "top level must be an object")
@@ -93,7 +113,7 @@ def parse_config(payload: dict) -> PipelineConfig:
     unknown = set(payload) - known
     _require(not unknown, f"unknown top-level keys {sorted(unknown)}")
 
-    r = dict(payload.get("retrieval", {}))
+    r = _section(payload, "retrieval")
     round_docs_raw = r.pop("round_docs", None)
     round_docs = dict(DEFAULT_ROUND_DOCS)
     round_docs_default = DEFAULT_ROUND_DOCS_FALLBACK
@@ -101,26 +121,26 @@ def parse_config(payload: dict) -> PipelineConfig:
         _require(isinstance(round_docs_raw, dict), "retrieval.round_docs must map rounds to counts")
         round_docs = {}
         for key, value in round_docs_raw.items():
-            _require(int(value) >= 1, "retrieval.round_docs counts must be >= 1")
+            count = _number(int, value, f"retrieval.round_docs[{key!r}]")
+            _require(count >= 1, "retrieval.round_docs counts must be >= 1")
             if key == "default":
-                round_docs_default = int(value)
+                round_docs_default = count
             else:
-                try:
-                    round_docs[int(key)] = int(value)
-                except ValueError:
-                    raise MalformedInput(
-                        f"config: bad round key {key!r} in retrieval.round_docs"
-                    ) from None
+                round_docs[_number(int, key, "retrieval.round_docs round key")] = count
     retrieval = RetrievalConfig(
         method=r.pop("method", "bm25"),
-        lam=float(r.pop("lambda", 0.5)),
-        pool_size=int(r.pop("pool_size", 200)),
+        lam=_number(float, r.pop("lambda", 0.5), "retrieval.lambda"),
+        pool_size=_number(int, r.pop("pool_size", 200), "retrieval.pool_size"),
         round_docs=round_docs,
         round_docs_default=round_docs_default,
-        final_doc_cap=int(r.pop("final_doc_cap", FINAL_DOC_CAP)),
-        final_snippet_cap=int(r.pop("final_snippet_cap", FINAL_SNIPPET_CAP)),
-        bm25_k1=float(r.pop("bm25_k1", DEFAULT_K1)),
-        bm25_b=float(r.pop("bm25_b", DEFAULT_B)),
+        final_doc_cap=_number(
+            int, r.pop("final_doc_cap", FINAL_DOC_CAP), "retrieval.final_doc_cap"
+        ),
+        final_snippet_cap=_number(
+            int, r.pop("final_snippet_cap", FINAL_SNIPPET_CAP), "retrieval.final_snippet_cap"
+        ),
+        bm25_k1=_number(float, r.pop("bm25_k1", DEFAULT_K1), "retrieval.bm25_k1"),
+        bm25_b=_number(float, r.pop("bm25_b", DEFAULT_B), "retrieval.bm25_b"),
     )
     _require(not r, f"unknown retrieval keys {sorted(r)}")
     _require(retrieval.method in RETRIEVAL_METHODS, f"bad retrieval.method {retrieval.method!r}")
@@ -129,29 +149,30 @@ def parse_config(payload: dict) -> PipelineConfig:
     _require(retrieval.final_doc_cap >= 1, "retrieval.final_doc_cap must be >= 1")
     _require(retrieval.final_snippet_cap >= 1, "retrieval.final_snippet_cap must be >= 1")
 
-    s = dict(payload.get("snippets", {}))
+    s = _section(payload, "snippets")
     snippets = SnippetConfig(
-        strategy=s.pop("strategy", "cosine"), per_doc=int(s.pop("per_doc", 3))
+        strategy=s.pop("strategy", "cosine"),
+        per_doc=_number(int, s.pop("per_doc", 3), "snippets.per_doc"),
     )
     _require(not s, f"unknown snippets keys {sorted(s)}")
     _require(snippets.strategy in SNIPPET_STRATEGIES, f"bad snippets.strategy {snippets.strategy!r}")
     _require(snippets.per_doc >= 1, "snippets.per_doc must be >= 1")
 
-    m = dict(payload.get("model", {}))
+    m = _section(payload, "model")
     model = ModelConfig(
         kind=m.pop("kind", "pooled"),
-        params_path=m.pop("params_path", None),
-        embeddings_path=m.pop("embeddings_path", None),
+        params_path=_path(m, "model", "params_path"),
+        embeddings_path=_path(m, "model", "embeddings_path"),
     )
     _require(not m, f"unknown model keys {sorted(m)}")
     _require(model.kind in MODEL_KINDS, f"bad model.kind {model.kind!r}")
 
-    res = dict(payload.get("resources", {}))
+    res = _section(payload, "resources")
     resources = ResourcePaths(
-        docs_path=res.pop("docs_path", None),
-        index_path=res.pop("index_path", None),
-        dense_path=res.pop("dense_path", None),
-        query_vectors_path=res.pop("query_vectors_path", None),
+        docs_path=_path(res, "resources", "docs_path"),
+        index_path=_path(res, "resources", "index_path"),
+        dense_path=_path(res, "resources", "dense_path"),
+        query_vectors_path=_path(res, "resources", "query_vectors_path"),
     )
     _require(not res, f"unknown resources keys {sorted(res)}")
 
@@ -161,11 +182,11 @@ def parse_config(payload: dict) -> PipelineConfig:
         set(table_raw) == set(DEFAULT_ANSWER_LENGTHS),
         f"answer_table must define exactly {sorted(DEFAULT_ANSWER_LENGTHS)}",
     )
-    answer_table = {k: int(v) for k, v in table_raw.items()}
+    answer_table = {k: _number(int, v, f"answer_table.{k}") for k, v in table_raw.items()}
     _require(all(v >= 1 for v in answer_table.values()), "answer_table values must be >= 1")
 
-    seed = int(payload.get("seed", 0))
-    round_no = int(payload.get("round", 1))
+    seed = _number(int, payload.get("seed", 0), "seed")
+    round_no = _number(int, payload.get("round", 1), "round")
     _require(round_no >= 1, "round must be >= 1")
 
     return PipelineConfig(
@@ -216,11 +237,4 @@ def emit_config(config: PipelineConfig) -> dict:
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise MalformedInput(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"invalid JSON in config {path}: {exc}") from exc
-    return parse_config(payload)
+    return parse_config(read_json(path))

@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Iterator, Sequence, TypeVar
 
 from .errors import DuplicateId, MalformedInput, UnknownQuestionType
+from .fileio import read_json, read_jsonl, write_json
 
 QUESTION_TYPES = frozenset({"summary", "factoid", "yesno", "list"})
 
@@ -128,7 +129,8 @@ class DocumentCollection:
         return doc_id in self._by_id
 
 
-def _snippet_from_json(obj: dict, where: str) -> SnippetSpan:
+def snippet_from_json(obj: dict, where: str) -> SnippetSpan:
+    """The one snippet-object reader: questions, feedback and submissions."""
     try:
         return SnippetSpan(
             doc_id=str(obj["document"]),
@@ -141,7 +143,8 @@ def _snippet_from_json(obj: dict, where: str) -> SnippetSpan:
         raise MalformedInput(f"bad snippet object in {where}: {exc}") from exc
 
 
-def _snippet_to_json(span: SnippetSpan) -> dict:
+def snippet_to_json(span: SnippetSpan) -> dict:
+    """The one snippet-object writer; inverse of :func:`snippet_from_json`."""
     return {
         "document": span.doc_id,
         "section": span.section_id,
@@ -153,13 +156,7 @@ def _snippet_to_json(span: SnippetSpan) -> dict:
 
 def load_question_set(path: str | Path) -> QuestionSet:
     """Read and validate a question set file; order is preserved."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise MalformedInput(f"cannot read question set {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"invalid JSON in {path}: {exc}") from exc
+    payload = read_json(path)
     if isinstance(payload, dict) and "questions" in payload:
         payload = payload["questions"]
     if not isinstance(payload, list):
@@ -183,7 +180,7 @@ def question_from_json(obj: dict) -> QuestionRecord:
     if not isinstance(ideal, list) or not all(isinstance(x, str) for x in ideal):
         raise MalformedInput(f"question {qid!r}: ideal_answer must be text or list")
     snippets = tuple(
-        _snippet_from_json(s, f"question {qid!r}") for s in obj.get("snippets", [])
+        snippet_from_json(s, f"question {qid!r}") for s in obj.get("snippets", [])
     )
     documents = obj.get("documents", [])
     if not isinstance(documents, list):
@@ -205,7 +202,7 @@ def question_set_to_json(questions: QuestionSet) -> list[dict]:
             "body": q.body,
             "type": q.qtype,
             "documents": list(q.gold_documents),
-            "snippets": [_snippet_to_json(s) for s in q.gold_snippets],
+            "snippets": [snippet_to_json(s) for s in q.gold_snippets],
             "ideal_answer": list(q.ideal_answers),
         }
         for q in questions
@@ -213,28 +210,14 @@ def question_set_to_json(questions: QuestionSet) -> list[dict]:
 
 
 def save_question_set(questions: QuestionSet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(question_set_to_json(questions), fh, ensure_ascii=False, indent=1)
+    write_json(path, question_set_to_json(questions))
 
 
 def load_document_collection(path: str | Path) -> DocumentCollection:
     """Read a JSONL document collection; section order is preserved."""
-    docs: list[DocumentRecord] = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise MalformedInput(f"cannot read documents {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedInput(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            docs.append(document_from_json(obj, where=f"{path}:{lineno}"))
-    return DocumentCollection(docs)
+    return DocumentCollection(
+        [document_from_json(obj, where) for where, obj in read_jsonl(path)]
+    )
 
 
 def document_from_json(obj: dict, where: str = "document") -> DocumentRecord:
@@ -279,21 +262,19 @@ class FeedbackStore:
 
     @classmethod
     def load(cls, path: str | Path) -> "FeedbackStore":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except OSError as exc:
-            raise MalformedInput(f"cannot read feedback {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"invalid JSON in {path}: {exc}") from exc
+        payload = read_json(path)
         if not isinstance(payload, list):
             raise MalformedInput(f"{path}: expected a JSON array")
         store = cls()
         for entry in payload:
+            if not isinstance(entry, dict) or not isinstance(entry.get("items", []), list):
+                raise MalformedInput(f"{path}: feedback entry must be an object with items")
             qid = str(entry.get("question_id", ""))
             if not qid:
                 raise MalformedInput(f"{path}: feedback entry without question_id")
             for item in entry.get("items", []):
+                if not isinstance(item, dict) or "ref" not in item:
+                    raise MalformedInput(f"{path}: feedback item for {qid!r} without a ref")
                 polarity = item.get("polarity")
                 if polarity not in (RELEVANT, IRRELEVANT):
                     raise MalformedInput(
@@ -303,7 +284,7 @@ class FeedbackStore:
                 if kind == "document":
                     store.add_document(qid, str(item["ref"]), polarity)
                 elif kind == "snippet":
-                    span = _snippet_from_json(item["ref"], f"feedback for {qid!r}")
+                    span = snippet_from_json(item["ref"], f"feedback for {qid!r}")
                     store.add_snippet(qid, span, polarity)
                 else:
                     raise MalformedInput(f"{path}: bad item kind {kind!r}")

@@ -20,11 +20,12 @@ import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedInput, MaskAllFalse
+from .fileio import open_input, read_exact
 
 logger = logging.getLogger(__name__)
 
@@ -53,7 +54,7 @@ def load_word_embeddings(
     path: str | Path, oov_vector: np.ndarray | None = None
 ) -> EmbeddingTable:
     """Read a word-vector text file; duplicate words keep the last entry."""
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise MalformedInput(f"{path}: header must be 'count dim'")
@@ -200,22 +201,13 @@ def write_context_embeddings(
     return count
 
 
-def _read_exact(fh: BinaryIO, count: int, path: str | Path, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise MalformedInput(
-            f"{path}: truncated {what} at byte offset {fh.tell() - len(data)}"
-        )
-    return data
-
-
 def read_context_embeddings(path: str | Path) -> Iterator[ContextEmbeddingRecord]:
     """Stream records from a CEMB file in file order, validating each."""
-    with open(path, "rb") as fh:
+    with open_input(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _CEMB_MAGIC:
             raise MalformedInput(f"{path}: bad magic {magic!r}, expected CEMB")
-        version, dim = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
+        version, dim = struct.unpack("<II", read_exact(fh, 8, path, "header"))
         if version != 1:
             raise MalformedInput(f"{path}: unsupported CEMB version {version}")
         while True:
@@ -227,13 +219,13 @@ def read_context_embeddings(path: str | Path) -> Iterator[ContextEmbeddingRecord
                     f"{path}: truncated record header at byte offset {fh.tell() - len(head)}"
                 )
             (id_len,) = struct.unpack("<I", head)
-            pair_id = _read_exact(fh, id_len, path, "record id").decode("utf-8")
-            (n,) = struct.unpack("<I", _read_exact(fh, 4, path, "token count"))
+            pair_id = read_exact(fh, id_len, path, "record id").decode("utf-8")
+            (n,) = struct.unpack("<I", read_exact(fh, 4, path, "token count"))
             if n < 1:
                 raise MalformedInput(f"{path}: record {pair_id!r} has no tokens")
-            mask_bytes = _read_exact(fh, (n + 7) // 8, path, f"mask of {pair_id!r}")
+            mask_bytes = read_exact(fh, (n + 7) // 8, path, f"mask of {pair_id!r}")
             mask = _unpack_mask(mask_bytes, n)
-            payload = _read_exact(fh, 4 * n * dim, path, f"matrix of {pair_id!r}")
+            payload = read_exact(fh, 4 * n * dim, path, f"matrix of {pair_id!r}")
             tokens = np.frombuffer(payload, dtype="<f4").reshape(n, dim)
             yield ContextEmbeddingRecord(
                 pair_id=pair_id, tokens=tokens.copy(), sentence_mask=mask

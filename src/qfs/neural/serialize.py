@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import KindMismatch, MalformedInput
+from ..fileio import open_input
 from .lstm import LstmParams
 from .models import (
     NNC_KIND,
@@ -68,7 +69,7 @@ def load_params(
     path: str | Path, expected_kind: str | None = None
 ) -> NncParams | PooledClassifierParams:
     """Read a QFSM file; raises KindMismatch if expected_kind disagrees."""
-    with open(path, "rb") as fh:
+    with open_input(path, "rb") as fh:
         data = fh.read()
     if len(data) < 8 or data[:4] != _MAGIC:
         raise MalformedInput(f"{path}: bad magic, expected QFSM")

@@ -1,5 +1,14 @@
 """End-to-end answering: snippets, labels, answer assembly, cross-validation.
 
+A question is answered by three stages, which ``answer_question``, the
+command line and ``cross_validate`` compose:
+
+* :func:`retrieve` ranks documents and drops the judged ones;
+* :func:`select_snippets` picks sentences of the top documents;
+* :func:`score_and_assemble` scores candidate sentences and joins the
+  best into the ideal answer. Phase B (``cross_validate``) starts here,
+  from the sentences of the gold snippets.
+
 Candidate sentences keep their *occurrence index*, the 0-based position
 in the post-retrieval candidate list. Tie-breaking everywhere favors
 the earlier occurrence, which keeps every stage deterministic. Answer
@@ -26,16 +35,20 @@ from .corpus import (
     QuestionSet,
     SnippetSpan,
     filter_judged,
+    snippet_from_json,
+    snippet_to_json,
 )
 from .embeddings import ContextEmbeddingRecord, EmbeddingTable, embed_tokens
 from .errors import (
     EmptyCandidateList,
+    MalformedInput,
     NoCandidates,
     NoIdealAnswer,
     ScorerInputMissing,
     TooFewQuestions,
     UnknownDocument,
 )
+from .fileio import read_json, read_jsonl, write_json
 from .metrics import best_reference_f1
 from .neural import (
     LabeledExample,
@@ -100,16 +113,7 @@ def submission_to_json(results: Sequence[AnswerResult]) -> dict:
             {
                 "id": r.question_id,
                 "documents": list(r.documents),
-                "snippets": [
-                    {
-                        "document": s.doc_id,
-                        "section": s.section_id,
-                        "offsetInBeginSection": s.begin_char,
-                        "offsetInEndSection": s.end_char,
-                        "text": s.text,
-                    }
-                    for s in r.snippets
-                ],
+                "snippets": [snippet_to_json(s) for s in r.snippets],
                 "ideal_answer": r.ideal_answer,
             }
             for r in results
@@ -118,22 +122,22 @@ def submission_to_json(results: Sequence[AnswerResult]) -> dict:
 
 
 def submission_from_json(payload: dict) -> list[AnswerResult]:
+    questions = payload.get("questions", []) if isinstance(payload, dict) else None
+    if not isinstance(questions, list):
+        raise MalformedInput("submission: expected an object with a questions array")
     results = []
-    for obj in payload.get("questions", []):
+    for obj in questions:
+        if not isinstance(obj, dict) or "id" not in obj:
+            raise MalformedInput("submission: question entry without an id")
+        where = f"submission question {obj['id']!r}"
+        documents, snippets = obj.get("documents", []), obj.get("snippets", [])
+        if not isinstance(documents, list) or not isinstance(snippets, list):
+            raise MalformedInput(f"{where}: documents and snippets must be lists")
         results.append(
             AnswerResult(
                 question_id=str(obj["id"]),
-                documents=[str(d) for d in obj.get("documents", [])],
-                snippets=[
-                    SnippetSpan(
-                        doc_id=str(s["document"]),
-                        section_id=str(s.get("section", "")),
-                        begin_char=int(s["offsetInBeginSection"]),
-                        end_char=int(s["offsetInEndSection"]),
-                        text=str(s.get("text", "")),
-                    )
-                    for s in obj.get("snippets", [])
-                ],
+                documents=[str(d) for d in documents],
+                snippets=[snippet_from_json(s, where) for s in snippets],
                 ideal_answer=str(obj.get("ideal_answer", "")),
             )
         )
@@ -141,13 +145,11 @@ def submission_from_json(payload: dict) -> list[AnswerResult]:
 
 
 def save_submission(results: Sequence[AnswerResult], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(submission_to_json(results), fh, ensure_ascii=False, indent=1)
+    write_json(path, submission_to_json(results))
 
 
 def load_submission(path: str | Path) -> list[AnswerResult]:
-    with open(path, encoding="utf-8") as fh:
-        return submission_from_json(json.load(fh))
+    return submission_from_json(read_json(path))
 
 
 def save_labels(examples: Sequence[LabeledExample], path: str | Path) -> None:
@@ -171,12 +173,8 @@ def save_labels(examples: Sequence[LabeledExample], path: str | Path) -> None:
 
 def load_labels(path: str | Path) -> list[LabeledExample]:
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
+    for where, obj in read_jsonl(path):
+        try:
             examples.append(
                 LabeledExample(
                     question_tokens=tuple(token_surfaces(obj["question"])),
@@ -188,6 +186,8 @@ def load_labels(path: str | Path) -> list[LabeledExample]:
                     sentence_text=obj["sentence"],
                 )
             )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedInput(f"{where}: bad labeled example: {exc!r}") from exc
     return examples
 
 
@@ -387,6 +387,16 @@ def candidate_sentences(question: QuestionRecord) -> list[SnippetSpan]:
     return out
 
 
+def _gold_candidates(question: QuestionRecord) -> list[SnippetSpan]:
+    """Candidate sentences of a question that also has ideal answers."""
+    if not question.ideal_answers:
+        raise NoIdealAnswer(f"question {question.id!r} has no ideal answers")
+    candidates = candidate_sentences(question)
+    if not candidates:
+        raise NoCandidates(f"question {question.id!r} has no candidate sentences")
+    return candidates
+
+
 def generate_labels(
     questions: QuestionSet | Sequence[QuestionRecord],
     collection: DocumentCollection | None = None,
@@ -398,11 +408,7 @@ def generate_labels(
     """
     examples: list[LabeledExample] = []
     for question in questions:
-        if not question.ideal_answers:
-            raise NoIdealAnswer(f"question {question.id!r} has no ideal answers")
-        candidates = candidate_sentences(question)
-        if not candidates:
-            raise NoCandidates(f"question {question.id!r} has no candidate sentences")
+        candidates = _gold_candidates(question)
         f1s = [
             best_reference_f1(c.text, question.ideal_answers) for c in candidates
         ]
@@ -449,81 +455,78 @@ class Resources:
     dense: DenseStore | None = None
     query_vectors: DenseStore | None = None
     feedback: FeedbackStore = field(default_factory=FeedbackStore.empty)
-    snippet_scorer: SentenceScorer | None = None
 
 
-def _retrieve(question: QuestionRecord, config, resources: Resources) -> RankedList:
+def retrieve(question: QuestionRecord, config, resources: Resources) -> RankedList:
+    """The round's ranked (doc_id, score) pairs, judged documents removed."""
     tokens = token_surfaces(question.body)
     k = config.retrieval.docs_for_round(config.round)
     method = config.retrieval.method
     if method == "bm25":
-        return bm25_search(resources.index, tokens, k)
-    if resources.dense is None or resources.query_vectors is None:
-        raise ScorerInputMissing(
-            f"retrieval method {method!r} needs dense vectors and query vectors"
-        )
-    if question.id not in resources.query_vectors:
-        raise ScorerInputMissing(f"no query vector for question {question.id!r}")
-    q_vec = resources.query_vectors.vectors[question.id]
-    if method == "nir":
-        return nir_search(
-            resources.index, resources.dense, tokens, q_vec, k, config.retrieval.lam
-        )
-    return rerank_top(
-        resources.index,
-        resources.dense,
-        tokens,
-        q_vec,
-        k,
-        config.retrieval.lam,
-        pool_size=max(config.retrieval.pool_size, k),
+        ranked = bm25_search(resources.index, tokens, k)
+    else:
+        if resources.dense is None or resources.query_vectors is None:
+            raise ScorerInputMissing(
+                f"retrieval method {method!r} needs dense vectors and query vectors"
+            )
+        if question.id not in resources.query_vectors:
+            raise ScorerInputMissing(f"no query vector for question {question.id!r}")
+        q_vec = resources.query_vectors.vectors[question.id]
+        lam = config.retrieval.lam
+        if method == "nir":
+            ranked = nir_search(resources.index, resources.dense, tokens, q_vec, k, lam)
+        else:
+            pool_size = max(config.retrieval.pool_size, k)
+            ranked = rerank_top(
+                resources.index, resources.dense, tokens, q_vec, k, lam, pool_size=pool_size
+            )
+    doc_ids = [d for d, _ in ranked]
+    unjudged = set(filter_judged(doc_ids, resources.feedback, question.id, EXCLUDE_ALL_JUDGED))
+    return [(d, s) for d, s in ranked if d in unjudged]
+
+
+def select_snippets(
+    question: QuestionRecord, ranked: RankedList, config, resources: Resources
+) -> list[SnippetSpan]:
+    """Snippets of the ranked documents by the configured strategy, unfiltered."""
+    if config.snippets.strategy == "cosine":
+        return snip_cosine(question, ranked, resources.collection, config.snippets.per_doc)
+    return snip_model(
+        question, ranked, resources.collection, resources.scorer, config.snippets.per_doc
     )
+
+
+def score_and_assemble(
+    question: QuestionRecord,
+    candidates: Sequence[SnippetSpan],
+    scorer: SentenceScorer,
+    answer_table: Mapping[str, int] | None = None,
+) -> str:
+    """Score candidates at their list positions and assemble the ideal answer."""
+    scores = scorer.score_sentences(
+        question, [c.text for c in candidates], list(range(len(candidates)))
+    )
+    scored = [
+        ScoredSentence(text=c.text, source=c, occurrence_index=i, score=s)
+        for i, (c, s) in enumerate(zip(candidates, scores))
+    ]
+    return assemble_answer(question.qtype, scored, answer_table)
 
 
 def answer_question(
     question: QuestionRecord, config, resources: Resources
 ) -> AnswerResult:
     """Retrieve, snip, filter, score, and assemble one question's answer."""
-    ranked = _retrieve(question, config, resources)
-    doc_ids = filter_judged(
-        [d for d, _ in ranked], resources.feedback, question.id, EXCLUDE_ALL_JUDGED
-    )[: config.retrieval.final_doc_cap]
-    kept_ranked = [(d, s) for d, s in ranked if d in set(doc_ids)]
-
-    if config.snippets.strategy == "cosine":
-        snippets = snip_cosine(
-            question, kept_ranked, resources.collection, config.snippets.per_doc
-        )
-    else:
-        snippet_scorer = resources.snippet_scorer or resources.scorer
-        snippets = snip_model(
-            question,
-            kept_ranked,
-            resources.collection,
-            snippet_scorer,
-            config.snippets.per_doc,
-        )
-    returned_snippets = filter_judged(
-        snippets, resources.feedback, question.id, EXCLUDE_ALL_JUDGED
-    )[: config.retrieval.final_snippet_cap]
-
-    answer_candidates = filter_judged(
-        snippets, resources.feedback, question.id, EXCLUDE_IRRELEVANT_ONLY
-    )
-    scores = resources.scorer.score_sentences(
-        question,
-        [c.text for c in answer_candidates],
-        list(range(len(answer_candidates))),
-    )
-    scored = [
-        ScoredSentence(text=c.text, source=c, occurrence_index=i, score=s)
-        for i, (c, s) in enumerate(zip(answer_candidates, scores))
-    ]
-    ideal = assemble_answer(question.qtype, scored, config.answer_table)
+    ranked = retrieve(question, config, resources)[: config.retrieval.final_doc_cap]
+    snippets = select_snippets(question, ranked, config, resources)
+    feedback, qid = resources.feedback, question.id
+    returned = filter_judged(snippets, feedback, qid, EXCLUDE_ALL_JUDGED)
+    candidates = filter_judged(snippets, feedback, qid, EXCLUDE_IRRELEVANT_ONLY)
+    ideal = score_and_assemble(question, candidates, resources.scorer, config.answer_table)
     return AnswerResult(
-        question_id=question.id,
-        documents=doc_ids,
-        snippets=returned_snippets,
+        question_id=qid,
+        documents=[d for d, _ in ranked],
+        snippets=returned[: config.retrieval.final_snippet_cap],
         ideal_answer=ideal,
     )
 
@@ -634,19 +637,8 @@ def cross_validate(
         fold_scores = []
         for i in sorted(held_out):
             question = question_list[i]
-            if not question.ideal_answers:
-                raise NoIdealAnswer(f"question {question.id!r} has no ideal answers")
-            candidates = candidate_sentences(question)
-            if not candidates:
-                raise NoCandidates(f"question {question.id!r} has no candidates")
-            texts = [c.text for c in candidates]
-            positions = list(range(len(candidates)))
-            scores = scorer.score_sentences(question, texts, positions)
-            scored = [
-                ScoredSentence(text=t, source=c, occurrence_index=p, score=s)
-                for t, c, p, s in zip(texts, candidates, positions, scores)
-            ]
-            answer = assemble_answer(question.qtype, scored, answer_table)
+            candidates = _gold_candidates(question)
+            answer = score_and_assemble(question, candidates, scorer, answer_table)
             f1 = best_reference_f1(answer, question.ideal_answers)
             per_question[question.id] = f1
             fold_scores.append(f1)

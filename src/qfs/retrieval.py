@@ -35,7 +35,7 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .errors import (
     LambdaOutOfRange,
     MalformedInput,
 )
+from .fileio import open_input, read_exact
 from .textproc import token_surfaces
 
 logger = logging.getLogger(__name__)
@@ -243,22 +244,13 @@ def _unit(vec: np.ndarray, doc_id: str) -> np.ndarray:
     return (vec.astype(np.float64) / norm).astype(np.float32)
 
 
-def _read_exact(fh: BinaryIO, count: int, path: str | Path, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise MalformedInput(
-            f"{path}: truncated {what} at byte offset {fh.tell() - len(data)}"
-        )
-    return data
-
-
 def load_dense_store(path: str | Path) -> DenseStore:
     """Read a DVEC file; vectors are renormalized to unit norm on load."""
-    with open(path, "rb") as fh:
+    with open_input(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _DVEC_MAGIC:
             raise MalformedInput(f"{path}: bad magic {magic!r}, expected DVEC")
-        version, dim = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
+        version, dim = struct.unpack("<II", read_exact(fh, 8, path, "header"))
         if version != 1:
             raise MalformedInput(f"{path}: unsupported DVEC version {version}")
         if dim < 1:
@@ -273,8 +265,8 @@ def load_dense_store(path: str | Path) -> DenseStore:
                     f"{path}: truncated record header at byte offset {fh.tell() - len(head)}"
                 )
             (id_len,) = struct.unpack("<I", head)
-            doc_id = _read_exact(fh, id_len, path, "record id").decode("utf-8")
-            payload = _read_exact(fh, 4 * dim, path, f"vector for {doc_id!r}")
+            doc_id = read_exact(fh, id_len, path, "record id").decode("utf-8")
+            payload = read_exact(fh, 4 * dim, path, f"vector for {doc_id!r}")
             vec = np.frombuffer(payload, dtype="<f4").astype(np.float32)
             if doc_id in vectors:
                 logger.warning("duplicate vector id %r; last occurrence wins", doc_id)
@@ -375,7 +367,8 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
 
 def load_index(path: str | Path) -> InvertedIndex:
     """Read a QIDX v2 snapshot written by :func:`save_index`."""
-    data = Path(path).read_bytes()
+    with open_input(path, "rb") as fh:
+        data = fh.read()
     if data[:4] != _QIDX_MAGIC:
         raise MalformedInput(f"{path}: bad magic {data[:4]!r}, expected QIDX")
     version = int.from_bytes(data[4:8], "little")

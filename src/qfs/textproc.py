@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import EmptyCorpus
+from .fileio import open_input
 
 # Maximal runs of Unicode letters/digits; underscore is excluded on purpose.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -181,7 +182,7 @@ def cosine(a: SparseVector, b: SparseVector) -> float:
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stopword list: one lowercase token per line, UTF-8."""
     words = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         for line in fh:
             word = line.strip()
             if word:
