@@ -31,20 +31,10 @@ import click
 
 from . import corpus, pipeline, retrieval, textproc
 from .config import PipelineConfig, emit_config, load_config
-from .embeddings import load_context_embeddings, load_word_embeddings
 from .errors import QfsError
 from .fileio import write_json
 from .metrics import evaluate_run
-from .neural import (
-    NNC_KIND,
-    NNC_TRAIN_DEFAULTS,
-    POOLED_KIND,
-    POOLED_TRAIN_DEFAULTS,
-    TrainConfig,
-    load_params,
-    save_params,
-    train,
-)
+from .neural import KINDS, TrainConfig, load_params, save_params, train
 
 logger = logging.getLogger("qfs")
 
@@ -83,11 +73,9 @@ def _load_scorer(config: PipelineConfig) -> pipeline.SentenceScorer:
     if not model.embeddings_path:
         raise QfsError("config.model.embeddings_path is required to score sentences")
     params = load_params(model.params_path, expected_kind=model.kind)
-    if model.kind == NNC_KIND:
-        table = load_word_embeddings(model.embeddings_path)
-        return pipeline.NncScorer(params, table)  # type: ignore[arg-type]
-    records = load_context_embeddings(model.embeddings_path)
-    return pipeline.PooledScorer(params, records)  # type: ignore[arg-type]
+    kind = KINDS[model.kind]
+    source = kind.load_source(model.embeddings_path)
+    return pipeline.ModelScorer(params, source, kind.train_defaults.clip_len)
 
 
 def _build_resources(
@@ -210,7 +198,7 @@ def cmd_label(questions_path, out_path, docs_path) -> int:
 
 def _train_config(model_kind, epochs, batch_size, dropout, lr, seed, clip_len) -> TrainConfig:
     """Training settings from the flags; an unset flag takes the model's default."""
-    defaults = NNC_TRAIN_DEFAULTS if model_kind == NNC_KIND else POOLED_TRAIN_DEFAULTS
+    defaults = KINDS[model_kind].train_defaults
     return TrainConfig(
         epochs=defaults.epochs if epochs is None else epochs,
         batch_size=defaults.batch_size if batch_size is None else batch_size,
@@ -223,18 +211,16 @@ def _train_config(model_kind, epochs, batch_size, dropout, lr, seed, clip_len) -
 
 def _model_source(model_kind, embeddings_path, cemb_path):
     """The word vectors (nnc) or context embeddings (pooled) a model trains on."""
-    if model_kind == NNC_KIND:
-        if not embeddings_path:
-            raise click.UsageError("--embeddings is required for the nnc model")
-        return load_word_embeddings(embeddings_path)
-    if not cemb_path:
-        raise click.UsageError("--cemb is required for the pooled model")
-    return load_context_embeddings(cemb_path)
+    kind = KINDS[model_kind]
+    path = {"embeddings": embeddings_path, "cemb": cemb_path}[kind.source_option]
+    if not path:
+        raise click.UsageError(f"--{kind.source_option} is required for the {kind.name} model")
+    return kind.load_source(path)
 
 
 @cli.command("train")
 @click.option("--labels", "labels_path", required=True, type=click.Path())
-@click.option("--model", "model_kind", required=True, type=click.Choice([NNC_KIND, POOLED_KIND]))
+@click.option("--model", "model_kind", required=True, type=click.Choice(list(KINDS)))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--embeddings", "embeddings_path", type=click.Path(), default=None,
               help="Word-vector text file (nnc model).")
@@ -307,7 +293,7 @@ def cmd_evaluate(questions_path, submission_path, out_path) -> int:
 @click.option("--questions", "questions_path", required=True, type=click.Path())
 @click.option("--docs", "docs_path", type=click.Path(), default=None)
 @click.option("--model", "model_kind", default="constant", show_default=True,
-              type=click.Choice(["constant", "oracle", NNC_KIND, POOLED_KIND]))
+              type=click.Choice(["constant", "oracle", *KINDS]))
 @click.option("--embeddings", "embeddings_path", type=click.Path(), default=None)
 @click.option("--cemb", "cemb_path", type=click.Path(), default=None)
 @click.option("--k", type=int, default=10, show_default=True)
@@ -330,8 +316,7 @@ def cmd_cv(questions_path, docs_path, model_kind, embeddings_path, cemb_path,
     else:
         config = _train_config(model_kind, epochs, batch_size, dropout, lr, seed, clip_len)
         source = _model_source(model_kind, embeddings_path, cemb_path)
-        model_spec = pipeline.NncModelSpec if model_kind == NNC_KIND else pipeline.PooledModelSpec
-        spec = model_spec(source, config)
+        spec = pipeline.TrainedModelSpec(model_kind, source, config)
     result = pipeline.cross_validate(questions, collection, spec, k=k, seed=seed)
     for i, (size, f1) in enumerate(zip(result.fold_sizes, result.fold_mean_f1), 1):
         click.echo(f"fold {i:2d}: {size:5d} questions  mean SU4-F1 {f1:.4f}")

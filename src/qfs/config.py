@@ -13,12 +13,13 @@ from pathlib import Path
 
 from .errors import MalformedInput
 from .fileio import read_json
+from .neural import KINDS
 from .pipeline import DEFAULT_ANSWER_LENGTHS, FINAL_DOC_CAP, FINAL_SNIPPET_CAP
 from .retrieval import DEFAULT_B, DEFAULT_K1
 
 RETRIEVAL_METHODS = ("bm25", "nir", "rerank")
 SNIPPET_STRATEGIES = ("cosine", "model")
-MODEL_KINDS = ("nnc", "pooled")
+MODEL_KINDS = tuple(KINDS)
 
 # Candidate documents requested per feedback round: fewer in the first
 # round, more afterwards.

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import struct
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -25,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedInput, MaskAllFalse
-from .fileio import open_input, read_exact
+from .fileio import decode_utf8, open_input, read_exact, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -54,8 +55,8 @@ def load_word_embeddings(
     path: str | Path, oov_vector: np.ndarray | None = None
 ) -> EmbeddingTable:
     """Read a word-vector text file; duplicate words keep the last entry."""
-    with open_input(path) as fh:
-        header = fh.readline().split()
+    with closing(read_lines(path)) as lines:
+        header = next(lines, "").split()
         if len(header) != 2:
             raise MalformedInput(f"{path}: header must be 'count dim'")
         try:
@@ -65,7 +66,7 @@ def load_word_embeddings(
         if dim < 1:
             raise MalformedInput(f"{path}: dimension must be positive")
         table: dict[str, np.ndarray] = {}
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in enumerate(lines, start=2):
             parts = line.split()
             if not parts:
                 continue
@@ -219,7 +220,7 @@ def read_context_embeddings(path: str | Path) -> Iterator[ContextEmbeddingRecord
                     f"{path}: truncated record header at byte offset {fh.tell() - len(head)}"
                 )
             (id_len,) = struct.unpack("<I", head)
-            pair_id = read_exact(fh, id_len, path, "record id").decode("utf-8")
+            pair_id = decode_utf8(read_exact(fh, id_len, path, "record id"), path, "record id")
             (n,) = struct.unpack("<I", read_exact(fh, 4, path, "token count"))
             if n < 1:
                 raise MalformedInput(f"{path}: record {pair_id!r} has no tokens")

@@ -2,7 +2,10 @@
 
 Every reader goes through :func:`open_input`, so a missing, unreadable
 or undecodable input is a :class:`MalformedInput` (exit code 2 at the
-command line), never a bare ``OSError`` or ``JSONDecodeError``.
+command line), never a bare ``OSError``, ``JSONDecodeError`` or
+``UnicodeDecodeError``: text files are read through :func:`read_lines`
+or :func:`read_json`, and strings inside binary files are decoded by
+:func:`decode_utf8`.
 """
 
 from __future__ import annotations
@@ -23,13 +26,41 @@ def open_input(path: str | Path, mode: str = "r") -> IO:
 
 
 def read_exact(fh: IO[bytes], count: int, path: str | Path, what: str) -> bytes:
-    """Exactly ``count`` bytes from a binary file, or MalformedInput."""
-    data = fh.read(count)
+    """Exactly ``count`` bytes from a binary file, or MalformedInput.
+
+    Reads at most 1 MiB at a time, so a corrupt length field makes the
+    read fail at the end of the file instead of allocating that length.
+    """
+    chunks, left = [], count
+    while left > 0:
+        chunk = fh.read(min(left, 1 << 20))
+        if not chunk:
+            break
+        chunks.append(chunk)
+        left -= len(chunk)
+    data = b"".join(chunks)
     if len(data) != count:
         raise MalformedInput(
             f"{path}: truncated {what} at byte offset {fh.tell() - len(data)}"
         )
     return data
+
+
+def decode_utf8(raw: bytes, path: str | Path, what: str) -> str:
+    """The text of UTF-8 bytes read from a file, or MalformedInput."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path}: {what} is not UTF-8: {exc}") from exc
+
+
+def read_lines(path: str | Path) -> Iterator[str]:
+    """The lines of a UTF-8 text file; bytes that are not UTF-8 are MalformedInput."""
+    with open_input(path) as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise MalformedInput(f"{path}: not UTF-8: {exc}") from exc
 
 
 def read_json(path: str | Path):
@@ -43,14 +74,13 @@ def read_json(path: str | Path):
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[str, object]]:
     """Yield ``("path:line", object)`` for each non-blank line of a JSONL file."""
-    with open_input(path) as fh:
-        lineno = 1
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                if line.strip():
-                    yield f"{path}:{lineno}", json.loads(line)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise MalformedInput(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if line.strip():
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                raise MalformedInput(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            yield f"{path}:{lineno}", obj
 
 
 def write_json(path: str | Path, payload, sort_keys: bool = False) -> None:

@@ -1,57 +1,20 @@
-"""From-scratch differentiable sentence classifiers and their training."""
+"""From-scratch differentiable sentence classifiers and their training.
 
-from .gradcheck import NncExample, PooledExample, grad_check
-from .lstm import LstmParams, bilstm_encode, lstm_forward
-from .models import (
-    NNC_KIND,
-    POOLED_KIND,
-    DenseParams,
-    NncParams,
-    PooledClassifierParams,
-    init_nnc,
-    init_pooled,
-    nnc_forward,
-    pooled_forward,
-    position_feature,
-)
-from .ops import bce_loss, sigmoid
+The classifier kinds differ only through their entry in ``KINDS``
+(:mod:`qfs.neural.models`). Finite-difference gradient checks live with
+the tests.
+"""
+
+from .models import KINDS, TrainConfig, forward
 from .serialize import load_params, save_params
-from .training import (
-    NNC_TRAIN_DEFAULTS,
-    POOLED_TRAIN_DEFAULTS,
-    Adam,
-    LabeledExample,
-    TrainConfig,
-    TrainResult,
-    train,
-)
+from .training import LabeledExample, train
 
 __all__ = [
-    "NNC_KIND",
-    "POOLED_KIND",
-    "NNC_TRAIN_DEFAULTS",
-    "POOLED_TRAIN_DEFAULTS",
-    "Adam",
-    "DenseParams",
+    "KINDS",
     "LabeledExample",
-    "LstmParams",
-    "NncExample",
-    "NncParams",
-    "PooledClassifierParams",
-    "PooledExample",
     "TrainConfig",
-    "TrainResult",
-    "bce_loss",
-    "bilstm_encode",
-    "grad_check",
-    "init_nnc",
-    "init_pooled",
+    "forward",
     "load_params",
-    "lstm_forward",
-    "nnc_forward",
-    "pooled_forward",
-    "position_feature",
     "save_params",
-    "sigmoid",
     "train",
 ]

@@ -1,4 +1,4 @@
-"""The two sentence classifiers: BiLSTM interaction model and pooled model.
+"""The two sentence classifiers, and the one table that tells them apart.
 
 The interaction model ("nnc") encodes question and candidate sentence
 with one shared bidirectional LSTM, multiplies the two sentence
@@ -10,21 +10,31 @@ tokens, concatenated with the position feature.
 
 The position feature encodes a 0-based candidate position as
 1 / (1 + position), bounded in (0, 1].
+
+Everything that depends on the kind is one :class:`ModelKind` in
+:data:`KINDS`: its name, QFSM code and header dims, training defaults,
+the file it reads and its dimension, ``init``, ``input`` (one example's
+model inputs), ``apply`` and ``backward``. Training, the QFSM codec,
+the scorer and the command line look the kind up there and nowhere else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..embeddings import ContextEmbeddingRecord
-from ..errors import EmptySequence
-from .lstm import BiLstmCache, LstmParams, bilstm_backward, bilstm_encode, lstm_backward
+from ..embeddings import (
+    ContextEmbeddingRecord,
+    EmbeddingTable,
+    embed_tokens,
+    load_context_embeddings,
+    load_word_embeddings,
+)
+from ..errors import EmptySequence, ScorerInputMissing
+from .lstm import BiLstmCache, LstmParams, bilstm_backward, bilstm_encode
 from .ops import relu, sigmoid
-
-NNC_KIND = "nnc"
-POOLED_KIND = "pooled"
 
 _PROB_MIN = float(np.nextafter(0.0, 1.0))
 _PROB_MAX = float(np.nextafter(1.0, 0.0))
@@ -39,6 +49,29 @@ def position_feature(position: int) -> float:
     if position < 0:
         raise ValueError("position must be >= 0")
     return 1.0 / (1.0 + position)
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    epochs: int = 10
+    batch_size: int = 32
+    dropout_rate: float = 0.0
+    learning_rate: float = 1e-3
+    seed: int = 0
+    clip_len: int = 300
+    dropout_seed: int | None = None  # defaults to a stream derived from seed
+
+    def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError("dropout_rate must be in [0, 1)")
+        if self.learning_rate <= 0.0:
+            raise ValueError("learning_rate must be positive")
+        if self.clip_len < 1:
+            raise ValueError("clip_len must be >= 1")
 
 
 @dataclass
@@ -57,10 +90,10 @@ class NncParams:
     output: DenseParams  # (1, dense_hidden)
     seed: int = 0
 
-    kind = NNC_KIND
+    kind = "nnc"
 
     @property
-    def embedding_dim(self) -> int:
+    def emb_dim(self) -> int:
         return self.lstm_fwd.input_dim
 
     @property
@@ -94,7 +127,7 @@ class PooledClassifierParams:
     output: DenseParams  # (1, dense_hidden)
     seed: int = 0
 
-    kind = POOLED_KIND
+    kind = "pooled"
 
     @property
     def input_dim(self) -> int:
@@ -121,6 +154,16 @@ def _init_lstm(rng: np.random.Generator, emb_dim: int, hidden_dim: int) -> LstmP
     return LstmParams(w_x=w_x, w_h=w_h, b=b)
 
 
+def _init_head(
+    rng: np.random.Generator, n_in: int, dense_hidden: int
+) -> tuple[DenseParams, DenseParams]:
+    hidden = DenseParams(
+        w=rng.uniform(-0.05, 0.05, size=(dense_hidden, n_in)), b=np.zeros(dense_hidden)
+    )
+    output = DenseParams(w=rng.uniform(-0.05, 0.05, size=(1, dense_hidden)), b=np.zeros(1))
+    return hidden, output
+
+
 def init_nnc(
     emb_dim: int = DEFAULT_EMBEDDING_DIM,
     lstm_hidden: int = DEFAULT_LSTM_HIDDEN,
@@ -128,34 +171,21 @@ def init_nnc(
     seed: int = 0,
 ) -> NncParams:
     rng = np.random.default_rng(seed)
-    return NncParams(
-        lstm_fwd=_init_lstm(rng, emb_dim, lstm_hidden),
-        lstm_bwd=_init_lstm(rng, emb_dim, lstm_hidden),
-        hidden=DenseParams(
-            w=rng.uniform(-0.05, 0.05, size=(dense_hidden, 4 * lstm_hidden + 1)),
-            b=np.zeros(dense_hidden),
-        ),
-        output=DenseParams(
-            w=rng.uniform(-0.05, 0.05, size=(1, dense_hidden)), b=np.zeros(1)
-        ),
-        seed=seed,
-    )
+    lstm_fwd = _init_lstm(rng, emb_dim, lstm_hidden)
+    lstm_bwd = _init_lstm(rng, emb_dim, lstm_hidden)
+    hidden, output = _init_head(rng, 4 * lstm_hidden + 1, dense_hidden)
+    return NncParams(lstm_fwd, lstm_bwd, hidden, output, seed=seed)
 
 
 def init_pooled(
-    input_dim: int, dense_hidden: int = DEFAULT_DENSE_HIDDEN, seed: int = 0
+    input_dim: int,
+    lstm_hidden: int = DEFAULT_LSTM_HIDDEN,
+    dense_hidden: int = DEFAULT_DENSE_HIDDEN,
+    seed: int = 0,
 ) -> PooledClassifierParams:
-    rng = np.random.default_rng(seed)
-    return PooledClassifierParams(
-        hidden=DenseParams(
-            w=rng.uniform(-0.05, 0.05, size=(dense_hidden, input_dim + 1)),
-            b=np.zeros(dense_hidden),
-        ),
-        output=DenseParams(
-            w=rng.uniform(-0.05, 0.05, size=(1, dense_hidden)), b=np.zeros(1)
-        ),
-        seed=seed,
-    )
+    """``lstm_hidden`` is ignored (there is no encoder); it keeps ``init`` one signature."""
+    hidden, output = _init_head(np.random.default_rng(seed), input_dim + 1, dense_hidden)
+    return PooledClassifierParams(hidden, output, seed=seed)
 
 
 @dataclass
@@ -235,16 +265,6 @@ def _nnc_apply(
     return NncCache(q_vec=q_vec, s_vec=s_vec, q_cache=q_cache, s_cache=s_cache, head=head)
 
 
-def nnc_forward(
-    params: NncParams,
-    q_matrix: np.ndarray,
-    s_matrix: np.ndarray,
-    pos_feature: float,
-) -> float:
-    """Probability that the sentence belongs to the ideal answer."""
-    return _nnc_apply(params, q_matrix, s_matrix, pos_feature).head.prob
-
-
 def _nnc_backward(
     params: NncParams, cache: NncCache, label: int
 ) -> dict[str, np.ndarray]:
@@ -253,20 +273,11 @@ def _nnc_backward(
     two_h = cache.s_vec.shape[0]
     d_s = dx[:two_h] + dx[two_h : 2 * two_h] * cache.q_vec
     d_q = dx[two_h : 2 * two_h] * cache.s_vec
-    gq_f, gq_b = bilstm_backward(params.lstm_fwd, params.lstm_bwd, cache.q_cache, d_q)
-    gs_f, gs_b = bilstm_backward(params.lstm_fwd, params.lstm_bwd, cache.s_cache, d_s)
-    for name, gq, gs in (
-        ("w_x", gq_f["w_x"], gs_f["w_x"]),
-        ("w_h", gq_f["w_h"], gs_f["w_h"]),
-        ("b", gq_f["b"], gs_f["b"]),
-    ):
-        grads[f"lstm_fwd.{name}"] = gq + gs
-    for name, gq, gs in (
-        ("w_x", gq_b["w_x"], gs_b["w_x"]),
-        ("w_h", gq_b["w_h"], gs_b["w_h"]),
-        ("b", gq_b["b"], gs_b["b"]),
-    ):
-        grads[f"lstm_bwd.{name}"] = gq + gs
+    q_grads = bilstm_backward(params.lstm_fwd, params.lstm_bwd, cache.q_cache, d_q)
+    s_grads = bilstm_backward(params.lstm_fwd, params.lstm_bwd, cache.s_cache, d_s)
+    for direction, gq, gs in zip(("lstm_fwd", "lstm_bwd"), q_grads, s_grads):
+        for name in ("w_x", "w_h", "b"):
+            grads[f"{direction}.{name}"] = gq[name] + gs[name]
     return grads
 
 
@@ -286,17 +297,93 @@ def _pooled_apply(
     return PooledCache(head=_head_forward(params.hidden, params.output, x, dropout_mask))
 
 
-def pooled_forward(
-    params: PooledClassifierParams,
-    record: ContextEmbeddingRecord,
-    pos_feature: float,
-) -> float:
-    """Probability from the mean-pooled candidate-sentence embedding."""
-    return _pooled_apply(params, record, pos_feature).head.prob
-
-
 def _pooled_backward(
     params: PooledClassifierParams, cache: PooledCache, label: int
 ) -> dict[str, np.ndarray]:
     grads, _ = _head_backward(params.hidden, params.output, cache.head, label)
     return grads
+
+
+def _nnc_input(
+    table: EmbeddingTable,
+    question_tokens: Sequence[str],
+    sentence_tokens: Sequence[str],
+    pair_id: str | None,
+    position: int,
+    clip_len: int,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    return (
+        embed_tokens(table, question_tokens, clip_len),
+        embed_tokens(table, sentence_tokens, clip_len),
+        position_feature(position),
+    )
+
+
+def _pooled_input(
+    records: Mapping[str, ContextEmbeddingRecord],
+    question_tokens: Sequence[str],
+    sentence_tokens: Sequence[str],
+    pair_id: str | None,
+    position: int,
+    clip_len: int,
+) -> tuple[ContextEmbeddingRecord, float]:
+    record = records.get(pair_id)  # type: ignore[arg-type]
+    if record is None:
+        raise ScorerInputMissing(f"no context-embedding record for pair id {pair_id!r}")
+    return record, position_feature(position)
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    """Everything that differs between the classifier kinds."""
+
+    name: str
+    code: int  # the QFSM kind byte
+    header: tuple[str, ...]  # init arguments stored as the QFSM u32 dims, in order
+    train_defaults: TrainConfig
+    source_option: str  # command-line option naming the file the model reads
+    load_source: Callable  # path -> word-vector table or pair_id -> record mapping
+    source_dim: Callable  # source -> its vector dimension
+    init: Callable  # (source dim, lstm_hidden, dense_hidden, seed) -> params
+    input: Callable  # (source, question tokens, sentence tokens, pair id, position, clip_len)
+    apply: Callable  # (params, *input, dropout_mask=None) -> cache with .head.prob
+    backward: Callable  # (params, cache, label) -> gradient per flat() name
+
+
+# Training defaults are the hyperparameters of each architecture's original runs.
+KINDS = {
+    kind.name: kind
+    for kind in (
+        ModelKind(
+            name="nnc",
+            code=1,
+            header=("emb_dim", "lstm_hidden", "dense_hidden"),
+            train_defaults=TrainConfig(epochs=10, batch_size=1024, dropout_rate=0.7, clip_len=300),
+            source_option="embeddings",
+            load_source=load_word_embeddings,
+            source_dim=lambda table: table.dim,
+            init=init_nnc,
+            input=_nnc_input,
+            apply=_nnc_apply,
+            backward=_nnc_backward,
+        ),
+        ModelKind(
+            name="pooled",
+            code=2,
+            header=("input_dim", "dense_hidden"),
+            train_defaults=TrainConfig(epochs=5, batch_size=32, dropout_rate=0.5, clip_len=250),
+            source_option="cemb",
+            load_source=load_context_embeddings,
+            source_dim=lambda records: next(iter(records.values())).dim,
+            init=init_pooled,
+            input=_pooled_input,
+            apply=_pooled_apply,
+            backward=_pooled_backward,
+        ),
+    )
+}
+
+
+def forward(params: NncParams | PooledClassifierParams, *inputs) -> float:
+    """Probability that the sentence belongs to the ideal answer."""
+    return KINDS[params.kind].apply(params, *inputs).head.prob

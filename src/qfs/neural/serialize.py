@@ -1,13 +1,15 @@
 """Parameter persistence: the QFSM binary format.
 
 Layout (little-endian): magic ``QFSM``, u32 version=1, u8 kind (1 =
-interaction model, 2 = pooled classifier), u64 seed, kind-specific u32
-dims, then every parameter block as raveled f64, and a trailing u32
-CRC32 of all preceding bytes.
+interaction model, 2 = pooled classifier), u64 seed, the kind's u32
+header dims (``ModelKind.header``), then every parameter block of
+``flat()`` as raveled f64, and a trailing u32 CRC32 of all preceding
+bytes. Block shapes are those of the kind's ``init`` at the header dims.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -16,53 +18,48 @@ import numpy as np
 
 from ..errors import KindMismatch, MalformedInput
 from ..fileio import open_input
-from .lstm import LstmParams
-from .models import (
-    NNC_KIND,
-    POOLED_KIND,
-    DenseParams,
-    NncParams,
-    PooledClassifierParams,
-)
+from .models import KINDS, ModelKind, NncParams, PooledClassifierParams
 
 _MAGIC = b"QFSM"
-_KIND_CODES = {NNC_KIND: 1, POOLED_KIND: 2}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
-
-
-def _blocks(params: NncParams | PooledClassifierParams) -> list[np.ndarray]:
-    return list(params.flat().values())
+_HEAD = struct.Struct("<IBQ")  # version, kind code, seed
+_BY_CODE = {kind.code: kind for kind in KINDS.values()}
 
 
 def save_params(params: NncParams | PooledClassifierParams, path: str | Path) -> None:
-    out = bytearray()
-    out += _MAGIC
-    out += struct.pack("<IBQ", 1, _KIND_CODES[params.kind], params.seed)
-    if isinstance(params, NncParams):
-        out += struct.pack(
-            "<III", params.embedding_dim, params.lstm_hidden, params.dense_hidden
-        )
-    else:
-        out += struct.pack("<II", params.input_dim, params.dense_hidden)
-    for block in _blocks(params):
+    kind = KINDS[params.kind]
+    dims = [getattr(params, name) for name in kind.header]
+    out = bytearray(_MAGIC)
+    out += _HEAD.pack(1, kind.code, params.seed)
+    out += struct.pack(f"<{len(dims)}I", *dims)
+    for block in params.flat().values():
         out += np.ascontiguousarray(block, dtype="<f8").tobytes()
     out += struct.pack("<I", zlib.crc32(bytes(out)))
     with open(path, "wb") as fh:
         fh.write(bytes(out))
 
 
-def _take(data: bytes, offset: int, count: int, path: str | Path) -> tuple[bytes, int]:
-    if offset + count > len(data):
-        raise MalformedInput(f"{path}: truncated parameter file at byte {offset}")
-    return data[offset : offset + count], offset + count
+def _value_count(kind: ModelKind, dims: dict[str, int]) -> int:
+    """How many f64 values a model with these header dims holds.
 
+    Found without building the model, which a corrupt header could make
+    huge: every block axis is affine in the dims (``4H``, ``4H + 1``,
+    ``E``, ``1``), so the models at zero dims and at each unit dim give
+    its coefficients.
+    """
 
-def _read_block(
-    data: bytes, offset: int, shape: tuple[int, ...], path: str | Path
-) -> tuple[np.ndarray, int]:
-    count = int(np.prod(shape))
-    raw, offset = _take(data, offset, 8 * count, path)
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy(), offset
+    def shapes(**ones: int) -> list[tuple[int, ...]]:
+        params = kind.init(**{**dict.fromkeys(kind.header, 0), **ones})
+        return [block.shape for block in params.flat().values()]
+
+    base = shapes()
+    unit = {name: shapes(**{name: 1}) for name in kind.header}
+    return sum(
+        math.prod(
+            axis + sum(dims[name] * (unit[name][i][j] - axis) for name in kind.header)
+            for j, axis in enumerate(shape)
+        )
+        for i, shape in enumerate(base)
+    )
 
 
 def load_params(
@@ -76,63 +73,31 @@ def load_params(
     (stored_crc,) = struct.unpack("<I", data[-4:])
     if zlib.crc32(data[:-4]) != stored_crc:
         raise MalformedInput(f"{path}: CRC mismatch, file is corrupted")
-    body = data[:-4]
-    offset = 4
-    raw, offset = _take(body, offset, struct.calcsize("<IBQ"), path)
-    version, kind_code, seed = struct.unpack("<IBQ", raw)
+    body, offset = data[:-4], len(_MAGIC) + _HEAD.size
+    if len(body) < offset:
+        raise MalformedInput(f"{path}: truncated parameter file")
+    version, kind_code, seed = _HEAD.unpack_from(body, len(_MAGIC))
     if version != 1:
         raise MalformedInput(f"{path}: unsupported version {version}")
-    kind = _KIND_NAMES.get(kind_code)
+    kind = _BY_CODE.get(kind_code)
     if kind is None:
         raise MalformedInput(f"{path}: unknown model kind code {kind_code}")
-    if expected_kind is not None and kind != expected_kind:
-        raise KindMismatch(f"{path}: holds a {kind} model, expected {expected_kind}")
-
-    if kind == NNC_KIND:
-        raw, offset = _take(body, offset, 12, path)
-        emb_dim, lstm_hidden, dense_hidden = struct.unpack("<III", raw)
-        shapes = [
-            (4 * lstm_hidden, emb_dim),
-            (4 * lstm_hidden, lstm_hidden),
-            (4 * lstm_hidden,),
-            (4 * lstm_hidden, emb_dim),
-            (4 * lstm_hidden, lstm_hidden),
-            (4 * lstm_hidden,),
-            (dense_hidden, 4 * lstm_hidden + 1),
-            (dense_hidden,),
-            (1, dense_hidden),
-            (1,),
-        ]
-        arrays = []
-        for shape in shapes:
-            arr, offset = _read_block(body, offset, shape, path)
-            arrays.append(arr)
-        if offset != len(body):
-            raise MalformedInput(f"{path}: {len(body) - offset} trailing bytes")
-        return NncParams(
-            lstm_fwd=LstmParams(w_x=arrays[0], w_h=arrays[1], b=arrays[2]),
-            lstm_bwd=LstmParams(w_x=arrays[3], w_h=arrays[4], b=arrays[5]),
-            hidden=DenseParams(w=arrays[6], b=arrays[7]),
-            output=DenseParams(w=arrays[8], b=arrays[9]),
-            seed=seed,
+    if expected_kind is not None and kind.name != expected_kind:
+        raise KindMismatch(f"{path}: holds a {kind.name} model, expected {expected_kind}")
+    header = struct.Struct(f"<{len(kind.header)}I")
+    if len(body) < offset + header.size:
+        raise MalformedInput(f"{path}: truncated parameter file")
+    dims = dict(zip(kind.header, header.unpack_from(body, offset)))
+    offset += header.size
+    expected = 8 * _value_count(kind, dims)
+    if len(body) - offset != expected:
+        raise MalformedInput(
+            f"{path}: {len(body) - offset} bytes of parameters, {expected} for its dims"
         )
-
-    raw, offset = _take(body, offset, 8, path)
-    input_dim, dense_hidden = struct.unpack("<II", raw)
-    shapes = [
-        (dense_hidden, input_dim + 1),
-        (dense_hidden,),
-        (1, dense_hidden),
-        (1,),
-    ]
-    arrays = []
-    for shape in shapes:
-        arr, offset = _read_block(body, offset, shape, path)
-        arrays.append(arr)
-    if offset != len(body):
-        raise MalformedInput(f"{path}: {len(body) - offset} trailing bytes")
-    return PooledClassifierParams(
-        hidden=DenseParams(w=arrays[0], b=arrays[1]),
-        output=DenseParams(w=arrays[2], b=arrays[3]),
-        seed=seed,
-    )
+    params = kind.init(**dims, seed=seed)
+    values = np.frombuffer(body, dtype="<f8", offset=offset)
+    start = 0
+    for block in params.flat().values():
+        block[...] = values[start : start + block.size].reshape(block.shape)
+        start += block.size
+    return params

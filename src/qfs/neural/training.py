@@ -16,21 +16,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..embeddings import ContextEmbeddingRecord, EmbeddingTable, embed_tokens
-from ..errors import EmptyDataset, NonFiniteLoss, ScorerInputMissing
-from .models import (
-    NNC_KIND,
-    POOLED_KIND,
-    NncParams,
-    PooledClassifierParams,
-    _nnc_apply,
-    _nnc_backward,
-    _pooled_apply,
-    _pooled_backward,
-    init_nnc,
-    init_pooled,
-    position_feature,
-)
+from ..embeddings import ContextEmbeddingRecord, EmbeddingTable
+from ..errors import EmptyDataset, NonFiniteLoss
+from .models import KINDS, NncParams, PooledClassifierParams, TrainConfig
 from .ops import bce_loss
 
 
@@ -51,38 +39,6 @@ class LabeledExample:
             raise ValueError(f"label must be 0 or 1, got {self.label}")
         if self.position < 0:
             raise ValueError("position must be >= 0")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 10
-    batch_size: int = 32
-    dropout_rate: float = 0.0
-    learning_rate: float = 1e-3
-    seed: int = 0
-    clip_len: int = 300
-    dropout_seed: int | None = None  # defaults to a stream derived from seed
-
-    def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if self.clip_len < 1:
-            raise ValueError("clip_len must be >= 1")
-
-
-# Hyperparameters used for the two architectures in their original runs.
-NNC_TRAIN_DEFAULTS = TrainConfig(
-    epochs=10, batch_size=1024, dropout_rate=0.7, clip_len=300
-)
-POOLED_TRAIN_DEFAULTS = TrainConfig(
-    epochs=5, batch_size=32, dropout_rate=0.5, clip_len=250
-)
 
 
 class Adam:
@@ -120,31 +76,6 @@ class Adam:
             p -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def _nnc_inputs(
-    examples: Sequence[LabeledExample], table: EmbeddingTable, clip_len: int
-) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    inputs = []
-    for ex in examples:
-        q = embed_tokens(table, ex.question_tokens, clip_len)
-        s = embed_tokens(table, ex.sentence_tokens, clip_len)
-        inputs.append((q, s, position_feature(ex.position)))
-    return inputs
-
-
-def _pooled_inputs(
-    examples: Sequence[LabeledExample],
-    records: Mapping[str, ContextEmbeddingRecord],
-) -> list[tuple[ContextEmbeddingRecord, float]]:
-    inputs = []
-    for ex in examples:
-        if ex.pair_id is None or ex.pair_id not in records:
-            raise ScorerInputMissing(
-                f"no context-embedding record for pair id {ex.pair_id!r}"
-            )
-        inputs.append((records[ex.pair_id], position_feature(ex.position)))
-    return inputs
-
-
 @dataclass
 class TrainResult:
     params: NncParams | PooledClassifierParams
@@ -159,31 +90,25 @@ def train(
     lstm_hidden: int = 100,
     dense_hidden: int = 50,
 ) -> TrainResult:
-    """Train a classifier; deterministic given the config seed.
+    """Train a classifier of kind ``model``; deterministic given the config seed.
 
     ``source`` is a word-vector table for the interaction model or a
-    pair_id -> record mapping for the pooled classifier.
+    pair_id -> record mapping for the pooled classifier. Every example's
+    inputs are built once, by the kind's ``input``, as the scorer builds them.
     """
     if not examples:
         raise EmptyDataset("training requires at least one example")
-
-    if model == NNC_KIND:
-        assert isinstance(source, EmbeddingTable)
-        params: NncParams | PooledClassifierParams = init_nnc(
-            emb_dim=source.dim,
-            lstm_hidden=lstm_hidden,
-            dense_hidden=dense_hidden,
-            seed=config.seed,
-        )
-        inputs: list = _nnc_inputs(examples, source, config.clip_len)
-    elif model == POOLED_KIND:
-        pooled_inputs = _pooled_inputs(examples, source)  # type: ignore[arg-type]
-        params = init_pooled(
-            input_dim=pooled_inputs[0][0].dim, dense_hidden=dense_hidden, seed=config.seed
-        )
-        inputs = pooled_inputs
-    else:
+    kind = KINDS.get(model)
+    if kind is None:
         raise ValueError(f"unknown model kind {model!r}")
+    inputs = [
+        kind.input(
+            source, ex.question_tokens, ex.sentence_tokens, ex.pair_id, ex.position,
+            config.clip_len,
+        )
+        for ex in examples
+    ]
+    params = kind.init(kind.source_dim(source), lstm_hidden, dense_hidden, config.seed)
 
     labels = [ex.label for ex in examples]
     flat = params.flat()
@@ -211,17 +136,9 @@ def train(
                 if rate > 0.0:
                     keep = drop_rng.random(dense_hidden) >= rate
                     mask = keep.astype(np.float64) / (1.0 - rate)
-                if model == NNC_KIND:
-                    q, s, pos = inputs[idx]
-                    cache = _nnc_apply(params, q, s, pos, dropout_mask=mask)  # type: ignore[arg-type]
-                    grads = _nnc_backward(params, cache, labels[idx])  # type: ignore[arg-type]
-                    prob = cache.head.prob
-                else:
-                    rec, pos = inputs[idx]
-                    cache = _pooled_apply(params, rec, pos, dropout_mask=mask)  # type: ignore[arg-type]
-                    grads = _pooled_backward(params, cache, labels[idx])  # type: ignore[arg-type]
-                    prob = cache.head.prob
-                batch_loss += bce_loss(prob, labels[idx])
+                cache = kind.apply(params, *inputs[idx], dropout_mask=mask)
+                grads = kind.backward(params, cache, labels[idx])
+                batch_loss += bce_loss(cache.head.prob, labels[idx])
                 for k, g in grads.items():
                     batch_grads[k] += g
             scale = 1.0 / len(batch)

@@ -9,6 +9,12 @@ command line and ``cross_validate`` compose:
   best into the ideal answer. Phase B (``cross_validate``) starts here,
   from the sentences of the gold snippets.
 
+Every sentence score comes from a :class:`SentenceScorer`: tf-idf
+cosine, the SU4 oracle, or a trained classifier (:class:`ModelScorer`,
+either kind, with inputs built as in training). Snippet selection makes
+one scorer call per question over the sentences of all ranked
+documents, with per-document ordinals as positions.
+
 Candidate sentences keep their *occurrence index*, the 0-based position
 in the post-retrieval candidate list. Tie-breaking everywhere favors
 the earlier occurrence, which keeps every stage deterministic. Answer
@@ -38,7 +44,7 @@ from .corpus import (
     snippet_from_json,
     snippet_to_json,
 )
-from .embeddings import ContextEmbeddingRecord, EmbeddingTable, embed_tokens
+from .embeddings import ContextEmbeddingRecord, EmbeddingTable
 from .errors import (
     EmptyCandidateList,
     MalformedInput,
@@ -50,16 +56,7 @@ from .errors import (
 )
 from .fileio import read_json, read_jsonl, write_json
 from .metrics import best_reference_f1
-from .neural import (
-    LabeledExample,
-    NncParams,
-    PooledClassifierParams,
-    TrainConfig,
-    nnc_forward,
-    pooled_forward,
-    position_feature,
-    train,
-)
+from .neural import KINDS, LabeledExample, TrainConfig, forward, train
 from .retrieval import (
     DenseStore,
     InvertedIndex,
@@ -237,55 +234,36 @@ class OracleScorer:
         return [best_reference_f1(t, question.ideal_answers) for t in texts]
 
 
-class NncScorer:
-    """Interaction-model probability over static word embeddings."""
+def pair_id(question_id: str, position: int) -> str:
+    """The key joining a candidate sentence to its context-embedding record."""
+    return f"{question_id}#{position}"
 
-    def __init__(self, params: NncParams, table: EmbeddingTable, clip_len: int = 300):
+
+class ModelScorer:
+    """A trained classifier's probability, over inputs built as in training."""
+
+    def __init__(
+        self,
+        params,
+        source: EmbeddingTable | Mapping[str, ContextEmbeddingRecord],
+        clip_len: int,
+    ):
         self.params = params
-        self.table = table
+        self.kind = KINDS[params.kind]
+        self.source = source
         self.clip_len = clip_len
 
     def score_sentences(
         self, question: QuestionRecord, texts: Sequence[str], positions: Sequence[int]
     ) -> list[float]:
-        q_matrix = embed_tokens(
-            self.table, token_surfaces(question.body), self.clip_len
-        )
-        scores = []
-        for text, pos in zip(texts, positions):
-            s_matrix = embed_tokens(self.table, token_surfaces(text), self.clip_len)
-            scores.append(
-                nnc_forward(self.params, q_matrix, s_matrix, position_feature(pos))
-            )
-        return scores
-
-
-class PooledScorer:
-    """Pooled-classifier probability over precomputed context embeddings."""
-
-    def __init__(
-        self,
-        params: PooledClassifierParams,
-        records: Mapping[str, ContextEmbeddingRecord],
-    ):
-        self.params = params
-        self.records = records
-
-    def score_sentences(
-        self, question: QuestionRecord, texts: Sequence[str], positions: Sequence[int]
-    ) -> list[float]:
-        scores = []
-        for pos in positions:
-            pair_id = f"{question.id}#{pos}"
-            record = self.records.get(pair_id)
-            if record is None:
-                raise ScorerInputMissing(
-                    f"no context-embedding record for pair id {pair_id!r}"
-                )
-            scores.append(
-                pooled_forward(self.params, record, position_feature(pos))
-            )
-        return scores
+        q_tokens = token_surfaces(question.body)
+        return [
+            forward(self.params, *self.kind.input(
+                self.source, q_tokens, token_surfaces(text), pair_id(question.id, pos),
+                pos, self.clip_len,
+            ))
+            for text, pos in zip(texts, positions)
+        ]
 
 
 def document_sentences(doc_id: str, collection: DocumentCollection) -> list[SnippetSpan]:
@@ -318,29 +296,10 @@ def snip_cosine(
 ) -> list[SnippetSpan]:
     """Baseline snippet strategy: tf-idf cosine against the question.
 
-    Per document the top ``per_doc`` sentences are re-ordered by
-    occurrence; per-document groups are collated in document-relevance
-    order. The tf-idf model is fitted on the candidate sentences of all
-    ranked documents, so scores are comparable across documents.
+    The tf-idf model is fitted on the sentences of all ranked documents,
+    so scores are comparable across documents.
     """
-    per_doc_sents = {
-        doc_id: document_sentences(doc_id, collection) for doc_id, _ in ranked_docs
-    }
-    all_tokens = [
-        token_surfaces(s.text) for sents in per_doc_sents.values() for s in sents
-    ]
-    if not any(all_tokens):
-        return []
-    model = tfidf_fit(all_tokens)
-    q_vec = tfidf_vector(model, token_surfaces(question.body))
-    out: list[SnippetSpan] = []
-    for doc_id, _ in ranked_docs:
-        sents = per_doc_sents[doc_id]
-        scores = [
-            cosine(q_vec, tfidf_vector(model, token_surfaces(s.text))) for s in sents
-        ]
-        out.extend(_top_by_occurrence(sents, scores, per_doc))
-    return out
+    return snip_model(question, ranked_docs, collection, CosineScorer(), per_doc)
 
 
 def snip_model(
@@ -350,19 +309,24 @@ def snip_model(
     scorer: SentenceScorer,
     per_doc: int = SNIPPETS_PER_DOC,
 ) -> list[SnippetSpan]:
-    """Model-scored snippet strategy; same occurrence/collation rules.
+    """Snippets by one scorer call over the sentences of every ranked document.
 
     Sentence positions passed to the scorer are per-document ordinals.
+    Per document the top ``per_doc`` sentences are re-ordered by
+    occurrence; per-document groups are collated in document-relevance
+    order.
     """
+    per_doc_sents = [document_sentences(doc_id, collection) for doc_id, _ in ranked_docs]
+    scores = scorer.score_sentences(
+        question,
+        [s.text for sents in per_doc_sents for s in sents],
+        [i for sents in per_doc_sents for i in range(len(sents))],
+    )
     out: list[SnippetSpan] = []
-    for doc_id, _ in ranked_docs:
-        sents = document_sentences(doc_id, collection)
-        if not sents:
-            continue
-        scores = scorer.score_sentences(
-            question, [s.text for s in sents], list(range(len(sents)))
-        )
-        out.extend(_top_by_occurrence(sents, scores, per_doc))
+    start = 0
+    for sents in per_doc_sents:
+        out.extend(_top_by_occurrence(sents, scores[start : start + len(sents)], per_doc))
+        start += len(sents)
     return out
 
 
@@ -422,7 +386,7 @@ def generate_labels(
                     sentence_tokens=tuple(token_surfaces(cand.text)),
                     position=i,
                     label=1 if i in positive else 0,
-                    pair_id=f"{question.id}#{i}",
+                    pair_id=pair_id(question.id, i),
                     question_text=question.body,
                     sentence_text=cand.text,
                 )
@@ -550,8 +514,11 @@ class OracleModelSpec:
 
 
 @dataclass
-class NncModelSpec:
-    table: EmbeddingTable
+class TrainedModelSpec:
+    """Trains a classifier of ``kind`` on the labels of each training split."""
+
+    kind: str
+    source: EmbeddingTable | Mapping[str, ContextEmbeddingRecord]
     config: TrainConfig
     lstm_hidden: int = 100
     dense_hidden: int = 50
@@ -559,30 +526,9 @@ class NncModelSpec:
     def fit(self, questions, collection) -> SentenceScorer:
         examples = generate_labels(questions, collection)
         result = train(
-            "nnc",
-            examples,
-            self.table,
-            self.config,
-            lstm_hidden=self.lstm_hidden,
-            dense_hidden=self.dense_hidden,
+            self.kind, examples, self.source, self.config, self.lstm_hidden, self.dense_hidden
         )
-        assert isinstance(result.params, NncParams)
-        return NncScorer(result.params, self.table, self.config.clip_len)
-
-
-@dataclass
-class PooledModelSpec:
-    records: Mapping[str, ContextEmbeddingRecord]
-    config: TrainConfig
-    dense_hidden: int = 50
-
-    def fit(self, questions, collection) -> SentenceScorer:
-        examples = generate_labels(questions, collection)
-        result = train(
-            "pooled", examples, self.records, self.config, dense_hidden=self.dense_hidden
-        )
-        assert isinstance(result.params, PooledClassifierParams)
-        return PooledScorer(result.params, self.records)
+        return ModelScorer(result.params, self.source, self.config.clip_len)
 
 
 @dataclass

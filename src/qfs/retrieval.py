@@ -47,7 +47,7 @@ from .errors import (
     LambdaOutOfRange,
     MalformedInput,
 )
-from .fileio import open_input, read_exact
+from .fileio import decode_utf8, open_input, read_exact
 from .textproc import token_surfaces
 
 logger = logging.getLogger(__name__)
@@ -265,7 +265,7 @@ def load_dense_store(path: str | Path) -> DenseStore:
                     f"{path}: truncated record header at byte offset {fh.tell() - len(head)}"
                 )
             (id_len,) = struct.unpack("<I", head)
-            doc_id = read_exact(fh, id_len, path, "record id").decode("utf-8")
+            doc_id = decode_utf8(read_exact(fh, id_len, path, "record id"), path, "record id")
             payload = read_exact(fh, 4 * dim, path, f"vector for {doc_id!r}")
             vec = np.frombuffer(payload, dtype="<f4").astype(np.float32)
             if doc_id in vectors:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import EmptyCorpus
-from .fileio import open_input
+from .fileio import read_lines
 
 # Maximal runs of Unicode letters/digits; underscore is excluded on purpose.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -181,10 +181,4 @@ def cosine(a: SparseVector, b: SparseVector) -> float:
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stopword list: one lowercase token per line, UTF-8."""
-    words = set()
-    with open_input(path) as fh:
-        for line in fh:
-            word = line.strip()
-            if word:
-                words.add(word.lower())
-    return frozenset(words)
+    return frozenset(line.strip().lower() for line in read_lines(path) if line.strip())

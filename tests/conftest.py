@@ -12,6 +12,26 @@ from qfs.corpus import (
     QuestionSet,
     SnippetSpan,
 )
+from qfs.errors import QfsError
+
+
+def load_each_corruption(path, data: bytes, load) -> int:
+    """Load every truncation of ``data``, then ``data`` with each byte inverted.
+
+    Each load must return or raise a QfsError; any other exception fails
+    the calling test. Returns how many corrupt files loaded without error.
+    """
+    truncations = [data[:end] for end in range(len(data))]
+    flips = [data[:i] + bytes([data[i] ^ 0xFF]) + data[i + 1 :] for i in range(len(data))]
+    loaded = 0
+    for variant in truncations + flips:
+        path.write_bytes(variant)
+        try:
+            load(path)
+        except QfsError:
+            continue
+        loaded += 1
+    return loaded
 
 
 def make_doc(doc_id: str, *sections: tuple[str, str]) -> DocumentRecord:

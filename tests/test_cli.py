@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from qfs.cli import main
 from qfs.corpus import QuestionSet, save_document_collection, save_question_set
+from qfs.embeddings import ContextEmbeddingRecord, write_context_embeddings
+from qfs.neural import save_params
+from qfs.neural.models import init_nnc
 
 from conftest import make_question
 
@@ -92,16 +98,36 @@ class TestRetrieveWithIndexFile:
 
 GOLDEN = Path(__file__).parent / "golden"
 # Outputs checked in under tests/golden; QFS_UPDATE_GOLDEN=1 rewrites them.
-GOLDEN_OUTPUTS = ("retrieve.json", "snippets.json", "labels.jsonl", "cv.json")
+GOLDEN_OUTPUTS = (
+    "retrieve.json", "snippets.json", "labels.jsonl", "answer.json",
+    "model-snippets.json", "model-answer.json", "cv.json", "cv-nnc.json", "cv-pooled.json",
+)
+# Model files are pinned by their sha256, listed in tests/golden/models.sha256.
+GOLDEN_MODELS = ("model.qfsm", "pooled.qfsm")
+
+
+def write_context_file(path: Path) -> None:
+    """Seeded context embeddings, one record per pair id of the golden labels."""
+    rng = np.random.default_rng(17)
+    lines = (GOLDEN / "labels.jsonl").read_text().splitlines()
+    pair_ids = [json.loads(line)["pair_id"] for line in lines]
+    records = []
+    for pair_id in pair_ids:
+        n = int(rng.integers(2, 6))
+        mask = np.arange(n) >= n // 2
+        records.append(ContextEmbeddingRecord(pair_id, rng.normal(size=(n, 4)), mask))
+    write_context_embeddings(path, records)
 
 
 def run_chain(work: Path) -> dict[str, bytes]:
     """Every command over the golden fixture, in order; returns each output's bytes."""
     questions, feedback = GOLDEN / "questions.json", GOLDEN / "feedback.json"
+    vectors, cemb = GOLDEN / "vectors.txt", work / "context.cemb"
+    write_context_file(cemb)
     model = {
         "kind": "nnc",
         "params_path": str(work / "model.qfsm"),
-        "embeddings_path": str(GOLDEN / "vectors.txt"),
+        "embeddings_path": str(vectors),
     }
     resources = {"docs_path": str(GOLDEN / "docs.jsonl"), "index_path": str(work / "index.qidx")}
     configs = {
@@ -119,7 +145,7 @@ def run_chain(work: Path) -> dict[str, bytes]:
         ("snippets", "--config", configs["cosine"], *per_question, "--out", work / "snippets.json"),
         ("label", "--questions", questions, "--out", work / "labels.jsonl"),
         ("train", "--labels", work / "labels.jsonl", "--model", "nnc", "--epochs", "1",
-         "--embeddings", GOLDEN / "vectors.txt", "--out", work / "model.qfsm"),
+         "--embeddings", vectors, "--out", work / "model.qfsm"),
         ("answer", "--config", configs["cosine"], *per_question, "--out", work / "answer.json"),
         ("evaluate", "--questions", questions, "--submission", work / "answer.json",
          "--out", work / "evaluate.json"),
@@ -127,10 +153,22 @@ def run_chain(work: Path) -> dict[str, bytes]:
         ("snippets", "--config", configs["model"], *per_question,
          "--out", work / "model-snippets.json"),
         ("answer", "--config", configs["model"], *per_question, "--out", work / "model-answer.json"),
+        ("train", "--labels", work / "labels.jsonl", "--model", "pooled", "--epochs", "2",
+         "--cemb", cemb, "--out", work / "pooled.qfsm"),
+        ("cv", "--questions", questions, "--model", "pooled", "--k", "2", "--cemb", cemb,
+         "--out", work / "cv-pooled.json"),
+        ("cv", "--questions", questions, "--model", "nnc", "--k", "2", "--epochs", "1",
+         "--embeddings", vectors, "--out", work / "cv-nnc.json"),
     ]
     for step in steps:
         assert run_qfs(*step) == (0, ""), step[0]
     return {p.name: p.read_bytes() for p in work.iterdir() if p.suffix != ".config"}
+
+
+def model_digests(outputs: dict[str, bytes]) -> str:
+    return "".join(
+        f"{hashlib.sha256(outputs[name]).hexdigest()}  {name}\n" for name in GOLDEN_MODELS
+    )
 
 
 @pytest.fixture(scope="module")
@@ -150,8 +188,10 @@ class TestGoldenChain:
         if os.environ.get("QFS_UPDATE_GOLDEN"):
             for name in GOLDEN_OUTPUTS:
                 (GOLDEN / name).write_bytes(outputs[name])
+            (GOLDEN / "models.sha256").write_text(model_digests(outputs))
         for name in GOLDEN_OUTPUTS:
             assert outputs[name] == (GOLDEN / name).read_bytes(), name
+        assert model_digests(outputs) == (GOLDEN / "models.sha256").read_text()
 
     @pytest.mark.parametrize("prefix", ["", "model-"])
     def test_snippets_equal_answer_snippets(self, chain_outputs, prefix):
@@ -176,7 +216,15 @@ def config_file(work: Path, **sections) -> Path:
     return write(work / "config.json", json.dumps(payload))
 
 
+def write_bytes(path: Path, data: bytes) -> Path:
+    path.write_bytes(data)
+    return path
+
+
 LABEL = '{"question": "q", "sentence": "s", "position": 0, "label": 1}\n'
+# One record each, whose id is the byte 0xff, which is not UTF-8.
+CEMB_BAD_ID = b"CEMB" + struct.pack("<III", 1, 2, 1) + b"\xff" + struct.pack("<IB2f", 1, 1, 0.6, 0.8)
+DVEC_BAD_ID = b"DVEC" + struct.pack("<III", 1, 2, 1) + b"\xff" + struct.pack("<2f", 0.6, 0.8)
 TRAIN = ("train", "--model", "nnc", "--embeddings", GOLDEN / "vectors.txt")
 QUESTIONS = ("--questions", GOLDEN / "questions.json")
 
@@ -241,6 +289,20 @@ BROKEN_INPUTS = {
             "kind": "nnc", "params_path": str(w / "missing.qfsm"),
             "embeddings_path": str(GOLDEN / "vectors.txt")}),
         *QUESTIONS, "--out", w / "o.json"),
+    "train word vectors that are not UTF-8": lambda w: (
+        "train", "--model", "nnc", "--embeddings", write_bytes(w / "v.txt", b"1 1\n\xff 0.5\n"),
+        "--labels", write(w / "l.jsonl", LABEL), "--out", w / "m"),
+    "train context-embedding id that is not UTF-8": lambda w: (
+        "train", "--model", "pooled", "--cemb", write_bytes(w / "c.cemb", CEMB_BAD_ID),
+        "--labels", write(w / "l.jsonl", LABEL), "--out", w / "m"),
+    "index stopwords that are not UTF-8": lambda w: (
+        "index", "--docs", GOLDEN / "docs.jsonl",
+        "--stopwords", write_bytes(w / "s.txt", b"the\n\xff\n"), "--out", w / "i.qidx"),
+    "retrieve dense-vector id that is not UTF-8": lambda w: (
+        "retrieve", "--config", config_file(w, retrieval={"method": "nir"}, resources={
+            "dense_path": str(write_bytes(w / "d.dvec", DVEC_BAD_ID)),
+            "query_vectors_path": str(w / "d.dvec")}),
+        *QUESTIONS, "--out", w / "o.json"),
     "config with a non-numeric seed": lambda w: (
         "config", "validate", "--config", write(w / "c.json", '{"seed": "x"}')),
     "config with a non-numeric round_docs count": lambda w: (
@@ -257,3 +319,35 @@ def test_missing_or_corrupt_input_exits_2(tmp_path, case):
     assert code == 2, err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# Each case builds the arguments of one command line that misuses the program.
+USAGE_ERRORS = {
+    "missing required option": lambda w: ("index", "--docs", GOLDEN / "docs.jsonl"),
+    "nnc model without word vectors": lambda w: (
+        "train", "--model", "nnc", "--labels", GOLDEN / "labels.jsonl", "--out", w / "m"),
+    "unknown command": lambda w: ("summarise", *QUESTIONS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_exits_64(tmp_path, case):
+    code, err = run_qfs(*USAGE_ERRORS[case](tmp_path))
+    assert code == 64, err
+    assert "Error" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_answer_exits_1_when_it_skips_a_question(tmp_path):
+    golden = json.loads((GOLDEN / "questions.json").read_text())
+    nothing = {**golden[0], "id": "q-none", "body": "Zyxwv qwrtp?"}  # matches no document
+    questions = write(tmp_path / "q.json", json.dumps([*golden, nothing]))
+    save_params(init_nnc(emb_dim=4, lstm_hidden=2, dense_hidden=2), tmp_path / "m.qfsm")
+    config = config_file(tmp_path, model={
+        "kind": "nnc", "params_path": str(tmp_path / "m.qfsm"),
+        "embeddings_path": str(GOLDEN / "vectors.txt")})
+    code, err = run_qfs("answer", "--config", config, "--questions", questions,
+                        "--out", tmp_path / "a.json")
+    assert code == 1, err
+    answered = json.loads((tmp_path / "a.json").read_text())["questions"]
+    assert [q["id"] for q in answered] == [q["id"] for q in golden]

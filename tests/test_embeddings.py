@@ -18,6 +18,8 @@ from qfs.embeddings import (
 )
 from qfs.errors import DimensionMismatch, MalformedInput, MaskAllFalse
 
+from conftest import load_each_corruption
+
 
 def write_vectors(tmp_path, text, name="vectors.txt"):
     path = tmp_path / name
@@ -119,6 +121,12 @@ class TestCembRoundTrip:
         path = tmp_path / "three.cemb"
         assert write_context_embeddings(path, records) == 3
         assert list(read_context_embeddings(path)) == records
+
+    def test_every_truncation_and_flipped_byte_is_an_error_or_loads(self, tmp_path):
+        rng = np.random.default_rng(6)
+        path = tmp_path / "two.cemb"
+        write_context_embeddings(path, [random_record(rng, f"q#{i}", 2) for i in range(2)])
+        load_each_corruption(path, path.read_bytes(), load_context_embeddings)
 
     def test_empty_file_roundtrip(self, tmp_path):
         path = tmp_path / "empty.cemb"

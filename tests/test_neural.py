@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -15,25 +17,21 @@ from qfs.errors import (
     MalformedInput,
     NonFiniteLoss,
 )
-from qfs.neural import (
-    LabeledExample,
-    NncExample,
-    PooledExample,
-    TrainConfig,
-    bce_loss,
-    bilstm_encode,
-    grad_check,
+from qfs.neural import LabeledExample, TrainConfig, forward, load_params, save_params, train
+from qfs.neural.lstm import LstmParams, bilstm_encode, lstm_forward
+from qfs.neural.models import (
+    DenseParams,
+    NncParams,
+    _nnc_apply,
+    _pooled_apply,
     init_nnc,
     init_pooled,
-    load_params,
-    nnc_forward,
-    pooled_forward,
     position_feature,
-    save_params,
-    train,
 )
-from qfs.neural.lstm import LstmParams, lstm_forward
-from qfs.neural.models import DenseParams, NncParams
+from qfs.neural.ops import bce_loss
+
+from conftest import load_each_corruption
+from gradcheck import grad_check
 
 
 def oracle_lstm_states(w_x, w_h, b, xs):
@@ -121,12 +119,10 @@ class TestNncForward:
     def test_all_zero_params_give_half(self):
         rng = np.random.default_rng(3)
         params = zeroed_nnc()
-        prob = nnc_forward(params, rng.normal(size=(2, 3)), rng.normal(size=(3, 3)), 0.5)
+        prob = forward(params, rng.normal(size=(2, 3)), rng.normal(size=(3, 3)), 0.5)
         assert prob == pytest.approx(0.5)
 
     def test_interaction_is_elementwise_square_when_q_equals_s(self):
-        from qfs.neural.models import _nnc_apply
-
         rng = np.random.default_rng(4)
         params = init_nnc(emb_dim=3, lstm_hidden=2, dense_hidden=4, seed=4)
         x = rng.normal(size=(3, 3))
@@ -161,12 +157,12 @@ class TestNncForward:
         z = output.w[0] @ h + output.b[0]
         expected = 1.0 / (1.0 + math.exp(-z))
 
-        assert nnc_forward(params, q, s, pos) == pytest.approx(expected, abs=1e-9)
+        assert forward(params, q, s, pos) == pytest.approx(expected, abs=1e-9)
 
     def test_empty_matrix_rejected(self):
         params = zeroed_nnc()
         with pytest.raises(EmptySequence):
-            nnc_forward(params, np.zeros((0, 3)), np.ones((1, 3)), 0.5)
+            forward(params, np.zeros((0, 3)), np.ones((1, 3)), 0.5)
 
 
 def record_of(rows, mask, pair_id="p#0") -> ContextEmbeddingRecord:
@@ -179,8 +175,6 @@ def record_of(rows, mask, pair_id="p#0") -> ContextEmbeddingRecord:
 
 class TestPooledForward:
     def test_masked_mean(self):
-        from qfs.neural.models import _pooled_apply
-
         params = init_pooled(input_dim=2, dense_hidden=3, seed=0)
         rec = record_of([[1, 3], [3, 5]], [True, True])
         cache = _pooled_apply(params, rec, 0.5)
@@ -190,11 +184,9 @@ class TestPooledForward:
         params = init_pooled(input_dim=2, dense_hidden=3)
         for arr in params.flat().values():
             arr[...] = 0.0
-        assert pooled_forward(params, record_of([[1, 2]], [True]), 1.0) == pytest.approx(0.5)
+        assert forward(params, record_of([[1, 2]], [True]), 1.0) == pytest.approx(0.5)
 
     def test_single_masked_row_is_identity(self):
-        from qfs.neural.models import _pooled_apply
-
         params = init_pooled(input_dim=3, dense_hidden=3, seed=1)
         rec = record_of([[9, 9, 9], [1, 2, 3]], [False, True])
         cache = _pooled_apply(params, rec, 0.5)
@@ -204,9 +196,7 @@ class TestPooledForward:
         params = init_pooled(input_dim=2, dense_hidden=3, seed=2)
         a = record_of([[1, 0], [0, 1], [5, 5]], [True, True, False])
         b = record_of([[0, 1], [1, 0], [5, 5]], [True, True, False])
-        assert pooled_forward(params, a, 0.5) == pytest.approx(
-            pooled_forward(params, b, 0.5)
-        )
+        assert forward(params, a, 0.5) == pytest.approx(forward(params, b, 0.5))
 
 
 class TestBceLoss:
@@ -229,7 +219,7 @@ class TestGradCheck:
         rng = np.random.default_rng(10)
         params = init_pooled(input_dim=4, dense_hidden=5, seed=10)
         rec = record_of(rng.normal(size=(4, 4)), [True, False, True, True])
-        err = grad_check(params, PooledExample(record=rec, pos_feature=0.5, label=1))
+        err = grad_check(params, (rec, 0.5), label=1)
         assert err < 1e-4
 
     def test_nnc_model_including_gates(self):
@@ -237,13 +227,8 @@ class TestGradCheck:
         params = init_nnc(emb_dim=3, lstm_hidden=3, dense_hidden=4, seed=11)
         for arr in params.flat().values():
             arr += rng.uniform(-0.3, 0.3, size=arr.shape)
-        example = NncExample(
-            q_matrix=rng.normal(size=(2, 3)),
-            s_matrix=rng.normal(size=(3, 3)),
-            pos_feature=position_feature(2),
-            label=0,
-        )
-        assert grad_check(params, example) < 1e-4
+        inputs = (rng.normal(size=(2, 3)), rng.normal(size=(3, 3)), position_feature(2))
+        assert grad_check(params, inputs, label=0) < 1e-4
 
     def test_dead_relu_path_passes_via_absolute_fallback(self):
         params = init_pooled(input_dim=2, dense_hidden=3, seed=12)
@@ -252,7 +237,7 @@ class TestGradCheck:
         params.hidden.w[...] = 0.0
         params.hidden.b[...] = -5.0
         rec = record_of([[1.0, 1.0]], [True])
-        err = grad_check(params, PooledExample(record=rec, pos_feature=1.0, label=1))
+        err = grad_check(params, (rec, 1.0), label=1)
         assert err < 1e-4
 
 
@@ -285,9 +270,7 @@ class TestTraining:
         result = train("pooled", examples, records, config)
         correct = 0
         for ex in examples:
-            prob = pooled_forward(
-                result.params, records[ex.pair_id], position_feature(ex.position)
-            )
+            prob = forward(result.params, records[ex.pair_id], position_feature(ex.position))
             correct += (prob >= 0.5) == (ex.label == 1)
         assert correct == len(examples)
         assert len(result.loss_history) == 200
@@ -350,9 +333,7 @@ class TestTraining:
         config = TrainConfig(epochs=100, batch_size=8, learning_rate=5e-2)
         result = train("pooled", examples, records, config)
         for ex in examples:
-            prob = pooled_forward(
-                result.params, records[ex.pair_id], position_feature(ex.position)
-            )
+            prob = forward(result.params, records[ex.pair_id], position_feature(ex.position))
             assert 0.0 < prob < 1.0
 
 
@@ -400,4 +381,23 @@ class TestParamsIO:
         data[30] ^= 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(MalformedInput):
+            load_params(path)
+
+    @pytest.mark.parametrize("params", [
+        init_nnc(emb_dim=2, lstm_hidden=1, dense_hidden=2, seed=5),
+        init_pooled(input_dim=3, dense_hidden=2, seed=6),
+    ], ids=["nnc", "pooled"])
+    def test_every_truncation_and_flipped_byte_is_rejected(self, tmp_path, params):
+        path = tmp_path / "m.qfsm"
+        save_params(params, path)
+        assert load_each_corruption(path, path.read_bytes(), load_params) == 0
+
+    @pytest.mark.parametrize("dim", [0, 1, 2**31])
+    def test_header_dims_checked_behind_a_valid_crc(self, tmp_path, dim):
+        path = tmp_path / "m.qfsm"
+        save_params(init_nnc(emb_dim=2, lstm_hidden=2, dense_hidden=2), path)
+        data = bytearray(path.read_bytes()[:-4])
+        struct.pack_into("<I", data, 4 + 13 + 4, dim)  # lstm_hidden
+        path.write_bytes(bytes(data) + struct.pack("<I", zlib.crc32(data)))
+        with pytest.raises(MalformedInput, match="bytes of parameters"):
             load_params(path)

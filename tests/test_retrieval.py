@@ -35,7 +35,7 @@ from qfs.retrieval import (
 )
 from qfs.textproc import token_surfaces
 
-from conftest import make_doc, random_unit_vectors
+from conftest import load_each_corruption, make_doc, random_unit_vectors
 
 
 def collection_of(*texts: str) -> DocumentCollection:
@@ -389,6 +389,12 @@ class TestDenseStoreIO:
         assert loaded.dim == 3 and len(loaded) == 2
         for doc_id, vec in store.vectors.items():
             assert np.array_equal(loaded.vectors[doc_id], vec)
+
+    def test_every_truncation_and_flipped_byte_is_an_error_or_loads(self, tmp_path):
+        rng = np.random.default_rng(12)
+        path = tmp_path / "v.dvec"
+        save_dense_store(DenseStore.from_vectors(random_unit_vectors(rng, ["a", "bc"], 3)), path)
+        load_each_corruption(path, path.read_bytes(), load_dense_store)
 
     def test_zero_vector_rejected(self, tmp_path):
         import struct
