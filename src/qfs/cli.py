@@ -72,10 +72,9 @@ def _load_scorer(config: PipelineConfig) -> pipeline.SentenceScorer:
         raise QfsError("config.model.params_path is required to score sentences")
     if not model.embeddings_path:
         raise QfsError("config.model.embeddings_path is required to score sentences")
-    params = load_params(model.params_path, expected_kind=model.kind)
-    kind = KINDS[model.kind]
-    source = kind.load_source(model.embeddings_path)
-    return pipeline.ModelScorer(params, source, kind.train_defaults.clip_len)
+    params, clip_len = load_params(model.params_path, expected_kind=model.kind)
+    source = KINDS[model.kind].load_source(model.embeddings_path)
+    return pipeline.ModelScorer(params, source, clip_len)
 
 
 def _build_resources(
@@ -239,7 +238,7 @@ def cmd_train(labels_path, model_kind, out_path, embeddings_path, cemb_path,
     source = _model_source(model_kind, embeddings_path, cemb_path)
     examples = pipeline.load_labels(labels_path)
     result = train(model_kind, examples, source, config)
-    save_params(result.params, out_path)
+    save_params(result.params, out_path, config.clip_len)
     click.echo(
         f"trained {model_kind} for {config.epochs} epochs; "
         f"final loss {result.loss_history[-1]:.4f} -> {out_path}"

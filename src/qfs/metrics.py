@@ -5,6 +5,13 @@ four intervening tokens (the "-2 4 -u" convention), with multiset
 clipping so repeated candidate units cannot inflate precision. No
 begin-of-sentence marker is added. Scoring tokenization is
 ``textproc.tokenize`` (lowercased alphanumeric runs), no stemming.
+
+Each text's unit multiset is built once, as an :class:`Su4Units`:
+``best_reference_f1`` and ``evaluate_run`` count the candidate once per
+call, not once per reference, and ``best_reference_f1`` also takes
+references prepared once by :func:`su4_references`, so a caller that
+scores many candidates against one question's ideal answers counts
+those answers once.
 """
 
 from __future__ import annotations
@@ -46,29 +53,44 @@ def su_units(tokens: Sequence[str], dskip: int) -> Counter:
     """
     if dskip < 0:
         raise ValueError("dskip must be >= 0")
-    units: Counter = Counter()
-    n = len(tokens)
-    for i in range(n):
-        units[(tokens[i],)] += 1
-        for j in range(i + 1, min(n, i + dskip + 2)):
-            units[(tokens[i], tokens[j])] += 1
+    units = Counter(zip(tokens))
+    for gap in range(1, dskip + 2):
+        units.update(zip(tokens, tokens[gap:]))
     return units
+
+
+@dataclass(frozen=True)
+class Su4Units:
+    """One text's SU4 unit multiset and its size, built once per text."""
+
+    units: Counter
+    total: int
+
+    @classmethod
+    def of(cls, text: str) -> "Su4Units":
+        units = su_units(token_surfaces(text), SU4_SKIP)
+        return cls(units, units.total())
+
+
+def su4_references(texts: Iterable[str]) -> tuple[Su4Units, ...]:
+    """Reference texts prepared once, for many ``best_reference_f1`` calls."""
+    return tuple(Su4Units.of(text) for text in texts)
 
 
 def _clipped_overlap(cand: Counter, ref: Counter) -> int:
     return sum(min(count, ref[unit]) for unit, count in cand.items() if unit in ref)
 
 
+def _su4_score(cand: Su4Units, ref: Su4Units) -> RougeScore:
+    if cand.total == 0 or ref.total == 0:
+        return RougeScore.zero()
+    matches = _clipped_overlap(cand.units, ref.units)
+    return RougeScore.from_pr(matches / cand.total, matches / ref.total)
+
+
 def rouge_su4_f1(candidate: str, reference: str) -> RougeScore:
     """Skip-bigram (gap <= 4) plus unigram F1 between two texts."""
-    cand_units = su_units(token_surfaces(candidate), SU4_SKIP)
-    ref_units = su_units(token_surfaces(reference), SU4_SKIP)
-    cand_total = sum(cand_units.values())
-    ref_total = sum(ref_units.values())
-    if cand_total == 0 or ref_total == 0:
-        return RougeScore.zero()
-    matches = _clipped_overlap(cand_units, ref_units)
-    return RougeScore.from_pr(matches / cand_total, matches / ref_total)
+    return _su4_score(Su4Units.of(candidate), Su4Units.of(reference))
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
@@ -89,11 +111,18 @@ def rouge_n_f1(candidate: str, reference: str, n: int) -> RougeScore:
     return RougeScore.from_pr(matches / cand_total, matches / ref_total)
 
 
-def best_reference_f1(candidate: str, references: Sequence[str]) -> float:
-    """Max SU4-F1 of the candidate over a non-empty reference list."""
+def best_reference_f1(candidate: str, references: Sequence[str | Su4Units]) -> float:
+    """Max SU4-F1 of the candidate over a non-empty reference list.
+
+    References are texts, or texts prepared once by :func:`su4_references`.
+    """
     if not references:
         raise EmptyReferenceList("at least one reference text is required")
-    return max(rouge_su4_f1(candidate, ref).f1 for ref in references)
+    cand = Su4Units.of(candidate)
+    return max(
+        _su4_score(cand, ref if isinstance(ref, Su4Units) else Su4Units.of(ref)).f1
+        for ref in references
+    )
 
 
 def document_f1(returned: Sequence[str], gold: Iterable[str]) -> RougeScore:
@@ -250,8 +279,9 @@ def evaluate_run(question_set: Iterable[Any], answers: Iterable[Any]) -> EvalRep
         doc = document_f1(list(answer.documents), q.gold_documents)
         snip = snippet_f1(list(answer.snippets), q.gold_snippets)
         if q.ideal_answers and answer.ideal_answer:
+            cand = Su4Units.of(answer.ideal_answer)
             su4 = max(
-                (rouge_su4_f1(answer.ideal_answer, ref) for ref in q.ideal_answers),
+                (_su4_score(cand, ref) for ref in su4_references(q.ideal_answers)),
                 key=lambda s: s.f1,
             )
         else:

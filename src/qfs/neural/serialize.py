@@ -1,10 +1,12 @@
 """Parameter persistence: the QFSM binary format.
 
-Layout (little-endian): magic ``QFSM``, u32 version=1, u8 kind (1 =
+Layout (little-endian): magic ``QFSM``, u32 version=2, u8 kind (1 =
 interaction model, 2 = pooled classifier), u64 seed, the kind's u32
-header dims (``ModelKind.header``), then every parameter block of
-``flat()`` as raveled f64, and a trailing u32 CRC32 of all preceding
-bytes. Block shapes are those of the kind's ``init`` at the header dims.
+header dims (``ModelKind.header``), u32 ``clip_len`` the model was
+trained with, then every parameter block of ``flat()`` as raveled f64,
+and a trailing u32 CRC32 of all preceding bytes. Block shapes are those
+of the kind's ``init`` at the header dims. Version 1 files have no
+``clip_len`` field; they load with the kind's default ``clip_len``.
 """
 
 from __future__ import annotations
@@ -22,15 +24,21 @@ from .models import KINDS, ModelKind, NncParams, PooledClassifierParams
 
 _MAGIC = b"QFSM"
 _HEAD = struct.Struct("<IBQ")  # version, kind code, seed
+_VERSION = 2
+_CLIP = struct.Struct("<I")
 _BY_CODE = {kind.code: kind for kind in KINDS.values()}
 
 
-def save_params(params: NncParams | PooledClassifierParams, path: str | Path) -> None:
+def save_params(
+    params: NncParams | PooledClassifierParams, path: str | Path, clip_len: int | None = None
+) -> None:
+    """Write a QFSM file; ``clip_len`` defaults to the kind's training default."""
     kind = KINDS[params.kind]
     dims = [getattr(params, name) for name in kind.header]
     out = bytearray(_MAGIC)
-    out += _HEAD.pack(1, kind.code, params.seed)
+    out += _HEAD.pack(_VERSION, kind.code, params.seed)
     out += struct.pack(f"<{len(dims)}I", *dims)
+    out += _CLIP.pack(kind.train_defaults.clip_len if clip_len is None else clip_len)
     for block in params.flat().values():
         out += np.ascontiguousarray(block, dtype="<f8").tobytes()
     out += struct.pack("<I", zlib.crc32(bytes(out)))
@@ -64,8 +72,11 @@ def _value_count(kind: ModelKind, dims: dict[str, int]) -> int:
 
 def load_params(
     path: str | Path, expected_kind: str | None = None
-) -> NncParams | PooledClassifierParams:
-    """Read a QFSM file; raises KindMismatch if expected_kind disagrees."""
+) -> tuple[NncParams | PooledClassifierParams, int]:
+    """Read a QFSM file: the parameters and the ``clip_len`` they were trained with.
+
+    Raises KindMismatch if expected_kind disagrees.
+    """
     with open_input(path, "rb") as fh:
         data = fh.read()
     if len(data) < 8 or data[:4] != _MAGIC:
@@ -77,7 +88,7 @@ def load_params(
     if len(body) < offset:
         raise MalformedInput(f"{path}: truncated parameter file")
     version, kind_code, seed = _HEAD.unpack_from(body, len(_MAGIC))
-    if version != 1:
+    if version not in (1, _VERSION):
         raise MalformedInput(f"{path}: unsupported version {version}")
     kind = _BY_CODE.get(kind_code)
     if kind is None:
@@ -89,6 +100,14 @@ def load_params(
         raise MalformedInput(f"{path}: truncated parameter file")
     dims = dict(zip(kind.header, header.unpack_from(body, offset)))
     offset += header.size
+    clip_len = kind.train_defaults.clip_len
+    if version == _VERSION:
+        if len(body) < offset + _CLIP.size:
+            raise MalformedInput(f"{path}: truncated parameter file")
+        (clip_len,) = _CLIP.unpack_from(body, offset)
+        offset += _CLIP.size
+        if clip_len < 1:
+            raise MalformedInput(f"{path}: clip_len {clip_len}, expected >= 1")
     expected = 8 * _value_count(kind, dims)
     if len(body) - offset != expected:
         raise MalformedInput(
@@ -100,4 +119,4 @@ def load_params(
     for block in params.flat().values():
         block[...] = values[start : start + block.size].reshape(block.shape)
         start += block.size
-    return params
+    return params, clip_len

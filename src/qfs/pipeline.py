@@ -55,7 +55,7 @@ from .errors import (
     UnknownDocument,
 )
 from .fileio import read_json, read_jsonl, write_json
-from .metrics import best_reference_f1
+from .metrics import best_reference_f1, su4_references
 from .neural import KINDS, LabeledExample, TrainConfig, forward, train
 from .retrieval import (
     DenseStore,
@@ -231,7 +231,8 @@ class OracleScorer:
     ) -> list[float]:
         if not question.ideal_answers:
             return [0.0] * len(texts)
-        return [best_reference_f1(t, question.ideal_answers) for t in texts]
+        references = su4_references(question.ideal_answers)
+        return [best_reference_f1(t, references) for t in texts]
 
 
 def pair_id(question_id: str, position: int) -> str:
@@ -361,6 +362,27 @@ def _gold_candidates(question: QuestionRecord) -> list[SnippetSpan]:
     return candidates
 
 
+def _check_gold_offsets(question: QuestionRecord, collection: DocumentCollection) -> None:
+    """Every gold snippet must be the exact slice of its section text."""
+    for s in question.gold_snippets:
+        if s.doc_id not in collection:
+            problem = "is not in the collection"
+        else:
+            text = collection[s.doc_id].section_text(s.section_id)
+            if text is None:
+                problem = f"has no section {s.section_id!r}"
+            elif text[s.begin_char : s.end_char] != s.text:
+                problem = (
+                    f"section {s.section_id!r} does not hold the snippet text "
+                    f"at offsets {s.begin_char}-{s.end_char}"
+                )
+            else:
+                continue
+        raise MalformedInput(
+            f"question {question.id!r}: gold snippet document {s.doc_id!r} {problem}"
+        )
+
+
 def generate_labels(
     questions: QuestionSet | Sequence[QuestionRecord],
     collection: DocumentCollection | None = None,
@@ -368,14 +390,18 @@ def generate_labels(
     """Binary labels from gold snippets: 1 for the top-5 sentences by SU4-F1.
 
     Candidates are the sentences of the gold snippets in order; ties at
-    the cut-off rank resolve in favor of the earlier occurrence.
+    the cut-off rank resolve in favor of the earlier occurrence. When a
+    collection is given, every gold snippet must be the exact slice of
+    its section text, or ``MalformedInput`` names the question and the
+    document.
     """
     examples: list[LabeledExample] = []
     for question in questions:
+        if collection is not None:
+            _check_gold_offsets(question, collection)
         candidates = _gold_candidates(question)
-        f1s = [
-            best_reference_f1(c.text, question.ideal_answers) for c in candidates
-        ]
+        references = su4_references(question.ideal_answers)
+        f1s = [best_reference_f1(c.text, references) for c in candidates]
         ranked = sorted(range(len(candidates)), key=lambda i: (-f1s[i], i))
         positive = set(ranked[:POSITIVE_LABELS_PER_QUESTION])
         q_tokens = tuple(token_surfaces(question.body))

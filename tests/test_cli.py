@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from qfs import pipeline
 from qfs.cli import main
 from qfs.corpus import QuestionSet, save_document_collection, save_question_set
 from qfs.embeddings import ContextEmbeddingRecord, write_context_embeddings
@@ -351,3 +352,54 @@ def test_answer_exits_1_when_it_skips_a_question(tmp_path):
     assert code == 1, err
     answered = json.loads((tmp_path / "a.json").read_text())["questions"]
     assert [q["id"] for q in answered] == [q["id"] for q in golden]
+
+
+def test_answer_scores_at_the_trained_clip_len(tmp_path, monkeypatch):
+    clips = []
+    score_sentences = pipeline.ModelScorer.score_sentences
+
+    def recording(self, *args):
+        clips.append(self.clip_len)
+        return score_sentences(self, *args)
+
+    monkeypatch.setattr(pipeline.ModelScorer, "score_sentences", recording)
+    code, err = run_qfs(*TRAIN, "--labels", GOLDEN / "labels.jsonl", "--epochs", "1",
+                        "--clip-len", "2", "--out", tmp_path / "m.qfsm")
+    assert (code, err) == (0, "")
+    config = config_file(tmp_path, model={
+        "kind": "nnc", "params_path": str(tmp_path / "m.qfsm"),
+        "embeddings_path": str(GOLDEN / "vectors.txt")})
+    code, err = run_qfs("answer", "--config", config, *QUESTIONS, "--out", tmp_path / "a.json")
+    assert (code, err) == (0, "")
+    assert clips and set(clips) == {2}
+
+
+def test_label_with_documents_keeps_the_labels(tmp_path):
+    code, err = run_qfs("label", *QUESTIONS, "--docs", GOLDEN / "docs.jsonl",
+                        "--out", tmp_path / "l.jsonl")
+    assert (code, err) == (0, "")
+    assert (tmp_path / "l.jsonl").read_bytes() == (GOLDEN / "labels.jsonl").read_bytes()
+
+
+# Each case edits the first gold snippet of the golden question q1.
+GOLD_SNIPPET_DEFECTS = {
+    "shifted offsets": lambda s: {
+        **s, "offsetInBeginSection": s["offsetInBeginSection"] + 1,
+        "offsetInEndSection": s["offsetInEndSection"] + 1},
+    "missing section": lambda s: {**s, "section": "methods"},
+    "missing document": lambda s: {**s, "document": "d-none"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLD_SNIPPET_DEFECTS))
+def test_label_with_documents_rejects_a_gold_snippet_off_its_section(tmp_path, case):
+    golden = json.loads((GOLDEN / "questions.json").read_text())
+    first = golden[0]["snippets"][0]
+    golden[0]["snippets"][0] = GOLD_SNIPPET_DEFECTS[case](first)
+    questions = write(tmp_path / "q.json", json.dumps(golden))
+    code, err = run_qfs("label", "--questions", questions, "--docs", GOLDEN / "docs.jsonl",
+                        "--out", tmp_path / "l.jsonl")
+    assert code == 2, err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert repr(golden[0]["id"]) in err
+    assert repr(golden[0]["snippets"][0]["document"]) in err

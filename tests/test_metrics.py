@@ -17,6 +17,7 @@ from qfs.metrics import (
     rouge_n_f1,
     rouge_su4_f1,
     snippet_f1,
+    su4_references,
     su_units,
 )
 from qfs.textproc import token_surfaces
@@ -36,17 +37,28 @@ def oracle_su_units(tokens: list[str], dskip: int) -> Counter:
     return units
 
 
-def oracle_su4_f1(candidate: str, reference: str) -> float:
-    """Brute-force SU4 F1 used as the ground truth for the fast path."""
+def oracle_su4(candidate: str, reference: str) -> RougeScore:
+    """Brute-force SU4 precision, recall and F1: the ground truth for the fast path."""
     cand = oracle_su_units(token_surfaces(candidate), 4)
     ref = oracle_su_units(token_surfaces(reference), 4)
     total_c = sum(cand.values())
     total_r = sum(ref.values())
     if total_c == 0 or total_r == 0:
-        return 0.0
+        return RougeScore(0.0, 0.0, 0.0)
     matches = sum(min(n, ref[u]) for u, n in cand.items())
     p, r = matches / total_c, matches / total_r
-    return 2 * p * r / (p + r) if p + r > 0 else 0.0
+    return RougeScore(p, r, 2 * p * r / (p + r) if p + r > 0 else 0.0)
+
+
+def oracle_su4_f1(candidate: str, reference: str) -> float:
+    return oracle_su4(candidate, reference).f1
+
+
+# Texts over four tokens, two of them one word in different case, so
+# units repeat within a text and across texts.
+REPEATING_TEXTS = st.lists(st.sampled_from(["flu", "Flu", "shot", "a1"]), max_size=14).map(
+    " ".join
+)
 
 
 class TestSuUnits:
@@ -159,6 +171,21 @@ class TestBestReference:
         with pytest.raises(EmptyReferenceList):
             best_reference_f1("a", [])
 
+    def test_empty_prepared_reference_list(self):
+        with pytest.raises(EmptyReferenceList):
+            best_reference_f1("a", su4_references([]))
+
+    @given(
+        st.lists(REPEATING_TEXTS, min_size=1, max_size=6),
+        st.lists(REPEATING_TEXTS, min_size=1, max_size=3),
+    )
+    def test_prepared_strings_and_oracle_agree_exactly(self, candidates, references):
+        prepared = su4_references(references)
+        for candidate in candidates:
+            oracle = max(oracle_su4_f1(candidate, ref) for ref in references)
+            assert best_reference_f1(candidate, prepared) == oracle
+            assert best_reference_f1(candidate, references) == oracle
+
 
 class TestDocumentF1:
     def test_half_overlap(self):
@@ -221,6 +248,25 @@ class TestEvaluateRun:
         assert report.macro_document_f1 == pytest.approx(1.0)
         assert report.macro_snippet_f1 == pytest.approx(1.0)
         assert report.macro_su4_f1 == pytest.approx(1.0)
+
+    @given(
+        st.lists(REPEATING_TEXTS, min_size=1, max_size=4),
+        st.lists(REPEATING_TEXTS, min_size=1, max_size=3),
+    )
+    def test_ideal_su4_is_the_first_best_oracle_score(self, answers, references):
+        questions = [
+            make_question(f"q{i}", ideal_answers=tuple(references)) for i in range(len(answers))
+        ]
+
+        class Run:
+            def __init__(self, question_id, ideal_answer):
+                self.question_id, self.ideal_answer = question_id, ideal_answer
+                self.documents, self.snippets = [], []
+
+        report = evaluate_run(questions, [Run(q.id, a) for q, a in zip(questions, answers)])
+        for row, answer in zip(report.per_question, answers):
+            best = max((oracle_su4(answer, ref) for ref in references), key=lambda s: s.f1)
+            assert row.ideal_su4 == best
 
     def test_missing_answer_scores_zero(self):
         question = make_question("q1", gold_documents=("d1",), ideal_answers=("x",))

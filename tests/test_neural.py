@@ -17,7 +17,15 @@ from qfs.errors import (
     MalformedInput,
     NonFiniteLoss,
 )
-from qfs.neural import LabeledExample, TrainConfig, forward, load_params, save_params, train
+from qfs.neural import (
+    KINDS,
+    LabeledExample,
+    TrainConfig,
+    forward,
+    load_params,
+    save_params,
+    train,
+)
 from qfs.neural.lstm import LstmParams, bilstm_encode, lstm_forward
 from qfs.neural.models import (
     DenseParams,
@@ -324,7 +332,7 @@ class TestTraining:
         bad = {
             k: record_of([[np.inf, 1.0]], [True], pair_id=k) for k in records
         }
-        with pytest.raises(NonFiniteLoss) as err:
+        with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteLoss) as err:
             train("pooled", examples, bad, TrainConfig(epochs=1, batch_size=2))
         assert "epoch 1" in str(err.value)
 
@@ -342,19 +350,50 @@ class TestParamsIO:
         params = init_nnc(emb_dim=3, lstm_hidden=2, dense_hidden=4, seed=9)
         path = tmp_path / "m.qfsm"
         save_params(params, path)
-        loaded = load_params(path)
+        loaded, clip_len = load_params(path)
         assert loaded.kind == "nnc"
         assert loaded.seed == 9
+        assert clip_len == KINDS["nnc"].train_defaults.clip_len
         for key, arr in params.flat().items():
             assert np.array_equal(arr, loaded.flat()[key])
 
     def test_pooled_roundtrip(self, tmp_path):
         params = init_pooled(input_dim=6, dense_hidden=4, seed=3)
         path = tmp_path / "p.qfsm"
-        save_params(params, path)
-        loaded = load_params(path, expected_kind="pooled")
+        save_params(params, path, clip_len=7)
+        loaded, clip_len = load_params(path, expected_kind="pooled")
+        assert clip_len == 7
         for key, arr in params.flat().items():
             assert np.array_equal(arr, loaded.flat()[key])
+
+    @pytest.mark.parametrize("params", [
+        init_nnc(emb_dim=2, lstm_hidden=1, dense_hidden=2, seed=5),
+        init_pooled(input_dim=3, dense_hidden=2, seed=6),
+    ], ids=["nnc", "pooled"])
+    def test_version_1_loads_with_the_kind_default_clip_len(self, tmp_path, params):
+        path = tmp_path / "m.qfsm"
+        save_params(params, path, clip_len=2)
+        kind = KINDS[params.kind]
+        clip_at = 4 + 13 + 4 * len(kind.header)
+        v2 = path.read_bytes()[:-4]
+        assert struct.unpack_from("<I", v2, 4) == (2,)
+        assert struct.unpack_from("<I", v2, clip_at) == (2,)
+        v1 = bytearray(v2[:clip_at] + v2[clip_at + 4 :])
+        struct.pack_into("<I", v1, 4, 1)
+        path.write_bytes(bytes(v1) + struct.pack("<I", zlib.crc32(v1)))
+        loaded, clip_len = load_params(path)
+        assert clip_len == kind.train_defaults.clip_len
+        for key, arr in params.flat().items():
+            assert np.array_equal(arr, loaded.flat()[key])
+
+    def test_clip_len_zero_rejected_behind_a_valid_crc(self, tmp_path):
+        path = tmp_path / "m.qfsm"
+        save_params(init_pooled(input_dim=2, dense_hidden=2), path)
+        data = bytearray(path.read_bytes()[:-4])
+        struct.pack_into("<I", data, 4 + 13 + 4 * 2, 0)
+        path.write_bytes(bytes(data) + struct.pack("<I", zlib.crc32(data)))
+        with pytest.raises(MalformedInput, match="clip_len"):
+            load_params(path)
 
     def test_kind_mismatch(self, tmp_path):
         params = init_nnc(emb_dim=2, lstm_hidden=2, dense_hidden=2)
