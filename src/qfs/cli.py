@@ -16,8 +16,8 @@ Exit codes:
 * 64: usage error.
 
 Set QFS_LOG to a logging level name to control verbosity. All
-randomness is controlled by --seed flags or the config seed, so
-identical inputs give byte-identical outputs.
+randomness is controlled by --seed flags, so identical inputs give
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -130,7 +130,8 @@ def _build_resources(
 @click.option("--questions", "questions_path", required=True, type=click.Path())
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--feedback", "feedback_path", type=click.Path(), default=None)
-@click.option("--k", type=int, default=None, help="Override per-round document count.")
+@click.option("--k", type=click.IntRange(min=1), default=None,
+              help="Override per-round document count.")
 def cmd_retrieve(config_path, questions_path, out_path, feedback_path, k) -> int:
     """Rank documents for every question and write the ranked lists."""
     config = load_config(config_path)
@@ -196,16 +197,22 @@ def cmd_label(questions_path, out_path, docs_path) -> int:
 
 
 def _train_config(model_kind, epochs, batch_size, dropout, lr, seed, clip_len) -> TrainConfig:
-    """Training settings from the flags; an unset flag takes the model's default."""
+    """Training settings from the flags; an unset flag takes the model's default.
+
+    ``TrainConfig`` owns the valid ranges; a flag outside them is a usage error.
+    """
     defaults = KINDS[model_kind].train_defaults
-    return TrainConfig(
-        epochs=defaults.epochs if epochs is None else epochs,
-        batch_size=defaults.batch_size if batch_size is None else batch_size,
-        dropout_rate=defaults.dropout_rate if dropout is None else dropout,
-        learning_rate=lr,
-        seed=seed,
-        clip_len=defaults.clip_len if clip_len is None else clip_len,
-    )
+    try:
+        return TrainConfig(
+            epochs=defaults.epochs if epochs is None else epochs,
+            batch_size=defaults.batch_size if batch_size is None else batch_size,
+            dropout_rate=defaults.dropout_rate if dropout is None else dropout,
+            learning_rate=lr,
+            seed=seed,
+            clip_len=defaults.clip_len if clip_len is None else clip_len,
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 def _model_source(model_kind, embeddings_path, cemb_path):
@@ -229,7 +236,7 @@ def _model_source(model_kind, embeddings_path, cemb_path):
 @click.option("--batch-size", type=int, default=None)
 @click.option("--dropout", type=float, default=None)
 @click.option("--lr", type=float, default=1e-3, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--clip-len", type=int, default=None)
 def cmd_train(labels_path, model_kind, out_path, embeddings_path, cemb_path,
               epochs, batch_size, dropout, lr, seed, clip_len) -> int:
@@ -295,8 +302,8 @@ def cmd_evaluate(questions_path, submission_path, out_path) -> int:
               type=click.Choice(["constant", "oracle", *KINDS]))
 @click.option("--embeddings", "embeddings_path", type=click.Path(), default=None)
 @click.option("--cemb", "cemb_path", type=click.Path(), default=None)
-@click.option("--k", type=int, default=10, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--k", type=click.IntRange(min=1), default=10, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--epochs", type=int, default=None)
 @click.option("--batch-size", type=int, default=None)
 @click.option("--dropout", type=float, default=None)

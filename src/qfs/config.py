@@ -1,8 +1,8 @@
 """Pipeline configuration: JSON schema, validation, and round-tripping.
 
 The config file is a JSON object with sections ``retrieval``,
-``snippets``, ``model``, ``resources``, plus ``answer_table``, ``seed``
-and ``round``. Every field has a default, so ``{}`` is a valid config.
+``snippets``, ``model``, ``resources``, plus ``answer_table`` and
+``round``. Every field has a default, so ``{}`` is a valid config.
 ``parse_config(emit_config(cfg)) == cfg`` holds for any valid config.
 """
 
@@ -75,7 +75,6 @@ class PipelineConfig:
     answer_table: dict[str, int] = field(
         default_factory=lambda: dict(DEFAULT_ANSWER_LENGTHS)
     )
-    seed: int = 0
     round: int = 1
 
 
@@ -107,10 +106,7 @@ def _path(section: dict, where: str, key: str) -> str | None:
 def parse_config(payload: dict) -> PipelineConfig:
     """Validate and bind a JSON config object; unknown keys rejected."""
     _require(isinstance(payload, dict), "top level must be an object")
-    known = {
-        "retrieval", "snippets", "model", "resources",
-        "answer_table", "seed", "round",
-    }
+    known = {"retrieval", "snippets", "model", "resources", "answer_table", "round"}
     unknown = set(payload) - known
     _require(not unknown, f"unknown top-level keys {sorted(unknown)}")
 
@@ -186,7 +182,6 @@ def parse_config(payload: dict) -> PipelineConfig:
     answer_table = {k: _number(int, v, f"answer_table.{k}") for k, v in table_raw.items()}
     _require(all(v >= 1 for v in answer_table.values()), "answer_table values must be >= 1")
 
-    seed = _number(int, payload.get("seed", 0), "seed")
     round_no = _number(int, payload.get("round", 1), "round")
     _require(round_no >= 1, "round must be >= 1")
 
@@ -196,7 +191,6 @@ def parse_config(payload: dict) -> PipelineConfig:
         model=model,
         resources=resources,
         answer_table=answer_table,
-        seed=seed,
         round=round_no,
     )
 
@@ -232,7 +226,6 @@ def emit_config(config: PipelineConfig) -> dict:
             "query_vectors_path": config.resources.query_vectors_path,
         },
         "answer_table": dict(config.answer_table),
-        "seed": config.seed,
         "round": config.round,
     }
 

@@ -51,10 +51,11 @@ class EmbeddingTable:
         return self.table.get(word, self.oov_vector)
 
 
-def load_word_embeddings(
-    path: str | Path, oov_vector: np.ndarray | None = None
-) -> EmbeddingTable:
-    """Read a word-vector text file; duplicate words keep the last entry."""
+def load_word_embeddings(path: str | Path) -> EmbeddingTable:
+    """Read a word-vector text file; duplicate words keep the last entry.
+
+    Out-of-vocabulary words map to the zero vector.
+    """
     with closing(read_lines(path)) as lines:
         header = next(lines, "").split()
         if len(header) != 2:
@@ -86,19 +87,7 @@ def load_word_embeddings(
         raise MalformedInput(
             f"{path}: header declares {count} words, file holds {len(table)}"
         )
-    if oov_vector is None:
-        oov = np.zeros(dim, dtype=np.float64)
-    else:
-        oov = np.asarray(oov_vector, dtype=np.float64)
-        if oov.shape != (dim,):
-            raise DimensionMismatch("oov vector dimension does not match table")
-    return EmbeddingTable(dim=dim, table=table, oov_vector=oov)
-
-
-def random_oov_vector(dim: int, seed: int = 0) -> np.ndarray:
-    """Deterministic alternative to the zero out-of-vocabulary vector."""
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-0.05, 0.05, size=dim)
+    return EmbeddingTable(dim=dim, table=table, oov_vector=np.zeros(dim, dtype=np.float64))
 
 
 def embed_tokens(

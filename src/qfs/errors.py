@@ -21,10 +21,6 @@ class UnknownQuestionType(QfsError):
     """Question type outside {summary, factoid, yesno, list}."""
 
 
-class EmptyCorpus(QfsError):
-    """tf-idf fitting requires at least one document."""
-
-
 class EmptyCollection(QfsError):
     """Index construction requires at least one document."""
 

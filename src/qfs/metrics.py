@@ -4,7 +4,7 @@
 four intervening tokens (the "-2 4 -u" convention), with multiset
 clipping so repeated candidate units cannot inflate precision. No
 begin-of-sentence marker is added. Scoring tokenization is
-``textproc.tokenize`` (lowercased alphanumeric runs), no stemming.
+``textproc.token_surfaces`` (lowercased alphanumeric runs), no stemming.
 
 Each text's unit multiset is built once, as an :class:`Su4Units`:
 ``best_reference_f1`` and ``evaluate_run`` count the candidate once per
@@ -68,7 +68,11 @@ class Su4Units:
 
     @classmethod
     def of(cls, text: str) -> "Su4Units":
-        units = su_units(token_surfaces(text), SU4_SKIP)
+        return cls.of_tokens(token_surfaces(text))
+
+    @classmethod
+    def of_tokens(cls, tokens: Sequence[str]) -> "Su4Units":
+        units = su_units(tokens, SU4_SKIP)
         return cls(units, units.total())
 
 
@@ -111,14 +115,15 @@ def rouge_n_f1(candidate: str, reference: str, n: int) -> RougeScore:
     return RougeScore.from_pr(matches / cand_total, matches / ref_total)
 
 
-def best_reference_f1(candidate: str, references: Sequence[str | Su4Units]) -> float:
+def best_reference_f1(candidate: str | Su4Units, references: Sequence[str | Su4Units]) -> float:
     """Max SU4-F1 of the candidate over a non-empty reference list.
 
-    References are texts, or texts prepared once by :func:`su4_references`.
+    The candidate and each reference is a text, or its prepared
+    :class:`Su4Units` (references by :func:`su4_references`).
     """
     if not references:
         raise EmptyReferenceList("at least one reference text is required")
-    cand = Su4Units.of(candidate)
+    cand = candidate if isinstance(candidate, Su4Units) else Su4Units.of(candidate)
     return max(
         _su4_score(cand, ref if isinstance(ref, Su4Units) else Su4Units.of(ref)).f1
         for ref in references

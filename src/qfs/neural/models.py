@@ -59,7 +59,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     seed: int = 0
     clip_len: int = 300
-    dropout_seed: int | None = None  # defaults to a stream derived from seed
 
     def __post_init__(self) -> None:
         if self.epochs < 1:

@@ -21,6 +21,10 @@ from ..errors import EmptyDataset, NonFiniteLoss
 from .models import KINDS, NncParams, PooledClassifierParams, TrainConfig
 from .ops import bce_loss
 
+# Dropout masks come from their own stream, seeded this far from the
+# shuffling seed.
+DROPOUT_STREAM = 0x9E37
+
 
 @dataclass(frozen=True)
 class LabeledExample:
@@ -114,10 +118,7 @@ def train(
     flat = params.flat()
     optimizer = Adam(learning_rate=config.learning_rate)
     rng = np.random.default_rng(config.seed)
-    dropout_seed = (
-        config.dropout_seed if config.dropout_seed is not None else config.seed + 0x9E37
-    )
-    drop_rng = np.random.default_rng(dropout_seed)
+    drop_rng = np.random.default_rng(config.seed + DROPOUT_STREAM)
     rate = config.dropout_rate
 
     n = len(examples)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
@@ -55,7 +56,7 @@ from .errors import (
     UnknownDocument,
 )
 from .fileio import read_json, read_jsonl, write_json
-from .metrics import best_reference_f1, su4_references
+from .metrics import Su4Units, best_reference_f1, su4_references
 from .neural import KINDS, LabeledExample, TrainConfig, forward, train
 from .retrieval import (
     DenseStore,
@@ -65,7 +66,7 @@ from .retrieval import (
     nir_search,
     rerank_top,
 )
-from .textproc import split_sentences, tfidf_fit, tfidf_vector, token_surfaces, cosine
+from .textproc import split_sentences, token_surfaces
 
 logger = logging.getLogger(__name__)
 
@@ -205,18 +206,64 @@ class ConstantScorer:
         return [0.5] * len(texts)
 
 
+def _sum_rows(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape) -> np.ndarray:
+    """Each row's values added one column at a time, left to right, from 0.0.
+
+    Absent cells are 0.0, which leaves a sum unchanged, so a row sums
+    exactly as a plain left-to-right loop over its values would, with no
+    pairwise or BLAS reordering.
+    """
+    grid = np.zeros(shape)
+    grid[rows, cols] = values
+    total = np.zeros(shape[0])
+    for column in grid.T:
+        total += column
+    return total
+
+
 class CosineScorer:
-    """tf-idf cosine against the question, fitted on the candidate pool."""
+    """tf-idf cosine against the question, fitted on the candidate pool.
+
+    Over the n pool sentences, idf(t) = ln((1 + n) / (1 + df(t))) + 1. A
+    text's weights are raw tf times idf, L2-normalized; question terms
+    outside the pool are ignored. Norms and dot products add terms in
+    sorted term order (:func:`_sum_rows`), so a score is the same on
+    every platform. Scores are clipped to [0, 1].
+    """
 
     def score_sentences(
         self, question: QuestionRecord, texts: Sequence[str], positions: Sequence[int]
     ) -> list[float]:
-        if not texts:
-            return []
         token_lists = [token_surfaces(t) for t in texts]
-        model = tfidf_fit(token_lists)
-        q_vec = tfidf_vector(model, token_surfaces(question.body))
-        return [cosine(q_vec, tfidf_vector(model, toks)) for toks in token_lists]
+        vocab = {t: i for i, t in enumerate(sorted({t for ts in token_lists for t in ts}))}
+        q_term, q_tf = np.unique(
+            np.array([vocab[t] for t in token_surfaces(question.body) if t in vocab], np.intp),
+            return_counts=True,
+        )
+        n, v, q = len(texts), len(vocab), len(q_term)
+        if not q:
+            return [0.0] * n
+        sent = np.repeat(np.arange(n), [len(ts) for ts in token_lists])
+        term = np.array([vocab[t] for ts in token_lists for t in ts], np.intp)
+        pairs, tf = np.unique(sent * v + term, return_counts=True)
+        pair_sent, pair_term = np.divmod(pairs, v)
+        df_values, df_index = np.unique(np.bincount(pair_term, minlength=v), return_inverse=True)
+        idf = np.array([math.log((1 + n) / (1 + d)) + 1.0 for d in df_values.tolist()])[df_index]
+
+        weight = tf * idf[pair_term]
+        per_sent = np.bincount(pair_sent, minlength=n)
+        col = np.arange(len(pairs)) - (np.cumsum(per_sent) - per_sent)[pair_sent]
+        norms = np.sqrt(_sum_rows(pair_sent, col, weight * weight, (n, per_sent.max())))
+        weight /= norms[pair_sent]
+        q_weight = q_tf * idf[q_term]
+        q_weight /= np.sqrt(_sum_rows(0, np.arange(q), q_weight * q_weight, (1, q)))
+
+        q_col = np.full(v, -1)
+        q_col[q_term] = np.arange(q)
+        shared = q_col[pair_term] >= 0
+        cols = q_col[pair_term[shared]]
+        dots = _sum_rows(pair_sent[shared], cols, q_weight[cols] * weight[shared], (n, q))
+        return np.clip(dots, 0.0, 1.0).tolist()
 
 
 class OracleScorer:
@@ -401,7 +448,8 @@ def generate_labels(
             _check_gold_offsets(question, collection)
         candidates = _gold_candidates(question)
         references = su4_references(question.ideal_answers)
-        f1s = [best_reference_f1(c.text, references) for c in candidates]
+        tokens = [tuple(token_surfaces(c.text)) for c in candidates]
+        f1s = [best_reference_f1(Su4Units.of_tokens(t), references) for t in tokens]
         ranked = sorted(range(len(candidates)), key=lambda i: (-f1s[i], i))
         positive = set(ranked[:POSITIVE_LABELS_PER_QUESTION])
         q_tokens = tuple(token_surfaces(question.body))
@@ -409,7 +457,7 @@ def generate_labels(
             examples.append(
                 LabeledExample(
                     question_tokens=q_tokens,
-                    sentence_tokens=tuple(token_surfaces(cand.text)),
+                    sentence_tokens=tokens[i],
                     position=i,
                     label=1 if i in positive else 0,
                     pair_id=pair_id(question.id, i),

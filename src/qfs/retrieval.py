@@ -175,12 +175,8 @@ def bm25_search(index: InvertedIndex, query: Sequence[str], k: int) -> RankedLis
     return _ranked(index, *_top_k(matched, scores[matched], k))
 
 
-def minmax_normalize(scores: Sequence[float]) -> list[float]:
-    """Scale scores to [0, 1]; an all-equal list maps to all 1.0."""
-    return _minmax(np.asarray(scores, dtype=np.float64)).tolist()
-
-
 def _minmax(scores: np.ndarray) -> np.ndarray:
+    """Scale scores to [0, 1]; an all-equal array maps to all 1.0."""
     if not len(scores):
         raise EmptyList("cannot normalize an empty score list")
     lo, hi = scores.min(), scores.max()

@@ -1,4 +1,4 @@
-"""Deterministic tokenization, sentence splitting, and tf-idf vectors.
+"""Deterministic tokenization, sentence splitting, and stopword lists.
 
 Everything here is a pure function of its inputs: same text in, byte
 identical output out. The sentence splitter is rule based (terminator
@@ -9,13 +9,10 @@ trained model is involved.
 
 from __future__ import annotations
 
-import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import EmptyCorpus
 from .fileio import read_lines
 
 # Maximal runs of Unicode letters/digits; underscore is excluded on purpose.
@@ -35,15 +32,6 @@ ABBREVIATIONS = frozenset({
 
 
 @dataclass(frozen=True)
-class TokenSpan:
-    """A lowercased token anchored to its source character offsets."""
-
-    surface: str
-    begin: int
-    end: int
-
-
-@dataclass(frozen=True)
 class SentenceSpan:
     """A sentence with 0-based ordinal and character offsets."""
 
@@ -53,16 +41,8 @@ class SentenceSpan:
     text: str
 
 
-def tokenize(text: str) -> list[TokenSpan]:
-    """Split text into maximal runs of letters/digits, lowercased."""
-    return [
-        TokenSpan(m.group().lower(), m.start(), m.end())
-        for m in _TOKEN_RE.finditer(text)
-    ]
-
-
 def token_surfaces(text: str) -> list[str]:
-    """Just the lowercased token strings of ``tokenize(text)``."""
+    """Maximal runs of letters/digits, lowercased."""
     return [m.group().lower() for m in _TOKEN_RE.finditer(text)]
 
 
@@ -121,62 +101,6 @@ def split_sentences(text: str) -> list[SentenceSpan]:
         end = begin + len(stripped)
         spans.append(SentenceSpan(len(spans), begin, end, text[begin:end]))
     return spans
-
-
-@dataclass(frozen=True)
-class SparseVector:
-    """Sparse vector as (index, weight) entries with increasing indices."""
-
-    entries: tuple[tuple[int, float], ...]
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
-
-EMPTY_VECTOR = SparseVector(())
-
-
-@dataclass(frozen=True)
-class TfidfModel:
-    """Vocabulary with smoothed idf weights; immutable after fit."""
-
-    vocabulary: dict[str, int]
-    idf: dict[str, float]
-    n_docs: int
-
-
-def tfidf_fit(docs: list[list[str]]) -> TfidfModel:
-    """Fit idf(t) = ln((1 + n) / (1 + df(t))) + 1 over token lists."""
-    if not docs:
-        raise EmptyCorpus("tfidf_fit requires at least one document")
-    df: Counter[str] = Counter()
-    for tokens in docs:
-        df.update(set(tokens))
-    n = len(docs)
-    vocabulary = {term: i for i, term in enumerate(sorted(df))}
-    idf = {term: math.log((1 + n) / (1 + df[term])) + 1.0 for term in df}
-    return TfidfModel(vocabulary=vocabulary, idf=idf, n_docs=n)
-
-
-def tfidf_vector(model: TfidfModel, tokens: list[str]) -> SparseVector:
-    """Raw-tf times idf, L2 normalized; out-of-vocabulary tokens ignored."""
-    counts = Counter(t for t in tokens if t in model.vocabulary)
-    if not counts:
-        return EMPTY_VECTOR
-    entries = sorted(
-        (model.vocabulary[t], tf * model.idf[t]) for t, tf in counts.items()
-    )
-    norm = math.sqrt(sum(w * w for _, w in entries))
-    return SparseVector(tuple((i, w / norm) for i, w in entries))
-
-
-def cosine(a: SparseVector, b: SparseVector) -> float:
-    """Dot product of two L2-normalized sparse vectors, in [0, 1]."""
-    if not a or not b:
-        return 0.0
-    bi = dict(b.entries)
-    dot = sum(w * bi[i] for i, w in a.entries if i in bi)
-    return min(1.0, max(0.0, dot))
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:

@@ -328,6 +328,16 @@ USAGE_ERRORS = {
     "nnc model without word vectors": lambda w: (
         "train", "--model", "nnc", "--labels", GOLDEN / "labels.jsonl", "--out", w / "m"),
     "unknown command": lambda w: ("summarise", *QUESTIONS),
+    "cv with zero folds": lambda w: ("cv", *QUESTIONS, "--k", "0"),
+    "cv with a negative seed": lambda w: ("cv", *QUESTIONS, "--seed", "-1"),
+    "retrieve with zero documents": lambda w: (
+        "retrieve", "--config", w / "c.json", *QUESTIONS, "--out", w / "r.json", "--k", "0"),
+    **{
+        f"train with {flag} {value}": lambda w, flag=flag, value=value: (
+            *TRAIN, "--labels", GOLDEN / "labels.jsonl", "--out", w / "m", flag, value)
+        for flag, value in [("--seed", "-1"), ("--epochs", "0"), ("--batch-size", "0"),
+                            ("--dropout", "1.5"), ("--lr", "-1"), ("--clip-len", "0")]
+    },
 }
 
 

@@ -58,7 +58,6 @@ valid_configs = st.builds(
         query_vectors_path=paths,
     ),
     answer_table=st.fixed_dictionaries({k: counts for k in DEFAULT_ANSWER_LENGTHS}),
-    seed=st.integers(),
     round=counts,
 )
 
@@ -91,7 +90,7 @@ sections = {
 }
 fuzzed_payloads = (
     st.fixed_dictionaries(
-        {}, optional={**sections, "seed": json_values, "round": json_values}
+        {}, optional={**sections, "round": json_values}
     )
     | json_values
 )

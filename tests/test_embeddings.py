@@ -12,7 +12,6 @@ from qfs.embeddings import (
     embed_tokens,
     load_context_embeddings,
     load_word_embeddings,
-    random_oov_vector,
     read_context_embeddings,
     write_context_embeddings,
 )
@@ -56,12 +55,6 @@ class TestLoadWordEmbeddings:
         with pytest.raises(MalformedInput):
             load_word_embeddings(path)
 
-    def test_custom_oov_vector(self, tmp_path):
-        path = write_vectors(tmp_path, "1 2\ncat 1 1\n")
-        table = load_word_embeddings(path, oov_vector=random_oov_vector(2, seed=1))
-        assert table.lookup("unseen").shape == (2,)
-        assert not np.array_equal(table.lookup("unseen"), np.zeros(2))
-
 
 class TestEmbedTokens:
     def test_clip_length(self, tmp_path):
@@ -75,7 +68,7 @@ class TestEmbedTokens:
         table = load_word_embeddings(path)
         matrix = embed_tokens(table, ["x", "y"], clip_len=10)
         assert np.array_equal(matrix[0], matrix[1])
-        assert np.array_equal(matrix[0], table.oov_vector)
+        assert np.array_equal(matrix[0], np.zeros(2))
 
     def test_empty_tokens(self, tmp_path):
         path = write_vectors(tmp_path, "1 2\nw 1 1\n")

@@ -11,6 +11,7 @@ from qfs.corpus import SnippetSpan
 from qfs.errors import DuplicateInReturned, EmptyReferenceList
 from qfs.metrics import (
     RougeScore,
+    Su4Units,
     best_reference_f1,
     document_f1,
     evaluate_run,
@@ -185,6 +186,8 @@ class TestBestReference:
             oracle = max(oracle_su4_f1(candidate, ref) for ref in references)
             assert best_reference_f1(candidate, prepared) == oracle
             assert best_reference_f1(candidate, references) == oracle
+            prepared_candidate = Su4Units.of_tokens(token_surfaces(candidate))
+            assert best_reference_f1(prepared_candidate, prepared) == oracle
 
 
 class TestDocumentF1:

@@ -25,6 +25,7 @@ from qfs.neural import (
     load_params,
     save_params,
     train,
+    training,
 )
 from qfs.neural.lstm import LstmParams, bilstm_encode, lstm_forward
 from qfs.neural.models import (
@@ -299,11 +300,13 @@ class TestTraining:
             assert np.array_equal(arr, b.params.flat()[key])
         assert a.loss_history == b.loss_history
 
-    def test_zero_dropout_invariant_to_mask_stream(self):
+    def test_zero_dropout_invariant_to_mask_stream(self, monkeypatch):
         examples, records = separable_fixture()
-        base = dict(epochs=3, batch_size=4, dropout_rate=0.0, seed=7)
-        a = train("pooled", examples, records, TrainConfig(**base, dropout_seed=1))
-        b = train("pooled", examples, records, TrainConfig(**base, dropout_seed=999))
+        config = TrainConfig(epochs=3, batch_size=4, dropout_rate=0.0, seed=7)
+        monkeypatch.setattr(training, "DROPOUT_STREAM", 1)
+        a = train("pooled", examples, records, config)
+        monkeypatch.setattr(training, "DROPOUT_STREAM", 999)
+        b = train("pooled", examples, records, config)
         for key, arr in a.params.flat().items():
             assert np.array_equal(arr, b.params.flat()[key])
 

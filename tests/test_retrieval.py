@@ -26,8 +26,8 @@ from qfs.retrieval import (
     build_index,
     interpolate,
     load_dense_store,
+    _minmax,
     load_index,
-    minmax_normalize,
     nir_search,
     rerank_top,
     save_dense_store,
@@ -119,6 +119,16 @@ class TestBm25Search:
         assert once == twice
 
 
+def reference_minmax(scores: list[float]) -> list[float]:
+    """List min-max scaling, the oracle for ``_minmax``."""
+    lo, hi = min(scores), max(scores)
+    return [1.0] * len(scores) if hi == lo else [(x - lo) / (hi - lo) for x in scores]
+
+
+def minmax_normalize(scores: list[float]) -> list[float]:
+    return _minmax(np.asarray(scores, dtype=np.float64)).tolist()
+
+
 class TestMinmaxNormalize:
     def test_basic(self):
         assert minmax_normalize([2, 4, 6]) == [0.0, 0.5, 1.0]
@@ -136,6 +146,7 @@ class TestMinmaxNormalize:
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20))
     def test_bounds(self, scores):
         normed = minmax_normalize(scores)
+        assert normed == reference_minmax(scores)
         assert all(0.0 <= x <= 1.0 for x in normed)
 
 
@@ -281,9 +292,7 @@ def reference_hybrid(
         pool = [doc_id for doc_id, _ in reference_rank(raw, pool_size)]
         if not pool:
             return []
-    pool_scores = [raw.get(doc_id, 0.0) for doc_id in pool]
-    lo, hi = min(pool_scores), max(pool_scores)
-    normed = [1.0] * len(pool) if hi == lo else [(x - lo) / (hi - lo) for x in pool_scores]
+    normed = reference_minmax([raw.get(doc_id, 0.0) for doc_id in pool])
     combined = {
         doc_id: lam * bm + (1.0 - lam) * dense.cosine(doc_id, vec)
         for doc_id, bm in zip(pool, normed)

@@ -1,46 +1,35 @@
-"""Tokenizer, sentence splitter, and tf-idf unit tests."""
+"""Tokenizer, sentence splitter, and tf-idf cosine unit tests."""
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qfs.errors import EmptyCorpus
-from qfs.textproc import (
-    EMPTY_VECTOR,
-    SparseVector,
-    cosine,
-    split_sentences,
-    tfidf_fit,
-    tfidf_vector,
-    token_surfaces,
-    tokenize,
-)
+from qfs.pipeline import CosineScorer
+from qfs.textproc import split_sentences, token_surfaces
+
+from conftest import make_question
 
 
 class TestTokenize:
     def test_apostrophe_splits(self):
-        assert [t.surface for t in tokenize("The cat's mat.")] == ["the", "cat", "s", "mat"]
+        assert token_surfaces("The cat's mat.") == ["the", "cat", "s", "mat"]
 
     def test_empty(self):
-        assert tokenize("") == []
+        assert token_surfaces("") == []
 
     def test_hyphenated_term(self):
-        assert [t.surface for t in tokenize("COVID-19")] == ["covid", "19"]
-
-    def test_offsets_point_into_source(self):
-        text = "Alpha, beta-2 gamma"
-        for tok in tokenize(text):
-            assert text[tok.begin : tok.end].lower() == tok.surface
+        assert token_surfaces("COVID-19") == ["covid", "19"]
 
     def test_underscore_is_a_separator(self):
         assert token_surfaces("a_b") == ["a", "b"]
 
     @given(st.text(max_size=60))
     def test_deterministic(self, text):
-        assert tokenize(text) == tokenize(text)
+        assert token_surfaces(text) == token_surfaces(text)
 
 
 class TestSplitSentences:
@@ -94,68 +83,112 @@ class TestSplitSentences:
         assert text[cursor:].strip() == ""
 
 
+def reference_cosine(question: str, texts: list[str]) -> list[float]:
+    """tf-idf cosine over sparse term -> weight dicts, in plain Python.
+
+    The sparse-vector code that ``CosineScorer`` replaced, kept as its
+    oracle. Every sum adds left to right in sorted term order, written as
+    a loop because ``sum`` compensates for rounding from Python 3.12 on.
+    """
+
+    def add(values) -> float:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+
+    token_lists = [token_surfaces(t) for t in texts]
+    df: Counter[str] = Counter()
+    for tokens in token_lists:
+        df.update(set(tokens))
+    n = len(texts)
+    idf = {term: math.log((1 + n) / (1 + count)) + 1.0 for term, count in df.items()}
+
+    def vector(tokens: list[str]) -> dict[str, float]:
+        counts = Counter(t for t in tokens if t in idf)
+        weights = {t: tf * idf[t] for t, tf in sorted(counts.items())}
+        norm = math.sqrt(add(w * w for w in weights.values()))
+        return {t: w / norm for t, w in weights.items()}
+
+    q = vector(token_surfaces(question))
+    scores = []
+    for tokens in token_lists:
+        s = vector(tokens)
+        dot = add(w * s[t] for t, w in q.items() if t in s)
+        scores.append(min(1.0, max(0.0, dot)) if q and s else 0.0)
+    return scores
+
+
+def cosine_scores(question: str, *texts: str) -> list[float]:
+    return CosineScorer().score_sentences(
+        make_question("q", body=question), list(texts), list(range(len(texts)))
+    )
+
+
+IDF_HALF = math.log(3 / 2) + 1.0  # a term in one of two sentences
+
+
 class TestTfidf:
     def test_single_doc_idf_is_one(self):
-        model = tfidf_fit([["a", "b"]])
-        assert model.idf["a"] == pytest.approx(1.0)
-        assert model.idf["b"] == pytest.approx(1.0)
+        assert cosine_scores("b", "a b b") == [pytest.approx(2 / math.sqrt(5))]
 
     def test_term_in_all_docs(self):
-        model = tfidf_fit([["a"], ["a"]])
-        assert model.idf["a"] == pytest.approx(math.log(3 / 3) + 1.0)
+        # idf(a) = ln(3/3) + 1 = 1, idf(b) = ln(3/2) + 1
+        assert cosine_scores("a b", "a b", "a")[1] == pytest.approx(
+            1 / math.sqrt(1 + IDF_HALF**2)
+        )
 
     def test_term_in_half_the_docs(self):
-        model = tfidf_fit([["a"], ["b"]])
-        assert model.idf["a"] == pytest.approx(math.log(3 / 2) + 1.0)
-        assert model.idf["a"] == pytest.approx(1.4054651081, abs=1e-9)
+        assert IDF_HALF == pytest.approx(1.4054651081, abs=1e-9)
+        assert cosine_scores("a", "a c", "b c")[0] == pytest.approx(
+            IDF_HALF / math.sqrt(IDF_HALF**2 + 1)
+        )
 
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(EmptyCorpus):
-            tfidf_fit([])
+    def test_empty_pool_scores_nothing(self):
+        assert cosine_scores("a") == []
 
     def test_vector_single_term_normalized(self):
-        model = tfidf_fit([["a", "b"]])
-        vec = tfidf_vector(model, ["a", "a"])
-        assert vec.entries == ((model.vocabulary["a"], pytest.approx(1.0)),)
+        assert cosine_scores("a a", "a", "b") == [pytest.approx(1.0), 0.0]
 
     def test_vector_oov_only_is_empty(self):
-        model = tfidf_fit([["a"]])
-        assert tfidf_vector(model, ["z"]) == EMPTY_VECTOR
+        assert cosine_scores("z y", "a b", "a") == [0.0, 0.0]
 
     def test_vector_two_equal_terms(self):
-        model = tfidf_fit([["a", "b"]])
-        vec = tfidf_vector(model, ["a", "b"])
-        weights = [w for _, w in vec.entries]
-        assert weights == [pytest.approx(1 / math.sqrt(2))] * 2
+        assert cosine_scores("a", "a b") == [pytest.approx(1 / math.sqrt(2))]
 
-    def test_indices_strictly_increasing(self):
-        model = tfidf_fit([["c", "a", "b"], ["a", "d"]])
-        vec = tfidf_vector(model, ["d", "a", "c"])
-        indices = [i for i, _ in vec.entries]
-        assert indices == sorted(indices)
-        assert len(set(indices)) == len(indices)
+    def test_term_order_does_not_matter(self):
+        assert cosine_scores("d a c", "c a d", "a b") == cosine_scores("c d a", "a d c", "b a")
 
 
 class TestCosine:
     def test_identity(self):
-        model = tfidf_fit([["a", "b", "c"]])
-        vec = tfidf_vector(model, ["a", "b"])
-        assert cosine(vec, vec) == pytest.approx(1.0, abs=1e-9)
+        assert cosine_scores("a b c", "a b c", "a d")[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_disjoint_supports(self):
-        a = SparseVector(((0, 1.0),))
-        b = SparseVector(((1, 1.0),))
-        assert cosine(a, b) == 0.0
+        assert cosine_scores("a", "b c", "a") == [0.0, 1.0]
 
     def test_partial_overlap(self):
-        a = SparseVector(((0, 1.0),))
-        b = SparseVector(((0, 1 / math.sqrt(2)), (1, 1 / math.sqrt(2))))
-        assert cosine(a, b) == pytest.approx(0.70710678, abs=1e-8)
+        assert cosine_scores("a", "a b", "c")[0] == pytest.approx(0.70710678, abs=1e-8)
 
     def test_empty_vector_scores_zero(self):
-        assert cosine(EMPTY_VECTOR, SparseVector(((0, 1.0),))) == 0.0
+        assert cosine_scores("a", "", "?!", "a") == [0.0, 0.0, 1.0]
+        assert cosine_scores("", "a", "b") == [0.0, 0.0]
 
     def test_symmetry(self):
-        a = SparseVector(((0, 0.6), (2, 0.8)))
-        b = SparseVector(((0, 0.8), (1, 0.6)))
-        assert cosine(a, b) == pytest.approx(cosine(b, a))
+        texts = ("a b c", "b d", "c c e")
+        assert cosine_scores(texts[0], *texts)[1] == cosine_scores(texts[1], *texts)[0]
+
+
+# A small vocabulary, so pools repeat tokens and share terms; "Zz" and
+# "yy" never reach a sentence, so a question of them is out of vocabulary.
+WORDS = [*"abcdefghijkl", "A", "Bb"]
+sentence_texts = st.lists(st.sampled_from(WORDS), max_size=24).map(" ".join) | st.just("?!")
+question_texts = st.lists(st.sampled_from([*WORDS, "Zz", "yy"]), max_size=16).map(" ".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(question_texts, st.lists(sentence_texts, min_size=1, max_size=12))
+@example("Zz yy", ["a b c d e f g h i j a"])
+@example("", ["", "?!", "a b"])
+def test_cosine_scorer_matches_reference(question, texts):
+    assert cosine_scores(question, *texts) == reference_cosine(question, texts)
