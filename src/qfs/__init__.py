@@ -4,6 +4,7 @@ Subpackages and modules:
 
 * :mod:`qfs.corpus` -- question sets, document collections, feedback
 * :mod:`qfs.textproc` -- tokenization, sentence splitting, stopwords
+* :mod:`qfs.sentences` -- the sentence store: documents split and tokenized once
 * :mod:`qfs.metrics` -- ROUGE-SU4/N and retrieval evaluation
 * :mod:`qfs.retrieval` -- BM25, dense cosine, hybrid interpolation
 * :mod:`qfs.embeddings` -- word vectors and the CEMB interchange format

@@ -86,6 +86,7 @@ def _build_resources(
     collection = corpus.load_document_collection(config.resources.docs_path)
     if config.resources.index_path:
         index = retrieval.load_index(config.resources.index_path)
+        retrieval.check_collection(index, collection, config.resources.index_path)
         # BM25 impacts are fixed when the index is built, so the config
         # cannot override the index's own k1 and b.
         wanted = (config.retrieval.bm25_k1, config.retrieval.bm25_b)

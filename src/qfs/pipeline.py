@@ -11,9 +11,18 @@ command line and ``cross_validate`` compose:
 
 Every sentence score comes from a :class:`SentenceScorer`: tf-idf
 cosine, the SU4 oracle, or a trained classifier (:class:`ModelScorer`,
-either kind, with inputs built as in training). Snippet selection makes
-one scorer call per question over the sentences of all ranked
-documents, with per-document ordinals as positions.
+either kind, with inputs built as in training).
+
+Snippet selection reads its sentences from the index's
+:class:`~qfs.sentences.SentenceTable`: every document was split and
+tokenized once, when the index was built, so a question only slices
+the table rows of its ranked documents. The pool of all those sentences
+is scored at once; tf-idf cosine reads the stored token ids, any other
+scorer gets the sentence texts. A sentence's position is its
+per-document ordinal: its place among all sentences of its document,
+counted over the sections in order. Only the kept sentences become
+:class:`SnippetSpan` objects. :func:`snip_cosine` does the same for a
+collection without an index, splitting just the ranked documents.
 
 Candidate sentences keep their *occurrence index*, the 0-based position
 in the post-retrieval candidate list. Tie-breaking everywhere favors
@@ -27,6 +36,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
@@ -66,6 +76,7 @@ from .retrieval import (
     nir_search,
     rerank_top,
 )
+from .sentences import SentenceTable, document_sentences
 from .textproc import split_sentences, token_surfaces
 
 logger = logging.getLogger(__name__)
@@ -221,6 +232,39 @@ def _sum_rows(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape) -> 
     return total
 
 
+def _tfidf_cosines(question_terms: np.ndarray, lengths: np.ndarray, terms: np.ndarray, v: int):
+    """tf-idf cosine of each of n sentences against a question, clipped to [0, 1].
+
+    Sentence i holds the next ``lengths[i]`` ids of ``terms``; ids are
+    below ``v`` and ordered as their terms sort. ``question_terms`` are
+    the question's tokens that occur in the sentences, as ids.
+    """
+    q_term, q_tf = np.unique(question_terms, return_counts=True)
+    n, q = len(lengths), len(q_term)
+    if not q:
+        return np.zeros(n)
+    sent = np.repeat(np.arange(n), lengths)
+    pairs, tf = np.unique(sent * v + terms, return_counts=True)
+    pair_sent, pair_term = np.divmod(pairs, v)
+    df_values, df_index = np.unique(np.bincount(pair_term, minlength=v), return_inverse=True)
+    idf = np.array([math.log((1 + n) / (1 + d)) + 1.0 for d in df_values.tolist()])[df_index]
+
+    weight = tf * idf[pair_term]
+    per_sent = np.bincount(pair_sent, minlength=n)
+    col = np.arange(len(pairs)) - (np.cumsum(per_sent) - per_sent)[pair_sent]
+    norms = np.sqrt(_sum_rows(pair_sent, col, weight * weight, (n, per_sent.max())))
+    weight /= norms[pair_sent]
+    q_weight = q_tf * idf[q_term]
+    q_weight /= np.sqrt(_sum_rows(0, np.arange(q), q_weight * q_weight, (1, q)))
+
+    q_col = np.full(v, -1)
+    q_col[q_term] = np.arange(q)
+    shared = q_col[pair_term] >= 0
+    cols = q_col[pair_term[shared]]
+    dots = _sum_rows(pair_sent[shared], cols, q_weight[cols] * weight[shared], (n, q))
+    return np.clip(dots, 0.0, 1.0)
+
+
 class CosineScorer:
     """tf-idf cosine against the question, fitted on the candidate pool.
 
@@ -236,34 +280,12 @@ class CosineScorer:
     ) -> list[float]:
         token_lists = [token_surfaces(t) for t in texts]
         vocab = {t: i for i, t in enumerate(sorted({t for ts in token_lists for t in ts}))}
-        q_term, q_tf = np.unique(
+        return _tfidf_cosines(
             np.array([vocab[t] for t in token_surfaces(question.body) if t in vocab], np.intp),
-            return_counts=True,
-        )
-        n, v, q = len(texts), len(vocab), len(q_term)
-        if not q:
-            return [0.0] * n
-        sent = np.repeat(np.arange(n), [len(ts) for ts in token_lists])
-        term = np.array([vocab[t] for ts in token_lists for t in ts], np.intp)
-        pairs, tf = np.unique(sent * v + term, return_counts=True)
-        pair_sent, pair_term = np.divmod(pairs, v)
-        df_values, df_index = np.unique(np.bincount(pair_term, minlength=v), return_inverse=True)
-        idf = np.array([math.log((1 + n) / (1 + d)) + 1.0 for d in df_values.tolist()])[df_index]
-
-        weight = tf * idf[pair_term]
-        per_sent = np.bincount(pair_sent, minlength=n)
-        col = np.arange(len(pairs)) - (np.cumsum(per_sent) - per_sent)[pair_sent]
-        norms = np.sqrt(_sum_rows(pair_sent, col, weight * weight, (n, per_sent.max())))
-        weight /= norms[pair_sent]
-        q_weight = q_tf * idf[q_term]
-        q_weight /= np.sqrt(_sum_rows(0, np.arange(q), q_weight * q_weight, (1, q)))
-
-        q_col = np.full(v, -1)
-        q_col[q_term] = np.arange(q)
-        shared = q_col[pair_term] >= 0
-        cols = q_col[pair_term[shared]]
-        dots = _sum_rows(pair_sent[shared], cols, q_weight[cols] * weight[shared], (n, q))
-        return np.clip(dots, 0.0, 1.0).tolist()
+            np.array([len(ts) for ts in token_lists], np.intp),
+            np.array([vocab[t] for ts in token_lists for t in ts], np.intp),
+            len(vocab),
+        ).tolist()
 
 
 class OracleScorer:
@@ -314,26 +336,77 @@ class ModelScorer:
         ]
 
 
-def document_sentences(doc_id: str, collection: DocumentCollection) -> list[SnippetSpan]:
-    """All sentences of a document as snippet spans, in occurrence order."""
-    if doc_id not in collection:
-        raise UnknownDocument(f"document {doc_id!r} is not in the collection")
-    spans = []
-    for section_id, text in collection[doc_id].sections:
-        for sent in split_sentences(text):
-            spans.append(
-                SnippetSpan(doc_id, section_id, sent.begin, sent.end, sent.text)
-            )
-    return spans
+def _ordinal(index: InvertedIndex, doc_id: str) -> int:
+    """A document's place in the index (doc ids are sorted)."""
+    i = bisect_left(index.doc_ids, doc_id)
+    if i == index.n_docs or index.doc_ids[i] != doc_id:
+        raise UnknownDocument(f"document {doc_id!r} is not in the index")
+    return i
 
 
-def _top_by_occurrence(
-    sentences: Sequence[SnippetSpan], scores: Sequence[float], per_doc: int
+def _table_cosines(
+    question: QuestionRecord, table: SentenceTable, first: np.ndarray, counts: np.ndarray
+) -> list[float]:
+    """:class:`CosineScorer` scores of sentence runs ``first:first + counts`` of a table.
+
+    Pool-local ids from ``np.unique`` keep the vocabulary's term order,
+    so the scores are those of the sentence texts.
+    """
+    spans = zip(table.indptr[first].tolist(), table.indptr[first + counts].tolist())
+    tokens = np.concatenate([table.token_ids[:0], *(table.token_ids[a:e] for a, e in spans)])
+    words, local = np.unique(tokens, return_inverse=True)
+    asked = table.word_ids(token_surfaces(question.body))
+    asked = np.searchsorted(words, asked[np.isin(asked, words)])
+    rows = np.concatenate([first[:0], *(np.arange(a, a + c) for a, c in zip(first, counts))])
+    return _tfidf_cosines(asked, np.diff(table.indptr)[rows], local, len(words)).tolist()
+
+
+def _snip(
+    question: QuestionRecord,
+    ranked_docs: RankedList,
+    table: SentenceTable,
+    ordinals: Sequence[int],
+    collection: DocumentCollection,
+    scorer: SentenceScorer | None,
+    per_doc: int,
 ) -> list[SnippetSpan]:
-    """Keep the per_doc best-scoring sentences, emitted in occurrence order."""
-    ranked = sorted(range(len(sentences)), key=lambda i: (-scores[i], i))
-    kept = sorted(ranked[:per_doc])
-    return [sentences[i] for i in kept]
+    """Snippets by one scoring over the sentences of every ranked document.
+
+    ``ordinals`` are the ranked documents' places in ``table``. With no
+    scorer, sentences are scored by tf-idf cosine from their token ids;
+    a scorer gets their texts, with per-document ordinals as positions.
+    Per document the top ``per_doc`` sentences are re-ordered by
+    occurrence; per-document groups are collated in document-relevance
+    order. Only the kept sentences become :class:`SnippetSpan` objects.
+    """
+    docs = []
+    for doc_id, _ in ranked_docs:
+        if doc_id not in collection:
+            raise UnknownDocument(f"document {doc_id!r} is not in the collection")
+        docs.append(collection[doc_id])
+    ordinals = np.asarray(ordinals, dtype=np.intp)
+    first = table.doc_ptr[ordinals]
+    counts = table.doc_ptr[ordinals + 1] - first
+    if scorer is None:
+        scores = _table_cosines(question, table, first, counts)
+    else:
+        texts, positions = [], []
+        for doc, a, c in zip(docs, first.tolist(), counts.tolist()):
+            for row in range(a, a + c):
+                text = doc.sections[table.section[row]][1]
+                texts.append(text[table.begin[row] : table.end[row]])
+                positions.append(row - a)
+        scores = scorer.score_sentences(question, texts, positions)
+    out: list[SnippetSpan] = []
+    start = 0
+    for doc, a, c in zip(docs, first.tolist(), counts.tolist()):
+        group = scores[start : start + c]
+        start += c
+        for i in sorted(sorted(range(c), key=lambda i: (-group[i], i))[:per_doc]):
+            section_id, text = doc.sections[table.section[a + i]]
+            b, e = int(table.begin[a + i]), int(table.end[a + i])
+            out.append(SnippetSpan(doc.id, section_id, b, e, text[b:e]))
+    return out
 
 
 def snip_cosine(
@@ -345,37 +418,15 @@ def snip_cosine(
     """Baseline snippet strategy: tf-idf cosine against the question.
 
     The tf-idf model is fitted on the sentences of all ranked documents,
-    so scores are comparable across documents.
+    so scores are comparable across documents. The ranked documents are
+    split and tokenized here into their own sentence table; answering
+    reads the index's table instead (:func:`select_snippets`), with the
+    same result.
     """
-    return snip_model(question, ranked_docs, collection, CosineScorer(), per_doc)
-
-
-def snip_model(
-    question: QuestionRecord,
-    ranked_docs: RankedList,
-    collection: DocumentCollection,
-    scorer: SentenceScorer,
-    per_doc: int = SNIPPETS_PER_DOC,
-) -> list[SnippetSpan]:
-    """Snippets by one scorer call over the sentences of every ranked document.
-
-    Sentence positions passed to the scorer are per-document ordinals.
-    Per document the top ``per_doc`` sentences are re-ordered by
-    occurrence; per-document groups are collated in document-relevance
-    order.
-    """
-    per_doc_sents = [document_sentences(doc_id, collection) for doc_id, _ in ranked_docs]
-    scores = scorer.score_sentences(
-        question,
-        [s.text for sents in per_doc_sents for s in sents],
-        [i for sents in per_doc_sents for i in range(len(sents))],
+    table = SentenceTable.build(document_sentences(d, collection) for d, _ in ranked_docs)
+    return _snip(
+        question, ranked_docs, table, range(len(ranked_docs)), collection, None, per_doc
     )
-    out: list[SnippetSpan] = []
-    start = 0
-    for sents in per_doc_sents:
-        out.extend(_top_by_occurrence(sents, scores[start : start + len(sents)], per_doc))
-        start += len(sents)
-    return out
 
 
 def candidate_sentences(question: QuestionRecord) -> list[SnippetSpan]:
@@ -485,7 +536,12 @@ def assemble_answer(
 
 @dataclass
 class Resources:
-    """Read-only inputs shared by every question in a run."""
+    """Read-only inputs shared by every question in a run.
+
+    The index must have been built from ``collection``: snippets slice
+    its section texts at the offsets in the index's sentence table
+    (:func:`qfs.retrieval.check_collection` checks a loaded index).
+    """
 
     collection: DocumentCollection
     index: InvertedIndex
@@ -526,11 +582,17 @@ def retrieve(question: QuestionRecord, config, resources: Resources) -> RankedLi
 def select_snippets(
     question: QuestionRecord, ranked: RankedList, config, resources: Resources
 ) -> list[SnippetSpan]:
-    """Snippets of the ranked documents by the configured strategy, unfiltered."""
-    if config.snippets.strategy == "cosine":
-        return snip_cosine(question, ranked, resources.collection, config.snippets.per_doc)
-    return snip_model(
-        question, ranked, resources.collection, resources.scorer, config.snippets.per_doc
+    """Snippets of the ranked documents by the configured strategy, unfiltered.
+
+    Sentences come from the index's sentence table; only the kept ones
+    become :class:`SnippetSpan` objects.
+    """
+    index = resources.index
+    scorer = None if config.snippets.strategy == "cosine" else resources.scorer
+    ordinals = [_ordinal(index, doc_id) for doc_id, _ in ranked]
+    return _snip(
+        question, ranked, index.sentences, ordinals, resources.collection, scorer,
+        config.snippets.per_doc,
     )
 
 

@@ -9,30 +9,39 @@ searches are deterministic.
 The index is compressed sparse rows: term row ``r`` owns postings
 ``indptr[r]:indptr[r + 1]``, whose BM25 impacts are fixed at build time
 by ``k1`` and ``b``. Documents are numbered in ascending id order, so
-ordinal order is the tie order.
+ordinal order is the tie order. An index also holds the collection's
+:class:`~qfs.sentences.SentenceTable` under the same ordinals: every
+document is split and tokenized once, at build time, and the postings
+are counted from the table's token ids.
 
 Binary formats (little-endian):
 
 * DVEC dense vectors: magic ``DVEC``, u32 version=1, u32 dim, then
   records of u32 id-length, UTF-8 id bytes, dim x f32.
-* QIDX index snapshot: magic ``QIDX``, u32 version=2, f64 k1, f64 b,
-  u32 n_docs, u32 n_terms, u64 n_postings; then u32 byte lengths of
-  the doc ids and of the terms, followed by their UTF-8 bytes (both
-  lists strictly ascending); then the raw arrays i32 doc_len[n_docs],
-  i64 indptr[n_terms + 1], i32 post_doc[n_postings] and
-  i32 post_tf[n_postings]; then u32 CRC32 of all preceding bytes.
-  Impacts are recomputed on load. Version 1 files are rejected: an
-  index is a derived file, rebuilt with ``qfs index``.
+* QIDX index snapshot: magic ``QIDX``, u32 version=3, f64 k1, f64 b,
+  u32 n_docs, u32 n_terms, u64 n_postings, u32 n_words, u32
+  n_sections, u32 n_sentences, u64 n_tokens; then u32 byte lengths of
+  the doc ids and of the vocabulary words, followed by their UTF-8
+  bytes (both lists strictly ascending); then the raw arrays
+  u8 is_term[n_words] (1 for the n_terms words with postings, 0 for
+  stopwords), i32 doc_len[n_docs], i64 indptr[n_terms + 1],
+  i32 post_doc[n_postings], i32 post_tf[n_postings],
+  i32 section_count[n_docs], i32 section_len[n_sections] (each
+  document's section text lengths, in characters), the sentence table
+  i32 doc, section, begin and end[n_sentences],
+  i64 indptr[n_sentences + 1] and i32 token_ids[n_tokens]; then u32
+  CRC32 of all preceding bytes. Impacts are recomputed on load.
+  Versions 1 and 2 are rejected: an index is a derived file, rebuilt
+  with ``qfs index``.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
 import struct
 import zlib
-from array import array
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -48,7 +57,7 @@ from .errors import (
     MalformedInput,
 )
 from .fileio import decode_utf8, open_input, read_exact
-from .textproc import token_surfaces
+from .sentences import SentenceTable, document_sentences
 
 logger = logging.getLogger(__name__)
 
@@ -57,8 +66,8 @@ DEFAULT_B = 0.75
 
 _DVEC_MAGIC = b"DVEC"
 _QIDX_MAGIC = b"QIDX"
-_QIDX_VERSION = 2
-_QIDX_HEADER = struct.Struct("<4sIddIIQ")
+_QIDX_VERSION = 3
+_QIDX_HEADER = struct.Struct("<4sIddIIQIIIQ")
 
 
 @dataclass(eq=False)
@@ -71,6 +80,11 @@ class InvertedIndex:
     indptr: np.ndarray
     post_doc: np.ndarray
     post_tf: np.ndarray
+    sentences: SentenceTable
+    # The text the sentence offsets point into: per document its number
+    # of sections, and per section its length in characters.
+    section_counts: np.ndarray
+    section_lengths: np.ndarray
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
     n_docs: int = field(init=False)
@@ -113,26 +127,76 @@ def build_index(
         raise EmptyCollection("cannot index an empty collection")
     stop = stopwords or frozenset()
     doc_ids = sorted(doc.id for doc in docs)
-    doc_len = array("i")
-    # Interleaved (ordinal, tf) pairs per term: typed arrays, not tuples, bound memory.
-    rows: defaultdict[str, array] = defaultdict(lambda: array("i"))
-    for ordinal, doc_id in enumerate(doc_ids):
-        tokens = [
-            t for _, text in docs[doc_id].sections for t in token_surfaces(text) if t not in stop
-        ]
-        doc_len.append(len(tokens))
-        for term, tf in Counter(tokens).items():
-            rows[term].extend((ordinal, tf))
-    terms = sorted(rows)
-    indptr = np.zeros(len(terms) + 1, dtype=np.int64)
-    np.cumsum([len(rows[t]) // 2 for t in terms], out=indptr[1:])
-    joined = np.frombuffer(b"".join([rows.pop(t) for t in terms]), dtype=np.int32)
-    post_doc, post_tf = joined.reshape(-1, 2).T.copy()
-    del joined
+    table = SentenceTable.build(document_sentences(doc_id, docs) for doc_id in doc_ids)
+    is_term = np.array([word not in stop for word in table.vocabulary], dtype=bool)
+    terms = [word for word, keep in zip(table.vocabulary, is_term.tolist()) if keep]
+    doc_len, indptr, post_doc, post_tf = _postings(table, is_term)
+    sections = [docs[doc_id].sections for doc_id in doc_ids]
     return InvertedIndex(
-        doc_ids, np.array(doc_len, dtype=np.int32), {term: r for r, term in enumerate(terms)},
-        indptr, post_doc, post_tf, k1, b,
+        doc_ids, doc_len, {term: r for r, term in enumerate(terms)}, indptr, post_doc, post_tf,
+        table, np.array([len(s) for s in sections], dtype=np.int32),
+        np.array([len(text) for s in sections for _, text in s], dtype=np.int32), k1, b,
     )
+
+
+def _doc_blocks(bounds: np.ndarray) -> list[tuple[int, int]]:
+    """Runs of whole documents of about 2**16 tokens, as (first, last + 1) ordinals.
+
+    Document d holds tokens ``bounds[d]:bounds[d + 1]``. A run starts at
+    document 0 and at each document holding a token whose index is a
+    multiple of 2**16.
+    """
+    cuts = np.searchsorted(bounds, np.arange(1 << 16, bounds[-1], 1 << 16), "right") - 1
+    cuts = np.unique(np.r_[0, cuts, len(bounds) - 1]).tolist()
+    return list(zip(cuts, cuts[1:]))
+
+
+def _token_docs(bounds: np.ndarray, first: int, last: int) -> np.ndarray:
+    """For each token of documents first..last-1, its document ordinal minus ``first``."""
+    return np.repeat(np.arange(last - first), np.diff(bounds[first : last + 1]))
+
+
+def _postings(table: SentenceTable, is_term: np.ndarray):
+    """doc_len, indptr, post_doc and post_tf of the table's term tokens.
+
+    Documents are taken in blocks of about 2**16 tokens, so temporaries
+    stay block sized. A first pass counts each term's documents; the
+    second fills every term row in document order, one block at a time.
+    """
+    n_terms = int(is_term.sum())
+    row_of = np.cumsum(is_term, dtype=np.int32) - 1
+    row_of[~is_term] = -1
+    bounds = table.indptr[table.doc_ptr]
+    blocks = _doc_blocks(bounds)
+
+    def pairs(first: int, last: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Unique (term row, doc) pairs of docs first..last-1 by row then doc, and tfs."""
+        rows = row_of[table.token_ids[bounds[first] : bounds[last]]]
+        term, n = rows >= 0, last - first
+        keys = rows[term].astype(np.int64) * n + _token_docs(bounds, first, last)[term]
+        keys, tf = np.unique(keys, return_counts=True)
+        rows, docs = np.divmod(keys, n)
+        return rows, docs + first, tf
+
+    df = np.zeros(n_terms, dtype=np.int64)
+    for first, last in blocks:
+        df += np.bincount(pairs(first, last)[0], minlength=n_terms)
+    indptr = np.zeros(n_terms + 1, dtype=np.int64)
+    np.cumsum(df, out=indptr[1:])
+    post_doc = np.empty(indptr[-1], dtype=np.int32)
+    post_tf = np.empty(indptr[-1], dtype=np.int32)
+    doc_len = np.zeros(table.n_docs, dtype=np.int32)
+    cursor = indptr[:-1].copy()
+    for first, last in blocks:
+        rows, docs, tf = pairs(first, last)
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        sizes = np.diff(np.r_[starts, len(rows)])
+        at = cursor[rows] + np.arange(len(rows)) - np.repeat(starts, sizes)
+        post_doc[at] = docs
+        post_tf[at] = tf
+        cursor[rows[starts]] += sizes
+        doc_len[first:last] = np.bincount(docs - first, weights=tf, minlength=last - first)
+    return doc_len, indptr, post_doc, post_tf
 
 
 def _bm25(index: InvertedIndex, query: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -341,16 +405,24 @@ def rerank_top(
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
-    """Persist an index as a QIDX v2 snapshot."""
-    texts = [text.encode("utf-8") for text in (*index.doc_ids, *index.terms)]
+    """Persist an index as a QIDX v3 snapshot."""
+    table = index.sentences
+    names = (*index.doc_ids, *table.vocabulary)
     parts = [
         _QIDX_HEADER.pack(_QIDX_MAGIC, _QIDX_VERSION, index.k1, index.b,
-                          index.n_docs, len(index.terms), len(index.post_doc)),
-        np.array([len(raw) for raw in texts], dtype="<u4"),
-        b"".join(texts),
+                          index.n_docs, len(index.terms), len(index.post_doc),
+                          len(table.vocabulary), len(index.section_lengths), len(table),
+                          len(table.token_ids)),
+        np.fromiter((len(name.encode("utf-8")) for name in names), "<u4", len(names)),
+        "".join(names).encode("utf-8"),
+        np.fromiter((word in index.terms for word in table.vocabulary), "u1",
+                    len(table.vocabulary)),
         *(np.ascontiguousarray(values, dtype=dtype) for values, dtype in (
             (index.doc_len, "<i4"), (index.indptr, "<i8"),
             (index.post_doc, "<i4"), (index.post_tf, "<i4"),
+            (index.section_counts, "<i4"), (index.section_lengths, "<i4"),
+            (table.doc, "<i4"), (table.section, "<i4"), (table.begin, "<i4"),
+            (table.end, "<i4"), (table.indptr, "<i8"), (table.token_ids, "<i4"),
         )),
     ]
     crc = 0
@@ -362,55 +434,134 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> InvertedIndex:
-    """Read a QIDX v2 snapshot written by :func:`save_index`."""
+    """Read a QIDX v3 snapshot written by :func:`save_index`.
+
+    Each array is read into its own buffer, checked against the file
+    size before it is allocated; the CRC is taken as they are read.
+    """
     with open_input(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != _QIDX_MAGIC:
-        raise MalformedInput(f"{path}: bad magic {data[:4]!r}, expected QIDX")
-    version = int.from_bytes(data[4:8], "little")
-    if version == 1:
-        raise MalformedInput(
-            f"{path}: QIDX version 1 is no longer read; rebuild the index with `qfs index`"
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_QIDX_HEADER.size)
+        if head[:4] != _QIDX_MAGIC:
+            raise MalformedInput(f"{path}: bad magic {head[:4]!r}, expected QIDX")
+        version = int.from_bytes(head[4:8], "little")
+        if version in (1, 2):
+            raise MalformedInput(
+                f"{path}: QIDX version {version} is no longer read; "
+                "rebuild the index with `qfs index`"
+            )
+        if version != _QIDX_VERSION:
+            raise MalformedInput(f"{path}: unsupported QIDX version {version}")
+        if size < _QIDX_HEADER.size + 4:
+            raise MalformedInput(f"{path}: truncated header")
+        (_, _, k1, b, n_docs, n_terms, n_post,
+         n_words, n_sections, n_sents, n_tokens) = _QIDX_HEADER.unpack(head)
+        pos, crc = len(head), zlib.crc32(head)
+
+        def take(dtype: str, count: int, what: str) -> np.ndarray:
+            nonlocal pos, crc
+            nbytes = count * np.dtype(dtype).itemsize
+            if nbytes > size - 4 - pos:
+                raise MalformedInput(f"{path}: truncated {what} at byte offset {pos}")
+            values = np.empty(count, dtype=dtype)
+            if fh.readinto(values) != nbytes:
+                raise MalformedInput(f"{path}: truncated {what} at byte offset {pos}")
+            pos, crc = pos + nbytes, zlib.crc32(values, crc)
+            return values
+
+        text_lengths = take("<u4", n_docs + n_words, "text lengths")
+        blob = take("u1", int(text_lengths.sum()), "doc ids and words").tobytes()
+        is_term = take("u1", n_words, "term flags")
+        doc_len = take("<i4", n_docs, "doc lengths")
+        indptr = take("<i8", n_terms + 1, "indptr")
+        post_doc = take("<i4", n_post, "posting docs")
+        post_tf = take("<i4", n_post, "posting tfs")
+        section_counts = take("<i4", n_docs, "section counts")
+        section_lengths = take("<i4", n_sections, "section lengths")
+        sent_doc, section, begin, end = (
+            take("<i4", n_sents, f"sentence {what}")
+            for what in ("docs", "sections", "begins", "ends")
         )
-    if version != _QIDX_VERSION:
-        raise MalformedInput(f"{path}: unsupported QIDX version {version}")
-    body = memoryview(data)[:-4]
-    if len(body) < _QIDX_HEADER.size or zlib.crc32(body) != int.from_bytes(data[-4:], "little"):
-        raise MalformedInput(f"{path}: CRC mismatch, file is truncated or corrupted")
-    _, _, k1, b, n_docs, n_terms, n_post = _QIDX_HEADER.unpack_from(body)
-    if n_docs == 0:
-        raise MalformedInput(f"{path}: snapshot holds no documents")
-    pos = _QIDX_HEADER.size
+        sent_indptr = take("<i8", n_sents + 1, "sentence indptr")
+        token_ids = take("<i4", n_tokens, "token ids")
+        if pos != size - 4:
+            raise MalformedInput(f"{path}: {size - 4 - pos} trailing bytes")
+        if crc != int.from_bytes(fh.read(4), "little"):
+            raise MalformedInput(f"{path}: CRC mismatch, file is truncated or corrupted")
 
-    def take(dtype: str, count: int, what: str) -> np.ndarray:
-        nonlocal pos
-        size = count * np.dtype(dtype).itemsize
-        if size > len(body) - pos:
-            raise MalformedInput(f"{path}: truncated {what} at byte offset {pos}")
-        pos += size
-        return np.frombuffer(body[pos - size : pos], dtype=dtype)
+    def require(ok, problem: str) -> None:
+        if not ok:
+            raise MalformedInput(f"{path}: {problem}")
 
-    ends = np.cumsum(take("<u4", n_docs + n_terms, "text lengths"), dtype=np.int64).tolist()
-    blob = take("u1", ends[-1], "doc ids and terms").tobytes()
+    require(n_docs > 0, "snapshot holds no documents")
+    ends = np.cumsum(text_lengths, dtype=np.int64).tolist()
     try:
         texts = [blob[a:e].decode("utf-8") for a, e in zip([0, *ends], ends)]
     except UnicodeDecodeError as exc:
-        raise MalformedInput(f"{path}: doc id or term is not UTF-8: {exc}") from exc
-    doc_ids, terms = texts[:n_docs], texts[n_docs:]
-    doc_len = take("<i4", n_docs, "doc lengths")
-    indptr = take("<i8", n_terms + 1, "indptr")
-    post_doc = take("<i4", n_post, "posting docs")
-    post_tf = take("<i4", n_post, "posting tfs")
-    if pos != len(body):
-        raise MalformedInput(f"{path}: {len(body) - pos} trailing bytes")
-    for what, names in (("doc ids", doc_ids), ("terms", terms)):
-        if any(x >= y for x, y in zip(names, names[1:])):
-            raise MalformedInput(f"{path}: {what} are not strictly ascending")
-    if indptr[0] != 0 or indptr[-1] != n_post or np.any(np.diff(indptr) < 0):
-        raise MalformedInput(f"{path}: indptr must rise from 0 to {n_post}")
-    if n_post and (post_doc.min() < 0 or post_doc.max() >= n_docs or post_tf.min() < 1):
-        raise MalformedInput(f"{path}: postings need doc ordinals below {n_docs} and tf >= 1")
-    if not np.array_equal(np.bincount(post_doc, weights=post_tf, minlength=n_docs), doc_len):
-        raise MalformedInput(f"{path}: doc lengths disagree with the postings")
-    terms_by_row = {term: r for r, term in enumerate(terms)}
-    return InvertedIndex(doc_ids, doc_len, terms_by_row, indptr, post_doc, post_tf, k1, b)
+        raise MalformedInput(f"{path}: doc id or word is not UTF-8: {exc}") from exc
+    doc_ids, vocabulary = texts[:n_docs], texts[n_docs:]
+    for what, names in (("doc ids", doc_ids), ("words", vocabulary)):
+        require(all(x < y for x, y in zip(names, names[1:])), f"{what} are not strictly ascending")
+    require(n_words == 0 or is_term.max() <= 1, "term flags must be 0 or 1")
+    require(int(is_term.sum()) == n_terms, f"term flags must mark {n_terms} terms")
+    require(indptr[0] == 0 and indptr[-1] == n_post and np.all(np.diff(indptr) >= 0),
+            f"indptr must rise from 0 to {n_post}")
+    require(not n_post or (post_doc.min() >= 0 and post_doc.max() < n_docs and post_tf.min() >= 1),
+            f"postings need doc ordinals below {n_docs} and tf >= 1")
+    tf_sums = np.zeros(n_docs)
+    for start in range(0, n_post, 1 << 16):  # bounded temporaries
+        block = slice(start, start + (1 << 16))
+        tf_sums += np.bincount(post_doc[block], weights=post_tf[block], minlength=n_docs)
+    require(np.array_equal(tf_sums, doc_len), "doc lengths disagree with the postings")
+    require(section_counts.min() >= 0 and section_counts.sum() == n_sections
+            and (not n_sections or section_lengths.min() >= 0),
+            f"section counts must add up to {n_sections}")
+    require(not n_sents or (sent_doc[0] >= 0 and sent_doc[-1] < n_docs
+                            and np.all(np.diff(sent_doc) >= 0)),
+            f"sentence docs must be ascending ordinals below {n_docs}")
+    first_section = np.cumsum(section_counts, dtype=np.int64) - section_counts
+    require(np.all((section >= 0) & (section < section_counts[sent_doc])),
+            "a sentence names a section its document does not have")
+    require(np.all((0 <= begin) & (begin < end)
+                   & (end <= section_lengths[first_section[sent_doc] + section])),
+            "sentence offsets must satisfy 0 <= begin < end <= section length")
+    require(sent_indptr[0] == 0 and sent_indptr[-1] == n_tokens
+            and np.all(np.diff(sent_indptr) >= 0), f"sentence indptr must rise from 0 to {n_tokens}")
+    require(not n_tokens or (token_ids.min() >= 0 and token_ids.max() < n_words),
+            f"token ids must be below {n_words}")
+    table = SentenceTable(sent_doc, section, begin, end, sent_indptr, token_ids, vocabulary, n_docs)
+    bounds = sent_indptr[table.doc_ptr]
+    term_tokens = [
+        np.bincount(_token_docs(bounds, first, last), minlength=last - first,
+                    weights=is_term[token_ids[bounds[first] : bounds[last]]])
+        for first, last in _doc_blocks(bounds)
+    ]
+    require(np.array_equal(np.concatenate(term_tokens), doc_len),
+            "doc lengths disagree with the sentence tokens")
+    terms = [word for word, flag in zip(vocabulary, is_term.tolist()) if flag]
+    return InvertedIndex(
+        doc_ids, doc_len, {term: r for r, term in enumerate(terms)}, indptr, post_doc, post_tf,
+        table, section_counts, section_lengths, k1, b,
+    )
+
+
+def check_collection(index: InvertedIndex, collection: DocumentCollection, path) -> None:
+    """Every indexed document must still have the sections it was indexed with.
+
+    Sentence offsets slice the collection's section texts, so a document
+    whose section count or section lengths changed after ``qfs index``
+    is MalformedInput, named with the first such document.
+    """
+    lengths = index.section_lengths.tolist()
+    start = 0
+    for doc_id, count in zip(index.doc_ids, index.section_counts.tolist()):
+        indexed, start = lengths[start : start + count], start + count
+        if doc_id not in collection:
+            problem = "is not in the collection"
+        elif [len(text) for _, text in collection[doc_id].sections] != indexed:
+            problem = "has other sections than when it was indexed"
+        else:
+            continue
+        raise MalformedInput(
+            f"{path}: document {doc_id!r} {problem}; rebuild the index with `qfs index`"
+        )

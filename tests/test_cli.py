@@ -97,6 +97,24 @@ class TestRetrieveWithIndexFile:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("edit", ["longer section", "section removed", "document removed"])
+    def test_docs_edited_after_indexing_exit_2(self, workspace, micro_collection, edit):
+        build_index_file(workspace)
+        docs = [json.loads(line) for line in (workspace / "docs.jsonl").read_text().splitlines()]
+        if edit == "longer section":
+            docs[1]["sections"][1]["text"] += " Dosing matters."
+        elif edit == "section removed":
+            del docs[1]["sections"][0]
+        else:
+            del docs[1]
+        (workspace / "docs.jsonl").write_text("".join(json.dumps(d) + "\n" for d in docs))
+        code, err = retrieve(workspace, write_config(workspace, "c.json", True), "out.json")
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "'d2'" in err and "qfs index" in err
+        assert not (workspace / "out.json").exists()
+
+
 GOLDEN = Path(__file__).parent / "golden"
 # Outputs checked in under tests/golden; QFS_UPDATE_GOLDEN=1 rewrites them.
 GOLDEN_OUTPUTS = (

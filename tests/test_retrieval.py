@@ -449,15 +449,23 @@ def restamp(data: bytes) -> bytes:
 
 
 def qidx_offsets(index) -> dict[str, int]:
-    """Byte offset of each section of a QIDX v2 snapshot of ``index``."""
+    """Byte offset of each section of a QIDX v3 snapshot of ``index``."""
+    table = index.sentences
     n_docs, n_terms, n_post = index.n_docs, len(index.terms), len(index.post_doc)
-    blob = sum(len(t.encode("utf-8")) for t in [*index.doc_ids, *index.terms])
-    offsets = {"n_docs": 24, "n_terms": 28, "n_post": 32, "lengths": 40}
-    offsets["blob"] = offsets["lengths"] + 4 * (n_docs + n_terms)
-    offsets["doc_len"] = offsets["blob"] + blob
-    offsets["indptr"] = offsets["doc_len"] + 4 * n_docs
-    offsets["post_doc"] = offsets["indptr"] + 8 * (n_terms + 1)
-    offsets["post_tf"] = offsets["post_doc"] + 4 * n_post
+    n_words, n_sents = len(table.vocabulary), len(table)
+    blob = sum(len(t.encode("utf-8")) for t in [*index.doc_ids, *table.vocabulary])
+    offsets = {"n_docs": 24, "n_terms": 28, "n_post": 32, "n_words": 40, "n_sections": 44,
+               "n_sents": 48, "n_tokens": 52, "lengths": 60}
+    sizes = [
+        ("lengths", 4 * (n_docs + n_words)), ("blob", blob), ("is_term", n_words),
+        ("doc_len", 4 * n_docs), ("indptr", 8 * (n_terms + 1)), ("post_doc", 4 * n_post),
+        ("post_tf", 4 * n_post), ("section_counts", 4 * n_docs),
+        ("section_lengths", 4 * len(index.section_lengths)), ("sent_doc", 4 * n_sents),
+        ("sent_section", 4 * n_sents), ("sent_begin", 4 * n_sents), ("sent_end", 4 * n_sents),
+        ("sent_indptr", 8 * (n_sents + 1)), ("token_ids", 4 * len(table.token_ids)),
+    ]
+    for (name, size), (following, _) in zip(sizes, sizes[1:]):
+        offsets[following] = offsets[name] + size
     return offsets
 
 
@@ -487,6 +495,44 @@ STRUCTURE_DEFECTS = {
     "indptr[0]=1": lambda data, at, index: patch_i64(data, at["indptr"], lambda v: 1),
     "indptr[-1] short": lambda data, at, index: patch_i64(
         data, at["post_doc"] - 8, lambda v: v - 1
+    ),
+    "n_words+1": _count("n_words", 1),
+    "n_sents-1": _count("n_sents", -1),
+    "n_tokens+1": _count("n_tokens", 1),
+    "term flag=2": lambda data, at, index: data.__setitem__(at["is_term"], 2),
+    "term flag=0": lambda data, at, index: data.__setitem__(at["is_term"], 0),
+    "section count+1": lambda data, at, index: patch_i32(
+        data, at["section_counts"], lambda v: v + 1
+    ),
+    "section length short": lambda data, at, index: patch_i32(
+        data, at["section_lengths"], lambda v: v - 1
+    ),
+    "sentence doc=n_docs": lambda data, at, index: patch_i32(
+        data, at["sent_section"] - 4, lambda v: index.n_docs
+    ),
+    "sentence docs fall": lambda data, at, index: patch_i32(
+        data, at["sent_section"] - 4, lambda v: 0
+    ),
+    "sentence section=1": lambda data, at, index: patch_i32(
+        data, at["sent_section"], lambda v: 1
+    ),
+    "begin=end": lambda data, at, index: patch_i32(
+        data, at["sent_begin"], lambda v: int(index.sentences.end[0])
+    ),
+    "begin<0": lambda data, at, index: patch_i32(data, at["sent_begin"], lambda v: -1),
+    "sentence indptr falls": lambda data, at, index: patch_i64(
+        data, at["sent_indptr"] + 8, lambda v: len(index.sentences.token_ids) + 1
+    ),
+    "sentence indptr[0]=1": lambda data, at, index: patch_i64(
+        data, at["sent_indptr"], lambda v: 1
+    ),
+    "token id=n_words": lambda data, at, index: patch_i32(
+        data, at["token_ids"], lambda v: len(index.sentences.vocabulary)
+    ),
+    "token id<0": lambda data, at, index: patch_i32(data, at["token_ids"], lambda v: -1),
+    # Moves the first sentence's last token into the second document.
+    "doc token counts": lambda data, at, index: patch_i64(
+        data, at["sent_indptr"] + 8, lambda v: v - 1
     ),
     "indptr falls": lambda data, at, index: patch_i64(
         data, at["indptr"] + 8, lambda v: len(index.post_doc) + 1
@@ -570,6 +616,12 @@ class TestIndexSnapshot:
         path = tmp_path / "old.qidx"
         path.write_bytes(b"QIDX" + struct.pack("<Idd", 1, DEFAULT_K1, DEFAULT_B) + b"\x00" * 8)
         with pytest.raises(MalformedInput, match="qfs index"):
+            load_index(path)
+
+    def test_version_2_asks_for_a_rebuild(self, tmp_path):
+        _, path, data = self.small_snapshot(tmp_path)
+        path.write_bytes(restamp(data[:4] + struct.pack("<I", 2) + data[8:]))
+        with pytest.raises(MalformedInput, match="version 2 .*rebuild the index with `qfs index`"):
             load_index(path)
 
     def test_bad_magic_rejected(self, tmp_path):

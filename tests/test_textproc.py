@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qfs.pipeline import CosineScorer
-from qfs.textproc import split_sentences, token_surfaces
+from qfs.textproc import (
+    ABBREVIATIONS,
+    _sentence_breaks,
+    sentence_bounds,
+    sentence_tokens,
+    split_sentences,
+    token_surfaces,
+)
 
 from conftest import make_question
 
@@ -81,6 +89,96 @@ class TestSplitSentences:
             assert text[cursor : s.begin].strip() == ""
             cursor = s.end
         assert text[cursor:].strip() == ""
+
+
+def reference_is_abbreviation(text: str, period_pos: int) -> bool:
+    """The abbreviation test before it bounded its scan, kept as the oracle."""
+    i = period_pos
+    while i > 0 and text[i - 1].isalpha():
+        i -= 1
+    word = text[i:period_pos]
+    if not word:
+        return False
+    if word.lower() in ABBREVIATIONS:
+        return True
+    return len(word) == 1 and i > 0 and text[i - 1] == "."
+
+
+def reference_sentence_breaks(text: str) -> list[int]:
+    """The splitter before it matched whitespace in place (quadratic), kept as the oracle."""
+    breaks = []
+    for m in re.finditer(r"[.!?]+[\"'’”)\]]*", text):
+        end = m.end()
+        run = m.group()
+        if set(run) <= {"."} and run.count(".") == 1:
+            if reference_is_abbreviation(text, m.start()):
+                continue
+        if end >= len(text):
+            breaks.append(end)
+            continue
+        if not text[end].isspace():
+            continue
+        rest = text[end:].lstrip()
+        if rest and (rest[0].isupper() or rest[0].isdigit()):
+            breaks.append(end)
+    return breaks
+
+
+# Terminators, closers, every kind of whitespace str.isspace knows, and
+# letters and digits that are upper case, lower case, or neither.
+SPLIT_ALPHABET = list('.!?"\')]’” \t\n\x0b\x0c\r\x1c\x1f\x85\xa0\u2003\u2028\u3000') + [
+    "Dr", "e", "g", "U", "S", "no", "ab", "Z", "x", "3", "²", "Σ", "ß", "İ", "a_b", "approx",
+    "Refs", "words",
+]
+split_texts = st.lists(st.sampled_from(SPLIT_ALPHABET), max_size=60).map("".join)
+
+
+def reference_sentence_bounds(text: str) -> list[tuple[int, int]]:
+    """Sentence offsets as ``split_sentences`` cut them before, over the oracle's breaks."""
+    bounds, cursor = [], 0
+    for brk in reference_sentence_breaks(text):
+        chunk = text[cursor:brk]
+        begin = cursor + len(chunk) - len(chunk.lstrip())
+        if begin < brk:
+            bounds.append((begin, brk))
+        cursor = brk
+    tail = text[cursor:]
+    stripped = tail.strip()
+    if stripped:
+        begin = cursor + len(tail) - len(tail.lstrip())
+        bounds.append((begin, begin + len(stripped)))
+    return bounds
+
+
+class TestSplitterMatchesReference:
+    @settings(max_examples=1000, deadline=None)
+    @given(split_texts)
+    @example("Dr. Smith. Then \u3000 ²x.\x1c Ok e.g. U.S. Z")
+    @example("approx. Then wordsx. A")
+    def test_breaks(self, text):
+        assert _sentence_breaks(text) == reference_sentence_breaks(text)
+
+    @given(st.text(max_size=80))
+    def test_breaks_on_any_text(self, text):
+        assert _sentence_breaks(text) == reference_sentence_breaks(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(split_texts, st.text(max_size=80)))
+    def test_bounds(self, text):
+        assert sentence_bounds(text) == reference_sentence_bounds(text)
+        assert [(s.begin, s.end) for s in split_sentences(text)] == sentence_bounds(text)
+
+
+class TestSentenceTokens:
+    @given(st.one_of(split_texts, st.text(max_size=60)))
+    def test_tokens_of_each_sentence(self, text):
+        bounds = sentence_bounds(text)
+        assert sentence_tokens(text, bounds) == [token_surfaces(text[b:e]) for b, e in bounds]
+
+    @given(st.one_of(split_texts, st.text(max_size=60)))
+    def test_ascii_path_lowercases_each_token(self, text):
+        expected = [m.lower() for m in re.findall(r"[^\W_]+", text)]
+        assert token_surfaces(text) == expected
 
 
 def reference_cosine(question: str, texts: list[str]) -> list[float]:
