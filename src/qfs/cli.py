@@ -31,7 +31,7 @@ import click
 
 from . import corpus, pipeline, retrieval, textproc
 from .config import PipelineConfig, emit_config, load_config
-from .errors import QfsError
+from .errors import DimensionMismatch, QfsError
 from .fileio import write_json
 from .metrics import evaluate_run
 from .neural import KINDS, TrainConfig, load_params, save_params, train
@@ -58,6 +58,10 @@ def cli() -> None:
 @click.option("--b", type=float, default=retrieval.DEFAULT_B, show_default=True)
 def cmd_index(docs_path, out_path, stopwords_path, k1, b) -> int:
     """Build and persist an inverted index from a JSONL collection."""
+    try:
+        retrieval.check_bm25(k1, b)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     collection = corpus.load_document_collection(docs_path)
     stopwords = textproc.load_stopwords(stopwords_path) if stopwords_path else None
     index = retrieval.build_index(collection, stopwords, k1=k1, b=b)
@@ -110,6 +114,11 @@ def _build_resources(
             )
         dense = retrieval.load_dense_store(config.resources.dense_path)
         query_vectors = retrieval.load_dense_store(config.resources.query_vectors_path)
+        if query_vectors.dim != dense.dim:
+            raise DimensionMismatch(
+                f"{config.resources.query_vectors_path} holds {query_vectors.dim}-d query "
+                f"vectors, but {config.resources.dense_path} holds {dense.dim}-d document vectors"
+            )
     feedback = (
         corpus.FeedbackStore.load(feedback_path)
         if feedback_path

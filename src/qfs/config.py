@@ -15,7 +15,7 @@ from .errors import MalformedInput
 from .fileio import read_json
 from .neural import KINDS
 from .pipeline import DEFAULT_ANSWER_LENGTHS, FINAL_DOC_CAP, FINAL_SNIPPET_CAP
-from .retrieval import DEFAULT_B, DEFAULT_K1
+from .retrieval import DEFAULT_B, DEFAULT_K1, check_bm25
 
 RETRIEVAL_METHODS = ("bm25", "nir", "rerank")
 SNIPPET_STRATEGIES = ("cosine", "model")
@@ -145,6 +145,10 @@ def parse_config(payload: dict) -> PipelineConfig:
     _require(retrieval.pool_size >= 1, "retrieval.pool_size must be >= 1")
     _require(retrieval.final_doc_cap >= 1, "retrieval.final_doc_cap must be >= 1")
     _require(retrieval.final_snippet_cap >= 1, "retrieval.final_snippet_cap must be >= 1")
+    try:
+        check_bm25(retrieval.bm25_k1, retrieval.bm25_b)
+    except ValueError as exc:
+        raise MalformedInput(f"config: retrieval.bm25_k1/bm25_b: {exc}") from None
 
     s = _section(payload, "snippets")
     snippets = SnippetConfig(

@@ -97,24 +97,6 @@ def rouge_su4_f1(candidate: str, reference: str) -> RougeScore:
     return _su4_score(Su4Units.of(candidate), Su4Units.of(reference))
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-
-
-def rouge_n_f1(candidate: str, reference: str, n: int) -> RougeScore:
-    """Clipped n-gram overlap F1; diagnostic companion to SU4."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    cand = _ngrams(token_surfaces(candidate), n)
-    ref = _ngrams(token_surfaces(reference), n)
-    cand_total = sum(cand.values())
-    ref_total = sum(ref.values())
-    if cand_total == 0 or ref_total == 0:
-        return RougeScore.zero()
-    matches = _clipped_overlap(cand, ref)
-    return RougeScore.from_pr(matches / cand_total, matches / ref_total)
-
-
 def best_reference_f1(candidate: str | Su4Units, references: Sequence[str | Su4Units]) -> float:
     """Max SU4-F1 of the candidate over a non-empty reference list.
 

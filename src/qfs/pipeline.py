@@ -74,7 +74,6 @@ from .retrieval import (
     RankedList,
     bm25_search,
     nir_search,
-    rerank_top,
 )
 from .sentences import SentenceTable, document_sentences
 from .textproc import split_sentences, token_surfaces
@@ -565,15 +564,11 @@ def retrieve(question: QuestionRecord, config, resources: Resources) -> RankedLi
             )
         if question.id not in resources.query_vectors:
             raise ScorerInputMissing(f"no query vector for question {question.id!r}")
-        q_vec = resources.query_vectors.vectors[question.id]
-        lam = config.retrieval.lam
-        if method == "nir":
-            ranked = nir_search(resources.index, resources.dense, tokens, q_vec, k, lam)
-        else:
-            pool_size = max(config.retrieval.pool_size, k)
-            ranked = rerank_top(
-                resources.index, resources.dense, tokens, q_vec, k, lam, pool_size=pool_size
-            )
+        pool_size = None if method == "nir" else max(config.retrieval.pool_size, k)
+        ranked = nir_search(
+            resources.index, resources.dense, tokens, resources.query_vectors[question.id],
+            k, config.retrieval.lam, pool_size,
+        )
     doc_ids = [d for d, _ in ranked]
     unjudged = set(filter_judged(doc_ids, resources.feedback, question.id, EXCLUDE_ALL_JUDGED))
     return [(d, s) for d, s in ranked if d in unjudged]

@@ -116,6 +116,12 @@ class InvertedIndex:
 RankedList = list[tuple[str, float]]
 
 
+def check_bm25(k1: float, b: float) -> None:
+    """ValueError unless k1 is finite and >= 0 and 0 <= b <= 1 (NaN fails both)."""
+    if not (0.0 <= k1 < math.inf and 0.0 <= b <= 1.0):
+        raise ValueError(f"BM25 needs finite k1 >= 0 and 0 <= b <= 1, got k1={k1}, b={b}")
+
+
 def build_index(
     docs: DocumentCollection,
     stopwords: frozenset[str] | None = None,
@@ -123,6 +129,7 @@ def build_index(
     b: float = DEFAULT_B,
 ) -> InvertedIndex:
     """Index a collection, concatenating all sections of each document."""
+    check_bm25(k1, b)
     if len(docs) == 0:
         raise EmptyCollection("cannot index an empty collection")
     stop = stopwords or frozenset()
@@ -257,17 +264,25 @@ def interpolate(bm25_norm: float | np.ndarray, dense_cos: float | np.ndarray, la
 
 
 class DenseStore:
-    """Unit-norm document vectors keyed by doc id."""
+    """Unit-norm vectors as the rows of one ``(n, dim)`` float32 matrix, keyed by id."""
 
-    def __init__(self, dim: int, vectors: Mapping[str, np.ndarray]):
-        self.dim = dim
-        self.vectors: dict[str, np.ndarray] = dict(vectors)
+    def __init__(self, ids: Sequence[str], matrix: np.ndarray):
+        self.ids = list(ids)
+        self.matrix = matrix
+        self.rows = {doc_id: r for r, doc_id in enumerate(self.ids)}
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.ids)
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self.vectors
+        return doc_id in self.rows
+
+    def __getitem__(self, doc_id: str) -> np.ndarray:
+        return self.matrix[self.rows[doc_id]]
 
     @classmethod
     def from_vectors(cls, raw: Mapping[str, np.ndarray]) -> "DenseStore":
@@ -275,22 +290,15 @@ class DenseStore:
         if not raw:
             raise MalformedInput("dense store needs at least one vector")
         dim = len(next(iter(raw.values())))
-        vectors = {}
+        vectors = []
         for doc_id, vec in raw.items():
             vec = np.asarray(vec, dtype=np.float32)
             if vec.shape != (dim,):
                 raise DimensionMismatch(
                     f"vector for {doc_id!r} has shape {vec.shape}, expected ({dim},)"
                 )
-            vectors[doc_id] = _unit(vec, doc_id)
-        return cls(dim=dim, vectors=vectors)
-
-    def cosine(self, doc_id: str, query_vector: np.ndarray) -> float:
-        """Cosine against a unit query vector, clamped at 0; missing doc -> 0."""
-        vec = self.vectors.get(doc_id)
-        if vec is None:
-            return 0.0
-        return max(0.0, float(np.dot(vec, query_vector)))
+            vectors.append(_unit(vec, doc_id))
+        return cls(list(raw), np.stack(vectors))
 
 
 def _unit(vec: np.ndarray, doc_id: str) -> np.ndarray:
@@ -305,7 +313,10 @@ def _unit(vec: np.ndarray, doc_id: str) -> np.ndarray:
 
 
 def load_dense_store(path: str | Path) -> DenseStore:
-    """Read a DVEC file; vectors are renormalized to unit norm on load."""
+    """Read a DVEC file; vectors are renormalized to unit norm on load.
+
+    A repeated id warns, and its last vector takes the id's first position.
+    """
     with open_input(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _DVEC_MAGIC:
@@ -327,13 +338,12 @@ def load_dense_store(path: str | Path) -> DenseStore:
             (id_len,) = struct.unpack("<I", head)
             doc_id = decode_utf8(read_exact(fh, id_len, path, "record id"), path, "record id")
             payload = read_exact(fh, 4 * dim, path, f"vector for {doc_id!r}")
-            vec = np.frombuffer(payload, dtype="<f4").astype(np.float32)
             if doc_id in vectors:
                 logger.warning("duplicate vector id %r; last occurrence wins", doc_id)
-            vectors[doc_id] = _unit(vec, doc_id)
+            vectors[doc_id] = np.frombuffer(payload, dtype="<f4")
     if not vectors:
         raise MalformedInput(f"{path}: DVEC file holds no vectors")
-    return DenseStore(dim=dim, vectors=vectors)
+    return DenseStore.from_vectors(vectors)
 
 
 def save_dense_store(store: DenseStore, path: str | Path) -> None:
@@ -341,7 +351,7 @@ def save_dense_store(store: DenseStore, path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(_DVEC_MAGIC)
         fh.write(struct.pack("<II", 1, store.dim))
-        for doc_id, vec in store.vectors.items():
+        for doc_id, vec in zip(store.ids, store.matrix):
             raw = doc_id.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
@@ -369,10 +379,13 @@ def nir_search(
     lam: float,
     pool_size: int | None = None,
 ) -> RankedList:
-    """Hybrid search over the whole collection (or a BM25-limited pool).
+    """Hybrid search over the whole collection, or over a BM25 pool.
 
-    With ``pool_size=None`` every indexed document is a candidate; BM25
-    scores are min-max normalized over that pool before interpolation.
+    With ``pool_size=None`` every indexed document is a candidate;
+    otherwise the BM25 top ``pool_size`` matched documents are (no match
+    gives an empty list). BM25 scores are min-max normalized over the
+    candidates before interpolation; a document without a vector has
+    cosine 0.
     """
     vec = _check_query_vector(dense, query_vector)
     scores, matched = _bm25(index, query_tokens)
@@ -384,24 +397,14 @@ def nir_search(
         pool, _ = _top_k(matched, scores[matched], pool_size)
         if not len(pool):
             return []
-    cosines = np.array([dense.cosine(index.doc_ids[i], vec) for i in pool.tolist()])
+    rows = np.array([dense.rows.get(index.doc_ids[i], -1) for i in pool.tolist()], dtype=np.intp)
+    present = rows >= 0
+    cosines = np.zeros(len(pool))
+    # vecdot takes each row's dot product as np.dot does (matrix @ vec may
+    # differ in the last bit); 0.0 first clamps -0.0 to 0.0 as max() does.
+    cosines[present] = np.maximum(0.0, np.vecdot(dense.matrix[rows[present]], vec))
     combined = interpolate(_minmax(scores[pool]), cosines, lam)
     return _ranked(index, *_top_k(pool, combined, k))
-
-
-def rerank_top(
-    index: InvertedIndex,
-    dense: DenseStore,
-    query_tokens: Sequence[str],
-    query_vector: np.ndarray,
-    k: int,
-    lam: float,
-    pool_size: int = 200,
-) -> RankedList:
-    """Re-score only the BM25 top ``pool_size`` documents (default 200)."""
-    if pool_size < k:
-        raise ValueError(f"pool_size {pool_size} must be >= k {k}")
-    return nir_search(index, dense, query_tokens, query_vector, k, lam, pool_size=pool_size)
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
@@ -494,6 +497,10 @@ def load_index(path: str | Path) -> InvertedIndex:
             raise MalformedInput(f"{path}: {problem}")
 
     require(n_docs > 0, "snapshot holds no documents")
+    try:
+        check_bm25(k1, b)
+    except ValueError as exc:
+        raise MalformedInput(f"{path}: {exc}") from None
     ends = np.cumsum(text_lengths, dtype=np.int64).tolist()
     try:
         texts = [blob[a:e].decode("utf-8") for a, e in zip([0, *ends], ends)]

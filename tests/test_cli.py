@@ -18,6 +18,7 @@ from qfs.corpus import QuestionSet, save_document_collection, save_question_set
 from qfs.embeddings import ContextEmbeddingRecord, write_context_embeddings
 from qfs.neural import save_params
 from qfs.neural.models import init_nnc
+from qfs.retrieval import DenseStore, save_dense_store
 
 from conftest import make_question
 
@@ -118,8 +119,9 @@ class TestRetrieveWithIndexFile:
 GOLDEN = Path(__file__).parent / "golden"
 # Outputs checked in under tests/golden; QFS_UPDATE_GOLDEN=1 rewrites them.
 GOLDEN_OUTPUTS = (
-    "retrieve.json", "snippets.json", "labels.jsonl", "answer.json",
-    "model-snippets.json", "model-answer.json", "cv.json", "cv-nnc.json", "cv-pooled.json",
+    "retrieve.json", "retrieve-nir.json", "retrieve-rerank.json", "snippets.json",
+    "labels.jsonl", "answer.json", "model-snippets.json", "model-answer.json", "cv.json",
+    "cv-nnc.json", "cv-pooled.json",
 )
 # Model files are pinned by their sha256, listed in tests/golden/models.sha256.
 GOLDEN_MODELS = ("model.qfsm", "pooled.qfsm")
@@ -138,11 +140,22 @@ def write_context_file(path: Path) -> None:
     write_context_embeddings(path, records)
 
 
+def write_dense_files(docs: Path, queries: Path) -> None:
+    """Seeded 8-d vectors for the golden questions and for all golden documents but the last."""
+    rng = np.random.default_rng(23)
+    lines = (GOLDEN / "docs.jsonl").read_text().splitlines()
+    doc_ids = [json.loads(line)["id"] for line in lines][:-1]
+    question_ids = [q["id"] for q in json.loads((GOLDEN / "questions.json").read_text())]
+    for path, ids in ((docs, doc_ids), (queries, question_ids)):
+        save_dense_store(DenseStore.from_vectors({i: rng.normal(size=8) for i in ids}), path)
+
+
 def run_chain(work: Path) -> dict[str, bytes]:
     """Every command over the golden fixture, in order; returns each output's bytes."""
     questions, feedback = GOLDEN / "questions.json", GOLDEN / "feedback.json"
     vectors, cemb = GOLDEN / "vectors.txt", work / "context.cemb"
     write_context_file(cemb)
+    write_dense_files(work / "docs.dvec", work / "queries.dvec")
     model = {
         "kind": "nnc",
         "params_path": str(work / "model.qfsm"),
@@ -157,10 +170,22 @@ def run_chain(work: Path) -> dict[str, bytes]:
         path.write_text(json.dumps(
             {"snippets": {"strategy": strategy}, "model": model, "resources": resources}
         ))
+    dense = {**resources, "dense_path": str(work / "docs.dvec"),
+             "query_vectors_path": str(work / "queries.dvec")}
+    for method, retrieval in (("nir", {}), ("rerank", {"pool_size": 3})):
+        configs[method] = work / f"{method}.config"
+        configs[method].write_text(json.dumps(
+            {"retrieval": {"method": method, **retrieval}, "resources": dense}
+        ))
     per_question = ("--questions", questions, "--feedback", feedback)
     steps = [
         ("index", "--docs", GOLDEN / "docs.jsonl", "--out", work / "index.qidx"),
         ("retrieve", "--config", configs["cosine"], *per_question, "--out", work / "retrieve.json"),
+        ("retrieve", "--config", configs["nir"], "--questions", questions,
+         "--out", work / "retrieve-nir.json"),
+        # A pool of 3 of the 5 golden documents, of which 2 are returned.
+        ("retrieve", "--config", configs["rerank"], "--questions", questions, "--k", "2",
+         "--out", work / "retrieve-rerank.json"),
         ("snippets", "--config", configs["cosine"], *per_question, "--out", work / "snippets.json"),
         ("label", "--questions", questions, "--out", work / "labels.jsonl"),
         ("train", "--labels", work / "labels.jsonl", "--model", "nnc", "--epochs", "1",
@@ -247,6 +272,21 @@ DVEC_BAD_ID = b"DVEC" + struct.pack("<III", 1, 2, 1) + b"\xff" + struct.pack("<2
 TRAIN = ("train", "--model", "nnc", "--embeddings", GOLDEN / "vectors.txt")
 QUESTIONS = ("--questions", GOLDEN / "questions.json")
 
+
+def mismatched_dense_config(w: Path) -> Path:
+    """A nir config whose document vectors are 4-d and whose query vectors are 3-d."""
+    docs, queries = w / "docs.dvec", w / "queries.dvec"
+    save_dense_store(DenseStore.from_vectors({f"d{i}": np.ones(4) for i in range(1, 6)}), docs)
+    save_dense_store(DenseStore.from_vectors({f"q{i}": np.ones(3) for i in range(1, 5)}), queries)
+    save_params(init_nnc(emb_dim=4, lstm_hidden=2, dense_hidden=2), w / "m.qfsm")
+    return config_file(
+        w, retrieval={"method": "nir"},
+        resources={"dense_path": str(docs), "query_vectors_path": str(queries)},
+        model={"kind": "nnc", "params_path": str(w / "m.qfsm"),
+               "embeddings_path": str(GOLDEN / "vectors.txt")},
+    )
+
+
 # Each case builds, in an empty directory, the arguments of one command
 # whose input is missing or corrupt.
 BROKEN_INPUTS = {
@@ -322,6 +362,13 @@ BROKEN_INPUTS = {
             "dense_path": str(write_bytes(w / "d.dvec", DVEC_BAD_ID)),
             "query_vectors_path": str(w / "d.dvec")}),
         *QUESTIONS, "--out", w / "o.json"),
+    **{
+        f"{command} query vectors of another dimension than the document vectors": (
+            lambda w, command=command: (
+                command, "--config", mismatched_dense_config(w), *QUESTIONS,
+                "--out", w / "o.json"))
+        for command in ("retrieve", "answer")
+    },
     "config with a non-numeric seed": lambda w: (
         "config", "validate", "--config", write(w / "c.json", '{"seed": "x"}')),
     "config with a non-numeric round_docs count": lambda w: (
@@ -340,6 +387,15 @@ def test_missing_or_corrupt_input_exits_2(tmp_path, case):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["retrieve", "answer"])
+def test_dense_dimension_mismatch_names_both_files(tmp_path, command):
+    config = mismatched_dense_config(tmp_path)
+    code, err = run_qfs(command, "--config", config, *QUESTIONS, "--out", tmp_path / "o.json")
+    assert code == 2, err
+    assert str(tmp_path / "docs.dvec") in err and str(tmp_path / "queries.dvec") in err
+    assert not (tmp_path / "o.json").exists()
+
+
 # Each case builds the arguments of one command line that misuses the program.
 USAGE_ERRORS = {
     "missing required option": lambda w: ("index", "--docs", GOLDEN / "docs.jsonl"),
@@ -348,6 +404,12 @@ USAGE_ERRORS = {
     "unknown command": lambda w: ("summarise", *QUESTIONS),
     "cv with zero folds": lambda w: ("cv", *QUESTIONS, "--k", "0"),
     "cv with a negative seed": lambda w: ("cv", *QUESTIONS, "--seed", "-1"),
+    **{
+        f"index with {flag} {value}": lambda w, flag=flag, value=value: (
+            "index", "--docs", GOLDEN / "docs.jsonl", "--out", w / "i.qidx", flag, value)
+        for flag, value in [("--k1", "-1.2"), ("--k1", "nan"), ("--k1", "inf"),
+                            ("--b", "-0.1"), ("--b", "1.5"), ("--b", "nan")]
+    },
     "retrieve with zero documents": lambda w: (
         "retrieve", "--config", w / "c.json", *QUESTIONS, "--out", w / "r.json", "--k", "0"),
     **{

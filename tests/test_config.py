@@ -25,7 +25,6 @@ from qfs.pipeline import DEFAULT_ANSWER_LENGTHS
 
 counts = st.integers(min_value=1, max_value=10**6)
 paths = st.none() | st.text(max_size=12)
-finite = st.floats(allow_nan=False, allow_infinity=False)
 
 valid_configs = st.builds(
     PipelineConfig,
@@ -38,8 +37,8 @@ valid_configs = st.builds(
         round_docs_default=counts,
         final_doc_cap=counts,
         final_snippet_cap=counts,
-        bm25_k1=finite,
-        bm25_b=finite,
+        bm25_k1=st.floats(min_value=0.0, allow_infinity=False),
+        bm25_b=st.floats(min_value=0.0, max_value=1.0),
     ),
     snippets=st.builds(
         SnippetConfig, strategy=st.sampled_from(SNIPPET_STRATEGIES), per_doc=counts
@@ -123,6 +122,13 @@ def test_fuzzed_payload_parses_or_raises_malformed_input(payload):
         {"retrieval": {"round_docs": {"1": "many"}}},
         {"retrieval": {"round_docs": {"first": 10}}},
         {"retrieval": {"final_doc_cap": float("inf")}},
+        {"retrieval": {"bm25_k1": -1.2}},
+        {"retrieval": {"bm25_k1": float("nan")}},
+        {"retrieval": {"bm25_k1": "nan"}},
+        {"retrieval": {"bm25_k1": float("inf")}},
+        {"retrieval": {"bm25_b": -0.1}},
+        {"retrieval": {"bm25_b": 1.5}},
+        {"retrieval": {"bm25_b": float("nan")}},
         {"snippets": {"per_doc": [3]}},
         {"retrieval": []},
         {"snippets": "cosine"},

@@ -15,7 +15,6 @@ from qfs.metrics import (
     best_reference_f1,
     document_f1,
     evaluate_run,
-    rouge_n_f1,
     rouge_su4_f1,
     snippet_f1,
     su4_references,
@@ -139,23 +138,6 @@ class TestRougeSu4:
         assert 0.0 <= score.precision <= 1.0
         assert 0.0 <= score.recall <= 1.0
         assert score.f1 <= max(score.precision, score.recall) + 1e-12
-
-
-class TestRougeN:
-    def test_identical(self):
-        assert rouge_n_f1("a b c", "a b c", 2).f1 == pytest.approx(1.0)
-
-    def test_no_shared_ngrams(self):
-        assert rouge_n_f1("a b", "c d", 2).f1 == 0.0
-
-    def test_half_overlap(self):
-        # brute force bigrams: {ab, bc} vs {ab, bd} -> 1 match of 2
-        score = rouge_n_f1("a b c", "a b d", 2)
-        assert score.precision == pytest.approx(0.5)
-        assert score.recall == pytest.approx(0.5)
-
-    def test_text_shorter_than_n(self):
-        assert rouge_n_f1("a", "a", 2) == RougeScore.zero()
 
 
 class TestBestReference:

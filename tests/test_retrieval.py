@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import math
 import struct
 import zlib
@@ -29,7 +30,6 @@ from qfs.retrieval import (
     _minmax,
     load_index,
     nir_search,
-    rerank_top,
     save_dense_store,
     save_index,
 )
@@ -81,6 +81,13 @@ class TestBuildIndex:
     def test_empty_collection_rejected(self):
         with pytest.raises(EmptyCollection):
             build_index(DocumentCollection([]))
+
+    @pytest.mark.parametrize("k1, b", [
+        (-1.2, 0.75), (math.nan, 0.75), (math.inf, 0.75), (1.2, -0.1), (1.2, 1.5), (1.2, math.nan),
+    ])
+    def test_bm25_parameters_out_of_range_rejected(self, k1, b):
+        with pytest.raises(ValueError, match="BM25 needs"):
+            build_index(collection_of("a"), k1=k1, b=b)
 
 
 class TestBm25Search:
@@ -175,6 +182,11 @@ class TestInterpolate:
         assert interpolate(lo_b, lo_d, lam) <= interpolate(lo_b, hi_d, lam) + 1e-12
 
 
+def reference_cosine(dense, doc_id: str, vec: np.ndarray) -> float:
+    """One document's clamped cosine by np.dot, the per-document loop nir_search replaced."""
+    return max(0.0, float(np.dot(dense[doc_id], vec))) if doc_id in dense else 0.0
+
+
 def hybrid_fixture(n_docs=6, dim=4, seed=3):
     """A corpus where every document matches the query with distinct scores."""
     texts = []
@@ -201,9 +213,7 @@ class TestNirSearch:
 
     def test_lambda_zero_matches_cosine_argsort(self):
         index, dense, query, q_vec = hybrid_fixture()
-        by_cos = sorted(
-            dense.vectors, key=lambda d: (-dense.cosine(d, q_vec), d)
-        )
+        by_cos = sorted(dense.ids, key=lambda d: (-reference_cosine(dense, d, q_vec), d))
         hybrid = [d for d, _ in nir_search(index, dense, query, q_vec, k=6, lam=0.0)]
         assert hybrid == by_cos
 
@@ -231,22 +241,19 @@ class TestNirSearch:
 
 
 class TestRerankTop:
+    """The ``rerank`` method: nir_search over the BM25 top ``pool_size`` documents."""
+
     def test_pool_confines_output(self):
         index, dense, query, q_vec = hybrid_fixture(n_docs=8)
         pool = {d for d, _ in bm25_search(index, query, k=3)}
-        ranked = rerank_top(index, dense, query, q_vec, k=3, lam=0.0, pool_size=3)
+        ranked = nir_search(index, dense, query, q_vec, k=3, lam=0.0, pool_size=3)
         assert {d for d, _ in ranked} <= pool
 
     def test_lambda_one_equals_bm25_top_k(self):
         index, dense, query, q_vec = hybrid_fixture(n_docs=8)
         expected = [d for d, _ in bm25_search(index, query, k=4)]
-        ranked = rerank_top(index, dense, query, q_vec, k=4, lam=1.0, pool_size=6)
+        ranked = nir_search(index, dense, query, q_vec, k=4, lam=1.0, pool_size=6)
         assert [d for d, _ in ranked] == expected
-
-    def test_pool_smaller_than_k_rejected(self):
-        index, dense, query, q_vec = hybrid_fixture()
-        with pytest.raises(ValueError):
-            rerank_top(index, dense, query, q_vec, k=5, lam=0.5, pool_size=3)
 
 
 def reference_bm25(collection, query, stopwords=frozenset(), k1=DEFAULT_K1, b=DEFAULT_B):
@@ -294,7 +301,7 @@ def reference_hybrid(
             return []
     normed = reference_minmax([raw.get(doc_id, 0.0) for doc_id in pool])
     combined = {
-        doc_id: lam * bm + (1.0 - lam) * dense.cosine(doc_id, vec)
+        doc_id: lam * bm + (1.0 - lam) * reference_cosine(dense, doc_id, vec)
         for doc_id, bm in zip(pool, normed)
     }
     return reference_rank(combined, k)
@@ -315,10 +322,15 @@ def search_cases(draw):
     query = draw(st.lists(st.sampled_from(WORDS + ["unknown"]), max_size=6))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     # Few distinct vectors, so equal cosines also join different BM25 scores.
-    vectors = random_unit_vectors(rng, ["v0", "v1", "v2"], 3)
+    # At 64 dimensions a matrix product sums in another order than np.dot.
+    dim = draw(st.sampled_from([3, 64]))
+    vectors = random_unit_vectors(rng, ["v0", "v1", "v2"], dim)
     by_text = {t: vectors[draw(st.sampled_from(sorted(vectors)))] for t in sorted(set(texts))}
-    dense = DenseStore.from_vectors({f"d{j}": by_text[t] for j, t in enumerate(texts)})
-    q_vec = rng.uniform(0.1, 1.0, size=3)
+    # Some documents have no vector, so their cosine is 0.
+    dense = DenseStore.from_vectors(
+        {f"d{j}": by_text[t] for j, t in enumerate(texts) if j == 0 or draw(st.booleans())}
+    )
+    q_vec = rng.uniform(-0.2, 1.0, size=dim)
     stopwords = draw(st.sampled_from([frozenset(), STOPWORDS]))
     return DocumentCollection(docs), query, dense, q_vec, stopwords
 
@@ -352,7 +364,7 @@ class TestMatchesReference:
         for pool in cut_points(matched):
             for k in cut_points(pool):
                 if k <= pool:
-                    assert rerank_top(
+                    assert nir_search(
                         index, dense, query, q_vec, k, lam, pool_size=pool
                     ) == reference_hybrid(collection, dense, query, q_vec, k, lam, pool, stopwords)
 
@@ -364,7 +376,7 @@ class TestMatchesReference:
         dense = DenseStore.from_vectors(random_unit_vectors(rng, ["d1", "d2", "d3"], 3))
         q_vec = np.array([0.2, 0.5, 0.7])
         assert bm25_search(index, query, 3) == []
-        assert rerank_top(index, dense, query, q_vec, 2, 0.5, pool_size=3) == []
+        assert nir_search(index, dense, query, q_vec, 2, 0.5, pool_size=3) == []
         expected = reference_hybrid(collection, dense, query, q_vec, 3, 0.5, stopwords=STOPWORDS)
         assert nir_search(index, dense, query, q_vec, 3, 0.5) == expected
         assert len(expected) == 3
@@ -396,8 +408,8 @@ class TestDenseStoreIO:
         save_dense_store(store, path)
         loaded = load_dense_store(path)
         assert loaded.dim == 3 and len(loaded) == 2
-        for doc_id, vec in store.vectors.items():
-            assert np.array_equal(loaded.vectors[doc_id], vec)
+        assert loaded.ids == store.ids
+        assert np.array_equal(loaded.matrix, store.matrix)
 
     def test_every_truncation_and_flipped_byte_is_an_error_or_loads(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -440,7 +452,26 @@ class TestDenseStoreIO:
             fh.write(struct.pack("<I", 1) + b"a")
             fh.write(np.array([3.0, 4.0], dtype="<f4").tobytes())
         store = load_dense_store(path)
-        assert np.linalg.norm(store.vectors["a"]) == pytest.approx(1.0, abs=1e-6)
+        assert np.linalg.norm(store["a"]) == pytest.approx(1.0, abs=1e-6)
+
+    def test_duplicate_id_keeps_the_last_vector_at_the_first_position(self, tmp_path, caplog):
+        path = tmp_path / "dup.dvec"
+        with open(path, "wb") as fh:
+            fh.write(b"DVEC" + struct.pack("<II", 1, 2))
+            for doc_id, vec in [("a", [3.0, 4.0]), ("b", [1.0, 0.0]), ("a", [0.0, 2.0])]:
+                fh.write(struct.pack("<I", 1) + doc_id.encode() + np.array(vec, "<f4").tobytes())
+        with caplog.at_level(logging.WARNING, logger="qfs.retrieval"):
+            store = load_dense_store(path)
+        assert [r.getMessage() for r in caplog.records] == [
+            "duplicate vector id 'a'; last occurrence wins"
+        ]
+        assert store.ids == ["a", "b"]
+        assert np.array_equal(store["a"], np.array([0.0, 1.0], dtype=np.float32))
+        save_dense_store(store, tmp_path / "once.dvec")
+        data = (tmp_path / "once.dvec").read_bytes()
+        assert len(data) == 12 + 2 * (4 + 1 + 4 * 2)  # header, then a and b once each
+        save_dense_store(load_dense_store(tmp_path / "once.dvec"), tmp_path / "again.dvec")
+        assert (tmp_path / "again.dvec").read_bytes() == data
 
 
 def restamp(data: bytes) -> bytes:
@@ -454,8 +485,8 @@ def qidx_offsets(index) -> dict[str, int]:
     n_docs, n_terms, n_post = index.n_docs, len(index.terms), len(index.post_doc)
     n_words, n_sents = len(table.vocabulary), len(table)
     blob = sum(len(t.encode("utf-8")) for t in [*index.doc_ids, *table.vocabulary])
-    offsets = {"n_docs": 24, "n_terms": 28, "n_post": 32, "n_words": 40, "n_sections": 44,
-               "n_sents": 48, "n_tokens": 52, "lengths": 60}
+    offsets = {"k1": 8, "b": 16, "n_docs": 24, "n_terms": 28, "n_post": 32, "n_words": 40,
+               "n_sections": 44, "n_sents": 48, "n_tokens": 52, "lengths": 60}
     sizes = [
         ("lengths", 4 * (n_docs + n_words)), ("blob", blob), ("is_term", n_words),
         ("doc_len", 4 * n_docs), ("indptr", 8 * (n_terms + 1)), ("post_doc", 4 * n_post),
@@ -485,6 +516,9 @@ def _count(name, delta):
 
 # Each corrupts one field of the small snapshot; the CRC is then restamped.
 STRUCTURE_DEFECTS = {
+    "k1<0": lambda data, at, index: struct.pack_into("<d", data, at["k1"], -1.2),
+    "k1=nan": lambda data, at, index: struct.pack_into("<d", data, at["k1"], math.nan),
+    "b>1": lambda data, at, index: struct.pack_into("<d", data, at["b"], 1.5),
     "n_docs+1": _count("n_docs", 1),
     "n_docs-1": _count("n_docs", -1),
     "n_docs=0": lambda data, at, index: patch_i32(data, at["n_docs"], lambda v: 0),
