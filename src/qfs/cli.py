@@ -12,7 +12,8 @@ Exit codes:
 * 0: success;
 * 1: partial failure (``answer`` skipped some questions);
 * 2: data error: a missing, unreadable or malformed input file or
-  config, reported as one ``error: ...`` line on stderr;
+  config, or an output file that cannot be created (say, in a missing
+  directory), reported as one ``error: ...`` line on stderr;
 * 64: usage error.
 
 Set QFS_LOG to a logging level name to control verbosity. All

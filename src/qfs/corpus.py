@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterator, Sequence, TypeVar
 
 from .errors import DuplicateId, MalformedInput, UnknownQuestionType
-from .fileio import read_json, read_jsonl, write_json
+from .fileio import open_output, read_json, read_jsonl, write_json
 
 QUESTION_TYPES = frozenset({"summary", "factoid", "yesno", "list"})
 
@@ -238,7 +238,7 @@ def document_from_json(obj: dict, where: str = "document") -> DocumentRecord:
 
 
 def save_document_collection(collection: DocumentCollection, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for doc in collection:
             obj = {
                 "id": doc.id,

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedInput, MaskAllFalse
-from .fileio import decode_utf8, open_input, read_exact, read_lines
+from .fileio import decode_utf8, open_input, open_output, read_exact, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -166,7 +166,7 @@ def write_context_embeddings(
     """
     count = 0
     dim: int | None = None
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         fh.write(_CEMB_MAGIC)
         header_pos = fh.tell()
         fh.write(struct.pack("<II", 1, 0))

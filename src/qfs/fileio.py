@@ -5,7 +5,8 @@ or undecodable input is a :class:`MalformedInput` (exit code 2 at the
 command line), never a bare ``OSError``, ``JSONDecodeError`` or
 ``UnicodeDecodeError``: text files are read through :func:`read_lines`
 or :func:`read_json`, and strings inside binary files are decoded by
-:func:`decode_utf8`.
+:func:`decode_utf8`. Writers open files with :func:`open_output`, so an
+output that cannot be created is a :class:`QfsError` naming the path.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 from pathlib import Path
 from typing import IO, Iterator
 
-from .errors import MalformedInput
+from .errors import MalformedInput, QfsError
 
 
 def open_input(path: str | Path, mode: str = "r") -> IO:
@@ -23,6 +24,14 @@ def open_input(path: str | Path, mode: str = "r") -> IO:
         return open(path, mode, encoding=None if "b" in mode else "utf-8")
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
+
+
+def open_output(path: str | Path, mode: str = "w") -> IO:
+    """Open a file for writing (text is UTF-8); failure is a QfsError naming it."""
+    try:
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
+    except OSError as exc:
+        raise QfsError(f"cannot write {path}: {exc}") from exc
 
 
 def read_exact(fh: IO[bytes], count: int, path: str | Path, what: str) -> bytes:
@@ -85,5 +94,5 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[str, object]]:
 
 def write_json(path: str | Path, payload, sort_keys: bool = False) -> None:
     """Write JSON as every output file does: UTF-8, indent 1."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         json.dump(payload, fh, ensure_ascii=False, indent=1, sort_keys=sort_keys)

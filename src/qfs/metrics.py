@@ -1,29 +1,39 @@
 """ROUGE-style summary metrics and retrieval evaluation.
 
-``rouge_su4_f1`` counts unigrams plus ordered skip-bigrams with at most
-four intervening tokens (the "-2 4 -u" convention), with multiset
+ROUGE-SU4 (Lin 2004) counts unigrams plus ordered skip-bigrams with at
+most four intervening tokens (the "-2 4 -u" convention), with multiset
 clipping so repeated candidate units cannot inflate precision. No
 begin-of-sentence marker is added. Scoring tokenization is
 ``textproc.token_surfaces`` (lowercased alphanumeric runs), no stemming.
 
-Each text's unit multiset is built once, as an :class:`Su4Units`:
-``best_reference_f1`` and ``evaluate_run`` count the candidate once per
-call, not once per reference, and ``best_reference_f1`` also takes
-references prepared once by :func:`su4_references`, so a caller that
-scores many candidates against one question's ideal answers counts
-those answers once.
+Labels, the oracle scorer, cross-validation and :func:`evaluate_run`
+score through :func:`su4_scores`, every candidate against every
+reference of a question in one call. With its V distinct tokens as ids
+0..V-1, a unigram's key is its id a and a skip-bigram (a, b) at gap
+1..5 within one text is V + a*V + b. Sorting key * T + text (T texts;
+checked to stay below 2**63) and cutting it into runs counts each
+text's units, a ``searchsorted`` join finds each candidate unit's count
+in every reference, and ``np.minimum`` and ``np.bincount`` give the
+clipped matches. Those are exact integers, and precision, recall and
+F1 follow :meth:`RougeScore.from_pr`'s float64 operations in its
+order, so every score is exact. A text without tokens scores zero.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, count
 from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 from .errors import DuplicateInReturned, EmptyReferenceList
 from .textproc import token_surfaces
 
 SU4_SKIP = 4
+_GAPS = np.arange(1, SU4_SKIP + 2)
+_PAD = np.zeros(SU4_SKIP + 1, np.int64)
+_INT64_SPAN = 2**63
 
 
 @dataclass(frozen=True)
@@ -45,71 +55,76 @@ class RougeScore:
         return cls(0.0, 0.0, 0.0)
 
 
-def su_units(tokens: Sequence[str], dskip: int) -> Counter:
-    """Multiset of unigrams plus ordered pairs with gap <= dskip.
+def su4_scores(
+    candidates: Sequence[Sequence[str]], references: Sequence[Sequence[str]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SU4 precision, recall and F1 of every candidate against every reference.
 
-    Unigrams are 1-tuples and pairs are 2-tuples, so the two kinds never
-    collide in the multiset.
+    Texts are token sequences; each result is a float64 array of shape
+    ``(len(candidates), len(references))``.
     """
-    if dskip < 0:
-        raise ValueError("dskip must be >= 0")
-    units = Counter(zip(tokens))
-    for gap in range(1, dskip + 2):
-        units.update(zip(tokens, tokens[gap:]))
-    return units
+    texts = [*candidates, *references]
+    n_c, n_r, n_t = len(candidates), len(references), len(texts)
+    tokens = list(chain.from_iterable(texts))
+    vocab = dict(zip(dict.fromkeys(tokens), count()))
+    v = len(vocab)
+    if v * (v + 1) * n_t > _INT64_SPAN:
+        raise ValueError(f"{v} distinct tokens in {n_t} texts overflow the SU4 unit keys")
+    ids = np.fromiter(map(vocab.__getitem__, tokens), np.int64, len(tokens))
+    lengths = np.fromiter(map(len, texts), np.int64, n_t)
+    owner = np.repeat(np.arange(n_t), lengths)
+    # Token i pairs with tokens i + 1 .. i + 5 that end before its text does.
+    later = np.arange(len(ids))[:, None] + _GAPS
+    same = later < np.repeat(np.cumsum(lengths), lengths)[:, None]
+    pairs = (v + ids[:, None] * v + np.append(ids, _PAD)[later]) * n_t + owner[:, None]
+    units = np.concatenate([ids * n_t + owner, pairs[same]])
+    units.sort()
+    edge = np.ones(len(units) + 1, bool)  # run boundaries of equal (unit, text)
+    np.not_equal(units[1:], units[:-1], out=edge[1:-1])
+    edges = np.flatnonzero(edge)
+    counts, units = edges[1:] - edges[:-1], units[edges[:-1]]
+    key, text = np.divmod(units, n_t)
+    total = np.bincount(text, counts, n_t)
+
+    # Where each candidate unit would sit in each reference, and its count there.
+    cand = text < n_c
+    cand_text, cand_count, refs = text[cand], counts[cand], np.arange(n_r)
+    wanted = (key[cand] * n_t + n_c)[:, None] + refs
+    at = np.minimum(np.searchsorted(units, wanted), len(units) - 1)
+    clipped = np.minimum(cand_count[:, None], np.where(units[at] == wanted, counts[at], 0))
+    pair = (cand_text[:, None] * n_r + refs).ravel()
+    matches = np.bincount(pair, clipped.ravel(), n_c * n_r).reshape(n_c, n_r)
+
+    # No units or no match scores 0.0: divide by 1 there, never by zero.
+    precision = matches / np.maximum(total[:n_c, None], 1)
+    recall = matches / np.maximum(total[n_c:], 1)
+    f1 = 2.0 * precision * recall / np.where(matches > 0, precision + recall, 1.0)
+    return precision, recall, f1
 
 
-@dataclass(frozen=True)
-class Su4Units:
-    """One text's SU4 unit multiset and its size, built once per text."""
-
-    units: Counter
-    total: int
-
-    @classmethod
-    def of(cls, text: str) -> "Su4Units":
-        return cls.of_tokens(token_surfaces(text))
-
-    @classmethod
-    def of_tokens(cls, tokens: Sequence[str]) -> "Su4Units":
-        units = su_units(tokens, SU4_SKIP)
-        return cls(units, units.total())
-
-
-def su4_references(texts: Iterable[str]) -> tuple[Su4Units, ...]:
-    """Reference texts prepared once, for many ``best_reference_f1`` calls."""
-    return tuple(Su4Units.of(text) for text in texts)
-
-
-def _clipped_overlap(cand: Counter, ref: Counter) -> int:
-    return sum(min(count, ref[unit]) for unit, count in cand.items() if unit in ref)
-
-
-def _su4_score(cand: Su4Units, ref: Su4Units) -> RougeScore:
-    if cand.total == 0 or ref.total == 0:
-        return RougeScore.zero()
-    matches = _clipped_overlap(cand.units, ref.units)
-    return RougeScore.from_pr(matches / cand.total, matches / ref.total)
+def _first_candidate_score(scores: tuple[np.ndarray, ...], ref: int) -> RougeScore:
+    return RougeScore(*(float(a[0, ref]) for a in scores))
 
 
 def rouge_su4_f1(candidate: str, reference: str) -> RougeScore:
     """Skip-bigram (gap <= 4) plus unigram F1 between two texts."""
-    return _su4_score(Su4Units.of(candidate), Su4Units.of(reference))
+    scores = su4_scores([token_surfaces(candidate)], [token_surfaces(reference)])
+    return _first_candidate_score(scores, 0)
 
 
-def best_reference_f1(candidate: str | Su4Units, references: Sequence[str | Su4Units]) -> float:
-    """Max SU4-F1 of the candidate over a non-empty reference list.
-
-    The candidate and each reference is a text, or its prepared
-    :class:`Su4Units` (references by :func:`su4_references`).
-    """
+def best_reference_f1s(
+    candidates: Sequence[Sequence[str]], references: Sequence[Sequence[str]]
+) -> list[float]:
+    """Each token-sequence candidate's max SU4-F1 over a non-empty reference list."""
     if not references:
         raise EmptyReferenceList("at least one reference text is required")
-    cand = candidate if isinstance(candidate, Su4Units) else Su4Units.of(candidate)
-    return max(
-        _su4_score(cand, ref if isinstance(ref, Su4Units) else Su4Units.of(ref)).f1
-        for ref in references
-    )
+    return su4_scores(candidates, references)[2].max(axis=1).tolist()
+
+
+def best_reference_f1(candidate: str, references: Sequence[str]) -> float:
+    """Max SU4-F1 of the candidate text over a non-empty list of reference texts."""
+    refs = [token_surfaces(r) for r in references]
+    return best_reference_f1s([token_surfaces(candidate)], refs)[0]
 
 
 def document_f1(returned: Sequence[str], gold: Iterable[str]) -> RougeScore:
@@ -266,11 +281,9 @@ def evaluate_run(question_set: Iterable[Any], answers: Iterable[Any]) -> EvalRep
         doc = document_f1(list(answer.documents), q.gold_documents)
         snip = snippet_f1(list(answer.snippets), q.gold_snippets)
         if q.ideal_answers and answer.ideal_answer:
-            cand = Su4Units.of(answer.ideal_answer)
-            su4 = max(
-                (_su4_score(cand, ref) for ref in su4_references(q.ideal_answers)),
-                key=lambda s: s.f1,
-            )
+            refs = [token_surfaces(ref) for ref in q.ideal_answers]
+            scores = su4_scores([token_surfaces(answer.ideal_answer)], refs)
+            su4 = _first_candidate_score(scores, int(scores[2][0].argmax()))  # first best on ties
         else:
             su4 = RougeScore.zero()
         report.per_question.append(QuestionEval(q.id, doc, snip, su4))

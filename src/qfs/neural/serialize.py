@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import KindMismatch, MalformedInput
-from ..fileio import open_input
+from ..fileio import open_input, open_output
 from .models import KINDS, ModelKind, NncParams, PooledClassifierParams
 
 _MAGIC = b"QFSM"
@@ -42,7 +42,7 @@ def save_params(
     for block in params.flat().values():
         out += np.ascontiguousarray(block, dtype="<f8").tobytes()
     out += struct.pack("<I", zlib.crc32(bytes(out)))
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         fh.write(bytes(out))
 
 

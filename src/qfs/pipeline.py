@@ -65,8 +65,8 @@ from .errors import (
     TooFewQuestions,
     UnknownDocument,
 )
-from .fileio import read_json, read_jsonl, write_json
-from .metrics import Su4Units, best_reference_f1, su4_references
+from .fileio import open_output, read_json, read_jsonl, write_json
+from .metrics import best_reference_f1, best_reference_f1s
 from .neural import KINDS, LabeledExample, TrainConfig, forward, train
 from .retrieval import (
     DenseStore,
@@ -130,6 +130,7 @@ def submission_to_json(results: Sequence[AnswerResult]) -> dict:
 
 
 def submission_from_json(payload: dict) -> list[AnswerResult]:
+    """A submission's answers; a missing ideal answer is "", a non-string one an error."""
     questions = payload.get("questions", []) if isinstance(payload, dict) else None
     if not isinstance(questions, list):
         raise MalformedInput("submission: expected an object with a questions array")
@@ -141,12 +142,15 @@ def submission_from_json(payload: dict) -> list[AnswerResult]:
         documents, snippets = obj.get("documents", []), obj.get("snippets", [])
         if not isinstance(documents, list) or not isinstance(snippets, list):
             raise MalformedInput(f"{where}: documents and snippets must be lists")
+        ideal_answer = obj.get("ideal_answer", "")
+        if not all(isinstance(x, str) for x in [ideal_answer, *documents]):
+            raise MalformedInput(f"{where}: document ids and ideal_answer must be strings")
         results.append(
             AnswerResult(
                 question_id=str(obj["id"]),
-                documents=[str(d) for d in documents],
+                documents=list(documents),
                 snippets=[snippet_from_json(s, where) for s in snippets],
-                ideal_answer=str(obj.get("ideal_answer", "")),
+                ideal_answer=ideal_answer,
             )
         )
     return results
@@ -162,40 +166,39 @@ def load_submission(path: str | Path) -> list[AnswerResult]:
 
 def save_labels(examples: Sequence[LabeledExample], path: str | Path) -> None:
     """Write labeled examples as JSONL with raw texts for re-tokenization."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for ex in examples:
-            fh.write(
-                json.dumps(
-                    {
-                        "pair_id": ex.pair_id,
-                        "question": ex.question_text,
-                        "sentence": ex.sentence_text,
-                        "position": ex.position,
-                        "label": ex.label,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+            record = {
+                "pair_id": ex.pair_id, "question": ex.question_text,
+                "sentence": ex.sentence_text, "position": ex.position, "label": ex.label,
+            }
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def load_labels(path: str | Path) -> list[LabeledExample]:
+    """Labeled examples written by :func:`save_labels`; a field of the wrong
+    type or value is ``MalformedInput`` naming ``path:line``."""
     examples = []
     for where, obj in read_jsonl(path):
-        try:
-            examples.append(
-                LabeledExample(
-                    question_tokens=tuple(token_surfaces(obj["question"])),
-                    sentence_tokens=tuple(token_surfaces(obj["sentence"])),
-                    position=int(obj["position"]),
-                    label=int(obj["label"]),
-                    pair_id=obj.get("pair_id"),
-                    question_text=obj["question"],
-                    sentence_text=obj["sentence"],
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput(f"{where}: bad labeled example: {exc!r}") from exc
+        if not isinstance(obj, dict):
+            raise MalformedInput(f"{where}: bad labeled example: expected an object")
+        question, sentence = obj.get("question"), obj.get("sentence")
+        label, position, pid = obj.get("label"), obj.get("position"), obj.get("pair_id")
+        if not isinstance(question, str) or not isinstance(sentence, str):
+            problem = "question and sentence must be strings"
+        elif type(label) is not int or label not in (0, 1):  # bool is not an int label
+            problem = f"label must be the integer 0 or 1, got {label!r}"
+        elif type(position) is not int or position < 0:
+            problem = f"position must be an integer >= 0, got {position!r}"
+        elif pid is not None and not isinstance(pid, str):
+            problem = f"pair_id must be a string, got {pid!r}"
+        else:
+            examples.append(LabeledExample(
+                tuple(token_surfaces(question)), tuple(token_surfaces(sentence)),
+                position, label, pid, question, sentence,
+            ))
+            continue
+        raise MalformedInput(f"{where}: bad labeled example: {problem}")
     return examples
 
 
@@ -291,7 +294,8 @@ class OracleScorer:
     """Scores a sentence by its true SU4-F1 against the ideal answers.
 
     An upper-bound scorer for harness comparisons; never used in a
-    production run.
+    production run. It scores a question's sentences in one
+    :func:`qfs.metrics.su4_scores` call.
     """
 
     def score_sentences(
@@ -299,8 +303,8 @@ class OracleScorer:
     ) -> list[float]:
         if not question.ideal_answers:
             return [0.0] * len(texts)
-        references = su4_references(question.ideal_answers)
-        return [best_reference_f1(t, references) for t in texts]
+        references = [token_surfaces(a) for a in question.ideal_answers]
+        return best_reference_f1s([token_surfaces(t) for t in texts], references)
 
 
 def pair_id(question_id: str, position: int) -> str:
@@ -486,20 +490,20 @@ def generate_labels(
 ) -> list[LabeledExample]:
     """Binary labels from gold snippets: 1 for the top-5 sentences by SU4-F1.
 
-    Candidates are the sentences of the gold snippets in order; ties at
-    the cut-off rank resolve in favor of the earlier occurrence. When a
-    collection is given, every gold snippet must be the exact slice of
-    its section text, or ``MalformedInput`` names the question and the
-    document.
+    Candidates are the sentences of the gold snippets in order, each
+    scored by its best reference in one :func:`qfs.metrics.su4_scores`
+    call per question; ties at the cut-off rank resolve in favor of the
+    earlier occurrence. When a collection is given, every gold snippet
+    must be the exact slice of its section text, or ``MalformedInput``
+    names the question and the document.
     """
     examples: list[LabeledExample] = []
     for question in questions:
         if collection is not None:
             _check_gold_offsets(question, collection)
         candidates = _gold_candidates(question)
-        references = su4_references(question.ideal_answers)
         tokens = [tuple(token_surfaces(c.text)) for c in candidates]
-        f1s = [best_reference_f1(Su4Units.of_tokens(t), references) for t in tokens]
+        f1s = best_reference_f1s(tokens, [token_surfaces(a) for a in question.ideal_answers])
         ranked = sorted(range(len(candidates)), key=lambda i: (-f1s[i], i))
         positive = set(ranked[:POSITIVE_LABELS_PER_QUESTION])
         q_tokens = tuple(token_surfaces(question.body))

@@ -56,7 +56,7 @@ from .errors import (
     LambdaOutOfRange,
     MalformedInput,
 )
-from .fileio import decode_utf8, open_input, read_exact
+from .fileio import decode_utf8, open_input, open_output, read_exact
 from .sentences import SentenceTable, document_sentences
 
 logger = logging.getLogger(__name__)
@@ -348,7 +348,7 @@ def load_dense_store(path: str | Path) -> DenseStore:
 
 def save_dense_store(store: DenseStore, path: str | Path) -> None:
     """Write a DVEC file; round-trip partner of :func:`load_dense_store`."""
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         fh.write(_DVEC_MAGIC)
         fh.write(struct.pack("<II", 1, store.dim))
         for doc_id, vec in zip(store.ids, store.matrix):
@@ -429,7 +429,7 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
         )),
     ]
     crc = 0
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         for part in parts:
             crc = zlib.crc32(part, crc)
             fh.write(part)

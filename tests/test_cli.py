@@ -300,6 +300,16 @@ BROKEN_INPUTS = {
     "evaluate submission with a number for documents": lambda w: (
         "evaluate", *QUESTIONS, "--submission",
         write(w / "s.json", '{"questions": [{"id": "q1", "documents": 5}]}')),
+    **{
+        f"evaluate submission with {what}": (
+            lambda w, entry=entry: ("evaluate", *QUESTIONS, "--submission", write(
+                w / "s.json", json.dumps({"questions": [{"id": "q1", **entry}]}))))
+        for what, entry in [
+            ("a null ideal answer", {"ideal_answer": None}),
+            ("a list for the ideal answer", {"ideal_answer": ["a", "b"]}),
+            ("a numeric document id", {"documents": ["d1", 5]}),
+        ]
+    },
     "evaluate missing submission": lambda w: (
         "evaluate", *QUESTIONS, "--submission", w / "missing.json"),
     "evaluate missing questions": lambda w: (
@@ -311,6 +321,18 @@ BROKEN_INPUTS = {
         *TRAIN, "--labels", write(w / "l.jsonl", LABEL + '{"question": "q"}\n'),
         "--out", w / "m"),
     "train missing labels": lambda w: (*TRAIN, "--labels", w / "missing.jsonl", "--out", w / "m"),
+    **{
+        f"train labels line with {field} {value!r}": (
+            lambda w, field=field, value=value: (
+                *TRAIN, "--labels", write(
+                    w / "l.jsonl", LABEL + json.dumps({**json.loads(LABEL), field: value}) + "\n"),
+                "--out", w / "m"))
+        for field, value in [("question", 5), ("sentence", None), ("label", 0.7),
+                             ("label", True), ("label", 2), ("position", "3"),
+                             ("position", -1), ("position", 1.0), ("pair_id", 5)]
+    },
+    "train labels line that is not an object": lambda w: (
+        *TRAIN, "--labels", write(w / "l.jsonl", LABEL + "[1]\n"), "--out", w / "m"),
     "train missing word vectors": lambda w: (
         "train", "--model", "nnc", "--embeddings", w / "missing.txt",
         "--labels", write(w / "l.jsonl", LABEL), "--out", w / "m"),
@@ -387,6 +409,33 @@ def test_missing_or_corrupt_input_exits_2(tmp_path, case):
     assert "Traceback" not in err
 
 
+def nnc_model_config(w: Path) -> Path:
+    """A config answering over the golden documents with an untrained nnc model."""
+    save_params(init_nnc(emb_dim=4, lstm_hidden=2, dense_hidden=2), w / "m.qfsm")
+    return config_file(w, model={
+        "kind": "nnc", "params_path": str(w / "m.qfsm"),
+        "embeddings_path": str(GOLDEN / "vectors.txt")})
+
+
+# Each case builds the arguments of a command whose --out is in a missing directory.
+UNWRITABLE_OUTPUTS = {
+    "label": lambda w, out: ("label", *QUESTIONS, "--out", out),
+    "cv": lambda w, out: ("cv", *QUESTIONS, "--model", "oracle", "--k", "2", "--out", out),
+    "index": lambda w, out: ("index", "--docs", GOLDEN / "docs.jsonl", "--out", out),
+    "answer": lambda w, out: (
+        "answer", "--config", nnc_model_config(w), *QUESTIONS, "--out", out),
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNWRITABLE_OUTPUTS))
+def test_unwritable_output_exits_2(tmp_path, command):
+    out = tmp_path / "missing" / "out"
+    code, err = run_qfs(*UNWRITABLE_OUTPUTS[command](tmp_path, out))
+    assert code == 2, err
+    assert err.startswith("error: ") and str(out) in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["retrieve", "answer"])
 def test_dense_dimension_mismatch_names_both_files(tmp_path, command):
     config = mismatched_dense_config(tmp_path)
@@ -433,11 +482,7 @@ def test_answer_exits_1_when_it_skips_a_question(tmp_path):
     golden = json.loads((GOLDEN / "questions.json").read_text())
     nothing = {**golden[0], "id": "q-none", "body": "Zyxwv qwrtp?"}  # matches no document
     questions = write(tmp_path / "q.json", json.dumps([*golden, nothing]))
-    save_params(init_nnc(emb_dim=4, lstm_hidden=2, dense_hidden=2), tmp_path / "m.qfsm")
-    config = config_file(tmp_path, model={
-        "kind": "nnc", "params_path": str(tmp_path / "m.qfsm"),
-        "embeddings_path": str(GOLDEN / "vectors.txt")})
-    code, err = run_qfs("answer", "--config", config, "--questions", questions,
+    code, err = run_qfs("answer", "--config", nnc_model_config(tmp_path), "--questions", questions,
                         "--out", tmp_path / "a.json")
     assert code == 1, err
     answered = json.loads((tmp_path / "a.json").read_text())["questions"]

@@ -3,26 +3,30 @@
 from __future__ import annotations
 
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qfs.corpus import SnippetSpan
+from qfs import metrics
+from qfs.corpus import SnippetSpan, load_question_set
 from qfs.errors import DuplicateInReturned, EmptyReferenceList
 from qfs.metrics import (
     RougeScore,
-    Su4Units,
     best_reference_f1,
+    best_reference_f1s,
     document_f1,
     evaluate_run,
     rouge_su4_f1,
     snippet_f1,
-    su4_references,
-    su_units,
+    su4_scores,
 )
+from qfs.pipeline import candidate_sentences, generate_labels
 from qfs.textproc import token_surfaces
 
 from conftest import make_question
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def oracle_su_units(tokens: list[str], dskip: int) -> Counter:
@@ -54,45 +58,111 @@ def oracle_su4_f1(candidate: str, reference: str) -> float:
     return oracle_su4(candidate, reference).f1
 
 
+def counter_labels(questions) -> list[int]:
+    """The Counter-based labeller the array core replaced: the test oracle.
+
+    Each candidate's unit multiset is built once and clipped against each
+    reference's by a loop over its units; the top 5 by best-reference F1
+    (earlier occurrence first on ties) are labelled 1.
+    """
+
+    def units(tokens):
+        found = Counter(zip(tokens))
+        for gap in range(1, 6):
+            found.update(zip(tokens, tokens[gap:]))
+        return found, found.total()
+
+    def score(cand, ref):
+        (c_units, c_total), (r_units, r_total) = cand, ref
+        if c_total == 0 or r_total == 0:
+            return 0.0
+        matches = sum(min(n, r_units[u]) for u, n in c_units.items() if u in r_units)
+        return RougeScore.from_pr(matches / c_total, matches / r_total).f1
+
+    labels = []
+    for question in questions:
+        refs = [units(token_surfaces(a)) for a in question.ideal_answers]
+        cands = [units(token_surfaces(c.text)) for c in candidate_sentences(question)]
+        f1s = [max(score(c, r) for r in refs) for c in cands]
+        top = set(sorted(range(len(f1s)), key=lambda i: (-f1s[i], i))[:5])
+        labels.extend(1 if i in top else 0 for i in range(len(f1s)))
+    return labels
+
+
 # Texts over four tokens, two of them one word in different case, so
 # units repeat within a text and across texts.
 REPEATING_TEXTS = st.lists(st.sampled_from(["flu", "Flu", "shot", "a1"]), max_size=14).map(
     " ".join
 )
+# Texts with repeated units, no tokens at all ("", "--"), and non-ASCII
+# letters whose lowercase differs in length or form.
+SU4_TEXTS = st.lists(
+    st.sampled_from(["a", "b", "A", "c", "--", "İ", "i̇", "ß", "SS", "Σ", "σ", "x1"]),
+    max_size=16,
+).map(" ".join)
 
 
 class TestSuUnits:
+    """The units SU4 counts, seen through the scores of small texts."""
+
     def test_single_token(self):
-        assert su_units(["a"], 4) == Counter({("a",): 1})
+        # "a" is the one unit a; "a b" is a, b and (a, b)
+        assert rouge_su4_f1("a", "a b") == RougeScore.from_pr(1 / 1, 1 / 3)
 
     def test_two_tokens(self):
-        # brute force: unigrams a, b plus the one pair (a, b)
-        assert su_units(["a", "b"], 4) == Counter(
-            {("a",): 1, ("b",): 1, ("a", "b"): 1}
-        )
+        # the pair (a, b) is ordered: against "b a" only the unigrams match
+        assert rouge_su4_f1("a b", "b a") == RougeScore.from_pr(2 / 3, 2 / 3)
+        assert rouge_su4_f1("a b", "a b") == RougeScore.from_pr(3 / 3, 3 / 3)
 
-    def test_gap_zero_keeps_adjacent_pairs_only(self):
-        # brute force: pairs with no intervening token are (a,b) and (b,c)
-        assert su_units(["a", "b", "c"], 0) == Counter(
-            {("a",): 1, ("b",): 1, ("c",): 1, ("a", "b"): 1, ("b", "c"): 1}
-        )
-
-    def test_negative_dskip_rejected(self):
-        with pytest.raises(ValueError):
-            su_units(["a"], -1)
-
-    @given(
-        st.lists(st.sampled_from("abcd"), max_size=10),
-        st.integers(min_value=0, max_value=8),
+    @pytest.mark.parametrize(
+        "candidate, score",
+        [
+            # gap 5 (four tokens between): units a, x*4, b + 15 pairs; a, b, (a, b) match
+            ("a x x x x b", RougeScore.from_pr(3 / 21, 3 / 3)),
+            # gap 6: the pair (a, b) is not a unit; 7 + 20 units, a and b match
+            ("a x x x x x b", RougeScore.from_pr(2 / 27, 2 / 3)),
+        ],
     )
-    def test_matches_oracle(self, tokens, dskip):
-        assert su_units(tokens, dskip) == oracle_su_units(tokens, dskip)
+    def test_largest_gap_is_five(self, candidate, score):
+        assert rouge_su4_f1(candidate, "a b") == score
 
-    @given(st.lists(st.sampled_from("abc"), min_size=2, max_size=8))
-    def test_large_dskip_gives_all_pairs(self, tokens):
-        full = su_units(tokens, len(tokens) - 2)
-        pair_count = sum(n for u, n in full.items() if len(u) == 2)
-        assert pair_count == len(tokens) * (len(tokens) - 1) // 2
+    def test_pairs_stay_within_one_text(self):
+        # Two one-token candidates next to each other, then the reference:
+        # no pair (a, b) spans candidates, and none spans into the reference.
+        precision, recall, f1 = su4_scores([["a"], ["b"]], [["a", "b"]])
+        assert precision.tolist() == [[1.0], [1.0]]
+        assert recall.tolist() == [[1 / 3], [1 / 3]]
+
+
+class TestSu4Scores:
+    @given(
+        st.lists(SU4_TEXTS, max_size=5),
+        st.lists(SU4_TEXTS, max_size=4),
+    )
+    def test_every_pair_equals_the_oracle(self, candidates, references):
+        precision, recall, f1 = su4_scores(
+            [token_surfaces(c) for c in candidates], [token_surfaces(r) for r in references]
+        )
+        assert f1.shape == (len(candidates), len(references))
+        for i, cand in enumerate(candidates):
+            for j, ref in enumerate(references):
+                got = (precision[i, j], recall[i, j], f1[i, j])
+                assert got == tuple(vars(oracle_su4(cand, ref)).values())
+
+    def test_empty_inputs(self):
+        assert [a.shape for a in su4_scores([], [])] == [(0, 0)] * 3
+        assert [a.shape for a in su4_scores([], [["a"]])] == [(0, 1)] * 3
+        assert [a.shape for a in su4_scores([["a"]], [])] == [(1, 0)] * 3
+        assert [a.tolist() for a in su4_scores([[]], [[], ["a"]])] == [[[0.0, 0.0]]] * 3
+
+    def test_key_span_is_checked(self, monkeypatch):
+        # 2 distinct tokens in 2 texts give keys * texts + text up to
+        # 2 * 3 * 2 - 1 = 11: a span of 12 values holds them, 11 does not.
+        monkeypatch.setattr(metrics, "_INT64_SPAN", 12)
+        assert su4_scores([["a"]], [["b"]])[2].tolist() == [[0.0]]
+        monkeypatch.setattr(metrics, "_INT64_SPAN", 11)
+        with pytest.raises(ValueError, match="overflow"):
+            su4_scores([["a"]], [["b"]])
 
 
 class TestRougeSu4:
@@ -125,9 +195,7 @@ class TestRougeSu4:
     )
     def test_matches_brute_force(self, cand_tokens, ref_tokens):
         cand, ref = " ".join(cand_tokens), " ".join(ref_tokens)
-        assert rouge_su4_f1(cand, ref).f1 == pytest.approx(
-            oracle_su4_f1(cand, ref), abs=1e-12
-        )
+        assert rouge_su4_f1(cand, ref) == oracle_su4(cand, ref)
 
     @given(
         st.text(alphabet=st.characters(codec="ascii"), max_size=40),
@@ -156,20 +224,43 @@ class TestBestReference:
 
     def test_empty_prepared_reference_list(self):
         with pytest.raises(EmptyReferenceList):
-            best_reference_f1("a", su4_references([]))
+            best_reference_f1s([["a"]], [])
 
     @given(
         st.lists(REPEATING_TEXTS, min_size=1, max_size=6),
         st.lists(REPEATING_TEXTS, min_size=1, max_size=3),
     )
     def test_prepared_strings_and_oracle_agree_exactly(self, candidates, references):
-        prepared = su4_references(references)
-        for candidate in candidates:
-            oracle = max(oracle_su4_f1(candidate, ref) for ref in references)
-            assert best_reference_f1(candidate, prepared) == oracle
-            assert best_reference_f1(candidate, references) == oracle
-            prepared_candidate = Su4Units.of_tokens(token_surfaces(candidate))
-            assert best_reference_f1(prepared_candidate, prepared) == oracle
+        oracle = [max(oracle_su4_f1(c, ref) for ref in references) for c in candidates]
+        assert [best_reference_f1(c, references) for c in candidates] == oracle
+        tokens = [token_surfaces(c) for c in candidates]
+        assert best_reference_f1s(tokens, [token_surfaces(r) for r in references]) == oracle
+
+
+def labelled_question(i: int, candidates: list[str], references: list[str]):
+    """A question whose gold snippets are single candidate sentences."""
+    snippets = tuple(SnippetSpan("d", "abstract", 0, len(c), c) for c in candidates)
+    return make_question(f"q{i}", gold_snippets=snippets, ideal_answers=tuple(references))
+
+
+class TestLabelsMatchCounterOracle:
+    def test_golden_questions(self):
+        questions = load_question_set(GOLDEN / "questions.json")
+        assert [ex.label for ex in generate_labels(questions)] == counter_labels(questions)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(REPEATING_TEXTS.map(lambda t: f"Z {t}."), min_size=1, max_size=9),
+                st.lists(SU4_TEXTS, min_size=1, max_size=3),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_question_sets(self, specs):
+        questions = [labelled_question(i, c, r) for i, (c, r) in enumerate(specs)]
+        assert [ex.label for ex in generate_labels(questions)] == counter_labels(questions)
 
 
 class TestDocumentF1:
@@ -252,6 +343,18 @@ class TestEvaluateRun:
         for row, answer in zip(report.per_question, answers):
             best = max((oracle_su4(answer, ref) for ref in references), key=lambda s: s.f1)
             assert row.ideal_su4 == best
+
+    @pytest.mark.parametrize("references", [("a b", "b c a"), ("b c a", "a b")])
+    def test_ideal_su4_keeps_the_first_of_tied_references(self, references):
+        # Against "a b c", "a b" gives P 1/2, R 1 and "b c a" P = R = 2/3: one F1.
+        question = make_question("q1", ideal_answers=references)
+
+        class Run:
+            question_id, ideal_answer, documents, snippets = "q1", "a b c", [], []
+
+        (row,) = evaluate_run([question], [Run()]).per_question
+        assert row.ideal_su4 == oracle_su4("a b c", references[0])
+        assert row.ideal_su4 != oracle_su4("a b c", references[1])
 
     def test_missing_answer_scores_zero(self):
         question = make_question("q1", gold_documents=("d1",), ideal_answers=("x",))
