@@ -12,8 +12,8 @@ Exit codes:
 * 0: success;
 * 1: partial failure (``answer`` skipped some questions);
 * 2: data error: a missing, unreadable or malformed input file or
-  config, or an output file that cannot be created (say, in a missing
-  directory), reported as one ``error: ...`` line on stderr;
+  config, or an ``--out`` file that cannot be created (checked before
+  any work), reported as one ``error: ...`` line on stderr;
 * 64: usage error.
 
 Set QFS_LOG to a logging level name to control verbosity. All
@@ -33,7 +33,7 @@ import click
 from . import corpus, pipeline, retrieval, textproc
 from .config import PipelineConfig, emit_config, load_config
 from .errors import DimensionMismatch, QfsError
-from .fileio import write_json
+from .fileio import check_output, write_json
 from .metrics import evaluate_run
 from .neural import KINDS, TrainConfig, load_params, save_params, train
 
@@ -46,6 +46,11 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+def _writable(ctx, param, path):
+    """The ``--out`` callback: a path that cannot be written fails before any work."""
+    return path and check_output(path)
+
+
 @click.group()
 def cli() -> None:
     """Query-focused extractive summarisation pipeline."""
@@ -53,7 +58,7 @@ def cli() -> None:
 
 @cli.command("index")
 @click.option("--docs", "docs_path", required=True, type=click.Path())
-@click.option("--out", "out_path", required=True, type=click.Path())
+@click.option("--out", "out_path", required=True, type=click.Path(), callback=_writable)
 @click.option("--stopwords", "stopwords_path", type=click.Path(), default=None)
 @click.option("--k1", type=float, default=retrieval.DEFAULT_K1, show_default=True)
 @click.option("--b", type=float, default=retrieval.DEFAULT_B, show_default=True)
@@ -139,7 +144,7 @@ def _build_resources(
 @cli.command("retrieve")
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--questions", "questions_path", required=True, type=click.Path())
-@click.option("--out", "out_path", required=True, type=click.Path())
+@click.option("--out", "out_path", required=True, type=click.Path(), callback=_writable)
 @click.option("--feedback", "feedback_path", type=click.Path(), default=None)
 @click.option("--k", type=click.IntRange(min=1), default=None,
               help="Override per-round document count.")
@@ -169,7 +174,7 @@ def cmd_retrieve(config_path, questions_path, out_path, feedback_path, k) -> int
 @cli.command("snippets")
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--questions", "questions_path", required=True, type=click.Path())
-@click.option("--out", "out_path", required=True, type=click.Path())
+@click.option("--out", "out_path", required=True, type=click.Path(), callback=_writable)
 @click.option("--feedback", "feedback_path", type=click.Path(), default=None)
 def cmd_snippets(config_path, questions_path, out_path, feedback_path) -> int:
     """Retrieve documents, extract snippets, and write them per question."""
@@ -194,7 +199,7 @@ def cmd_snippets(config_path, questions_path, out_path, feedback_path) -> int:
 
 @cli.command("label")
 @click.option("--questions", "questions_path", required=True, type=click.Path())
-@click.option("--out", "out_path", required=True, type=click.Path())
+@click.option("--out", "out_path", required=True, type=click.Path(), callback=_writable)
 @click.option("--docs", "docs_path", type=click.Path(), default=None)
 def cmd_label(questions_path, out_path, docs_path) -> int:
     """Generate binary training labels from gold snippets."""
@@ -238,7 +243,7 @@ def _model_source(model_kind, embeddings_path, cemb_path):
 @cli.command("train")
 @click.option("--labels", "labels_path", required=True, type=click.Path())
 @click.option("--model", "model_kind", required=True, type=click.Choice(list(KINDS)))
-@click.option("--out", "out_path", required=True, type=click.Path())
+@click.option("--out", "out_path", required=True, type=click.Path(), callback=_writable)
 @click.option("--embeddings", "embeddings_path", type=click.Path(), default=None,
               help="Word-vector text file (nnc model).")
 @click.option("--cemb", "cemb_path", type=click.Path(), default=None,
@@ -267,7 +272,7 @@ def cmd_train(labels_path, model_kind, out_path, embeddings_path, cemb_path,
 @cli.command("answer")
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--questions", "questions_path", required=True, type=click.Path())
-@click.option("--out", "out_path", required=True, type=click.Path())
+@click.option("--out", "out_path", required=True, type=click.Path(), callback=_writable)
 @click.option("--feedback", "feedback_path", type=click.Path(), default=None)
 def cmd_answer(config_path, questions_path, out_path, feedback_path) -> int:
     """Answer every question and write a submission file."""
@@ -294,7 +299,7 @@ def cmd_answer(config_path, questions_path, out_path, feedback_path) -> int:
 @cli.command("evaluate")
 @click.option("--questions", "questions_path", required=True, type=click.Path())
 @click.option("--submission", "submission_path", required=True, type=click.Path())
-@click.option("--out", "out_path", type=click.Path(), default=None)
+@click.option("--out", "out_path", type=click.Path(), default=None, callback=_writable)
 def cmd_evaluate(questions_path, submission_path, out_path) -> int:
     """Score a submission against gold questions."""
     questions = corpus.load_question_set(questions_path)
@@ -320,7 +325,7 @@ def cmd_evaluate(questions_path, submission_path, out_path) -> int:
 @click.option("--dropout", type=float, default=None)
 @click.option("--lr", type=float, default=1e-3, show_default=True)
 @click.option("--clip-len", type=int, default=None)
-@click.option("--out", "out_path", type=click.Path(), default=None)
+@click.option("--out", "out_path", type=click.Path(), default=None, callback=_writable)
 def cmd_cv(questions_path, docs_path, model_kind, embeddings_path, cemb_path,
            k, seed, epochs, batch_size, dropout, lr, clip_len, out_path) -> int:
     """k-fold cross-validation reporting mean SU4-F1."""

@@ -161,11 +161,19 @@ def load_question_set(path: str | Path) -> QuestionSet:
         payload = payload["questions"]
     if not isinstance(payload, list):
         raise MalformedInput(f"{path}: expected a JSON array of questions")
-    questions = [question_from_json(obj) for obj in payload]
+    questions = [question_from_json(obj, str(path)) for obj in payload]
     return QuestionSet(questions)
 
 
-def question_from_json(obj: dict) -> QuestionRecord:
+def _text_field(obj: dict, key: str, where: str) -> str:
+    """A question's ``body`` or a section's ``text``: a string, "" if absent."""
+    value = obj.get(key, "")
+    if not isinstance(value, str):
+        raise MalformedInput(f"{where}: {key} must be a string, not {type(value).__name__}")
+    return value
+
+
+def question_from_json(obj: dict, where: str) -> QuestionRecord:
     if not isinstance(obj, dict):
         raise MalformedInput("question entry is not an object")
     qid = str(obj.get("id", ""))
@@ -187,7 +195,7 @@ def question_from_json(obj: dict) -> QuestionRecord:
         raise MalformedInput(f"question {qid!r}: documents must be a list")
     return QuestionRecord(
         id=qid,
-        body=str(obj.get("body", "")),
+        body=_text_field(obj, "body", f"{where}: question {qid!r}"),
         qtype=qtype,
         gold_documents=tuple(str(d) for d in documents),
         gold_snippets=snippets,
@@ -233,7 +241,7 @@ def document_from_json(obj: dict, where: str = "document") -> DocumentRecord:
         if sid in seen:
             raise DuplicateId(f"{where}: duplicate section id {sid!r}")
         seen.add(sid)
-        sections.append((sid, str(sec.get("text", ""))))
+        sections.append((sid, _text_field(sec, "text", f"{where}: section {sid!r}")))
     return DocumentRecord(id=doc_id, sections=tuple(sections))
 
 

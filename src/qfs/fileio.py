@@ -5,13 +5,14 @@ or undecodable input is a :class:`MalformedInput` (exit code 2 at the
 command line), never a bare ``OSError``, ``JSONDecodeError`` or
 ``UnicodeDecodeError``: text files are read through :func:`read_lines`
 or :func:`read_json`, and strings inside binary files are decoded by
-:func:`decode_utf8`. Writers open files with :func:`open_output`, so an
-output that cannot be created is a :class:`QfsError` naming the path.
+:func:`decode_utf8`. An output that cannot be created is a :class:`QfsError`
+naming the path, from :func:`open_output` or, up front, :func:`check_output`.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -32,6 +33,15 @@ def open_output(path: str | Path, mode: str = "w") -> IO:
         return open(path, mode, encoding=None if "b" in mode else "utf-8")
     except OSError as exc:
         raise QfsError(f"cannot write {path}: {exc}") from exc
+
+
+def check_output(path: str | Path) -> str | Path:
+    """``path`` if it can be written, else :func:`open_output`'s error; creates no file."""
+    existed = os.path.lexists(path)
+    open_output(path, "a").close()
+    if not existed:
+        os.remove(path)
+    return path
 
 
 def read_exact(fh: IO[bytes], count: int, path: str | Path, what: str) -> bytes:

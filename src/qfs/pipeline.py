@@ -24,6 +24,13 @@ counted over the sections in order. Only the kept sentences become
 :class:`SnippetSpan` objects. :func:`snip_cosine` does the same for a
 collection without an index, splitting just the ranked documents.
 
+Both tf-idf paths, table token ids and answer texts, share one kernel,
+:func:`_tfidf_cosines`. Its cost follows the pool: a question touches
+only its pool's rows, never a collection- or vocabulary-sized array.
+Its sums are sequential: every norm and dot product adds its terms one
+at a time in sorted term order, never pairwise, so scores are the same
+bit for bit on every platform.
+
 Candidate sentences keep their *occurrence index*, the 0-based position
 in the post-retrieval candidate list. Tie-breaking everywhere favors
 the earlier occurrence, which keeps every stage deterministic. Answer
@@ -38,6 +45,7 @@ import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain, count
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
@@ -219,52 +227,52 @@ class ConstantScorer:
         return [0.5] * len(texts)
 
 
-def _sum_rows(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape) -> np.ndarray:
-    """Each row's values added one column at a time, left to right, from 0.0.
-
-    Absent cells are 0.0, which leaves a sum unchanged, so a row sums
-    exactly as a plain left-to-right loop over its values would, with no
-    pairwise or BLAS reordering.
-    """
-    grid = np.zeros(shape)
-    grid[rows, cols] = values
-    total = np.zeros(shape[0])
-    for column in grid.T:
-        total += column
-    return total
+def _run_edges(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in sorted ``keys`` starts, then ``len(keys)``."""
+    edge = np.ones(len(keys) + 1, bool)
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    return np.flatnonzero(edge)
 
 
-def _tfidf_cosines(question_terms: np.ndarray, lengths: np.ndarray, terms: np.ndarray, v: int):
+def _tfidf_cosines(asked: np.ndarray, lengths: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """tf-idf cosine of each of n sentences against a question, clipped to [0, 1].
 
     Sentence i holds the next ``lengths[i]`` ids of ``terms``; ids are
-    below ``v`` and ordered as their terms sort. ``question_terms`` are
-    the question's tokens that occur in the sentences, as ids.
+    ordered as their terms sort. ``asked`` holds the question's token
+    ids; ids no sentence holds are ignored. Cost: one sort of a (term,
+    sentence) key per token; every array is sized by the pool, never by
+    the vocabulary. Sums: the pairs are in term order and ``np.bincount``
+    adds in input order, so each norm and dot product adds its terms one
+    at a time in term order; idf is ``math.log`` of each distinct df.
     """
-    q_term, q_tf = np.unique(question_terms, return_counts=True)
-    n, q = len(lengths), len(q_term)
-    if not q:
+    n = len(lengths)
+    if not len(terms):
         return np.zeros(n)
-    sent = np.repeat(np.arange(n), lengths)
-    pairs, tf = np.unique(sent * v + terms, return_counts=True)
-    pair_sent, pair_term = np.divmod(pairs, v)
-    df_values, df_index = np.unique(np.bincount(pair_term, minlength=v), return_inverse=True)
-    idf = np.array([math.log((1 + n) / (1 + d)) + 1.0 for d in df_values.tolist()])[df_index]
+    bits = n.bit_length()  # a key is term << bits | sentence
+    keys = np.sort((terms.astype(np.int64) << bits) | np.repeat(np.arange(n), lengths))
+    edges = _run_edges(keys)  # one run per (term, sentence) pair
+    pairs, tf = keys[edges[:-1]], np.diff(edges)
+    pair_term, pair_sent = pairs >> bits, pairs & ((1 << bits) - 1)
+    term_edges = _run_edges(pair_term)  # one run per distinct term
+    words, df = pair_term[term_edges[:-1]], np.diff(term_edges)
+    present = np.flatnonzero(np.bincount(df))
+    idf_of_df = np.zeros(present[-1] + 1)
+    idf_of_df[present] = [math.log((1 + n) / (1 + d)) + 1.0 for d in present.tolist()]
+    idf = idf_of_df[df]
+    weight = tf * np.repeat(idf, df)
+    norms = np.sqrt(np.bincount(pair_sent, weight * weight, n))
 
-    weight = tf * idf[pair_term]
-    per_sent = np.bincount(pair_sent, minlength=n)
-    col = np.arange(len(pairs)) - (np.cumsum(per_sent) - per_sent)[pair_sent]
-    norms = np.sqrt(_sum_rows(pair_sent, col, weight * weight, (n, per_sent.max())))
-    weight /= norms[pair_sent]
+    at = np.minimum(np.searchsorted(words, asked), len(words) - 1)
+    q_term, q_tf = np.unique(at[words[at] == asked], return_counts=True)
+    if not len(q_term):
+        return np.zeros(n)
     q_weight = q_tf * idf[q_term]
-    q_weight /= np.sqrt(_sum_rows(0, np.arange(q), q_weight * q_weight, (1, q)))
-
-    q_col = np.full(v, -1)
-    q_col[q_term] = np.arange(q)
-    shared = q_col[pair_term] >= 0
-    cols = q_col[pair_term[shared]]
-    dots = _sum_rows(pair_sent[shared], cols, q_weight[cols] * weight[shared], (n, q))
-    return np.clip(dots, 0.0, 1.0)
+    q_weight /= np.sqrt(np.cumsum(q_weight * q_weight)[-1])
+    begin, end = term_edges[q_term], term_edges[q_term + 1]
+    shared = np.concatenate([np.arange(b, e) for b, e in zip(begin.tolist(), end.tolist())])
+    rows = pair_sent[shared]
+    products = np.repeat(q_weight, end - begin) * (weight[shared] / norms[rows])
+    return np.clip(np.bincount(rows, products, n), 0.0, 1.0)
 
 
 class CosineScorer:
@@ -272,21 +280,21 @@ class CosineScorer:
 
     Over the n pool sentences, idf(t) = ln((1 + n) / (1 + df(t))) + 1. A
     text's weights are raw tf times idf, L2-normalized; question terms
-    outside the pool are ignored. Norms and dot products add terms in
-    sorted term order (:func:`_sum_rows`), so a score is the same on
-    every platform. Scores are clipped to [0, 1].
+    outside the pool are ignored. Norms and dot products add terms one
+    at a time in sorted term order (:func:`_tfidf_cosines`), so a score
+    is the same on every platform. Scores are clipped to [0, 1].
     """
 
     def score_sentences(
         self, question: QuestionRecord, texts: Sequence[str], positions: Sequence[int]
     ) -> list[float]:
         token_lists = [token_surfaces(t) for t in texts]
-        vocab = {t: i for i, t in enumerate(sorted({t for ts in token_lists for t in ts}))}
+        tokens = list(chain.from_iterable(token_lists))
+        vocab = dict(zip(sorted(set(tokens)), count()))  # ids in term order
         return _tfidf_cosines(
             np.array([vocab[t] for t in token_surfaces(question.body) if t in vocab], np.intp),
-            np.array([len(ts) for ts in token_lists], np.intp),
-            np.array([vocab[t] for ts in token_lists for t in ts], np.intp),
-            len(vocab),
+            np.fromiter(map(len, token_lists), np.intp, len(token_lists)),
+            np.fromiter(map(vocab.__getitem__, tokens), np.intp, len(tokens)),
         ).tolist()
 
 
@@ -347,23 +355,6 @@ def _ordinal(index: InvertedIndex, doc_id: str) -> int:
     return i
 
 
-def _table_cosines(
-    question: QuestionRecord, table: SentenceTable, first: np.ndarray, counts: np.ndarray
-) -> list[float]:
-    """:class:`CosineScorer` scores of sentence runs ``first:first + counts`` of a table.
-
-    Pool-local ids from ``np.unique`` keep the vocabulary's term order,
-    so the scores are those of the sentence texts.
-    """
-    spans = zip(table.indptr[first].tolist(), table.indptr[first + counts].tolist())
-    tokens = np.concatenate([table.token_ids[:0], *(table.token_ids[a:e] for a, e in spans)])
-    words, local = np.unique(tokens, return_inverse=True)
-    asked = table.word_ids(token_surfaces(question.body))
-    asked = np.searchsorted(words, asked[np.isin(asked, words)])
-    rows = np.concatenate([first[:0], *(np.arange(a, a + c) for a, c in zip(first, counts))])
-    return _tfidf_cosines(asked, np.diff(table.indptr)[rows], local, len(words)).tolist()
-
-
 def _snip(
     question: QuestionRecord,
     ranked_docs: RankedList,
@@ -378,37 +369,36 @@ def _snip(
     ``ordinals`` are the ranked documents' places in ``table``. With no
     scorer, sentences are scored by tf-idf cosine from their token ids;
     a scorer gets their texts, with per-document ordinals as positions.
-    Per document the top ``per_doc`` sentences are re-ordered by
-    occurrence; per-document groups are collated in document-relevance
-    order. Only the kept sentences become :class:`SnippetSpan` objects.
+    Per document the top ``per_doc`` sentences (ties to the earlier one)
+    are kept in occurrence order; per-document groups are collated in
+    document-relevance order. Only the kept sentences become
+    :class:`SnippetSpan` objects.
     """
-    docs = []
-    for doc_id, _ in ranked_docs:
-        if doc_id not in collection:
-            raise UnknownDocument(f"document {doc_id!r} is not in the collection")
-        docs.append(collection[doc_id])
+    docs = [collection[doc_id] for doc_id, _ in ranked_docs]
     ordinals = np.asarray(ordinals, dtype=np.intp)
     first = table.doc_ptr[ordinals]
     counts = table.doc_ptr[ordinals + 1] - first
+    owner = np.repeat(np.arange(len(docs)), counts)  # pool sentence -> ranked document
+    starts = np.cumsum(counts) - counts  # pool place of each document's first sentence
+    rows = np.arange(len(owner)) + (first - starts)[owner]
     if scorer is None:
-        scores = _table_cosines(question, table, first, counts)
+        spans = zip(table.indptr[first].tolist(), table.indptr[first + counts].tolist())
+        terms = np.concatenate([table.token_ids[:0], *(table.token_ids[a:e] for a, e in spans)])
+        asked = table.word_ids(token_surfaces(question.body))
+        scores = _tfidf_cosines(asked, table.indptr[rows + 1] - table.indptr[rows], terms)
     else:
-        texts, positions = [], []
-        for doc, a, c in zip(docs, first.tolist(), counts.tolist()):
-            for row in range(a, a + c):
-                text = doc.sections[table.section[row]][1]
-                texts.append(text[table.begin[row] : table.end[row]])
-                positions.append(row - a)
-        scores = scorer.score_sentences(question, texts, positions)
+        texts = []
+        for doc, row in zip(owner.tolist(), rows.tolist()):
+            text = docs[doc].sections[table.section[row]][1]
+            texts.append(text[table.begin[row] : table.end[row]])
+        scores = scorer.score_sentences(question, texts, (rows - first[owner]).tolist())
+    order = np.lexsort((-np.asarray(scores, dtype=float), owner))  # stable
+    kept = np.sort(order[np.arange(len(order)) - starts[owner] < per_doc])
     out: list[SnippetSpan] = []
-    start = 0
-    for doc, a, c in zip(docs, first.tolist(), counts.tolist()):
-        group = scores[start : start + c]
-        start += c
-        for i in sorted(sorted(range(c), key=lambda i: (-group[i], i))[:per_doc]):
-            section_id, text = doc.sections[table.section[a + i]]
-            b, e = int(table.begin[a + i]), int(table.end[a + i])
-            out.append(SnippetSpan(doc.id, section_id, b, e, text[b:e]))
+    for doc, row in zip(owner[kept].tolist(), rows[kept].tolist()):
+        section_id, text = docs[doc].sections[table.section[row]]
+        b, e = int(table.begin[row]), int(table.end[row])
+        out.append(SnippetSpan(docs[doc].id, section_id, b, e, text[b:e]))
     return out
 
 
@@ -438,19 +428,11 @@ def candidate_sentences(question: QuestionRecord) -> list[SnippetSpan]:
     Multi-sentence snippets are split; each sentence inherits offsets
     relative to its snippet's section.
     """
-    out = []
-    for snippet in question.gold_snippets:
-        for sent in split_sentences(snippet.text):
-            out.append(
-                SnippetSpan(
-                    snippet.doc_id,
-                    snippet.section_id,
-                    snippet.begin_char + sent.begin,
-                    snippet.begin_char + sent.end,
-                    sent.text,
-                )
-            )
-    return out
+    return [
+        SnippetSpan(s.doc_id, s.section_id, s.begin_char + x.begin, s.begin_char + x.end, x.text)
+        for s in question.gold_snippets
+        for x in split_sentences(s.text)
+    ]
 
 
 def _gold_candidates(question: QuestionRecord) -> list[SnippetSpan]:
@@ -507,18 +489,11 @@ def generate_labels(
         ranked = sorted(range(len(candidates)), key=lambda i: (-f1s[i], i))
         positive = set(ranked[:POSITIVE_LABELS_PER_QUESTION])
         q_tokens = tuple(token_surfaces(question.body))
-        for i, cand in enumerate(candidates):
-            examples.append(
-                LabeledExample(
-                    question_tokens=q_tokens,
-                    sentence_tokens=tokens[i],
-                    position=i,
-                    label=1 if i in positive else 0,
-                    pair_id=pair_id(question.id, i),
-                    question_text=question.body,
-                    sentence_text=cand.text,
-                )
-            )
+        examples.extend(
+            LabeledExample(q_tokens, tokens[i], i, int(i in positive), pair_id(question.id, i),
+                           question.body, cand.text)
+            for i, cand in enumerate(candidates)
+        )
     return examples
 
 

@@ -391,6 +391,21 @@ BROKEN_INPUTS = {
                 "--out", w / "o.json"))
         for command in ("retrieve", "answer")
     },
+    **{
+        f"index section text {what}": (
+            lambda w, value=value: ("index", "--docs", write(w / "d.jsonl", json.dumps(
+                {"id": "d1", "sections": [{"id": "s1", "text": value}]}) + "\n"),
+                "--out", w / "i.qidx"))
+        for what, value in [("null", None), ("list", ["a", "b"]), ("number", 5)]
+    },
+    **{
+        f"retrieve question body {what}": (
+            lambda w, value=value: (
+                "retrieve", "--config", config_file(w), "--questions", write(
+                    w / "q.json", json.dumps([{"id": "q1", "type": "summary", "body": value}])),
+                "--out", w / "o.json"))
+        for what, value in [("null", None), ("list", ["a", "b"]), ("object", {"text": "a"})]
+    },
     "config with a non-numeric seed": lambda w: (
         "config", "validate", "--config", write(w / "c.json", '{"seed": "x"}')),
     "config with a non-numeric round_docs count": lambda w: (
@@ -409,6 +424,16 @@ def test_missing_or_corrupt_input_exits_2(tmp_path, case):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("case, where, field", [
+    ("index section text null", "d.jsonl:1", "section 's1': text"),
+    ("retrieve question body list", "q.json", "question 'q1': body"),
+])
+def test_non_string_text_names_file_and_field(tmp_path, case, where, field):
+    code, err = run_qfs(*BROKEN_INPUTS[case](tmp_path))
+    assert code == 2, err
+    assert f"{tmp_path / where}: {field} must be a string" in err
+
+
 def nnc_model_config(w: Path) -> Path:
     """A config answering over the golden documents with an untrained nnc model."""
     save_params(init_nnc(emb_dim=4, lstm_hidden=2, dense_hidden=2), w / "m.qfsm")
@@ -417,23 +442,39 @@ def nnc_model_config(w: Path) -> Path:
         "embeddings_path": str(GOLDEN / "vectors.txt")})
 
 
-# Each case builds the arguments of a command whose --out is in a missing directory.
+# Each case builds the arguments of a command whose --out is in a missing
+# directory; every command that takes --out has one.
 UNWRITABLE_OUTPUTS = {
     "label": lambda w, out: ("label", *QUESTIONS, "--out", out),
     "cv": lambda w, out: ("cv", *QUESTIONS, "--model", "oracle", "--k", "2", "--out", out),
     "index": lambda w, out: ("index", "--docs", GOLDEN / "docs.jsonl", "--out", out),
     "answer": lambda w, out: (
         "answer", "--config", nnc_model_config(w), *QUESTIONS, "--out", out),
+    "retrieve": lambda w, out: ("retrieve", "--config", config_file(w), *QUESTIONS, "--out", out),
+    "snippets": lambda w, out: ("snippets", "--config", config_file(w), *QUESTIONS, "--out", out),
+    "train": lambda w, out: (*TRAIN, "--labels", write(w / "l.jsonl", LABEL), "--out", out),
+    "evaluate": lambda w, out: (
+        "evaluate", *QUESTIONS, "--submission", GOLDEN / "answer.json", "--out", out),
 }
 
 
 @pytest.mark.parametrize("command", sorted(UNWRITABLE_OUTPUTS))
 def test_unwritable_output_exits_2(tmp_path, command):
     out = tmp_path / "missing" / "out"
-    code, err = run_qfs(*UNWRITABLE_OUTPUTS[command](tmp_path, out))
+    args = [str(a) for a in UNWRITABLE_OUTPUTS[command](tmp_path, out)]
+    with CliRunner().isolation() as (stdout, stderr, _):
+        code = main(args)
+        printed, err = stdout.getvalue().decode("utf-8"), stderr.getvalue().decode("utf-8")
     assert code == 2, err
-    assert err.startswith("error: ") and str(out) in err
-    assert "Traceback" not in err
+    assert err == f"error: cannot write {out}: [Errno 2] No such file or directory: '{out}'\n"
+    # The check comes before any work: no fold line, table or summary.
+    assert printed == ""
+
+
+def test_output_that_is_a_directory_exits_2(tmp_path):
+    code, err = run_qfs("label", *QUESTIONS, "--out", tmp_path)
+    assert code == 2, err
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
 
 
 @pytest.mark.parametrize("command", ["retrieve", "answer"])

@@ -47,6 +47,13 @@ class TestLoadQuestionSet:
         assert q.gold_snippets == ()
         assert q.ideal_answers == ()
 
+    def test_absent_body_and_section_text_are_empty(self, tmp_path):
+        question = {k: v for k, v in MINIMAL_QUESTION.items() if k != "body"}
+        assert load_question_set(write_questions(tmp_path, [question]))["q1"].body == ""
+        path = tmp_path / "docs.jsonl"
+        path.write_text(json.dumps({"id": "d1", "sections": [{"id": "s"}]}) + "\n")
+        assert load_document_collection(path)["d1"].sections == (("s", ""),)
+
     def test_unknown_type_rejected(self, tmp_path):
         bad = dict(MINIMAL_QUESTION, type="listt")
         with pytest.raises(UnknownQuestionType):

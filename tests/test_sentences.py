@@ -80,14 +80,22 @@ section_texts = st.lists(
     st.tuples(st.sampled_from(WORDS), st.sampled_from([" ", "  ", "\n", " "])),
     max_size=25,
 ).map(lambda pairs: "".join(w + s for w, s in pairs))
+# Sections of whole sentences from a few, so documents repeat sentences
+# and their scores tie at the per-document cut.
+repeated_texts = st.lists(
+    st.sampled_from(["alpha Beta end.", "Why? ", "the naïve x² ok!", "straße of A end."]),
+    max_size=40,
+).map(" ".join)
+# Sentences without a single token.
+tokenless_texts = st.lists(st.sampled_from(["?!", "...", "!"]), max_size=4).map(" ".join)
 
 
 @st.composite
-def collections(draw):
+def collections(draw, texts=section_texts):
     n = draw(st.integers(1, 6))
     docs = []
     for i in draw(st.permutations(range(n))):
-        sections = draw(st.lists(section_texts, max_size=3))
+        sections = draw(st.lists(texts, max_size=3))
         docs.append(make_doc(f"d{i}", *((f"s{j}", t) for j, t in enumerate(sections))))
     return DocumentCollection(docs)
 
@@ -143,9 +151,10 @@ class RecordingScorer:
 
 
 class TestSnippetsMatchTextPath:
-    @settings(max_examples=150, deadline=None)
-    @given(collections(), st.sampled_from(WORDS + ["alpha beta x²", "straße end naïve"]),
-           st.integers(1, 3), st.data())
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([section_texts, repeated_texts, tokenless_texts]).flatmap(collections),
+           st.sampled_from(WORDS + ["alpha beta x²", "straße end naïve"]),
+           st.integers(1, 10), st.data())
     def test_cosine_snippets(self, collection, body, per_doc, data):
         doc_ids = sorted(doc.id for doc in collection)
         # Some documents stay unranked, so the question has words outside the pool.

@@ -282,11 +282,23 @@ class TestCosine:
 WORDS = [*"abcdefghijkl", "A", "Bb"]
 sentence_texts = st.lists(st.sampled_from(WORDS), max_size=24).map(" ".join) | st.just("?!")
 question_texts = st.lists(st.sampled_from([*WORDS, "Zz", "yy"]), max_size=16).map(" ".join)
+pools = st.one_of(
+    st.lists(sentence_texts, min_size=1, max_size=12),
+    # A few sentences, each repeated: identical sentences must score identically.
+    st.lists(sentence_texts, min_size=1, max_size=3).flatmap(
+        lambda base: st.lists(st.sampled_from(base), min_size=2, max_size=12)
+    ),
+    # Not one token in the pool.
+    st.lists(st.sampled_from(["", "?!", "..."]), min_size=1, max_size=6),
+)
 
 
 @settings(max_examples=500, deadline=None)
-@given(question_texts, st.lists(sentence_texts, min_size=1, max_size=12))
+@given(question_texts, pools)
 @example("Zz yy", ["a b c d e f g h i j a"])
 @example("", ["", "?!", "a b"])
+@example("a b", ["?!", "", "..."])
+# idf(a) = ln(21 / 20) + 1, where np.log and math.log differ in the last bit.
+@example("a b", ["a b"] * 19 + ["b"])
 def test_cosine_scorer_matches_reference(question, texts):
     assert cosine_scores(question, *texts) == reference_cosine(question, texts)
