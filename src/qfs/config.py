@@ -8,7 +8,7 @@ The config file is a JSON object with sections ``retrieval``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import MalformedInput
@@ -124,20 +124,14 @@ def parse_config(payload: dict) -> PipelineConfig:
                 round_docs_default = count
             else:
                 round_docs[_number(int, key, "retrieval.round_docs round key")] = count
+    def number(kind: type, key: str, default):
+        return _number(kind, r.pop(key, default), f"retrieval.{key}")
+
     retrieval = RetrievalConfig(
-        method=r.pop("method", "bm25"),
-        lam=_number(float, r.pop("lambda", 0.5), "retrieval.lambda"),
-        pool_size=_number(int, r.pop("pool_size", 200), "retrieval.pool_size"),
-        round_docs=round_docs,
-        round_docs_default=round_docs_default,
-        final_doc_cap=_number(
-            int, r.pop("final_doc_cap", FINAL_DOC_CAP), "retrieval.final_doc_cap"
-        ),
-        final_snippet_cap=_number(
-            int, r.pop("final_snippet_cap", FINAL_SNIPPET_CAP), "retrieval.final_snippet_cap"
-        ),
-        bm25_k1=_number(float, r.pop("bm25_k1", DEFAULT_K1), "retrieval.bm25_k1"),
-        bm25_b=_number(float, r.pop("bm25_b", DEFAULT_B), "retrieval.bm25_b"),
+        r.pop("method", "bm25"), number(float, "lambda", 0.5), number(int, "pool_size", 200),
+        round_docs, round_docs_default, number(int, "final_doc_cap", FINAL_DOC_CAP),
+        number(int, "final_snippet_cap", FINAL_SNIPPET_CAP),
+        number(float, "bm25_k1", DEFAULT_K1), number(float, "bm25_b", DEFAULT_B),
     )
     _require(not r, f"unknown retrieval keys {sorted(r)}")
     _require(retrieval.method in RETRIEVAL_METHODS, f"bad retrieval.method {retrieval.method!r}")
@@ -169,12 +163,9 @@ def parse_config(payload: dict) -> PipelineConfig:
     _require(model.kind in MODEL_KINDS, f"bad model.kind {model.kind!r}")
 
     res = _section(payload, "resources")
-    resources = ResourcePaths(
-        docs_path=_path(res, "resources", "docs_path"),
-        index_path=_path(res, "resources", "index_path"),
-        dense_path=_path(res, "resources", "dense_path"),
-        query_vectors_path=_path(res, "resources", "query_vectors_path"),
-    )
+    resources = ResourcePaths(**{
+        f.name: _path(res, "resources", f.name) for f in fields(ResourcePaths)
+    })
     _require(not res, f"unknown resources keys {sorted(res)}")
 
     table_raw = payload.get("answer_table", DEFAULT_ANSWER_LENGTHS)
@@ -189,49 +180,17 @@ def parse_config(payload: dict) -> PipelineConfig:
     round_no = _number(int, payload.get("round", 1), "round")
     _require(round_no >= 1, "round must be >= 1")
 
-    return PipelineConfig(
-        retrieval=retrieval,
-        snippets=snippets,
-        model=model,
-        resources=resources,
-        answer_table=answer_table,
-        round=round_no,
-    )
+    return PipelineConfig(retrieval, snippets, model, resources, answer_table, round_no)
 
 
 def emit_config(config: PipelineConfig) -> dict:
     """Inverse of parse_config; emits the documented JSON shape."""
-    round_docs = {str(k): v for k, v in sorted(config.retrieval.round_docs.items())}
-    round_docs["default"] = config.retrieval.round_docs_default
-    return {
-        "retrieval": {
-            "method": config.retrieval.method,
-            "lambda": config.retrieval.lam,
-            "pool_size": config.retrieval.pool_size,
-            "round_docs": round_docs,
-            "final_doc_cap": config.retrieval.final_doc_cap,
-            "final_snippet_cap": config.retrieval.final_snippet_cap,
-            "bm25_k1": config.retrieval.bm25_k1,
-            "bm25_b": config.retrieval.bm25_b,
-        },
-        "snippets": {
-            "strategy": config.snippets.strategy,
-            "per_doc": config.snippets.per_doc,
-        },
-        "model": {
-            "kind": config.model.kind,
-            "params_path": config.model.params_path,
-            "embeddings_path": config.model.embeddings_path,
-        },
-        "resources": {
-            "docs_path": config.resources.docs_path,
-            "index_path": config.resources.index_path,
-            "dense_path": config.resources.dense_path,
-            "query_vectors_path": config.resources.query_vectors_path,
-        },
-        "answer_table": dict(config.answer_table),
-        "round": config.round,
-    }
+    out = asdict(config)
+    retrieval = out["retrieval"]
+    retrieval["lambda"] = retrieval.pop("lam")
+    retrieval["round_docs"] = {str(k): v for k, v in sorted(config.retrieval.round_docs.items())}
+    retrieval["round_docs"]["default"] = retrieval.pop("round_docs_default")
+    return out
 
 
 def load_config(path: str | Path) -> PipelineConfig:

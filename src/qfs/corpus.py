@@ -131,16 +131,19 @@ class DocumentCollection:
 
 def snippet_from_json(obj: dict, where: str) -> SnippetSpan:
     """The one snippet-object reader: questions, feedback and submissions."""
+    if not isinstance(obj, dict):
+        raise MalformedInput(f"{where}: snippet is not an object")
+    text = _text_field(obj, "text", f"{where}: snippet")
     try:
         return SnippetSpan(
             doc_id=str(obj["document"]),
             section_id=str(obj.get("section", "")),
             begin_char=int(obj["offsetInBeginSection"]),
             end_char=int(obj["offsetInEndSection"]),
-            text=str(obj.get("text", "")),
+            text=text,
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad snippet object in {where}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, MalformedInput) as exc:
+        raise MalformedInput(f"{where}: bad snippet object: {exc}") from exc
 
 
 def snippet_to_json(span: SnippetSpan) -> dict:
@@ -174,32 +177,27 @@ def _text_field(obj: dict, key: str, where: str) -> str:
 
 
 def question_from_json(obj: dict, where: str) -> QuestionRecord:
+    """One question object of the file ``where``; every error names the file."""
     if not isinstance(obj, dict):
-        raise MalformedInput("question entry is not an object")
+        raise MalformedInput(f"{where}: question entry is not an object")
     qid = str(obj.get("id", ""))
     if not qid:
-        raise MalformedInput("question with empty or missing id")
+        raise MalformedInput(f"{where}: question with empty or missing id")
+    where = f"{where}: question {qid!r}"
     qtype = obj.get("type")
     if qtype not in QUESTION_TYPES:
-        raise UnknownQuestionType(f"question {qid!r} has unknown type {qtype!r}")
+        raise UnknownQuestionType(f"{where} has unknown type {qtype!r}")
     ideal = obj.get("ideal_answer", [])
     if isinstance(ideal, str):
         ideal = [ideal]
     if not isinstance(ideal, list) or not all(isinstance(x, str) for x in ideal):
-        raise MalformedInput(f"question {qid!r}: ideal_answer must be text or list")
-    snippets = tuple(
-        snippet_from_json(s, f"question {qid!r}") for s in obj.get("snippets", [])
-    )
-    documents = obj.get("documents", [])
-    if not isinstance(documents, list):
-        raise MalformedInput(f"question {qid!r}: documents must be a list")
+        raise MalformedInput(f"{where}: ideal_answer must be text or list")
+    documents, snippets = obj.get("documents", []), obj.get("snippets", [])
+    if not isinstance(documents, list) or not isinstance(snippets, list):
+        raise MalformedInput(f"{where}: documents and snippets must be lists")
     return QuestionRecord(
-        id=qid,
-        body=_text_field(obj, "body", f"{where}: question {qid!r}"),
-        qtype=qtype,
-        gold_documents=tuple(str(d) for d in documents),
-        gold_snippets=snippets,
-        ideal_answers=tuple(ideal),
+        qid, _text_field(obj, "body", where), qtype, tuple(str(d) for d in documents),
+        tuple(snippet_from_json(x, where) for x in snippets), tuple(ideal),
     )
 
 
@@ -292,7 +290,7 @@ class FeedbackStore:
                 if kind == "document":
                     store.add_document(qid, str(item["ref"]), polarity)
                 elif kind == "snippet":
-                    span = snippet_from_json(item["ref"], f"feedback for {qid!r}")
+                    span = snippet_from_json(item["ref"], f"{path}: feedback for {qid!r}")
                     store.add_snippet(qid, span, polarity)
                 else:
                     raise MalformedInput(f"{path}: bad item kind {kind!r}")

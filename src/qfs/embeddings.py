@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedInput, MaskAllFalse
-from .fileio import decode_utf8, open_input, open_output, read_exact, read_lines
+from .fileio import open_input, open_output, read_exact, read_lines, record_ids
 
 logger = logging.getLogger(__name__)
 
@@ -200,16 +200,7 @@ def read_context_embeddings(path: str | Path) -> Iterator[ContextEmbeddingRecord
         version, dim = struct.unpack("<II", read_exact(fh, 8, path, "header"))
         if version != 1:
             raise MalformedInput(f"{path}: unsupported CEMB version {version}")
-        while True:
-            head = fh.read(4)
-            if not head:
-                return
-            if len(head) != 4:
-                raise MalformedInput(
-                    f"{path}: truncated record header at byte offset {fh.tell() - len(head)}"
-                )
-            (id_len,) = struct.unpack("<I", head)
-            pair_id = decode_utf8(read_exact(fh, id_len, path, "record id"), path, "record id")
+        for pair_id in record_ids(fh, path):
             (n,) = struct.unpack("<I", read_exact(fh, 4, path, "token count"))
             if n < 1:
                 raise MalformedInput(f"{path}: record {pair_id!r} has no tokens")

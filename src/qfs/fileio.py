@@ -65,6 +65,18 @@ def read_exact(fh: IO[bytes], count: int, path: str | Path, what: str) -> bytes:
     return data
 
 
+def record_ids(fh: IO[bytes], path: str | Path) -> Iterator[str]:
+    """The id that opens each record of a binary file (u32 byte length, then
+    UTF-8), until the file ends; the caller reads the rest of each record."""
+    while head := fh.read(4):
+        if len(head) != 4:
+            raise MalformedInput(
+                f"{path}: truncated record header at byte offset {fh.tell() - len(head)}"
+            )
+        raw = read_exact(fh, int.from_bytes(head, "little"), path, "record id")
+        yield decode_utf8(raw, path, "record id")
+
+
 def decode_utf8(raw: bytes, path: str | Path, what: str) -> str:
     """The text of UTF-8 bytes read from a file, or MalformedInput."""
     try:

@@ -83,7 +83,7 @@ from .retrieval import (
     bm25_search,
     nir_search,
 )
-from .sentences import SentenceTable, document_sentences
+from .sentences import SentenceTable
 from .textproc import split_sentences, token_surfaces
 
 logger = logging.getLogger(__name__)
@@ -416,7 +416,7 @@ def snip_cosine(
     reads the index's table instead (:func:`select_snippets`), with the
     same result.
     """
-    table = SentenceTable.build(document_sentences(d, collection) for d, _ in ranked_docs)
+    table = SentenceTable.build(collection, [d for d, _ in ranked_docs])
     return _snip(
         question, ranked_docs, table, range(len(ranked_docs)), collection, None, per_doc
     )

@@ -41,6 +41,7 @@ import logging
 import math
 import os
 import struct
+import weakref
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,8 +57,8 @@ from .errors import (
     LambdaOutOfRange,
     MalformedInput,
 )
-from .fileio import decode_utf8, open_input, open_output, read_exact
-from .sentences import SentenceTable, document_sentences
+from .fileio import open_input, open_output, read_exact, record_ids
+from .sentences import SentenceTable
 
 logger = logging.getLogger(__name__)
 
@@ -128,13 +129,18 @@ def build_index(
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
 ) -> InvertedIndex:
-    """Index a collection, concatenating all sections of each document."""
+    """Index a collection, concatenating all sections of each document.
+
+    The sentence table is built a block of documents at a time and the
+    postings are counted from its token ids in blocks of about 2**16
+    tokens, so beyond the index every temporary is block sized.
+    """
     check_bm25(k1, b)
     if len(docs) == 0:
         raise EmptyCollection("cannot index an empty collection")
     stop = stopwords or frozenset()
     doc_ids = sorted(doc.id for doc in docs)
-    table = SentenceTable.build(document_sentences(doc_id, docs) for doc_id in doc_ids)
+    table = SentenceTable.build(docs, doc_ids)
     is_term = np.array([word not in stop for word in table.vocabulary], dtype=bool)
     terms = [word for word, keep in zip(table.vocabulary, is_term.tolist()) if keep]
     doc_len, indptr, post_doc, post_tf = _postings(table, is_term)
@@ -269,7 +275,8 @@ class DenseStore:
     def __init__(self, ids: Sequence[str], matrix: np.ndarray):
         self.ids = list(ids)
         self.matrix = matrix
-        self.rows = {doc_id: r for r, doc_id in enumerate(self.ids)}
+        self._row = {doc_id: r for r, doc_id in enumerate(self.ids)}
+        self._index_rows = weakref.WeakKeyDictionary()
 
     @property
     def dim(self) -> int:
@@ -279,10 +286,18 @@ class DenseStore:
         return len(self.ids)
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self.rows
+        return doc_id in self._row
 
     def __getitem__(self, doc_id: str) -> np.ndarray:
-        return self.matrix[self.rows[doc_id]]
+        return self.matrix[self._row[doc_id]]
+
+    def index_rows(self, index: InvertedIndex) -> np.ndarray:
+        """Per ordinal of ``index``, its vector's row or -1; kept while the index lives."""
+        rows = self._index_rows.get(index)
+        if rows is None:
+            rows = np.array([self._row.get(d, -1) for d in index.doc_ids], dtype=np.intp)
+            self._index_rows[index] = rows
+        return rows
 
     @classmethod
     def from_vectors(cls, raw: Mapping[str, np.ndarray]) -> "DenseStore":
@@ -327,16 +342,7 @@ def load_dense_store(path: str | Path) -> DenseStore:
         if dim < 1:
             raise MalformedInput(f"{path}: dimension must be positive")
         vectors: dict[str, np.ndarray] = {}
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            if len(head) != 4:
-                raise MalformedInput(
-                    f"{path}: truncated record header at byte offset {fh.tell() - len(head)}"
-                )
-            (id_len,) = struct.unpack("<I", head)
-            doc_id = decode_utf8(read_exact(fh, id_len, path, "record id"), path, "record id")
+        for doc_id in record_ids(fh, path):
             payload = read_exact(fh, 4 * dim, path, f"vector for {doc_id!r}")
             if doc_id in vectors:
                 logger.warning("duplicate vector id %r; last occurrence wins", doc_id)
@@ -397,7 +403,7 @@ def nir_search(
         pool, _ = _top_k(matched, scores[matched], pool_size)
         if not len(pool):
             return []
-    rows = np.array([dense.rows.get(index.doc_ids[i], -1) for i in pool.tolist()], dtype=np.intp)
+    rows = dense.index_rows(index)[pool]
     present = rows >= 0
     cosines = np.zeros(len(pool))
     # vecdot takes each row's dot product as np.dot does (matrix @ vec may

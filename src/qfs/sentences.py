@@ -9,46 +9,94 @@ tokens are ``token_ids[indptr[s]:indptr[s + 1]]`` (CSR form): ids into
 ``vocabulary``, which is sorted by string, so id order is term order.
 
 Sentences follow :func:`qfs.textproc.sentence_bounds` and a sentence's
-tokens are :func:`qfs.textproc.token_surfaces` of its text. Everything
-outside the sentences is whitespace, so a section's tokens are its
-sentences' tokens, concatenated.
+tokens are :func:`qfs.textproc.token_surfaces` of its text. The table is
+built from blocks of whole documents of about ``_BLOCK_CHARS``
+characters. A block's sections, joined by newlines, are split as one
+text (each section start cuts; a break the join adds falls where only
+whitespace follows in its section) and, where ASCII, tokenized as one
+by ``bytes.translate`` and ``split``, with numpy for spans and counts.
+Temporaries are block sized; the columns grow in typed arrays that the
+table then views.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from collections import defaultdict
+from itertools import count
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .corpus import DocumentCollection
 from .errors import UnknownDocument
-from .textproc import sentence_bounds, sentence_tokens
+from .textproc import ASCII_STAND_INS, sentence_breaks, token_surfaces
 
-# One sentence of a document: (section index, begin, end, tokens).
-Row = tuple[int, int, int, list[str]]
-
-
-def document_sentences(doc_id: str, collection: DocumentCollection) -> list[Row]:
-    """Every sentence of a document, in occurrence order, with its tokens."""
-    if doc_id not in collection:
-        raise UnknownDocument(f"document {doc_id!r} is not in the collection")
-    rows: list[Row] = []
-    for i, (_, text) in enumerate(collection[doc_id].sections):
-        bounds = sentence_bounds(text)
-        rows.extend((i, b, e, words) for (b, e), words in zip(bounds, sentence_tokens(text, bounds)))
-    return rows
+# Characters of text per block: 2**15 to 2**20 build about equally fast, and
+# small blocks reuse the memory of the last block's token strings (lower RSS).
+_BLOCK_CHARS = 1 << 15
+# Per byte: its lowercase if an ASCII letter or digit, else a space.
+_TOKEN_BYTES = bytes(c if bytes([c]).isalnum() else 32 for c in range(256)).lower()
+# Per byte: 0 if an ASCII character that ``str.isspace`` accepts, else 1.
+_SOLID_BYTES = bytes(0 if c < 128 and chr(c).isspace() else 1 for c in range(256))
 
 
-class _FirstSeen(dict):
-    """Word -> id, numbering new words as they come."""
+def _block_sentences(texts: Sequence[str], ids: dict[str, int]) -> tuple[np.ndarray, ...]:
+    """Per sentence of the texts, in order, its text's index, begin, end
+    and token count; and all their token ids, numbered first-seen in ``ids``."""
+    starts = np.zeros(len(texts) + 1, dtype=np.int64)
+    np.cumsum([len(text) + 1 for text in texts], out=starts[1:])
+    joined = "\n".join(texts)
+    data = joined.encode("ascii", ASCII_STAND_INS)  # one byte per character
+    # A sentence is what a span between two cuts (text starts and breaks)
+    # holds of runs of non-space characters, if anything. No cut falls
+    # inside a run, so a repeated cut spans nothing.
+    cuts = np.sort(np.concatenate([starts, np.array(sentence_breaks(joined), dtype=np.int64)]))
+    solid = np.frombuffer(b"\0" + data.translate(_SOLID_BYTES) + b"\0", dtype=bool)
+    run_edges = np.flatnonzero(solid[1:] != solid[:-1])
+    run_begin, run_end = run_edges[::2], run_edges[1::2]
+    first = np.searchsorted(run_end, cuts[:-1], "right")  # first run ending after the cut
+    last = np.searchsorted(run_begin, cuts[1:]) - 1  # last run beginning before the next
+    found = first <= last
+    begin = np.maximum(run_begin[first[found]], cuts[:-1][found])
+    end = np.minimum(run_end[last[found]], cuts[1:][found])
+    text = np.searchsorted(starts, begin, "right") - 1
+    begin, end = begin - starts[text], end - starts[text]
+    # Other texts are blanked here and tokenized one sentence at a time.
+    other = np.array([not t.isascii() for t in texts], dtype=bool)[text]
+    if other.any():
+        data = "\n".join(t if t.isascii() else " " * len(t) for t in texts).encode("ascii")
+    words = data.translate(_TOKEN_BYTES)
+    in_word = np.frombuffer(b" " + words, dtype=np.uint8) != ord(" ")
+    token_starts = np.flatnonzero(in_word[1:] > in_word[:-1])
+    counts = np.diff(np.searchsorted(token_starts, end + starts[text]), prepend=0)
+    token_ids = np.fromiter(map(ids.__getitem__, words.decode().split()), np.int32,
+                            len(token_starts))
+    more = []
+    for s in np.flatnonzero(other).tolist():
+        tokens = token_surfaces(texts[text[s]][begin[s] : end[s]])
+        counts[s] = len(tokens)
+        more.extend(ids[word] for word in tokens)
+    from_other = np.repeat(other, counts)
+    merged = np.empty(len(from_other), dtype=np.int32)
+    merged[~from_other] = token_ids
+    merged[from_other] = more
+    return text, begin, end, counts, merged
 
-    def __missing__(self, word: str) -> int:
-        self[word] = n = len(self)
-        return n
+
+def _blocks(sections: Iterable[Sequence[tuple[str, str]]]) -> Iterator[list[Sequence]]:
+    """Runs of whole documents with about ``_BLOCK_CHARS`` characters each."""
+    block, size = [], 0
+    for doc_sections in sections:
+        block.append(doc_sections)
+        size += sum(len(text) for _, text in doc_sections)
+        if size >= _BLOCK_CHARS:
+            yield block
+            block, size = [], 0
+    if block:
+        yield block
 
 
 @dataclass(eq=False)
@@ -74,25 +122,24 @@ class SentenceTable:
         return len(self.doc)
 
     @classmethod
-    def build(cls, documents: Iterable[Sequence[Row]]) -> "SentenceTable":
-        """A table of each document's :func:`document_sentences`, in the order given.
-
-        Every column grows in one typed array that the table then views,
-        so building makes no collection-sized copy.
-        """
-        ids = _FirstSeen()
+    def build(cls, collection: DocumentCollection, doc_ids: Sequence[str]) -> "SentenceTable":
+        """A table of the documents ``doc_ids`` of ``collection``, in that order."""
+        for doc_id in doc_ids:
+            if doc_id not in collection:
+                raise UnknownDocument(f"document {doc_id!r} is not in the collection")
+        ids: defaultdict[str, int] = defaultdict(count().__next__)  # a new word: the next id
         doc, section, begin, end, length, tokens = (array("i") for _ in range(6))
         n_docs = 0
-        for rows in documents:
-            if rows:
-                sections, begins, ends, words = zip(*rows)
-                doc.extend([n_docs] * len(rows))
-                section.extend(sections)
-                begin.extend(begins)
-                end.extend(ends)
-                length.extend(map(len, words))
-                tokens.extend(map(ids.__getitem__, chain.from_iterable(words)))
-            n_docs += 1
+        for block in _blocks(collection[doc_id].sections for doc_id in doc_ids):
+            texts = [text for doc_sections in block for _, text in doc_sections]
+            text_doc = np.repeat(np.arange(n_docs, n_docs + len(block)), [len(s) for s in block])
+            text_section = np.concatenate([np.arange(len(s)) for s in block])
+            text, *columns, token_ids = _block_sentences(texts, ids)
+            for out, values in zip((doc, section, begin, end, length),
+                                   (text_doc[text], text_section[text], *columns)):
+                out.frombytes(values.astype(np.int32).tobytes())
+            tokens.frombytes(token_ids.tobytes())
+            n_docs += len(block)
         vocabulary = sorted(ids)
         rank = np.empty(len(ids), dtype=np.int32)
         rank[[ids[w] for w in vocabulary]] = np.arange(len(ids), dtype=np.int32)

@@ -4,28 +4,23 @@ Everything here is a pure function of its inputs: same text in, byte
 identical output out. The sentence splitter is rule based (terminator
 followed by whitespace and an uppercase letter or digit, with a fixed
 abbreviation exception list) so that character offsets are exact and no
-trained model is involved.
+trained model is involved. Its rules are two regular expressions over
+ASCII text; other text is split through an ASCII copy of the same
+length, in which every other character stands in for its kind.
 """
 
 from __future__ import annotations
 
+import codecs
+import functools
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 from .fileio import read_lines
 
 # Maximal runs of Unicode letters/digits; underscore is excluded on purpose.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-
-# A terminator run plus any closing quotes/brackets that belong to it,
-# matched in a copy of the text where "!" and "?" read as ".": a pattern
-# that starts with one literal character is scanned for much faster.
-_BOUNDARY_RE = re.compile(r"\.\.*[\"'’”)\]]*")
-
-# A whitespace run (``\s`` is exactly ``str.isspace``).
-_SPACE_RE = re.compile(r"\s*")
 
 # Lowercased abbreviations that never end a sentence when followed by a
 # period. Dotted acronyms such as "e.g." or "U.S." are caught separately.
@@ -35,7 +30,42 @@ ABBREVIATIONS = frozenset({
     "secs", "ref", "refs", "resp", "approx", "dept", "univ", "inc",
     "ltd", "co", "corp",
 })
-_LONGEST_ABBREVIATION = max(map(len, ABBREVIATIONS))
+
+# The rules over ASCII text. A break ends a terminator run (closers
+# included) followed by whitespace and then an uppercase letter or digit,
+# or by the end of the text; it is matched where "!" and "?" read as ".",
+# as a pattern that starts with one literal character scans much faster.
+_ASCII_BREAK_RE = re.compile(r"\.\.*[\"')\]]*(?=\s\s*[A-Z0-9]|\Z)")
+# A lone period that ends an abbreviation (the whole run of letters before
+# it, in any case) or a single letter after a period, as in "e.g.", does
+# not break: one lookbehind per word length.
+_ASCII_ABBREVIATION_RE = re.compile(r"\.(?![.!?\"')\]])(?:%s|(?<=\.[A-Za-z]\.))" % "|".join(
+    rf"(?<=(?<![A-Za-z])(?i:{'|'.join(sorted(w for w in ABBREVIATIONS if len(w) == n))})\.)"
+    for n in sorted(set(map(len, ABBREVIATIONS)))
+))
+
+
+@functools.cache
+def _stand_in(c: str) -> str:
+    """An ASCII character of the same kind as ``c`` to the splitting rules:
+    whitespace, a closer, an upper or other letter (as "Z" or "z", in no
+    abbreviation, like any word with a non-ASCII letter), an upper case
+    or digit non-letter, or none of these."""
+    if c in "’”":
+        return "'" if c == "’" else '"'
+    if c.isspace():
+        return " "
+    if c.isalpha():
+        return "Z" if c.isupper() else "z"
+    return "0" if c.isupper() or c.isdigit() else "#"
+
+
+# ``text.encode("ascii", ASCII_STAND_INS)`` puts stand-ins for the
+# non-ASCII characters, so offsets do not move.
+ASCII_STAND_INS = "qfs.ascii_stand_ins"
+codecs.register_error(ASCII_STAND_INS, lambda error: (
+    "".join(map(_stand_in, error.object[error.start : error.end])), error.end
+))
 
 
 @dataclass(frozen=True)
@@ -55,68 +85,25 @@ def token_surfaces(text: str) -> list[str]:
     return list(map(str.lower, _TOKEN_RE.findall(text)))
 
 
-def sentence_tokens(text: str, bounds: Sequence[tuple[int, int]]) -> list[list[str]]:
-    """:func:`token_surfaces` of ``text[begin:end]`` for each (begin, end) of ``bounds``."""
-    if text.isascii():  # one lowercasing for the whole text, as above
-        lowered = text.lower()
-        return [_TOKEN_RE.findall(lowered, begin, end) for begin, end in bounds]
-    return [token_surfaces(text[begin:end]) for begin, end in bounds]
-
-
-def _is_abbreviation(text: str, period_pos: int) -> bool:
-    """True when the period at ``period_pos`` ends a known abbreviation."""
-    # More letters than the longest abbreviation are no abbreviation.
-    window = text[max(0, period_pos - _LONGEST_ABBREVIATION - 1) : period_pos]
-    if len(window) > _LONGEST_ABBREVIATION and window.isalpha():
-        return False
-    j = period_pos
-    i = j
-    while i > 0 and text[i - 1].isalpha():
-        i -= 1
-    word = text[i:j]
-    if not word:
-        return False
-    if word.lower() in ABBREVIATIONS:
-        return True
-    # Single letter preceded by a dot: internal period of "e.g.", "U.S.".
-    if len(word) == 1 and i > 0 and text[i - 1] == ".":
-        return True
-    return False
-
-
-def _sentence_breaks(text: str) -> list[int]:
+def sentence_breaks(text: str) -> list[int]:
     """End offsets (exclusive) of every detected sentence boundary."""
-    breaks = []
-    for m in _BOUNDARY_RE.finditer(text.replace("!", ".").replace("?", ".")):
-        start, end = m.span()
-        # A lone period defers to the abbreviation list.
-        if end - start == 1 and text[start] == "." and _is_abbreviation(text, start):
-            continue
-        if end >= len(text):
-            breaks.append(end)
-            continue
-        if not text[end].isspace():
-            continue
-        # Matching the whitespace in place keeps the scan linear in the text.
-        nxt = _SPACE_RE.match(text, end).end()
-        if nxt < len(text) and (text[nxt].isupper() or text[nxt].isdigit()):
-            breaks.append(end)
-    return breaks
+    if not text.isascii():
+        text = text.encode("ascii", ASCII_STAND_INS).decode("ascii")
+    ends = [m.end() for m in _ASCII_BREAK_RE.finditer(text.replace("!", ".").replace("?", "."))]
+    skip = {m.end() for m in _ASCII_ABBREVIATION_RE.finditer(text)}
+    return [end for end in ends if end not in skip] if skip else ends
 
 
 def sentence_bounds(text: str) -> list[tuple[int, int]]:
-    """(begin, end) offsets of the sentences, covering all non-whitespace content."""
-    bounds: list[tuple[int, int]] = []
-    cursor = 0
-    for brk in _sentence_breaks(text):
-        begin = _SPACE_RE.match(text, cursor).end()  # a break follows a non-space
-        if begin < brk:
-            bounds.append((begin, brk))
-        cursor = brk
-    begin = _SPACE_RE.match(text, cursor).end()
-    end = begin + len(text[begin:].rstrip())
-    if begin < end:
-        bounds.append((begin, end))
+    """(begin, end) offsets of the sentences, covering all non-whitespace content:
+    what lies between two breaks (or an end of the text), stripped, if not empty."""
+    cuts = [0, *sentence_breaks(text), len(text)]
+    bounds = []
+    for cut, next_cut in zip(cuts, cuts[1:]):
+        chunk = text[cut:next_cut]
+        begin, end = cut + len(chunk) - len(chunk.lstrip()), cut + len(chunk.rstrip())
+        if begin < end:
+            bounds.append((begin, end))
     return bounds
 
 

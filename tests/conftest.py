@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from qfs.corpus import (
     DocumentCollection,
@@ -13,6 +14,20 @@ from qfs.corpus import (
     SnippetSpan,
 )
 from qfs.errors import QfsError
+
+# Terminators, closers, every kind of whitespace str.isspace knows, and
+# letters and digits that are upper case, lower case, or neither.
+SPLIT_ALPHABET = list('.!?"\')]’” \t\n\x0b\x0c\r\x1c\x1f\x85\xa0\u2003\u2028\u3000') + [
+    "Dr", "e", "g", "U", "S", "no", "ab", "Z", "x", "3", "²", "Σ", "ß", "İ", "a_b", "approx",
+    "Refs", "words",
+]
+split_texts = st.lists(st.sampled_from(SPLIT_ALPHABET), max_size=60).map("".join)
+# ASCII only, with abbreviations in mixed case: text the splitter reads without
+# stand-ins and the block build tokenizes as bytes.
+ascii_split_texts = st.lists(
+    st.sampled_from([c for c in SPLIT_ALPHABET if c.isascii()] + ["dR", "ApProx", "Eqs", "N", "k"]),
+    max_size=60,
+).map("".join)
 
 
 def load_each_corruption(path, data: bytes, load) -> int:

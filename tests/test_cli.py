@@ -406,6 +406,12 @@ BROKEN_INPUTS = {
                 "--out", w / "o.json"))
         for what, value in [("null", None), ("list", ["a", "b"]), ("object", {"text": "a"})]
     },
+    "label gold snippet text null": lambda w: (
+        "label", "--questions", write(w / "q.json", json.dumps([{
+            "id": "q1", "type": "summary", "body": "b", "ideal_answer": ["Some text."],
+            "snippets": [{"document": "d1", "section": "s1", "offsetInBeginSection": 0,
+                          "offsetInEndSection": 4, "text": None}]}])),
+        "--out", w / "l.jsonl"),
     "config with a non-numeric seed": lambda w: (
         "config", "validate", "--config", write(w / "c.json", '{"seed": "x"}')),
     "config with a non-numeric round_docs count": lambda w: (
@@ -427,6 +433,7 @@ def test_missing_or_corrupt_input_exits_2(tmp_path, case):
 @pytest.mark.parametrize("case, where, field", [
     ("index section text null", "d.jsonl:1", "section 's1': text"),
     ("retrieve question body list", "q.json", "question 'q1': body"),
+    ("label gold snippet text null", "q.json", "question 'q1': snippet: text"),
 ])
 def test_non_string_text_names_file_and_field(tmp_path, case, where, field):
     code, err = run_qfs(*BROKEN_INPUTS[case](tmp_path))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -36,6 +37,50 @@ MINIMAL_QUESTION = {
     "body": "Is sleep good?",
     "type": "summary",
 }
+
+
+SNIPPET = {"document": "d1", "section": "s", "offsetInBeginSection": 0,
+           "offsetInEndSection": 4, "text": "Some"}
+
+# A question entry with one defect, and the message it must raise after the file name.
+BAD_QUESTIONS = {
+    "entry not an object": ([1, 2], "question entry is not an object"),
+    "empty id": (dict(MINIMAL_QUESTION, id=""), "question with empty or missing id"),
+    "missing id": ({"type": "summary"}, "question with empty or missing id"),
+    "unknown type": (dict(MINIMAL_QUESTION, type="listt"),
+                     "question 'q1' has unknown type 'listt'"),
+    "documents not a list": (dict(MINIMAL_QUESTION, documents=5),
+                             "question 'q1': documents and snippets must be lists"),
+    "ideal answer a number": (dict(MINIMAL_QUESTION, ideal_answer=5),
+                              "question 'q1': ideal_answer must be text or list"),
+    "ideal answer with a number": (dict(MINIMAL_QUESTION, ideal_answer=["a", 5]),
+                                   "question 'q1': ideal_answer must be text or list"),
+    "snippets not a list": (dict(MINIMAL_QUESTION, snippets={"a": 1}),
+                            "question 'q1': documents and snippets must be lists"),
+    "snippet not an object": (dict(MINIMAL_QUESTION, snippets=["d1"]),
+                              "question 'q1': snippet is not an object"),
+    "snippet without a document": (
+        dict(MINIMAL_QUESTION, snippets=[{k: v for k, v in SNIPPET.items() if k != "document"}]),
+        "question 'q1': bad snippet object: 'document'"),
+    "snippet with bad offsets": (
+        dict(MINIMAL_QUESTION, snippets=[dict(SNIPPET, offsetInEndSection=0)]),
+        "question 'q1': bad snippet object: snippet offsets [0, 0) invalid"),
+    "snippet with null text": (dict(MINIMAL_QUESTION, snippets=[dict(SNIPPET, text=None)]),
+                               "question 'q1': snippet: text must be a string, not NoneType"),
+    "snippet with numeric text": (dict(MINIMAL_QUESTION, snippets=[dict(SNIPPET, text=5)]),
+                                  "question 'q1': snippet: text must be a string, not int"),
+    "body a list": (dict(MINIMAL_QUESTION, body=["a"]),
+                    "question 'q1': body must be a string, not list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_QUESTIONS))
+def test_every_question_error_names_the_file(tmp_path, case):
+    entry, message = BAD_QUESTIONS[case]
+    path = write_questions(tmp_path, [MINIMAL_QUESTION | {"id": "q0"}, entry])
+    error = UnknownQuestionType if case == "unknown type" else MalformedInput
+    with pytest.raises(error, match=re.escape(f"{path}: {message}")):
+        load_question_set(path)
 
 
 class TestLoadQuestionSet:

@@ -234,6 +234,38 @@ class TestNirSearch:
         ranked = nir_search(index, dense, ["shared"], q_vec, k=2, lam=0.4)
         assert [d for d, _ in ranked] == ["d2", "d1"]
 
+    def test_documents_without_a_vector_have_row_minus_one_and_cosine_zero(self):
+        collection = collection_of("shared a", "shared b", "shared c", "shared d")
+        index = build_index(collection)
+        # d2 and d4 have no vector; "x" has one but is not indexed.
+        dense = DenseStore.from_vectors(
+            {"x": np.array([0.0, 1.0]), "d3": np.array([1.0, 0.0]), "d1": np.array([0.6, 0.8])}
+        )
+        assert dense.index_rows(index).tolist() == [2, -1, 1, -1]
+        q_vec = np.array([1.0, 0.0])
+        ranked = nir_search(index, dense, ["shared"], q_vec, k=4, lam=0.0)
+        assert ranked == [("d3", 1.0), ("d1", pytest.approx(0.6)), ("d2", 0.0), ("d4", 0.0)]
+        assert ranked == reference_hybrid(collection, dense, ["shared"], q_vec, 4, 0.0)
+
+    def test_two_indexes_over_one_store(self):
+        rng = np.random.default_rng(11)
+        dense = DenseStore.from_vectors(random_unit_vectors(rng, ["d1", "d2", "d3", "d4"], 3))
+        first = collection_of("alpha beta", "beta", "alpha gamma")
+        second = DocumentCollection(
+            [make_doc("d4", ("body", "alpha")), make_doc("d0", ("body", "beta alpha")),
+             make_doc("d2", ("body", "gamma"))]
+        )
+        indexes = [build_index(first), build_index(second)]
+        rows = [dense.index_rows(index) for index in indexes]
+        assert rows[0].tolist() == [0, 1, 2] and rows[1].tolist() == [-1, 1, 3]
+        q_vec = np.array([0.3, -0.2, 0.9])
+        for collection, index in [*zip([first, second], indexes)] * 2:
+            for pool_size in (None, 2):
+                assert nir_search(
+                    index, dense, ["alpha"], q_vec, 3, 0.4, pool_size
+                ) == reference_hybrid(collection, dense, ["alpha"], q_vec, 3, 0.4, pool_size)
+        assert all(dense.index_rows(index) is r for index, r in zip(indexes, rows))
+
     def test_dimension_mismatch_rejected(self):
         index, dense, query, _ = hybrid_fixture(dim=4)
         with pytest.raises(DimensionMismatch):

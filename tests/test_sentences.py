@@ -2,23 +2,28 @@
 
 from __future__ import annotations
 
+import hashlib
 from array import array
 from collections import Counter, defaultdict
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfs import pipeline
+from qfs import sentences
 from qfs.config import parse_config
-from qfs.corpus import DocumentCollection, SnippetSpan
+from qfs.corpus import DocumentCollection, SnippetSpan, load_document_collection
 from qfs.errors import UnknownDocument
 from qfs.pipeline import CosineScorer, Resources, select_snippets, snip_cosine
 from qfs.retrieval import build_index, load_index, save_index
-from qfs.sentences import SentenceTable, document_sentences
-from qfs.textproc import split_sentences, token_surfaces
+from qfs.sentences import SentenceTable
+from qfs.textproc import sentence_bounds, split_sentences, token_surfaces
 
-from conftest import make_doc, make_question
+from conftest import ascii_split_texts, make_doc, make_question, split_texts
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def reference_build_index(docs, stopwords=frozenset()):
@@ -41,6 +46,23 @@ def reference_build_index(docs, stopwords=frozenset()):
     post_doc, post_tf = joined.reshape(-1, 2).T
     terms_by_row = {term: r for r, term in enumerate(terms)}
     return doc_ids, np.array(doc_len, dtype=np.int32), terms_by_row, indptr, post_doc, post_tf
+
+
+def reference_table(collection, doc_ids) -> SentenceTable:
+    """The table as it was built before blocks: one row per sentence, split
+    and tokenized one section and one sentence at a time."""
+    rows = []
+    for ordinal, doc_id in enumerate(doc_ids):
+        for i, (_, text) in enumerate(collection[doc_id].sections):
+            rows.extend((ordinal, i, b, e, token_surfaces(text[b:e]))
+                        for b, e in sentence_bounds(text))
+    vocabulary = sorted({word for *_, words in rows for word in words})
+    ids = {word: i for i, word in enumerate(vocabulary)}
+    doc, section, begin, end = (np.array([row[k] for row in rows], dtype=np.int32)
+                                for k in range(4))
+    indptr = np.cumsum([0] + [len(row[4]) for row in rows], dtype=np.int64)
+    token_ids = np.array([ids[word] for row in rows for word in row[4]], dtype=np.int32)
+    return SentenceTable(doc, section, begin, end, indptr, token_ids, vocabulary, len(doc_ids))
 
 
 def reference_document_sentences(doc_id, collection) -> list[SnippetSpan]:
@@ -100,6 +122,50 @@ def collections(draw, texts=section_texts):
     return DocumentCollection(docs)
 
 
+# Sections the block build must split exactly as one section at a time:
+# mixed ASCII and other text, empty and whitespace-only sections.
+block_texts = st.one_of(
+    split_texts, ascii_split_texts, section_texts,
+    st.lists(st.sampled_from(" \t\n\x0b\x1c\x85\u3000"), max_size=4).map("".join),
+)
+
+
+@st.composite
+def block_collections(draw):
+    """Up to 12 documents, some without sections, and ids in any order."""
+    docs = []
+    for i in range(draw(st.integers(1, 12))):
+        texts = draw(st.lists(block_texts, max_size=4))
+        docs.append(make_doc(f"d{i}", *((f"s{j}", t) for j, t in enumerate(texts))))
+    doc_ids = draw(st.permutations([d.id for d in docs]))
+    return DocumentCollection(docs), doc_ids[: draw(st.integers(0, len(doc_ids)))]
+
+
+class TestBlockBuildMatchesRowOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(block_collections(), st.sampled_from([1, 8, 50, 1 << 20]))
+    def test_every_column_and_vocabulary(self, drawn, block_chars):
+        collection, doc_ids = drawn
+        with mock.patch.object(sentences, "_BLOCK_CHARS", block_chars):
+            table = SentenceTable.build(collection, doc_ids)
+        expected = reference_table(collection, doc_ids)
+        assert table.vocabulary == expected.vocabulary
+        assert table.n_docs == expected.n_docs
+        for name in ("doc", "section", "begin", "end", "indptr", "token_ids", "doc_ptr"):
+            got, want = getattr(table, name), getattr(expected, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    def test_golden_index_bytes_are_unchanged(self, tmp_path):
+        save_index(build_index(load_document_collection(GOLDEN / "docs.jsonl")), tmp_path / "i")
+        assert hashlib.sha256((tmp_path / "i").read_bytes()).hexdigest() == (
+            "c8ec0ee68addff6fbdffb631db162e46d3c85eb3affb1ee7602f09aaf8ddaef4"
+        )
+
+    def test_unknown_document_is_an_error(self, micro_collection):
+        with pytest.raises(UnknownDocument, match="'d9'"):
+            SentenceTable.build(micro_collection, ["d1", "d9"])
+
+
 class TestStoreMatchesCounterBuild:
     @settings(max_examples=150, deadline=None)
     @given(collections(), st.sampled_from([frozenset(), STOPWORDS]))
@@ -118,7 +184,7 @@ class TestStoreMatchesCounterBuild:
     @given(collections())
     def test_sentence_tokens_concatenate_to_section_tokens(self, collection):
         doc_ids = sorted(doc.id for doc in collection)
-        table = SentenceTable.build(document_sentences(d, collection) for d in doc_ids)
+        table = SentenceTable.build(collection, doc_ids)
         words = np.array(table.vocabulary + [""], dtype=object)
         for ordinal, doc_id in enumerate(doc_ids):
             rows = range(table.doc_ptr[ordinal], table.doc_ptr[ordinal + 1])
@@ -208,12 +274,14 @@ class TestSnippetsMatchTextPath:
             select_snippets(question, [("d9", 1.0)], parse_config({}), resources)
 
     def test_snip_cosine_splits_through_document_sentences(self, micro_collection, monkeypatch):
+        """snip_cosine builds one table, from exactly the ranked documents, in rank order."""
         seen = []
+        build = SentenceTable.build.__func__
 
-        def counting(doc_id, collection):
-            seen.append(doc_id)
-            return document_sentences(doc_id, collection)
+        def recording(cls, collection, doc_ids):
+            seen.append(list(doc_ids))
+            return build(cls, collection, doc_ids)
 
-        monkeypatch.setattr(pipeline, "document_sentences", counting)
+        monkeypatch.setattr(SentenceTable, "build", classmethod(recording))
         snip_cosine(make_question("q"), [("d2", 1.0), ("d1", 0.5)], micro_collection)
-        assert seen == ["d2", "d1"]
+        assert seen == [["d2", "d1"]]

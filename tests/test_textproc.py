@@ -9,17 +9,18 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qfs.corpus import DocumentCollection
 from qfs.pipeline import CosineScorer
+from qfs.sentences import SentenceTable
 from qfs.textproc import (
     ABBREVIATIONS,
-    _sentence_breaks,
     sentence_bounds,
-    sentence_tokens,
+    sentence_breaks,
     split_sentences,
     token_surfaces,
 )
 
-from conftest import make_question
+from conftest import ascii_split_texts, make_doc, make_question, split_texts
 
 
 class TestTokenize:
@@ -124,15 +125,6 @@ def reference_sentence_breaks(text: str) -> list[int]:
     return breaks
 
 
-# Terminators, closers, every kind of whitespace str.isspace knows, and
-# letters and digits that are upper case, lower case, or neither.
-SPLIT_ALPHABET = list('.!?"\')]’” \t\n\x0b\x0c\r\x1c\x1f\x85\xa0\u2003\u2028\u3000') + [
-    "Dr", "e", "g", "U", "S", "no", "ab", "Z", "x", "3", "²", "Σ", "ß", "İ", "a_b", "approx",
-    "Refs", "words",
-]
-split_texts = st.lists(st.sampled_from(SPLIT_ALPHABET), max_size=60).map("".join)
-
-
 def reference_sentence_bounds(text: str) -> list[tuple[int, int]]:
     """Sentence offsets as ``split_sentences`` cut them before, over the oracle's breaks."""
     bounds, cursor = [], 0
@@ -156,11 +148,18 @@ class TestSplitterMatchesReference:
     @example("Dr. Smith. Then \u3000 ²x.\x1c Ok e.g. U.S. Z")
     @example("approx. Then wordsx. A")
     def test_breaks(self, text):
-        assert _sentence_breaks(text) == reference_sentence_breaks(text)
+        assert sentence_breaks(text) == reference_sentence_breaks(text)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(ascii_split_texts)
+    @example("He saw DR. Smith. Then Dr! Then dr.. Then e.g.) Then x.) A")
+    @example("ApProx. Then U.S. 3 Eqs. k. N\x1f\x1cA.\x0b2 no.A")
+    def test_ascii_breaks(self, text):
+        assert sentence_breaks(text) == reference_sentence_breaks(text)
 
     @given(st.text(max_size=80))
     def test_breaks_on_any_text(self, text):
-        assert _sentence_breaks(text) == reference_sentence_breaks(text)
+        assert sentence_breaks(text) == reference_sentence_breaks(text)
 
     @settings(max_examples=500, deadline=None)
     @given(st.one_of(split_texts, st.text(max_size=80)))
@@ -170,10 +169,14 @@ class TestSplitterMatchesReference:
 
 
 class TestSentenceTokens:
-    @given(st.one_of(split_texts, st.text(max_size=60)))
+    @given(st.one_of(split_texts, ascii_split_texts, st.text(max_size=60)))
     def test_tokens_of_each_sentence(self, text):
-        bounds = sentence_bounds(text)
-        assert sentence_tokens(text, bounds) == [token_surfaces(text[b:e]) for b, e in bounds]
+        table = SentenceTable.build(DocumentCollection([make_doc("d", ("s", text))]), ["d"])
+        words = [
+            [table.vocabulary[i] for i in table.token_ids[table.indptr[r] : table.indptr[r + 1]]]
+            for r in range(len(table))
+        ]
+        assert words == [token_surfaces(text[b:e]) for b, e in sentence_bounds(text)]
 
     @given(st.one_of(split_texts, st.text(max_size=60)))
     def test_ascii_path_lowercases_each_token(self, text):
