@@ -133,11 +133,12 @@ def snippet_from_json(obj: dict, where: str) -> SnippetSpan:
     """The one snippet-object reader: questions, feedback and submissions."""
     if not isinstance(obj, dict):
         raise MalformedInput(f"{where}: snippet is not an object")
-    text = _text_field(obj, "text", f"{where}: snippet")
+    what = f"{where}: snippet"
+    text, section = _text_field(obj, "text", what), _text_field(obj, "section", what)
     try:
         return SnippetSpan(
             doc_id=str(obj["document"]),
-            section_id=str(obj.get("section", "")),
+            section_id=section,
             begin_char=int(obj["offsetInBeginSection"]),
             end_char=int(obj["offsetInEndSection"]),
             text=text,
@@ -169,7 +170,7 @@ def load_question_set(path: str | Path) -> QuestionSet:
 
 
 def _text_field(obj: dict, key: str, where: str) -> str:
-    """A question's ``body`` or a section's ``text``: a string, "" if absent."""
+    """A string field (``body``, ``text``, ``section``) of an object: "" if absent."""
     value = obj.get(key, "")
     if not isinstance(value, str):
         raise MalformedInput(f"{where}: {key} must be a string, not {type(value).__name__}")
@@ -313,11 +314,9 @@ class FeedbackStore:
             )
         judged[key] = polarity
 
-    def document_polarity(self, question_id: str, doc_id: str) -> str | None:
-        return self._docs.get(question_id, {}).get(doc_id)
-
-    def snippet_polarity(self, question_id: str, span: SnippetSpan) -> str | None:
-        return self._snippets.get(question_id, {}).get(span.key())
+    def judgments(self, question_id: str) -> tuple[dict, dict]:
+        """The question's polarities by doc id and by snippet key; read only."""
+        return self._docs.get(question_id, {}), self._snippets.get(question_id, {})
 
 
 ItemT = TypeVar("ItemT", str, SnippetSpan)
@@ -335,18 +334,16 @@ def filter_judged(
     retrieval output); ``exclude_irrelevant_only`` removes only items
     judged irrelevant (used before answer generation). Items are doc-id
     strings or SnippetSpans; span matching is by exact offsets, so an
-    overlapping-but-unequal span is not considered judged.
+    overlapping-but-unequal span is not considered judged. An unjudged
+    question gets a new list of all the candidates.
     """
     if mode not in (EXCLUDE_ALL_JUDGED, EXCLUDE_IRRELEVANT_ONLY):
         raise ValueError(f"unknown filter mode {mode!r}")
-    survivors: list[ItemT] = []
-    for item in candidates:
-        if isinstance(item, SnippetSpan):
-            polarity = feedback.snippet_polarity(question_id, item)
-        else:
-            polarity = feedback.document_polarity(question_id, item)
-        if polarity is None:
-            survivors.append(item)
-        elif mode == EXCLUDE_IRRELEVANT_ONLY and polarity == RELEVANT:
-            survivors.append(item)
-    return survivors
+    docs, snippets = feedback.judgments(question_id)
+    if not docs and not snippets:
+        return list(candidates)
+    kept = (None, RELEVANT) if mode == EXCLUDE_IRRELEVANT_ONLY else (None,)
+    return [
+        item for item in candidates
+        if (snippets.get(item.key()) if isinstance(item, SnippetSpan) else docs.get(item)) in kept
+    ]

@@ -137,39 +137,31 @@ def submission_to_json(results: Sequence[AnswerResult]) -> dict:
     }
 
 
-def submission_from_json(payload: dict) -> list[AnswerResult]:
-    """A submission's answers; a missing ideal answer is "", a non-string one an error."""
+def load_submission(path: str | Path) -> list[AnswerResult]:
+    """A submission file's answers; a missing ideal answer is "", a non-string
+    one an error. Every error names the file."""
+    payload = read_json(path)
     questions = payload.get("questions", []) if isinstance(payload, dict) else None
     if not isinstance(questions, list):
-        raise MalformedInput("submission: expected an object with a questions array")
+        raise MalformedInput(f"{path}: expected an object with a questions array")
     results = []
     for obj in questions:
         if not isinstance(obj, dict) or "id" not in obj:
-            raise MalformedInput("submission: question entry without an id")
-        where = f"submission question {obj['id']!r}"
+            raise MalformedInput(f"{path}: submission question entry without an id")
+        where = f"{path}: submission question {obj['id']!r}"
         documents, snippets = obj.get("documents", []), obj.get("snippets", [])
         if not isinstance(documents, list) or not isinstance(snippets, list):
             raise MalformedInput(f"{where}: documents and snippets must be lists")
         ideal_answer = obj.get("ideal_answer", "")
         if not all(isinstance(x, str) for x in [ideal_answer, *documents]):
             raise MalformedInput(f"{where}: document ids and ideal_answer must be strings")
-        results.append(
-            AnswerResult(
-                question_id=str(obj["id"]),
-                documents=list(documents),
-                snippets=[snippet_from_json(s, where) for s in snippets],
-                ideal_answer=ideal_answer,
-            )
-        )
+        snippets = [snippet_from_json(s, where) for s in snippets]
+        results.append(AnswerResult(str(obj["id"]), list(documents), snippets, ideal_answer))
     return results
 
 
 def save_submission(results: Sequence[AnswerResult], path: str | Path) -> None:
     write_json(path, submission_to_json(results))
-
-
-def load_submission(path: str | Path) -> list[AnswerResult]:
-    return submission_from_json(read_json(path))
 
 
 def save_labels(examples: Sequence[LabeledExample], path: str | Path) -> None:

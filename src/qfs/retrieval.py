@@ -6,6 +6,12 @@ query over the candidate pool and dense cosines are clamped at 0 from
 below. All ranked output is strictly sorted under (-score, doc_id), so
 searches are deterministic.
 
+A document matches a BM25 query exactly when its score is > 0: it sums
+impacts ``idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl))``,
+each > 0 as ``idf = ln(1 + (N - df + 0.5) / (df + 0.5)) > 0`` (``df <= N``),
+``tf >= 1``, ``k1 + 1 > 0`` and the denominator is at least ``tf``;
+``k1 <= MAX_K1`` keeps every factor finite. Unmatched documents score 0.
+
 The index is compressed sparse rows: term row ``r`` owns postings
 ``indptr[r]:indptr[r + 1]``, whose BM25 impacts are fixed at build time
 by ``k1`` and ``b``. Documents are numbered in ascending id order, so
@@ -64,6 +70,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
+MAX_K1 = 1e6  # far above any useful k1, and no impact overflows to inf or NaN
 
 _DVEC_MAGIC = b"DVEC"
 _QIDX_MAGIC = b"QIDX"
@@ -118,9 +125,9 @@ RankedList = list[tuple[str, float]]
 
 
 def check_bm25(k1: float, b: float) -> None:
-    """ValueError unless k1 is finite and >= 0 and 0 <= b <= 1 (NaN fails both)."""
-    if not (0.0 <= k1 < math.inf and 0.0 <= b <= 1.0):
-        raise ValueError(f"BM25 needs finite k1 >= 0 and 0 <= b <= 1, got k1={k1}, b={b}")
+    """ValueError unless 0 <= k1 <= MAX_K1 and 0 <= b <= 1 (NaN fails both)."""
+    if not (0.0 <= k1 <= MAX_K1 and 0.0 <= b <= 1.0):
+        raise ValueError(f"BM25 needs 0 <= k1 <= {MAX_K1:g} and 0 <= b <= 1, got k1={k1}, b={b}")
 
 
 def build_index(
@@ -212,8 +219,8 @@ def _postings(table: SentenceTable, is_term: np.ndarray):
     return doc_len, indptr, post_doc, post_tf
 
 
-def _bm25(index: InvertedIndex, query: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """BM25 score of every document, and the ordinals of matched ones.
+def _bm25(index: InvertedIndex, query: Sequence[str]) -> np.ndarray:
+    """BM25 score of every document; the matched ones are those scoring > 0.
 
     Unique query terms add their impacts in query order: each document
     gets the same float additions as a term-by-term loop would make.
@@ -222,22 +229,20 @@ def _bm25(index: InvertedIndex, query: Sequence[str]) -> tuple[np.ndarray, np.nd
     spans = [slice(index.indptr[r], index.indptr[r + 1]) for r in rows]
     docs = np.concatenate([index.post_doc[:0], *(index.post_doc[s] for s in spans)])
     impact = np.concatenate([index.impact[:0], *(index.impact[s] for s in spans)])
-    scores = np.bincount(docs, weights=impact, minlength=index.n_docs)
-    matched = np.zeros(index.n_docs, dtype=bool)
-    matched[docs] = True
-    return scores, np.flatnonzero(matched)
+    return np.bincount(docs, weights=impact, minlength=index.n_docs)
 
 
-def _top_k(ordinals: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first k (ordinal, score) pairs under (-score, ordinal)."""
-    if 0 < k < len(scores):
-        # Keep every candidate tied with the k-th best score, so the
-        # ordinal tie-break below sees all of them.
-        kth = np.partition(scores, len(scores) - k)[len(scores) - k]
-        keep = scores >= kth
-        ordinals, scores = ordinals[keep], scores[keep]
-    order = np.lexsort((ordinals, -scores))[:k]
-    return ordinals[order], scores[order]
+def _top_k(scores: np.ndarray, k: int, floor: float = -math.inf) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and values of the first k scores above ``floor``, under (-score, position).
+
+    One partition finds the k-th best score. Only the scores at or above
+    it are sorted (all that tie with it, for the position tie-break), or
+    all those above the floor when the k-th best is not.
+    """
+    kth = np.partition(scores, len(scores) - k)[len(scores) - k] if 0 < k < len(scores) else floor
+    keep = np.flatnonzero(scores >= kth if kth > floor else scores > floor)
+    top = keep[np.lexsort((keep, -scores[keep]))[:k]]
+    return top, scores[top]
 
 
 def _ranked(index: InvertedIndex, ordinals: np.ndarray, scores: np.ndarray) -> RankedList:
@@ -248,8 +253,7 @@ def bm25_search(index: InvertedIndex, query: Sequence[str], k: int) -> RankedLis
     """Top-k documents by BM25; ties broken by ascending doc id."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores, matched = _bm25(index, query)
-    return _ranked(index, *_top_k(matched, scores[matched], k))
+    return _ranked(index, *_top_k(_bm25(index, query), k, floor=0.0))
 
 
 def _minmax(scores: np.ndarray) -> np.ndarray:
@@ -394,23 +398,22 @@ def nir_search(
     cosine 0.
     """
     vec = _check_query_vector(dense, query_vector)
-    scores, matched = _bm25(index, query_tokens)
-    if pool_size is None:
-        pool = np.arange(index.n_docs)
-    else:
+    scores, rows, pool = _bm25(index, query_tokens), dense.index_rows(index), None
+    if pool_size is not None:
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
-        pool, _ = _top_k(matched, scores[matched], pool_size)
+        # In ordinal order, so that the position tie-break below is the ordinal one.
+        pool = np.sort(_top_k(scores, pool_size, floor=0.0)[0])
         if not len(pool):
             return []
-    rows = dense.index_rows(index)[pool]
+        scores, rows = scores[pool], rows[pool]
     present = rows >= 0
-    cosines = np.zeros(len(pool))
+    cosines = np.zeros(len(rows))
     # vecdot takes each row's dot product as np.dot does (matrix @ vec may
     # differ in the last bit); 0.0 first clamps -0.0 to 0.0 as max() does.
     cosines[present] = np.maximum(0.0, np.vecdot(dense.matrix[rows[present]], vec))
-    combined = interpolate(_minmax(scores[pool]), cosines, lam)
-    return _ranked(index, *_top_k(pool, combined, k))
+    top, combined = _top_k(interpolate(_minmax(scores), cosines, lam), k)
+    return _ranked(index, top if pool is None else pool[top], combined)
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:

@@ -14,7 +14,7 @@ built from blocks of whole documents of about ``_BLOCK_CHARS``
 characters. A block's sections, joined by newlines, are split as one
 text (each section start cuts; a break the join adds falls where only
 whitespace follows in its section) and, where ASCII, tokenized as one
-by ``bytes.translate`` and ``split``, with numpy for spans and counts.
+through :data:`qfs.textproc.TOKEN_BYTES`, with numpy for spans and counts.
 Temporaries are block sized; the columns grow in typed arrays that the
 table then views.
 """
@@ -32,13 +32,11 @@ import numpy as np
 
 from .corpus import DocumentCollection
 from .errors import UnknownDocument
-from .textproc import ASCII_STAND_INS, sentence_breaks, token_surfaces
+from .textproc import ASCII_STAND_INS, TOKEN_BYTES, sentence_breaks, token_surfaces
 
 # Characters of text per block: 2**15 to 2**20 build about equally fast, and
 # small blocks reuse the memory of the last block's token strings (lower RSS).
 _BLOCK_CHARS = 1 << 15
-# Per byte: its lowercase if an ASCII letter or digit, else a space.
-_TOKEN_BYTES = bytes(c if bytes([c]).isalnum() else 32 for c in range(256)).lower()
 # Per byte: 0 if an ASCII character that ``str.isspace`` accepts, else 1.
 _SOLID_BYTES = bytes(0 if c < 128 and chr(c).isspace() else 1 for c in range(256))
 
@@ -68,7 +66,7 @@ def _block_sentences(texts: Sequence[str], ids: dict[str, int]) -> tuple[np.ndar
     other = np.array([not t.isascii() for t in texts], dtype=bool)[text]
     if other.any():
         data = "\n".join(t if t.isascii() else " " * len(t) for t in texts).encode("ascii")
-    words = data.translate(_TOKEN_BYTES)
+    words = data.translate(TOKEN_BYTES)
     in_word = np.frombuffer(b" " + words, dtype=np.uint8) != ord(" ")
     token_starts = np.flatnonzero(in_word[1:] > in_word[:-1])
     counts = np.diff(np.searchsorted(token_starts, end + starts[text]), prepend=0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import struct
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from qfs import pipeline
 from qfs.cli import main
 from qfs.corpus import QuestionSet, save_document_collection, save_question_set
 from qfs.embeddings import ContextEmbeddingRecord, write_context_embeddings
+from qfs.errors import MalformedInput
 from qfs.neural import save_params
 from qfs.neural.models import init_nnc
 from qfs.retrieval import DenseStore, save_dense_store
@@ -406,6 +408,12 @@ BROKEN_INPUTS = {
                 "--out", w / "o.json"))
         for what, value in [("null", None), ("list", ["a", "b"]), ("object", {"text": "a"})]
     },
+    "label gold snippet section null": lambda w: (
+        "label", "--questions", write(w / "q.json", json.dumps([{
+            "id": "q1", "type": "summary", "body": "b", "ideal_answer": ["Some text."],
+            "snippets": [{"document": "d1", "section": None, "offsetInBeginSection": 0,
+                          "offsetInEndSection": 4, "text": "Some"}]}])),
+        "--out", w / "l.jsonl"),
     "label gold snippet text null": lambda w: (
         "label", "--questions", write(w / "q.json", json.dumps([{
             "id": "q1", "type": "summary", "body": "b", "ideal_answer": ["Some text."],
@@ -434,11 +442,40 @@ def test_missing_or_corrupt_input_exits_2(tmp_path, case):
     ("index section text null", "d.jsonl:1", "section 's1': text"),
     ("retrieve question body list", "q.json", "question 'q1': body"),
     ("label gold snippet text null", "q.json", "question 'q1': snippet: text"),
+    ("label gold snippet section null", "q.json", "question 'q1': snippet: section"),
 ])
 def test_non_string_text_names_file_and_field(tmp_path, case, where, field):
     code, err = run_qfs(*BROKEN_INPUTS[case](tmp_path))
     assert code == 2, err
     assert f"{tmp_path / where}: {field} must be a string" in err
+
+
+SNIPPET = {"document": "d1", "section": "s1", "offsetInBeginSection": 0,
+           "offsetInEndSection": 4, "text": "Some"}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([], "expected an object with a questions array"),
+    ({"questions": 5}, "expected an object with a questions array"),
+    ({"questions": [{"documents": []}]}, "question entry without an id"),
+    ({"questions": [{"id": "q1", "documents": 5}]}, "documents and snippets must be lists"),
+    ({"questions": [{"id": "q1", "snippets": {}}]}, "documents and snippets must be lists"),
+    ({"questions": [{"id": "q1", "ideal_answer": None}]}, "ideal_answer must be strings"),
+    ({"questions": [{"id": "q1", "documents": ["d1", 5]}]}, "ideal_answer must be strings"),
+    ({"questions": [{"id": "q1", "snippets": [5]}]}, "snippet is not an object"),
+    ({"questions": [{"id": "q1", "snippets": [{**SNIPPET, "offsetInEndSection": "x"}]}]},
+     "bad snippet object"),
+    ({"questions": [{"id": "q1", "snippets": [{**SNIPPET, "text": 5}]}]},
+     "snippet: text must be a string"),
+    ({"questions": [{"id": "q1", "snippets": [{**SNIPPET, "section": None}]}]},
+     "snippet: section must be a string"),
+], ids=lambda value: value if isinstance(value, str) else None)
+def test_every_submission_error_names_the_file(tmp_path, payload, message):
+    path = write(tmp_path / "s.json", json.dumps(payload))
+    with pytest.raises(MalformedInput, match=rf"^{re.escape(str(path))}: .*{re.escape(message)}"):
+        pipeline.load_submission(path)
+    code, err = run_qfs("evaluate", *QUESTIONS, "--submission", path)
+    assert code == 2 and err.startswith(f"error: {path}: "), err
 
 
 def nnc_model_config(w: Path) -> Path:
@@ -504,7 +541,7 @@ USAGE_ERRORS = {
     **{
         f"index with {flag} {value}": lambda w, flag=flag, value=value: (
             "index", "--docs", GOLDEN / "docs.jsonl", "--out", w / "i.qidx", flag, value)
-        for flag, value in [("--k1", "-1.2"), ("--k1", "nan"), ("--k1", "inf"),
+        for flag, value in [("--k1", "-1.2"), ("--k1", "nan"), ("--k1", "inf"), ("--k1", "2e6"),
                             ("--b", "-0.1"), ("--b", "1.5"), ("--b", "nan")]
     },
     "retrieve with zero documents": lambda w: (

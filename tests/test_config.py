@@ -22,6 +22,7 @@ from qfs.config import (
 )
 from qfs.errors import MalformedInput
 from qfs.pipeline import DEFAULT_ANSWER_LENGTHS
+from qfs.retrieval import MAX_K1
 
 counts = st.integers(min_value=1, max_value=10**6)
 paths = st.none() | st.text(max_size=12)
@@ -37,7 +38,7 @@ valid_configs = st.builds(
         round_docs_default=counts,
         final_doc_cap=counts,
         final_snippet_cap=counts,
-        bm25_k1=st.floats(min_value=0.0, allow_infinity=False),
+        bm25_k1=st.floats(min_value=0.0, max_value=MAX_K1),
         bm25_b=st.floats(min_value=0.0, max_value=1.0),
     ),
     snippets=st.builds(
@@ -134,6 +135,7 @@ def test_fuzzed_payload_parses_or_raises_malformed_input(payload):
         {"snippets": "cosine"},
         {"model": {"params_path": 7}},
         {"resources": {"docs_path": ["a"]}},
+        {"retrieval": {"bm25_k1": 2 * MAX_K1}},
     ],
 )
 def test_bad_payload_raises_malformed_input(payload):

@@ -244,6 +244,16 @@ def feedback_with(qid="q1", doc=None, snippet=None, polarity="relevant"):
     return store
 
 
+# Two spans with the same offsets and other texts judge alike; the third
+# overlaps the first.
+SPANS = [
+    SnippetSpan("d1", "s", 0, 4, "abcd"),
+    SnippetSpan("d1", "s", 5, 9, "efgh"),
+    SnippetSpan("d1", "s", 0, 4, "other text"),
+    SnippetSpan("d1", "s", 0, 5, "abcde"),
+]
+
+
 class TestFilterJudged:
     def test_exclude_all_removes_relevant_too(self):
         store = feedback_with(doc="d2", polarity="relevant")
@@ -289,7 +299,46 @@ class TestFilterJudged:
     def test_repeated_identical_judgment_allowed(self):
         store = feedback_with(doc="d1", polarity="relevant")
         store.add_document("q1", "d1", "relevant")
-        assert store.document_polarity("q1", "d1") == "relevant"
+        assert store.judgments("q1") == ({"d1": "relevant"}, {})
+
+    @pytest.mark.parametrize("mode", [EXCLUDE_ALL_JUDGED, EXCLUDE_IRRELEVANT_ONLY])
+    def test_unjudged_question_gets_a_new_list(self, mode):
+        store = feedback_with(qid="q2", doc="d1", polarity="irrelevant")
+        candidates = ["d1", "d2"]
+        result = filter_judged(candidates, store, "q1", mode)
+        assert result == candidates and result is not candidates
+        result.append("d3")
+        del result[0]
+        assert candidates == ["d1", "d2"]
+
+    @given(
+        st.lists(st.sampled_from(["d1", "d2", "d3"]) | st.sampled_from(SPANS), max_size=8),
+        st.dictionaries(
+            st.sampled_from(["d1", "d2"]) | st.sampled_from(SPANS[:2]),
+            st.sampled_from(["relevant", "irrelevant"]),
+            max_size=4,
+        ),
+        st.sampled_from(["q1", "q2"]),
+        st.sampled_from([EXCLUDE_ALL_JUDGED, EXCLUDE_IRRELEVANT_ONLY]),
+    )
+    def test_drops_what_the_per_item_lookup_drops(self, candidates, judgments, qid, mode):
+        store = FeedbackStore.empty()
+        for item, polarity in judgments.items():
+            if isinstance(item, SnippetSpan):
+                store.add_snippet("q1", item, polarity)
+            else:
+                store.add_document("q1", item, polarity)
+
+        def key(item):
+            return item.key() if isinstance(item, SnippetSpan) else item
+
+        judged = {key(j): p for j, p in judgments.items()} if qid == "q1" else {}
+        expected = []
+        for item in candidates:
+            polarity = judged.get(key(item))
+            if polarity is None or (mode == EXCLUDE_IRRELEVANT_ONLY and polarity == "relevant"):
+                expected.append(item)
+        assert filter_judged(candidates, store, qid, mode) == expected
 
     @given(
         st.lists(st.sampled_from(["d1", "d2", "d3", "d4"]), max_size=8, unique=True),
@@ -334,9 +383,8 @@ class TestFeedbackFile:
         path = tmp_path / "feedback.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         store = FeedbackStore.load(path)
-        assert store.document_polarity("q1", "d1") == "irrelevant"
         span = SnippetSpan("d2", "abstract", 0, 4, "text ignored")
-        assert store.snippet_polarity("q1", span) == "relevant"
+        assert store.judgments("q1") == ({"d1": "irrelevant"}, {span.key(): "relevant"})
 
     def test_bad_polarity_rejected(self, tmp_path):
         payload = [

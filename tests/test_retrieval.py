@@ -22,6 +22,7 @@ from qfs.errors import (
 from qfs.retrieval import (
     DEFAULT_B,
     DEFAULT_K1,
+    MAX_K1,
     DenseStore,
     bm25_search,
     build_index,
@@ -84,6 +85,7 @@ class TestBuildIndex:
 
     @pytest.mark.parametrize("k1, b", [
         (-1.2, 0.75), (math.nan, 0.75), (math.inf, 0.75), (1.2, -0.1), (1.2, 1.5), (1.2, math.nan),
+        (2 * MAX_K1, 0.75),
     ])
     def test_bm25_parameters_out_of_range_rejected(self, k1, b):
         with pytest.raises(ValueError, match="BM25 needs"):
@@ -320,9 +322,10 @@ def reference_rank(scores, k):
 
 
 def reference_hybrid(
-    collection, dense, query, q_vec, k, lam, pool_size=None, stopwords=frozenset()
+    collection, dense, query, q_vec, k, lam, pool_size=None, stopwords=frozenset(),
+    k1=DEFAULT_K1, b=DEFAULT_B,
 ):
-    raw = reference_bm25(collection, query, stopwords)
+    raw = reference_bm25(collection, query, stopwords, k1, b)
     vec = np.asarray(q_vec, dtype=np.float64)
     vec = vec / float(np.linalg.norm(vec))
     if pool_size is None:
@@ -367,6 +370,22 @@ def search_cases(draw):
     return DocumentCollection(docs), query, dense, q_vec, stopwords
 
 
+K1S = st.sampled_from([0.0, 0.5, DEFAULT_K1, 3.0])
+BS = st.sampled_from([0.0, 0.5, 1.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(WORDS), max_size=30).map(" ".join), min_size=1, max_size=6),
+    st.floats(min_value=0.0, max_value=MAX_K1) | st.sampled_from([0.0, 5e-324, MAX_K1]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_every_impact_is_positive(texts, k1, b):
+    # So a document matches a query exactly when it scores > 0.
+    index = build_index(collection_of(*texts), k1=k1, b=b)
+    assert np.all(index.impact > 0.0)
+
+
 def cut_points(matched: int) -> list[int]:
     return sorted({k for k in (1, matched - 1, matched, matched + 5) if k >= 1})
 
@@ -375,30 +394,32 @@ class TestMatchesReference:
     """Every ranked list equals the plain-Python loop's, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
-    @given(search_cases())
-    def test_bm25_search(self, case):
+    @given(search_cases(), K1S, BS)
+    def test_bm25_search(self, case, k1, b):
         collection, query, _, _, stopwords = case
-        index = build_index(collection, stopwords)
-        ref = reference_bm25(collection, query, stopwords)
+        index = build_index(collection, stopwords, k1, b)
+        ref = reference_bm25(collection, query, stopwords, k1, b)
         for k in cut_points(len(ref)):
             assert bm25_search(index, query, k) == reference_rank(ref, k)
 
     @settings(max_examples=100, deadline=None)
-    @given(search_cases(), st.sampled_from([0.0, 0.3, 0.5, 1.0]))
-    def test_nir_search_and_rerank_top(self, case, lam):
+    @given(search_cases(), st.sampled_from([0.0, 0.3, 0.5, 1.0]), K1S, BS)
+    def test_nir_search_and_rerank_top(self, case, lam, k1, b):
         collection, query, dense, q_vec, stopwords = case
-        index = build_index(collection, stopwords)
-        matched = len(reference_bm25(collection, query, stopwords))
+        index = build_index(collection, stopwords, k1, b)
+        matched = len(reference_bm25(collection, query, stopwords, k1, b))
         for k in cut_points(len(collection)):
             assert nir_search(index, dense, query, q_vec, k, lam) == reference_hybrid(
-                collection, dense, query, q_vec, k, lam, stopwords=stopwords
+                collection, dense, query, q_vec, k, lam, None, stopwords, k1, b
             )
         for pool in cut_points(matched):
             for k in cut_points(pool):
                 if k <= pool:
                     assert nir_search(
                         index, dense, query, q_vec, k, lam, pool_size=pool
-                    ) == reference_hybrid(collection, dense, query, q_vec, k, lam, pool, stopwords)
+                    ) == reference_hybrid(
+                        collection, dense, query, q_vec, k, lam, pool, stopwords, k1, b
+                    )
 
     @pytest.mark.parametrize("query", [[], ["unknown", "words"], ["the", "of"]])
     def test_queries_without_known_terms(self, query):

@@ -14,6 +14,7 @@ from qfs.pipeline import CosineScorer
 from qfs.sentences import SentenceTable
 from qfs.textproc import (
     ABBREVIATIONS,
+    _TOKEN_RE,
     sentence_bounds,
     sentence_breaks,
     split_sentences,
@@ -39,6 +40,12 @@ class TestTokenize:
     @given(st.text(max_size=60))
     def test_deterministic(self, text):
         assert token_surfaces(text) == token_surfaces(text)
+
+    @settings(max_examples=300)
+    @given(st.text(st.characters(max_codepoint=127), max_size=80))
+    @example("".join(map(chr, range(128))))
+    def test_ascii_byte_table_equals_the_regex(self, text):
+        assert token_surfaces(text) == _TOKEN_RE.findall(text.lower())
 
 
 class TestSplitSentences:
