@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence, TypeVar
 
-from .errors import DuplicateId, MalformedInput, UnknownQuestionType
+from .errors import MalformedInput
 from .fileio import open_output, read_json, read_jsonl, write_json
 
 QUESTION_TYPES = frozenset({"summary", "factoid", "yesno", "list"})
@@ -89,7 +89,7 @@ class QuestionSet:
         self._by_id: dict[str, QuestionRecord] = {}
         for q in self.questions:
             if q.id in self._by_id:
-                raise DuplicateId(f"duplicate question id {q.id!r}")
+                raise MalformedInput(f"duplicate question id {q.id!r}")
             self._by_id[q.id] = q
 
     def __len__(self) -> int:
@@ -113,7 +113,7 @@ class DocumentCollection:
         self._by_id: dict[str, DocumentRecord] = {}
         for d in self.docs:
             if d.id in self._by_id:
-                raise DuplicateId(f"duplicate document id {d.id!r}")
+                raise MalformedInput(f"duplicate document id {d.id!r}")
             self._by_id[d.id] = d
 
     def __len__(self) -> int:
@@ -136,8 +136,8 @@ def snippet_from_json(obj: dict, where: str) -> SnippetSpan:
     what = f"{where}: snippet"
     text, section = _text_field(obj, "text", what), _text_field(obj, "section", what)
     try:
-        return SnippetSpan(
-            doc_id=str(obj["document"]),
+        span = SnippetSpan(
+            doc_id=obj["document"],
             section_id=section,
             begin_char=int(obj["offsetInBeginSection"]),
             end_char=int(obj["offsetInEndSection"]),
@@ -145,6 +145,8 @@ def snippet_from_json(obj: dict, where: str) -> SnippetSpan:
         )
     except (KeyError, TypeError, ValueError, MalformedInput) as exc:
         raise MalformedInput(f"{where}: bad snippet object: {exc}") from exc
+    check_id(span.doc_id, what, "document")
+    return span
 
 
 def snippet_to_json(span: SnippetSpan) -> dict:
@@ -165,8 +167,12 @@ def load_question_set(path: str | Path) -> QuestionSet:
         payload = payload["questions"]
     if not isinstance(payload, list):
         raise MalformedInput(f"{path}: expected a JSON array of questions")
-    questions = [question_from_json(obj, str(path)) for obj in payload]
-    return QuestionSet(questions)
+    questions: dict[str, QuestionRecord] = {}
+    for obj in payload:
+        q = question_from_json(obj, str(path))
+        if questions.setdefault(q.id, q) is not q:
+            raise MalformedInput(f"{path}: duplicate question id {q.id!r}")
+    return QuestionSet(list(questions.values()))
 
 
 def _text_field(obj: dict, key: str, where: str) -> str:
@@ -177,17 +183,24 @@ def _text_field(obj: dict, key: str, where: str) -> str:
     return value
 
 
+def check_id(value, where: str, name: str) -> str:
+    """An id read from a file: a non-empty string, never a number or null made one."""
+    if not isinstance(value, str) or not value:
+        raise MalformedInput(f"{where}: {name} must be a non-empty string, not {value!r}")
+    return value
+
+
 def question_from_json(obj: dict, where: str) -> QuestionRecord:
     """One question object of the file ``where``; every error names the file."""
     if not isinstance(obj, dict):
         raise MalformedInput(f"{where}: question entry is not an object")
-    qid = str(obj.get("id", ""))
-    if not qid:
+    if not obj.get("id"):
         raise MalformedInput(f"{where}: question with empty or missing id")
+    qid = check_id(obj["id"], where, "id")
     where = f"{where}: question {qid!r}"
     qtype = obj.get("type")
     if qtype not in QUESTION_TYPES:
-        raise UnknownQuestionType(f"{where} has unknown type {qtype!r}")
+        raise MalformedInput(f"{where} has unknown type {qtype!r}")
     ideal = obj.get("ideal_answer", [])
     if isinstance(ideal, str):
         ideal = [ideal]
@@ -197,7 +210,8 @@ def question_from_json(obj: dict, where: str) -> QuestionRecord:
     if not isinstance(documents, list) or not isinstance(snippets, list):
         raise MalformedInput(f"{where}: documents and snippets must be lists")
     return QuestionRecord(
-        qid, _text_field(obj, "body", where), qtype, tuple(str(d) for d in documents),
+        qid, _text_field(obj, "body", where), qtype,
+        tuple(check_id(d, where, "documents entry") for d in documents),
         tuple(snippet_from_json(x, where) for x in snippets), tuple(ideal),
     )
 
@@ -222,23 +236,26 @@ def save_question_set(questions: QuestionSet, path: str | Path) -> None:
 
 def load_document_collection(path: str | Path) -> DocumentCollection:
     """Read a JSONL document collection; section order is preserved."""
-    return DocumentCollection(
-        [document_from_json(obj, where) for where, obj in read_jsonl(path)]
-    )
+    docs: dict[str, DocumentRecord] = {}
+    for where, obj in read_jsonl(path):
+        doc = document_from_json(obj, where)
+        if docs.setdefault(doc.id, doc) is not doc:
+            raise MalformedInput(f"{where}: duplicate document id {doc.id!r}")
+    return DocumentCollection(list(docs.values()))
 
 
 def document_from_json(obj: dict, where: str = "document") -> DocumentRecord:
     if not isinstance(obj, dict) or "id" not in obj:
         raise MalformedInput(f"{where}: document object must carry an id")
-    doc_id = str(obj["id"])
+    doc_id = check_id(obj["id"], where, "id")
     sections: list[tuple[str, str]] = []
     seen = set()
     for sec in obj.get("sections", []):
         if not isinstance(sec, dict) or "id" not in sec:
             raise MalformedInput(f"{where}: section must carry an id")
-        sid = str(sec["id"])
+        sid = check_id(sec["id"], where, "section id")
         if sid in seen:
-            raise DuplicateId(f"{where}: duplicate section id {sid!r}")
+            raise MalformedInput(f"{where}: duplicate section id {sid!r}")
         seen.add(sid)
         sections.append((sid, _text_field(sec, "text", f"{where}: section {sid!r}")))
     return DocumentRecord(id=doc_id, sections=tuple(sections))
@@ -276,9 +293,9 @@ class FeedbackStore:
         for entry in payload:
             if not isinstance(entry, dict) or not isinstance(entry.get("items", []), list):
                 raise MalformedInput(f"{path}: feedback entry must be an object with items")
-            qid = str(entry.get("question_id", ""))
-            if not qid:
+            if not entry.get("question_id"):
                 raise MalformedInput(f"{path}: feedback entry without question_id")
+            qid = check_id(entry["question_id"], str(path), "question_id")
             for item in entry.get("items", []):
                 if not isinstance(item, dict) or "ref" not in item:
                     raise MalformedInput(f"{path}: feedback item for {qid!r} without a ref")
@@ -287,12 +304,11 @@ class FeedbackStore:
                     raise MalformedInput(
                         f"{path}: bad polarity {polarity!r} for question {qid!r}"
                     )
-                kind = item.get("kind")
+                kind, where = item.get("kind"), f"{path}: feedback for {qid!r}"
                 if kind == "document":
-                    store.add_document(qid, str(item["ref"]), polarity)
+                    store.add_document(qid, check_id(item["ref"], where, "ref"), polarity)
                 elif kind == "snippet":
-                    span = snippet_from_json(item["ref"], f"{path}: feedback for {qid!r}")
-                    store.add_snippet(qid, span, polarity)
+                    store.add_snippet(qid, snippet_from_json(item["ref"], where), polarity)
                 else:
                     raise MalformedInput(f"{path}: bad item kind {kind!r}")
         return store

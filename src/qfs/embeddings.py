@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, MalformedInput, MaskAllFalse
+from .errors import DimensionMismatch, MalformedInput
 from .fileio import open_input, open_output, read_exact, read_lines, record_ids
 
 logger = logging.getLogger(__name__)
@@ -127,7 +127,7 @@ class ContextEmbeddingRecord:
                 f"does not match {self.tokens.shape[0]} token rows"
             )
         if not self.sentence_mask.any():
-            raise MaskAllFalse(f"record {self.pair_id!r}: mask marks no tokens")
+            raise MalformedInput(f"record {self.pair_id!r}: mask marks no tokens")
 
     @property
     def dim(self) -> int:

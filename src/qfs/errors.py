@@ -1,7 +1,19 @@
-"""Exception hierarchy shared across the package.
+"""The errors qfs raises for bad data; any other exception is a bug.
 
-Every error raised by qfs code is a subclass of :class:`QfsError`, so
-callers (notably the CLI) can distinguish data problems from bugs.
+The command line maps every :class:`QfsError` to exit code 2 and prints
+its message; ``qfs answer`` instead skips the failing question, answers
+the rest and exits 1. The command line does not tell the categories
+apart; they say what kind of fault a message describes:
+
+* :class:`MalformedInput`: a file, payload or argument breaks its
+  documented format, value range or uniqueness rule;
+* :class:`MissingInput`: a document, embedding record, query vector or
+  ideal answer that a step needs is absent;
+* :class:`EmptyInput`: an input has no items, or fewer than a step needs;
+* :class:`DimensionMismatch`: vector or matrix dimensions disagree.
+
+Other faults, such as a config without a required path or a training
+loss that became NaN, raise ``QfsError`` itself.
 """
 
 
@@ -10,80 +22,16 @@ class QfsError(Exception):
 
 
 class MalformedInput(QfsError):
-    """A file or payload does not match its documented format."""
+    """Input breaks its documented format, value range or uniqueness rule."""
 
 
-class DuplicateId(QfsError):
-    """An identifier that must be unique appears more than once."""
+class MissingInput(QfsError):
+    """Something a step needs is absent from its inputs."""
 
 
-class UnknownQuestionType(QfsError):
-    """Question type outside {summary, factoid, yesno, list}."""
-
-
-class EmptyCollection(QfsError):
-    """Index construction requires at least one document."""
-
-
-class EmptyList(QfsError):
-    """Min-max normalization requires a non-empty score list."""
-
-
-class LambdaOutOfRange(QfsError):
-    """Interpolation weight must lie in [0, 1]."""
+class EmptyInput(QfsError):
+    """An input has no items, or fewer than the step needs."""
 
 
 class DimensionMismatch(QfsError):
     """Vector or matrix dimensions disagree with the declared dim."""
-
-
-class EmptyReferenceList(QfsError):
-    """best_reference_f1 needs at least one reference text."""
-
-
-class DuplicateInReturned(QfsError):
-    """Returned document list for evaluation contains duplicates."""
-
-
-class MaskAllFalse(QfsError):
-    """A context-embedding record must mark at least one sentence token."""
-
-
-class EmptySequence(QfsError):
-    """Recurrent encoders require at least one input row."""
-
-
-class EmptyDataset(QfsError):
-    """Training requires a non-empty example list."""
-
-
-class NonFiniteLoss(QfsError):
-    """Training loss became NaN or infinite; aborted with diagnostics."""
-
-
-class KindMismatch(QfsError):
-    """Parameter file holds a different model kind than requested."""
-
-
-class UnknownDocument(QfsError):
-    """A ranked document id is absent from the collection."""
-
-
-class ScorerInputMissing(QfsError):
-    """No embedding record found for a candidate sentence."""
-
-
-class NoIdealAnswer(QfsError):
-    """Label generation needs at least one ideal answer per question."""
-
-
-class NoCandidates(QfsError):
-    """Label generation found no candidate sentences for a question."""
-
-
-class EmptyCandidateList(QfsError):
-    """Answer assembly requires at least one scored sentence."""
-
-
-class TooFewQuestions(QfsError):
-    """Cross-validation needs at least k questions."""

@@ -27,7 +27,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DuplicateInReturned, EmptyReferenceList
+from .errors import EmptyInput, MalformedInput
 from .textproc import token_surfaces
 
 SU4_SKIP = 4
@@ -117,7 +117,7 @@ def best_reference_f1s(
 ) -> list[float]:
     """Each token-sequence candidate's max SU4-F1 over a non-empty reference list."""
     if not references:
-        raise EmptyReferenceList("at least one reference text is required")
+        raise EmptyInput("at least one reference text is required")
     return su4_scores(candidates, references)[2].max(axis=1).tolist()
 
 
@@ -130,7 +130,7 @@ def best_reference_f1(candidate: str, references: Sequence[str]) -> float:
 def document_f1(returned: Sequence[str], gold: Iterable[str]) -> RougeScore:
     """Set precision/recall/F1 over document ids."""
     if len(returned) != len(set(returned)):
-        raise DuplicateInReturned("returned document list contains duplicates")
+        raise MalformedInput("returned document list contains duplicates")
     gold_set = set(gold)
     hits = sum(1 for d in returned if d in gold_set)
     precision = hits / len(returned) if returned else 0.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptySequence
+from ..errors import EmptyInput
 from .ops import sigmoid
 
 
@@ -51,7 +51,7 @@ def lstm_forward(params: LstmParams, xs: np.ndarray) -> tuple[np.ndarray, LstmCa
     """Run the recurrences over xs (n, E); returns hidden states (n, H)."""
     n = xs.shape[0]
     if n == 0:
-        raise EmptySequence("LSTM input must have at least one step")
+        raise EmptyInput("LSTM input must have at least one step")
     hdim = params.hidden_dim
     hs = np.zeros((n, hdim))
     i_g = np.zeros((n, hdim))
@@ -127,7 +127,7 @@ def bilstm_encode(
     :func:`bilstm_backward`.
     """
     if xs.ndim != 2 or xs.shape[0] == 0:
-        raise EmptySequence("encoder input must be a non-empty (n, E) matrix")
+        raise EmptyInput("encoder input must be a non-empty (n, E) matrix")
     hs_f, cache_f = lstm_forward(fwd, xs)
     hs_b_rev, cache_b = lstm_forward(bwd, xs[::-1])
     hs_b = hs_b_rev[::-1]

@@ -32,7 +32,7 @@ from ..embeddings import (
     load_context_embeddings,
     load_word_embeddings,
 )
-from ..errors import EmptySequence, ScorerInputMissing
+from ..errors import EmptyInput, MissingInput
 from .lstm import BiLstmCache, LstmParams, bilstm_backward, bilstm_encode
 from .ops import relu, sigmoid
 
@@ -255,7 +255,7 @@ def _nnc_apply(
     dropout_mask: np.ndarray | None = None,
 ) -> NncCache:
     if q_matrix.shape[0] == 0 or s_matrix.shape[0] == 0:
-        raise EmptySequence("question and sentence matrices must be non-empty")
+        raise EmptyInput("question and sentence matrices must be non-empty")
     q_vec, q_cache = bilstm_encode(params.lstm_fwd, params.lstm_bwd, q_matrix)
     s_vec, s_cache = bilstm_encode(params.lstm_fwd, params.lstm_bwd, s_matrix)
     inter = s_vec * q_vec
@@ -328,7 +328,7 @@ def _pooled_input(
 ) -> tuple[ContextEmbeddingRecord, float]:
     record = records.get(pair_id)  # type: ignore[arg-type]
     if record is None:
-        raise ScorerInputMissing(f"no context-embedding record for pair id {pair_id!r}")
+        raise MissingInput(f"no context-embedding record for pair id {pair_id!r}")
     return record, position_feature(position)
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import KindMismatch, MalformedInput
+from ..errors import MalformedInput
 from ..fileio import open_input, open_output
 from .models import KINDS, ModelKind, NncParams, PooledClassifierParams
 
@@ -75,7 +75,7 @@ def load_params(
 ) -> tuple[NncParams | PooledClassifierParams, int]:
     """Read a QFSM file: the parameters and the ``clip_len`` they were trained with.
 
-    Raises KindMismatch if expected_kind disagrees.
+    Raises ``MalformedInput`` if the file holds a kind other than ``expected_kind``.
     """
     with open_input(path, "rb") as fh:
         data = fh.read()
@@ -94,7 +94,7 @@ def load_params(
     if kind is None:
         raise MalformedInput(f"{path}: unknown model kind code {kind_code}")
     if expected_kind is not None and kind.name != expected_kind:
-        raise KindMismatch(f"{path}: holds a {kind.name} model, expected {expected_kind}")
+        raise MalformedInput(f"{path}: holds a {kind.name} model, expected {expected_kind}")
     header = struct.Struct(f"<{len(kind.header)}I")
     if len(body) < offset + header.size:
         raise MalformedInput(f"{path}: truncated parameter file")

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..embeddings import ContextEmbeddingRecord, EmbeddingTable
-from ..errors import EmptyDataset, NonFiniteLoss
+from ..errors import EmptyInput, QfsError
 from .models import KINDS, NncParams, PooledClassifierParams, TrainConfig
 from .ops import bce_loss
 
@@ -101,7 +101,7 @@ def train(
     inputs are built once, by the kind's ``input``, as the scorer builds them.
     """
     if not examples:
-        raise EmptyDataset("training requires at least one example")
+        raise EmptyInput("training requires at least one example")
     kind = KINDS.get(model)
     if kind is None:
         raise ValueError(f"unknown model kind {model!r}")
@@ -146,7 +146,7 @@ def train(
             for k in batch_grads:
                 batch_grads[k] *= scale
             if not np.isfinite(batch_loss):
-                raise NonFiniteLoss(
+                raise QfsError(
                     f"non-finite loss at epoch {epoch + 1}, "
                     f"batch starting at example {start}"
                 )

@@ -59,20 +59,13 @@ from .corpus import (
     QuestionRecord,
     QuestionSet,
     SnippetSpan,
+    check_id,
     filter_judged,
     snippet_from_json,
     snippet_to_json,
 )
 from .embeddings import ContextEmbeddingRecord, EmbeddingTable
-from .errors import (
-    EmptyCandidateList,
-    MalformedInput,
-    NoCandidates,
-    NoIdealAnswer,
-    ScorerInputMissing,
-    TooFewQuestions,
-    UnknownDocument,
-)
+from .errors import EmptyInput, MalformedInput, MissingInput
 from .fileio import open_output, read_json, read_jsonl, write_json
 from .metrics import best_reference_f1, best_reference_f1s
 from .neural import KINDS, LabeledExample, TrainConfig, forward, train
@@ -148,7 +141,8 @@ def load_submission(path: str | Path) -> list[AnswerResult]:
     for obj in questions:
         if not isinstance(obj, dict) or "id" not in obj:
             raise MalformedInput(f"{path}: submission question entry without an id")
-        where = f"{path}: submission question {obj['id']!r}"
+        qid = check_id(obj["id"], str(path), "submission question id")
+        where = f"{path}: submission question {qid!r}"
         documents, snippets = obj.get("documents", []), obj.get("snippets", [])
         if not isinstance(documents, list) or not isinstance(snippets, list):
             raise MalformedInput(f"{where}: documents and snippets must be lists")
@@ -156,7 +150,7 @@ def load_submission(path: str | Path) -> list[AnswerResult]:
         if not all(isinstance(x, str) for x in [ideal_answer, *documents]):
             raise MalformedInput(f"{where}: document ids and ideal_answer must be strings")
         snippets = [snippet_from_json(s, where) for s in snippets]
-        results.append(AnswerResult(str(obj["id"]), list(documents), snippets, ideal_answer))
+        results.append(AnswerResult(qid, list(documents), snippets, ideal_answer))
     return results
 
 
@@ -343,7 +337,7 @@ def _ordinal(index: InvertedIndex, doc_id: str) -> int:
     """A document's place in the index (doc ids are sorted)."""
     i = bisect_left(index.doc_ids, doc_id)
     if i == index.n_docs or index.doc_ids[i] != doc_id:
-        raise UnknownDocument(f"document {doc_id!r} is not in the index")
+        raise MissingInput(f"document {doc_id!r} is not in the index")
     return i
 
 
@@ -430,10 +424,10 @@ def candidate_sentences(question: QuestionRecord) -> list[SnippetSpan]:
 def _gold_candidates(question: QuestionRecord) -> list[SnippetSpan]:
     """Candidate sentences of a question that also has ideal answers."""
     if not question.ideal_answers:
-        raise NoIdealAnswer(f"question {question.id!r} has no ideal answers")
+        raise MissingInput(f"question {question.id!r} has no ideal answers")
     candidates = candidate_sentences(question)
     if not candidates:
-        raise NoCandidates(f"question {question.id!r} has no candidate sentences")
+        raise EmptyInput(f"question {question.id!r} has no candidate sentences")
     return candidates
 
 
@@ -496,7 +490,7 @@ def assemble_answer(
 ) -> str:
     """Join the top-n sentences for the question type in occurrence order."""
     if not scored:
-        raise EmptyCandidateList("cannot assemble an answer from no sentences")
+        raise EmptyInput("cannot assemble an answer from no sentences")
     lengths = DEFAULT_ANSWER_LENGTHS if table is None else table
     n = lengths[qtype]
     selected = sorted(scored, key=lambda s: (-s.score, s.occurrence_index))[:n]
@@ -530,11 +524,9 @@ def retrieve(question: QuestionRecord, config, resources: Resources) -> RankedLi
         ranked = bm25_search(resources.index, tokens, k)
     else:
         if resources.dense is None or resources.query_vectors is None:
-            raise ScorerInputMissing(
-                f"retrieval method {method!r} needs dense vectors and query vectors"
-            )
+            raise MissingInput(f"retrieval method {method!r} needs dense vectors and query vectors")
         if question.id not in resources.query_vectors:
-            raise ScorerInputMissing(f"no query vector for question {question.id!r}")
+            raise MissingInput(f"no query vector for question {question.id!r}")
         pool_size = None if method == "nir" else max(config.retrieval.pool_size, k)
         ranked = nir_search(
             resources.index, resources.dense, tokens, resources.query_vectors[question.id],
@@ -669,7 +661,7 @@ def cross_validate(
     """
     question_list = list(questions)
     if len(question_list) < k:
-        raise TooFewQuestions(f"{len(question_list)} questions for {k} folds")
+        raise EmptyInput(f"{len(question_list)} questions for {k} folds")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(question_list))
     folds = np.array_split(order, k)

@@ -56,13 +56,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import DocumentCollection
-from .errors import (
-    DimensionMismatch,
-    EmptyCollection,
-    EmptyList,
-    LambdaOutOfRange,
-    MalformedInput,
-)
+from .errors import DimensionMismatch, EmptyInput, MalformedInput
 from .fileio import open_input, open_output, read_exact, record_ids
 from .sentences import SentenceTable
 
@@ -144,7 +138,7 @@ def build_index(
     """
     check_bm25(k1, b)
     if len(docs) == 0:
-        raise EmptyCollection("cannot index an empty collection")
+        raise EmptyInput("cannot index an empty collection")
     stop = stopwords or frozenset()
     doc_ids = sorted(doc.id for doc in docs)
     table = SentenceTable.build(docs, doc_ids)
@@ -259,7 +253,7 @@ def bm25_search(index: InvertedIndex, query: Sequence[str], k: int) -> RankedLis
 def _minmax(scores: np.ndarray) -> np.ndarray:
     """Scale scores to [0, 1]; an all-equal array maps to all 1.0."""
     if not len(scores):
-        raise EmptyList("cannot normalize an empty score list")
+        raise EmptyInput("cannot normalize an empty score list")
     lo, hi = scores.min(), scores.max()
     if hi == lo:
         return np.ones(len(scores))
@@ -269,7 +263,7 @@ def _minmax(scores: np.ndarray) -> np.ndarray:
 def interpolate(bm25_norm: float | np.ndarray, dense_cos: float | np.ndarray, lam: float):
     """lambda-weighted mix of normalized BM25 and dense cosine scores (or arrays)."""
     if not 0.0 <= lam <= 1.0:
-        raise LambdaOutOfRange(f"lambda must be in [0, 1], got {lam}")
+        raise MalformedInput(f"lambda must be in [0, 1], got {lam}")
     return lam * bm25_norm + (1.0 - lam) * dense_cos
 
 

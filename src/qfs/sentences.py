@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .corpus import DocumentCollection
-from .errors import UnknownDocument
+from .errors import MissingInput
 from .textproc import ASCII_STAND_INS, TOKEN_BYTES, sentence_breaks, token_surfaces
 
 # Characters of text per block: 2**15 to 2**20 build about equally fast, and
@@ -124,7 +124,7 @@ class SentenceTable:
         """A table of the documents ``doc_ids`` of ``collection``, in that order."""
         for doc_id in doc_ids:
             if doc_id not in collection:
-                raise UnknownDocument(f"document {doc_id!r} is not in the collection")
+                raise MissingInput(f"document {doc_id!r} is not in the collection")
         ids: defaultdict[str, int] = defaultdict(count().__next__)  # a new word: the next id
         doc, section, begin, end, length, tokens = (array("i") for _ in range(6))
         n_docs = 0

@@ -15,12 +15,19 @@ from click.testing import CliRunner
 
 from qfs import pipeline
 from qfs.cli import main
-from qfs.corpus import QuestionSet, save_document_collection, save_question_set
+from qfs.config import parse_config
+from qfs.corpus import (
+    QuestionSet,
+    load_document_collection,
+    load_question_set,
+    save_document_collection,
+    save_question_set,
+)
 from qfs.embeddings import ContextEmbeddingRecord, write_context_embeddings
-from qfs.errors import MalformedInput
+from qfs.errors import EmptyInput, MalformedInput, MissingInput
 from qfs.neural import save_params
 from qfs.neural.models import init_nnc
-from qfs.retrieval import DenseStore, save_dense_store
+from qfs.retrieval import DenseStore, build_index, load_dense_store, save_dense_store
 
 from conftest import make_question
 
@@ -623,3 +630,68 @@ def test_label_with_documents_rejects_a_gold_snippet_off_its_section(tmp_path, c
     assert err.startswith("error: ") and "Traceback" not in err
     assert repr(golden[0]["id"]) in err
     assert repr(golden[0]["snippets"][0]["document"]) in err
+
+
+# Each case edits golden question q1: the error class and message `qfs label` exits 2 with.
+LABEL_ERRORS = {
+    "no ideal answer": ({"ideal_answer": []}, MissingInput,
+                        "question 'q1' has no ideal answers"),
+    "no snippets": ({"snippets": []}, EmptyInput, "question 'q1' has no candidate sentences"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LABEL_ERRORS))
+def test_label_without_answers_or_candidates_exits_2(tmp_path, case):
+    edit, error, message = LABEL_ERRORS[case]
+    golden = json.loads((GOLDEN / "questions.json").read_text())
+    questions = write(tmp_path / "q.json", json.dumps([{**golden[0], **edit}, *golden[1:]]))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        pipeline.generate_labels(load_question_set(questions))
+    code, err = run_qfs("label", "--questions", questions, "--out", tmp_path / "l.jsonl")
+    assert (code, err) == (2, f"error: {message}\n")
+
+
+def test_cv_with_more_folds_than_questions_exits_2():
+    questions = load_question_set(GOLDEN / "questions.json")
+    with pytest.raises(EmptyInput, match="^4 questions for 10 folds$"):
+        pipeline.cross_validate(questions, None, pipeline.OracleModelSpec(), k=10)
+    code, err = run_qfs("cv", *QUESTIONS, "--model", "oracle", "--k", "10")
+    assert (code, err) == (2, "error: 4 questions for 10 folds\n")
+
+
+def test_assemble_answer_from_no_sentences_is_empty_input():
+    with pytest.raises(EmptyInput, match="^cannot assemble an answer from no sentences$"):
+        pipeline.assemble_answer("summary", [])
+
+
+def test_nir_answer_skips_a_question_without_a_query_vector(tmp_path, caplog):
+    docs, queries = tmp_path / "docs.dvec", tmp_path / "queries.dvec"
+    save_dense_store(DenseStore.from_vectors({f"d{i}": np.ones(4) for i in range(1, 6)}), docs)
+    save_dense_store(DenseStore.from_vectors({f"q{i}": np.ones(4) for i in range(1, 4)}), queries)
+    save_params(init_nnc(emb_dim=4, lstm_hidden=2, dense_hidden=2), tmp_path / "m.qfsm")
+    config = config_file(
+        tmp_path, retrieval={"method": "nir"},
+        resources={"dense_path": str(docs), "query_vectors_path": str(queries)},
+        model={"kind": "nnc", "params_path": str(tmp_path / "m.qfsm"),
+               "embeddings_path": str(GOLDEN / "vectors.txt")},
+    )
+    code, err = run_qfs("answer", "--config", config, *QUESTIONS, "--out", tmp_path / "a.json")
+    assert code == 1, err
+    assert "skipping question q4: no query vector for question 'q4'" in caplog.text
+    answered = json.loads((tmp_path / "a.json").read_text())["questions"]
+    assert [q["id"] for q in answered] == ["q1", "q2", "q3"]
+
+    collection = load_document_collection(GOLDEN / "docs.jsonl")
+    resources = pipeline.Resources(
+        collection, build_index(collection), pipeline.CosineScorer(),
+        dense=load_dense_store(docs), query_vectors=load_dense_store(queries),
+    )
+    q4 = load_question_set(GOLDEN / "questions.json")["q4"]
+    nir = parse_config({"retrieval": {"method": "nir"}})
+    with pytest.raises(MissingInput, match="^no query vector for question 'q4'$"):
+        pipeline.retrieve(q4, nir, resources)
+    resources.dense = None
+    with pytest.raises(
+        MissingInput, match="^retrieval method 'nir' needs dense vectors and query vectors$"
+    ):
+        pipeline.retrieve(q4, nir, resources)

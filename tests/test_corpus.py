@@ -13,6 +13,7 @@ from qfs.corpus import (
     EXCLUDE_IRRELEVANT_ONLY,
     DocumentCollection,
     FeedbackStore,
+    QuestionSet,
     SnippetSpan,
     filter_judged,
     load_document_collection,
@@ -21,9 +22,10 @@ from qfs.corpus import (
     save_document_collection,
     save_question_set,
 )
-from qfs.errors import DuplicateId, MalformedInput, UnknownQuestionType
+from qfs.errors import MalformedInput
+from qfs.pipeline import load_submission
 
-from conftest import make_doc
+from conftest import make_doc, make_question
 
 
 def write_questions(tmp_path, payload, name="questions.json"):
@@ -78,9 +80,48 @@ BAD_QUESTIONS = {
 def test_every_question_error_names_the_file(tmp_path, case):
     entry, message = BAD_QUESTIONS[case]
     path = write_questions(tmp_path, [MINIMAL_QUESTION | {"id": "q0"}, entry])
-    error = UnknownQuestionType if case == "unknown type" else MalformedInput
-    with pytest.raises(error, match=re.escape(f"{path}: {message}")):
+    with pytest.raises(MalformedInput, match=re.escape(f"{path}: {message}")):
         load_question_set(path)
+
+
+# Each place an id is read, given one that is not a non-empty string: the
+# file written, its content, and the message that must follow the path.
+BAD_IDS = {
+    "question id null": ("questions.json", [dict(MINIMAL_QUESTION, id=None)],
+                         ": question with empty or missing id"),
+    "question id number": ("questions.json", [dict(MINIMAL_QUESTION, id=5)],
+                           ": id must be a non-empty string, not 5"),
+    "question documents entry": (
+        "questions.json", [dict(MINIMAL_QUESTION, documents=["d1", None])],
+        ": question 'q1': documents entry must be a non-empty string, not None"),
+    "snippet document": (
+        "questions.json", [dict(MINIMAL_QUESTION, snippets=[dict(SNIPPET, document=None)])],
+        ": question 'q1': snippet: document must be a non-empty string, not None"),
+    "document id": ("docs.jsonl", {"id": None, "sections": []},
+                    ":1: id must be a non-empty string, not None"),
+    "section id": ("docs.jsonl", {"id": "d1", "sections": [{"id": None, "text": "a"}]},
+                   ":1: section id must be a non-empty string, not None"),
+    "feedback question_id": ("feedback.json", [{"question_id": 7, "items": []}],
+                             ": question_id must be a non-empty string, not 7"),
+    "feedback document ref": (
+        "feedback.json",
+        [{"question_id": "q1", "items": [{"kind": "document", "ref": None,
+                                          "polarity": "relevant"}]}],
+        ": feedback for 'q1': ref must be a non-empty string, not None"),
+    "submission id": ("submission.json", {"questions": [{"id": None}]},
+                      ": submission question id must be a non-empty string, not None"),
+}
+LOADERS = {"questions.json": load_question_set, "docs.jsonl": load_document_collection,
+           "feedback.json": FeedbackStore.load, "submission.json": load_submission}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_IDS))
+def test_every_id_must_be_a_non_empty_string(tmp_path, case):
+    name, payload, message = BAD_IDS[case]
+    path = tmp_path / name
+    path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedInput, match=f"^{re.escape(f'{path}{message}')}$"):
+        LOADERS[name](path)
 
 
 class TestLoadQuestionSet:
@@ -100,13 +141,18 @@ class TestLoadQuestionSet:
         assert load_document_collection(path)["d1"].sections == (("s", ""),)
 
     def test_unknown_type_rejected(self, tmp_path):
-        bad = dict(MINIMAL_QUESTION, type="listt")
-        with pytest.raises(UnknownQuestionType):
-            load_question_set(write_questions(tmp_path, [bad]))
+        path = write_questions(tmp_path, [dict(MINIMAL_QUESTION, type="listt")])
+        with pytest.raises(MalformedInput, match=re.escape(f"{path}: question 'q1' has unknown")):
+            load_question_set(path)
 
     def test_duplicate_id_rejected(self, tmp_path):
-        with pytest.raises(DuplicateId):
-            load_question_set(write_questions(tmp_path, [MINIMAL_QUESTION] * 2))
+        path = write_questions(tmp_path, [MINIMAL_QUESTION] * 2)
+        message = f"^{re.escape(str(path))}: duplicate question id 'q1'$"
+        with pytest.raises(MalformedInput, match=message):
+            load_question_set(path)
+        question = make_question("q1")
+        with pytest.raises(MalformedInput, match="^duplicate question id 'q1'$"):
+            QuestionSet([question, question])
 
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -192,8 +238,11 @@ class TestLoadDocuments:
         path = tmp_path / "docs.jsonl"
         line = json.dumps({"id": "d1", "sections": []})
         path.write_text(line + "\n" + line + "\n", encoding="utf-8")
-        with pytest.raises(DuplicateId):
+        message = f"^{re.escape(str(path))}:2: duplicate document id 'd1'$"
+        with pytest.raises(MalformedInput, match=message):
             load_document_collection(path)
+        with pytest.raises(MalformedInput, match="^duplicate document id 'd1'$"):
+            DocumentCollection([make_doc("d1"), make_doc("d1")])
 
     def test_section_order_preserved(self, tmp_path):
         path = tmp_path / "docs.jsonl"
@@ -212,7 +261,7 @@ class TestLoadDocuments:
         path = tmp_path / "docs.jsonl"
         obj = {"id": "d1", "sections": [{"id": "s", "text": "a"}, {"id": "s", "text": "b"}]}
         path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
-        with pytest.raises(DuplicateId):
+        with pytest.raises(MalformedInput, match=re.escape(f"{path}:1: duplicate section id 's'")):
             load_document_collection(path)
 
     def test_roundtrip(self, tmp_path):

@@ -15,7 +15,7 @@ from qfs.embeddings import (
     read_context_embeddings,
     write_context_embeddings,
 )
-from qfs.errors import DimensionMismatch, MalformedInput, MaskAllFalse
+from qfs.errors import DimensionMismatch, MalformedInput
 
 from conftest import load_each_corruption
 
@@ -142,7 +142,7 @@ class TestCembRoundTrip:
             fh.write(struct.pack("<I", 2))
             fh.write(b"\x00")  # 2-token mask, no bits set
             fh.write(np.zeros((2, 2), dtype="<f4").tobytes())
-        with pytest.raises(MaskAllFalse):
+        with pytest.raises(MalformedInput, match="^record 'x#0': mask marks no tokens$"):
             list(read_context_embeddings(path))
 
     def test_truncated_record_names_offset(self, tmp_path):

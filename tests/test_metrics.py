@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from qfs import metrics
 from qfs.corpus import SnippetSpan, load_question_set
-from qfs.errors import DuplicateInReturned, EmptyReferenceList
+from qfs.errors import EmptyInput, MalformedInput
 from qfs.metrics import (
     RougeScore,
     best_reference_f1,
@@ -219,11 +219,11 @@ class TestBestReference:
         assert best_reference_f1("a b", ["a b", "c d"]) == pytest.approx(1.0)
 
     def test_empty_reference_list(self):
-        with pytest.raises(EmptyReferenceList):
+        with pytest.raises(EmptyInput, match="^at least one reference text is required$"):
             best_reference_f1("a", [])
 
     def test_empty_prepared_reference_list(self):
-        with pytest.raises(EmptyReferenceList):
+        with pytest.raises(EmptyInput, match="^at least one reference text is required$"):
             best_reference_f1s([["a"]], [])
 
     @given(
@@ -275,7 +275,7 @@ class TestDocumentF1:
         assert document_f1(["d1"], set()) == RougeScore.zero()
 
     def test_duplicates_rejected(self):
-        with pytest.raises(DuplicateInReturned):
+        with pytest.raises(MalformedInput, match="^returned document list contains duplicates$"):
             document_f1(["d1", "d1"], {"d1"})
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import struct
 import zlib
 
@@ -10,13 +11,7 @@ import numpy as np
 import pytest
 
 from qfs.embeddings import ContextEmbeddingRecord
-from qfs.errors import (
-    EmptyDataset,
-    EmptySequence,
-    KindMismatch,
-    MalformedInput,
-    NonFiniteLoss,
-)
+from qfs.errors import EmptyInput, MalformedInput, MissingInput, QfsError
 from qfs.neural import (
     KINDS,
     LabeledExample,
@@ -113,7 +108,7 @@ class TestBilstmEncode:
 
     def test_empty_sequence_rejected(self):
         params = LstmParams(w_x=np.zeros((8, 3)), w_h=np.zeros((8, 2)), b=np.zeros(8))
-        with pytest.raises(EmptySequence):
+        with pytest.raises(EmptyInput, match=re.escape("encoder input must be a non-empty (n, E)")):
             bilstm_encode(params, params, np.zeros((0, 3)))
 
 
@@ -170,7 +165,7 @@ class TestNncForward:
 
     def test_empty_matrix_rejected(self):
         params = zeroed_nnc()
-        with pytest.raises(EmptySequence):
+        with pytest.raises(EmptyInput, match="^question and sentence matrices must be non-empty$"):
             forward(params, np.zeros((0, 3)), np.ones((1, 3)), 0.5)
 
 
@@ -326,8 +321,12 @@ class TestTraining:
         assert a.loss_history == b.loss_history
         assert len(a.loss_history) == 3
 
+    def test_pooled_input_without_a_record_is_missing_input(self):
+        with pytest.raises(MissingInput, match="^no context-embedding record for pair id 'q1#9'$"):
+            KINDS["pooled"].input({}, ("a",), ("b",), "q1#9", 9, 10)
+
     def test_empty_dataset_rejected(self):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(EmptyInput, match="^training requires at least one example$"):
             train("pooled", [], {}, TrainConfig())
 
     def test_non_finite_loss_aborts_with_diagnostics(self):
@@ -335,9 +334,11 @@ class TestTraining:
         bad = {
             k: record_of([[np.inf, 1.0]], [True], pair_id=k) for k in records
         }
-        with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteLoss) as err:
+        with pytest.warns(RuntimeWarning), pytest.raises(
+            QfsError, match="^non-finite loss at epoch 1, batch starting at example 0$"
+        ) as err:
             train("pooled", examples, bad, TrainConfig(epochs=1, batch_size=2))
-        assert "epoch 1" in str(err.value)
+        assert err.type is QfsError
 
     def test_forward_outputs_stay_in_open_interval(self):
         examples, records = separable_fixture()
@@ -402,7 +403,8 @@ class TestParamsIO:
         params = init_nnc(emb_dim=2, lstm_hidden=2, dense_hidden=2)
         path = tmp_path / "m.qfsm"
         save_params(params, path)
-        with pytest.raises(KindMismatch):
+        message = re.escape(f"{path}: holds a nnc model, expected pooled")
+        with pytest.raises(MalformedInput, match=f"^{message}$"):
             load_params(path, expected_kind="pooled")
 
     def test_corrupted_magic(self, tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 import struct
 import zlib
 
@@ -12,13 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfs.corpus import DocumentCollection
-from qfs.errors import (
-    DimensionMismatch,
-    EmptyCollection,
-    EmptyList,
-    LambdaOutOfRange,
-    MalformedInput,
-)
+from qfs.errors import DimensionMismatch, EmptyInput, MalformedInput
 from qfs.retrieval import (
     DEFAULT_B,
     DEFAULT_K1,
@@ -80,7 +75,7 @@ class TestBuildIndex:
         assert doc_length(index, "d1") == 4
 
     def test_empty_collection_rejected(self):
-        with pytest.raises(EmptyCollection):
+        with pytest.raises(EmptyInput, match="^cannot index an empty collection$"):
             build_index(DocumentCollection([]))
 
     @pytest.mark.parametrize("k1, b", [
@@ -149,7 +144,7 @@ class TestMinmaxNormalize:
         assert minmax_normalize([0, 1]) == [0.0, 1.0]
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyList):
+        with pytest.raises(EmptyInput, match="^cannot normalize an empty score list$"):
             minmax_normalize([])
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20))
@@ -170,7 +165,7 @@ class TestInterpolate:
         assert interpolate(0.73, 0.2, 0.0) == pytest.approx(0.2)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(LambdaOutOfRange):
+        with pytest.raises(MalformedInput, match=re.escape("lambda must be in [0, 1], got 1.5")):
             interpolate(0.5, 0.5, 1.5)
 
     @given(

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from qfs import sentences
 from qfs.config import parse_config
 from qfs.corpus import DocumentCollection, SnippetSpan, load_document_collection
-from qfs.errors import UnknownDocument
+from qfs.errors import MissingInput
 from qfs.pipeline import CosineScorer, Resources, select_snippets, snip_cosine
 from qfs.retrieval import build_index, load_index, save_index
 from qfs.sentences import SentenceTable
@@ -68,7 +68,7 @@ def reference_table(collection, doc_ids) -> SentenceTable:
 def reference_document_sentences(doc_id, collection) -> list[SnippetSpan]:
     """Every sentence of a document as a snippet span, split per question."""
     if doc_id not in collection:
-        raise UnknownDocument(doc_id)
+        raise MissingInput(f"document {doc_id!r} is not in the collection")
     return [
         SnippetSpan(doc_id, section_id, s.begin, s.end, s.text)
         for section_id, text in collection[doc_id].sections
@@ -162,7 +162,7 @@ class TestBlockBuildMatchesRowOracle:
         )
 
     def test_unknown_document_is_an_error(self, micro_collection):
-        with pytest.raises(UnknownDocument, match="'d9'"):
+        with pytest.raises(MissingInput, match="^document 'd9' is not in the collection$"):
             SentenceTable.build(micro_collection, ["d1", "d9"])
 
 
@@ -264,13 +264,13 @@ class TestSnippetsMatchTextPath:
 
     def test_unknown_document_is_an_error(self, micro_collection):
         question = make_question("q")
-        with pytest.raises(UnknownDocument):
+        with pytest.raises(MissingInput, match="^document 'd9' is not in the collection$"):
             snip_cosine(question, [("d9", 1.0)], micro_collection)
         resources = Resources(
             collection=micro_collection, index=build_index(micro_collection),
             scorer=CosineScorer(),
         )
-        with pytest.raises(UnknownDocument):
+        with pytest.raises(MissingInput, match="^document 'd9' is not in the index$"):
             select_snippets(question, [("d9", 1.0)], parse_config({}), resources)
 
     def test_snip_cosine_splits_through_document_sentences(self, micro_collection, monkeypatch):
