@@ -8,6 +8,7 @@ The config file is a JSON object with sections ``retrieval``,
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -84,11 +85,17 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _number(kind: type, value, name: str):
-    """``kind(value)`` (int or float), or MalformedInput naming the field."""
+    """A JSON number as ``kind``, or MalformedInput naming the field.
+
+    An int field takes an int, a float field an int or a float; a bool is neither.
+    """
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        noun = "an integer" if kind is int else "a number"
+        raise MalformedInput(f"config: {name} must be {noun}, got {value!r}")
     try:
         return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise MalformedInput(f"config: {name} must be a number, got {value!r}") from None
+    except OverflowError:
+        raise MalformedInput(f"config: {name} is too large for a float, got {value!r}") from None
 
 
 def _section(payload: dict, name: str) -> dict:
@@ -123,7 +130,9 @@ def parse_config(payload: dict) -> PipelineConfig:
             if key == "default":
                 round_docs_default = count
             else:
-                round_docs[_number(int, key, "retrieval.round_docs round key")] = count
+                _require(isinstance(key, str) and re.fullmatch("-?[0-9]+", key) is not None,
+                         f"retrieval.round_docs keys must be integers or 'default', got {key!r}")
+                round_docs[int(key)] = count
     def number(kind: type, key: str, default):
         return _number(kind, r.pop(key, default), f"retrieval.{key}")
 

@@ -21,6 +21,7 @@ order, so every score is exact. A text without tokens scores zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain, count
 from typing import Any, Iterable, Sequence
@@ -138,35 +139,23 @@ def document_f1(returned: Sequence[str], gold: Iterable[str]) -> RougeScore:
     return RougeScore.from_pr(precision, recall)
 
 
-def _merge_intervals(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Union of half-open intervals as a sorted disjoint list."""
-    merged: list[tuple[int, int]] = []
-    for begin, end in sorted(intervals):
-        if merged and begin <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((begin, end))
-    return merged
-
-
 def _merged_length(intervals: list[tuple[int, int]]) -> int:
-    return sum(end - begin for begin, end in _merge_intervals(intervals))
-
-
-def _intersection_length(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> int:
-    """Length of union(a) intersected with union(b), by two-pointer sweep."""
-    am, bm = _merge_intervals(a), _merge_intervals(b)
-    i = j = total = 0
-    while i < len(am) and j < len(bm):
-        lo = max(am[i][0], bm[j][0])
-        hi = min(am[i][1], bm[j][1])
-        if lo < hi:
-            total += hi - lo
-        if am[i][1] <= bm[j][1]:
-            i += 1
-        else:
-            j += 1
+    """Length of the union of half-open intervals."""
+    total, reach = 0, -math.inf
+    for begin, end in sorted(intervals):
+        if end > reach:
+            total += end - max(begin, reach)
+            reach = end
     return total
+
+
+def _by_section(spans: Sequence[Any]) -> dict[tuple[str, str], list[tuple[int, int]]]:
+    groups: dict[tuple[str, str], list[tuple[int, int]]] = {}
+    for span in spans:
+        groups.setdefault((span.doc_id, span.section_id), []).append(
+            (span.begin_char, span.end_char)
+        )
+    return groups
 
 
 def snippet_f1(returned: Sequence[Any], gold: Sequence[Any]) -> RougeScore:
@@ -174,23 +163,16 @@ def snippet_f1(returned: Sequence[Any], gold: Sequence[Any]) -> RougeScore:
 
     Characters are grouped per (document, section) and counted once per
     side (union semantics), so overlapping spans on the same side do not
-    double count.
+    double count. Per group, |A ∩ B| = |A| + |B| - |A ∪ B|.
     """
-    by_key_returned: dict[tuple[str, str], list[tuple[int, int]]] = {}
-    by_key_gold: dict[tuple[str, str], list[tuple[int, int]]] = {}
-    for span in returned:
-        key = (span.doc_id, span.section_id)
-        by_key_returned.setdefault(key, []).append((span.begin_char, span.end_char))
-    for span in gold:
-        key = (span.doc_id, span.section_id)
-        by_key_gold.setdefault(key, []).append((span.begin_char, span.end_char))
-
-    returned_total = sum(_merged_length(v) for v in by_key_returned.values())
-    gold_total = sum(_merged_length(v) for v in by_key_gold.values())
+    ret, ref = _by_section(returned), _by_section(gold)
+    ret_len = {key: _merged_length(v) for key, v in ret.items()}
+    ref_len = {key: _merged_length(v) for key, v in ref.items()}
     overlap = sum(
-        _intersection_length(by_key_returned[key], by_key_gold[key])
-        for key in by_key_returned.keys() & by_key_gold.keys()
+        ret_len[key] + ref_len[key] - _merged_length(ret[key] + ref[key])
+        for key in ret.keys() & ref.keys()
     )
+    returned_total, gold_total = sum(ret_len.values()), sum(ref_len.values())
     precision = overlap / returned_total if returned_total else 0.0
     recall = overlap / gold_total if gold_total else 0.0
     return RougeScore.from_pr(precision, recall)

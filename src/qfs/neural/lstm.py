@@ -29,10 +29,6 @@ class LstmParams:
     def hidden_dim(self) -> int:
         return self.w_h.shape[1]
 
-    @property
-    def input_dim(self) -> int:
-        return self.w_x.shape[1]
-
 
 @dataclass
 class LstmCache:

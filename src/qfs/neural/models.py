@@ -13,9 +13,12 @@ The position feature encodes a 0-based candidate position as
 
 Everything that depends on the kind is one :class:`ModelKind` in
 :data:`KINDS`: its name, QFSM code and header dims, training defaults,
-the file it reads and its dimension, ``init``, ``input`` (one example's
-model inputs), ``apply`` and ``backward``. Training, the QFSM codec,
-the scorer and the command line look the kind up there and nowhere else.
+the file it reads and its dimension, ``shapes`` (the name and shape of
+every parameter block at given dims), ``input`` (one example's model
+inputs), ``apply`` and ``backward``. Training, the QFSM codec, the
+scorer and the command line look the kind up there and nowhere else.
+A model's parameters are one :class:`Params`, whose blocks
+:func:`init_params` fills in the order of the kind's ``shapes``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .ops import relu, sigmoid
 _PROB_MIN = float(np.nextafter(0.0, 1.0))
 _PROB_MAX = float(np.nextafter(1.0, 0.0))
 
-DEFAULT_EMBEDDING_DIM = 100
 DEFAULT_LSTM_HIDDEN = 100
 DEFAULT_DENSE_HIDDEN = 50
 
@@ -73,118 +75,71 @@ class TrainConfig:
             raise ValueError("clip_len must be >= 1")
 
 
-@dataclass
-class DenseParams:
-    w: np.ndarray  # (out, in)
-    b: np.ndarray  # (out,)
+Shapes = dict[str, tuple[int, ...]]  # block name -> shape, in QFSM order
 
 
 @dataclass
-class NncParams:
-    """Shared BiLSTM encoder plus the interaction classifier head."""
+class Params:
+    """A classifier's parameters: named float64 blocks in QFSM order.
 
-    lstm_fwd: LstmParams
-    lstm_bwd: LstmParams
-    hidden: DenseParams  # (dense_hidden, 4H + 1)
-    output: DenseParams  # (1, dense_hidden)
+    ``dims`` are the kind's header dims, and ``blocks`` has the names and
+    shapes of the kind's ``shapes`` at those dims.
+    """
+
+    kind: str
+    dims: dict[str, int]
+    blocks: dict[str, np.ndarray]
     seed: int = 0
 
-    kind = "nnc"
 
-    @property
-    def emb_dim(self) -> int:
-        return self.lstm_fwd.input_dim
-
-    @property
-    def lstm_hidden(self) -> int:
-        return self.lstm_fwd.hidden_dim
-
-    @property
-    def dense_hidden(self) -> int:
-        return self.hidden.w.shape[0]
-
-    def flat(self) -> dict[str, np.ndarray]:
-        return {
-            "lstm_fwd.w_x": self.lstm_fwd.w_x,
-            "lstm_fwd.w_h": self.lstm_fwd.w_h,
-            "lstm_fwd.b": self.lstm_fwd.b,
-            "lstm_bwd.w_x": self.lstm_bwd.w_x,
-            "lstm_bwd.w_h": self.lstm_bwd.w_h,
-            "lstm_bwd.b": self.lstm_bwd.b,
-            "hidden.w": self.hidden.w,
-            "hidden.b": self.hidden.b,
-            "output.w": self.output.w,
-            "output.b": self.output.b,
-        }
+def _lstm_shapes(direction: str, emb_dim: int, hidden: int) -> Shapes:
+    return {
+        f"{direction}.w_x": (4 * hidden, emb_dim),
+        f"{direction}.w_h": (4 * hidden, hidden),
+        f"{direction}.b": (4 * hidden,),
+    }
 
 
-@dataclass
-class PooledClassifierParams:
-    """Classifier over mean-pooled contextual embeddings plus position."""
-
-    hidden: DenseParams  # (dense_hidden, D + 1)
-    output: DenseParams  # (1, dense_hidden)
-    seed: int = 0
-
-    kind = "pooled"
-
-    @property
-    def input_dim(self) -> int:
-        return self.hidden.w.shape[1] - 1
-
-    @property
-    def dense_hidden(self) -> int:
-        return self.hidden.w.shape[0]
-
-    def flat(self) -> dict[str, np.ndarray]:
-        return {
-            "hidden.w": self.hidden.w,
-            "hidden.b": self.hidden.b,
-            "output.w": self.output.w,
-            "output.b": self.output.b,
-        }
+def _head_shapes(n_in: int, dense_hidden: int) -> Shapes:
+    return {
+        "hidden.w": (dense_hidden, n_in),
+        "hidden.b": (dense_hidden,),
+        "output.w": (1, dense_hidden),
+        "output.b": (1,),
+    }
 
 
-def _init_lstm(rng: np.random.Generator, emb_dim: int, hidden_dim: int) -> LstmParams:
-    w_x = rng.uniform(-0.05, 0.05, size=(4 * hidden_dim, emb_dim))
-    w_h = rng.uniform(-0.05, 0.05, size=(4 * hidden_dim, hidden_dim))
-    b = np.zeros(4 * hidden_dim)
-    b[hidden_dim : 2 * hidden_dim] = 1.0  # forget-gate bias
-    return LstmParams(w_x=w_x, w_h=w_h, b=b)
+def _nnc_shapes(emb_dim: int, lstm_hidden: int, dense_hidden: int) -> Shapes:
+    return {
+        **_lstm_shapes("lstm_fwd", emb_dim, lstm_hidden),
+        **_lstm_shapes("lstm_bwd", emb_dim, lstm_hidden),
+        **_head_shapes(4 * lstm_hidden + 1, dense_hidden),
+    }
 
 
-def _init_head(
-    rng: np.random.Generator, n_in: int, dense_hidden: int
-) -> tuple[DenseParams, DenseParams]:
-    hidden = DenseParams(
-        w=rng.uniform(-0.05, 0.05, size=(dense_hidden, n_in)), b=np.zeros(dense_hidden)
-    )
-    output = DenseParams(w=rng.uniform(-0.05, 0.05, size=(1, dense_hidden)), b=np.zeros(1))
-    return hidden, output
+def _pooled_shapes(input_dim: int, dense_hidden: int) -> Shapes:
+    return _head_shapes(input_dim + 1, dense_hidden)
 
 
-def init_nnc(
-    emb_dim: int = DEFAULT_EMBEDDING_DIM,
-    lstm_hidden: int = DEFAULT_LSTM_HIDDEN,
-    dense_hidden: int = DEFAULT_DENSE_HIDDEN,
-    seed: int = 0,
-) -> NncParams:
+def init_params(kind: str, seed: int = 0, **dims: int) -> Params:
+    """Weights uniform in [-0.05, 0.05], drawn in block order; biases zero,
+    except each LSTM forget-gate bias, which is one."""
     rng = np.random.default_rng(seed)
-    lstm_fwd = _init_lstm(rng, emb_dim, lstm_hidden)
-    lstm_bwd = _init_lstm(rng, emb_dim, lstm_hidden)
-    hidden, output = _init_head(rng, 4 * lstm_hidden + 1, dense_hidden)
-    return NncParams(lstm_fwd, lstm_bwd, hidden, output, seed=seed)
+    blocks = {}
+    for name, shape in KINDS[kind].shapes(**dims).items():
+        if name.endswith(".b"):
+            blocks[name] = np.zeros(shape)
+            if name.startswith("lstm"):
+                hidden = shape[0] // 4
+                blocks[name][hidden : 2 * hidden] = 1.0
+        else:
+            blocks[name] = rng.uniform(-0.05, 0.05, size=shape)
+    return Params(kind, {name: dims[name] for name in KINDS[kind].header}, blocks, seed)
 
 
-def init_pooled(
-    input_dim: int,
-    lstm_hidden: int = DEFAULT_LSTM_HIDDEN,
-    dense_hidden: int = DEFAULT_DENSE_HIDDEN,
-    seed: int = 0,
-) -> PooledClassifierParams:
-    """``lstm_hidden`` is ignored (there is no encoder); it keeps ``init`` one signature."""
-    hidden, output = _init_head(np.random.default_rng(seed), input_dim + 1, dense_hidden)
-    return PooledClassifierParams(hidden, output, seed=seed)
+def _lstm(params: Params, direction: str) -> LstmParams:
+    b = params.blocks
+    return LstmParams(b[f"{direction}.w_x"], b[f"{direction}.w_h"], b[f"{direction}.b"])
 
 
 @dataclass
@@ -199,16 +154,14 @@ class _HeadCache:
 
 
 def _head_forward(
-    hidden: DenseParams,
-    output: DenseParams,
-    x: np.ndarray,
-    dropout_mask: np.ndarray | None,
+    params: Params, x: np.ndarray, dropout_mask: np.ndarray | None
 ) -> _HeadCache:
-    a1 = hidden.w @ x + hidden.b
+    b = params.blocks
+    a1 = b["hidden.w"] @ x + b["hidden.b"]
     h = relu(a1)
     if dropout_mask is not None:
         h = h * dropout_mask
-    z = output.w[0] @ h + output.b[0]
+    z = b["output.w"][0] @ h + b["output.b"][0]
     # A saturated sigmoid rounds to exactly 0.0 or 1.0; the documented
     # contract is the open interval, so clamp to its nearest floats.
     prob = min(max(sigmoid(z), _PROB_MIN), _PROB_MAX)
@@ -216,26 +169,21 @@ def _head_forward(
 
 
 def _head_backward(
-    hidden: DenseParams, output: DenseParams, cache: _HeadCache, label: int
+    params: Params, cache: _HeadCache, label: int
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Gradients of BCE(prob, label) w.r.t. head params and head input."""
     dz = cache.prob - label
-    g_out_w = np.outer([dz], cache.h)
-    g_out_b = np.array([dz])
-    dh = output.w[0] * dz
+    dh = params.blocks["output.w"][0] * dz
     if cache.dropout_mask is not None:
         dh = dh * cache.dropout_mask
     da1 = dh * (cache.a1 > 0.0)
-    g_hid_w = np.outer(da1, cache.x)
-    g_hid_b = da1
-    dx = hidden.w.T @ da1
     grads = {
-        "hidden.w": g_hid_w,
-        "hidden.b": g_hid_b,
-        "output.w": g_out_w,
-        "output.b": g_out_b,
+        "hidden.w": np.outer(da1, cache.x),
+        "hidden.b": da1,
+        "output.w": np.outer([dz], cache.h),
+        "output.b": np.array([dz]),
     }
-    return grads, dx
+    return grads, params.blocks["hidden.w"].T @ da1
 
 
 @dataclass
@@ -248,7 +196,7 @@ class NncCache:
 
 
 def _nnc_apply(
-    params: NncParams,
+    params: Params,
     q_matrix: np.ndarray,
     s_matrix: np.ndarray,
     pos_feature: float,
@@ -256,24 +204,24 @@ def _nnc_apply(
 ) -> NncCache:
     if q_matrix.shape[0] == 0 or s_matrix.shape[0] == 0:
         raise EmptyInput("question and sentence matrices must be non-empty")
-    q_vec, q_cache = bilstm_encode(params.lstm_fwd, params.lstm_bwd, q_matrix)
-    s_vec, s_cache = bilstm_encode(params.lstm_fwd, params.lstm_bwd, s_matrix)
+    fwd, bwd = _lstm(params, "lstm_fwd"), _lstm(params, "lstm_bwd")
+    q_vec, q_cache = bilstm_encode(fwd, bwd, q_matrix)
+    s_vec, s_cache = bilstm_encode(fwd, bwd, s_matrix)
     inter = s_vec * q_vec
     x = np.concatenate([s_vec, inter, [pos_feature]])
-    head = _head_forward(params.hidden, params.output, x, dropout_mask)
+    head = _head_forward(params, x, dropout_mask)
     return NncCache(q_vec=q_vec, s_vec=s_vec, q_cache=q_cache, s_cache=s_cache, head=head)
 
 
-def _nnc_backward(
-    params: NncParams, cache: NncCache, label: int
-) -> dict[str, np.ndarray]:
+def _nnc_backward(params: Params, cache: NncCache, label: int) -> dict[str, np.ndarray]:
     """Gradients of BCE(prob, label) for every parameter."""
-    grads, dx = _head_backward(params.hidden, params.output, cache.head, label)
+    grads, dx = _head_backward(params, cache.head, label)
     two_h = cache.s_vec.shape[0]
     d_s = dx[:two_h] + dx[two_h : 2 * two_h] * cache.q_vec
     d_q = dx[two_h : 2 * two_h] * cache.s_vec
-    q_grads = bilstm_backward(params.lstm_fwd, params.lstm_bwd, cache.q_cache, d_q)
-    s_grads = bilstm_backward(params.lstm_fwd, params.lstm_bwd, cache.s_cache, d_s)
+    fwd, bwd = _lstm(params, "lstm_fwd"), _lstm(params, "lstm_bwd")
+    q_grads = bilstm_backward(fwd, bwd, cache.q_cache, d_q)
+    s_grads = bilstm_backward(fwd, bwd, cache.s_cache, d_s)
     for direction, gq, gs in zip(("lstm_fwd", "lstm_bwd"), q_grads, s_grads):
         for name in ("w_x", "w_h", "b"):
             grads[f"{direction}.{name}"] = gq[name] + gs[name]
@@ -286,21 +234,22 @@ class PooledCache:
 
 
 def _pooled_apply(
-    params: PooledClassifierParams,
+    params: Params,
     record: ContextEmbeddingRecord,
     pos_feature: float,
     dropout_mask: np.ndarray | None = None,
 ) -> PooledCache:
-    pooled = record.pooled()
-    x = np.concatenate([pooled, [pos_feature]])
-    return PooledCache(head=_head_forward(params.hidden, params.output, x, dropout_mask))
+    x = np.concatenate([record.pooled(), [pos_feature]])
+    return PooledCache(head=_head_forward(params, x, dropout_mask))
 
 
-def _pooled_backward(
-    params: PooledClassifierParams, cache: PooledCache, label: int
-) -> dict[str, np.ndarray]:
-    grads, _ = _head_backward(params.hidden, params.output, cache.head, label)
-    return grads
+def _pooled_backward(params: Params, cache: PooledCache, label: int) -> dict[str, np.ndarray]:
+    return _head_backward(params, cache.head, label)[0]
+
+
+def _embed(table: EmbeddingTable, tokens: Sequence[str], clip_len: int) -> np.ndarray:
+    """A text with no tokens is one out-of-vocabulary (zero) row."""
+    return embed_tokens(table, tokens, clip_len) if tokens else np.zeros((1, table.dim))
 
 
 def _nnc_input(
@@ -312,8 +261,8 @@ def _nnc_input(
     clip_len: int,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     return (
-        embed_tokens(table, question_tokens, clip_len),
-        embed_tokens(table, sentence_tokens, clip_len),
+        _embed(table, question_tokens, clip_len),
+        _embed(table, sentence_tokens, clip_len),
         position_feature(position),
     )
 
@@ -338,15 +287,15 @@ class ModelKind:
 
     name: str
     code: int  # the QFSM kind byte
-    header: tuple[str, ...]  # init arguments stored as the QFSM u32 dims, in order
+    header: tuple[str, ...]  # the dims, source dim first, stored in this order as QFSM u32s
     train_defaults: TrainConfig
     source_option: str  # command-line option naming the file the model reads
     load_source: Callable  # path -> word-vector table or pair_id -> record mapping
     source_dim: Callable  # source -> its vector dimension
-    init: Callable  # (source dim, lstm_hidden, dense_hidden, seed) -> params
+    shapes: Callable  # (**dims) -> {block name: shape}, in QFSM order
     input: Callable  # (source, question tokens, sentence tokens, pair id, position, clip_len)
     apply: Callable  # (params, *input, dropout_mask=None) -> cache with .head.prob
-    backward: Callable  # (params, cache, label) -> gradient per flat() name
+    backward: Callable  # (params, cache, label) -> gradient per block name
 
 
 # Training defaults are the hyperparameters of each architecture's original runs.
@@ -361,7 +310,7 @@ KINDS = {
             source_option="embeddings",
             load_source=load_word_embeddings,
             source_dim=lambda table: table.dim,
-            init=init_nnc,
+            shapes=_nnc_shapes,
             input=_nnc_input,
             apply=_nnc_apply,
             backward=_nnc_backward,
@@ -374,7 +323,7 @@ KINDS = {
             source_option="cemb",
             load_source=load_context_embeddings,
             source_dim=lambda records: next(iter(records.values())).dim,
-            init=init_pooled,
+            shapes=_pooled_shapes,
             input=_pooled_input,
             apply=_pooled_apply,
             backward=_pooled_backward,
@@ -383,6 +332,6 @@ KINDS = {
 }
 
 
-def forward(params: NncParams | PooledClassifierParams, *inputs) -> float:
+def forward(params: Params, *inputs) -> float:
     """Probability that the sentence belongs to the ideal answer."""
     return KINDS[params.kind].apply(params, *inputs).head.prob

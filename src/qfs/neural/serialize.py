@@ -3,9 +3,9 @@
 Layout (little-endian): magic ``QFSM``, u32 version=2, u8 kind (1 =
 interaction model, 2 = pooled classifier), u64 seed, the kind's u32
 header dims (``ModelKind.header``), u32 ``clip_len`` the model was
-trained with, then every parameter block of ``flat()`` as raveled f64,
-and a trailing u32 CRC32 of all preceding bytes. Block shapes are those
-of the kind's ``init`` at the header dims. Version 1 files have no
+trained with, then every parameter block as raveled f64, in the kind's
+``shapes`` order and at the shapes it gives for the header dims, and a
+trailing u32 CRC32 of all preceding bytes. Version 1 files have no
 ``clip_len`` field; they load with the kind's default ``clip_len``.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import MalformedInput
 from ..fileio import open_input, open_output
-from .models import KINDS, ModelKind, NncParams, PooledClassifierParams
+from .models import KINDS, Params
 
 _MAGIC = b"QFSM"
 _HEAD = struct.Struct("<IBQ")  # version, kind code, seed
@@ -29,50 +29,21 @@ _CLIP = struct.Struct("<I")
 _BY_CODE = {kind.code: kind for kind in KINDS.values()}
 
 
-def save_params(
-    params: NncParams | PooledClassifierParams, path: str | Path, clip_len: int | None = None
-) -> None:
+def save_params(params: Params, path: str | Path, clip_len: int | None = None) -> None:
     """Write a QFSM file; ``clip_len`` defaults to the kind's training default."""
     kind = KINDS[params.kind]
-    dims = [getattr(params, name) for name in kind.header]
     out = bytearray(_MAGIC)
     out += _HEAD.pack(_VERSION, kind.code, params.seed)
-    out += struct.pack(f"<{len(dims)}I", *dims)
+    out += struct.pack(f"<{len(kind.header)}I", *(params.dims[name] for name in kind.header))
     out += _CLIP.pack(kind.train_defaults.clip_len if clip_len is None else clip_len)
-    for block in params.flat().values():
+    for block in params.blocks.values():
         out += np.ascontiguousarray(block, dtype="<f8").tobytes()
     out += struct.pack("<I", zlib.crc32(bytes(out)))
     with open_output(path, "wb") as fh:
         fh.write(bytes(out))
 
 
-def _value_count(kind: ModelKind, dims: dict[str, int]) -> int:
-    """How many f64 values a model with these header dims holds.
-
-    Found without building the model, which a corrupt header could make
-    huge: every block axis is affine in the dims (``4H``, ``4H + 1``,
-    ``E``, ``1``), so the models at zero dims and at each unit dim give
-    its coefficients.
-    """
-
-    def shapes(**ones: int) -> list[tuple[int, ...]]:
-        params = kind.init(**{**dict.fromkeys(kind.header, 0), **ones})
-        return [block.shape for block in params.flat().values()]
-
-    base = shapes()
-    unit = {name: shapes(**{name: 1}) for name in kind.header}
-    return sum(
-        math.prod(
-            axis + sum(dims[name] * (unit[name][i][j] - axis) for name in kind.header)
-            for j, axis in enumerate(shape)
-        )
-        for i, shape in enumerate(base)
-    )
-
-
-def load_params(
-    path: str | Path, expected_kind: str | None = None
-) -> tuple[NncParams | PooledClassifierParams, int]:
+def load_params(path: str | Path, expected_kind: str | None = None) -> tuple[Params, int]:
     """Read a QFSM file: the parameters and the ``clip_len`` they were trained with.
 
     Raises ``MalformedInput`` if the file holds a kind other than ``expected_kind``.
@@ -108,15 +79,17 @@ def load_params(
         offset += _CLIP.size
         if clip_len < 1:
             raise MalformedInput(f"{path}: clip_len {clip_len}, expected >= 1")
-    expected = 8 * _value_count(kind, dims)
+    # The shapes are plain ints, so a corrupt header's huge dims cost nothing here.
+    shapes = kind.shapes(**dims)
+    expected = 8 * sum(math.prod(shape) for shape in shapes.values())
     if len(body) - offset != expected:
         raise MalformedInput(
             f"{path}: {len(body) - offset} bytes of parameters, {expected} for its dims"
         )
-    params = kind.init(**dims, seed=seed)
     values = np.frombuffer(body, dtype="<f8", offset=offset)
-    start = 0
-    for block in params.flat().values():
-        block[...] = values[start : start + block.size].reshape(block.shape)
-        start += block.size
-    return params, clip_len
+    blocks, start = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        blocks[name] = values[start : start + size].reshape(shape).astype(np.float64)
+        start += size
+    return Params(kind.name, dims, blocks, seed), clip_len

@@ -11,14 +11,16 @@ dropout rate of zero is invariant to that stream's seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..embeddings import ContextEmbeddingRecord, EmbeddingTable
 from ..errors import EmptyInput, QfsError
-from .models import KINDS, NncParams, PooledClassifierParams, TrainConfig
+from .models import (
+    DEFAULT_DENSE_HIDDEN, DEFAULT_LSTM_HIDDEN, KINDS, Params, TrainConfig, init_params,
+)
 from .ops import bce_loss
 
 # Dropout masks come from their own stream, seeded this far from the
@@ -82,7 +84,7 @@ class Adam:
 
 @dataclass
 class TrainResult:
-    params: NncParams | PooledClassifierParams
+    params: Params
     loss_history: list[float] = field(default_factory=list)
 
 
@@ -91,8 +93,8 @@ def train(
     examples: Sequence[LabeledExample],
     source: EmbeddingTable | Mapping[str, ContextEmbeddingRecord],
     config: TrainConfig,
-    lstm_hidden: int = 100,
-    dense_hidden: int = 50,
+    lstm_hidden: int = DEFAULT_LSTM_HIDDEN,
+    dense_hidden: int = DEFAULT_DENSE_HIDDEN,
 ) -> TrainResult:
     """Train a classifier of kind ``model``; deterministic given the config seed.
 
@@ -112,10 +114,11 @@ def train(
         )
         for ex in examples
     ]
-    params = kind.init(kind.source_dim(source), lstm_hidden, dense_hidden, config.seed)
+    sizes = {"lstm_hidden": lstm_hidden, "dense_hidden": dense_hidden}
+    sizes[kind.header[0]] = kind.source_dim(source)
+    params = init_params(model, config.seed, **{name: sizes[name] for name in kind.header})
 
     labels = [ex.label for ex in examples]
-    flat = params.flat()
     optimizer = Adam(learning_rate=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     drop_rng = np.random.default_rng(config.seed + DROPOUT_STREAM)
@@ -129,7 +132,7 @@ def train(
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
             batch_grads: dict[str, np.ndarray] = {
-                k: np.zeros_like(v) for k, v in flat.items()
+                k: np.zeros_like(v) for k, v in params.blocks.items()
             }
             batch_loss = 0.0
             for idx in batch:
@@ -150,7 +153,7 @@ def train(
                     f"non-finite loss at epoch {epoch + 1}, "
                     f"batch starting at example {start}"
                 )
-            optimizer.step(flat, batch_grads)
+            optimizer.step(params.blocks, batch_grads)
             epoch_loss += batch_loss
         loss_history.append(epoch_loss / n)
     return TrainResult(params=params, loss_history=loss_history)

@@ -132,16 +132,19 @@ def submission_to_json(results: Sequence[AnswerResult]) -> dict:
 
 def load_submission(path: str | Path) -> list[AnswerResult]:
     """A submission file's answers; a missing ideal answer is "", a non-string
-    one an error. Every error names the file."""
+    one or a repeated question id an error. Every error names the file."""
     payload = read_json(path)
     questions = payload.get("questions", []) if isinstance(payload, dict) else None
     if not isinstance(questions, list):
         raise MalformedInput(f"{path}: expected an object with a questions array")
-    results = []
+    results, seen = [], set()
     for obj in questions:
         if not isinstance(obj, dict) or "id" not in obj:
             raise MalformedInput(f"{path}: submission question entry without an id")
         qid = check_id(obj["id"], str(path), "submission question id")
+        if qid in seen:
+            raise MalformedInput(f"{path}: duplicate submission question id {qid!r}")
+        seen.add(qid)
         where = f"{path}: submission question {qid!r}"
         documents, snippets = obj.get("documents", []), obj.get("snippets", [])
         if not isinstance(documents, list) or not isinstance(snippets, list):
@@ -614,14 +617,10 @@ class TrainedModelSpec:
     kind: str
     source: EmbeddingTable | Mapping[str, ContextEmbeddingRecord]
     config: TrainConfig
-    lstm_hidden: int = 100
-    dense_hidden: int = 50
 
     def fit(self, questions, collection) -> SentenceScorer:
         examples = generate_labels(questions, collection)
-        result = train(
-            self.kind, examples, self.source, self.config, self.lstm_hidden, self.dense_hidden
-        )
+        result = train(self.kind, examples, self.source, self.config)
         return ModelScorer(result.params, self.source, self.config.clip_len)
 
 

@@ -24,12 +24,12 @@ _ABS_TOL = 1e-8
 
 def _max_relative_error(
     analytic: dict[str, np.ndarray],
-    flat: dict[str, np.ndarray],
+    blocks: dict[str, np.ndarray],
     loss_fn,
     epsilon: float,
 ) -> float:
     worst = 0.0
-    for name, param in flat.items():
+    for name, param in blocks.items():
         grad = analytic[name]
         it = np.nditer(param, flags=["multi_index"])
         while not it.finished:
@@ -63,4 +63,4 @@ def grad_check(params, inputs: tuple, label: int, epsilon: float = 1e-5) -> floa
     def loss_fn() -> float:
         return bce_loss(kind.apply(params, *inputs).head.prob, label)
 
-    return _max_relative_error(analytic, params.flat(), loss_fn, epsilon)
+    return _max_relative_error(analytic, params.blocks, loss_fn, epsilon)

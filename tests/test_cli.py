@@ -26,7 +26,7 @@ from qfs.corpus import (
 from qfs.embeddings import ContextEmbeddingRecord, write_context_embeddings
 from qfs.errors import EmptyInput, MalformedInput, MissingInput
 from qfs.neural import save_params
-from qfs.neural.models import init_nnc
+from qfs.neural.models import init_params
 from qfs.retrieval import DenseStore, build_index, load_dense_store, save_dense_store
 
 from conftest import make_question
@@ -287,7 +287,7 @@ def mismatched_dense_config(w: Path) -> Path:
     docs, queries = w / "docs.dvec", w / "queries.dvec"
     save_dense_store(DenseStore.from_vectors({f"d{i}": np.ones(4) for i in range(1, 6)}), docs)
     save_dense_store(DenseStore.from_vectors({f"q{i}": np.ones(3) for i in range(1, 5)}), queries)
-    save_params(init_nnc(emb_dim=4, lstm_hidden=2, dense_hidden=2), w / "m.qfsm")
+    save_params(init_params("nnc", emb_dim=4, lstm_hidden=2, dense_hidden=2), w / "m.qfsm")
     return config_file(
         w, retrieval={"method": "nir"},
         resources={"dense_path": str(docs), "query_vectors_path": str(queries)},
@@ -476,6 +476,9 @@ SNIPPET = {"document": "d1", "section": "s1", "offsetInBeginSection": 0,
      "snippet: text must be a string"),
     ({"questions": [{"id": "q1", "snippets": [{**SNIPPET, "section": None}]}]},
      "snippet: section must be a string"),
+    ({"questions": [{"id": "q1", "ideal_answer": "Influenza vaccines reduce hospitalisation."},
+                    {"id": "q1", "ideal_answer": "nothing"}]},
+     "duplicate submission question id 'q1'"),
 ], ids=lambda value: value if isinstance(value, str) else None)
 def test_every_submission_error_names_the_file(tmp_path, payload, message):
     path = write(tmp_path / "s.json", json.dumps(payload))
@@ -485,12 +488,12 @@ def test_every_submission_error_names_the_file(tmp_path, payload, message):
     assert code == 2 and err.startswith(f"error: {path}: "), err
 
 
-def nnc_model_config(w: Path) -> Path:
-    """A config answering over the golden documents with an untrained nnc model."""
-    save_params(init_nnc(emb_dim=4, lstm_hidden=2, dense_hidden=2), w / "m.qfsm")
+def nnc_model_config(w: Path, **sections) -> Path:
+    """A config answering with an untrained nnc model, by default over the golden documents."""
+    save_params(init_params("nnc", emb_dim=4, lstm_hidden=2, dense_hidden=2), w / "m.qfsm")
     return config_file(w, model={
         "kind": "nnc", "params_path": str(w / "m.qfsm"),
-        "embeddings_path": str(GOLDEN / "vectors.txt")})
+        "embeddings_path": str(GOLDEN / "vectors.txt")}, **sections)
 
 
 # Each case builds the arguments of a command whose --out is in a missing
@@ -581,6 +584,26 @@ def test_answer_exits_1_when_it_skips_a_question(tmp_path):
     assert [q["id"] for q in answered] == [q["id"] for q in golden]
 
 
+def test_nnc_answers_over_a_sentence_with_no_tokens(tmp_path):
+    docs = [json.loads(line) for line in (GOLDEN / "docs.jsonl").read_text().splitlines()]
+    for doc in docs:
+        doc["sections"].append({"id": "fn", "text": "*"})
+    write(tmp_path / "docs.jsonl", "".join(json.dumps(doc) + "\n" for doc in docs))
+    config = nnc_model_config(tmp_path, snippets={"strategy": "model"},
+                              resources={"docs_path": str(tmp_path / "docs.jsonl")})
+    code, err = run_qfs("answer", "--config", config, *QUESTIONS, "--out", tmp_path / "a.json")
+    assert (code, err) == (0, "")
+    answered = json.loads((tmp_path / "a.json").read_text())["questions"]
+    assert [q["id"] for q in answered] == ["q1", "q2", "q3", "q4"]
+
+
+def test_nnc_trains_on_a_sentence_with_no_tokens(tmp_path):
+    labels = write(tmp_path / "l.jsonl", LABEL.replace('"sentence": "s"', '"sentence": "*"'))
+    code, err = run_qfs(*TRAIN, "--labels", labels, "--epochs", "1", "--out", tmp_path / "m.qfsm")
+    assert (code, err) == (0, "")
+    assert (tmp_path / "m.qfsm").exists()
+
+
 def test_answer_scores_at_the_trained_clip_len(tmp_path, monkeypatch):
     clips = []
     score_sentences = pipeline.ModelScorer.score_sentences
@@ -668,7 +691,7 @@ def test_nir_answer_skips_a_question_without_a_query_vector(tmp_path, caplog):
     docs, queries = tmp_path / "docs.dvec", tmp_path / "queries.dvec"
     save_dense_store(DenseStore.from_vectors({f"d{i}": np.ones(4) for i in range(1, 6)}), docs)
     save_dense_store(DenseStore.from_vectors({f"q{i}": np.ones(4) for i in range(1, 4)}), queries)
-    save_params(init_nnc(emb_dim=4, lstm_hidden=2, dense_hidden=2), tmp_path / "m.qfsm")
+    save_params(init_params("nnc", emb_dim=4, lstm_hidden=2, dense_hidden=2), tmp_path / "m.qfsm")
     config = config_file(
         tmp_path, retrieval={"method": "nir"},
         resources={"dense_path": str(docs), "query_vectors_path": str(queries)},

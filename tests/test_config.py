@@ -136,6 +136,16 @@ def test_fuzzed_payload_parses_or_raises_malformed_input(payload):
         {"model": {"params_path": 7}},
         {"resources": {"docs_path": ["a"]}},
         {"retrieval": {"bm25_k1": 2 * MAX_K1}},
+        {"snippets": {"per_doc": 2.7}},
+        {"answer_table": {**DEFAULT_ANSWER_LENGTHS, "summary": 6.9}},
+        {"round": True},
+        {"retrieval": {"final_doc_cap": "7"}},
+        {"retrieval": {"lambda": "0.3"}},
+        {"retrieval": {"lambda": True}},
+        {"retrieval": {"lambda": 10**400}},
+        {"retrieval": {"round_docs": {"2": 10.5}}},
+        {"retrieval": {"round_docs": {" 2": 10}}},
+        {"retrieval": {"round_docs": {2: 10}}},
     ],
 )
 def test_bad_payload_raises_malformed_input(payload):

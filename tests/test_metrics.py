@@ -279,6 +279,18 @@ class TestDocumentF1:
             document_f1(["d1", "d1"], {"d1"})
 
 
+# Spans over two documents and two sections, short and close together, so
+# that spans overlap on the same side as well as across the two sides.
+span_lists = st.lists(
+    st.builds(
+        lambda doc, section, begin, length: SnippetSpan(doc, section, begin, begin + length),
+        st.sampled_from(["d1", "d2"]), st.sampled_from(["s", "t"]),
+        st.integers(0, 30), st.integers(1, 15),
+    ),
+    max_size=6,
+)
+
+
 class TestSnippetF1:
     def test_half_character_overlap(self):
         returned = [SnippetSpan("d", "s", 0, 10, "x" * 10)]
@@ -302,6 +314,19 @@ class TestSnippetF1:
         returned = [SnippetSpan("d", "s", 0, 10, "x" * 10)] * 2
         gold = [SnippetSpan("d", "s", 0, 10, "x" * 10)]
         assert snippet_f1(returned, gold).precision == pytest.approx(1.0)
+
+    @given(span_lists, span_lists)
+    def test_matches_character_set_oracle(self, returned, gold):
+        def characters(spans):
+            return {
+                (s.doc_id, s.section_id, i) for s in spans for i in range(s.begin_char, s.end_char)
+            }
+
+        r, g = characters(returned), characters(gold)
+        expected = RougeScore.from_pr(
+            len(r & g) / len(r) if r else 0.0, len(r & g) / len(g) if g else 0.0
+        )
+        assert snippet_f1(returned, gold) == expected
 
 
 class TestEvaluateRun:

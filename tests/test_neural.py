@@ -24,12 +24,10 @@ from qfs.neural import (
 )
 from qfs.neural.lstm import LstmParams, bilstm_encode, lstm_forward
 from qfs.neural.models import (
-    DenseParams,
-    NncParams,
+    Params,
     _nnc_apply,
     _pooled_apply,
-    init_nnc,
-    init_pooled,
+    init_params,
     position_feature,
 )
 from qfs.neural.ops import bce_loss
@@ -112,9 +110,11 @@ class TestBilstmEncode:
             bilstm_encode(params, params, np.zeros((0, 3)))
 
 
-def zeroed_nnc(emb_dim=3, lstm_hidden=2, dense_hidden=4) -> NncParams:
-    params = init_nnc(emb_dim=emb_dim, lstm_hidden=lstm_hidden, dense_hidden=dense_hidden)
-    for arr in params.flat().values():
+def zeroed_nnc(emb_dim=3, lstm_hidden=2, dense_hidden=4) -> Params:
+    params = init_params(
+        "nnc", emb_dim=emb_dim, lstm_hidden=lstm_hidden, dense_hidden=dense_hidden
+    )
+    for arr in params.blocks.values():
         arr[...] = 0.0
     return params
 
@@ -128,7 +128,7 @@ class TestNncForward:
 
     def test_interaction_is_elementwise_square_when_q_equals_s(self):
         rng = np.random.default_rng(4)
-        params = init_nnc(emb_dim=3, lstm_hidden=2, dense_hidden=4, seed=4)
+        params = init_params("nnc", emb_dim=3, lstm_hidden=2, dense_hidden=4, seed=4)
         x = rng.normal(size=(3, 3))
         cache = _nnc_apply(params, x, x, 0.7)
         assert np.allclose(cache.q_vec, cache.s_vec)
@@ -141,9 +141,16 @@ class TestNncForward:
         rng = np.random.default_rng(5)
         fwd = random_lstm_params(rng, 2, 2)
         bwd = random_lstm_params(rng, 2, 2)
-        hidden = DenseParams(w=rng.uniform(-0.4, 0.4, size=(3, 9)), b=rng.uniform(-0.1, 0.1, 3))
-        output = DenseParams(w=rng.uniform(-0.4, 0.4, size=(1, 3)), b=np.array([0.05]))
-        params = NncParams(lstm_fwd=fwd, lstm_bwd=bwd, hidden=hidden, output=output)
+        hidden_w, hidden_b = rng.uniform(-0.4, 0.4, size=(3, 9)), rng.uniform(-0.1, 0.1, 3)
+        output_w, output_b = rng.uniform(-0.4, 0.4, size=(1, 3)), np.array([0.05])
+        blocks = {
+            f"{direction}.{name}": getattr(lstm, name)
+            for direction, lstm in (("lstm_fwd", fwd), ("lstm_bwd", bwd))
+            for name in ("w_x", "w_h", "b")
+        }
+        blocks.update({"hidden.w": hidden_w, "hidden.b": hidden_b,
+                       "output.w": output_w, "output.b": output_b})
+        params = Params("nnc", {"emb_dim": 2, "lstm_hidden": 2, "dense_hidden": 3}, blocks)
 
         q = rng.normal(size=(2, 2))
         s = rng.normal(size=(2, 2))
@@ -157,8 +164,8 @@ class TestNncForward:
 
         q_vec, s_vec = encode(q), encode(s)
         x = np.concatenate([s_vec, s_vec * q_vec, [pos]])
-        h = np.maximum(hidden.w @ x + hidden.b, 0.0)
-        z = output.w[0] @ h + output.b[0]
+        h = np.maximum(hidden_w @ x + hidden_b, 0.0)
+        z = output_w[0] @ h + output_b[0]
         expected = 1.0 / (1.0 + math.exp(-z))
 
         assert forward(params, q, s, pos) == pytest.approx(expected, abs=1e-9)
@@ -179,25 +186,25 @@ def record_of(rows, mask, pair_id="p#0") -> ContextEmbeddingRecord:
 
 class TestPooledForward:
     def test_masked_mean(self):
-        params = init_pooled(input_dim=2, dense_hidden=3, seed=0)
+        params = init_params("pooled", input_dim=2, dense_hidden=3, seed=0)
         rec = record_of([[1, 3], [3, 5]], [True, True])
         cache = _pooled_apply(params, rec, 0.5)
         assert np.allclose(cache.head.x[:2], [2.0, 4.0])
 
     def test_all_zero_params_give_half(self):
-        params = init_pooled(input_dim=2, dense_hidden=3)
-        for arr in params.flat().values():
+        params = init_params("pooled", input_dim=2, dense_hidden=3)
+        for arr in params.blocks.values():
             arr[...] = 0.0
         assert forward(params, record_of([[1, 2]], [True]), 1.0) == pytest.approx(0.5)
 
     def test_single_masked_row_is_identity(self):
-        params = init_pooled(input_dim=3, dense_hidden=3, seed=1)
+        params = init_params("pooled", input_dim=3, dense_hidden=3, seed=1)
         rec = record_of([[9, 9, 9], [1, 2, 3]], [False, True])
         cache = _pooled_apply(params, rec, 0.5)
         assert np.allclose(cache.head.x[:3], [1.0, 2.0, 3.0])
 
     def test_permutation_invariant_over_masked_rows(self):
-        params = init_pooled(input_dim=2, dense_hidden=3, seed=2)
+        params = init_params("pooled", input_dim=2, dense_hidden=3, seed=2)
         a = record_of([[1, 0], [0, 1], [5, 5]], [True, True, False])
         b = record_of([[0, 1], [1, 0], [5, 5]], [True, True, False])
         assert forward(params, a, 0.5) == pytest.approx(forward(params, b, 0.5))
@@ -221,25 +228,25 @@ class TestBceLoss:
 class TestGradCheck:
     def test_pooled_model(self):
         rng = np.random.default_rng(10)
-        params = init_pooled(input_dim=4, dense_hidden=5, seed=10)
+        params = init_params("pooled", input_dim=4, dense_hidden=5, seed=10)
         rec = record_of(rng.normal(size=(4, 4)), [True, False, True, True])
         err = grad_check(params, (rec, 0.5), label=1)
         assert err < 1e-4
 
     def test_nnc_model_including_gates(self):
         rng = np.random.default_rng(11)
-        params = init_nnc(emb_dim=3, lstm_hidden=3, dense_hidden=4, seed=11)
-        for arr in params.flat().values():
+        params = init_params("nnc", emb_dim=3, lstm_hidden=3, dense_hidden=4, seed=11)
+        for arr in params.blocks.values():
             arr += rng.uniform(-0.3, 0.3, size=arr.shape)
         inputs = (rng.normal(size=(2, 3)), rng.normal(size=(3, 3)), position_feature(2))
         assert grad_check(params, inputs, label=0) < 1e-4
 
     def test_dead_relu_path_passes_via_absolute_fallback(self):
-        params = init_pooled(input_dim=2, dense_hidden=3, seed=12)
+        params = init_params("pooled", input_dim=2, dense_hidden=3, seed=12)
         # drive every hidden pre-activation negative: relu output is 0,
         # so hidden-layer gradients vanish identically
-        params.hidden.w[...] = 0.0
-        params.hidden.b[...] = -5.0
+        params.blocks["hidden.w"][...] = 0.0
+        params.blocks["hidden.b"][...] = -5.0
         rec = record_of([[1.0, 1.0]], [True])
         err = grad_check(params, (rec, 1.0), label=1)
         assert err < 1e-4
@@ -291,8 +298,8 @@ class TestTraining:
         config = TrainConfig(epochs=5, batch_size=3, dropout_rate=0.4, seed=42)
         a = train("pooled", examples, records, config)
         b = train("pooled", examples, records, config)
-        for key, arr in a.params.flat().items():
-            assert np.array_equal(arr, b.params.flat()[key])
+        for key, arr in a.params.blocks.items():
+            assert np.array_equal(arr, b.params.blocks[key])
         assert a.loss_history == b.loss_history
 
     def test_zero_dropout_invariant_to_mask_stream(self, monkeypatch):
@@ -302,8 +309,8 @@ class TestTraining:
         a = train("pooled", examples, records, config)
         monkeypatch.setattr(training, "DROPOUT_STREAM", 999)
         b = train("pooled", examples, records, config)
-        for key, arr in a.params.flat().items():
-            assert np.array_equal(arr, b.params.flat()[key])
+        for key, arr in a.params.blocks.items():
+            assert np.array_equal(arr, b.params.blocks[key])
 
     def test_nnc_training_runs_and_is_deterministic(self, tmp_path):
         from qfs.embeddings import load_word_embeddings
@@ -324,6 +331,15 @@ class TestTraining:
     def test_pooled_input_without_a_record_is_missing_input(self):
         with pytest.raises(MissingInput, match="^no context-embedding record for pair id 'q1#9'$"):
             KINDS["pooled"].input({}, ("a",), ("b",), "q1#9", 9, 10)
+
+    def test_nnc_input_encodes_a_text_without_tokens_as_one_zero_row(self, tmp_path):
+        from qfs.embeddings import load_word_embeddings
+
+        path = tmp_path / "vec.txt"
+        path.write_text("1 2\nflu 1 0\n", encoding="utf-8")
+        q, s, _ = KINDS["nnc"].input(load_word_embeddings(path), (), ("flu",), None, 0, 10)
+        assert np.array_equal(q, np.zeros((1, 2)))
+        assert np.array_equal(s, [[1.0, 0.0]])
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyInput, match="^training requires at least one example$"):
@@ -351,28 +367,30 @@ class TestTraining:
 
 class TestParamsIO:
     def test_nnc_roundtrip(self, tmp_path):
-        params = init_nnc(emb_dim=3, lstm_hidden=2, dense_hidden=4, seed=9)
+        params = init_params("nnc", emb_dim=3, lstm_hidden=2, dense_hidden=4, seed=9)
         path = tmp_path / "m.qfsm"
         save_params(params, path)
         loaded, clip_len = load_params(path)
         assert loaded.kind == "nnc"
         assert loaded.seed == 9
         assert clip_len == KINDS["nnc"].train_defaults.clip_len
-        for key, arr in params.flat().items():
-            assert np.array_equal(arr, loaded.flat()[key])
+        assert loaded.dims == {"emb_dim": 3, "lstm_hidden": 2, "dense_hidden": 4}
+        assert list(loaded.blocks) == list(params.blocks)
+        for key, arr in params.blocks.items():
+            assert np.array_equal(arr, loaded.blocks[key])
 
     def test_pooled_roundtrip(self, tmp_path):
-        params = init_pooled(input_dim=6, dense_hidden=4, seed=3)
+        params = init_params("pooled", input_dim=6, dense_hidden=4, seed=3)
         path = tmp_path / "p.qfsm"
         save_params(params, path, clip_len=7)
         loaded, clip_len = load_params(path, expected_kind="pooled")
         assert clip_len == 7
-        for key, arr in params.flat().items():
-            assert np.array_equal(arr, loaded.flat()[key])
+        for key, arr in params.blocks.items():
+            assert np.array_equal(arr, loaded.blocks[key])
 
     @pytest.mark.parametrize("params", [
-        init_nnc(emb_dim=2, lstm_hidden=1, dense_hidden=2, seed=5),
-        init_pooled(input_dim=3, dense_hidden=2, seed=6),
+        init_params("nnc", emb_dim=2, lstm_hidden=1, dense_hidden=2, seed=5),
+        init_params("pooled", input_dim=3, dense_hidden=2, seed=6),
     ], ids=["nnc", "pooled"])
     def test_version_1_loads_with_the_kind_default_clip_len(self, tmp_path, params):
         path = tmp_path / "m.qfsm"
@@ -387,12 +405,12 @@ class TestParamsIO:
         path.write_bytes(bytes(v1) + struct.pack("<I", zlib.crc32(v1)))
         loaded, clip_len = load_params(path)
         assert clip_len == kind.train_defaults.clip_len
-        for key, arr in params.flat().items():
-            assert np.array_equal(arr, loaded.flat()[key])
+        for key, arr in params.blocks.items():
+            assert np.array_equal(arr, loaded.blocks[key])
 
     def test_clip_len_zero_rejected_behind_a_valid_crc(self, tmp_path):
         path = tmp_path / "m.qfsm"
-        save_params(init_pooled(input_dim=2, dense_hidden=2), path)
+        save_params(init_params("pooled", input_dim=2, dense_hidden=2), path)
         data = bytearray(path.read_bytes()[:-4])
         struct.pack_into("<I", data, 4 + 13 + 4 * 2, 0)
         path.write_bytes(bytes(data) + struct.pack("<I", zlib.crc32(data)))
@@ -400,7 +418,7 @@ class TestParamsIO:
             load_params(path)
 
     def test_kind_mismatch(self, tmp_path):
-        params = init_nnc(emb_dim=2, lstm_hidden=2, dense_hidden=2)
+        params = init_params("nnc", emb_dim=2, lstm_hidden=2, dense_hidden=2)
         path = tmp_path / "m.qfsm"
         save_params(params, path)
         message = re.escape(f"{path}: holds a nnc model, expected pooled")
@@ -408,7 +426,7 @@ class TestParamsIO:
             load_params(path, expected_kind="pooled")
 
     def test_corrupted_magic(self, tmp_path):
-        params = init_pooled(input_dim=2, dense_hidden=2)
+        params = init_params("pooled", input_dim=2, dense_hidden=2)
         path = tmp_path / "m.qfsm"
         save_params(params, path)
         data = bytearray(path.read_bytes())
@@ -418,7 +436,7 @@ class TestParamsIO:
             load_params(path)
 
     def test_corrupted_payload_fails_crc(self, tmp_path):
-        params = init_pooled(input_dim=2, dense_hidden=2)
+        params = init_params("pooled", input_dim=2, dense_hidden=2)
         path = tmp_path / "m.qfsm"
         save_params(params, path)
         data = bytearray(path.read_bytes())
@@ -428,8 +446,8 @@ class TestParamsIO:
             load_params(path)
 
     @pytest.mark.parametrize("params", [
-        init_nnc(emb_dim=2, lstm_hidden=1, dense_hidden=2, seed=5),
-        init_pooled(input_dim=3, dense_hidden=2, seed=6),
+        init_params("nnc", emb_dim=2, lstm_hidden=1, dense_hidden=2, seed=5),
+        init_params("pooled", input_dim=3, dense_hidden=2, seed=6),
     ], ids=["nnc", "pooled"])
     def test_every_truncation_and_flipped_byte_is_rejected(self, tmp_path, params):
         path = tmp_path / "m.qfsm"
@@ -439,7 +457,7 @@ class TestParamsIO:
     @pytest.mark.parametrize("dim", [0, 1, 2**31])
     def test_header_dims_checked_behind_a_valid_crc(self, tmp_path, dim):
         path = tmp_path / "m.qfsm"
-        save_params(init_nnc(emb_dim=2, lstm_hidden=2, dense_hidden=2), path)
+        save_params(init_params("nnc", emb_dim=2, lstm_hidden=2, dense_hidden=2), path)
         data = bytearray(path.read_bytes()[:-4])
         struct.pack_into("<I", data, 4 + 13 + 4, dim)  # lstm_hidden
         path.write_bytes(bytes(data) + struct.pack("<I", zlib.crc32(data)))
