@@ -32,7 +32,7 @@ import click
 
 from . import corpus, pipeline, retrieval, textproc
 from .config import PipelineConfig, emit_config, load_config
-from .errors import DimensionMismatch, QfsError
+from .errors import DimensionMismatch, EmptyInput, QfsError
 from .fileio import check_output, write_json
 from .metrics import evaluate_run
 from .neural import KINDS, TrainConfig, load_params, save_params, train
@@ -83,7 +83,16 @@ def _load_scorer(config: PipelineConfig) -> pipeline.SentenceScorer:
     if not model.embeddings_path:
         raise QfsError("config.model.embeddings_path is required to score sentences")
     params, clip_len = load_params(model.params_path, expected_kind=model.kind)
-    source = KINDS[model.kind].load_source(model.embeddings_path)
+    kind = KINDS[model.kind]
+    source = kind.load_source(model.embeddings_path)
+    if not source:
+        raise EmptyInput(f"{model.embeddings_path}: holds no vectors")
+    model_dim, source_dim = params.dims[kind.header[0]], kind.source_dim(source)
+    if model_dim != source_dim:
+        raise DimensionMismatch(
+            f"{model.params_path} holds a {kind.name} model of {model_dim}-d inputs, "
+            f"but {model.embeddings_path} holds {source_dim}-d vectors"
+        )
     return pipeline.ModelScorer(params, source, clip_len)
 
 
@@ -318,7 +327,7 @@ def cmd_evaluate(questions_path, submission_path, out_path) -> int:
               type=click.Choice(["constant", "oracle", *KINDS]))
 @click.option("--embeddings", "embeddings_path", type=click.Path(), default=None)
 @click.option("--cemb", "cemb_path", type=click.Path(), default=None)
-@click.option("--k", type=click.IntRange(min=1), default=10, show_default=True)
+@click.option("--k", type=click.IntRange(min=2), default=10, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--epochs", type=int, default=None)
 @click.option("--batch-size", type=int, default=None)

@@ -5,9 +5,9 @@ File formats (all UTF-8):
 * Question set: JSON array of objects ``{id, body, type, documents[],
   snippets[], ideal_answer[]}``. A top-level ``{"questions": [...]}``
   wrapper is also accepted. Snippet objects carry ``{document, section,
-  offsetInBeginSection, offsetInEndSection, text}``. ``ideal_answer``
-  may be a single string or a list of strings. Unknown extra fields are
-  ignored for forward compatibility.
+  offsetInBeginSection, offsetInEndSection, text}``, whose offsets are
+  JSON integers. ``ideal_answer`` may be a single string or a list of
+  strings. Unknown extra fields are ignored for forward compatibility.
 * Documents: JSONL, one ``{id, sections: [{id, text}]}`` object per line.
 * Feedback: JSON array of ``{question_id, items: [{kind, ref, polarity}]}``
   where kind is ``"document"`` (ref is a doc id) or ``"snippet"`` (ref is
@@ -139,14 +139,22 @@ def snippet_from_json(obj: dict, where: str) -> SnippetSpan:
         span = SnippetSpan(
             doc_id=obj["document"],
             section_id=section,
-            begin_char=int(obj["offsetInBeginSection"]),
-            end_char=int(obj["offsetInEndSection"]),
+            begin_char=_offset(obj, "offsetInBeginSection"),
+            end_char=_offset(obj, "offsetInEndSection"),
             text=text,
         )
-    except (KeyError, TypeError, ValueError, MalformedInput) as exc:
+    except (KeyError, MalformedInput) as exc:
         raise MalformedInput(f"{where}: bad snippet object: {exc}") from exc
     check_id(span.doc_id, what, "document")
     return span
+
+
+def _offset(obj: dict, key: str) -> int:
+    """A snippet offset: an int that is not a bool; 2.7, "5", true or 1e400 is refused."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedInput(f"{key} must be an integer, not {value!r}")
+    return value
 
 
 def snippet_to_json(span: SnippetSpan) -> dict:

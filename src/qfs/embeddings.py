@@ -80,6 +80,8 @@ def load_word_embeddings(path: str | Path) -> EmbeddingTable:
                 vec = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError as exc:
                 raise MalformedInput(f"{path}:{lineno}: bad float: {exc}") from exc
+            if not np.isfinite(vec).all():
+                raise MalformedInput(f"{path}:{lineno}: non-finite value for {word!r}")
             if word in table:
                 logger.warning("duplicate word %r at line %d; last wins", word, lineno)
             table[word] = vec
@@ -128,6 +130,8 @@ class ContextEmbeddingRecord:
             )
         if not self.sentence_mask.any():
             raise MalformedInput(f"record {self.pair_id!r}: mask marks no tokens")
+        if not np.isfinite(self.tokens).all():
+            raise MalformedInput(f"record {self.pair_id!r}: non-finite token value")
 
     @property
     def dim(self) -> int:

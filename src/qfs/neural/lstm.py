@@ -5,16 +5,22 @@ output; candidate], each of height H, so a single (4H, E) input weight
 and (4H, H) recurrent weight cover one direction. The bidirectional
 encoder runs one cell forward and a second cell over the reversed
 sequence, then mean-pools the concatenated per-step states.
+
+Each function returns its output with its backward pass, a closure over
+the forward values that maps dL/d(output) to the parameter gradients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ..errors import EmptyInput
 from .ops import sigmoid
+
+LstmGrads = dict[str, np.ndarray]  # "w_x", "w_h", "b"
 
 
 @dataclass
@@ -25,37 +31,19 @@ class LstmParams:
     w_h: np.ndarray
     b: np.ndarray
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.w_h.shape[1]
 
-
-@dataclass
-class LstmCache:
-    """Per-step values saved by the forward pass for BPTT."""
-
-    xs: np.ndarray  # (n, E) inputs as fed
-    i: np.ndarray  # (n, H) input gate
-    f: np.ndarray  # (n, H) forget gate
-    o: np.ndarray  # (n, H) output gate
-    g: np.ndarray  # (n, H) candidate
-    c: np.ndarray  # (n, H) cell state
-    h_prev: np.ndarray  # (n, H) hidden state entering each step
-
-
-def lstm_forward(params: LstmParams, xs: np.ndarray) -> tuple[np.ndarray, LstmCache]:
-    """Run the recurrences over xs (n, E); returns hidden states (n, H)."""
+def lstm_forward(
+    params: LstmParams, xs: np.ndarray
+) -> tuple[np.ndarray, Callable[[np.ndarray], LstmGrads]]:
+    """Run the recurrences over xs (n, E); returns the hidden states (n, H)
+    and ``backward(dhs)``, the gate-parameter gradients given dL/dh_t for
+    every step."""
     n = xs.shape[0]
     if n == 0:
         raise EmptyInput("LSTM input must have at least one step")
-    hdim = params.hidden_dim
+    hdim = params.w_h.shape[1]
     hs = np.zeros((n, hdim))
-    i_g = np.zeros((n, hdim))
-    f_g = np.zeros((n, hdim))
-    o_g = np.zeros((n, hdim))
-    g_g = np.zeros((n, hdim))
-    c_s = np.zeros((n, hdim))
-    h_prev_s = np.zeros((n, hdim))
+    steps = []  # per step: the gates i, f, o, g, and c and h before and after it
     h = np.zeros(hdim)
     c = np.zeros(hdim)
     for t in range(n):
@@ -64,84 +52,66 @@ def lstm_forward(params: LstmParams, xs: np.ndarray) -> tuple[np.ndarray, LstmCa
         f = sigmoid(a[hdim : 2 * hdim])
         o = sigmoid(a[2 * hdim : 3 * hdim])
         g = np.tanh(a[3 * hdim :])
-        h_prev_s[t] = h
-        c = f * c + i * g
+        c_prev, h_prev = c, h
+        c = f * c_prev + i * g
         h = o * np.tanh(c)
-        i_g[t], f_g[t], o_g[t], g_g[t], c_s[t], hs[t] = i, f, o, g, c, h
-    cache = LstmCache(xs=xs, i=i_g, f=f_g, o=o_g, g=g_g, c=c_s, h_prev=h_prev_s)
-    return hs, cache
+        hs[t] = h
+        steps.append((i, f, o, g, c_prev, c, h_prev))
 
+    def backward(dhs: np.ndarray) -> LstmGrads:
+        g_w_x = np.zeros_like(params.w_x)
+        g_w_h = np.zeros_like(params.w_h)
+        g_b = np.zeros_like(params.b)
+        dh_next = np.zeros(hdim)
+        dc_next = np.zeros(hdim)
+        for t in range(n - 1, -1, -1):
+            i, f, o, g, c_prev, c, h_prev = steps[t]
+            dh = dhs[t] + dh_next
+            tanh_c = np.tanh(c)
+            do = dh * tanh_c
+            dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_next
+            di = dc * g
+            dg = dc * i
+            df = dc * c_prev
+            dc_next = dc * f
+            da = np.concatenate(
+                [
+                    di * i * (1.0 - i),
+                    df * f * (1.0 - f),
+                    do * o * (1.0 - o),
+                    dg * (1.0 - g * g),
+                ]
+            )
+            g_w_x += np.outer(da, xs[t])
+            g_w_h += np.outer(da, h_prev)
+            g_b += da
+            dh_next = params.w_h.T @ da
+        return {"w_x": g_w_x, "w_h": g_w_h, "b": g_b}
 
-def lstm_backward(
-    params: LstmParams, cache: LstmCache, dhs: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Gradients of the gate parameters given dL/dh_t for every step."""
-    n, hdim = dhs.shape
-    g_w_x = np.zeros_like(params.w_x)
-    g_w_h = np.zeros_like(params.w_h)
-    g_b = np.zeros_like(params.b)
-    dh_next = np.zeros(hdim)
-    dc_next = np.zeros(hdim)
-    for t in range(n - 1, -1, -1):
-        dh = dhs[t] + dh_next
-        tanh_c = np.tanh(cache.c[t])
-        do = dh * tanh_c
-        dc = dh * cache.o[t] * (1.0 - tanh_c * tanh_c) + dc_next
-        c_prev = cache.c[t - 1] if t > 0 else np.zeros(hdim)
-        di = dc * cache.g[t]
-        dg = dc * cache.i[t]
-        df = dc * c_prev
-        dc_next = dc * cache.f[t]
-        da = np.concatenate(
-            [
-                di * cache.i[t] * (1.0 - cache.i[t]),
-                df * cache.f[t] * (1.0 - cache.f[t]),
-                do * cache.o[t] * (1.0 - cache.o[t]),
-                dg * (1.0 - cache.g[t] * cache.g[t]),
-            ]
-        )
-        g_w_x += np.outer(da, cache.xs[t])
-        g_w_h += np.outer(da, cache.h_prev[t])
-        g_b += da
-        dh_next = params.w_h.T @ da
-    return {"w_x": g_w_x, "w_h": g_w_h, "b": g_b}
-
-
-@dataclass
-class BiLstmCache:
-    fwd: LstmCache
-    bwd: LstmCache
-    n_steps: int
+    return hs, backward
 
 
 def bilstm_encode(
     fwd: LstmParams, bwd: LstmParams, xs: np.ndarray
-) -> tuple[np.ndarray, BiLstmCache]:
+) -> tuple[np.ndarray, Callable[[np.ndarray], tuple[LstmGrads, LstmGrads]]]:
     """Mean over time of concatenated [forward_t ; backward_t] states.
 
-    Returns a (2H,) sentence embedding plus the cache needed by
-    :func:`bilstm_backward`.
+    Returns the (2H,) sentence embedding and ``backward(d_encoded)``, the
+    gradients of the forward and the backward cell given dL/d(embedding).
     """
     if xs.ndim != 2 or xs.shape[0] == 0:
         raise EmptyInput("encoder input must be a non-empty (n, E) matrix")
-    hs_f, cache_f = lstm_forward(fwd, xs)
-    hs_b_rev, cache_b = lstm_forward(bwd, xs[::-1])
+    hs_f, backward_f = lstm_forward(fwd, xs)
+    hs_b_rev, backward_b = lstm_forward(bwd, xs[::-1])
     hs_b = hs_b_rev[::-1]
     encoded = np.concatenate([hs_f, hs_b], axis=1).mean(axis=0)
-    return encoded, BiLstmCache(fwd=cache_f, bwd=cache_b, n_steps=xs.shape[0])
+    n, hdim = hs_f.shape
 
+    def backward(d_encoded: np.ndarray) -> tuple[LstmGrads, LstmGrads]:
+        # Every step gets 1/n of d_encoded, so the rows of the cell that read
+        # the reversed sequence need no reordering.
+        dhs_f = np.tile(d_encoded[:hdim] / n, (n, 1))
+        dhs_b = np.tile(d_encoded[hdim:] / n, (n, 1))
+        return backward_f(dhs_f), backward_b(dhs_b)
 
-def bilstm_backward(
-    fwd: LstmParams, bwd: LstmParams, cache: BiLstmCache, d_encoded: np.ndarray
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Gradients for both directions given dL/d(sentence embedding)."""
-    n = cache.n_steps
-    hdim = fwd.hidden_dim
-    dhs_f = np.tile(d_encoded[:hdim] / n, (n, 1))
-    dhs_b = np.tile(d_encoded[hdim:] / n, (n, 1))
-    # The backward cell consumed the reversed sequence, so its per-step
-    # upstream gradients arrive reversed too (they are identical rows
-    # here, but keep the orientation explicit).
-    grads_f = lstm_backward(fwd, cache.fwd, dhs_f)
-    grads_b = lstm_backward(bwd, cache.bwd, dhs_b[::-1])
-    return grads_f, grads_b
+    return encoded, backward

@@ -15,8 +15,11 @@ Everything that depends on the kind is one :class:`ModelKind` in
 :data:`KINDS`: its name, QFSM code and header dims, training defaults,
 the file it reads and its dimension, ``shapes`` (the name and shape of
 every parameter block at given dims), ``input`` (one example's model
-inputs), ``apply`` and ``backward``. Training, the QFSM codec, the
-scorer and the command line look the kind up there and nowhere else.
+inputs) and ``apply``, which returns the probability together with its
+backward pass: ``backward(label)`` is a closure over the forward pass's
+values that returns the gradient of BCE(prob, label) for each parameter
+block. Training, the QFSM codec, the scorer and the command line look
+the kind up there and nowhere else.
 A model's parameters are one :class:`Params`, whose blocks
 :func:`init_params` fills in the order of the kind's ``shapes``.
 """
@@ -36,7 +39,7 @@ from ..embeddings import (
     load_word_embeddings,
 )
 from ..errors import EmptyInput, MissingInput
-from .lstm import BiLstmCache, LstmParams, bilstm_backward, bilstm_encode
+from .lstm import LstmParams, bilstm_encode
 from .ops import relu, sigmoid
 
 _PROB_MIN = float(np.nextafter(0.0, 1.0))
@@ -142,57 +145,36 @@ def _lstm(params: Params, direction: str) -> LstmParams:
     return LstmParams(b[f"{direction}.w_x"], b[f"{direction}.w_h"], b[f"{direction}.b"])
 
 
-@dataclass
-class _HeadCache:
-    """Values saved by the classifier head for the backward pass."""
-
-    x: np.ndarray
-    a1: np.ndarray
-    h: np.ndarray
-    prob: float
-    dropout_mask: np.ndarray | None
+Backward = Callable[[int], dict[str, np.ndarray]]  # label -> gradient per block name
 
 
-def _head_forward(
+def _head(
     params: Params, x: np.ndarray, dropout_mask: np.ndarray | None
-) -> _HeadCache:
+) -> tuple[float, Callable[[int], tuple[dict[str, np.ndarray], np.ndarray]]]:
+    """The classifier head's probability, and its backward pass: the
+    gradients of BCE(prob, label) w.r.t. head params and head input."""
     b = params.blocks
+    mask = 1.0 if dropout_mask is None else dropout_mask  # x * 1.0 is x, bit for bit
     a1 = b["hidden.w"] @ x + b["hidden.b"]
-    h = relu(a1)
-    if dropout_mask is not None:
-        h = h * dropout_mask
+    h = relu(a1) * mask
     z = b["output.w"][0] @ h + b["output.b"][0]
     # A saturated sigmoid rounds to exactly 0.0 or 1.0; the documented
     # contract is the open interval, so clamp to its nearest floats.
     prob = min(max(sigmoid(z), _PROB_MIN), _PROB_MAX)
-    return _HeadCache(x=x, a1=a1, h=h, prob=prob, dropout_mask=dropout_mask)
 
+    def backward(label: int) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        dz = prob - label
+        dh = b["output.w"][0] * dz * mask
+        da1 = dh * (a1 > 0.0)
+        grads = {
+            "hidden.w": np.outer(da1, x),
+            "hidden.b": da1,
+            "output.w": np.outer([dz], h),
+            "output.b": np.array([dz]),
+        }
+        return grads, b["hidden.w"].T @ da1
 
-def _head_backward(
-    params: Params, cache: _HeadCache, label: int
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Gradients of BCE(prob, label) w.r.t. head params and head input."""
-    dz = cache.prob - label
-    dh = params.blocks["output.w"][0] * dz
-    if cache.dropout_mask is not None:
-        dh = dh * cache.dropout_mask
-    da1 = dh * (cache.a1 > 0.0)
-    grads = {
-        "hidden.w": np.outer(da1, cache.x),
-        "hidden.b": da1,
-        "output.w": np.outer([dz], cache.h),
-        "output.b": np.array([dz]),
-    }
-    return grads, params.blocks["hidden.w"].T @ da1
-
-
-@dataclass
-class NncCache:
-    q_vec: np.ndarray
-    s_vec: np.ndarray
-    q_cache: BiLstmCache
-    s_cache: BiLstmCache
-    head: _HeadCache
+    return prob, backward
 
 
 def _nnc_apply(
@@ -201,36 +183,26 @@ def _nnc_apply(
     s_matrix: np.ndarray,
     pos_feature: float,
     dropout_mask: np.ndarray | None = None,
-) -> NncCache:
+) -> tuple[float, Backward]:
     if q_matrix.shape[0] == 0 or s_matrix.shape[0] == 0:
         raise EmptyInput("question and sentence matrices must be non-empty")
     fwd, bwd = _lstm(params, "lstm_fwd"), _lstm(params, "lstm_bwd")
-    q_vec, q_cache = bilstm_encode(fwd, bwd, q_matrix)
-    s_vec, s_cache = bilstm_encode(fwd, bwd, s_matrix)
-    inter = s_vec * q_vec
-    x = np.concatenate([s_vec, inter, [pos_feature]])
-    head = _head_forward(params, x, dropout_mask)
-    return NncCache(q_vec=q_vec, s_vec=s_vec, q_cache=q_cache, s_cache=s_cache, head=head)
+    q_vec, q_backward = bilstm_encode(fwd, bwd, q_matrix)
+    s_vec, s_backward = bilstm_encode(fwd, bwd, s_matrix)
+    x = np.concatenate([s_vec, s_vec * q_vec, [pos_feature]])
+    prob, head_backward = _head(params, x, dropout_mask)
 
+    def backward(label: int) -> dict[str, np.ndarray]:
+        grads, dx = head_backward(label)
+        two_h = s_vec.shape[0]
+        d_s = dx[:two_h] + dx[two_h : 2 * two_h] * q_vec
+        d_q = dx[two_h : 2 * two_h] * s_vec
+        for direction, gq, gs in zip(("lstm_fwd", "lstm_bwd"), q_backward(d_q), s_backward(d_s)):
+            for name in ("w_x", "w_h", "b"):
+                grads[f"{direction}.{name}"] = gq[name] + gs[name]
+        return grads
 
-def _nnc_backward(params: Params, cache: NncCache, label: int) -> dict[str, np.ndarray]:
-    """Gradients of BCE(prob, label) for every parameter."""
-    grads, dx = _head_backward(params, cache.head, label)
-    two_h = cache.s_vec.shape[0]
-    d_s = dx[:two_h] + dx[two_h : 2 * two_h] * cache.q_vec
-    d_q = dx[two_h : 2 * two_h] * cache.s_vec
-    fwd, bwd = _lstm(params, "lstm_fwd"), _lstm(params, "lstm_bwd")
-    q_grads = bilstm_backward(fwd, bwd, cache.q_cache, d_q)
-    s_grads = bilstm_backward(fwd, bwd, cache.s_cache, d_s)
-    for direction, gq, gs in zip(("lstm_fwd", "lstm_bwd"), q_grads, s_grads):
-        for name in ("w_x", "w_h", "b"):
-            grads[f"{direction}.{name}"] = gq[name] + gs[name]
-    return grads
-
-
-@dataclass
-class PooledCache:
-    head: _HeadCache
+    return prob, backward
 
 
 def _pooled_apply(
@@ -238,13 +210,10 @@ def _pooled_apply(
     record: ContextEmbeddingRecord,
     pos_feature: float,
     dropout_mask: np.ndarray | None = None,
-) -> PooledCache:
+) -> tuple[float, Backward]:
     x = np.concatenate([record.pooled(), [pos_feature]])
-    return PooledCache(head=_head_forward(params, x, dropout_mask))
-
-
-def _pooled_backward(params: Params, cache: PooledCache, label: int) -> dict[str, np.ndarray]:
-    return _head_backward(params, cache.head, label)[0]
+    prob, head_backward = _head(params, x, dropout_mask)
+    return prob, lambda label: head_backward(label)[0]
 
 
 def _embed(table: EmbeddingTable, tokens: Sequence[str], clip_len: int) -> np.ndarray:
@@ -294,8 +263,7 @@ class ModelKind:
     source_dim: Callable  # source -> its vector dimension
     shapes: Callable  # (**dims) -> {block name: shape}, in QFSM order
     input: Callable  # (source, question tokens, sentence tokens, pair id, position, clip_len)
-    apply: Callable  # (params, *input, dropout_mask=None) -> cache with .head.prob
-    backward: Callable  # (params, cache, label) -> gradient per block name
+    apply: Callable  # (params, *input, dropout_mask=None) -> (prob, backward)
 
 
 # Training defaults are the hyperparameters of each architecture's original runs.
@@ -313,7 +281,6 @@ KINDS = {
             shapes=_nnc_shapes,
             input=_nnc_input,
             apply=_nnc_apply,
-            backward=_nnc_backward,
         ),
         ModelKind(
             name="pooled",
@@ -326,7 +293,6 @@ KINDS = {
             shapes=_pooled_shapes,
             input=_pooled_input,
             apply=_pooled_apply,
-            backward=_pooled_backward,
         ),
     )
 }
@@ -334,4 +300,4 @@ KINDS = {
 
 def forward(params: Params, *inputs) -> float:
     """Probability that the sentence belongs to the ideal answer."""
-    return KINDS[params.kind].apply(params, *inputs).head.prob
+    return KINDS[params.kind].apply(params, *inputs)[0]

@@ -140,10 +140,9 @@ def train(
                 if rate > 0.0:
                     keep = drop_rng.random(dense_hidden) >= rate
                     mask = keep.astype(np.float64) / (1.0 - rate)
-                cache = kind.apply(params, *inputs[idx], dropout_mask=mask)
-                grads = kind.backward(params, cache, labels[idx])
-                batch_loss += bce_loss(cache.head.prob, labels[idx])
-                for k, g in grads.items():
+                prob, backward = kind.apply(params, *inputs[idx], dropout_mask=mask)
+                batch_loss += bce_loss(prob, labels[idx])
+                for k, g in backward(labels[idx]).items():
                     batch_grads[k] += g
             scale = 1.0 / len(batch)
             for k in batch_grads:

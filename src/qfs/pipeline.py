@@ -658,6 +658,8 @@ def cross_validate(
     best-reference SU4-F1 against the ideal answers. The overall mean
     is over all questions (folds may differ in size by one).
     """
+    if k < 2:
+        raise ValueError(f"cross-validation needs at least 2 folds, got {k}")
     question_list = list(questions)
     if len(question_list) < k:
         raise EmptyInput(f"{len(question_list)} questions for {k} folds")

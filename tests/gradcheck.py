@@ -1,18 +1,19 @@
 """Central finite-difference verification of the analytic gradients.
 
-Used with dropout disabled and in double precision, through the kind's
-``apply`` and ``backward`` (``qfs.neural.models.KINDS``), so one check
-serves every classifier kind. For parameters with near-zero gradients
-(dead relu paths, clamped losses) the comparison falls back to an
-absolute tolerance of 1e-8, since relative error on a tiny denominator
-only measures finite-difference noise.
+Used with dropout disabled and in double precision, through the backward
+pass that the kind's ``apply`` returns with the probability
+(``qfs.neural.models.KINDS``), so one check serves every classifier
+kind. For parameters with near-zero gradients (dead relu paths, clamped
+losses) the comparison falls back to an absolute tolerance of 1e-8,
+since relative error on a tiny denominator only measures
+finite-difference noise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qfs.neural.models import KINDS
+from qfs.neural.models import KINDS, forward
 from qfs.neural.ops import bce_loss
 
 # Central differences carry an absolute noise floor around 1e-11 (machine
@@ -57,10 +58,10 @@ def grad_check(params, inputs: tuple, label: int, epsilon: float = 1e-5) -> floa
 
     ``inputs`` is one example's model inputs, as the kind's ``input`` builds them.
     """
-    kind = KINDS[params.kind]
-    analytic = kind.backward(params, kind.apply(params, *inputs), label)
+    _, backward = KINDS[params.kind].apply(params, *inputs)
+    analytic = backward(label)
 
     def loss_fn() -> float:
-        return bce_loss(kind.apply(params, *inputs).head.prob, label)
+        return bce_loss(forward(params, *inputs), label)
 
     return _max_relative_error(analytic, params.blocks, loss_fn, epsilon)

@@ -540,6 +540,48 @@ def test_dense_dimension_mismatch_names_both_files(tmp_path, command):
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("kind, dims", [
+    ("nnc", {"emb_dim": 7, "lstm_hidden": 2, "dense_hidden": 2}),
+    ("pooled", {"input_dim": 7, "dense_hidden": 2}),
+])
+def test_model_and_vectors_of_other_dimensions_name_both_files(tmp_path, kind, dims):
+    model = tmp_path / "m.qfsm"
+    save_params(init_params(kind, **dims), model)
+    source = GOLDEN / "vectors.txt" if kind == "nnc" else tmp_path / "c.cemb"
+    if kind == "pooled":
+        write_context_file(source)  # 4-d, as are the golden word vectors
+    config = config_file(tmp_path, model={
+        "kind": kind, "params_path": str(model), "embeddings_path": str(source)})
+    code, err = run_qfs("answer", "--config", config, *QUESTIONS, "--out", tmp_path / "a.json")
+    assert code == 2, err
+    assert err.startswith(f"error: {model} holds a {kind} model of 7-d inputs, ")
+    assert err.endswith(f"but {source} holds 4-d vectors\n")
+    assert not (tmp_path / "a.json").exists()
+
+
+def test_answer_with_context_embeddings_holding_no_records_exits_2(tmp_path):
+    save_params(init_params("pooled", input_dim=4, dense_hidden=2), tmp_path / "m.qfsm")
+    cemb = tmp_path / "c.cemb"
+    write_context_embeddings(cemb, [])
+    config = config_file(tmp_path, model={
+        "kind": "pooled", "params_path": str(tmp_path / "m.qfsm"), "embeddings_path": str(cemb)})
+    code, err = run_qfs("answer", "--config", config, *QUESTIONS, "--out", tmp_path / "a.json")
+    assert (code, err) == (2, f"error: {cemb}: holds no vectors\n")
+
+
+@pytest.mark.parametrize("field", ["offsetInBeginSection", "offsetInEndSection"])
+@pytest.mark.parametrize("raw", ["2.7", '"5"', "true", "5.0", "1e400"])
+def test_snippet_offset_that_is_not_an_integer_names_the_file(tmp_path, field, raw):
+    question = {"id": "q1", "type": "summary", "body": "b", "ideal_answer": ["Some text."],
+                "snippets": [{**SNIPPET, field: "OFFSET"}]}
+    # Raw text, so that 1e400 reaches the JSON parser as written.
+    questions = write(tmp_path / "q.json", json.dumps([question]).replace('"OFFSET"', raw))
+    code, err = run_qfs("label", "--questions", questions, "--out", tmp_path / "l.jsonl")
+    assert code == 2, err
+    assert err.startswith(f"error: {questions}: question 'q1': ")
+    assert f"{field} must be an integer" in err and "Traceback" not in err
+
+
 # Each case builds the arguments of one command line that misuses the program.
 USAGE_ERRORS = {
     "missing required option": lambda w: ("index", "--docs", GOLDEN / "docs.jsonl"),
@@ -547,6 +589,7 @@ USAGE_ERRORS = {
         "train", "--model", "nnc", "--labels", GOLDEN / "labels.jsonl", "--out", w / "m"),
     "unknown command": lambda w: ("summarise", *QUESTIONS),
     "cv with zero folds": lambda w: ("cv", *QUESTIONS, "--k", "0"),
+    "cv with one fold": lambda w: ("cv", *QUESTIONS, "--model", "oracle", "--k", "1"),
     "cv with a negative seed": lambda w: ("cv", *QUESTIONS, "--seed", "-1"),
     **{
         f"index with {flag} {value}": lambda w, flag=flag, value=value: (
@@ -680,6 +723,12 @@ def test_cv_with_more_folds_than_questions_exits_2():
         pipeline.cross_validate(questions, None, pipeline.OracleModelSpec(), k=10)
     code, err = run_qfs("cv", *QUESTIONS, "--model", "oracle", "--k", "10")
     assert (code, err) == (2, "error: 4 questions for 10 folds\n")
+
+
+def test_cross_validate_needs_two_folds():
+    questions = load_question_set(GOLDEN / "questions.json")
+    with pytest.raises(ValueError, match="^cross-validation needs at least 2 folds, got 1$"):
+        pipeline.cross_validate(questions, None, pipeline.OracleModelSpec(), k=1)
 
 
 def test_assemble_answer_from_no_sentences_is_empty_input():

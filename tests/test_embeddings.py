@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import struct
 
 import numpy as np
@@ -53,6 +54,13 @@ class TestLoadWordEmbeddings:
     def test_bad_header_rejected(self, tmp_path):
         path = write_vectors(tmp_path, "hello\n")
         with pytest.raises(MalformedInput):
+            load_word_embeddings(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_value_names_line_and_word(self, tmp_path, value):
+        path = write_vectors(tmp_path, f"2 2\ncat 1 1\ndog 1 {value}\n")
+        message = re.escape(f"{path}:3: non-finite value for 'dog'")
+        with pytest.raises(MalformedInput, match=f"^{message}$"):
             load_word_embeddings(path)
 
 
@@ -119,7 +127,12 @@ class TestCembRoundTrip:
         rng = np.random.default_rng(6)
         path = tmp_path / "two.cemb"
         write_context_embeddings(path, [random_record(rng, f"q#{i}", 2) for i in range(2)])
-        load_each_corruption(path, path.read_bytes(), load_context_embeddings)
+
+        def load(path):
+            for rec in load_context_embeddings(path).values():
+                assert rec.dim == 2 and np.isfinite(rec.tokens).all()
+
+        load_each_corruption(path, path.read_bytes(), load)
 
     def test_empty_file_roundtrip(self, tmp_path):
         path = tmp_path / "empty.cemb"
@@ -143,6 +156,17 @@ class TestCembRoundTrip:
             fh.write(b"\x00")  # 2-token mask, no bits set
             fh.write(np.zeros((2, 2), dtype="<f4").tobytes())
         with pytest.raises(MalformedInput, match="^record 'x#0': mask marks no tokens$"):
+            list(read_context_embeddings(path))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_token_rejected_on_read(self, tmp_path, value):
+        # build the record bytes by hand; the constructor would refuse it
+        path = tmp_path / "nan.cemb"
+        path.write_bytes(
+            b"CEMB" + struct.pack("<II", 1, 2) + struct.pack("<I", 3) + b"x#0"
+            + struct.pack("<IB", 1, 1) + np.array([0.5, value], dtype="<f4").tobytes()
+        )
+        with pytest.raises(MalformedInput, match="^record 'x#0': non-finite token value$"):
             list(read_context_embeddings(path))
 
     def test_truncated_record_names_offset(self, tmp_path):
@@ -185,6 +209,15 @@ class TestRecordValidation:
                 pair_id="x",
                 tokens=np.zeros((0, 2), dtype=np.float32),
                 sentence_mask=np.zeros(0, dtype=bool),
+            )
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_token_rejected(self, value):
+        with pytest.raises(MalformedInput, match="^record 'x': non-finite token value$"):
+            ContextEmbeddingRecord(
+                pair_id="x",
+                tokens=np.array([[1.0, 2.0], [3.0, value]]),
+                sentence_mask=np.array([True, False]),
             )
 
     def test_pooled_is_masked_mean(self):

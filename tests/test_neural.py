@@ -23,13 +23,7 @@ from qfs.neural import (
     training,
 )
 from qfs.neural.lstm import LstmParams, bilstm_encode, lstm_forward
-from qfs.neural.models import (
-    Params,
-    _nnc_apply,
-    _pooled_apply,
-    init_params,
-    position_feature,
-)
+from qfs.neural.models import Params, init_params, position_feature
 from qfs.neural.ops import bce_loss
 
 from conftest import load_each_corruption
@@ -126,16 +120,6 @@ class TestNncForward:
         prob = forward(params, rng.normal(size=(2, 3)), rng.normal(size=(3, 3)), 0.5)
         assert prob == pytest.approx(0.5)
 
-    def test_interaction_is_elementwise_square_when_q_equals_s(self):
-        rng = np.random.default_rng(4)
-        params = init_params("nnc", emb_dim=3, lstm_hidden=2, dense_hidden=4, seed=4)
-        x = rng.normal(size=(3, 3))
-        cache = _nnc_apply(params, x, x, 0.7)
-        assert np.allclose(cache.q_vec, cache.s_vec)
-        # input layout: [sentence ; interaction ; position]
-        assert np.allclose(cache.head.x[4:8], cache.s_vec**2)
-        assert cache.head.x[-1] == pytest.approx(0.7)
-
     def test_matches_hand_traced_forward(self):
         """Full forward recomputed with the independent scalar oracle."""
         rng = np.random.default_rng(5)
@@ -153,7 +137,6 @@ class TestNncForward:
         params = Params("nnc", {"emb_dim": 2, "lstm_hidden": 2, "dense_hidden": 3}, blocks)
 
         q = rng.normal(size=(2, 2))
-        s = rng.normal(size=(2, 2))
         pos = 0.25
 
         def encode(xs):
@@ -162,13 +145,16 @@ class TestNncForward:
             rows = [np.concatenate([fi, bi]) for fi, bi in zip(f, b)]
             return np.mean(rows, axis=0)
 
-        q_vec, s_vec = encode(q), encode(s)
-        x = np.concatenate([s_vec, s_vec * q_vec, [pos]])
-        h = np.maximum(hidden_w @ x + hidden_b, 0.0)
-        z = output_w[0] @ h + output_b[0]
-        expected = 1.0 / (1.0 + math.exp(-z))
+        # The second case is q == s, where the interaction is the
+        # elementwise square of the sentence embedding.
+        for s in (rng.normal(size=(2, 2)), q):
+            q_vec, s_vec = encode(q), encode(s)
+            x = np.concatenate([s_vec, s_vec * q_vec, [pos]])
+            h = np.maximum(hidden_w @ x + hidden_b, 0.0)
+            z = output_w[0] @ h + output_b[0]
+            expected = 1.0 / (1.0 + math.exp(-z))
 
-        assert forward(params, q, s, pos) == pytest.approx(expected, abs=1e-9)
+            assert forward(params, q, s, pos) == pytest.approx(expected, abs=1e-9)
 
     def test_empty_matrix_rejected(self):
         params = zeroed_nnc()
@@ -188,8 +174,7 @@ class TestPooledForward:
     def test_masked_mean(self):
         params = init_params("pooled", input_dim=2, dense_hidden=3, seed=0)
         rec = record_of([[1, 3], [3, 5]], [True, True])
-        cache = _pooled_apply(params, rec, 0.5)
-        assert np.allclose(cache.head.x[:2], [2.0, 4.0])
+        assert forward(params, rec, 0.5) == forward(params, record_of([[2, 4]], [True]), 0.5)
 
     def test_all_zero_params_give_half(self):
         params = init_params("pooled", input_dim=2, dense_hidden=3)
@@ -200,8 +185,7 @@ class TestPooledForward:
     def test_single_masked_row_is_identity(self):
         params = init_params("pooled", input_dim=3, dense_hidden=3, seed=1)
         rec = record_of([[9, 9, 9], [1, 2, 3]], [False, True])
-        cache = _pooled_apply(params, rec, 0.5)
-        assert np.allclose(cache.head.x[:3], [1.0, 2.0, 3.0])
+        assert forward(params, rec, 0.5) == forward(params, record_of([[1, 2, 3]], [True]), 0.5)
 
     def test_permutation_invariant_over_masked_rows(self):
         params = init_params("pooled", input_dim=2, dense_hidden=3, seed=2)
@@ -250,6 +234,34 @@ class TestGradCheck:
         rec = record_of([[1.0, 1.0]], [True])
         err = grad_check(params, (rec, 1.0), label=1)
         assert err < 1e-4
+
+
+class TestBackwardClosure:
+    @pytest.mark.parametrize("kind", ["nnc", "pooled"])
+    def test_backward_repeats_and_leaves_the_parameters_alone(self, kind):
+        rng = np.random.default_rng(13)
+        if kind == "nnc":
+            params = init_params("nnc", emb_dim=3, lstm_hidden=2, dense_hidden=4, seed=13)
+            inputs = (rng.normal(size=(2, 3)), rng.normal(size=(3, 3)), 0.5)
+        else:
+            params = init_params("pooled", input_dim=3, dense_hidden=4, seed=13)
+            inputs = (record_of(rng.normal(size=(3, 3)), [True, False, True]), 0.5)
+        for arr in params.blocks.values():
+            arr += rng.uniform(-0.3, 0.3, size=arr.shape)
+        mask = np.array([2.0, 0.0, 2.0, 2.0])
+        before = {name: arr.copy() for name, arr in params.blocks.items()}
+        apply = KINDS[kind].apply
+
+        _, backward = apply(params, *inputs, dropout_mask=mask)
+        for label in (1, 0, 1):
+            grads = backward(label)
+            fresh = apply(params, *inputs, dropout_mask=mask)[1](label)
+            assert list(grads) == list(fresh)
+            assert sorted(grads) == sorted(params.blocks)
+            for name, grad in grads.items():
+                assert np.array_equal(grad, fresh[name])
+        for name, arr in params.blocks.items():
+            assert np.array_equal(arr, before[name])
 
 
 def separable_fixture(n_per_class=4):
@@ -347,9 +359,9 @@ class TestTraining:
 
     def test_non_finite_loss_aborts_with_diagnostics(self):
         examples, records = separable_fixture(n_per_class=1)
-        bad = {
-            k: record_of([[np.inf, 1.0]], [True], pair_id=k) for k in records
-        }
+        bad = {k: record_of([[1.0, 1.0]], [True], pair_id=k) for k in records}
+        for rec in bad.values():
+            rec.tokens[0, 0] = np.inf  # past the record's own check, which refuses it
         with pytest.warns(RuntimeWarning), pytest.raises(
             QfsError, match="^non-finite loss at epoch 1, batch starting at example 0$"
         ) as err:
