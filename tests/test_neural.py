@@ -120,6 +120,28 @@ class TestNncForward:
         prob = forward(params, rng.normal(size=(2, 3)), rng.normal(size=(3, 3)), 0.5)
         assert prob == pytest.approx(0.5)
 
+    def test_interaction_is_elementwise_square_when_q_equals_s(self):
+        rng = np.random.default_rng(4)
+        params = init_params("nnc", emb_dim=3, lstm_hidden=2, dense_hidden=4, seed=4)
+        x = rng.normal(size=(3, 3))
+        b = params.blocks
+        s_vec, _ = bilstm_encode(
+            LstmParams(b["lstm_fwd.w_x"], b["lstm_fwd.w_h"], b["lstm_fwd.b"]),
+            LstmParams(b["lstm_bwd.w_x"], b["lstm_bwd.w_h"], b["lstm_bwd.b"]),
+            x,
+        )
+        _, backward = KINDS["nnc"].apply(params, x, x, 0.7)
+        grads = backward(1)
+        # d hidden.w = outer(d hidden.b, head input), so a row with a
+        # non-zero bias gradient recovers the head input.
+        i = int(np.argmax(np.abs(grads["hidden.b"])))
+        assert grads["hidden.b"][i] != 0.0
+        head_x = grads["hidden.w"][i] / grads["hidden.b"][i]
+        # input layout: [sentence ; interaction ; position]
+        assert np.allclose(head_x[:4], s_vec)
+        assert np.allclose(head_x[4:8], s_vec**2)
+        assert head_x[-1] == pytest.approx(0.7)
+
     def test_matches_hand_traced_forward(self):
         """Full forward recomputed with the independent scalar oracle."""
         rng = np.random.default_rng(5)
