@@ -26,7 +26,10 @@ from pathlib import Path
 from typing import Iterator, Sequence, TypeVar
 
 from .errors import MalformedInput
-from .fileio import open_output, read_json, read_jsonl, write_json
+from . import fileio
+from .fileio import (
+    ID, ID_LIST, INTEGER, LIST, STRING, open_output, read_json, read_jsonl, write_json,
+)
 
 QUESTION_TYPES = frozenset({"summary", "factoid", "yesno", "list"})
 
@@ -133,28 +136,17 @@ def snippet_from_json(obj: dict, where: str) -> SnippetSpan:
     """The one snippet-object reader: questions, feedback and submissions."""
     if not isinstance(obj, dict):
         raise MalformedInput(f"{where}: snippet is not an object")
-    what = f"{where}: snippet"
-    text, section = _text_field(obj, "text", what), _text_field(obj, "section", what)
+    what, bad = f"{where}: snippet", f"{where}: bad snippet object"
+    # A snippet without a document is a bad snippet object, as it is without an offset.
+    doc_id = fileio.field(obj, "document", ID, what if "document" in obj else bad)
+    section = fileio.field(obj, "section", STRING, what, "")
+    text = fileio.field(obj, "text", STRING, what, "")
+    begin = fileio.field(obj, "offsetInBeginSection", INTEGER, bad)
+    end = fileio.field(obj, "offsetInEndSection", INTEGER, bad)
     try:
-        span = SnippetSpan(
-            doc_id=obj["document"],
-            section_id=section,
-            begin_char=_offset(obj, "offsetInBeginSection"),
-            end_char=_offset(obj, "offsetInEndSection"),
-            text=text,
-        )
-    except (KeyError, MalformedInput) as exc:
-        raise MalformedInput(f"{where}: bad snippet object: {exc}") from exc
-    check_id(span.doc_id, what, "document")
-    return span
-
-
-def _offset(obj: dict, key: str) -> int:
-    """A snippet offset: an int that is not a bool; 2.7, "5", true or 1e400 is refused."""
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise MalformedInput(f"{key} must be an integer, not {value!r}")
-    return value
+        return SnippetSpan(doc_id, section, begin, end, text)
+    except MalformedInput as exc:
+        raise MalformedInput(f"{bad}: {exc}") from exc
 
 
 def snippet_to_json(span: SnippetSpan) -> dict:
@@ -183,30 +175,15 @@ def load_question_set(path: str | Path) -> QuestionSet:
     return QuestionSet(list(questions.values()))
 
 
-def _text_field(obj: dict, key: str, where: str) -> str:
-    """A string field (``body``, ``text``, ``section``) of an object: "" if absent."""
-    value = obj.get(key, "")
-    if not isinstance(value, str):
-        raise MalformedInput(f"{where}: {key} must be a string, not {type(value).__name__}")
-    return value
-
-
-def check_id(value, where: str, name: str) -> str:
-    """An id read from a file: a non-empty string, never a number or null made one."""
-    if not isinstance(value, str) or not value:
-        raise MalformedInput(f"{where}: {name} must be a non-empty string, not {value!r}")
-    return value
-
-
 def question_from_json(obj: dict, where: str) -> QuestionRecord:
     """One question object of the file ``where``; every error names the file."""
     if not isinstance(obj, dict):
         raise MalformedInput(f"{where}: question entry is not an object")
     if not obj.get("id"):
         raise MalformedInput(f"{where}: question with empty or missing id")
-    qid = check_id(obj["id"], where, "id")
+    qid = fileio.field(obj, "id", ID, where)
     where = f"{where}: question {qid!r}"
-    qtype = obj.get("type")
+    qtype = fileio.field(obj, "type", STRING, where, None)
     if qtype not in QUESTION_TYPES:
         raise MalformedInput(f"{where} has unknown type {qtype!r}")
     ideal = obj.get("ideal_answer", [])
@@ -218,8 +195,8 @@ def question_from_json(obj: dict, where: str) -> QuestionRecord:
     if not isinstance(documents, list) or not isinstance(snippets, list):
         raise MalformedInput(f"{where}: documents and snippets must be lists")
     return QuestionRecord(
-        qid, _text_field(obj, "body", where), qtype,
-        tuple(check_id(d, where, "documents entry") for d in documents),
+        qid, fileio.field(obj, "body", STRING, where, ""), qtype,
+        tuple(fileio.field(obj, "documents", ID_LIST, where, ())),
         tuple(snippet_from_json(x, where) for x in snippets), tuple(ideal),
     )
 
@@ -253,19 +230,15 @@ def load_document_collection(path: str | Path) -> DocumentCollection:
 
 
 def document_from_json(obj: dict, where: str = "document") -> DocumentRecord:
-    if not isinstance(obj, dict) or "id" not in obj:
-        raise MalformedInput(f"{where}: document object must carry an id")
-    doc_id = check_id(obj["id"], where, "id")
+    doc_id = fileio.field(obj, "id", ID, where)
     sections: list[tuple[str, str]] = []
     seen = set()
-    for sec in obj.get("sections", []):
-        if not isinstance(sec, dict) or "id" not in sec:
-            raise MalformedInput(f"{where}: section must carry an id")
-        sid = check_id(sec["id"], where, "section id")
+    for sec in fileio.field(obj, "sections", LIST, where, ()):
+        sid = fileio.field(sec, "id", ID, where, name="section id")
         if sid in seen:
             raise MalformedInput(f"{where}: duplicate section id {sid!r}")
         seen.add(sid)
-        sections.append((sid, _text_field(sec, "text", f"{where}: section {sid!r}")))
+        sections.append((sid, fileio.field(sec, "text", STRING, f"{where}: section {sid!r}", "")))
     return DocumentRecord(id=doc_id, sections=tuple(sections))
 
 
@@ -299,24 +272,17 @@ class FeedbackStore:
             raise MalformedInput(f"{path}: expected a JSON array")
         store = cls()
         for entry in payload:
-            if not isinstance(entry, dict) or not isinstance(entry.get("items", []), list):
-                raise MalformedInput(f"{path}: feedback entry must be an object with items")
-            if not entry.get("question_id"):
-                raise MalformedInput(f"{path}: feedback entry without question_id")
-            qid = check_id(entry["question_id"], str(path), "question_id")
-            for item in entry.get("items", []):
-                if not isinstance(item, dict) or "ref" not in item:
-                    raise MalformedInput(f"{path}: feedback item for {qid!r} without a ref")
-                polarity = item.get("polarity")
+            qid = fileio.field(entry, "question_id", ID, str(path))
+            where = f"{path}: feedback for {qid!r}"
+            for item in fileio.field(entry, "items", LIST, where, ()):
+                polarity = fileio.field(item, "polarity", STRING, where, None)
+                kind = fileio.field(item, "kind", STRING, where, None)
                 if polarity not in (RELEVANT, IRRELEVANT):
-                    raise MalformedInput(
-                        f"{path}: bad polarity {polarity!r} for question {qid!r}"
-                    )
-                kind, where = item.get("kind"), f"{path}: feedback for {qid!r}"
+                    raise MalformedInput(f"{path}: bad polarity {polarity!r} for question {qid!r}")
                 if kind == "document":
-                    store.add_document(qid, check_id(item["ref"], where, "ref"), polarity)
+                    store.add_document(qid, fileio.field(item, "ref", ID, where), polarity)
                 elif kind == "snippet":
-                    store.add_snippet(qid, snippet_from_json(item["ref"], where), polarity)
+                    store.add_snippet(qid, snippet_from_json(item.get("ref"), where), polarity)
                 else:
                     raise MalformedInput(f"{path}: bad item kind {kind!r}")
         return store

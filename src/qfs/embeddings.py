@@ -31,6 +31,7 @@ from .fileio import open_input, open_output, read_exact, read_lines, record_ids
 logger = logging.getLogger(__name__)
 
 _CEMB_MAGIC = b"CEMB"
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -117,21 +118,23 @@ class ContextEmbeddingRecord:
     sentence_mask: np.ndarray  # (n,) bool
 
     def __post_init__(self) -> None:
-        self.tokens = np.ascontiguousarray(self.tokens, dtype=np.float32)
+        tokens = np.asarray(self.tokens)
         self.sentence_mask = np.asarray(self.sentence_mask, dtype=bool)
-        if self.tokens.ndim != 2 or self.tokens.shape[0] < 1:
+        if tokens.ndim != 2 or tokens.shape[0] < 1:
             raise MalformedInput(
                 f"record {self.pair_id!r}: token matrix must be (n>=1, dim)"
             )
-        if self.sentence_mask.shape != (self.tokens.shape[0],):
+        if self.sentence_mask.shape != (tokens.shape[0],):
             raise DimensionMismatch(
                 f"record {self.pair_id!r}: mask length {self.sentence_mask.shape} "
-                f"does not match {self.tokens.shape[0]} token rows"
+                f"does not match {tokens.shape[0]} token rows"
             )
         if not self.sentence_mask.any():
             raise MalformedInput(f"record {self.pair_id!r}: mask marks no tokens")
-        if not np.isfinite(self.tokens).all():
+        # Before the cast, which would overflow a value such as 1e40 to inf with a warning.
+        if not (np.abs(tokens) <= _FLOAT32_MAX).all():
             raise MalformedInput(f"record {self.pair_id!r}: non-finite token value")
+        self.tokens = np.ascontiguousarray(tokens, dtype=np.float32)
 
     @property
     def dim(self) -> int:
@@ -212,9 +215,11 @@ def read_context_embeddings(path: str | Path) -> Iterator[ContextEmbeddingRecord
             mask = _unpack_mask(mask_bytes, n)
             payload = read_exact(fh, 4 * n * dim, path, f"matrix of {pair_id!r}")
             tokens = np.frombuffer(payload, dtype="<f4").reshape(n, dim)
-            yield ContextEmbeddingRecord(
-                pair_id=pair_id, tokens=tokens.copy(), sentence_mask=mask
-            )
+            try:
+                record = ContextEmbeddingRecord(pair_id, tokens.copy(), mask)
+            except MalformedInput as exc:
+                raise MalformedInput(f"{path}: {exc}") from exc
+            yield record
 
 
 def load_context_embeddings(path: str | Path) -> dict[str, ContextEmbeddingRecord]:

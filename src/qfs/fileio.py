@@ -7,14 +7,19 @@ command line), never a bare ``OSError``, ``JSONDecodeError`` or
 or :func:`read_json`, and strings inside binary files are decoded by
 :func:`decode_utf8`. An output that cannot be created is a :class:`QfsError`
 naming the path, from :func:`open_output` or, up front, :func:`check_output`.
+Every field of a JSON input is read by :func:`field`, so a value of the wrong
+type is a :class:`MalformedInput` naming the file, the field and the value.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import reprlib
+import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 from .errors import MalformedInput, QfsError
 
@@ -118,3 +123,66 @@ def write_json(path: str | Path, payload, sort_keys: bool = False) -> None:
     """Write JSON as every output file does: UTF-8, indent 1."""
     with open_output(path) as fh:
         json.dump(payload, fh, ensure_ascii=False, indent=1, sort_keys=sort_keys)
+
+
+@dataclass(frozen=True, slots=True)
+class Rule:
+    """What :func:`field` accepts: a value whose type is one of ``types``
+    exactly, so that a bool is no integer, and that passes ``test``, if set.
+    ``noun`` names the rule in a message and ``show`` renders a refused value;
+    ``entry``, if set, is the rule each entry of an accepted list follows."""
+
+    noun: str
+    types: tuple[type, ...]
+    test: Callable[[object], bool] | None = None
+    show: Callable[[object], str] = reprlib.repr
+    entry: Rule | None = None
+
+    def refuses(self, value) -> bool:
+        return type(value) not in self.types or self.test is not None and not self.test(value)
+
+
+ID = Rule("a non-empty string", (str,), bool)
+STRING = Rule("a string", (str,), show=lambda v: type(v).__name__)
+INTEGER = Rule("an integer", (int,))
+COUNT = Rule("an integer >= 1", (int,), lambda v: v >= 1)
+# An int beyond the float range is not a finite number.
+NUMBER = Rule("a finite number", (int, float), lambda v: abs(v) <= sys.float_info.max)
+OBJECT = Rule("an object", (dict,))
+LIST = Rule("a list", (list,))
+ID_LIST = replace(LIST, entry=ID)
+
+
+_REQUIRED = object()
+
+
+def field(obj: dict, key: str, rule: Rule, where: str, default=_REQUIRED, *, name: str = ""):
+    """``obj[key]`` if ``obj`` is an object and the value follows ``rule``, else
+    MalformedInput naming ``where`` (the file, or ``path:line``, and the object
+    in it), the field and the value.
+
+    An absent key is an error unless a ``default`` is given; the default is
+    returned unchecked, also when the key holds it, so ``default=None`` lets
+    a JSON null through. ``name`` is the field's name in a message, if not ``key``.
+    """
+    try:
+        value = obj.get(key, default)
+    except AttributeError:  # obj is a JSON value other than an object
+        raise MalformedInput(
+            f"{where}: cannot read {name or key!r} from {reprlib.repr(obj)}, which is not an object"
+        ) from None
+    if type(value) in rule.types and rule.entry is None and (rule.test is None or rule.test(value)):
+        return value  # the common case, checked first
+    if value is default:
+        if default is _REQUIRED:
+            raise MalformedInput(f"{where}: {name or key!r} is missing")
+        return value
+    if rule.refuses(value):
+        raise MalformedInput(f"{where}: {name or key} must be {rule.noun}, not {rule.show(value)}")
+    entry = rule.entry
+    for item in value if entry is not None else ():
+        if entry.refuses(item):
+            raise MalformedInput(
+                f"{where}: {name or key} entry must be {entry.noun}, not {entry.show(item)}"
+            )
+    return value

@@ -36,6 +36,11 @@ in the post-retrieval candidate list. Tie-breaking everywhere favors
 the earlier occurrence, which keeps every stage deterministic. Answer
 candidates get their positions after feedback filtering, i.e. in the
 order the scorer actually sees them.
+
+The benchmark (``bench/``) uses :func:`snip_cosine`, ``CosineScorer.score_sentences(
+question, texts, positions)``, :class:`OracleModelSpec`, :func:`candidate_sentences`,
+:func:`qfs.metrics.best_reference_f1` and :func:`qfs.textproc.split_sentences`: removing
+any of them, or changing its signature, fails every benchmark run until ``bench/`` moves.
 """
 
 from __future__ import annotations
@@ -59,14 +64,14 @@ from .corpus import (
     QuestionRecord,
     QuestionSet,
     SnippetSpan,
-    check_id,
     filter_judged,
     snippet_from_json,
     snippet_to_json,
 )
 from .embeddings import ContextEmbeddingRecord, EmbeddingTable
 from .errors import EmptyInput, MalformedInput, MissingInput
-from .fileio import open_output, read_json, read_jsonl, write_json
+from . import fileio
+from .fileio import ID, INTEGER, STRING, open_output, read_json, read_jsonl, write_json
 from .metrics import best_reference_f1, best_reference_f1s
 from .neural import KINDS, LabeledExample, TrainConfig, forward, train
 from .retrieval import (
@@ -141,7 +146,7 @@ def load_submission(path: str | Path) -> list[AnswerResult]:
     for obj in questions:
         if not isinstance(obj, dict) or "id" not in obj:
             raise MalformedInput(f"{path}: submission question entry without an id")
-        qid = check_id(obj["id"], str(path), "submission question id")
+        qid = fileio.field(obj, "id", ID, str(path), name="submission question id")
         if qid in seen:
             raise MalformedInput(f"{path}: duplicate submission question id {qid!r}")
         seen.add(qid)
@@ -177,25 +182,18 @@ def load_labels(path: str | Path) -> list[LabeledExample]:
     type or value is ``MalformedInput`` naming ``path:line``."""
     examples = []
     for where, obj in read_jsonl(path):
-        if not isinstance(obj, dict):
-            raise MalformedInput(f"{where}: bad labeled example: expected an object")
-        question, sentence = obj.get("question"), obj.get("sentence")
-        label, position, pid = obj.get("label"), obj.get("position"), obj.get("pair_id")
-        if not isinstance(question, str) or not isinstance(sentence, str):
-            problem = "question and sentence must be strings"
-        elif type(label) is not int or label not in (0, 1):  # bool is not an int label
-            problem = f"label must be the integer 0 or 1, got {label!r}"
-        elif type(position) is not int or position < 0:
-            problem = f"position must be an integer >= 0, got {position!r}"
-        elif pid is not None and not isinstance(pid, str):
-            problem = f"pair_id must be a string, got {pid!r}"
-        else:
-            examples.append(LabeledExample(
-                tuple(token_surfaces(question)), tuple(token_surfaces(sentence)),
-                position, label, pid, question, sentence,
-            ))
-            continue
-        raise MalformedInput(f"{where}: bad labeled example: {problem}")
+        where = f"{where}: bad labeled example"
+        question, sentence = (fileio.field(obj, k, STRING, where) for k in ("question", "sentence"))
+        label, position = (fileio.field(obj, k, INTEGER, where) for k in ("label", "position"))
+        if label not in (0, 1):
+            raise MalformedInput(f"{where}: label must be 0 or 1, not {label!r}")
+        if position < 0:
+            raise MalformedInput(f"{where}: position must be >= 0, not {position!r}")
+        pid = fileio.field(obj, "pair_id", STRING, where, None)
+        examples.append(LabeledExample(
+            tuple(token_surfaces(question)), tuple(token_surfaces(sentence)),
+            position, label, pid, question, sentence,
+        ))
     return examples
 
 

@@ -114,7 +114,11 @@ def sentence_bounds(text: str) -> list[tuple[int, int]]:
 
 
 def split_sentences(text: str) -> list[SentenceSpan]:
-    """Split text into sentence spans covering all non-whitespace content."""
+    """Split text into sentence spans covering all non-whitespace content.
+
+    ``bench/gen.py`` builds its corpora with this function: removing it, or
+    changing its signature, fails every benchmark run until ``bench/`` moves.
+    """
     return [SentenceSpan(i, b, e, text[b:e]) for i, (b, e) in enumerate(sentence_bounds(text))]
 
 

@@ -434,6 +434,12 @@ BROKEN_INPUTS = {
         write(w / "c.json", '{"retrieval": {"round_docs": {"1": "many"}}}')),
     "config with a list for a section": lambda w: (
         "config", "validate", "--config", write(w / "c.json", '{"retrieval": []}')),
+    "index document sections a number": lambda w: (
+        "index", "--docs", write(w / "d.jsonl", '{"id": "d1", "sections": 5}\n'),
+        "--out", w / "i.qidx"),
+    "label question type a list": lambda w: (
+        "label", "--questions", write(w / "q.json", json.dumps([{"id": "q1", "type": []}])),
+        "--out", w / "l.jsonl"),
 }
 
 
@@ -455,6 +461,15 @@ def test_non_string_text_names_file_and_field(tmp_path, case, where, field):
     code, err = run_qfs(*BROKEN_INPUTS[case](tmp_path))
     assert code == 2, err
     assert f"{tmp_path / where}: {field} must be a string" in err
+
+
+@pytest.mark.parametrize("case, message", [
+    ("index document sections a number", "d.jsonl:1: sections must be a list, not 5"),
+    ("label question type a list", "q.json: question 'q1': type must be a string, not list"),
+])
+def test_field_of_another_type_names_file_and_field(tmp_path, case, message):
+    code, err = run_qfs(*BROKEN_INPUTS[case](tmp_path))
+    assert (code, err) == (2, f"error: {tmp_path / message}\n")
 
 
 SNIPPET = {"document": "d1", "section": "s1", "offsetInBeginSection": 0,

@@ -155,7 +155,8 @@ class TestCembRoundTrip:
             fh.write(struct.pack("<I", 2))
             fh.write(b"\x00")  # 2-token mask, no bits set
             fh.write(np.zeros((2, 2), dtype="<f4").tobytes())
-        with pytest.raises(MalformedInput, match="^record 'x#0': mask marks no tokens$"):
+        message = f"^{re.escape(str(path))}: record 'x#0': mask marks no tokens$"
+        with pytest.raises(MalformedInput, match=message):
             list(read_context_embeddings(path))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -166,7 +167,8 @@ class TestCembRoundTrip:
             b"CEMB" + struct.pack("<II", 1, 2) + struct.pack("<I", 3) + b"x#0"
             + struct.pack("<IB", 1, 1) + np.array([0.5, value], dtype="<f4").tobytes()
         )
-        with pytest.raises(MalformedInput, match="^record 'x#0': non-finite token value$"):
+        message = f"^{re.escape(str(path))}: record 'x#0': non-finite token value$"
+        with pytest.raises(MalformedInput, match=message):
             list(read_context_embeddings(path))
 
     def test_truncated_record_names_offset(self, tmp_path):
@@ -211,7 +213,8 @@ class TestRecordValidation:
                 sentence_mask=np.zeros(0, dtype=bool),
             )
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    # 1e40 and -1e40 are finite in float64 but beyond the float32 range.
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e40, -1e40])
     def test_non_finite_token_rejected(self, value):
         with pytest.raises(MalformedInput, match="^record 'x': non-finite token value$"):
             ContextEmbeddingRecord(
