@@ -27,6 +27,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 
 import click
 
@@ -49,6 +50,17 @@ def _configure_logging() -> None:
 def _writable(ctx, param, path):
     """The ``--out`` callback: a path that cannot be written fails before any work."""
     return path and check_output(path)
+
+
+@contextmanager
+def _naming(questions_path):
+    """A per-question data error (``question 'q1' ...``) also names the questions file."""
+    try:
+        yield
+    except QfsError as exc:
+        if str(exc).startswith("question "):
+            raise type(exc)(f"{questions_path}: {exc}") from exc
+        raise
 
 
 @click.group()
@@ -214,7 +226,8 @@ def cmd_label(questions_path, out_path, docs_path) -> int:
     """Generate binary training labels from gold snippets."""
     questions = corpus.load_question_set(questions_path)
     collection = corpus.load_document_collection(docs_path) if docs_path else None
-    examples = pipeline.generate_labels(questions, collection)
+    with _naming(questions_path):
+        examples = pipeline.generate_labels(questions, collection)
     pipeline.save_labels(examples, out_path)
     positives = sum(ex.label for ex in examples)
     click.echo(f"{len(examples)} examples ({positives} positive) -> {out_path}")
@@ -348,7 +361,8 @@ def cmd_cv(questions_path, docs_path, model_kind, embeddings_path, cemb_path,
         config = _train_config(model_kind, epochs, batch_size, dropout, lr, seed, clip_len)
         source = _model_source(model_kind, embeddings_path, cemb_path)
         spec = pipeline.TrainedModelSpec(model_kind, source, config)
-    result = pipeline.cross_validate(questions, collection, spec, k=k, seed=seed)
+    with _naming(questions_path):
+        result = pipeline.cross_validate(questions, collection, spec, k=k, seed=seed)
     for i, (size, f1) in enumerate(zip(result.fold_sizes, result.fold_mean_f1), 1):
         click.echo(f"fold {i:2d}: {size:5d} questions  mean SU4-F1 {f1:.4f}")
     click.echo(f"overall mean SU4-F1 {result.mean_f1:.4f}")

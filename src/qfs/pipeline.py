@@ -5,31 +5,35 @@ command line and ``cross_validate`` compose:
 
 * :func:`retrieve` ranks documents and drops the judged ones;
 * :func:`select_snippets` picks sentences of the top documents;
-* :func:`score_and_assemble` scores candidate sentences and joins the
-  best into the ideal answer. Phase B (``cross_validate``) starts here,
-  from the sentences of the gold snippets.
+* answer scoring scores the candidates left after feedback filtering,
+  and :func:`assemble_answer` joins the best into the ideal answer.
+  Phase B (``cross_validate``) starts here, from gold snippet sentences.
 
 Every sentence score comes from a :class:`SentenceScorer`: tf-idf
 cosine, the SU4 oracle, or a trained classifier (:class:`ModelScorer`,
 either kind, with inputs built as in training).
 
-Snippet selection reads its sentences from the index's
+Snippets and answers are scored from the index's
 :class:`~qfs.sentences.SentenceTable`: every document was split and
 tokenized once, when the index was built, so a question only slices
-the table rows of its ranked documents. The pool of all those sentences
-is scored at once; tf-idf cosine reads the stored token ids, any other
-scorer gets the sentence texts. A sentence's position is its
-per-document ordinal: its place among all sentences of its document,
-counted over the sections in order. Only the kept sentences become
-:class:`SnippetSpan` objects. :func:`snip_cosine` does the same for a
+the table rows of its ranked documents. Snippet selection scores that
+pool at once and keeps each snippet's row; answer scoring scores the
+candidates' rows. Both call :func:`_score_rows`: tf-idf cosine reads the
+rows' token ids, so answering tokenizes no sentence; any other scorer
+gets their texts. A snippet sentence's position is its per-document
+ordinal: its place among all sentences of its document, counted over
+the sections in order. :func:`snip_cosine` does the same for a
 collection without an index, splitting just the ranked documents.
 
-Both tf-idf paths, table token ids and answer texts, share one kernel,
-:func:`_tfidf_cosines`. Its cost follows the pool: a question touches
-only its pool's rows, never a collection- or vocabulary-sized array.
-Its sums are sequential: every norm and dot product adds its terms one
-at a time in sorted term order, never pairwise, so scores are the same
-bit for bit on every platform.
+``CosineScorer.score_sentences`` is the text adapter, for gold
+candidates (which have no table rows) and for ``bench/``. Both paths
+share one kernel, :func:`_tfidf_cosines`, and score ``==``: a row's ids
+are the tokens of its text, both vocabularies sort by term, and the
+kernel reads only term order and equality. Its cost follows the pool,
+never a collection- or vocabulary-sized array. Its sums are sequential:
+every norm and dot product adds its terms one at a time in sorted term
+order, never pairwise, so scores are the same bit for bit on every
+platform.
 
 Candidate sentences keep their *occurrence index*, the 0-based position
 in the post-retrieval candidate list. Tie-breaking everywhere favors
@@ -52,7 +56,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, count
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -157,6 +161,8 @@ def load_submission(path: str | Path) -> list[AnswerResult]:
         ideal_answer = obj.get("ideal_answer", "")
         if not all(isinstance(x, str) for x in [ideal_answer, *documents]):
             raise MalformedInput(f"{where}: document ids and ideal_answer must be strings")
+        if len(set(documents)) < len(documents):
+            raise MalformedInput(f"{where}: returned document list contains duplicates")
         snippets = [snippet_from_json(s, where) for s in snippets]
         results.append(AnswerResult(qid, list(documents), snippets, ideal_answer))
     return results
@@ -270,6 +276,11 @@ class CosineScorer:
     outside the pool are ignored. Norms and dot products add terms one
     at a time in sorted term order (:func:`_tfidf_cosines`), so a score
     is the same on every platform. Scores are clipped to [0, 1].
+
+    Answering scores the index table's token ids (:func:`_score_rows`), with
+    ``==`` scores, as both vocabularies sort by term and the kernel reads only
+    term order and equality; this text method is the adapter for gold
+    candidates and for ``bench/``.
     """
 
     def score_sentences(
@@ -342,23 +353,38 @@ def _ordinal(index: InvertedIndex, doc_id: str) -> int:
     return i
 
 
+def _score_rows(question: QuestionRecord, scorer: SentenceScorer, table: SentenceTable,
+                rows: np.ndarray, asked: np.ndarray, sentences: Callable[[], Sequence[SnippetSpan]],
+                positions: Sequence[int]) -> list[float]:
+    """Scores of the sentences at ``rows`` of ``table``: a :class:`CosineScorer`
+    reads their token ids and ``asked``, the question's word ids in ``table``;
+    any other scorer gets the texts of ``sentences()`` at ``positions``."""
+    if not isinstance(scorer, CosineScorer):
+        return scorer.score_sentences(question, [s.text for s in sentences()], positions)
+    begin, end = table.indptr[rows], table.indptr[rows + 1]
+    cut = np.flatnonzero(begin[1:] != end[:-1]) + 1  # a row whose tokens do not follow on
+    runs = zip(begin[:1].tolist() + begin[cut].tolist(), end[cut - 1].tolist() + end[-1:].tolist())
+    terms = np.concatenate([table.token_ids[:0], *(table.token_ids[a:e] for a, e in runs)])
+    return _tfidf_cosines(asked, end - begin, terms).tolist()
+
+
 def _snip(
     question: QuestionRecord,
     ranked_docs: RankedList,
     table: SentenceTable,
     ordinals: Sequence[int],
     collection: DocumentCollection,
-    scorer: SentenceScorer | None,
+    scorer: SentenceScorer,
     per_doc: int,
-) -> list[SnippetSpan]:
-    """Snippets by one scoring over the sentences of every ranked document.
+) -> tuple[list[SnippetSpan], np.ndarray, np.ndarray]:
+    """Snippets by one scoring over the sentences of every ranked document,
+    with their rows and the question's word ids in ``table``.
 
-    ``ordinals`` are the ranked documents' places in ``table``. With no
-    scorer, sentences are scored by tf-idf cosine from their token ids;
-    a scorer gets their texts, with per-document ordinals as positions.
-    Per document the top ``per_doc`` sentences (ties to the earlier one)
-    are kept in occurrence order; per-document groups are collated in
-    document-relevance order. Only the kept sentences become
+    ``ordinals`` are the ranked documents' places in ``table``. The pool
+    is scored by :func:`_score_rows`, with per-document ordinals as
+    positions. Per document the top ``per_doc`` sentences (ties to the
+    earlier one) are kept in occurrence order; per-document groups are
+    collated in document-relevance order. Only the kept sentences become
     :class:`SnippetSpan` objects.
     """
     docs = [collection[doc_id] for doc_id, _ in ranked_docs]
@@ -368,25 +394,21 @@ def _snip(
     owner = np.repeat(np.arange(len(docs)), counts)  # pool sentence -> ranked document
     starts = np.cumsum(counts) - counts  # pool place of each document's first sentence
     rows = np.arange(len(owner)) + (first - starts)[owner]
-    if scorer is None:
-        spans = zip(table.indptr[first].tolist(), table.indptr[first + counts].tolist())
-        terms = np.concatenate([table.token_ids[:0], *(table.token_ids[a:e] for a, e in spans)])
-        asked = table.word_ids(token_surfaces(question.body))
-        scores = _tfidf_cosines(asked, table.indptr[rows + 1] - table.indptr[rows], terms)
-    else:
-        texts = []
-        for doc, row in zip(owner.tolist(), rows.tolist()):
-            text = docs[doc].sections[table.section[row]][1]
-            texts.append(text[table.begin[row] : table.end[row]])
-        scores = scorer.score_sentences(question, texts, (rows - first[owner]).tolist())
+    asked = table.word_ids(token_surfaces(question.body))
+
+    def spans(at) -> list[SnippetSpan]:
+        columns = (c[rows[at]].tolist() for c in (table.section, table.begin, table.end))
+        out = []
+        for doc, section, b, e in zip(owner[at].tolist(), *columns):
+            section_id, text = docs[doc].sections[section]
+            out.append(SnippetSpan(docs[doc].id, section_id, b, e, text[b:e]))
+        return out
+
+    scores = _score_rows(question, scorer, table, rows, asked, lambda: spans(slice(None)),
+                         (rows - first[owner]).tolist())
     order = np.lexsort((-np.asarray(scores, dtype=float), owner))  # stable
     kept = np.sort(order[np.arange(len(order)) - starts[owner] < per_doc])
-    out: list[SnippetSpan] = []
-    for doc, row in zip(owner[kept].tolist(), rows[kept].tolist()):
-        section_id, text = docs[doc].sections[table.section[row]]
-        b, e = int(table.begin[row]), int(table.end[row])
-        out.append(SnippetSpan(docs[doc].id, section_id, b, e, text[b:e]))
-    return out
+    return spans(kept), rows[kept], asked
 
 
 def snip_cosine(
@@ -404,9 +426,8 @@ def snip_cosine(
     same result.
     """
     table = SentenceTable.build(collection, [d for d, _ in ranked_docs])
-    return _snip(
-        question, ranked_docs, table, range(len(ranked_docs)), collection, None, per_doc
-    )
+    ordinals = range(len(ranked_docs))
+    return _snip(question, ranked_docs, table, ordinals, collection, CosineScorer(), per_doc)[0]
 
 
 def candidate_sentences(question: QuestionRecord) -> list[SnippetSpan]:
@@ -538,37 +559,26 @@ def retrieve(question: QuestionRecord, config, resources: Resources) -> RankedLi
     return [(d, s) for d, s in ranked if d in unjudged]
 
 
+def _select(question: QuestionRecord, ranked: RankedList, config, resources: Resources):
+    """:func:`select_snippets`, with their table rows and the question's word ids."""
+    index = resources.index
+    scorer = CosineScorer() if config.snippets.strategy == "cosine" else resources.scorer
+    ordinals = [_ordinal(index, doc_id) for doc_id, _ in ranked]
+    return _snip(question, ranked, index.sentences, ordinals, resources.collection, scorer,
+                 config.snippets.per_doc)
+
+
 def select_snippets(
     question: QuestionRecord, ranked: RankedList, config, resources: Resources
 ) -> list[SnippetSpan]:
-    """Snippets of the ranked documents by the configured strategy, unfiltered.
-
-    Sentences come from the index's sentence table; only the kept ones
-    become :class:`SnippetSpan` objects.
-    """
-    index = resources.index
-    scorer = None if config.snippets.strategy == "cosine" else resources.scorer
-    ordinals = [_ordinal(index, doc_id) for doc_id, _ in ranked]
-    return _snip(
-        question, ranked, index.sentences, ordinals, resources.collection, scorer,
-        config.snippets.per_doc,
-    )
+    """Snippets of the ranked documents by the configured strategy, unfiltered."""
+    return _select(question, ranked, config, resources)[0]
 
 
-def score_and_assemble(
-    question: QuestionRecord,
-    candidates: Sequence[SnippetSpan],
-    scorer: SentenceScorer,
-    answer_table: Mapping[str, int] | None = None,
-) -> str:
-    """Score candidates at their list positions and assemble the ideal answer."""
-    scores = scorer.score_sentences(
-        question, [c.text for c in candidates], list(range(len(candidates)))
-    )
-    scored = [
-        ScoredSentence(text=c.text, source=c, occurrence_index=i, score=s)
-        for i, (c, s) in enumerate(zip(candidates, scores))
-    ]
+def _assemble(question: QuestionRecord, candidates: Sequence[SnippetSpan],
+              scores: Sequence[float], answer_table: Mapping[str, int] | None) -> str:
+    """The ideal answer from candidates scored in list order."""
+    scored = [ScoredSentence(c.text, c, i, s) for i, (c, s) in enumerate(zip(candidates, scores))]
     return assemble_answer(question.qtype, scored, answer_table)
 
 
@@ -577,17 +587,16 @@ def answer_question(
 ) -> AnswerResult:
     """Retrieve, snip, filter, score, and assemble one question's answer."""
     ranked = retrieve(question, config, resources)[: config.retrieval.final_doc_cap]
-    snippets = select_snippets(question, ranked, config, resources)
+    snippets, rows, asked = _select(question, ranked, config, resources)
     feedback, qid = resources.feedback, question.id
     returned = filter_judged(snippets, feedback, qid, EXCLUDE_ALL_JUDGED)
     candidates = filter_judged(snippets, feedback, qid, EXCLUDE_IRRELEVANT_ONLY)
-    ideal = score_and_assemble(question, candidates, resources.scorer, config.answer_table)
-    return AnswerResult(
-        question_id=qid,
-        documents=[d for d, _ in ranked],
-        snippets=returned[: config.retrieval.final_snippet_cap],
-        ideal_answer=ideal,
-    )
+    kept = {id(c) for c in candidates}  # filter_judged keeps the span objects
+    rows = rows[[id(s) in kept for s in snippets]]
+    scores = _score_rows(question, resources.scorer, resources.index.sentences, rows, asked,
+                         lambda: candidates, list(range(len(candidates))))
+    return AnswerResult(qid, [d for d, _ in ranked], returned[: config.retrieval.final_snippet_cap],
+                        _assemble(question, candidates, scores, config.answer_table))
 
 
 class ModelSpec(Protocol):
@@ -677,7 +686,9 @@ def cross_validate(
         for i in sorted(held_out):
             question = question_list[i]
             candidates = _gold_candidates(question)
-            answer = score_and_assemble(question, candidates, scorer, answer_table)
+            texts = [c.text for c in candidates]
+            scores = scorer.score_sentences(question, texts, list(range(len(texts))))
+            answer = _assemble(question, candidates, scores, answer_table)
             f1 = best_reference_f1(answer, question.ideal_answers)
             per_question[question.id] = f1
             fold_scores.append(f1)

@@ -494,6 +494,8 @@ SNIPPET = {"document": "d1", "section": "s1", "offsetInBeginSection": 0,
     ({"questions": [{"id": "q1", "ideal_answer": "Influenza vaccines reduce hospitalisation."},
                     {"id": "q1", "ideal_answer": "nothing"}]},
      "duplicate submission question id 'q1'"),
+    ({"questions": [{"id": "q1", "documents": ["d1", "d1"]}]},
+     "submission question 'q1': returned document list contains duplicates"),
 ], ids=lambda value: value if isinstance(value, str) else None)
 def test_every_submission_error_names_the_file(tmp_path, payload, message):
     path = write(tmp_path / "s.json", json.dumps(payload))
@@ -728,8 +730,10 @@ def test_label_without_answers_or_candidates_exits_2(tmp_path, case):
     questions = write(tmp_path / "q.json", json.dumps([{**golden[0], **edit}, *golden[1:]]))
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         pipeline.generate_labels(load_question_set(questions))
-    code, err = run_qfs("label", "--questions", questions, "--out", tmp_path / "l.jsonl")
-    assert (code, err) == (2, f"error: {message}\n")
+    for command in (("label", "--out", tmp_path / "l.jsonl"),
+                    ("cv", "--model", "oracle", "--k", "2")):
+        code, err = run_qfs(*command, "--questions", questions)
+        assert (code, err) == (2, f"error: {questions}: {message}\n")
 
 
 def test_cv_with_more_folds_than_questions_exits_2():

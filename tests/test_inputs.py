@@ -10,7 +10,6 @@ data error (exit 2) names the mutated file.
 from __future__ import annotations
 
 import json
-import re
 import tempfile
 from pathlib import Path
 
@@ -96,13 +95,6 @@ FIELDS = [
     if path or not name.endswith(".jsonl")
 ]
 
-# Exempt from naming the file: generate_labels checks each question's gold
-# snippets against the documents, and that it has ideal answers and candidate
-# sentences, and names only the question (`question 'q4': gold snippet
-# document 'd4' has no section 'x'`, `question 'q1' has no ideal answers`).
-NAMES_THE_QUESTION_ONLY = re.compile(r"error: question '[^']*'(: gold snippet document | has no )")
-
-
 def run_mutated(name: str, path: tuple, value, work: Path) -> None:
     """Write input ``name`` with ``value`` at ``path`` and run each command that reads it."""
     content, commands = INPUTS[name]
@@ -116,7 +108,7 @@ def run_mutated(name: str, path: tuple, value, work: Path) -> None:
             code = main(args)
             err = stderr.getvalue().decode("utf-8")
         assert code in (0, 1, 2), (args, err)
-        if code == 2 and not NAMES_THE_QUESTION_ONLY.match(err):
+        if code == 2:
             assert str(target) in err, (args, err)
 
 

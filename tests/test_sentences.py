@@ -12,11 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfs import sentences
+from qfs import pipeline, sentences
 from qfs.config import parse_config
-from qfs.corpus import DocumentCollection, SnippetSpan, load_document_collection
-from qfs.errors import MissingInput
-from qfs.pipeline import CosineScorer, Resources, select_snippets, snip_cosine
+from qfs.corpus import (
+    EXCLUDE_ALL_JUDGED, EXCLUDE_IRRELEVANT_ONLY, IRRELEVANT, RELEVANT, DocumentCollection,
+    FeedbackStore, SnippetSpan, filter_judged, load_document_collection,
+)
+from qfs.errors import EmptyInput, MissingInput
+from qfs.pipeline import (
+    AnswerResult, CosineScorer, Resources, ScoredSentence, answer_question, assemble_answer,
+    retrieve, select_snippets, snip_cosine,
+)
 from qfs.retrieval import build_index, load_index, save_index
 from qfs.sentences import SentenceTable
 from qfs.textproc import sentence_bounds, split_sentences, token_surfaces
@@ -285,3 +291,58 @@ class TestSnippetsMatchTextPath:
         monkeypatch.setattr(SentenceTable, "build", classmethod(recording))
         snip_cosine(make_question("q"), [("d2", 1.0), ("d1", 0.5)], micro_collection)
         assert seen == [["d2", "d1"]]
+
+
+class TestAnswersMatchTextPath:
+    """Answer scoring reads the table's token ids; the text path is the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([section_texts, repeated_texts, tokenless_texts]).flatmap(collections),
+           st.lists(st.sampled_from(WORDS + ["beta", "straße end naïve"]), min_size=1,
+                    max_size=4).map(" ".join),
+           st.integers(1, 10), st.data())
+    def test_cosine_answers_with_feedback(self, collection, body, per_doc, data):
+        question = make_question("q", body=body)
+        config = parse_config({"snippets": {"per_doc": per_doc}})
+        feedback = FeedbackStore()
+        for doc_id in sorted(doc.id for doc in collection):
+            if polarity := data.draw(st.sampled_from([None] * 4 + [RELEVANT, IRRELEVANT])):
+                feedback.add_document("q", doc_id, polarity)
+        resources = Resources(collection=collection, index=build_index(collection),
+                              scorer=CosineScorer(), feedback=feedback)
+        # The text-path replay: select_snippets -> filter_judged -> score_sentences(texts).
+        ranked = retrieve(question, config, resources)[: config.retrieval.final_doc_cap]
+        snippets = select_snippets(question, ranked, config, resources)
+        for snippet in snippets:  # judging snippets changes neither ranking nor selection
+            if polarity := data.draw(st.sampled_from([None, None, RELEVANT, IRRELEVANT])):
+                feedback.add_snippet("q", snippet, polarity)
+        returned = filter_judged(snippets, feedback, "q", EXCLUDE_ALL_JUDGED)
+        candidates = filter_judged(snippets, feedback, "q", EXCLUDE_IRRELEVANT_ONLY)
+        texts = [c.text for c in candidates]
+        text_scores = CosineScorer().score_sentences(question, texts, list(range(len(texts))))
+        if not candidates:
+            with pytest.raises(EmptyInput):
+                answer_question(question, config, resources)
+            return
+        scored = [ScoredSentence(c.text, c, i, x)
+                  for i, (c, x) in enumerate(zip(candidates, text_scores))]
+        expected = AnswerResult(
+            "q", [d for d, _ in ranked], returned[: config.retrieval.final_snippet_cap],
+            assemble_answer(question.qtype, scored, config.answer_table),
+        )
+        with mock.patch.object(pipeline, "assemble_answer", wraps=assemble_answer) as assemble:
+            assert answer_question(question, config, resources) == expected
+        id_scored = assemble.call_args.args[1]
+        assert [x.source for x in id_scored] == candidates
+        assert [x.score for x in id_scored] == text_scores
+
+    def test_answering_tokenizes_only_the_question(self, micro_collection):
+        question = make_question("q", body="Does sleep help immunity?")
+        resources = Resources(collection=micro_collection, index=build_index(micro_collection),
+                              scorer=CosineScorer())
+        with mock.patch.object(CosineScorer, "score_sentences",
+                               side_effect=AssertionError("answer texts were scored")), \
+             mock.patch.object(pipeline, "token_surfaces", wraps=token_surfaces) as tokenize:
+            result = answer_question(question, parse_config(ANSWER_CONFIG), resources)
+        assert result.ideal_answer.startswith("Sleep improves immunity.")
+        assert {c.args for c in tokenize.call_args_list} == {(question.body,)}
