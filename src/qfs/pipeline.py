@@ -17,23 +17,26 @@ Snippets and answers are scored from the index's
 :class:`~qfs.sentences.SentenceTable`: every document was split and
 tokenized once, when the index was built, so a question only slices
 the table rows of its ranked documents. Snippet selection scores that
-pool at once and keeps each snippet's row; answer scoring scores the
-candidates' rows. Both call :func:`_score_rows`: tf-idf cosine reads the
-rows' token ids, so answering tokenizes no sentence; any other scorer
-gets their texts. A snippet sentence's position is its per-document
-ordinal: its place among all sentences of its document, counted over
-the sections in order. :func:`snip_cosine` does the same for a
-collection without an index, splitting just the ranked documents.
+pool at once and keeps each snippet's pool position. With tf-idf
+cosine, it sorts the pool's token ids once into (term, sentence, tf)
+triples (:func:`_term_pairs`), and answer scoring takes the candidates'
+triples from those, renumbered (:func:`_subset`): answering tokenizes
+no sentence and sorts no token twice. Any other scorer gets the texts.
+A snippet sentence's position is its per-document ordinal: its place
+among all sentences of its document, counted over the sections in
+order. :func:`snip_cosine` does the same for a collection without an
+index, splitting just the ranked documents.
 
 ``CosineScorer.score_sentences`` is the text adapter, for gold
-candidates (which have no table rows) and for ``bench/``. Both paths
-share one kernel, :func:`_tfidf_cosines`, and score ``==``: a row's ids
-are the tokens of its text, both vocabularies sort by term, and the
-kernel reads only term order and equality. Its cost follows the pool,
-never a collection- or vocabulary-sized array. Its sums are sequential:
-every norm and dot product adds its terms one at a time in sorted term
-order, never pairwise, so scores are the same bit for bit on every
-platform.
+candidates (which have no table rows) and for ``bench/``. It composes
+the same two functions, :func:`_term_pairs` and :func:`_cosines`, so
+there is one kernel, and both paths score ``==``: a row's ids are the
+tokens of its text, both vocabularies sort by term, and the kernel reads
+only term order and equality. The sort is sized by the snippet pool's
+tokens, the scoring by its triples; no array is collection- or
+vocabulary-sized. The sums are sequential: every norm and dot product
+adds its terms one at a time in sorted term order, never pairwise, so
+scores are the same bit for bit on every platform.
 
 Candidate sentences keep their *occurrence index*, the 0-based position
 in the post-retrieval candidate list. Tie-breaking everywhere favors
@@ -56,7 +59,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, count
 from pathlib import Path
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -227,25 +230,45 @@ def _run_edges(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(edge)
 
 
-def _tfidf_cosines(asked: np.ndarray, lengths: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """tf-idf cosine of each of n sentences against a question, clipped to [0, 1].
+def _term_pairs(lengths: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The distinct (term, sentence, tf) triples of n sentences, as three arrays
+    sorted by term, then sentence: one sort of a (term, sentence) key per token.
 
     Sentence i holds the next ``lengths[i]`` ids of ``terms``; ids are
-    ordered as their terms sort. ``asked`` holds the question's token
-    ids; ids no sentence holds are ignored. Cost: one sort of a (term,
-    sentence) key per token; every array is sized by the pool, never by
-    the vocabulary. Sums: the pairs are in term order and ``np.bincount``
-    adds in input order, so each norm and dot product adds its terms one
-    at a time in term order; idf is ``math.log`` of each distinct df.
+    ordered as their terms sort.
     """
     n = len(lengths)
-    if not len(terms):
-        return np.zeros(n)
     bits = n.bit_length()  # a key is term << bits | sentence
-    keys = np.sort((terms.astype(np.int64) << bits) | np.repeat(np.arange(n), lengths))
+    # int32 keys sort about twice as fast as int64 ones, when they fit.
+    narrow = not len(terms) or int(terms.max()) < 1 << (31 - bits)
+    dtype = np.int32 if narrow else np.int64
+    keys = np.sort((terms.astype(dtype) << bits) | np.repeat(np.arange(n, dtype=dtype), lengths))
     edges = _run_edges(keys)  # one run per (term, sentence) pair
-    pairs, tf = keys[edges[:-1]], np.diff(edges)
-    pair_term, pair_sent = pairs >> bits, pairs & ((1 << bits) - 1)
+    pairs = keys[edges[:-1]]
+    return pairs >> bits, pairs & ((1 << bits) - 1), np.diff(edges)
+
+
+def _subset(pairs: tuple[np.ndarray, ...], keep: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The triples of the sentences where boolean ``keep`` is true, those
+    renumbered 0, 1, ... in order; still sorted by term, then sentence."""
+    term, sentence, tf = pairs
+    at = np.flatnonzero(keep.take(sentence))  # take: half the time of fancy indexing here
+    return term.take(at), (np.cumsum(keep) - 1).take(sentence.take(at)), tf.take(at)
+
+
+def _cosines(asked: np.ndarray, n: int, pairs: tuple[np.ndarray, ...]) -> np.ndarray:
+    """tf-idf cosine of each of n sentences against a question, clipped to [0, 1].
+
+    ``pairs`` are the sentences' :func:`_term_pairs`; ``asked`` holds the
+    question's token ids, and ids no sentence holds are ignored. Every
+    array is sized by the pairs, never by the vocabulary. Sums: the pairs
+    are in term order and ``np.bincount`` adds in input order, so each
+    norm and dot product adds its terms one at a time in term order; idf
+    is ``math.log`` of each distinct df.
+    """
+    pair_term, pair_sent, tf = pairs
+    if not len(pair_term):
+        return np.zeros(n)
     term_edges = _run_edges(pair_term)  # one run per distinct term
     words, df = pair_term[term_edges[:-1]], np.diff(term_edges)
     present = np.flatnonzero(np.bincount(df))
@@ -256,16 +279,18 @@ def _tfidf_cosines(asked: np.ndarray, lengths: np.ndarray, terms: np.ndarray) ->
     norms = np.sqrt(np.bincount(pair_sent, weight * weight, n))
 
     at = np.minimum(np.searchsorted(words, asked), len(words) - 1)
-    q_term, q_tf = np.unique(at[words[at] == asked], return_counts=True)
+    q_tf = np.bincount(at[words[at] == asked], minlength=len(words))
+    q_term = np.flatnonzero(q_tf)
     if not len(q_term):
         return np.zeros(n)
-    q_weight = q_tf * idf[q_term]
+    q_weight = q_tf[q_term] * idf[q_term]
     q_weight /= np.sqrt(np.cumsum(q_weight * q_weight)[-1])
-    begin, end = term_edges[q_term], term_edges[q_term + 1]
-    shared = np.concatenate([np.arange(b, e) for b, e in zip(begin.tolist(), end.tolist())])
+    begin, size = term_edges[q_term], df[q_term]
+    # The pairs of the question's terms: one ragged arange over their runs.
+    shared = np.arange(size.sum()) + np.repeat(begin - (np.cumsum(size) - size), size)
     rows = pair_sent[shared]
-    products = np.repeat(q_weight, end - begin) * (weight[shared] / norms[rows])
-    return np.clip(np.bincount(rows, products, n), 0.0, 1.0)
+    products = np.repeat(q_weight, size) * (weight[shared] / norms[rows])
+    return np.minimum(np.bincount(rows, products, n), 1.0)  # each sum is >= 0
 
 
 class CosineScorer:
@@ -274,13 +299,15 @@ class CosineScorer:
     Over the n pool sentences, idf(t) = ln((1 + n) / (1 + df(t))) + 1. A
     text's weights are raw tf times idf, L2-normalized; question terms
     outside the pool are ignored. Norms and dot products add terms one
-    at a time in sorted term order (:func:`_tfidf_cosines`), so a score
-    is the same on every platform. Scores are clipped to [0, 1].
+    at a time in sorted term order (:func:`_cosines`), so a score is the
+    same on every platform. Scores are clipped to [0, 1].
 
-    Answering scores the index table's token ids (:func:`_score_rows`), with
-    ``==`` scores, as both vocabularies sort by term and the kernel reads only
-    term order and equality; this text method is the adapter for gold
-    candidates and for ``bench/``.
+    Answering never calls this text method: :func:`_snip` sorts the
+    snippet pool's table token ids into :func:`_term_pairs` once, and
+    the answer candidates are scored from a subset of those pairs. The
+    scores are ``==``, as both vocabularies sort by term and the kernel
+    reads only term order and equality. This method, the adapter for
+    gold candidates and for ``bench/``, composes the same two functions.
     """
 
     def score_sentences(
@@ -289,11 +316,10 @@ class CosineScorer:
         token_lists = [token_surfaces(t) for t in texts]
         tokens = list(chain.from_iterable(token_lists))
         vocab = dict(zip(sorted(set(tokens)), count()))  # ids in term order
-        return _tfidf_cosines(
-            np.array([vocab[t] for t in token_surfaces(question.body) if t in vocab], np.intp),
-            np.fromiter(map(len, token_lists), np.intp, len(token_lists)),
-            np.fromiter(map(vocab.__getitem__, tokens), np.intp, len(tokens)),
-        ).tolist()
+        pairs = _term_pairs(np.fromiter(map(len, token_lists), np.intp, len(token_lists)),
+                            np.fromiter(map(vocab.__getitem__, tokens), np.intp, len(tokens)))
+        asked = np.array([vocab[t] for t in token_surfaces(question.body) if t in vocab], np.intp)
+        return _cosines(asked, len(token_lists), pairs).tolist()
 
 
 class OracleScorer:
@@ -353,21 +379,6 @@ def _ordinal(index: InvertedIndex, doc_id: str) -> int:
     return i
 
 
-def _score_rows(question: QuestionRecord, scorer: SentenceScorer, table: SentenceTable,
-                rows: np.ndarray, asked: np.ndarray, sentences: Callable[[], Sequence[SnippetSpan]],
-                positions: Sequence[int]) -> list[float]:
-    """Scores of the sentences at ``rows`` of ``table``: a :class:`CosineScorer`
-    reads their token ids and ``asked``, the question's word ids in ``table``;
-    any other scorer gets the texts of ``sentences()`` at ``positions``."""
-    if not isinstance(scorer, CosineScorer):
-        return scorer.score_sentences(question, [s.text for s in sentences()], positions)
-    begin, end = table.indptr[rows], table.indptr[rows + 1]
-    cut = np.flatnonzero(begin[1:] != end[:-1]) + 1  # a row whose tokens do not follow on
-    runs = zip(begin[:1].tolist() + begin[cut].tolist(), end[cut - 1].tolist() + end[-1:].tolist())
-    terms = np.concatenate([table.token_ids[:0], *(table.token_ids[a:e] for a, e in runs)])
-    return _tfidf_cosines(asked, end - begin, terms).tolist()
-
-
 def _snip(
     question: QuestionRecord,
     ranked_docs: RankedList,
@@ -376,16 +387,19 @@ def _snip(
     collection: DocumentCollection,
     scorer: SentenceScorer,
     per_doc: int,
-) -> tuple[list[SnippetSpan], np.ndarray, np.ndarray]:
+) -> tuple[list[SnippetSpan], np.ndarray, tuple[np.ndarray, ...] | None, np.ndarray]:
     """Snippets by one scoring over the sentences of every ranked document,
-    with their rows and the question's word ids in ``table``.
+    with a mask of the kept pool sentences, the pool's term pairs and the
+    question's word ids in ``table``.
 
-    ``ordinals`` are the ranked documents' places in ``table``. The pool
-    is scored by :func:`_score_rows`, with per-document ordinals as
-    positions. Per document the top ``per_doc`` sentences (ties to the
-    earlier one) are kept in occurrence order; per-document groups are
-    collated in document-relevance order. Only the kept sentences become
-    :class:`SnippetSpan` objects.
+    ``ordinals`` are the ranked documents' places in ``table``. A
+    :class:`CosineScorer` scores the pool's token ids through
+    :func:`_term_pairs`, which are returned for answer scoring; any other
+    scorer gets the texts, with per-document ordinals as positions, and
+    the pairs are ``None``. Per document the top ``per_doc`` sentences
+    (ties to the earlier one) are kept in occurrence order; per-document
+    groups are collated in document-relevance order. Only the kept
+    sentences become :class:`SnippetSpan` objects.
     """
     docs = [collection[doc_id] for doc_id, _ in ranked_docs]
     ordinals = np.asarray(ordinals, dtype=np.intp)
@@ -404,11 +418,21 @@ def _snip(
             out.append(SnippetSpan(docs[doc].id, section_id, b, e, text[b:e]))
         return out
 
-    scores = _score_rows(question, scorer, table, rows, asked, lambda: spans(slice(None)),
-                         (rows - first[owner]).tolist())
-    order = np.lexsort((-np.asarray(scores, dtype=float), owner))  # stable
-    kept = np.sort(order[np.arange(len(order)) - starts[owner] < per_doc])
-    return spans(kept), rows[kept], asked
+    pairs = None
+    if isinstance(scorer, CosineScorer):
+        # A document's sentences are consecutive rows, so its tokens are one slice.
+        tokens = zip(table.indptr[first].tolist(), table.indptr[first + counts].tolist())
+        terms = np.concatenate([table.token_ids[:0], *(table.token_ids[a:e] for a, e in tokens)])
+        pairs = _term_pairs(table.indptr[rows + 1] - table.indptr[rows], terms)
+        scores = _cosines(asked, len(rows), pairs)
+    else:
+        scores = np.asarray(scorer.score_sentences(
+            question, [s.text for s in spans(slice(None))], (rows - first[owner]).tolist()
+        ), dtype=float)
+    order = np.lexsort((-scores, owner))  # stable; order[i] is in document owner[i]
+    kept = np.empty(len(order), dtype=bool)
+    kept[order] = np.arange(len(order)) - starts[owner] < per_doc
+    return spans(kept), kept, pairs, asked
 
 
 def snip_cosine(
@@ -560,7 +584,10 @@ def retrieve(question: QuestionRecord, config, resources: Resources) -> RankedLi
 
 
 def _select(question: QuestionRecord, ranked: RankedList, config, resources: Resources):
-    """:func:`select_snippets`, with their table rows and the question's word ids."""
+    """:func:`select_snippets`, with the rest of :func:`_snip`'s result.
+
+    A :class:`CosineScorer` in ``resources`` scores the snippets too,
+    so answer scoring by cosine always finds the pool's term pairs."""
     index = resources.index
     scorer = CosineScorer() if config.snippets.strategy == "cosine" else resources.scorer
     ordinals = [_ordinal(index, doc_id) for doc_id, _ in ranked]
@@ -587,14 +614,17 @@ def answer_question(
 ) -> AnswerResult:
     """Retrieve, snip, filter, score, and assemble one question's answer."""
     ranked = retrieve(question, config, resources)[: config.retrieval.final_doc_cap]
-    snippets, rows, asked = _select(question, ranked, config, resources)
+    snippets, kept, pairs, asked = _select(question, ranked, config, resources)
     feedback, qid = resources.feedback, question.id
     returned = filter_judged(snippets, feedback, qid, EXCLUDE_ALL_JUDGED)
     candidates = filter_judged(snippets, feedback, qid, EXCLUDE_IRRELEVANT_ONLY)
-    kept = {id(c) for c in candidates}  # filter_judged keeps the span objects
-    rows = rows[[id(s) in kept for s in snippets]]
-    scores = _score_rows(question, resources.scorer, resources.index.sentences, rows, asked,
-                         lambda: candidates, list(range(len(candidates))))
+    if isinstance(resources.scorer, CosineScorer):
+        left = {id(c) for c in candidates}  # filter_judged keeps the span objects
+        kept[kept] = [id(s) in left for s in snippets]  # now marks the candidates
+        scores = _cosines(asked, len(candidates), _subset(pairs, kept)).tolist()
+    else:
+        scores = resources.scorer.score_sentences(
+            question, [c.text for c in candidates], list(range(len(candidates))))
     return AnswerResult(qid, [d for d, _ in ranked], returned[: config.retrieval.final_snippet_cap],
                         _assemble(question, candidates, scores, config.answer_table))
 

@@ -268,13 +268,18 @@ def interpolate(bm25_norm: float | np.ndarray, dense_cos: float | np.ndarray, la
 
 
 class DenseStore:
-    """Unit-norm vectors as the rows of one ``(n, dim)`` float32 matrix, keyed by id."""
+    """Unit-norm vectors as the rows of one ``(n, dim)`` float32 matrix, keyed by id.
+
+    Search reads the vectors through :meth:`index_matrix`: per index, a
+    float64 copy in the index's ordinal order, built on the first query
+    and kept while the index lives (``n_docs * dim * 8`` bytes each).
+    """
 
     def __init__(self, ids: Sequence[str], matrix: np.ndarray):
         self.ids = list(ids)
         self.matrix = matrix
         self._row = {doc_id: r for r, doc_id in enumerate(self.ids)}
-        self._index_rows = weakref.WeakKeyDictionary()
+        self._index_matrix = weakref.WeakKeyDictionary()
 
     @property
     def dim(self) -> int:
@@ -289,13 +294,16 @@ class DenseStore:
     def __getitem__(self, doc_id: str) -> np.ndarray:
         return self.matrix[self._row[doc_id]]
 
-    def index_rows(self, index: InvertedIndex) -> np.ndarray:
-        """Per ordinal of ``index``, its vector's row or -1; kept while the index lives."""
-        rows = self._index_rows.get(index)
-        if rows is None:
+    def index_matrix(self, index: InvertedIndex) -> np.ndarray:
+        """The vectors in ordinal order of ``index`` as float64, a zero row for a
+        document without one; built on first use and kept while the index lives."""
+        matrix = self._index_matrix.get(index)
+        if matrix is None:
             rows = np.array([self._row.get(d, -1) for d in index.doc_ids], dtype=np.intp)
-            self._index_rows[index] = rows
-        return rows
+            matrix = np.zeros((index.n_docs, self.dim))
+            matrix[rows >= 0] = self.matrix[rows[rows >= 0]]
+            self._index_matrix[index] = matrix
+        return matrix
 
     @classmethod
     def from_vectors(cls, raw: Mapping[str, np.ndarray]) -> "DenseStore":
@@ -389,10 +397,14 @@ def nir_search(
     otherwise the BM25 top ``pool_size`` matched documents are (no match
     gives an empty list). BM25 scores are min-max normalized over the
     candidates before interpolation; a document without a vector has
-    cosine 0.
+    cosine 0. Cosines come from :meth:`DenseStore.index_matrix`, the
+    store's float64 copy in ordinal order, made on the first query with
+    ``index``.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     vec = _check_query_vector(dense, query_vector)
-    scores, rows, pool = _bm25(index, query_tokens), dense.index_rows(index), None
+    scores, matrix, pool = _bm25(index, query_tokens), dense.index_matrix(index), None
     if pool_size is not None:
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
@@ -400,12 +412,11 @@ def nir_search(
         pool = np.sort(_top_k(scores, pool_size, floor=0.0)[0])
         if not len(pool):
             return []
-        scores, rows = scores[pool], rows[pool]
-    present = rows >= 0
-    cosines = np.zeros(len(rows))
+        scores, matrix = scores[pool], matrix[pool]
     # vecdot takes each row's dot product as np.dot does (matrix @ vec may
-    # differ in the last bit); 0.0 first clamps -0.0 to 0.0 as max() does.
-    cosines[present] = np.maximum(0.0, np.vecdot(dense.matrix[rows[present]], vec))
+    # differ in the last bit); 0.0 first clamps -0.0 to 0.0 as max() does,
+    # so a zero row scores 0.0.
+    cosines = np.maximum(0.0, np.vecdot(matrix, vec))
     top, combined = _top_k(interpolate(_minmax(scores), cosines, lam), k)
     return _ranked(index, top if pool is None else pool[top], combined)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import logging
 import math
 import re
@@ -231,14 +232,17 @@ class TestNirSearch:
         ranked = nir_search(index, dense, ["shared"], q_vec, k=2, lam=0.4)
         assert [d for d, _ in ranked] == ["d2", "d1"]
 
-    def test_documents_without_a_vector_have_row_minus_one_and_cosine_zero(self):
+    def test_a_document_without_a_vector_has_a_zero_row_and_cosine_zero(self):
         collection = collection_of("shared a", "shared b", "shared c", "shared d")
         index = build_index(collection)
         # d2 and d4 have no vector; "x" has one but is not indexed.
         dense = DenseStore.from_vectors(
             {"x": np.array([0.0, 1.0]), "d3": np.array([1.0, 0.0]), "d1": np.array([0.6, 0.8])}
         )
-        assert dense.index_rows(index).tolist() == [2, -1, 1, -1]
+        matrix = dense.index_matrix(index)
+        assert matrix.dtype == np.float64
+        assert matrix.tolist() == [dense["d1"].tolist(), [0.0, 0.0], dense["d3"].tolist(),
+                                   [0.0, 0.0]]
         q_vec = np.array([1.0, 0.0])
         ranked = nir_search(index, dense, ["shared"], q_vec, k=4, lam=0.0)
         assert ranked == [("d3", 1.0), ("d1", pytest.approx(0.6)), ("d2", 0.0), ("d4", 0.0)]
@@ -253,15 +257,28 @@ class TestNirSearch:
              make_doc("d2", ("body", "gamma"))]
         )
         indexes = [build_index(first), build_index(second)]
-        rows = [dense.index_rows(index) for index in indexes]
-        assert rows[0].tolist() == [0, 1, 2] and rows[1].tolist() == [-1, 1, 3]
+        matrices = [dense.index_matrix(index) for index in indexes]
+        assert matrices[0] is not matrices[1]
+        assert matrices[0].tolist() == [dense[d].tolist() for d in ("d1", "d2", "d3")]
+        assert matrices[1].tolist() == [[0.0] * 3, dense["d2"].tolist(), dense["d4"].tolist()]
         q_vec = np.array([0.3, -0.2, 0.9])
         for collection, index in [*zip([first, second], indexes)] * 2:
             for pool_size in (None, 2):
                 assert nir_search(
                     index, dense, ["alpha"], q_vec, 3, 0.4, pool_size
                 ) == reference_hybrid(collection, dense, ["alpha"], q_vec, 3, 0.4, pool_size)
-        assert all(dense.index_rows(index) is r for index, r in zip(indexes, rows))
+        assert all(dense.index_matrix(index) is m for index, m in zip(indexes, matrices))
+        # The cache holds an index weakly: dropping it frees its matrix.
+        del indexes, index, matrices
+        gc.collect()
+        assert len(dense._index_matrix) == 0
+
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("pool_size", [None, 2])
+    def test_k_below_one_is_refused(self, k, pool_size):
+        index, dense, query, q_vec = hybrid_fixture()
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            nir_search(index, dense, query, q_vec, k=k, lam=0.5, pool_size=pool_size)
 
     def test_dimension_mismatch_rejected(self):
         index, dense, query, _ = hybrid_fixture(dim=4)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from array import array
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -97,6 +98,57 @@ def reference_snip_model(question, ranked_docs, collection, scorer, per_doc):
         out.extend(sents[i] for i in sorted(ranked[:per_doc]))
         start += len(sents)
     return out
+
+
+# The tf-idf kernel as it was before it was split into term pairs and
+# scoring, copied verbatim (names aside): one call sorts its own pool.
+def reference_run_edges(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in sorted ``keys`` starts, then ``len(keys)``."""
+    edge = np.ones(len(keys) + 1, bool)
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    return np.flatnonzero(edge)
+
+
+def reference_tfidf_cosines(asked: np.ndarray, lengths: np.ndarray,
+                            terms: np.ndarray) -> np.ndarray:
+    """tf-idf cosine of each of n sentences against a question, clipped to [0, 1].
+
+    Sentence i holds the next ``lengths[i]`` ids of ``terms``; ids are
+    ordered as their terms sort. ``asked`` holds the question's token
+    ids; ids no sentence holds are ignored. Cost: one sort of a (term,
+    sentence) key per token; every array is sized by the pool, never by
+    the vocabulary. Sums: the pairs are in term order and ``np.bincount``
+    adds in input order, so each norm and dot product adds its terms one
+    at a time in term order; idf is ``math.log`` of each distinct df.
+    """
+    n = len(lengths)
+    if not len(terms):
+        return np.zeros(n)
+    bits = n.bit_length()  # a key is term << bits | sentence
+    keys = np.sort((terms.astype(np.int64) << bits) | np.repeat(np.arange(n), lengths))
+    edges = reference_run_edges(keys)  # one run per (term, sentence) pair
+    pairs, tf = keys[edges[:-1]], np.diff(edges)
+    pair_term, pair_sent = pairs >> bits, pairs & ((1 << bits) - 1)
+    term_edges = reference_run_edges(pair_term)  # one run per distinct term
+    words, df = pair_term[term_edges[:-1]], np.diff(term_edges)
+    present = np.flatnonzero(np.bincount(df))
+    idf_of_df = np.zeros(present[-1] + 1)
+    idf_of_df[present] = [math.log((1 + n) / (1 + d)) + 1.0 for d in present.tolist()]
+    idf = idf_of_df[df]
+    weight = tf * np.repeat(idf, df)
+    norms = np.sqrt(np.bincount(pair_sent, weight * weight, n))
+
+    at = np.minimum(np.searchsorted(words, asked), len(words) - 1)
+    q_term, q_tf = np.unique(at[words[at] == asked], return_counts=True)
+    if not len(q_term):
+        return np.zeros(n)
+    q_weight = q_tf * idf[q_term]
+    q_weight /= np.sqrt(np.cumsum(q_weight * q_weight)[-1])
+    begin, end = term_edges[q_term], term_edges[q_term + 1]
+    shared = np.concatenate([np.arange(b, e) for b, e in zip(begin.tolist(), end.tolist())])
+    rows = pair_sent[shared]
+    products = np.repeat(q_weight, end - begin) * (weight[shared] / norms[rows])
+    return np.clip(np.bincount(rows, products, n), 0.0, 1.0)
 
 
 # Words with casing that lowercasing changes in length or kind, digits
@@ -346,3 +398,63 @@ class TestAnswersMatchTextPath:
             result = answer_question(question, parse_config(ANSWER_CONFIG), resources)
         assert result.ideal_answer.startswith("Sleep improves immunity.")
         assert {c.args for c in tokenize.call_args_list} == {(question.body,)}
+
+
+# Pools of token-id sentences: tokenless ones, words repeated within and
+# across sentences, and up to 40 distinct terms, so that a norm or dot
+# product adds enough terms for a change of summation order to show.
+pool_sentences = st.lists(
+    st.one_of(st.just([]), st.lists(st.integers(0, 39), min_size=1, max_size=30)),
+    max_size=25,
+)
+# Question ids: some outside the pool, repeated, or none at all; long
+# enough that the question's own norm often adds 8 or more terms.
+asked_ids = st.lists(st.integers(0, 45), max_size=30)
+
+
+class TestKernelMatchesReference:
+    """The split kernel, on a pool and on subsets of its pairs, against the
+    single-call kernel it replaced: scores must be ``==``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(pool_sentences, asked_ids, st.sampled_from([0, 1 << 30]), st.data())
+    def test_pool_and_subset_scores(self, sentences, asked, offset, data):
+        # Ids from 2**30 up do not fit a 32-bit sort key with the sentence.
+        sentences = [[t + offset for t in s] for s in sentences]
+        lengths = np.array([len(s) for s in sentences], dtype=np.intp)
+        terms = np.array([t for s in sentences for t in s], dtype=np.int32)
+        asked = np.array(asked, dtype=np.int32) + offset
+        pairs = pipeline._term_pairs(lengths, terms)
+        got = pipeline._cosines(asked, len(sentences), pairs)
+        assert got.tolist() == reference_tfidf_cosines(asked, lengths, terms).tolist()
+
+        mask = data.draw(st.lists(st.booleans(), min_size=len(sentences),
+                                  max_size=len(sentences)))
+        at = np.flatnonzero(mask)
+        sub_terms = np.array([t for i in at.tolist() for t in sentences[i]], dtype=np.int32)
+        got = pipeline._cosines(asked, len(at), pipeline._subset(pairs, np.array(mask, bool)))
+        assert got.tolist() == reference_tfidf_cosines(asked, lengths[at], sub_terms).tolist()
+
+    def test_answering_sorts_the_pool_once(self, micro_collection):
+        question = make_question("q", body="Does sleep help immunity?")
+        resources = Resources(collection=micro_collection, index=build_index(micro_collection),
+                              scorer=CosineScorer())
+        with mock.patch.object(pipeline, "_term_pairs", wraps=pipeline._term_pairs) as pairs:
+            result = answer_question(question, parse_config(ANSWER_CONFIG), resources)
+        assert result.ideal_answer.startswith("Sleep improves immunity.")
+        assert pairs.call_count == 1
+
+    def test_model_strategy_builds_no_pairs(self, micro_collection):
+        question = make_question("q", body="vaccines and sleep")
+        config = parse_config({"snippets": {"strategy": "model", "per_doc": 2}})
+        store, text_path = RecordingScorer(), RecordingScorer()
+        resources = Resources(collection=micro_collection, index=build_index(micro_collection),
+                              scorer=store)
+        ranked = retrieve(question, config, resources)[: config.retrieval.final_doc_cap]
+        with mock.patch.object(pipeline, "_term_pairs",
+                               side_effect=AssertionError("term pairs were built")):
+            result = answer_question(question, config, resources)
+        snippets = reference_snip_model(question, ranked, micro_collection, text_path, 2)
+        assert result.snippets == snippets
+        assert store.calls == [text_path.calls[0],
+                               ([s.text for s in snippets], list(range(len(snippets))))]
