@@ -8,20 +8,29 @@ begin-of-sentence marker is added. Scoring tokenization is
 
 Labels, the oracle scorer, cross-validation and :func:`evaluate_run`
 score through :func:`su4_scores`, every candidate against every
-reference of a question in one call. With its V distinct tokens as ids
-0..V-1, a unigram's key is its id a and a skip-bigram (a, b) at gap
-1..5 within one text is V + a*V + b. Sorting key * T + text (T texts;
-checked to stay below 2**63) and cutting it into runs counts each
-text's units, a ``searchsorted`` join finds each candidate unit's count
-in every reference, and ``np.minimum`` and ``np.bincount`` give the
-clipped matches. Those are exact integers, and precision, recall and
-F1 follow :meth:`RougeScore.from_pr`'s float64 operations in its
-order, so every score is exact. A text without tokens scores zero.
+reference of a question in one call. With its V distinct tokens as
+first-seen ids 0..V-1, a unigram's key is its id a and a skip-bigram
+(a, b) at gap 1..5 within one text is V + a*V + b. A unit of text t
+(candidates first, then references) packs as key << S | t, where S is
+the bit width of the largest text number, and is checked to stay below
+2**63. The units come from one gap-major (6, N) array over the N
+tokens, row g holding each token with the token g later, so every row
+is long. Sorting the packed units and cutting them into runs counts
+each text's units. The join: runs of one key are one key group, each
+reference's count of every group is scattered into a reference-major
+(references, groups) table, and each run gathers its group's column,
+so ``np.minimum`` with its own count and ``np.bincount`` by (text,
+reference) give the clipped matches; the references' own runs fall in
+bins past the candidates' and are dropped. Those are exact integers,
+and precision, recall and F1 follow :meth:`RougeScore.from_pr`'s
+float64 operations in its order, so every score is exact. A text
+without tokens scores zero.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, count
 from typing import Any, Iterable, Sequence
@@ -32,8 +41,6 @@ from .errors import EmptyInput, MalformedInput
 from .textproc import token_surfaces
 
 SU4_SKIP = 4
-_GAPS = np.arange(1, SU4_SKIP + 2)
-_PAD = np.zeros(SU4_SKIP + 1, np.int64)
 _INT64_SPAN = 2**63
 
 
@@ -56,6 +63,12 @@ class RougeScore:
         return cls(0.0, 0.0, 0.0)
 
 
+def _later(a: np.ndarray, n: int) -> np.ndarray:
+    """Rows g = 0 .. SU4_SKIP + 1 of ``a[g : g + n]``, a view: ``a`` has
+    ``SU4_SKIP + 1`` more values than ``n``."""
+    return np.ndarray((SU4_SKIP + 2, n), a.dtype, a, 0, (a.itemsize, a.itemsize))
+
+
 def su4_scores(
     candidates: Sequence[Sequence[str]], references: Sequence[Sequence[str]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -66,35 +79,41 @@ def su4_scores(
     """
     texts = [*candidates, *references]
     n_c, n_r, n_t = len(candidates), len(references), len(texts)
-    tokens = list(chain.from_iterable(texts))
-    vocab = dict(zip(dict.fromkeys(tokens), count()))
-    v = len(vocab)
-    if v * (v + 1) * n_t > _INT64_SPAN:
+    lengths = list(map(len, texts))
+    n = sum(lengths)
+    vocab: defaultdict[str, int] = defaultdict(count().__next__)  # a new token: the next id
+    ids = np.zeros(n + SU4_SKIP + 1, np.int64)  # padded, so that every token has 5 later
+    ids[:n] = np.fromiter(map(vocab.__getitem__, chain.from_iterable(texts)), np.int64, n)
+    v, shift = len(vocab), max(n_t - 1, 0).bit_length()
+    if v * (v + 1) << shift > _INT64_SPAN:
         raise ValueError(f"{v} distinct tokens in {n_t} texts overflow the SU4 unit keys")
-    ids = np.fromiter(map(vocab.__getitem__, tokens), np.int64, len(tokens))
-    lengths = np.fromiter(map(len, texts), np.int64, n_t)
-    owner = np.repeat(np.arange(n_t), lengths)
-    # Token i pairs with tokens i + 1 .. i + 5 that end before its text does.
-    later = np.arange(len(ids))[:, None] + _GAPS
-    same = later < np.repeat(np.cumsum(lengths), lengths)[:, None]
-    pairs = (v + ids[:, None] * v + np.append(ids, _PAD)[later]) * n_t + owner[:, None]
-    units = np.concatenate([ids * n_t + owner, pairs[same]])
+    owner = np.repeat(np.arange(n_t + 1), [*lengths, SU4_SKIP + 1])  # the padding's text: n_t
+    pair_base = (ids[:n] + 1) * (v << shift)  # (v + a * v) << shift
+    ids <<= shift
+    # Row 0: each token's unigram; row g: its pair with the token g later.
+    units = _later(ids, n) + owner[:n]
+    units[1:] += pair_base
+    units = units[_later(owner, n) == owner[:n]]  # both tokens in one text
     units.sort()
     edge = np.ones(len(units) + 1, bool)  # run boundaries of equal (unit, text)
     np.not_equal(units[1:], units[:-1], out=edge[1:-1])
     edges = np.flatnonzero(edge)
     counts, units = edges[1:] - edges[:-1], units[edges[:-1]]
-    key, text = np.divmod(units, n_t)
+    text = units & ((1 << shift) - 1)
     total = np.bincount(text, counts, n_t)
 
-    # Where each candidate unit would sit in each reference, and its count there.
-    cand = text < n_c
-    cand_text, cand_count, refs = text[cand], counts[cand], np.arange(n_r)
-    wanted = (key[cand] * n_t + n_c)[:, None] + refs
-    at = np.minimum(np.searchsorted(units, wanted), len(units) - 1)
-    clipped = np.minimum(cand_count[:, None], np.where(units[at] == wanted, counts[at], 0))
-    pair = (cand_text[:, None] * n_r + refs).ravel()
-    matches = np.bincount(pair, clipped.ravel(), n_c * n_r).reshape(n_c, n_r)
+    # Each run's key group, and every reference's count of each group.
+    key = units >> shift
+    group = np.zeros(len(units), np.int64)
+    group[1:] = key[1:] != key[:-1]
+    np.cumsum(group, out=group)
+    per_ref = np.zeros((n_r + 1, group[-1] + 1 if len(group) else 0), np.int64)
+    per_ref[np.maximum(text + 1 - n_c, 0), group] = counts  # row 0 takes the candidates
+    clipped = per_ref[1:].take(group, axis=1)
+    np.minimum(clipped, counts, out=clipped)
+    pair = text * n_r + np.arange(n_r)[:, None]
+    matches = np.bincount(pair.ravel(), clipped.ravel(), n_t * n_r)[: n_c * n_r]
+    matches = matches.reshape(n_c, n_r)
 
     # No units or no match scores 0.0: divide by 1 there, never by zero.
     precision = matches / np.maximum(total[:n_c, None], 1)

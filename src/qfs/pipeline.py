@@ -55,9 +55,9 @@ from __future__ import annotations
 import json
 import logging
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, count
+from itertools import accumulate, chain, count
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
@@ -89,7 +89,7 @@ from .retrieval import (
     nir_search,
 )
 from .sentences import SentenceTable
-from .textproc import split_sentences, token_surfaces
+from .textproc import sentence_bounds, token_surfaces
 
 logger = logging.getLogger(__name__)
 
@@ -458,13 +458,19 @@ def candidate_sentences(question: QuestionRecord) -> list[SnippetSpan]:
     """Sentences of the question's gold snippets, in snippet order.
 
     Multi-sentence snippets are split; each sentence inherits offsets
-    relative to its snippet's section.
+    relative to its snippet's section. The snippet texts are joined by
+    ``"\\n"`` and split in one :func:`qfs.textproc.sentence_bounds` pass,
+    with each snippet's start as a cut, which splits each as it splits alone.
     """
-    return [
-        SnippetSpan(s.doc_id, s.section_id, s.begin_char + x.begin, s.begin_char + x.end, x.text)
-        for s in question.gold_snippets
-        for x in split_sentences(s.text)
-    ]
+    snippets = question.gold_snippets
+    joined = "\n".join(s.text for s in snippets)
+    starts = list(accumulate((len(s.text) + 1 for s in snippets[:-1]), initial=0))
+    out = []
+    for b, e in sentence_bounds(joined, starts):
+        i = bisect_right(starts, b) - 1
+        s, offset = snippets[i], snippets[i].begin_char - starts[i]
+        out.append(SnippetSpan(s.doc_id, s.section_id, offset + b, offset + e, joined[b:e]))
+    return out
 
 
 def _gold_candidates(question: QuestionRecord) -> list[SnippetSpan]:

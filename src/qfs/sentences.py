@@ -11,9 +11,9 @@ tokens are ``token_ids[indptr[s]:indptr[s + 1]]`` (CSR form): ids into
 Sentences follow :func:`qfs.textproc.sentence_bounds` and a sentence's
 tokens are :func:`qfs.textproc.token_surfaces` of its text. The table is
 built from blocks of whole documents of about ``_BLOCK_CHARS``
-characters. A block's sections, joined by newlines, are split as one
-text (each section start cuts; a break the join adds falls where only
-whitespace follows in its section) and, where ASCII, tokenized as one
+characters. A block's sections, joined by newlines with each section
+start a cut, are split as one text (the join rule of
+:func:`qfs.textproc.sentence_bounds`) and, where ASCII, tokenized as one
 through :data:`qfs.textproc.TOKEN_BYTES`, with numpy for spans and counts.
 Temporaries are block sized; the columns grow in typed arrays that the
 table then views.

@@ -20,6 +20,7 @@ import functools
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from .fileio import read_lines
 
@@ -100,10 +101,17 @@ def sentence_breaks(text: str) -> list[int]:
     return [end for end in ends if end not in skip] if skip else ends
 
 
-def sentence_bounds(text: str) -> list[tuple[int, int]]:
+def sentence_bounds(text: str, cuts: Iterable[int] = ()) -> list[tuple[int, int]]:
     """(begin, end) offsets of the sentences, covering all non-whitespace content:
-    what lies between two breaks (or an end of the text), stripped, if not empty."""
-    cuts = [0, *sentence_breaks(text), len(text)]
+    what lies between two breaks or ``cuts`` (or an end of the text), stripped,
+    if not empty.
+
+    The join rule: texts joined by ``"\\n"``, each text's start a cut, split
+    as each text alone does. A break the join adds falls where only
+    whitespace follows in its text, and a start cut ends the text before it
+    as that text's end does.
+    """
+    cuts = sorted({0, *sentence_breaks(text), *cuts, len(text)})
     bounds = []
     for cut, next_cut in zip(cuts, cuts[1:]):
         chunk = text[cut:next_cut]

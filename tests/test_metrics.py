@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain, count
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qfs import metrics
 from qfs.corpus import SnippetSpan, load_question_set
@@ -21,7 +23,15 @@ from qfs.metrics import (
     snippet_f1,
     su4_scores,
 )
-from qfs.pipeline import candidate_sentences, generate_labels
+from qfs.pipeline import (
+    DEFAULT_ANSWER_LENGTHS,
+    OracleModelSpec,
+    candidate_sentences,
+    cross_validate,
+    generate_labels,
+    load_labels,
+    save_labels,
+)
 from qfs.textproc import token_surfaces
 
 from conftest import make_question
@@ -58,6 +68,72 @@ def oracle_su4_f1(candidate: str, reference: str) -> float:
     return oracle_su4(candidate, reference).f1
 
 
+def reference_su4_scores(candidates, references):
+    """``su4_scores`` as it was with keys ``key * texts + text``, kept as the
+    reference the array kernel must equal bit for bit."""
+    gaps, pad = np.arange(1, 6), np.zeros(5, np.int64)
+    texts = [*candidates, *references]
+    n_c, n_r, n_t = len(candidates), len(references), len(texts)
+    tokens = list(chain.from_iterable(texts))
+    vocab = dict(zip(dict.fromkeys(tokens), count()))
+    v = len(vocab)
+    if v * (v + 1) * n_t > 2**63:
+        raise ValueError(f"{v} distinct tokens in {n_t} texts overflow the SU4 unit keys")
+    ids = np.fromiter(map(vocab.__getitem__, tokens), np.int64, len(tokens))
+    lengths = np.fromiter(map(len, texts), np.int64, n_t)
+    owner = np.repeat(np.arange(n_t), lengths)
+    # Token i pairs with tokens i + 1 .. i + 5 that end before its text does.
+    later = np.arange(len(ids))[:, None] + gaps
+    same = later < np.repeat(np.cumsum(lengths), lengths)[:, None]
+    pairs = (v + ids[:, None] * v + np.append(ids, pad)[later]) * n_t + owner[:, None]
+    units = np.concatenate([ids * n_t + owner, pairs[same]])
+    units.sort()
+    edge = np.ones(len(units) + 1, bool)  # run boundaries of equal (unit, text)
+    np.not_equal(units[1:], units[:-1], out=edge[1:-1])
+    edges = np.flatnonzero(edge)
+    counts, units = edges[1:] - edges[:-1], units[edges[:-1]]
+    key, text = np.divmod(units, n_t)
+    total = np.bincount(text, counts, n_t)
+
+    # Where each candidate unit would sit in each reference, and its count there.
+    cand = text < n_c
+    cand_text, cand_count, refs = text[cand], counts[cand], np.arange(n_r)
+    wanted = (key[cand] * n_t + n_c)[:, None] + refs
+    at = np.minimum(np.searchsorted(units, wanted), len(units) - 1)
+    clipped = np.minimum(cand_count[:, None], np.where(units[at] == wanted, counts[at], 0))
+    pair = (cand_text[:, None] * n_r + refs).ravel()
+    matches = np.bincount(pair, clipped.ravel(), n_c * n_r).reshape(n_c, n_r)
+
+    # No units or no match scores 0.0: divide by 1 there, never by zero.
+    precision = matches / np.maximum(total[:n_c, None], 1)
+    recall = matches / np.maximum(total[n_c:], 1)
+    f1 = 2.0 * precision * recall / np.where(matches > 0, precision + recall, 1.0)
+    return precision, recall, f1
+
+
+def counter_units(tokens) -> tuple[Counter, int]:
+    """A text's SU4 unit multiset, built by ``Counter``, and its size."""
+    found = Counter(zip(tokens))
+    for gap in range(1, 6):
+        found.update(zip(tokens, tokens[gap:]))
+    return found, found.total()
+
+
+def counter_f1(cand, ref) -> float:
+    """SU4 F1 of two :func:`counter_units` results, clipped by a loop over units."""
+    (c_units, c_total), (r_units, r_total) = cand, ref
+    if c_total == 0 or r_total == 0:
+        return 0.0
+    matches = sum(min(n, r_units[u]) for u, n in c_units.items() if u in r_units)
+    return RougeScore.from_pr(matches / c_total, matches / r_total).f1
+
+
+def counter_best_f1s(question, texts) -> list[float]:
+    """Each text's best :func:`counter_f1` over the question's ideal answers."""
+    refs = [counter_units(token_surfaces(a)) for a in question.ideal_answers]
+    return [max(counter_f1(counter_units(token_surfaces(t)), r) for r in refs) for t in texts]
+
+
 def counter_labels(questions) -> list[int]:
     """The Counter-based labeller the array core replaced: the test oracle.
 
@@ -65,28 +141,26 @@ def counter_labels(questions) -> list[int]:
     reference's by a loop over its units; the top 5 by best-reference F1
     (earlier occurrence first on ties) are labelled 1.
     """
-
-    def units(tokens):
-        found = Counter(zip(tokens))
-        for gap in range(1, 6):
-            found.update(zip(tokens, tokens[gap:]))
-        return found, found.total()
-
-    def score(cand, ref):
-        (c_units, c_total), (r_units, r_total) = cand, ref
-        if c_total == 0 or r_total == 0:
-            return 0.0
-        matches = sum(min(n, r_units[u]) for u, n in c_units.items() if u in r_units)
-        return RougeScore.from_pr(matches / c_total, matches / r_total).f1
-
     labels = []
     for question in questions:
-        refs = [units(token_surfaces(a)) for a in question.ideal_answers]
-        cands = [units(token_surfaces(c.text)) for c in candidate_sentences(question)]
-        f1s = [max(score(c, r) for r in refs) for c in cands]
+        f1s = counter_best_f1s(question, [c.text for c in candidate_sentences(question)])
         top = set(sorted(range(len(f1s)), key=lambda i: (-f1s[i], i))[:5])
         labels.extend(1 if i in top else 0 for i in range(len(f1s)))
     return labels
+
+
+def counter_cv_f1s(questions) -> dict[str, float]:
+    """Per question, what oracle cross-validation scores, from the Counter helpers:
+    the top-n candidates by best-reference F1 (n by question type, earlier
+    first on ties), joined in occurrence order, scored against the best reference."""
+    out = {}
+    for question in questions:
+        texts = [c.text for c in candidate_sentences(question)]
+        f1s = counter_best_f1s(question, texts)
+        n = DEFAULT_ANSWER_LENGTHS[question.qtype]
+        top = sorted(sorted(range(len(f1s)), key=lambda i: (-f1s[i], i))[:n])
+        out[question.id] = counter_best_f1s(question, [" ".join(texts[i] for i in top)])[0]
+    return out
 
 
 # Texts over four tokens, two of them one word in different case, so
@@ -156,13 +230,50 @@ class TestSu4Scores:
         assert [a.tolist() for a in su4_scores([[]], [[], ["a"]])] == [[[0.0, 0.0]]] * 3
 
     def test_key_span_is_checked(self, monkeypatch):
-        # 2 distinct tokens in 2 texts give keys * texts + text up to
-        # 2 * 3 * 2 - 1 = 11: a span of 12 values holds them, 11 does not.
-        monkeypatch.setattr(metrics, "_INT64_SPAN", 12)
-        assert su4_scores([["a"]], [["b"]])[2].tolist() == [[0.0]]
-        monkeypatch.setattr(metrics, "_INT64_SPAN", 11)
-        with pytest.raises(ValueError, match="overflow"):
-            su4_scores([["a"]], [["b"]])
+        # Keys stay below v * (v + 1) and pack above the bits of the largest
+        # text number: 2 distinct tokens in 2 texts (1 bit) span 6 << 1 = 12
+        # values, in 3 texts (2 bits) 6 << 2 = 24. A span of that many values
+        # holds the keys, one value less does not.
+        for candidates, span in (([["a"]], 12), ([["a"], ["a"]], 24)):
+            monkeypatch.setattr(metrics, "_INT64_SPAN", span)
+            assert su4_scores(candidates, [["b"]])[2].tolist() == [[0.0]] * len(candidates)
+            monkeypatch.setattr(metrics, "_INT64_SPAN", span - 1)
+            with pytest.raises(ValueError, match="overflow"):
+                su4_scores(candidates, [["b"]])
+
+
+# Token sequences over a small vocabulary, so units repeat within and across
+# texts, and empty ones. The text number's bit width changes after 1, 2, 4, 8
+# and 16 texts, so the counts fall on both sides of each.
+su4_token_lists = st.lists(st.sampled_from(["a", "b", "c", "a1", "ß", "İ"]), max_size=12)
+
+
+@st.composite
+def su4_inputs(draw):
+    n_t = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17]))
+    n_c = draw(st.integers(0, n_t))
+    texts = draw(st.lists(su4_token_lists, min_size=n_t, max_size=n_t))
+    return texts[:n_c], texts[n_c:]
+
+
+class TestSu4KernelMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(su4_inputs())
+    @example(([], [["a", "b"]]))  # no candidates
+    @example(([[], ["a"]], [[], ["a", "a"]]))  # texts without tokens
+    @example(([["a"] * 9, ["a", "b"] * 4], [["a", "a", "b"] * 3]))  # repeated units
+    @example(([["a"]] * 3, [["a", "a"]]))  # 3 texts, then 4
+    @example(([["a"]] * 3, [["a", "a"], ["b"]]))
+    @example(([["b", "a"]] * 7, [["a"]]))  # 8 texts, then 9
+    @example(([["b", "a"]] * 7, [["a"], ["b"]]))
+    @example(([["a", "b", "c"]] * 15, [["c", "a"]]))  # 16 texts, then 17
+    @example(([["a", "b", "c"]] * 15, [["c", "a"], ["a"]]))
+    def test_scores_equal_the_reference(self, texts):
+        candidates, references = texts
+        for got, want in zip(su4_scores(candidates, references),
+                             reference_su4_scores(candidates, references)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert (got == want).all()
 
 
 class TestRougeSu4:
@@ -237,10 +348,12 @@ class TestBestReference:
         assert best_reference_f1s(tokens, [token_surfaces(r) for r in references]) == oracle
 
 
-def labelled_question(i: int, candidates: list[str], references: list[str]):
+def labelled_question(i: int, candidates: list[str], references: list[str],
+                      qtype: str = "summary"):
     """A question whose gold snippets are single candidate sentences."""
     snippets = tuple(SnippetSpan("d", "abstract", 0, len(c), c) for c in candidates)
-    return make_question(f"q{i}", gold_snippets=snippets, ideal_answers=tuple(references))
+    return make_question(f"q{i}", qtype=qtype, gold_snippets=snippets,
+                         ideal_answers=tuple(references))
 
 
 class TestLabelsMatchCounterOracle:
@@ -261,6 +374,55 @@ class TestLabelsMatchCounterOracle:
     def test_question_sets(self, specs):
         questions = [labelled_question(i, c, r) for i, (c, r) in enumerate(specs)]
         assert [ex.label for ex in generate_labels(questions)] == counter_labels(questions)
+
+
+class TestCrossValidateMatchesCounterOracle:
+    """Oracle cross-validation's per-question F1s, against the Counter helpers."""
+
+    def test_golden_questions(self):
+        questions = load_question_set(GOLDEN / "questions.json")
+        result = cross_validate(questions, None, OracleModelSpec(), k=2)
+        assert result.per_question == counter_cv_f1s(questions)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(REPEATING_TEXTS.map(lambda t: f"Z {t}."), min_size=1, max_size=9),
+                st.lists(SU4_TEXTS, min_size=1, max_size=3),
+                st.sampled_from(sorted(DEFAULT_ANSWER_LENGTHS)),
+            ),
+            min_size=2,
+            max_size=5,
+        )
+    )
+    def test_question_sets(self, specs):
+        questions = [labelled_question(i, *spec) for i, spec in enumerate(specs)]
+        result = cross_validate(questions, None, OracleModelSpec(), k=2)
+        assert result.per_question == counter_cv_f1s(questions)
+
+
+class TestLabelsJsonl:
+    def test_round_trip(self, tmp_path):
+        # Line and paragraph separators, a carriage return and case folds
+        # that change length (İ lowercases to two characters, ß stays).
+        body = "Does İNFLUENZA\x85spread\u2028in STRASSE or straße?\r"
+        snippets = ["Flu\x85shots\u2028work\rwell in İzmir. Straße ß was\u2028fine.",
+                    "İ\x85ß and SS.\r"]
+        question = make_question(
+            "q\u20281", body=body,
+            gold_snippets=tuple(SnippetSpan("d", "s", 0, len(t), t) for t in snippets),
+            ideal_answers=("flu shots work in straße", "İzmir\x85fine"),
+        )
+        examples = generate_labels([question, labelled_question(2, ["A b.", "C\rd."], ["a"])])
+        texts = "".join(chain.from_iterable((ex.question_text, ex.sentence_text) for ex in examples))
+        assert {"\x85", "\u2028", "\r", "İ", "ß"} <= set(texts)
+        first, second = tmp_path / "labels.jsonl", tmp_path / "again.jsonl"
+        save_labels(examples, first)
+        loaded = load_labels(first)
+        assert loaded == examples
+        save_labels(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
 
 
 class TestDocumentF1:

@@ -9,8 +9,8 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qfs.corpus import DocumentCollection
-from qfs.pipeline import CosineScorer
+from qfs.corpus import DocumentCollection, SnippetSpan
+from qfs.pipeline import CosineScorer, candidate_sentences
 from qfs.sentences import SentenceTable
 from qfs.textproc import (
     ABBREVIATIONS,
@@ -173,6 +173,59 @@ class TestSplitterMatchesReference:
     def test_bounds(self, text):
         assert sentence_bounds(text) == reference_sentence_bounds(text)
         assert [(s.begin, s.end) for s in split_sentences(text)] == sentence_bounds(text)
+
+
+def reference_candidate_sentences(question) -> list[SnippetSpan]:
+    """``candidate_sentences`` as it was before the join: each snippet split alone."""
+    return [
+        SnippetSpan(s.doc_id, s.section_id, s.begin_char + x.begin, s.begin_char + x.end, x.text)
+        for s in question.gold_snippets
+        for x in split_sentences(s.text)
+    ]
+
+
+# Snippet texts for the join: the split alphabets, and texts that start or
+# end with an abbreviation or "e.g.", start lower case or with whitespace,
+# have no terminator, or hold only whitespace.
+snippet_texts = st.one_of(
+    split_texts,
+    ascii_split_texts,
+    st.lists(st.sampled_from([
+        "e.g.", "e.g. Then", "Dr.", "Dr. Smith", "approx.", "U.S.", "no.", "lower case.",
+        " Space first.", "\n\tTab first", "no terminator", "   ", "\u2028\x85", "A.", "Z!", "3?",
+        "x.)", "İ ß.", "Σ words",
+    ]), min_size=1, max_size=3).map(" ".join),
+    st.lists(st.sampled_from(["e.g.", "Dr.", "Fig.", "It ends.", " ", "\n"]), min_size=1,
+             max_size=3).map("".join),
+).filter(bool)
+
+
+class TestCandidateSentences:
+    """The joined split of a question's gold snippets against one split per snippet."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(snippet_texts, st.integers(0, 50), st.sampled_from(["d1", "d2"]),
+                              st.sampled_from(["title", "abstract"])), max_size=6))
+    @example([("Use it e.g.", 0, "d1", "title"), ("Then more.", 12, "d1", "title")])
+    @example([("He saw Dr.", 0, "d1", "title"), ("Smith left", 11, "d1", "title")])
+    @example([("ends here. ", 3, "d1", "s"), ("lower start", 0, "d2", "s"), ("   ", 5, "d1", "s")])
+    @example([("e.g.", 0, "d1", "s"), ("e.g. Flu.", 0, "d1", "s"), ("İ. \u2028", 7, "d2", "s")])
+    def test_spans_equal_the_split_of_each_snippet(self, specs):
+        snippets = tuple(SnippetSpan(doc, section, begin, begin + len(text), text)
+                         for text, begin, doc, section in specs)
+        question = make_question("q", gold_snippets=snippets)
+        assert list(map(vars, candidate_sentences(question))) == \
+            list(map(vars, reference_candidate_sentences(question)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(snippet_texts, max_size=6))
+    def test_joined_bounds_equal_the_bounds_of_each_text(self, texts):
+        starts = [0]
+        for text in texts[:-1]:
+            starts.append(starts[-1] + len(text) + 1)
+        expected = [(start + b, start + e)
+                    for start, text in zip(starts, texts) for b, e in sentence_bounds(text)]
+        assert sentence_bounds("\n".join(texts), starts) == expected
 
 
 class TestSentenceTokens:
