@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedInput
-from .fileio import open_input, open_output, read_exact, read_lines, record_ids
+from .fileio import BinaryReader, open_output, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -120,9 +120,9 @@ class ContextEmbeddingRecord:
     def __post_init__(self) -> None:
         tokens = np.asarray(self.tokens)
         self.sentence_mask = np.asarray(self.sentence_mask, dtype=bool)
-        if tokens.ndim != 2 or tokens.shape[0] < 1:
+        if tokens.ndim != 2 or tokens.shape[0] < 1 or tokens.shape[1] < 1:
             raise MalformedInput(
-                f"record {self.pair_id!r}: token matrix must be (n>=1, dim)"
+                f"record {self.pair_id!r}: token matrix must be (n>=1, dim>=1)"
             )
         if self.sentence_mask.shape != (tokens.shape[0],):
             raise DimensionMismatch(
@@ -156,11 +156,6 @@ class ContextEmbeddingRecord:
 
 def _pack_mask(mask: np.ndarray) -> bytes:
     return np.packbits(mask, bitorder="little").tobytes()
-
-
-def _unpack_mask(raw: bytes, n: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return bits[:n].astype(bool)
 
 
 def write_context_embeddings(
@@ -200,23 +195,21 @@ def write_context_embeddings(
 
 def read_context_embeddings(path: str | Path) -> Iterator[ContextEmbeddingRecord]:
     """Stream records from a CEMB file in file order, validating each."""
-    with open_input(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _CEMB_MAGIC:
-            raise MalformedInput(f"{path}: bad magic {magic!r}, expected CEMB")
-        version, dim = struct.unpack("<II", read_exact(fh, 8, path, "header"))
+    with BinaryReader(path) as reader:
+        version = reader.version(_CEMB_MAGIC)
         if version != 1:
             raise MalformedInput(f"{path}: unsupported CEMB version {version}")
-        for pair_id in record_ids(fh, path):
-            (n,) = struct.unpack("<I", read_exact(fh, 4, path, "token count"))
+        dim = reader.u32("header")
+        while reader.left:
+            pair_id = reader.text("record id")
+            n = reader.u32(f"token count of {pair_id!r}")
             if n < 1:
                 raise MalformedInput(f"{path}: record {pair_id!r} has no tokens")
-            mask_bytes = read_exact(fh, (n + 7) // 8, path, f"mask of {pair_id!r}")
-            mask = _unpack_mask(mask_bytes, n)
-            payload = read_exact(fh, 4 * n * dim, path, f"matrix of {pair_id!r}")
-            tokens = np.frombuffer(payload, dtype="<f4").reshape(n, dim)
+            mask_bits = reader.array("u1", (n + 7) // 8, f"mask of {pair_id!r}")
+            mask = np.unpackbits(mask_bits, count=n, bitorder="little").astype(bool)
+            tokens = reader.array("<f4", n * dim, f"matrix of {pair_id!r}").reshape(n, dim)
             try:
-                record = ContextEmbeddingRecord(pair_id, tokens.copy(), mask)
+                record = ContextEmbeddingRecord(pair_id, tokens, mask)
             except MalformedInput as exc:
                 raise MalformedInput(f"{path}: {exc}") from exc
             yield record

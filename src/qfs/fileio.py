@@ -4,9 +4,10 @@ Every reader goes through :func:`open_input`, so a missing, unreadable
 or undecodable input is a :class:`MalformedInput` (exit code 2 at the
 command line), never a bare ``OSError``, ``JSONDecodeError`` or
 ``UnicodeDecodeError``: text files are read through :func:`read_lines`
-or :func:`read_json`, and strings inside binary files are decoded by
-:func:`decode_utf8`. An output that cannot be created is a :class:`QfsError`
-naming the path, from :func:`open_output` or, up front, :func:`check_output`.
+or :func:`read_json`, and binary files through :class:`BinaryReader`, which
+checks every read against the bytes the file has left. An output that cannot
+be created is a :class:`QfsError` naming the path, from :func:`open_output`
+or, up front, :func:`check_output`.
 Every field of a JSON input is read by :func:`field`, so a value of the wrong
 type is a :class:`MalformedInput` naming the file, the field and the value.
 """
@@ -16,10 +17,14 @@ from __future__ import annotations
 import json
 import os
 import reprlib
+import struct
 import sys
+import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Callable, Iterator
+
+import numpy as np
 
 from .errors import MalformedInput, QfsError
 
@@ -49,45 +54,76 @@ def check_output(path: str | Path) -> str | Path:
     return path
 
 
-def read_exact(fh: IO[bytes], count: int, path: str | Path, what: str) -> bytes:
-    """Exactly ``count`` bytes from a binary file, or MalformedInput.
+class BinaryReader:
+    """Reads a binary file front to back, as a context manager.
 
-    Reads at most 1 MiB at a time, so a corrupt length field makes the
-    read fail at the end of the file instead of allocating that length.
+    Each read is checked against the bytes the file has left before any
+    buffer is allocated, so a corrupt length field is a MalformedInput
+    ``"<path>: truncated <what> at byte offset <n>"``, not an allocation of
+    that length. A file read with ``crc=True`` ends in the u32 CRC32 of all
+    bytes before it: reads stop short of it and add to a running CRC32,
+    which :meth:`finish` checks.
     """
-    chunks, left = [], count
-    while left > 0:
-        chunk = fh.read(min(left, 1 << 20))
-        if not chunk:
-            break
-        chunks.append(chunk)
-        left -= len(chunk)
-    data = b"".join(chunks)
-    if len(data) != count:
-        raise MalformedInput(
-            f"{path}: truncated {what} at byte offset {fh.tell() - len(data)}"
-        )
-    return data
 
+    def __init__(self, path: str | Path, *, crc: bool = False) -> None:
+        self.path, self._pos, self._crc = path, 0, (0 if crc else None)
+        self._fh = open_input(path, "rb")
+        self._end = max(0, os.fstat(self._fh.fileno()).st_size - 4 * crc)
 
-def record_ids(fh: IO[bytes], path: str | Path) -> Iterator[str]:
-    """The id that opens each record of a binary file (u32 byte length, then
-    UTF-8), until the file ends; the caller reads the rest of each record."""
-    while head := fh.read(4):
-        if len(head) != 4:
+    def __enter__(self) -> BinaryReader:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._fh.close()
+
+    @property
+    def left(self) -> int:
+        """The bytes left to read, the CRC not counted."""
+        return self._end - self._pos
+
+    def read(self, count: int, what: str) -> bytearray:
+        """The next ``count`` bytes."""
+        if count > self._end - self._pos or self._fh.readinto(buf := bytearray(count)) != count:
+            raise MalformedInput(f"{self.path}: truncated {what} at byte offset {self._pos}")
+        self._pos += count
+        if self._crc is not None:
+            self._crc = zlib.crc32(buf, self._crc)
+        return buf
+
+    def version(self, magic: bytes) -> int:
+        """The u32 version that follows ``magic``, which must open the file."""
+        found = self.read(min(len(magic), self.left), "magic")
+        if found != magic:
             raise MalformedInput(
-                f"{path}: truncated record header at byte offset {fh.tell() - len(head)}"
+                f"{self.path}: bad magic {bytes(found)!r}, expected {magic.decode()}"
             )
-        raw = read_exact(fh, int.from_bytes(head, "little"), path, "record id")
-        yield decode_utf8(raw, path, "record id")
+        return self.u32("header")
 
+    def unpack(self, layout: str, what: str) -> tuple:
+        """The fields of a ``struct`` layout."""
+        return struct.unpack(layout, self.read(struct.calcsize(layout), what))
 
-def decode_utf8(raw: bytes, path: str | Path, what: str) -> str:
-    """The text of UTF-8 bytes read from a file, or MalformedInput."""
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedInput(f"{path}: {what} is not UTF-8: {exc}") from exc
+    def u32(self, what: str) -> int:
+        return int.from_bytes(self.read(4, what), "little")
+
+    def text(self, what: str) -> str:
+        """UTF-8 text after its u32 byte length."""
+        raw = self.read(self.u32(what), what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedInput(f"{self.path}: {what} is not UTF-8: {exc}") from exc
+
+    def array(self, dtype: str, count: int, what: str) -> np.ndarray:
+        """``count`` values of a little-endian ``dtype``, in a buffer of their own."""
+        return np.frombuffer(self.read(count * np.dtype(dtype).itemsize, what), dtype)
+
+    def finish(self) -> None:
+        """Check that nothing is left to read and, if the file has one, its CRC."""
+        if self.left:
+            raise MalformedInput(f"{self.path}: {self.left} trailing bytes")
+        if self._crc is not None and self._crc != int.from_bytes(self._fh.read(4), "little"):
+            raise MalformedInput(f"{self.path}: CRC mismatch, file is truncated or corrupted")
 
 
 def read_lines(path: str | Path) -> Iterator[str]:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import MalformedInput
-from ..fileio import open_input, open_output
+from ..fileio import BinaryReader, open_output
 from .models import KINDS, Params
 
 _MAGIC = b"QFSM"
@@ -48,48 +48,32 @@ def load_params(path: str | Path, expected_kind: str | None = None) -> tuple[Par
 
     Raises ``MalformedInput`` if the file holds a kind other than ``expected_kind``.
     """
-    with open_input(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 8 or data[:4] != _MAGIC:
-        raise MalformedInput(f"{path}: bad magic, expected QFSM")
-    (stored_crc,) = struct.unpack("<I", data[-4:])
-    if zlib.crc32(data[:-4]) != stored_crc:
-        raise MalformedInput(f"{path}: CRC mismatch, file is corrupted")
-    body, offset = data[:-4], len(_MAGIC) + _HEAD.size
-    if len(body) < offset:
-        raise MalformedInput(f"{path}: truncated parameter file")
-    version, kind_code, seed = _HEAD.unpack_from(body, len(_MAGIC))
-    if version not in (1, _VERSION):
-        raise MalformedInput(f"{path}: unsupported version {version}")
-    kind = _BY_CODE.get(kind_code)
-    if kind is None:
-        raise MalformedInput(f"{path}: unknown model kind code {kind_code}")
-    if expected_kind is not None and kind.name != expected_kind:
-        raise MalformedInput(f"{path}: holds a {kind.name} model, expected {expected_kind}")
-    header = struct.Struct(f"<{len(kind.header)}I")
-    if len(body) < offset + header.size:
-        raise MalformedInput(f"{path}: truncated parameter file")
-    dims = dict(zip(kind.header, header.unpack_from(body, offset)))
-    offset += header.size
-    clip_len = kind.train_defaults.clip_len
-    if version == _VERSION:
-        if len(body) < offset + _CLIP.size:
-            raise MalformedInput(f"{path}: truncated parameter file")
-        (clip_len,) = _CLIP.unpack_from(body, offset)
-        offset += _CLIP.size
-        if clip_len < 1:
-            raise MalformedInput(f"{path}: clip_len {clip_len}, expected >= 1")
-    # The shapes are plain ints, so a corrupt header's huge dims cost nothing here.
-    shapes = kind.shapes(**dims)
-    expected = 8 * sum(math.prod(shape) for shape in shapes.values())
-    if len(body) - offset != expected:
-        raise MalformedInput(
-            f"{path}: {len(body) - offset} bytes of parameters, {expected} for its dims"
-        )
-    values = np.frombuffer(body, dtype="<f8", offset=offset)
-    blocks, start = {}, 0
-    for name, shape in shapes.items():
-        size = math.prod(shape)
-        blocks[name] = values[start : start + size].reshape(shape).astype(np.float64)
-        start += size
+    with BinaryReader(path, crc=True) as reader:
+        version = reader.version(_MAGIC)
+        if version not in (1, _VERSION):
+            raise MalformedInput(f"{path}: unsupported version {version}")
+        kind_code, seed = reader.unpack("<BQ", "header")
+        kind = _BY_CODE.get(kind_code)
+        if kind is None:
+            raise MalformedInput(f"{path}: unknown model kind code {kind_code}")
+        if expected_kind is not None and kind.name != expected_kind:
+            raise MalformedInput(f"{path}: holds a {kind.name} model, expected {expected_kind}")
+        dims = dict(zip(kind.header, reader.unpack(f"<{len(kind.header)}I", "dims")))
+        clip_len = kind.train_defaults.clip_len
+        if version == _VERSION:
+            clip_len = reader.u32("clip_len")
+            if clip_len < 1:
+                raise MalformedInput(f"{path}: clip_len {clip_len}, expected >= 1")
+        # The shapes are plain ints, so a corrupt header's huge dims cost nothing here.
+        shapes = kind.shapes(**dims)
+        expected = 8 * sum(math.prod(shape) for shape in shapes.values())
+        if reader.left != expected:
+            raise MalformedInput(
+                f"{path}: {reader.left} bytes of parameters, {expected} for its dims"
+            )
+        blocks = {
+            name: reader.array("<f8", math.prod(shape), name).reshape(shape)
+            for name, shape in shapes.items()
+        }
+        reader.finish()
     return Params(kind.name, dims, blocks, seed), clip_len

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import struct
 import weakref
 import zlib
@@ -57,7 +56,7 @@ import numpy as np
 
 from .corpus import DocumentCollection
 from .errors import DimensionMismatch, EmptyInput, MalformedInput
-from .fileio import open_input, open_output, read_exact, record_ids
+from .fileio import BinaryReader, open_output
 from .sentences import SentenceTable
 
 logger = logging.getLogger(__name__)
@@ -69,7 +68,8 @@ MAX_K1 = 1e6  # far above any useful k1, and no impact overflows to inf or NaN
 _DVEC_MAGIC = b"DVEC"
 _QIDX_MAGIC = b"QIDX"
 _QIDX_VERSION = 3
-_QIDX_HEADER = struct.Struct("<4sIddIIQIIIQ")
+_QIDX_FIELDS = "<ddIIQIIIQ"  # what follows the magic and version: k1, b, the counts
+_QIDX_HEADER = struct.Struct("<4sI" + _QIDX_FIELDS[1:])
 
 
 @dataclass(eq=False)
@@ -338,21 +338,19 @@ def load_dense_store(path: str | Path) -> DenseStore:
 
     A repeated id warns, and its last vector takes the id's first position.
     """
-    with open_input(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _DVEC_MAGIC:
-            raise MalformedInput(f"{path}: bad magic {magic!r}, expected DVEC")
-        version, dim = struct.unpack("<II", read_exact(fh, 8, path, "header"))
+    with BinaryReader(path) as reader:
+        version = reader.version(_DVEC_MAGIC)
         if version != 1:
             raise MalformedInput(f"{path}: unsupported DVEC version {version}")
+        dim = reader.u32("header")
         if dim < 1:
             raise MalformedInput(f"{path}: dimension must be positive")
         vectors: dict[str, np.ndarray] = {}
-        for doc_id in record_ids(fh, path):
-            payload = read_exact(fh, 4 * dim, path, f"vector for {doc_id!r}")
+        while reader.left:
+            doc_id = reader.text("record id")
             if doc_id in vectors:
                 logger.warning("duplicate vector id %r; last occurrence wins", doc_id)
-            vectors[doc_id] = np.frombuffer(payload, dtype="<f4")
+            vectors[doc_id] = reader.array("<f4", dim, f"vector for {doc_id!r}")
     if not vectors:
         raise MalformedInput(f"{path}: DVEC file holds no vectors")
     return DenseStore.from_vectors(vectors)
@@ -453,15 +451,11 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
 def load_index(path: str | Path) -> InvertedIndex:
     """Read a QIDX v3 snapshot written by :func:`save_index`.
 
-    Each array is read into its own buffer, checked against the file
-    size before it is allocated; the CRC is taken as they are read.
+    Each array is read into its own buffer, checked against the bytes the
+    file has left before it is allocated.
     """
-    with open_input(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(_QIDX_HEADER.size)
-        if head[:4] != _QIDX_MAGIC:
-            raise MalformedInput(f"{path}: bad magic {head[:4]!r}, expected QIDX")
-        version = int.from_bytes(head[4:8], "little")
+    with BinaryReader(path, crc=True) as reader:
+        version = reader.version(_QIDX_MAGIC)
         if version in (1, 2):
             raise MalformedInput(
                 f"{path}: QIDX version {version} is no longer read; "
@@ -469,42 +463,24 @@ def load_index(path: str | Path) -> InvertedIndex:
             )
         if version != _QIDX_VERSION:
             raise MalformedInput(f"{path}: unsupported QIDX version {version}")
-        if size < _QIDX_HEADER.size + 4:
-            raise MalformedInput(f"{path}: truncated header")
-        (_, _, k1, b, n_docs, n_terms, n_post,
-         n_words, n_sections, n_sents, n_tokens) = _QIDX_HEADER.unpack(head)
-        pos, crc = len(head), zlib.crc32(head)
-
-        def take(dtype: str, count: int, what: str) -> np.ndarray:
-            nonlocal pos, crc
-            nbytes = count * np.dtype(dtype).itemsize
-            if nbytes > size - 4 - pos:
-                raise MalformedInput(f"{path}: truncated {what} at byte offset {pos}")
-            values = np.empty(count, dtype=dtype)
-            if fh.readinto(values) != nbytes:
-                raise MalformedInput(f"{path}: truncated {what} at byte offset {pos}")
-            pos, crc = pos + nbytes, zlib.crc32(values, crc)
-            return values
-
-        text_lengths = take("<u4", n_docs + n_words, "text lengths")
-        blob = take("u1", int(text_lengths.sum()), "doc ids and words").tobytes()
-        is_term = take("u1", n_words, "term flags")
-        doc_len = take("<i4", n_docs, "doc lengths")
-        indptr = take("<i8", n_terms + 1, "indptr")
-        post_doc = take("<i4", n_post, "posting docs")
-        post_tf = take("<i4", n_post, "posting tfs")
-        section_counts = take("<i4", n_docs, "section counts")
-        section_lengths = take("<i4", n_sections, "section lengths")
+        (k1, b, n_docs, n_terms, n_post, n_words, n_sections, n_sents,
+         n_tokens) = reader.unpack(_QIDX_FIELDS, "header")
+        text_lengths = reader.array("<u4", n_docs + n_words, "text lengths")
+        blob = reader.read(int(text_lengths.sum()), "doc ids and words")
+        is_term = reader.array("u1", n_words, "term flags")
+        doc_len = reader.array("<i4", n_docs, "doc lengths")
+        indptr = reader.array("<i8", n_terms + 1, "indptr")
+        post_doc = reader.array("<i4", n_post, "posting docs")
+        post_tf = reader.array("<i4", n_post, "posting tfs")
+        section_counts = reader.array("<i4", n_docs, "section counts")
+        section_lengths = reader.array("<i4", n_sections, "section lengths")
         sent_doc, section, begin, end = (
-            take("<i4", n_sents, f"sentence {what}")
+            reader.array("<i4", n_sents, f"sentence {what}")
             for what in ("docs", "sections", "begins", "ends")
         )
-        sent_indptr = take("<i8", n_sents + 1, "sentence indptr")
-        token_ids = take("<i4", n_tokens, "token ids")
-        if pos != size - 4:
-            raise MalformedInput(f"{path}: {size - 4 - pos} trailing bytes")
-        if crc != int.from_bytes(fh.read(4), "little"):
-            raise MalformedInput(f"{path}: CRC mismatch, file is truncated or corrupted")
+        sent_indptr = reader.array("<i8", n_sents + 1, "sentence indptr")
+        token_ids = reader.array("<i4", n_tokens, "token ids")
+        reader.finish()
 
     def require(ok, problem: str) -> None:
         if not ok:

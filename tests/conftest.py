@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -13,7 +16,7 @@ from qfs.corpus import (
     QuestionSet,
     SnippetSpan,
 )
-from qfs.errors import QfsError
+from qfs.errors import MalformedInput, QfsError
 
 # Terminators, closers, every kind of whitespace str.isspace knows, and
 # letters and digits that are upper case, lower case, or neither.
@@ -33,8 +36,9 @@ ascii_split_texts = st.lists(
 def load_each_corruption(path, data: bytes, load) -> int:
     """Load every truncation of ``data``, then ``data`` with each byte inverted.
 
-    Each load must return or raise a QfsError; any other exception fails
-    the calling test. Returns how many corrupt files loaded without error.
+    Each load must return or raise a QfsError whose message names the file;
+    any other exception fails the calling test. Returns how many corrupt
+    files loaded without error.
     """
     truncations = [data[:end] for end in range(len(data))]
     flips = [data[:i] + bytes([data[i] ^ 0xFF]) + data[i + 1 :] for i in range(len(data))]
@@ -43,10 +47,25 @@ def load_each_corruption(path, data: bytes, load) -> int:
         path.write_bytes(variant)
         try:
             load(path)
-        except QfsError:
+        except QfsError as exc:
+            assert str(path) in str(exc), f"{exc} does not name the file"
             continue
         loaded += 1
     return loaded
+
+
+def assert_refused_within_the_file(path, load) -> None:
+    """``load(path)`` raises MalformedInput naming the file, with a tracemalloc
+    peak under 1 MiB: a length field that claims more bytes than the file
+    has left is refused before a buffer of that length is allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedInput, match=f"^{re.escape(str(path))}: "):
+            load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak} bytes for a {path.stat().st_size}-byte file"
 
 
 def make_doc(doc_id: str, *sections: tuple[str, str]) -> DocumentRecord:

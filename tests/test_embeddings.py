@@ -18,7 +18,7 @@ from qfs.embeddings import (
 )
 from qfs.errors import DimensionMismatch, MalformedInput
 
-from conftest import load_each_corruption
+from conftest import assert_refused_within_the_file, load_each_corruption
 
 
 def write_vectors(tmp_path, text, name="vectors.txt"):
@@ -180,6 +180,25 @@ class TestCembRoundTrip:
         with pytest.raises(MalformedInput) as err:
             list(read_context_embeddings(path))
         assert "byte offset" in str(err.value)
+
+    def test_huge_token_count_refused_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.cemb"
+        path.write_bytes(
+            b"CEMB" + struct.pack("<II", 1, 768) + struct.pack("<I", 3) + b"x#0"
+            + struct.pack("<I", 2**31) + b"\x01" * 64
+        )
+        assert_refused_within_the_file(path, lambda path: list(read_context_embeddings(path)))
+
+    def test_records_under_dim_0_rejected(self, tmp_path):
+        # A dim-0 header is what an empty write leaves; a record under it has no columns.
+        path = tmp_path / "dim0.cemb"
+        path.write_bytes(
+            b"CEMB" + struct.pack("<II", 1, 0) + struct.pack("<I", 3) + b"x#0"
+            + struct.pack("<IB", 2, 1)
+        )
+        message = re.escape(f"{path}: record 'x#0': token matrix must be (n>=1, dim>=1)")
+        with pytest.raises(MalformedInput, match=f"^{message}$"):
+            list(read_context_embeddings(path))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.cemb"

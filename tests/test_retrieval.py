@@ -32,7 +32,12 @@ from qfs.retrieval import (
 )
 from qfs.textproc import token_surfaces
 
-from conftest import load_each_corruption, make_doc, random_unit_vectors
+from conftest import (
+    assert_refused_within_the_file,
+    load_each_corruption,
+    make_doc,
+    random_unit_vectors,
+)
 
 
 def collection_of(*texts: str) -> DocumentCollection:
@@ -507,6 +512,11 @@ class TestDenseStoreIO:
             load_dense_store(path)
         assert "byte offset" in str(err.value)
 
+    def test_huge_id_length_refused_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.dvec"
+        path.write_bytes(b"DVEC" + struct.pack("<III", 1, 4, 0xFFFFFFFF) + b"a")
+        assert_refused_within_the_file(path, load_dense_store)
+
     def test_loader_renormalizes(self, tmp_path):
         import struct
 
@@ -710,6 +720,17 @@ class TestIndexSnapshot:
         path.write_bytes(restamp(bytes(corrupted)))
         with pytest.raises(MalformedInput):
             load_index(path)
+
+    def test_every_corruption_names_the_file(self, tmp_path):
+        _, path, data = self.small_snapshot(tmp_path)
+        assert load_each_corruption(path, data, load_index) == 0
+
+    def test_huge_token_count_refused_before_allocating(self, tmp_path):
+        index, path, data = self.small_snapshot(tmp_path)
+        corrupted = bytearray(data)
+        struct.pack_into("<Q", corrupted, qidx_offsets(index)["n_tokens"], 2**40)
+        path.write_bytes(restamp(bytes(corrupted)))
+        assert_refused_within_the_file(path, load_index)
 
     def test_version_1_asks_for_a_rebuild(self, tmp_path):
         path = tmp_path / "old.qidx"
