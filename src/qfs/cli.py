@@ -53,13 +53,14 @@ def _writable(ctx, param, path):
 
 
 @contextmanager
-def _naming(questions_path):
-    """A per-question data error (``question 'q1' ...``) also names the questions file."""
+def _naming(path, subject="question "):
+    """A data error about one ``subject`` (``question 'q1' ...``, by default)
+    also names the file it came from."""
     try:
         yield
     except QfsError as exc:
-        if str(exc).startswith("question "):
-            raise type(exc)(f"{questions_path}: {exc}") from exc
+        if str(exc).startswith(subject):
+            raise type(exc)(f"{path}: {exc}") from exc
         raise
 
 
@@ -282,7 +283,8 @@ def cmd_train(labels_path, model_kind, out_path, embeddings_path, cemb_path,
     config = _train_config(model_kind, epochs, batch_size, dropout, lr, seed, clip_len)
     source = _model_source(model_kind, embeddings_path, cemb_path)
     examples = pipeline.load_labels(labels_path)
-    result = train(model_kind, examples, source, config)
+    with _naming(cemb_path, "no context-embedding record "):
+        result = train(model_kind, examples, source, config)
     save_params(result.params, out_path, config.clip_len)
     click.echo(
         f"trained {model_kind} for {config.epochs} epochs; "
@@ -361,7 +363,7 @@ def cmd_cv(questions_path, docs_path, model_kind, embeddings_path, cemb_path,
         config = _train_config(model_kind, epochs, batch_size, dropout, lr, seed, clip_len)
         source = _model_source(model_kind, embeddings_path, cemb_path)
         spec = pipeline.TrainedModelSpec(model_kind, source, config)
-    with _naming(questions_path):
+    with _naming(questions_path), _naming(cemb_path, "no context-embedding record "):
         result = pipeline.cross_validate(questions, collection, spec, k=k, seed=seed)
     for i, (size, f1) in enumerate(zip(result.fold_sizes, result.fold_mean_f1), 1):
         click.echo(f"fold {i:2d}: {size:5d} questions  mean SU4-F1 {f1:.4f}")

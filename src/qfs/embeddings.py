@@ -3,8 +3,9 @@
 Contextual token embeddings are consumed from CEMB files produced
 offline by a frozen encoder, so no transformer runs in-process. A CEMB
 record carries the full concatenated question+sentence token matrix
-plus a boolean sentence mask marking the candidate-sentence tokens, so
-mean pooling over the candidate sentence stays computable downstream.
+plus a boolean sentence mask marking the candidate-sentence tokens.
+:func:`load_context_embeddings` mean-pools each record over its
+candidate-sentence tokens as it reads it, and keeps only that vector.
 
 CEMB binary layout (little-endian): magic ``CEMB``, u32 version=1,
 u32 dim, then records of u32 id-length, UTF-8 id bytes, u32 n_tokens,
@@ -140,10 +141,6 @@ class ContextEmbeddingRecord:
     def dim(self) -> int:
         return self.tokens.shape[1]
 
-    def pooled(self) -> np.ndarray:
-        """Mean of the masked (candidate sentence) token rows, float64."""
-        return self.tokens[self.sentence_mask].astype(np.float64).mean(axis=0)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ContextEmbeddingRecord):
             return NotImplemented
@@ -215,11 +212,12 @@ def read_context_embeddings(path: str | Path) -> Iterator[ContextEmbeddingRecord
             yield record
 
 
-def load_context_embeddings(path: str | Path) -> dict[str, ContextEmbeddingRecord]:
-    """Materialize a CEMB file as a pair_id -> record mapping."""
-    store: dict[str, ContextEmbeddingRecord] = {}
+def load_context_embeddings(path: str | Path) -> dict[str, np.ndarray]:
+    """A CEMB file as pair_id -> the float64 mean of the record's masked
+    (candidate sentence) token rows; each record is pooled as it is read."""
+    store: dict[str, np.ndarray] = {}
     for rec in read_context_embeddings(path):
         if rec.pair_id in store:
             logger.warning("duplicate pair id %r; last occurrence wins", rec.pair_id)
-        store[rec.pair_id] = rec
+        store[rec.pair_id] = rec.tokens[rec.sentence_mask].astype(np.float64).mean(axis=0)
     return store

@@ -32,11 +32,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..embeddings import (
-    ContextEmbeddingRecord,
-    EmbeddingTable,
-    embed_tokens,
-    load_context_embeddings,
-    load_word_embeddings,
+    EmbeddingTable, embed_tokens, load_context_embeddings, load_word_embeddings,
 )
 from ..errors import EmptyInput, MissingInput
 from .lstm import LstmParams, bilstm_encode
@@ -207,11 +203,11 @@ def _nnc_apply(
 
 def _pooled_apply(
     params: Params,
-    record: ContextEmbeddingRecord,
+    vector: np.ndarray,
     pos_feature: float,
     dropout_mask: np.ndarray | None = None,
 ) -> tuple[float, Backward]:
-    x = np.concatenate([record.pooled(), [pos_feature]])
+    x = np.concatenate([vector, [pos_feature]])
     prob, head_backward = _head(params, x, dropout_mask)
     return prob, lambda label: head_backward(label)[0]
 
@@ -237,17 +233,17 @@ def _nnc_input(
 
 
 def _pooled_input(
-    records: Mapping[str, ContextEmbeddingRecord],
+    vectors: Mapping[str, np.ndarray],
     question_tokens: Sequence[str],
     sentence_tokens: Sequence[str],
     pair_id: str | None,
     position: int,
     clip_len: int,
-) -> tuple[ContextEmbeddingRecord, float]:
-    record = records.get(pair_id)  # type: ignore[arg-type]
-    if record is None:
+) -> tuple[np.ndarray, float]:
+    vector = vectors.get(pair_id)  # type: ignore[arg-type]
+    if vector is None:
         raise MissingInput(f"no context-embedding record for pair id {pair_id!r}")
-    return record, position_feature(position)
+    return vector, position_feature(position)
 
 
 @dataclass(frozen=True)
@@ -259,7 +255,7 @@ class ModelKind:
     header: tuple[str, ...]  # the dims, source dim first, stored in this order as QFSM u32s
     train_defaults: TrainConfig
     source_option: str  # command-line option naming the file the model reads
-    load_source: Callable  # path -> word-vector table or pair_id -> record mapping
+    load_source: Callable  # path -> word-vector table or pair_id -> pooled vector mapping
     source_dim: Callable  # source -> its vector dimension
     shapes: Callable  # (**dims) -> {block name: shape}, in QFSM order
     input: Callable  # (source, question tokens, sentence tokens, pair id, position, clip_len)
@@ -289,7 +285,7 @@ KINDS = {
             train_defaults=TrainConfig(epochs=5, batch_size=32, dropout_rate=0.5, clip_len=250),
             source_option="cemb",
             load_source=load_context_embeddings,
-            source_dim=lambda records: next(iter(records.values())).dim,
+            source_dim=lambda vectors: len(next(iter(vectors.values()))),
             shapes=_pooled_shapes,
             input=_pooled_input,
             apply=_pooled_apply,

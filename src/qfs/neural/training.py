@@ -1,9 +1,10 @@
 """Seeded, deterministic training for both classifier kinds.
 
 Training for the interaction model embeds tokens through a static word
-vector table; the pooled classifier joins examples to precomputed
-contextual-embedding records by pair id. Either way the per-example
-inputs are precomputed once, then Adam runs over shuffled minibatches.
+vector table; the pooled classifier joins examples by pair id to the
+pooled vectors :func:`~qfs.embeddings.load_context_embeddings` reads.
+Either way the per-example inputs are precomputed once, then Adam runs
+over shuffled minibatches.
 Dropout (inverted, scale 1/(1-rate)) hits the hidden-layer activation
 during training only, with masks drawn from a dedicated stream so a
 dropout rate of zero is invariant to that stream's seed.
@@ -16,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..embeddings import ContextEmbeddingRecord, EmbeddingTable
+from ..embeddings import EmbeddingTable
 from ..errors import EmptyInput, QfsError
 from .models import (
     DEFAULT_DENSE_HIDDEN, DEFAULT_LSTM_HIDDEN, KINDS, Params, TrainConfig, init_params,
@@ -91,7 +92,7 @@ class TrainResult:
 def train(
     model: str,
     examples: Sequence[LabeledExample],
-    source: EmbeddingTable | Mapping[str, ContextEmbeddingRecord],
+    source: EmbeddingTable | Mapping[str, np.ndarray],
     config: TrainConfig,
     lstm_hidden: int = DEFAULT_LSTM_HIDDEN,
     dense_hidden: int = DEFAULT_DENSE_HIDDEN,
@@ -99,7 +100,7 @@ def train(
     """Train a classifier of kind ``model``; deterministic given the config seed.
 
     ``source`` is a word-vector table for the interaction model or a
-    pair_id -> record mapping for the pooled classifier. Every example's
+    pair_id -> pooled vector mapping for the pooled classifier. Every example's
     inputs are built once, by the kind's ``input``, as the scorer builds them.
     """
     if not examples:

@@ -75,7 +75,7 @@ from .corpus import (
     snippet_from_json,
     snippet_to_json,
 )
-from .embeddings import ContextEmbeddingRecord, EmbeddingTable
+from .embeddings import EmbeddingTable
 from .errors import EmptyInput, MalformedInput, MissingInput
 from . import fileio
 from .fileio import ID, INTEGER, STRING, open_output, read_json, read_jsonl, write_json
@@ -350,7 +350,7 @@ class ModelScorer:
     def __init__(
         self,
         params,
-        source: EmbeddingTable | Mapping[str, ContextEmbeddingRecord],
+        source: EmbeddingTable | Mapping[str, np.ndarray],
         clip_len: int,
     ):
         self.params = params
@@ -658,7 +658,7 @@ class TrainedModelSpec:
     """Trains a classifier of ``kind`` on the labels of each training split."""
 
     kind: str
-    source: EmbeddingTable | Mapping[str, ContextEmbeddingRecord]
+    source: EmbeddingTable | Mapping[str, np.ndarray]
     config: TrainConfig
 
     def fit(self, questions, collection) -> SentenceScorer:

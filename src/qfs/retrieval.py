@@ -318,19 +318,21 @@ class DenseStore:
                 raise DimensionMismatch(
                     f"vector for {doc_id!r} has shape {vec.shape}, expected ({dim},)"
                 )
-            vectors.append(_unit(vec, doc_id))
-        return cls(list(raw), np.stack(vectors))
-
-
-def _unit(vec: np.ndarray, doc_id: str) -> np.ndarray:
-    norm = float(np.linalg.norm(vec.astype(np.float64)))
-    if norm == 0.0 or not math.isfinite(norm):
-        raise MalformedInput(f"vector for {doc_id!r} cannot be normalized")
-    # Skip renormalization inside the unit-norm tolerance so that
-    # save -> load -> save is byte stable.
-    if abs(norm - 1.0) <= 1e-6:
-        return vec
-    return (vec.astype(np.float64) / norm).astype(np.float32)
+            vectors.append(vec)
+        matrix = np.stack(vectors)
+        m64 = matrix.astype(np.float64)
+        # vecdot takes each row's dot product as np.linalg.norm does for one
+        # vector (norm(axis=1) may differ from it in the last bit).
+        norms = np.sqrt(np.vecdot(m64, m64))
+        bad = (norms == 0.0) | ~np.isfinite(norms)
+        if bad.any():
+            doc_id = list(raw)[int(np.argmax(bad))]
+            raise MalformedInput(f"vector for {doc_id!r} cannot be normalized")
+        # Skip renormalization inside the unit-norm tolerance so that
+        # save -> load -> save is byte stable.
+        off = np.abs(norms - 1.0) > 1e-6
+        matrix[off] = m64[off] / norms[off, None]
+        return cls(list(raw), matrix)
 
 
 def load_dense_store(path: str | Path) -> DenseStore:

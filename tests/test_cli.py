@@ -736,6 +736,18 @@ def test_label_without_answers_or_candidates_exits_2(tmp_path, case):
         assert (code, err) == (2, f"error: {questions}: {message}\n")
 
 
+@pytest.mark.parametrize("command, pair_id", [
+    (lambda w: ("train", "--labels", GOLDEN / "labels.jsonl", "--out", w / "m.qfsm"), "q1#1"),
+    (lambda w: ("cv", *QUESTIONS, "--k", "2"), "q2#0"),
+])
+def test_a_pair_without_a_context_embedding_record_names_the_file(tmp_path, command, pair_id):
+    cemb = tmp_path / "c.cemb"
+    write_context_embeddings(cemb, [ContextEmbeddingRecord("q1#0", np.ones((1, 4)), [True])])
+    code, err = run_qfs(*command(tmp_path), "--model", "pooled", "--cemb", cemb, "--epochs", "1")
+    message = f"error: {cemb}: no context-embedding record for pair id {pair_id!r}\n"
+    assert (code, err) == (2, message)
+
+
 def test_cv_with_more_folds_than_questions_exits_2():
     questions = load_question_set(GOLDEN / "questions.json")
     with pytest.raises(EmptyInput, match="^4 questions for 10 folds$"):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,8 +130,8 @@ class TestCembRoundTrip:
         write_context_embeddings(path, [random_record(rng, f"q#{i}", 2) for i in range(2)])
 
         def load(path):
-            for rec in load_context_embeddings(path).values():
-                assert rec.dim == 2 and np.isfinite(rec.tokens).all()
+            for vector in load_context_embeddings(path).values():
+                assert vector.shape == (2,) and np.isfinite(vector).all()
 
         load_each_corruption(path, path.read_bytes(), load)
 
@@ -212,7 +213,69 @@ class TestCembRoundTrip:
         path = tmp_path / "map.cemb"
         write_context_embeddings(path, records)
         store = load_context_embeddings(path)
-        assert set(store) == {f"q1#{i}" for i in range(4)}
+        assert list(store) == [rec.pair_id for rec in records]
+        for rec in records:
+            expected = rec.tokens[rec.sentence_mask].astype(np.float64).mean(axis=0)
+            assert np.array_equal(store[rec.pair_id], expected)
+
+
+def load_pooled(tmp_path, *records) -> list[np.ndarray]:
+    """The loaded vectors of ``records``, (rows, mask) pairs, written to one CEMB file."""
+    path = tmp_path / "pooled.cemb"
+    write_context_embeddings(path, [
+        ContextEmbeddingRecord(f"p#{i}", np.asarray(rows, dtype=np.float32), mask)
+        for i, (rows, mask) in enumerate(records)
+    ])
+    return list(load_context_embeddings(path).values())
+
+
+class TestPooledLoad:
+    def test_masked_mean(self, tmp_path):
+        two, one = load_pooled(tmp_path, ([[1, 3], [3, 5]], [True, True]), ([[2, 4]], [True]))
+        assert two.dtype == np.float64
+        assert np.array_equal(two, one) and np.array_equal(two, [2.0, 4.0])
+
+    def test_single_masked_row_is_identity(self, tmp_path):
+        (vector,) = load_pooled(tmp_path, ([[9, 9, 9], [1, 2, 3]], [False, True]))
+        assert np.array_equal(vector, [1.0, 2.0, 3.0])
+
+    def test_permutation_invariant_over_masked_rows(self, tmp_path):
+        a, b = load_pooled(
+            tmp_path,
+            ([[1, 0], [0, 1], [5, 5]], [True, True, False]),
+            ([[0, 1], [1, 0], [5, 5]], [True, True, False]),
+        )
+        assert np.allclose(a, b)
+
+    def test_duplicate_id_keeps_the_last_vector_at_the_first_position(self, tmp_path, caplog):
+        path = tmp_path / "dup.cemb"
+        write_context_embeddings(path, [
+            ContextEmbeddingRecord(pair_id, np.full((1, 2), value, dtype=np.float32), [True])
+            for pair_id, value in (("a#0", 1.0), ("b#0", 2.0), ("a#0", 3.0))
+        ])
+        with caplog.at_level("WARNING"):
+            store = load_context_embeddings(path)
+        assert list(store) == ["a#0", "b#0"]
+        assert np.array_equal(store["a#0"], [3.0, 3.0])
+        assert any("duplicate pair id 'a#0'" in r.message for r in caplog.records)
+
+    def test_load_holds_one_record_at_a_time(self, tmp_path):
+        # 1,000 pairs of 40 tokens at 768-d: 123 MB of float32 tokens in the
+        # file, 6.1 MB of pooled float64 vectors.
+        n_pairs, n_tokens, dim = 1000, 40, 768
+        tokens = np.random.default_rng(9).normal(size=(n_tokens, dim)).astype(np.float32)
+        mask = np.arange(n_tokens) >= 12
+        path = tmp_path / "big.cemb"
+        write_context_embeddings(
+            path, (ContextEmbeddingRecord(f"q#{i}", tokens, mask) for i in range(n_pairs)))
+        tracemalloc.start()
+        try:
+            store = load_context_embeddings(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(store) == n_pairs
+        assert peak < 16 << 20, f"peak {peak} bytes"
 
 
 class TestRecordValidation:
@@ -242,10 +305,6 @@ class TestRecordValidation:
                 sentence_mask=np.array([True, False]),
             )
 
-    def test_pooled_is_masked_mean(self):
-        rec = ContextEmbeddingRecord(
-            pair_id="x",
-            tokens=np.array([[1, 3], [3, 5], [100, 100]], dtype=np.float32),
-            sentence_mask=np.array([True, True, False]),
-        )
-        assert np.allclose(rec.pooled(), [2.0, 4.0])
+    def test_pooled_is_masked_mean(self, tmp_path):
+        (vector,) = load_pooled(tmp_path, ([[1, 3], [3, 5], [100, 100]], [True, True, False]))
+        assert np.allclose(vector, [2.0, 4.0])

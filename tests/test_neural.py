@@ -10,7 +10,6 @@ import zlib
 import numpy as np
 import pytest
 
-from qfs.embeddings import ContextEmbeddingRecord
 from qfs.errors import EmptyInput, MalformedInput, MissingInput, QfsError
 from qfs.neural import (
     KINDS,
@@ -184,36 +183,12 @@ class TestNncForward:
             forward(params, np.zeros((0, 3)), np.ones((1, 3)), 0.5)
 
 
-def record_of(rows, mask, pair_id="p#0") -> ContextEmbeddingRecord:
-    return ContextEmbeddingRecord(
-        pair_id=pair_id,
-        tokens=np.asarray(rows, dtype=np.float32),
-        sentence_mask=np.asarray(mask, dtype=bool),
-    )
-
-
 class TestPooledForward:
-    def test_masked_mean(self):
-        params = init_params("pooled", input_dim=2, dense_hidden=3, seed=0)
-        rec = record_of([[1, 3], [3, 5]], [True, True])
-        assert forward(params, rec, 0.5) == forward(params, record_of([[2, 4]], [True]), 0.5)
-
     def test_all_zero_params_give_half(self):
         params = init_params("pooled", input_dim=2, dense_hidden=3)
         for arr in params.blocks.values():
             arr[...] = 0.0
-        assert forward(params, record_of([[1, 2]], [True]), 1.0) == pytest.approx(0.5)
-
-    def test_single_masked_row_is_identity(self):
-        params = init_params("pooled", input_dim=3, dense_hidden=3, seed=1)
-        rec = record_of([[9, 9, 9], [1, 2, 3]], [False, True])
-        assert forward(params, rec, 0.5) == forward(params, record_of([[1, 2, 3]], [True]), 0.5)
-
-    def test_permutation_invariant_over_masked_rows(self):
-        params = init_params("pooled", input_dim=2, dense_hidden=3, seed=2)
-        a = record_of([[1, 0], [0, 1], [5, 5]], [True, True, False])
-        b = record_of([[0, 1], [1, 0], [5, 5]], [True, True, False])
-        assert forward(params, a, 0.5) == pytest.approx(forward(params, b, 0.5))
+        assert forward(params, np.array([1.0, 2.0]), 1.0) == pytest.approx(0.5)
 
 
 class TestBceLoss:
@@ -235,8 +210,7 @@ class TestGradCheck:
     def test_pooled_model(self):
         rng = np.random.default_rng(10)
         params = init_params("pooled", input_dim=4, dense_hidden=5, seed=10)
-        rec = record_of(rng.normal(size=(4, 4)), [True, False, True, True])
-        err = grad_check(params, (rec, 0.5), label=1)
+        err = grad_check(params, (rng.normal(size=4), 0.5), label=1)
         assert err < 1e-4
 
     def test_nnc_model_including_gates(self):
@@ -253,8 +227,7 @@ class TestGradCheck:
         # so hidden-layer gradients vanish identically
         params.blocks["hidden.w"][...] = 0.0
         params.blocks["hidden.b"][...] = -5.0
-        rec = record_of([[1.0, 1.0]], [True])
-        err = grad_check(params, (rec, 1.0), label=1)
+        err = grad_check(params, (np.array([1.0, 1.0]), 1.0), label=1)
         assert err < 1e-4
 
 
@@ -267,7 +240,7 @@ class TestBackwardClosure:
             inputs = (rng.normal(size=(2, 3)), rng.normal(size=(3, 3)), 0.5)
         else:
             params = init_params("pooled", input_dim=3, dense_hidden=4, seed=13)
-            inputs = (record_of(rng.normal(size=(3, 3)), [True, False, True]), 0.5)
+            inputs = (rng.normal(size=3), 0.5)
         for arr in params.blocks.values():
             arr += rng.uniform(-0.3, 0.3, size=arr.shape)
         mask = np.array([2.0, 0.0, 2.0, 2.0])
@@ -288,13 +261,12 @@ class TestBackwardClosure:
 
 def separable_fixture(n_per_class=4):
     """2-D pooled examples whose sign of (x0 + x1) gives the label."""
-    examples, records = [], {}
+    examples, vectors = [], {}
     idx = 0
     for sign, label in ((1.0, 1), (-1.0, 0)):
         for i in range(n_per_class):
             pair_id = f"q#{idx}"
-            point = sign * np.array([2.0 + i, 1.5 + 0.5 * i], dtype=np.float32)
-            records[pair_id] = record_of([point], [True], pair_id=pair_id)
+            vectors[pair_id] = sign * np.array([2.0 + i, 1.5 + 0.5 * i])
             examples.append(
                 LabeledExample(
                     question_tokens=("q",),
@@ -305,44 +277,44 @@ def separable_fixture(n_per_class=4):
                 )
             )
             idx += 1
-    return examples, records
+    return examples, vectors
 
 
 class TestTraining:
     def test_separable_fixture_reaches_full_accuracy(self):
-        examples, records = separable_fixture()
+        examples, vectors = separable_fixture()
         config = TrainConfig(epochs=200, batch_size=len(examples), learning_rate=1e-3)
-        result = train("pooled", examples, records, config)
+        result = train("pooled", examples, vectors, config)
         correct = 0
         for ex in examples:
-            prob = forward(result.params, records[ex.pair_id], position_feature(ex.position))
+            prob = forward(result.params, vectors[ex.pair_id], position_feature(ex.position))
             correct += (prob >= 0.5) == (ex.label == 1)
         assert correct == len(examples)
         assert len(result.loss_history) == 200
 
     def test_loss_non_increasing_on_separable_fixture(self):
-        examples, records = separable_fixture()
+        examples, vectors = separable_fixture()
         config = TrainConfig(epochs=50, batch_size=len(examples), learning_rate=1e-3)
-        result = train("pooled", examples, records, config)
+        result = train("pooled", examples, vectors, config)
         for earlier, later in zip(result.loss_history, result.loss_history[1:]):
             assert later <= earlier + 1e-12
 
     def test_same_seed_bit_identical(self):
-        examples, records = separable_fixture()
+        examples, vectors = separable_fixture()
         config = TrainConfig(epochs=5, batch_size=3, dropout_rate=0.4, seed=42)
-        a = train("pooled", examples, records, config)
-        b = train("pooled", examples, records, config)
+        a = train("pooled", examples, vectors, config)
+        b = train("pooled", examples, vectors, config)
         for key, arr in a.params.blocks.items():
             assert np.array_equal(arr, b.params.blocks[key])
         assert a.loss_history == b.loss_history
 
     def test_zero_dropout_invariant_to_mask_stream(self, monkeypatch):
-        examples, records = separable_fixture()
+        examples, vectors = separable_fixture()
         config = TrainConfig(epochs=3, batch_size=4, dropout_rate=0.0, seed=7)
         monkeypatch.setattr(training, "DROPOUT_STREAM", 1)
-        a = train("pooled", examples, records, config)
+        a = train("pooled", examples, vectors, config)
         monkeypatch.setattr(training, "DROPOUT_STREAM", 999)
-        b = train("pooled", examples, records, config)
+        b = train("pooled", examples, vectors, config)
         for key, arr in a.params.blocks.items():
             assert np.array_equal(arr, b.params.blocks[key])
 
@@ -380,10 +352,8 @@ class TestTraining:
             train("pooled", [], {}, TrainConfig())
 
     def test_non_finite_loss_aborts_with_diagnostics(self):
-        examples, records = separable_fixture(n_per_class=1)
-        bad = {k: record_of([[1.0, 1.0]], [True], pair_id=k) for k in records}
-        for rec in bad.values():
-            rec.tokens[0, 0] = np.inf  # past the record's own check, which refuses it
+        examples, vectors = separable_fixture(n_per_class=1)
+        bad = {k: np.array([np.inf, 1.0]) for k in vectors}
         with pytest.warns(RuntimeWarning), pytest.raises(
             QfsError, match="^non-finite loss at epoch 1, batch starting at example 0$"
         ) as err:
@@ -391,11 +361,11 @@ class TestTraining:
         assert err.type is QfsError
 
     def test_forward_outputs_stay_in_open_interval(self):
-        examples, records = separable_fixture()
+        examples, vectors = separable_fixture()
         config = TrainConfig(epochs=100, batch_size=8, learning_rate=5e-2)
-        result = train("pooled", examples, records, config)
+        result = train("pooled", examples, vectors, config)
         for ex in examples:
-            prob = forward(result.params, records[ex.pair_id], position_feature(ex.position))
+            prob = forward(result.params, vectors[ex.pair_id], position_feature(ex.position))
             assert 0.0 < prob < 1.0
 
 

@@ -549,6 +549,53 @@ class TestDenseStoreIO:
         assert (tmp_path / "again.dvec").read_bytes() == data
 
 
+def unit_oracle(vec: np.ndarray) -> np.ndarray:
+    """One vector normalized on its own, as DenseStore.from_vectors once did."""
+    norm = float(np.linalg.norm(vec.astype(np.float64)))
+    if abs(norm - 1.0) <= 1e-6:
+        return vec
+    return (vec.astype(np.float64) / norm).astype(np.float32)
+
+
+class TestFromVectors:
+    @pytest.mark.parametrize("dim", [3, 8, 64, 768])
+    def test_matrix_is_the_per_vector_normalization_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        raw = dict(zip(map(str, range(500)), rng.normal(size=(500, dim)).astype(np.float32)))
+        # Rows just outside, just inside and at the unit-norm tolerance.
+        scales = {"out-": 1 - 3e-6, "in-": 1 - 4e-7, "unit": 1.0,
+                  "in+": 1 + 4e-7, "out+": 1 + 3e-6}
+        for name, scale in scales.items():
+            unit = rng.normal(size=dim)
+            raw[name] = (unit / np.linalg.norm(unit) * scale).astype(np.float32)
+            off = abs(np.linalg.norm(raw[name].astype(np.float64)) - 1.0) > 1e-6
+            assert off == name.startswith("out")
+        store = DenseStore.from_vectors(raw)
+        expected = np.stack([unit_oracle(vec) for vec in raw.values()])
+        assert store.matrix.dtype == np.float32
+        assert store.matrix.tobytes() == expected.tobytes()
+        assert np.array_equal(store["in+"], raw["in+"])
+        assert not np.array_equal(store["out+"], raw["out+"])
+
+    def test_a_row_one_float_past_the_tolerance_is_renormalized(self):
+        # Its norm is 1 + 1.00000000014e-06 by np.linalg.norm of the row alone,
+        # but 1 + 0.99999999992e-06 by np.linalg.norm(axis=1) over a matrix.
+        row = np.array([
+            -0.041304998099803925, 0.17129693925380707, -0.016640856862068176,
+            0.7795409560203552, -0.04834733530879021, 0.36557963490486145,
+            -0.4743472635746002, 0.0009872971568256617,
+        ], dtype=np.float32)
+        store = DenseStore.from_vectors({"edge": row})
+        assert store["edge"].tobytes() == unit_oracle(row).tobytes()
+        assert not np.array_equal(store["edge"], row)
+
+    @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+    def test_names_the_first_vector_that_cannot_be_normalized(self, bad):
+        raw = {"a": [1.0, 0.0], "b": [bad, 0.0], "c": [0.0, 0.0]}
+        with pytest.raises(MalformedInput, match="^vector for 'b' cannot be normalized$"):
+            DenseStore.from_vectors(raw)
+
+
 def restamp(data: bytes) -> bytes:
     """Recompute the trailing CRC32, so only the structure checks can object."""
     return data[:-4] + struct.pack("<I", zlib.crc32(data[:-4]))
