@@ -89,6 +89,14 @@ def cmd_index(docs_path, out_path, stopwords_path, k1, b) -> int:
     return 0
 
 
+def _load_source(kind, path):
+    """The store of vectors a ``kind`` model reads; a file with none is a data error."""
+    source = kind.load_source(path)
+    if not source:
+        raise EmptyInput(f"{path}: holds no vectors")
+    return source
+
+
 def _load_scorer(config: PipelineConfig) -> pipeline.SentenceScorer:
     model = config.model
     if not model.params_path:
@@ -97,14 +105,12 @@ def _load_scorer(config: PipelineConfig) -> pipeline.SentenceScorer:
         raise QfsError("config.model.embeddings_path is required to score sentences")
     params, clip_len = load_params(model.params_path, expected_kind=model.kind)
     kind = KINDS[model.kind]
-    source = kind.load_source(model.embeddings_path)
-    if not source:
-        raise EmptyInput(f"{model.embeddings_path}: holds no vectors")
-    model_dim, source_dim = params.dims[kind.header[0]], kind.source_dim(source)
-    if model_dim != source_dim:
+    source = _load_source(kind, model.embeddings_path)
+    model_dim = params.dims[kind.header[0]]
+    if model_dim != source.dim:
         raise DimensionMismatch(
             f"{model.params_path} holds a {kind.name} model of {model_dim}-d inputs, "
-            f"but {model.embeddings_path} holds {source_dim}-d vectors"
+            f"but {model.embeddings_path} holds {source.dim}-d vectors"
         )
     return pipeline.ModelScorer(params, source, clip_len)
 
@@ -260,7 +266,7 @@ def _model_source(model_kind, embeddings_path, cemb_path):
     path = {"embeddings": embeddings_path, "cemb": cemb_path}[kind.source_option]
     if not path:
         raise click.UsageError(f"--{kind.source_option} is required for the {kind.name} model")
-    return kind.load_source(path)
+    return _load_source(kind, path)
 
 
 @cli.command("train")

@@ -1,4 +1,9 @@
-"""Static word embeddings and the contextual-embedding interchange format.
+"""Vectors keyed by a string, and the files they are read from.
+
+:class:`DenseStore` holds every such set: the word vectors nnc reads,
+the pooled context embeddings the pooled classifier reads, and the DVEC
+vectors of hybrid search (:mod:`qfs.retrieval`). Every loader keeps a
+repeated id's last vector at the id's first position, and warns.
 
 Contextual token embeddings are consumed from CEMB files produced
 offline by a frozen encoder, so no transformer runs in-process. A CEMB
@@ -19,15 +24,19 @@ from __future__ import annotations
 
 import logging
 import struct
+import weakref
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedInput
 from .fileio import BinaryReader, open_output, read_lines
+
+if TYPE_CHECKING:
+    from .retrieval import InvertedIndex
 
 logger = logging.getLogger(__name__)
 
@@ -35,29 +44,86 @@ _CEMB_MAGIC = b"CEMB"
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
-@dataclass
-class EmbeddingTable:
-    """Fixed-dimension word vectors with a shared out-of-vocabulary vector."""
+class DenseStore:
+    """Vectors keyed by id: the rows of one ``(n, dim)`` matrix in its loader's
+    dtype, float64 for word and pooled vectors and float32 for DVEC. Only
+    :meth:`from_vectors`, which DVEC loading uses, makes the rows unit norm.
+    Search reads :meth:`index_matrix`, kept per index while the index lives
+    (``n_docs * dim * 8`` bytes each).
+    """
 
-    dim: int
-    table: dict[str, np.ndarray]
-    oov_vector: np.ndarray
+    def __init__(self, ids: Iterable[str], matrix: np.ndarray):
+        self.ids = list(ids)
+        self.matrix = matrix
+        self._row = {key: r for r, key in enumerate(self.ids)}
+        self._index_matrix = weakref.WeakKeyDictionary()
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.table
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     def __len__(self) -> int:
-        return len(self.table)
+        return len(self.ids)
 
-    def lookup(self, word: str) -> np.ndarray:
-        return self.table.get(word, self.oov_vector)
+    def __contains__(self, key: str) -> bool:
+        return key in self._row
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        return self.matrix[self._row[key]]
+
+    def gather(self, keys: Sequence[str]) -> np.ndarray:
+        """The rows of ``keys`` as a float64 ``(len(keys), dim)`` matrix,
+        a zero row for a key without a vector."""
+        rows = np.array([self._row.get(key, -1) for key in keys], dtype=np.intp)
+        matrix = np.zeros((len(rows), self.dim))
+        matrix[rows >= 0] = self.matrix[rows[rows >= 0]]
+        return matrix
+
+    def index_matrix(self, index: InvertedIndex) -> np.ndarray:
+        """``gather(index.doc_ids)``: the vectors in ordinal order of ``index``,
+        built on first use and kept while the index lives."""
+        matrix = self._index_matrix.get(index)
+        if matrix is None:
+            matrix = self._index_matrix[index] = self.gather(index.doc_ids)
+        return matrix
+
+    @classmethod
+    def from_vectors(cls, raw: Mapping[str, np.ndarray]) -> "DenseStore":
+        """Build a float32 store from arbitrary vectors, normalizing to unit length."""
+        if not raw:
+            raise MalformedInput("dense store needs at least one vector")
+        dim = len(next(iter(raw.values())))
+        vectors = []
+        for doc_id, vec in raw.items():
+            vec = np.asarray(vec, dtype=np.float32)
+            if vec.shape != (dim,):
+                raise DimensionMismatch(
+                    f"vector for {doc_id!r} has shape {vec.shape}, expected ({dim},)"
+                )
+            vectors.append(vec)
+        matrix = np.stack(vectors)
+        m64 = matrix.astype(np.float64)
+        # vecdot takes each row's dot product as np.linalg.norm does for one
+        # vector (norm(axis=1) may differ from it in the last bit).
+        norms = np.sqrt(np.vecdot(m64, m64))
+        bad = (norms == 0.0) | ~np.isfinite(norms)
+        if bad.any():
+            doc_id = list(raw)[int(np.argmax(bad))]
+            raise MalformedInput(f"vector for {doc_id!r} cannot be normalized")
+        # Skip renormalization inside the unit-norm tolerance so that
+        # save -> load -> save is byte stable.
+        off = np.abs(norms - 1.0) > 1e-6
+        matrix[off] = m64[off] / norms[off, None]
+        return cls(list(raw), matrix)
 
 
-def load_word_embeddings(path: str | Path) -> EmbeddingTable:
-    """Read a word-vector text file; duplicate words keep the last entry.
+def _stacked(vectors: dict[str, np.ndarray], dim: int) -> DenseStore:
+    """A store of ``vectors`` in insertion order, each a float64 ``(dim,)`` array."""
+    return DenseStore(vectors, np.stack(list(vectors.values())) if vectors else np.zeros((0, dim)))
 
-    Out-of-vocabulary words map to the zero vector.
-    """
+
+def load_word_embeddings(path: str | Path) -> DenseStore:
+    """Read a word-vector text file as a float64 store."""
     with closing(read_lines(path)) as lines:
         header = next(lines, "").split()
         if len(header) != 2:
@@ -91,19 +157,7 @@ def load_word_embeddings(path: str | Path) -> EmbeddingTable:
         raise MalformedInput(
             f"{path}: header declares {count} words, file holds {len(table)}"
         )
-    return EmbeddingTable(dim=dim, table=table, oov_vector=np.zeros(dim, dtype=np.float64))
-
-
-def embed_tokens(
-    table: EmbeddingTable, tokens: Sequence[str], clip_len: int
-) -> np.ndarray:
-    """Token matrix of shape (min(len, clip_len), dim)."""
-    if clip_len < 1:
-        raise ValueError("clip_len must be >= 1")
-    rows = [table.lookup(t) for t in tokens[:clip_len]]
-    if not rows:
-        return np.zeros((0, table.dim), dtype=np.float64)
-    return np.stack(rows)
+    return _stacked(table, dim)
 
 
 @dataclass
@@ -212,12 +266,13 @@ def read_context_embeddings(path: str | Path) -> Iterator[ContextEmbeddingRecord
             yield record
 
 
-def load_context_embeddings(path: str | Path) -> dict[str, np.ndarray]:
-    """A CEMB file as pair_id -> the float64 mean of the record's masked
-    (candidate sentence) token rows; each record is pooled as it is read."""
-    store: dict[str, np.ndarray] = {}
+def load_context_embeddings(path: str | Path) -> DenseStore:
+    """A CEMB file as a float64 store: pair id -> the mean of the record's
+    masked (candidate sentence) token rows, pooled as each record is read.
+    A file without records gives an empty store of dim 0."""
+    vectors: dict[str, np.ndarray] = {}
     for rec in read_context_embeddings(path):
-        if rec.pair_id in store:
+        if rec.pair_id in vectors:
             logger.warning("duplicate pair id %r; last occurrence wins", rec.pair_id)
-        store[rec.pair_id] = rec.tokens[rec.sentence_mask].astype(np.float64).mean(axis=0)
-    return store
+        vectors[rec.pair_id] = rec.tokens[rec.sentence_mask].astype(np.float64).mean(axis=0)
+    return _stacked(vectors, 0)

@@ -13,13 +13,16 @@ The position feature encodes a 0-based candidate position as
 
 Everything that depends on the kind is one :class:`ModelKind` in
 :data:`KINDS`: its name, QFSM code and header dims, training defaults,
-the file it reads and its dimension, ``shapes`` (the name and shape of
-every parameter block at given dims), ``input`` (one example's model
-inputs) and ``apply``, which returns the probability together with its
-backward pass: ``backward(label)`` is a closure over the forward pass's
-values that returns the gradient of BCE(prob, label) for each parameter
-block. Training, the QFSM codec, the scorer and the command line look
-the kind up there and nowhere else.
+the file it reads (``load_source`` returns it as a
+:class:`~qfs.embeddings.DenseStore`, whose ``dim`` is the first header
+dim), ``shapes`` (the name and shape of every parameter block at given
+dims), ``input`` (one example's model inputs from that store: nnc
+gathers each text's word-vector rows, pooled takes the pair id's row)
+and ``apply``, which returns the probability together with its backward
+pass: ``backward(label)`` is a closure over the forward pass's values
+that returns the gradient of BCE(prob, label) for each parameter block.
+Training, the QFSM codec, the scorer and the command line look the kind
+up there and nowhere else.
 A model's parameters are one :class:`Params`, whose blocks
 :func:`init_params` fills in the order of the kind's ``shapes``.
 """
@@ -27,13 +30,11 @@ A model's parameters are one :class:`Params`, whose blocks
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from ..embeddings import (
-    EmbeddingTable, embed_tokens, load_context_embeddings, load_word_embeddings,
-)
+from ..embeddings import DenseStore, load_context_embeddings, load_word_embeddings
 from ..errors import EmptyInput, MissingInput
 from .lstm import LstmParams, bilstm_encode
 from .ops import relu, sigmoid
@@ -212,13 +213,14 @@ def _pooled_apply(
     return prob, lambda label: head_backward(label)[0]
 
 
-def _embed(table: EmbeddingTable, tokens: Sequence[str], clip_len: int) -> np.ndarray:
-    """A text with no tokens is one out-of-vocabulary (zero) row."""
-    return embed_tokens(table, tokens, clip_len) if tokens else np.zeros((1, table.dim))
+def _embed(words: DenseStore, tokens: Sequence[str], clip_len: int) -> np.ndarray:
+    """The first ``clip_len`` tokens' rows, a zero row for an out-of-vocabulary
+    token; a text with no tokens is one zero row."""
+    return words.gather(tokens[:clip_len]) if tokens else np.zeros((1, words.dim))
 
 
 def _nnc_input(
-    table: EmbeddingTable,
+    words: DenseStore,
     question_tokens: Sequence[str],
     sentence_tokens: Sequence[str],
     pair_id: str | None,
@@ -226,24 +228,23 @@ def _nnc_input(
     clip_len: int,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     return (
-        _embed(table, question_tokens, clip_len),
-        _embed(table, sentence_tokens, clip_len),
+        _embed(words, question_tokens, clip_len),
+        _embed(words, sentence_tokens, clip_len),
         position_feature(position),
     )
 
 
 def _pooled_input(
-    vectors: Mapping[str, np.ndarray],
+    pooled: DenseStore,
     question_tokens: Sequence[str],
     sentence_tokens: Sequence[str],
     pair_id: str | None,
     position: int,
     clip_len: int,
 ) -> tuple[np.ndarray, float]:
-    vector = vectors.get(pair_id)  # type: ignore[arg-type]
-    if vector is None:
+    if pair_id not in pooled:
         raise MissingInput(f"no context-embedding record for pair id {pair_id!r}")
-    return vector, position_feature(position)
+    return pooled[pair_id], position_feature(position)
 
 
 @dataclass(frozen=True)
@@ -255,8 +256,7 @@ class ModelKind:
     header: tuple[str, ...]  # the dims, source dim first, stored in this order as QFSM u32s
     train_defaults: TrainConfig
     source_option: str  # command-line option naming the file the model reads
-    load_source: Callable  # path -> word-vector table or pair_id -> pooled vector mapping
-    source_dim: Callable  # source -> its vector dimension
+    load_source: Callable  # path -> DenseStore of word vectors or of pooled vectors
     shapes: Callable  # (**dims) -> {block name: shape}, in QFSM order
     input: Callable  # (source, question tokens, sentence tokens, pair id, position, clip_len)
     apply: Callable  # (params, *input, dropout_mask=None) -> (prob, backward)
@@ -273,7 +273,6 @@ KINDS = {
             train_defaults=TrainConfig(epochs=10, batch_size=1024, dropout_rate=0.7, clip_len=300),
             source_option="embeddings",
             load_source=load_word_embeddings,
-            source_dim=lambda table: table.dim,
             shapes=_nnc_shapes,
             input=_nnc_input,
             apply=_nnc_apply,
@@ -285,7 +284,6 @@ KINDS = {
             train_defaults=TrainConfig(epochs=5, batch_size=32, dropout_rate=0.5, clip_len=250),
             source_option="cemb",
             load_source=load_context_embeddings,
-            source_dim=lambda vectors: len(next(iter(vectors.values()))),
             shapes=_pooled_shapes,
             input=_pooled_input,
             apply=_pooled_apply,

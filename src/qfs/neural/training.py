@@ -1,10 +1,11 @@
 """Seeded, deterministic training for both classifier kinds.
 
-Training for the interaction model embeds tokens through a static word
-vector table; the pooled classifier joins examples by pair id to the
-pooled vectors :func:`~qfs.embeddings.load_context_embeddings` reads.
-Either way the per-example inputs are precomputed once, then Adam runs
-over shuffled minibatches.
+Both kinds read one :class:`~qfs.embeddings.DenseStore`: the interaction
+model gathers each text's word-vector rows, and the pooled classifier
+takes the row of each example's pair id from the pooled vectors
+:func:`~qfs.embeddings.load_context_embeddings` reads. Either way the
+per-example inputs are precomputed once, then Adam runs over shuffled
+minibatches.
 Dropout (inverted, scale 1/(1-rate)) hits the hidden-layer activation
 during training only, with masks drawn from a dedicated stream so a
 dropout rate of zero is invariant to that stream's seed.
@@ -17,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..embeddings import EmbeddingTable
+from ..embeddings import DenseStore
 from ..errors import EmptyInput, QfsError
 from .models import (
     DEFAULT_DENSE_HIDDEN, DEFAULT_LSTM_HIDDEN, KINDS, Params, TrainConfig, init_params,
@@ -92,15 +93,15 @@ class TrainResult:
 def train(
     model: str,
     examples: Sequence[LabeledExample],
-    source: EmbeddingTable | Mapping[str, np.ndarray],
+    source: DenseStore,
     config: TrainConfig,
     lstm_hidden: int = DEFAULT_LSTM_HIDDEN,
     dense_hidden: int = DEFAULT_DENSE_HIDDEN,
 ) -> TrainResult:
     """Train a classifier of kind ``model``; deterministic given the config seed.
 
-    ``source`` is a word-vector table for the interaction model or a
-    pair_id -> pooled vector mapping for the pooled classifier. Every example's
+    ``source`` holds the word vectors for the interaction model, or the
+    pooled vectors by pair id for the pooled classifier. Every example's
     inputs are built once, by the kind's ``input``, as the scorer builds them.
     """
     if not examples:
@@ -116,7 +117,7 @@ def train(
         for ex in examples
     ]
     sizes = {"lstm_hidden": lstm_hidden, "dense_hidden": dense_hidden}
-    sizes[kind.header[0]] = kind.source_dim(source)
+    sizes[kind.header[0]] = source.dim
     params = init_params(model, config.seed, **{name: sizes[name] for name in kind.header})
 
     labels = [ex.label for ex in examples]

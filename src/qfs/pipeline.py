@@ -75,14 +75,13 @@ from .corpus import (
     snippet_from_json,
     snippet_to_json,
 )
-from .embeddings import EmbeddingTable
+from .embeddings import DenseStore
 from .errors import EmptyInput, MalformedInput, MissingInput
 from . import fileio
 from .fileio import ID, INTEGER, STRING, open_output, read_json, read_jsonl, write_json
 from .metrics import best_reference_f1, best_reference_f1s
 from .neural import KINDS, LabeledExample, TrainConfig, forward, train
 from .retrieval import (
-    DenseStore,
     InvertedIndex,
     RankedList,
     bm25_search,
@@ -347,12 +346,7 @@ def pair_id(question_id: str, position: int) -> str:
 class ModelScorer:
     """A trained classifier's probability, over inputs built as in training."""
 
-    def __init__(
-        self,
-        params,
-        source: EmbeddingTable | Mapping[str, np.ndarray],
-        clip_len: int,
-    ):
+    def __init__(self, params, source: DenseStore, clip_len: int):
         self.params = params
         self.kind = KINDS[params.kind]
         self.source = source
@@ -658,7 +652,7 @@ class TrainedModelSpec:
     """Trains a classifier of ``kind`` on the labels of each training split."""
 
     kind: str
-    source: EmbeddingTable | Mapping[str, np.ndarray]
+    source: DenseStore
     config: TrainConfig
 
     def fit(self, questions, collection) -> SentenceScorer:

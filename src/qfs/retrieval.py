@@ -46,15 +46,15 @@ from __future__ import annotations
 import logging
 import math
 import struct
-import weakref
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import DocumentCollection
+from .embeddings import DenseStore
 from .errors import DimensionMismatch, EmptyInput, MalformedInput
 from .fileio import BinaryReader, open_output
 from .sentences import SentenceTable
@@ -265,74 +265,6 @@ def interpolate(bm25_norm: float | np.ndarray, dense_cos: float | np.ndarray, la
     if not 0.0 <= lam <= 1.0:
         raise MalformedInput(f"lambda must be in [0, 1], got {lam}")
     return lam * bm25_norm + (1.0 - lam) * dense_cos
-
-
-class DenseStore:
-    """Unit-norm vectors as the rows of one ``(n, dim)`` float32 matrix, keyed by id.
-
-    Search reads the vectors through :meth:`index_matrix`: per index, a
-    float64 copy in the index's ordinal order, built on the first query
-    and kept while the index lives (``n_docs * dim * 8`` bytes each).
-    """
-
-    def __init__(self, ids: Sequence[str], matrix: np.ndarray):
-        self.ids = list(ids)
-        self.matrix = matrix
-        self._row = {doc_id: r for r, doc_id in enumerate(self.ids)}
-        self._index_matrix = weakref.WeakKeyDictionary()
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._row
-
-    def __getitem__(self, doc_id: str) -> np.ndarray:
-        return self.matrix[self._row[doc_id]]
-
-    def index_matrix(self, index: InvertedIndex) -> np.ndarray:
-        """The vectors in ordinal order of ``index`` as float64, a zero row for a
-        document without one; built on first use and kept while the index lives."""
-        matrix = self._index_matrix.get(index)
-        if matrix is None:
-            rows = np.array([self._row.get(d, -1) for d in index.doc_ids], dtype=np.intp)
-            matrix = np.zeros((index.n_docs, self.dim))
-            matrix[rows >= 0] = self.matrix[rows[rows >= 0]]
-            self._index_matrix[index] = matrix
-        return matrix
-
-    @classmethod
-    def from_vectors(cls, raw: Mapping[str, np.ndarray]) -> "DenseStore":
-        """Build a store from arbitrary vectors, normalizing to unit length."""
-        if not raw:
-            raise MalformedInput("dense store needs at least one vector")
-        dim = len(next(iter(raw.values())))
-        vectors = []
-        for doc_id, vec in raw.items():
-            vec = np.asarray(vec, dtype=np.float32)
-            if vec.shape != (dim,):
-                raise DimensionMismatch(
-                    f"vector for {doc_id!r} has shape {vec.shape}, expected ({dim},)"
-                )
-            vectors.append(vec)
-        matrix = np.stack(vectors)
-        m64 = matrix.astype(np.float64)
-        # vecdot takes each row's dot product as np.linalg.norm does for one
-        # vector (norm(axis=1) may differ from it in the last bit).
-        norms = np.sqrt(np.vecdot(m64, m64))
-        bad = (norms == 0.0) | ~np.isfinite(norms)
-        if bad.any():
-            doc_id = list(raw)[int(np.argmax(bad))]
-            raise MalformedInput(f"vector for {doc_id!r} cannot be normalized")
-        # Skip renormalization inside the unit-norm tolerance so that
-        # save -> load -> save is byte stable.
-        off = np.abs(norms - 1.0) > 1e-6
-        matrix[off] = m64[off] / norms[off, None]
-        return cls(list(raw), matrix)
 
 
 def load_dense_store(path: str | Path) -> DenseStore:

@@ -586,6 +586,22 @@ def test_answer_with_context_embeddings_holding_no_records_exits_2(tmp_path):
     assert (code, err) == (2, f"error: {cemb}: holds no vectors\n")
 
 
+@pytest.mark.parametrize("command", [
+    lambda w: ("train", "--labels", GOLDEN / "labels.jsonl", "--out", w / "m.qfsm"),
+    lambda w: ("cv", *QUESTIONS, "--k", "2"),
+], ids=["train", "cv"])
+@pytest.mark.parametrize("kind", ["nnc", "pooled"])
+def test_training_on_a_file_holding_no_vectors_exits_2(tmp_path, command, kind):
+    if kind == "nnc":
+        option, source = "--embeddings", write(tmp_path / "v.txt", "0 4\n")
+    else:
+        option, source = "--cemb", tmp_path / "c.cemb"
+        write_context_embeddings(source, [])
+    code, err = run_qfs(*command(tmp_path), "--model", kind, option, source, "--epochs", "1")
+    assert (code, err) == (2, f"error: {source}: holds no vectors\n")
+    assert not (tmp_path / "m.qfsm").exists()
+
+
 @pytest.mark.parametrize("field", ["offsetInBeginSection", "offsetInEndSection"])
 @pytest.mark.parametrize("raw", ["2.7", '"5"', "true", "5.0", "1e400"])
 def test_snippet_offset_that_is_not_an_integer_names_the_file(tmp_path, field, raw):

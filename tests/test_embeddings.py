@@ -1,4 +1,4 @@
-"""Word-vector loading and CEMB interchange round-trips."""
+"""The keyed-vector store, word-vector loading and CEMB interchange round-trips."""
 
 from __future__ import annotations
 
@@ -8,18 +8,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qfs.corpus import DocumentCollection
 from qfs.embeddings import (
     ContextEmbeddingRecord,
-    embed_tokens,
+    DenseStore,
     load_context_embeddings,
     load_word_embeddings,
     read_context_embeddings,
     write_context_embeddings,
 )
 from qfs.errors import DimensionMismatch, MalformedInput
+from qfs.neural import KINDS
+from qfs.retrieval import build_index
 
-from conftest import assert_refused_within_the_file, load_each_corruption
+from conftest import assert_refused_within_the_file, load_each_corruption, make_doc
 
 
 def write_vectors(tmp_path, text, name="vectors.txt"):
@@ -31,9 +36,10 @@ def write_vectors(tmp_path, text, name="vectors.txt"):
 class TestLoadWordEmbeddings:
     def test_basic_load(self, tmp_path):
         path = write_vectors(tmp_path, "2 3\ncat 1 2 3\ndog 4 5 6\n")
-        table = load_word_embeddings(path)
-        assert len(table) == 2 and table.dim == 3
-        assert np.array_equal(table.lookup("cat"), [1.0, 2.0, 3.0])
+        store = load_word_embeddings(path)
+        assert len(store) == 2 and store.dim == 3 and store.matrix.dtype == np.float64
+        assert store.ids == ["cat", "dog"]
+        assert np.array_equal(store["cat"], [1.0, 2.0, 3.0])
 
     def test_short_line_rejected(self, tmp_path):
         path = write_vectors(tmp_path, "1 3\ncat 1 2\n")
@@ -41,10 +47,11 @@ class TestLoadWordEmbeddings:
             load_word_embeddings(path)
 
     def test_duplicate_word_last_wins(self, tmp_path, caplog):
-        path = write_vectors(tmp_path, "1 2\ncat 1 1\ncat 9 9\n")
+        path = write_vectors(tmp_path, "2 2\ncat 1 1\ndog 2 2\ncat 9 9\n")
         with caplog.at_level("WARNING"):
-            table = load_word_embeddings(path)
-        assert np.array_equal(table.lookup("cat"), [9.0, 9.0])
+            store = load_word_embeddings(path)
+        assert store.ids == ["cat", "dog"]
+        assert store.matrix.tolist() == [[9.0, 9.0], [2.0, 2.0]]
         assert any("duplicate" in r.message for r in caplog.records)
 
     def test_count_mismatch_rejected(self, tmp_path):
@@ -64,32 +71,81 @@ class TestLoadWordEmbeddings:
         with pytest.raises(MalformedInput, match=f"^{message}$"):
             load_word_embeddings(path)
 
+    def test_every_truncation_and_flipped_byte_is_an_error_or_loads(self, tmp_path):
+        path = write_vectors(tmp_path, "3 2\ncat 1 2\ndog 3 4\nemu 5 6\n")
+
+        def load(path):
+            store = load_word_embeddings(path)
+            assert store.matrix.shape == (3, 2) and np.isfinite(store.matrix).all()
+
+        # Only the file cut before its last newline still loads.
+        assert load_each_corruption(path, path.read_bytes(), load) == 1
+
 
 class TestEmbedTokens:
     def test_clip_length(self, tmp_path):
         path = write_vectors(tmp_path, "1 2\nw 1 1\n")
-        table = load_word_embeddings(path)
-        matrix = embed_tokens(table, ["w"] * 350, clip_len=300)
-        assert matrix.shape == (300, 2)
+        store = load_word_embeddings(path)
+        q, s, _ = KINDS["nnc"].input(store, ["w"] * 350, ["w"] * 3, None, 0, 300)
+        assert q.shape == (300, 2) and s.shape == (3, 2)
 
     def test_oov_rows_share_vector(self, tmp_path):
         path = write_vectors(tmp_path, "1 2\nw 1 1\n")
-        table = load_word_embeddings(path)
-        matrix = embed_tokens(table, ["x", "y"], clip_len=10)
+        store = load_word_embeddings(path)
+        matrix = store.gather(["x", "y"])
         assert np.array_equal(matrix[0], matrix[1])
         assert np.array_equal(matrix[0], np.zeros(2))
 
     def test_empty_tokens(self, tmp_path):
         path = write_vectors(tmp_path, "1 2\nw 1 1\n")
-        table = load_word_embeddings(path)
-        assert embed_tokens(table, [], clip_len=5).shape == (0, 2)
+        store = load_word_embeddings(path)
+        assert store.gather([]).shape == (0, 2)
 
     def test_rows_match_lookups(self, tmp_path):
         path = write_vectors(tmp_path, "2 2\na 1 2\nb 3 4\n")
-        table = load_word_embeddings(path)
-        matrix = embed_tokens(table, ["b", "a"], clip_len=5)
-        assert np.array_equal(matrix[0], table.lookup("b"))
-        assert np.array_equal(matrix[1], table.lookup("a"))
+        store = load_word_embeddings(path)
+        matrix = store.gather(["b", "a"])
+        assert np.array_equal(matrix[0], store["b"])
+        assert np.array_equal(matrix[1], store["a"])
+
+
+KEYS = ["a", "b", "c", "d", "e"]
+
+
+@st.composite
+def stores(draw):
+    """A store over a subset of KEYS, float32 or float64, with seeded rows."""
+    ids = draw(st.lists(st.sampled_from(KEYS), unique=True))
+    dim = draw(st.integers(1, 4))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return DenseStore(ids, rng.normal(size=(len(ids), dim)).astype(dtype))
+
+
+def gather_oracle(store: DenseStore, keys: list[str]) -> np.ndarray:
+    """One row per key, looked up on its own."""
+    rows = [
+        np.asarray(store[key], dtype=np.float64) if key in store else np.zeros(store.dim)
+        for key in keys
+    ]
+    return np.stack(rows) if rows else np.zeros((0, store.dim))
+
+
+class TestGather:
+    @settings(max_examples=200, deadline=None)
+    @given(stores(), st.lists(st.sampled_from(KEYS + ["missing"])))
+    def test_matches_per_key_oracle(self, store, keys):
+        matrix = store.gather(keys)
+        assert matrix.dtype == np.float64 and matrix.shape == (len(keys), store.dim)
+        assert np.array_equal(matrix, gather_oracle(store, keys))
+
+    @settings(max_examples=50, deadline=None)
+    @given(stores(), st.lists(st.sampled_from(KEYS), min_size=1, unique=True))
+    def test_index_matrix_is_the_cached_gather_of_the_doc_ids(self, store, doc_ids):
+        index = build_index(DocumentCollection([make_doc(d, ("body", "flu")) for d in doc_ids]))
+        matrix = store.index_matrix(index)
+        assert np.array_equal(matrix, store.gather(index.doc_ids))
+        assert store.index_matrix(index) is matrix
 
 
 def random_record(rng: np.random.Generator, pair_id: str, dim: int) -> ContextEmbeddingRecord:
@@ -130,7 +186,7 @@ class TestCembRoundTrip:
         write_context_embeddings(path, [random_record(rng, f"q#{i}", 2) for i in range(2)])
 
         def load(path):
-            for vector in load_context_embeddings(path).values():
+            for vector in load_context_embeddings(path).matrix:
                 assert vector.shape == (2,) and np.isfinite(vector).all()
 
         load_each_corruption(path, path.read_bytes(), load)
@@ -213,20 +269,23 @@ class TestCembRoundTrip:
         path = tmp_path / "map.cemb"
         write_context_embeddings(path, records)
         store = load_context_embeddings(path)
-        assert list(store) == [rec.pair_id for rec in records]
-        for rec in records:
+        assert store.ids == [rec.pair_id for rec in records]
+        assert store.matrix.shape == (4, 3) and store.matrix.dtype == np.float64
+        for rec, row in zip(records, store.matrix):
             expected = rec.tokens[rec.sentence_mask].astype(np.float64).mean(axis=0)
-            assert np.array_equal(store[rec.pair_id], expected)
+            assert np.array_equal(row, expected)
 
 
 def load_pooled(tmp_path, *records) -> list[np.ndarray]:
-    """The loaded vectors of ``records``, (rows, mask) pairs, written to one CEMB file."""
+    """The loaded rows of ``records``, (rows, mask) pairs, written to one CEMB file."""
     path = tmp_path / "pooled.cemb"
     write_context_embeddings(path, [
         ContextEmbeddingRecord(f"p#{i}", np.asarray(rows, dtype=np.float32), mask)
         for i, (rows, mask) in enumerate(records)
     ])
-    return list(load_context_embeddings(path).values())
+    store = load_context_embeddings(path)
+    assert store.ids == [f"p#{i}" for i in range(len(records))]
+    return [store[pair_id] for pair_id in store.ids]
 
 
 class TestPooledLoad:
@@ -255,8 +314,8 @@ class TestPooledLoad:
         ])
         with caplog.at_level("WARNING"):
             store = load_context_embeddings(path)
-        assert list(store) == ["a#0", "b#0"]
-        assert np.array_equal(store["a#0"], [3.0, 3.0])
+        assert store.ids == ["a#0", "b#0"]
+        assert store.matrix.tolist() == [[3.0, 3.0], [2.0, 2.0]]
         assert any("duplicate pair id 'a#0'" in r.message for r in caplog.records)
 
     def test_load_holds_one_record_at_a_time(self, tmp_path):

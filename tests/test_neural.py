@@ -10,6 +10,7 @@ import zlib
 import numpy as np
 import pytest
 
+from qfs.embeddings import DenseStore, load_word_embeddings
 from qfs.errors import EmptyInput, MalformedInput, MissingInput, QfsError
 from qfs.neural import (
     KINDS,
@@ -259,8 +260,11 @@ class TestBackwardClosure:
             assert np.array_equal(arr, before[name])
 
 
+NO_VECTORS = DenseStore([], np.zeros((0, 2)))
+
+
 def separable_fixture(n_per_class=4):
-    """2-D pooled examples whose sign of (x0 + x1) gives the label."""
+    """2-D pooled examples whose sign of (x0 + x1) gives the label, and their store."""
     examples, vectors = [], {}
     idx = 0
     for sign, label in ((1.0, 1), (-1.0, 0)):
@@ -277,7 +281,7 @@ def separable_fixture(n_per_class=4):
                 )
             )
             idx += 1
-    return examples, vectors
+    return examples, DenseStore(vectors, np.stack(list(vectors.values())))
 
 
 class TestTraining:
@@ -319,28 +323,24 @@ class TestTraining:
             assert np.array_equal(arr, b.params.blocks[key])
 
     def test_nnc_training_runs_and_is_deterministic(self, tmp_path):
-        from qfs.embeddings import load_word_embeddings
-
         path = tmp_path / "vec.txt"
         path.write_text("3 2\nflu 1 0\nbad 0 1\ngood 1 1\n", encoding="utf-8")
-        table = load_word_embeddings(path)
+        words = load_word_embeddings(path)
         examples = [
             LabeledExample(("flu",), ("good", "flu"), position=0, label=1),
             LabeledExample(("flu",), ("bad",), position=1, label=0),
         ]
         config = TrainConfig(epochs=3, batch_size=2, seed=1, clip_len=10)
-        a = train("nnc", examples, table, config, lstm_hidden=3, dense_hidden=4)
-        b = train("nnc", examples, table, config, lstm_hidden=3, dense_hidden=4)
+        a = train("nnc", examples, words, config, lstm_hidden=3, dense_hidden=4)
+        b = train("nnc", examples, words, config, lstm_hidden=3, dense_hidden=4)
         assert a.loss_history == b.loss_history
         assert len(a.loss_history) == 3
 
     def test_pooled_input_without_a_record_is_missing_input(self):
         with pytest.raises(MissingInput, match="^no context-embedding record for pair id 'q1#9'$"):
-            KINDS["pooled"].input({}, ("a",), ("b",), "q1#9", 9, 10)
+            KINDS["pooled"].input(NO_VECTORS, ("a",), ("b",), "q1#9", 9, 10)
 
     def test_nnc_input_encodes_a_text_without_tokens_as_one_zero_row(self, tmp_path):
-        from qfs.embeddings import load_word_embeddings
-
         path = tmp_path / "vec.txt"
         path.write_text("1 2\nflu 1 0\n", encoding="utf-8")
         q, s, _ = KINDS["nnc"].input(load_word_embeddings(path), (), ("flu",), None, 0, 10)
@@ -349,11 +349,11 @@ class TestTraining:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyInput, match="^training requires at least one example$"):
-            train("pooled", [], {}, TrainConfig())
+            train("pooled", [], NO_VECTORS, TrainConfig())
 
     def test_non_finite_loss_aborts_with_diagnostics(self):
         examples, vectors = separable_fixture(n_per_class=1)
-        bad = {k: np.array([np.inf, 1.0]) for k in vectors}
+        bad = DenseStore(vectors.ids, np.tile([np.inf, 1.0], (len(vectors), 1)))
         with pytest.warns(RuntimeWarning), pytest.raises(
             QfsError, match="^non-finite loss at epoch 1, batch starting at example 0$"
         ) as err:
