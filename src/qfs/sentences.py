@@ -15,8 +15,16 @@ characters. A block's sections, joined by newlines with each section
 start a cut, are split as one text (the join rule of
 :func:`qfs.textproc.sentence_bounds`) and, where ASCII, tokenized as one
 through :data:`qfs.textproc.TOKEN_BYTES`, with numpy for spans and counts.
-Temporaries are block sized; the columns grow in typed arrays that the
-table then views.
+Other sections are tokenized one sentence at a time, and their tokens
+joined as UTF-8 bytes, so ids are found the same way for both.
+
+A token's id is found without a Python string for words of up to 8 UTF-8
+bytes: each is packed into a ``uint64`` key and looked up, a block of
+keys at a time, in one sorted key table (sort-based inversion). Only
+longer words are split out as strings and looked up in a dict. Ids are
+numbered first-seen during the build and remapped at its end to the
+words' ranks in the sorted vocabulary. Temporaries are block sized; the
+columns grow in typed arrays that the table then views.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import defaultdict
-from itertools import count
+from itertools import count, islice
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -34,14 +42,81 @@ from .corpus import DocumentCollection
 from .errors import MissingInput
 from .textproc import ASCII_STAND_INS, TOKEN_BYTES, sentence_breaks, token_surfaces
 
-# Characters of text per block: 2**15 to 2**20 build about equally fast, and
-# small blocks reuse the memory of the last block's token strings (lower RSS).
-_BLOCK_CHARS = 1 << 15
+# Characters of text per block. Each block pays fixed numpy calls and, when
+# it holds a new word, one copy of the key table; its temporaries are a few
+# bytes per character. On seed-2468 abstracts-bm25 (2 CPUs, median of 3 in
+# process) build_index took 1.32, 1.22, 1.18, 1.17 and 1.31 s at 2**15 to
+# 2**19, and the bench's peak_rss_mb read 134.6-136.0 MB at 2**15 to 2**18
+# alike: 2**17 is the smallest block within the noise of the fastest.
+_BLOCK_CHARS = 1 << 17
 # Per byte: 0 if an ASCII character that ``str.isspace`` accepts, else 1.
 _SOLID_BYTES = bytes(0 if c < 128 and chr(c).isspace() else 1 for c in range(256))
 
 
-def _block_sentences(texts: Sequence[str], ids: dict[str, int]) -> tuple[np.ndarray, ...]:
+class _WordIds:
+    """First-seen ids of the words of one build, all from one counter.
+
+    A word of at most 8 UTF-8 bytes is found by its packed key: its bytes
+    big-endian in a ``uint64``, zero-padded. No token holds a zero byte or
+    a space, so distinct words have distinct keys. A longer word is looked
+    up in a dict. The route is fixed by the word's byte length, so no word
+    takes both.
+    """
+
+    def __init__(self) -> None:
+        self.counter = count()
+        # Sorted, ending in an all-ones key that no word has (0xFF is no
+        # UTF-8 byte), so every search lands inside the table.
+        self.keys = np.array([np.iinfo(np.uint64).max], dtype=np.uint64)
+        self.key_ids = np.array([-1], dtype=np.int32)
+        self.long: defaultdict[str, int] = defaultdict(self.counter.__next__)
+
+    def __call__(self, words: bytes) -> tuple[np.ndarray, np.ndarray]:
+        """Where each space-separated token of ``words`` starts, and its id."""
+        # One space before the tokens ends a run at the start; eight after end
+        # one at the end and leave every token 8 bytes to read from its start.
+        padded = bytearray().join((b" ", words, b" " * 8))
+        data = np.frombuffer(padded, dtype=np.uint8)
+        in_word = data != ord(" ")
+        edges = np.flatnonzero(in_word[1:] != in_word[:-1])
+        begin, end = edges[::2], edges[1::2]  # offsets into ``words``
+        short = end - begin <= 8
+        first, last = begin[short], end[short]
+        ids = np.empty(len(begin), dtype=np.int32)
+        if len(first):
+            ids[short] = self._packed_ids(padded, first, last)
+        if len(first) < len(begin):  # blank any short tokens, split what is left
+            if len(first):
+                data[1 + np.minimum(first[:, None] + np.arange(8), last[:, None] - 1)] = ord(" ")
+            pieces = padded.decode().split()
+            ids[~short] = np.fromiter(map(self.long.__getitem__, pieces), np.int32, len(pieces))
+        return begin, ids
+
+    def _packed_ids(self, padded: bytearray, begin: np.ndarray, end: np.ndarray) -> np.ndarray:
+        """Ids of the tokens ``padded[1 + begin : 1 + end]``, each of at most 8 bytes."""
+        # The 8 bytes from each offset after the leading space, as one integer.
+        window = np.ndarray(len(padded) - 9, ">u8", padded, offset=1, strides=(1,))
+        shift = (64 - 8 * (end - begin)).astype(np.uint64)  # clears what follows
+        keys = window[begin].astype(np.uint64) >> shift << shift
+        unique, inverse = np.unique(keys, return_inverse=True)
+        at = np.searchsorted(self.keys, unique)
+        new = self.keys[at] != unique
+        unique_ids = self.key_ids[at]
+        if new.any():
+            unique_ids[new] = np.fromiter(islice(self.counter, np.count_nonzero(new)), np.int32)
+            self.keys = np.insert(self.keys, at[new], unique[new])
+            self.key_ids = np.insert(self.key_ids, at[new], unique_ids[new])
+        return unique_ids[inverse]
+
+    def by_word(self) -> dict[str, int]:
+        """Every word seen, as ``str``, with its id."""
+        short = self.keys[:-1].astype(">u8").view("S8").tolist()  # S8 drops the padding
+        ids = dict(zip([word.decode() for word in short], self.key_ids[:-1].tolist()))
+        ids.update(self.long)
+        return ids
+
+
+def _block_sentences(texts: Sequence[str], ids: _WordIds) -> tuple[np.ndarray, ...]:
     """Per sentence of the texts, in order, its text's index, begin, end
     and token count; and all their token ids, numbered first-seen in ``ids``."""
     starts = np.zeros(len(texts) + 1, dtype=np.int64)
@@ -66,21 +141,18 @@ def _block_sentences(texts: Sequence[str], ids: dict[str, int]) -> tuple[np.ndar
     other = np.array([not t.isascii() for t in texts], dtype=bool)[text]
     if other.any():
         data = "\n".join(t if t.isascii() else " " * len(t) for t in texts).encode("ascii")
-    words = data.translate(TOKEN_BYTES)
-    in_word = np.frombuffer(b" " + words, dtype=np.uint8) != ord(" ")
-    token_starts = np.flatnonzero(in_word[1:] > in_word[:-1])
+    token_starts, token_ids = ids(data.translate(TOKEN_BYTES))
     counts = np.diff(np.searchsorted(token_starts, end + starts[text]), prepend=0)
-    token_ids = np.fromiter(map(ids.__getitem__, words.decode().split()), np.int32,
-                            len(token_starts))
     more = []
     for s in np.flatnonzero(other).tolist():
         tokens = token_surfaces(texts[text[s]][begin[s] : end[s]])
         counts[s] = len(tokens)
-        more.extend(ids[word] for word in tokens)
+        more.extend(tokens)
     from_other = np.repeat(other, counts)
     merged = np.empty(len(from_other), dtype=np.int32)
     merged[~from_other] = token_ids
-    merged[from_other] = more
+    if more:
+        merged[from_other] = ids(" ".join(more).encode())[1]
     return text, begin, end, counts, merged
 
 
@@ -125,19 +197,20 @@ class SentenceTable:
         for doc_id in doc_ids:
             if doc_id not in collection:
                 raise MissingInput(f"document {doc_id!r} is not in the collection")
-        ids: defaultdict[str, int] = defaultdict(count().__next__)  # a new word: the next id
+        word_ids = _WordIds()
         doc, section, begin, end, length, tokens = (array("i") for _ in range(6))
         n_docs = 0
         for block in _blocks(collection[doc_id].sections for doc_id in doc_ids):
             texts = [text for doc_sections in block for _, text in doc_sections]
             text_doc = np.repeat(np.arange(n_docs, n_docs + len(block)), [len(s) for s in block])
             text_section = np.concatenate([np.arange(len(s)) for s in block])
-            text, *columns, token_ids = _block_sentences(texts, ids)
+            text, *columns, token_ids = _block_sentences(texts, word_ids)
             for out, values in zip((doc, section, begin, end, length),
                                    (text_doc[text], text_section[text], *columns)):
                 out.frombytes(values.astype(np.int32).tobytes())
             tokens.frombytes(token_ids.tobytes())
             n_docs += len(block)
+        ids = word_ids.by_word()
         vocabulary = sorted(ids)
         rank = np.empty(len(ids), dtype=np.int32)
         rank[[ids[w] for w in vocabulary]] = np.arange(len(ids), dtype=np.int32)

@@ -180,10 +180,17 @@ def collections(draw, texts=section_texts):
     return DocumentCollection(docs)
 
 
+# Words either side of 8 UTF-8 bytes, the longest packed key: ASCII of 8
+# and 9 bytes, "ß" (2 bytes) 4 and 5 times, and "İİİ", 6 bytes until
+# lowercasing makes it 9.
+boundary_texts = st.lists(
+    st.sampled_from(["abcdefgh", "Abcdefghi", "abcdefghi.", "ßßßß", "ßßßßß", "İİİ", "tea"]),
+    max_size=12,
+).map(" ".join)
 # Sections the block build must split exactly as one section at a time:
 # mixed ASCII and other text, empty and whitespace-only sections.
 block_texts = st.one_of(
-    split_texts, ascii_split_texts, section_texts,
+    split_texts, ascii_split_texts, section_texts, boundary_texts,
     st.lists(st.sampled_from(" \t\n\x0b\x1c\x85\u3000"), max_size=4).map("".join),
 )
 
@@ -212,6 +219,17 @@ class TestBlockBuildMatchesRowOracle:
         for name in ("doc", "section", "begin", "end", "indptr", "token_ids", "doc_ptr"):
             got, want = getattr(table, name), getattr(expected, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    def test_a_word_has_one_id_in_ascii_and_other_sections(self):
+        # The ASCII section is tokenized as a block, the other one sentence
+        # at a time; "tea" is a packed key and "chamomile" a dict word.
+        collection = DocumentCollection([
+            make_doc("d0", ("s0", "Green tea and chamomile."), ("s1", "Thé, tea or chamomile."))
+        ])
+        table = SentenceTable.build(collection, ["d0"])
+        assert table.vocabulary == ["and", "chamomile", "green", "or", "tea", "thé"]
+        assert table.indptr.tolist() == [0, 4, 8]
+        assert table.token_ids.tolist() == [2, 4, 0, 1, 5, 4, 3, 1]
 
     def test_golden_index_bytes_are_unchanged(self, tmp_path):
         save_index(build_index(load_document_collection(GOLDEN / "docs.jsonl")), tmp_path / "i")
