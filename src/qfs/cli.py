@@ -73,17 +73,11 @@ def cli() -> None:
 @click.option("--docs", "docs_path", required=True, type=click.Path())
 @click.option("--out", "out_path", required=True, type=click.Path(), callback=_writable)
 @click.option("--stopwords", "stopwords_path", type=click.Path(), default=None)
-@click.option("--k1", type=float, default=retrieval.DEFAULT_K1, show_default=True)
-@click.option("--b", type=float, default=retrieval.DEFAULT_B, show_default=True)
-def cmd_index(docs_path, out_path, stopwords_path, k1, b) -> int:
+def cmd_index(docs_path, out_path, stopwords_path) -> int:
     """Build and persist an inverted index from a JSONL collection."""
-    try:
-        retrieval.check_bm25(k1, b)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
     collection = corpus.load_document_collection(docs_path)
     stopwords = textproc.load_stopwords(stopwords_path) if stopwords_path else None
-    index = retrieval.build_index(collection, stopwords, k1=k1, b=b)
+    index = retrieval.build_index(collection, stopwords)
     retrieval.save_index(index, out_path)
     click.echo(f"{index.n_docs} documents, {index.vocabulary_size} terms -> {out_path}")
     return 0
@@ -122,23 +116,12 @@ def _build_resources(
     if not config.resources.docs_path:
         raise QfsError("config.resources.docs_path is required")
     collection = corpus.load_document_collection(config.resources.docs_path)
+    bm25 = {"k1": config.retrieval.bm25_k1, "b": config.retrieval.bm25_b}
     if config.resources.index_path:
-        index = retrieval.load_index(config.resources.index_path)
+        index = retrieval.load_index(config.resources.index_path, **bm25)
         retrieval.check_collection(index, collection, config.resources.index_path)
-        # BM25 impacts are fixed when the index is built, so the config
-        # cannot override the index's own k1 and b.
-        wanted = (config.retrieval.bm25_k1, config.retrieval.bm25_b)
-        if (index.k1, index.b) != wanted:
-            raise QfsError(
-                f"{config.resources.index_path}: index was built with k1={index.k1}, "
-                f"b={index.b}, but the config sets retrieval.bm25_k1={wanted[0]}, "
-                f"retrieval.bm25_b={wanted[1]}; rebuild it with `qfs index --k1 "
-                f"{wanted[0]} --b {wanted[1]}` or change the config"
-            )
     else:
-        index = retrieval.build_index(
-            collection, k1=config.retrieval.bm25_k1, b=config.retrieval.bm25_b
-        )
+        index = retrieval.build_index(collection, **bm25)
     dense = query_vectors = None
     if config.retrieval.method in ("nir", "rerank"):
         if not config.resources.dense_path or not config.resources.query_vectors_path:
@@ -174,16 +157,11 @@ def _build_resources(
 @click.option("--questions", "questions_path", required=True, type=click.Path())
 @click.option("--out", "out_path", required=True, type=click.Path(), callback=_writable)
 @click.option("--feedback", "feedback_path", type=click.Path(), default=None)
-@click.option("--k", type=click.IntRange(min=1), default=None,
-              help="Override per-round document count.")
-def cmd_retrieve(config_path, questions_path, out_path, feedback_path, k) -> int:
+def cmd_retrieve(config_path, questions_path, out_path, feedback_path) -> int:
     """Rank documents for every question and write the ranked lists."""
     config = load_config(config_path)
     questions = corpus.load_question_set(questions_path)
     resources = _build_resources(config, feedback_path, needs_model=False)
-    if k is not None:
-        config.retrieval.round_docs = {}
-        config.retrieval.round_docs_default = k
     out = [
         {
             "id": question.id,
@@ -260,13 +238,11 @@ def _train_config(model_kind, epochs, batch_size, dropout, lr, seed, clip_len) -
         raise click.UsageError(str(exc)) from exc
 
 
-def _model_source(model_kind, embeddings_path, cemb_path):
+def _model_source(model_kind, embeddings_path):
     """The word vectors (nnc) or context embeddings (pooled) a model trains on."""
-    kind = KINDS[model_kind]
-    path = {"embeddings": embeddings_path, "cemb": cemb_path}[kind.source_option]
-    if not path:
-        raise click.UsageError(f"--{kind.source_option} is required for the {kind.name} model")
-    return _load_source(kind, path)
+    if not embeddings_path:
+        raise click.UsageError(f"--embeddings is required for the {model_kind} model")
+    return _load_source(KINDS[model_kind], embeddings_path)
 
 
 @cli.command("train")
@@ -274,22 +250,19 @@ def _model_source(model_kind, embeddings_path, cemb_path):
 @click.option("--model", "model_kind", required=True, type=click.Choice(list(KINDS)))
 @click.option("--out", "out_path", required=True, type=click.Path(), callback=_writable)
 @click.option("--embeddings", "embeddings_path", type=click.Path(), default=None,
-              help="Word-vector text file (nnc model).")
-@click.option("--cemb", "cemb_path", type=click.Path(), default=None,
-              help="Context-embedding file (pooled model).")
+              help="Word-vector text file (nnc model) or CEMB file (pooled model).")
 @click.option("--epochs", type=int, default=None)
 @click.option("--batch-size", type=int, default=None)
 @click.option("--dropout", type=float, default=None)
 @click.option("--lr", type=float, default=1e-3, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--clip-len", type=int, default=None)
-def cmd_train(labels_path, model_kind, out_path, embeddings_path, cemb_path,
-              epochs, batch_size, dropout, lr, seed, clip_len) -> int:
+def cmd_train(labels_path, model_kind, out_path, embeddings_path, **training) -> int:
     """Train a sentence classifier on a labels file."""
-    config = _train_config(model_kind, epochs, batch_size, dropout, lr, seed, clip_len)
-    source = _model_source(model_kind, embeddings_path, cemb_path)
+    config = _train_config(model_kind, **training)
+    source = _model_source(model_kind, embeddings_path)
     examples = pipeline.load_labels(labels_path)
-    with _naming(cemb_path, "no context-embedding record "):
+    with _naming(embeddings_path, "no context-embedding record "):
         result = train(model_kind, examples, source, config)
     save_params(result.params, out_path, config.clip_len)
     click.echo(
@@ -346,8 +319,8 @@ def cmd_evaluate(questions_path, submission_path, out_path) -> int:
 @click.option("--docs", "docs_path", type=click.Path(), default=None)
 @click.option("--model", "model_kind", default="constant", show_default=True,
               type=click.Choice(["constant", "oracle", *KINDS]))
-@click.option("--embeddings", "embeddings_path", type=click.Path(), default=None)
-@click.option("--cemb", "cemb_path", type=click.Path(), default=None)
+@click.option("--embeddings", "embeddings_path", type=click.Path(), default=None,
+              help="Word-vector text file (nnc model) or CEMB file (pooled model).")
 @click.option("--k", type=click.IntRange(min=2), default=10, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--epochs", type=int, default=None)
@@ -356,8 +329,7 @@ def cmd_evaluate(questions_path, submission_path, out_path) -> int:
 @click.option("--lr", type=float, default=1e-3, show_default=True)
 @click.option("--clip-len", type=int, default=None)
 @click.option("--out", "out_path", type=click.Path(), default=None, callback=_writable)
-def cmd_cv(questions_path, docs_path, model_kind, embeddings_path, cemb_path,
-           k, seed, epochs, batch_size, dropout, lr, clip_len, out_path) -> int:
+def cmd_cv(questions_path, docs_path, model_kind, embeddings_path, k, out_path, **training) -> int:
     """k-fold cross-validation reporting mean SU4-F1."""
     questions = corpus.load_question_set(questions_path)
     collection = corpus.load_document_collection(docs_path) if docs_path else None
@@ -366,11 +338,11 @@ def cmd_cv(questions_path, docs_path, model_kind, embeddings_path, cemb_path,
     elif model_kind == "oracle":
         spec = pipeline.OracleModelSpec()
     else:
-        config = _train_config(model_kind, epochs, batch_size, dropout, lr, seed, clip_len)
-        source = _model_source(model_kind, embeddings_path, cemb_path)
+        config = _train_config(model_kind, **training)
+        source = _model_source(model_kind, embeddings_path)
         spec = pipeline.TrainedModelSpec(model_kind, source, config)
-    with _naming(questions_path), _naming(cemb_path, "no context-embedding record "):
-        result = pipeline.cross_validate(questions, collection, spec, k=k, seed=seed)
+    with _naming(questions_path), _naming(embeddings_path, "no context-embedding record "):
+        result = pipeline.cross_validate(questions, collection, spec, k=k, seed=training["seed"])
     for i, (size, f1) in enumerate(zip(result.fold_sizes, result.fold_mean_f1), 1):
         click.echo(f"fold {i:2d}: {size:5d} questions  mean SU4-F1 {f1:.4f}")
     click.echo(f"overall mean SU4-F1 {result.mean_f1:.4f}")

@@ -249,13 +249,17 @@ def _pooled_input(
 
 @dataclass(frozen=True)
 class ModelKind:
-    """Everything that differs between the classifier kinds."""
+    """Everything that differs between the classifier kinds.
+
+    ``load_source`` reads the one vectors file a kind needs (word vectors
+    for nnc, CEMB context embeddings for pooled), which ``--embeddings``
+    and ``config.model.embeddings_path`` name for either kind.
+    """
 
     name: str
     code: int  # the QFSM kind byte
     header: tuple[str, ...]  # the dims, source dim first, stored in this order as QFSM u32s
     train_defaults: TrainConfig
-    source_option: str  # command-line option naming the file the model reads
     load_source: Callable  # path -> DenseStore of word vectors or of pooled vectors
     shapes: Callable  # (**dims) -> {block name: shape}, in QFSM order
     input: Callable  # (source, question tokens, sentence tokens, pair id, position, clip_len)
@@ -271,7 +275,6 @@ KINDS = {
             code=1,
             header=("emb_dim", "lstm_hidden", "dense_hidden"),
             train_defaults=TrainConfig(epochs=10, batch_size=1024, dropout_rate=0.7, clip_len=300),
-            source_option="embeddings",
             load_source=load_word_embeddings,
             shapes=_nnc_shapes,
             input=_nnc_input,
@@ -282,7 +285,6 @@ KINDS = {
             code=2,
             header=("input_dim", "dense_hidden"),
             train_defaults=TrainConfig(epochs=5, batch_size=32, dropout_rate=0.5, clip_len=250),
-            source_option="cemb",
             load_source=load_context_embeddings,
             shapes=_pooled_shapes,
             input=_pooled_input,

@@ -550,7 +550,9 @@ class Resources:
 
     The index must have been built from ``collection``: snippets slice
     its section texts at the offsets in the index's sentence table
-    (:func:`qfs.retrieval.check_collection` checks a loaded index).
+    (:func:`qfs.retrieval.check_collection` checks a loaded index's
+    section lengths and text CRCs). Its BM25 impacts use the k1 and b it
+    was built or loaded with; the command line passes the config's.
     """
 
     collection: DocumentCollection

@@ -13,9 +13,11 @@ each > 0 as ``idf = ln(1 + (N - df + 0.5) / (df + 0.5)) > 0`` (``df <= N``),
 ``k1 <= MAX_K1`` keeps every factor finite. Unmatched documents score 0.
 
 The index is compressed sparse rows: term row ``r`` owns postings
-``indptr[r]:indptr[r + 1]``, whose BM25 impacts are fixed at build time
-by ``k1`` and ``b``. Documents are numbered in ascending id order, so
-ordinal order is the tie order. An index also holds the collection's
+``indptr[r]:indptr[r + 1]``, whose BM25 impacts are computed from the
+caller's ``k1`` and ``b`` when an index is built or loaded: a snapshot
+holds term frequencies and document lengths, not impacts, k1 or b.
+Documents are numbered in ascending id order, so ordinal order is the
+tie order. An index also holds the collection's
 :class:`~qfs.sentences.SentenceTable` under the same ordinals: every
 document is split and tokenized once, at build time, and the postings
 are counted from the table's token ids.
@@ -24,20 +26,21 @@ Binary formats (little-endian):
 
 * DVEC dense vectors: magic ``DVEC``, u32 version=1, u32 dim, then
   records of u32 id-length, UTF-8 id bytes, dim x f32.
-* QIDX index snapshot: magic ``QIDX``, u32 version=3, f64 k1, f64 b,
-  u32 n_docs, u32 n_terms, u64 n_postings, u32 n_words, u32
-  n_sections, u32 n_sentences, u64 n_tokens; then u32 byte lengths of
+* QIDX index snapshot: magic ``QIDX``, u32 version=4, u32 n_docs,
+  u32 n_terms, u64 n_postings, u32 n_words, u32 n_sections,
+  u32 n_sentences, u64 n_tokens; then u32 byte lengths of
   the doc ids and of the vocabulary words, followed by their UTF-8
   bytes (both lists strictly ascending); then the raw arrays
   u8 is_term[n_words] (1 for the n_terms words with postings, 0 for
   stopwords), i32 doc_len[n_docs], i64 indptr[n_terms + 1],
   i32 post_doc[n_postings], i32 post_tf[n_postings],
   i32 section_count[n_docs], i32 section_len[n_sections] (each
-  document's section text lengths, in characters), the sentence table
-  i32 doc, section, begin and end[n_sentences],
-  i64 indptr[n_sentences + 1] and i32 token_ids[n_tokens]; then u32
-  CRC32 of all preceding bytes. Impacts are recomputed on load.
-  Versions 1 and 2 are rejected: an index is a derived file, rebuilt
+  document's section text lengths, in characters), u32 doc_crc[n_docs]
+  (the CRC32 of each document's section texts, UTF-8 with lone
+  surrogates passed through, in section order), the sentence table i32 doc, section, begin and
+  end[n_sentences], i64 indptr[n_sentences + 1] and
+  i32 token_ids[n_tokens]; then u32 CRC32 of all preceding bytes.
+  Versions 1 to 3 are rejected: an index is a derived file, rebuilt
   with ``qfs index``.
 """
 
@@ -67,14 +70,18 @@ MAX_K1 = 1e6  # far above any useful k1, and no impact overflows to inf or NaN
 
 _DVEC_MAGIC = b"DVEC"
 _QIDX_MAGIC = b"QIDX"
-_QIDX_VERSION = 3
-_QIDX_FIELDS = "<ddIIQIIIQ"  # what follows the magic and version: k1, b, the counts
+_QIDX_VERSION = 4
+_QIDX_FIELDS = "<IIQIIIQ"  # the counts that follow the magic and version
 _QIDX_HEADER = struct.Struct("<4sI" + _QIDX_FIELDS[1:])
 
 
 @dataclass(eq=False)
 class InvertedIndex:
-    """CSR postings plus precomputed BM25 impacts; immutable after build."""
+    """CSR postings plus their BM25 impacts under ``k1`` and ``b``; immutable.
+
+    ``section_counts``, ``section_lengths`` and ``doc_crc`` record the
+    text the index was built from, for :func:`check_collection`.
+    """
 
     doc_ids: list[str]
     doc_len: np.ndarray
@@ -87,6 +94,7 @@ class InvertedIndex:
     # of sections, and per section its length in characters.
     section_counts: np.ndarray
     section_lengths: np.ndarray
+    doc_crc: np.ndarray  # per document, _text_crc of its sections
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
     n_docs: int = field(init=False)
@@ -149,8 +157,14 @@ def build_index(
     return InvertedIndex(
         doc_ids, doc_len, {term: r for r, term in enumerate(terms)}, indptr, post_doc, post_tf,
         table, np.array([len(s) for s in sections], dtype=np.int32),
-        np.array([len(text) for s in sections for _, text in s], dtype=np.int32), k1, b,
+        np.array([len(text) for s in sections for _, text in s], dtype=np.int32),
+        np.array([_text_crc(s) for s in sections], dtype=np.uint32), k1, b,
     )
+
+
+def _text_crc(sections: Sequence[tuple[str, str]]) -> int:
+    """CRC32 of a document's section texts in order, UTF-8 (lone surrogates pass)."""
+    return zlib.crc32("".join(text for _, text in sections).encode("utf-8", "surrogatepass"))
 
 
 def _doc_blocks(bounds: np.ndarray) -> list[tuple[int, int]]:
@@ -354,14 +368,13 @@ def nir_search(
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
-    """Persist an index as a QIDX v3 snapshot."""
+    """Persist an index as a QIDX v4 snapshot."""
     table = index.sentences
     names = (*index.doc_ids, *table.vocabulary)
     parts = [
-        _QIDX_HEADER.pack(_QIDX_MAGIC, _QIDX_VERSION, index.k1, index.b,
-                          index.n_docs, len(index.terms), len(index.post_doc),
-                          len(table.vocabulary), len(index.section_lengths), len(table),
-                          len(table.token_ids)),
+        _QIDX_HEADER.pack(_QIDX_MAGIC, _QIDX_VERSION, index.n_docs, len(index.terms),
+                          len(index.post_doc), len(table.vocabulary),
+                          len(index.section_lengths), len(table), len(table.token_ids)),
         np.fromiter((len(name.encode("utf-8")) for name in names), "<u4", len(names)),
         "".join(names).encode("utf-8"),
         np.fromiter((word in index.terms for word in table.vocabulary), "u1",
@@ -370,8 +383,9 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
             (index.doc_len, "<i4"), (index.indptr, "<i8"),
             (index.post_doc, "<i4"), (index.post_tf, "<i4"),
             (index.section_counts, "<i4"), (index.section_lengths, "<i4"),
-            (table.doc, "<i4"), (table.section, "<i4"), (table.begin, "<i4"),
-            (table.end, "<i4"), (table.indptr, "<i8"), (table.token_ids, "<i4"),
+            (index.doc_crc, "<u4"), (table.doc, "<i4"), (table.section, "<i4"),
+            (table.begin, "<i4"), (table.end, "<i4"), (table.indptr, "<i8"),
+            (table.token_ids, "<i4"),
         )),
     ]
     crc = 0
@@ -382,22 +396,23 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
         fh.write(struct.pack("<I", crc))
 
 
-def load_index(path: str | Path) -> InvertedIndex:
-    """Read a QIDX v3 snapshot written by :func:`save_index`.
+def load_index(path: str | Path, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> InvertedIndex:
+    """Read a QIDX v4 snapshot written by :func:`save_index`; impacts use ``k1`` and ``b``.
 
     Each array is read into its own buffer, checked against the bytes the
     file has left before it is allocated.
     """
+    check_bm25(k1, b)
     with BinaryReader(path, crc=True) as reader:
         version = reader.version(_QIDX_MAGIC)
-        if version in (1, 2):
+        if 1 <= version < _QIDX_VERSION:
             raise MalformedInput(
                 f"{path}: QIDX version {version} is no longer read; "
                 "rebuild the index with `qfs index`"
             )
         if version != _QIDX_VERSION:
             raise MalformedInput(f"{path}: unsupported QIDX version {version}")
-        (k1, b, n_docs, n_terms, n_post, n_words, n_sections, n_sents,
+        (n_docs, n_terms, n_post, n_words, n_sections, n_sents,
          n_tokens) = reader.unpack(_QIDX_FIELDS, "header")
         text_lengths = reader.array("<u4", n_docs + n_words, "text lengths")
         blob = reader.read(int(text_lengths.sum()), "doc ids and words")
@@ -408,6 +423,7 @@ def load_index(path: str | Path) -> InvertedIndex:
         post_tf = reader.array("<i4", n_post, "posting tfs")
         section_counts = reader.array("<i4", n_docs, "section counts")
         section_lengths = reader.array("<i4", n_sections, "section lengths")
+        doc_crc = reader.array("<u4", n_docs, "document CRCs")
         sent_doc, section, begin, end = (
             reader.array("<i4", n_sents, f"sentence {what}")
             for what in ("docs", "sections", "begins", "ends")
@@ -421,10 +437,6 @@ def load_index(path: str | Path) -> InvertedIndex:
             raise MalformedInput(f"{path}: {problem}")
 
     require(n_docs > 0, "snapshot holds no documents")
-    try:
-        check_bm25(k1, b)
-    except ValueError as exc:
-        raise MalformedInput(f"{path}: {exc}") from None
     ends = np.cumsum(text_lengths, dtype=np.int64).tolist()
     try:
         texts = [blob[a:e].decode("utf-8") for a, e in zip([0, *ends], ends)]
@@ -472,25 +484,28 @@ def load_index(path: str | Path) -> InvertedIndex:
     terms = [word for word, flag in zip(vocabulary, is_term.tolist()) if flag]
     return InvertedIndex(
         doc_ids, doc_len, {term: r for r, term in enumerate(terms)}, indptr, post_doc, post_tf,
-        table, section_counts, section_lengths, k1, b,
+        table, section_counts, section_lengths, doc_crc, k1, b,
     )
 
 
 def check_collection(index: InvertedIndex, collection: DocumentCollection, path) -> None:
-    """Every indexed document must still have the sections it was indexed with.
+    """Every indexed document must still have the section texts it was indexed with.
 
     Sentence offsets slice the collection's section texts, so a document
-    whose section count or section lengths changed after ``qfs index``
-    is MalformedInput, named with the first such document.
+    whose section count, section lengths or text (by its CRC32) changed
+    after ``qfs index`` is MalformedInput, named with the first such
+    document.
     """
-    lengths = index.section_lengths.tolist()
+    lengths, crcs = index.section_lengths.tolist(), index.doc_crc.tolist()
     start = 0
-    for doc_id, count in zip(index.doc_ids, index.section_counts.tolist()):
+    for doc_id, count, crc in zip(index.doc_ids, index.section_counts.tolist(), crcs):
         indexed, start = lengths[start : start + count], start + count
         if doc_id not in collection:
             problem = "is not in the collection"
         elif [len(text) for _, text in collection[doc_id].sections] != indexed:
             problem = "has other sections than when it was indexed"
+        elif _text_crc(collection[doc_id].sections) != crc:
+            problem = "has other text than when it was indexed"
         else:
             continue
         raise MalformedInput(

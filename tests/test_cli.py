@@ -68,35 +68,27 @@ def retrieve(workspace, config: str, out: str) -> tuple[int, str]:
     )
 
 
-def build_index_file(workspace, *flags) -> None:
+def build_index_file(workspace) -> None:
     code, err = run_qfs(
-        "index", "--docs", workspace / "docs.jsonl", "--out", workspace / "index.qidx", *flags
+        "index", "--docs", workspace / "docs.jsonl", "--out", workspace / "index.qidx"
     )
     assert (code, err) == (0, "")
 
 
 class TestRetrieveWithIndexFile:
     def test_matching_parameters_exit_0(self, workspace):
-        build_index_file(workspace, "--k1", "1.5", "--b", "0.5")
-        config = write_config(workspace, "c.json", True, bm25_k1=1.5, bm25_b=0.5)
-        assert retrieve(workspace, config, "from_file.json") == (0, "")
-        built = write_config(workspace, "b.json", False, bm25_k1=1.5, bm25_b=0.5)
-        assert retrieve(workspace, built, "built.json") == (0, "")
-        from_file = (workspace / "from_file.json").read_bytes()
-        assert from_file == (workspace / "built.json").read_bytes()
-        ranked = json.loads(from_file)["questions"][0]["ranked"]
-        assert ranked[0]["document"] == "d1"
-
-    @pytest.mark.parametrize("setting", [{"bm25_k1": 1.2}, {"bm25_b": 0.75}])
-    def test_mismatched_parameters_exit_2(self, workspace, setting):
-        build_index_file(workspace, "--k1", "1.5", "--b", "0.5")
-        params = {"bm25_k1": 1.5, "bm25_b": 0.5, **setting}
-        config = write_config(workspace, "c.json", True, **params)
-        code, err = retrieve(workspace, config, "out.json")
-        assert code == 2
-        assert "index was built with k1=1.5, b=0.5" in err
-        assert "qfs index" in err
-        assert not (workspace / "out.json").exists()
+        # The index stores no k1 or b: the config's apply to it when it is read,
+        # so it ranks as an in-process build with the same config does.
+        build_index_file(workspace)
+        for bm25 in ({"bm25_k1": 1.5, "bm25_b": 0.5}, {}):
+            config = write_config(workspace, "c.json", True, **bm25)
+            assert retrieve(workspace, config, "from_file.json") == (0, "")
+            built = write_config(workspace, "b.json", False, **bm25)
+            assert retrieve(workspace, built, "built.json") == (0, "")
+            from_file = (workspace / "from_file.json").read_bytes()
+            assert from_file == (workspace / "built.json").read_bytes(), bm25
+            ranked = json.loads(from_file)["questions"][0]["ranked"]
+            assert ranked[0]["document"] == "d1"
 
     def test_truncated_index_exit_2(self, workspace):
         build_index_file(workspace)
@@ -107,11 +99,16 @@ class TestRetrieveWithIndexFile:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
-    @pytest.mark.parametrize("edit", ["longer section", "section removed", "document removed"])
+    @pytest.mark.parametrize("edit", [
+        "longer section", "section removed", "document removed", "same-length edit",
+    ])
     def test_docs_edited_after_indexing_exit_2(self, workspace, micro_collection, edit):
         build_index_file(workspace)
         docs = [json.loads(line) for line in (workspace / "docs.jsonl").read_text().splitlines()]
-        if edit == "longer section":
+        if edit == "same-length edit":
+            section = docs[1]["sections"][1]
+            section["text"] = section["text"].replace("rising", "waning")
+        elif edit == "longer section":
             docs[1]["sections"][1]["text"] += " Dosing matters."
         elif edit == "section removed":
             del docs[1]["sections"][0]
@@ -181,7 +178,9 @@ def run_chain(work: Path) -> dict[str, bytes]:
         ))
     dense = {**resources, "dense_path": str(work / "docs.dvec"),
              "query_vectors_path": str(work / "queries.dvec")}
-    for method, retrieval in (("nir", {}), ("rerank", {"pool_size": 3})):
+    # A pool of 3 of the 5 golden documents, of which 2 are returned.
+    rerank = {"pool_size": 3, "round_docs": {"default": 2}}
+    for method, retrieval in (("nir", {}), ("rerank", rerank)):
         configs[method] = work / f"{method}.config"
         configs[method].write_text(json.dumps(
             {"retrieval": {"method": method, **retrieval}, "resources": dense}
@@ -192,8 +191,7 @@ def run_chain(work: Path) -> dict[str, bytes]:
         ("retrieve", "--config", configs["cosine"], *per_question, "--out", work / "retrieve.json"),
         ("retrieve", "--config", configs["nir"], "--questions", questions,
          "--out", work / "retrieve-nir.json"),
-        # A pool of 3 of the 5 golden documents, of which 2 are returned.
-        ("retrieve", "--config", configs["rerank"], "--questions", questions, "--k", "2",
+        ("retrieve", "--config", configs["rerank"], "--questions", questions,
          "--out", work / "retrieve-rerank.json"),
         ("snippets", "--config", configs["cosine"], *per_question, "--out", work / "snippets.json"),
         ("label", "--questions", questions, "--out", work / "labels.jsonl"),
@@ -207,8 +205,8 @@ def run_chain(work: Path) -> dict[str, bytes]:
          "--out", work / "model-snippets.json"),
         ("answer", "--config", configs["model"], *per_question, "--out", work / "model-answer.json"),
         ("train", "--labels", work / "labels.jsonl", "--model", "pooled", "--epochs", "2",
-         "--cemb", cemb, "--out", work / "pooled.qfsm"),
-        ("cv", "--questions", questions, "--model", "pooled", "--k", "2", "--cemb", cemb,
+         "--embeddings", cemb, "--out", work / "pooled.qfsm"),
+        ("cv", "--questions", questions, "--model", "pooled", "--k", "2", "--embeddings", cemb,
          "--out", work / "cv-pooled.json"),
         ("cv", "--questions", questions, "--model", "nnc", "--k", "2", "--epochs", "1",
          "--embeddings", vectors, "--out", work / "cv-nnc.json"),
@@ -346,7 +344,7 @@ BROKEN_INPUTS = {
         "train", "--model", "nnc", "--embeddings", w / "missing.txt",
         "--labels", write(w / "l.jsonl", LABEL), "--out", w / "m"),
     "train missing context embeddings": lambda w: (
-        "train", "--model", "pooled", "--cemb", w / "missing.cemb",
+        "train", "--model", "pooled", "--embeddings", w / "missing.cemb",
         "--labels", write(w / "l.jsonl", LABEL), "--out", w / "m"),
     "index missing documents": lambda w: (
         "index", "--docs", w / "missing.jsonl", "--out", w / "i.qidx"),
@@ -383,7 +381,7 @@ BROKEN_INPUTS = {
         "train", "--model", "nnc", "--embeddings", write_bytes(w / "v.txt", b"1 1\n\xff 0.5\n"),
         "--labels", write(w / "l.jsonl", LABEL), "--out", w / "m"),
     "train context-embedding id that is not UTF-8": lambda w: (
-        "train", "--model", "pooled", "--cemb", write_bytes(w / "c.cemb", CEMB_BAD_ID),
+        "train", "--model", "pooled", "--embeddings", write_bytes(w / "c.cemb", CEMB_BAD_ID),
         "--labels", write(w / "l.jsonl", LABEL), "--out", w / "m"),
     "index stopwords that are not UTF-8": lambda w: (
         "index", "--docs", GOLDEN / "docs.jsonl",
@@ -593,11 +591,12 @@ def test_answer_with_context_embeddings_holding_no_records_exits_2(tmp_path):
 @pytest.mark.parametrize("kind", ["nnc", "pooled"])
 def test_training_on_a_file_holding_no_vectors_exits_2(tmp_path, command, kind):
     if kind == "nnc":
-        option, source = "--embeddings", write(tmp_path / "v.txt", "0 4\n")
+        source = write(tmp_path / "v.txt", "0 4\n")
     else:
-        option, source = "--cemb", tmp_path / "c.cemb"
+        source = tmp_path / "c.cemb"
         write_context_embeddings(source, [])
-    code, err = run_qfs(*command(tmp_path), "--model", kind, option, source, "--epochs", "1")
+    code, err = run_qfs(*command(tmp_path), "--model", kind, "--embeddings", source,
+                        "--epochs", "1")
     assert (code, err) == (2, f"error: {source}: holds no vectors\n")
     assert not (tmp_path / "m.qfsm").exists()
 
@@ -624,14 +623,24 @@ USAGE_ERRORS = {
     "cv with zero folds": lambda w: ("cv", *QUESTIONS, "--k", "0"),
     "cv with one fold": lambda w: ("cv", *QUESTIONS, "--model", "oracle", "--k", "1"),
     "cv with a negative seed": lambda w: ("cv", *QUESTIONS, "--seed", "-1"),
+    # k1 and b (retrieval.bm25_k1, bm25_b) and the documents per round
+    # (retrieval.round_docs) are set in the config only, and each model kind
+    # reads the file --embeddings names: these options are gone.
     **{
         f"index with {flag} {value}": lambda w, flag=flag, value=value: (
             "index", "--docs", GOLDEN / "docs.jsonl", "--out", w / "i.qidx", flag, value)
         for flag, value in [("--k1", "-1.2"), ("--k1", "nan"), ("--k1", "inf"), ("--k1", "2e6"),
-                            ("--b", "-0.1"), ("--b", "1.5"), ("--b", "nan")]
+                            ("--b", "-0.1"), ("--b", "1.5"), ("--b", "nan"),
+                            ("--k1", "1.5"), ("--b", "0.5")]
     },
     "retrieve with zero documents": lambda w: (
         "retrieve", "--config", w / "c.json", *QUESTIONS, "--out", w / "r.json", "--k", "0"),
+    "retrieve with --k 2": lambda w: (
+        "retrieve", "--config", w / "c.json", *QUESTIONS, "--out", w / "r.json", "--k", "2"),
+    "train with --cemb": lambda w: (
+        "train", "--model", "pooled", "--labels", GOLDEN / "labels.jsonl", "--out", w / "m",
+        "--cemb", w / "c.cemb"),
+    "cv with --cemb": lambda w: ("cv", *QUESTIONS, "--model", "pooled", "--cemb", w / "c.cemb"),
     **{
         f"train with {flag} {value}": lambda w, flag=flag, value=value: (
             *TRAIN, "--labels", GOLDEN / "labels.jsonl", "--out", w / "m", flag, value)
@@ -759,7 +768,8 @@ def test_label_without_answers_or_candidates_exits_2(tmp_path, case):
 def test_a_pair_without_a_context_embedding_record_names_the_file(tmp_path, command, pair_id):
     cemb = tmp_path / "c.cemb"
     write_context_embeddings(cemb, [ContextEmbeddingRecord("q1#0", np.ones((1, 4)), [True])])
-    code, err = run_qfs(*command(tmp_path), "--model", "pooled", "--cemb", cemb, "--epochs", "1")
+    code, err = run_qfs(*command(tmp_path), "--model", "pooled", "--embeddings", cemb,
+                        "--epochs", "1")
     message = f"error: {cemb}: no context-embedding record for pair id {pair_id!r}\n"
     assert (code, err) == (2, message)
 

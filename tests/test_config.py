@@ -146,6 +146,8 @@ def test_fuzzed_payload_parses_or_raises_malformed_input(payload):
         {"retrieval": {"round_docs": {"2": 10.5}}},
         {"retrieval": {"round_docs": {" 2": 10}}},
         {"retrieval": {"round_docs": {2: 10}}},
+        {"retrieval": {"round_docs": {"default": 0}}},
+        {"retrieval": {"round_docs": {"1": 0}}},
     ],
 )
 def test_bad_payload_raises_malformed_input(payload):

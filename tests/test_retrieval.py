@@ -22,6 +22,7 @@ from qfs.retrieval import (
     DenseStore,
     bm25_search,
     build_index,
+    check_collection,
     interpolate,
     load_dense_store,
     _minmax,
@@ -88,9 +89,12 @@ class TestBuildIndex:
         (-1.2, 0.75), (math.nan, 0.75), (math.inf, 0.75), (1.2, -0.1), (1.2, 1.5), (1.2, math.nan),
         (2 * MAX_K1, 0.75),
     ])
-    def test_bm25_parameters_out_of_range_rejected(self, k1, b):
+    def test_bm25_parameters_out_of_range_rejected(self, tmp_path, k1, b):
         with pytest.raises(ValueError, match="BM25 needs"):
             build_index(collection_of("a"), k1=k1, b=b)
+        save_index(build_index(collection_of("a")), tmp_path / "i.qidx")
+        with pytest.raises(ValueError, match="BM25 needs"):
+            load_index(tmp_path / "i.qidx", k1=k1, b=b)
 
 
 class TestBm25Search:
@@ -602,20 +606,21 @@ def restamp(data: bytes) -> bytes:
 
 
 def qidx_offsets(index) -> dict[str, int]:
-    """Byte offset of each section of a QIDX v3 snapshot of ``index``."""
+    """Byte offset of each section of a QIDX v4 snapshot of ``index``."""
     table = index.sentences
     n_docs, n_terms, n_post = index.n_docs, len(index.terms), len(index.post_doc)
     n_words, n_sents = len(table.vocabulary), len(table)
     blob = sum(len(t.encode("utf-8")) for t in [*index.doc_ids, *table.vocabulary])
-    offsets = {"k1": 8, "b": 16, "n_docs": 24, "n_terms": 28, "n_post": 32, "n_words": 40,
-               "n_sections": 44, "n_sents": 48, "n_tokens": 52, "lengths": 60}
+    offsets = {"n_docs": 8, "n_terms": 12, "n_post": 16, "n_words": 24, "n_sections": 28,
+               "n_sents": 32, "n_tokens": 36, "lengths": 44}
     sizes = [
         ("lengths", 4 * (n_docs + n_words)), ("blob", blob), ("is_term", n_words),
         ("doc_len", 4 * n_docs), ("indptr", 8 * (n_terms + 1)), ("post_doc", 4 * n_post),
         ("post_tf", 4 * n_post), ("section_counts", 4 * n_docs),
-        ("section_lengths", 4 * len(index.section_lengths)), ("sent_doc", 4 * n_sents),
-        ("sent_section", 4 * n_sents), ("sent_begin", 4 * n_sents), ("sent_end", 4 * n_sents),
-        ("sent_indptr", 8 * (n_sents + 1)), ("token_ids", 4 * len(table.token_ids)),
+        ("section_lengths", 4 * len(index.section_lengths)), ("doc_crc", 4 * n_docs),
+        ("sent_doc", 4 * n_sents), ("sent_section", 4 * n_sents), ("sent_begin", 4 * n_sents),
+        ("sent_end", 4 * n_sents), ("sent_indptr", 8 * (n_sents + 1)),
+        ("token_ids", 4 * len(table.token_ids)),
     ]
     for (name, size), (following, _) in zip(sizes, sizes[1:]):
         offsets[following] = offsets[name] + size
@@ -638,9 +643,6 @@ def _count(name, delta):
 
 # Each corrupts one field of the small snapshot; the CRC is then restamped.
 STRUCTURE_DEFECTS = {
-    "k1<0": lambda data, at, index: struct.pack_into("<d", data, at["k1"], -1.2),
-    "k1=nan": lambda data, at, index: struct.pack_into("<d", data, at["k1"], math.nan),
-    "b>1": lambda data, at, index: struct.pack_into("<d", data, at["b"], 1.5),
     "n_docs+1": _count("n_docs", 1),
     "n_docs-1": _count("n_docs", -1),
     "n_docs=0": lambda data, at, index: patch_i32(data, at["n_docs"], lambda v: 0),
@@ -790,6 +792,24 @@ class TestIndexSnapshot:
         path.write_bytes(restamp(data[:4] + struct.pack("<I", 2) + data[8:]))
         with pytest.raises(MalformedInput, match="version 2 .*rebuild the index with `qfs index`"):
             load_index(path)
+
+    def test_version_3_asks_for_a_rebuild(self, tmp_path):
+        _, path, data = self.small_snapshot(tmp_path)
+        path.write_bytes(restamp(data[:4] + struct.pack("<I", 3) + data[8:]))
+        with pytest.raises(MalformedInput, match="version 3 .*rebuild the index with `qfs index`"):
+            load_index(path)
+
+    def test_impacts_follow_the_k1_and_b_of_the_load(self, tmp_path):
+        _, path, _ = self.small_snapshot(tmp_path)
+        built = build_index(collection_of("a b a", "b c", "c d a"), k1=1.5, b=0.5)
+        assert load_index(path, k1=1.5, b=0.5).impact.tobytes() == built.impact.tobytes()
+
+    def test_text_with_a_lone_surrogate_is_checked_by_its_crc(self):
+        # The docs reader accepts a lone surrogate (JSON "\ud800") in a text.
+        index = build_index(collection_of("caf\ud800 tea."))
+        check_collection(index, collection_of("caf\ud800 tea."), "i.qidx")
+        with pytest.raises(MalformedInput, match="'d1' has other text than when it was indexed"):
+            check_collection(index, collection_of("caf\ud801 tea."), "i.qidx")
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.qidx"

@@ -233,8 +233,9 @@ class TestBlockBuildMatchesRowOracle:
 
     def test_golden_index_bytes_are_unchanged(self, tmp_path):
         save_index(build_index(load_document_collection(GOLDEN / "docs.jsonl")), tmp_path / "i")
+        # QIDX v4: v3's bytes without the header's k1 and b, plus u32 doc_crc[n_docs].
         assert hashlib.sha256((tmp_path / "i").read_bytes()).hexdigest() == (
-            "c8ec0ee68addff6fbdffb631db162e46d3c85eb3affb1ee7602f09aaf8ddaef4"
+            "e6ead9f970f147cfe15f78dd8e70d55f97863d4bab0d6f70137344dd75fe6b1a"
         )
 
     def test_unknown_document_is_an_error(self, micro_collection):
