@@ -312,6 +312,13 @@ class FeedbackStore:
 ItemT = TypeVar("ItemT", str, SnippetSpan)
 
 
+def kept_polarities(mode: str) -> tuple[str | None, ...]:
+    """The judgments a candidate may have and survive filter ``mode``; None is unjudged."""
+    if mode not in (EXCLUDE_ALL_JUDGED, EXCLUDE_IRRELEVANT_ONLY):
+        raise ValueError(f"unknown filter mode {mode!r}")
+    return (None, RELEVANT) if mode == EXCLUDE_IRRELEVANT_ONLY else (None,)
+
+
 def filter_judged(
     candidates: Sequence[ItemT],
     feedback: FeedbackStore,
@@ -327,12 +334,10 @@ def filter_judged(
     overlapping-but-unequal span is not considered judged. An unjudged
     question gets a new list of all the candidates.
     """
-    if mode not in (EXCLUDE_ALL_JUDGED, EXCLUDE_IRRELEVANT_ONLY):
-        raise ValueError(f"unknown filter mode {mode!r}")
+    kept = kept_polarities(mode)
     docs, snippets = feedback.judgments(question_id)
     if not docs and not snippets:
         return list(candidates)
-    kept = (None, RELEVANT) if mode == EXCLUDE_IRRELEVANT_ONLY else (None,)
     return [
         item for item in candidates
         if (snippets.get(item.key()) if isinstance(item, SnippetSpan) else docs.get(item)) in kept

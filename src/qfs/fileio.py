@@ -178,7 +178,11 @@ class Rule:
         return type(value) not in self.types or self.test is not None and not self.test(value)
 
 
-ID = Rule("a non-empty string", (str,), bool)
+# Ids are written back out, and UTF-8 encodes all but surrogates (JSON's "\ud800").
+ID = Rule("a non-empty string", (str,),
+          lambda v: v != "" and (v.isascii() or not any("\ud800" <= c <= "\udfff" for c in v)),
+          show=lambda v: reprlib.repr(v) + (", which UTF-8 cannot encode" if v and type(v) is str
+                                            else ""))
 STRING = Rule("a string", (str,), show=lambda v: type(v).__name__)
 INTEGER = Rule("an integer", (int,))
 COUNT = Rule("an integer >= 1", (int,), lambda v: v >= 1)

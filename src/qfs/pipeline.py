@@ -16,16 +16,21 @@ either kind, with inputs built as in training).
 Snippets and answers are scored from the index's
 :class:`~qfs.sentences.SentenceTable`: every document was split and
 tokenized once, when the index was built, so a question only slices
-the table rows of its ranked documents. Snippet selection scores that
-pool at once and keeps each snippet's pool position. With tf-idf
-cosine, it sorts the pool's token ids once into (term, sentence, tf)
-triples (:func:`_term_pairs`), and answer scoring takes the candidates'
-triples from those, renumbered (:func:`_subset`): answering tokenizes
-no sentence and sorts no token twice. Any other scorer gets the texts.
-A snippet sentence's position is its per-document ordinal: its place
-among all sentences of its document, counted over the sections in
-order. :func:`snip_cosine` does the same for a collection without an
-index, splitting just the ranked documents.
+the table rows of its ranked documents. Snippet selection (:func:`_snip`)
+scores that pool at once and returns the kept rows. With tf-idf cosine,
+it sorts the pool's token ids once into (term, sentence, tf) triples
+(:func:`_term_pairs`), and answer scoring takes the candidates' triples
+from those, renumbered (:func:`_subset`): answering tokenizes no
+sentence and sorts no token twice. Any other scorer gets the texts,
+slices of the section texts at the table's offsets, and a snippet's
+position is its place among all sentences of its document.
+:func:`snip_cosine` does the same for a collection without an index,
+splitting just the ranked documents. Rows become :class:`SnippetSpan`
+objects (:func:`_spans`) only where returned: :func:`select_snippets`
+and :func:`snip_cosine` make all kept rows, :func:`answer_question` only
+the first ``final_snippet_cap`` left by feedback filtering, which reads
+row keys through :func:`qfs.corpus.kept_polarities`. The answer is picked
+by index (:func:`_answer_places`); no :class:`ScoredSentence` is made here.
 
 ``CosineScorer.score_sentences`` is the text adapter, for gold
 candidates (which have no table rows) and for ``bench/``. It composes
@@ -45,9 +50,11 @@ candidates get their positions after feedback filtering, i.e. in the
 order the scorer actually sees them.
 
 The benchmark (``bench/``) uses :func:`snip_cosine`, ``CosineScorer.score_sentences(
-question, texts, positions)``, :class:`OracleModelSpec`, :func:`candidate_sentences`,
-:func:`qfs.metrics.best_reference_f1` and :func:`qfs.textproc.split_sentences`: removing
-any of them, or changing its signature, fails every benchmark run until ``bench/`` moves.
+question, texts, positions)``, :class:`ScoredSentence`, :func:`assemble_answer`,
+:class:`OracleModelSpec`, :func:`candidate_sentences`, :func:`qfs.metrics.best_reference_f1`
+and :func:`qfs.textproc.split_sentences`: removing any of them, or changing its signature,
+fails every benchmark run until ``bench/`` moves. ``bench/run.py`` replays answering with
+``ScoredSentence`` and ``assemble_answer``, which is why both stay public.
 """
 
 from __future__ import annotations
@@ -67,11 +74,13 @@ from .corpus import (
     EXCLUDE_ALL_JUDGED,
     EXCLUDE_IRRELEVANT_ONLY,
     DocumentCollection,
+    DocumentRecord,
     FeedbackStore,
     QuestionRecord,
     QuestionSet,
     SnippetSpan,
     filter_judged,
+    kept_polarities,
     snippet_from_json,
     snippet_to_json,
 )
@@ -240,8 +249,10 @@ def _term_pairs(lengths: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, ...
     bits = n.bit_length()  # a key is term << bits | sentence
     # int32 keys sort about twice as fast as int64 ones, when they fit.
     narrow = not len(terms) or int(terms.max()) < 1 << (31 - bits)
-    dtype = np.int32 if narrow else np.int64
-    keys = np.sort((terms.astype(dtype) << bits) | np.repeat(np.arange(n, dtype=dtype), lengths))
+    keys = terms.astype(np.int32 if narrow else np.int64)  # a copy, so built in place
+    keys <<= bits
+    keys |= np.repeat(np.arange(n, dtype=keys.dtype), lengths)
+    keys.sort()
     edges = _run_edges(keys)  # one run per (term, sentence) pair
     pairs = keys[edges[:-1]]
     return pairs >> bits, pairs & ((1 << bits) - 1), np.diff(edges)
@@ -302,11 +313,12 @@ class CosineScorer:
     same on every platform. Scores are clipped to [0, 1].
 
     Answering never calls this text method: :func:`_snip` sorts the
-    snippet pool's table token ids into :func:`_term_pairs` once, and
-    the answer candidates are scored from a subset of those pairs. The
-    scores are ``==``, as both vocabularies sort by term and the kernel
-    reads only term order and equality. This method, the adapter for
-    gold candidates and for ``bench/``, composes the same two functions.
+    token ids of the snippet pool's table rows into :func:`_term_pairs`
+    once, and the answer candidates, rows too, are scored from a subset
+    of those pairs. The scores are ``==``, as both vocabularies sort by
+    term and the kernel reads only term order and equality. This method,
+    the adapter for gold candidates and for ``bench/``, composes the
+    same two functions.
     """
 
     def score_sentences(
@@ -373,45 +385,44 @@ def _ordinal(index: InvertedIndex, doc_id: str) -> int:
     return i
 
 
-def _snip(
-    question: QuestionRecord,
-    ranked_docs: RankedList,
-    table: SentenceTable,
-    ordinals: Sequence[int],
-    collection: DocumentCollection,
-    scorer: SentenceScorer,
-    per_doc: int,
-) -> tuple[list[SnippetSpan], np.ndarray, tuple[np.ndarray, ...] | None, np.ndarray]:
-    """Snippets by one scoring over the sentences of every ranked document,
-    with a mask of the kept pool sentences, the pool's term pairs and the
-    question's word ids in ``table``.
+def _rows(table: SentenceTable, docs: Mapping[int, DocumentRecord], rows: np.ndarray):
+    """Per row of ``table`` in ``rows``: its document id, section id, begin, end and
+    text, the slice of its section text; ``docs`` maps table document ordinals to records."""
+    columns = (c[rows].tolist() for c in (table.doc, table.section, table.begin, table.end))
+    for d, section, b, e in zip(*columns):
+        section_id, text = docs[d].sections[section]
+        yield docs[d].id, section_id, b, e, text[b:e]
 
-    ``ordinals`` are the ranked documents' places in ``table``. A
-    :class:`CosineScorer` scores the pool's token ids through
-    :func:`_term_pairs`, which are returned for answer scoring; any other
-    scorer gets the texts, with per-document ordinals as positions, and
-    the pairs are ``None``. Per document the top ``per_doc`` sentences
-    (ties to the earlier one) are kept in occurrence order; per-document
-    groups are collated in document-relevance order. Only the kept
-    sentences become :class:`SnippetSpan` objects.
+
+def _spans(table: SentenceTable, docs: Mapping[int, DocumentRecord], rows) -> list[SnippetSpan]:
+    return [SnippetSpan(*row) for row in _rows(table, docs, rows)]
+
+
+def _snip(question: QuestionRecord, table: SentenceTable, ordinals: Sequence[int],
+          docs: Mapping[int, DocumentRecord], scorer: SentenceScorer,
+          per_doc: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...] | None, np.ndarray]:
+    """Snippets by one scoring over the sentences of every ranked document:
+    the ``table`` rows of the kept pool sentences in occurrence order, a mask
+    of them over the pool, the pool's term pairs and the question's word ids
+    in ``table``.
+
+    ``ordinals`` are the ranked documents' places in ``table``, in rank
+    order, and ``docs`` maps each to its record. A :class:`CosineScorer`
+    scores the pool's token ids through :func:`_term_pairs`, which are
+    returned for answer scoring; any other scorer gets the texts, with
+    per-document ordinals as positions, and the pairs are ``None``. Per
+    document the top ``per_doc`` sentences (ties to the earlier one) are
+    kept in occurrence order; per-document groups are collated in
+    document-relevance order. No :class:`SnippetSpan` is made here: the
+    caller makes them of the rows it returns (:func:`_spans`).
     """
-    docs = [collection[doc_id] for doc_id, _ in ranked_docs]
     ordinals = np.asarray(ordinals, dtype=np.intp)
     first = table.doc_ptr[ordinals]
     counts = table.doc_ptr[ordinals + 1] - first
-    owner = np.repeat(np.arange(len(docs)), counts)  # pool sentence -> ranked document
+    owner = np.repeat(np.arange(len(ordinals)), counts)  # pool sentence -> ranked document
     starts = np.cumsum(counts) - counts  # pool place of each document's first sentence
     rows = np.arange(len(owner)) + (first - starts)[owner]
     asked = table.word_ids(token_surfaces(question.body))
-
-    def spans(at) -> list[SnippetSpan]:
-        columns = (c[rows[at]].tolist() for c in (table.section, table.begin, table.end))
-        out = []
-        for doc, section, b, e in zip(owner[at].tolist(), *columns):
-            section_id, text = docs[doc].sections[section]
-            out.append(SnippetSpan(docs[doc].id, section_id, b, e, text[b:e]))
-        return out
-
     pairs = None
     if isinstance(scorer, CosineScorer):
         # A document's sentences are consecutive rows, so its tokens are one slice.
@@ -420,13 +431,13 @@ def _snip(
         pairs = _term_pairs(table.indptr[rows + 1] - table.indptr[rows], terms)
         scores = _cosines(asked, len(rows), pairs)
     else:
-        scores = np.asarray(scorer.score_sentences(
-            question, [s.text for s in spans(slice(None))], (rows - first[owner]).tolist()
-        ), dtype=float)
+        texts = [text for *_, text in _rows(table, docs, rows)]
+        positions = (rows - first[owner]).tolist()
+        scores = np.asarray(scorer.score_sentences(question, texts, positions), dtype=float)
     order = np.lexsort((-scores, owner))  # stable; order[i] is in document owner[i]
     kept = np.empty(len(order), dtype=bool)
     kept[order] = np.arange(len(order)) - starts[owner] < per_doc
-    return spans(kept), kept, pairs, asked
+    return rows[kept], kept, pairs, asked
 
 
 def snip_cosine(
@@ -444,8 +455,9 @@ def snip_cosine(
     same result.
     """
     table = SentenceTable.build(collection, [d for d, _ in ranked_docs])
-    ordinals = range(len(ranked_docs))
-    return _snip(question, ranked_docs, table, ordinals, collection, CosineScorer(), per_doc)[0]
+    docs = dict(enumerate(collection[d] for d, _ in ranked_docs))
+    rows = _snip(question, table, range(len(docs)), docs, CosineScorer(), per_doc)[0]
+    return _spans(table, docs, rows)
 
 
 def candidate_sentences(question: QuestionRecord) -> list[SnippetSpan]:
@@ -529,19 +541,28 @@ def generate_labels(
     return examples
 
 
+def _answer_places(qtype: str, scores: Sequence[float], table: Mapping[str, int] | None,
+                   place: Sequence[int] | None = None) -> list[int]:
+    """The indices of the answer's sentences in place order: the best n scores for
+    the question type in ``table`` (the defaults if None), ties to the earlier
+    place. Sentence i's place is ``place[i]``, or i."""
+    if not len(scores):
+        raise EmptyInput("cannot assemble an answer from no sentences")
+    place = range(len(scores)) if place is None else place
+    best = sorted(range(len(scores)), key=lambda i: (-scores[i], place[i]))
+    return sorted(best[: (DEFAULT_ANSWER_LENGTHS if table is None else table)[qtype]],
+                  key=place.__getitem__)
+
+
 def assemble_answer(
     qtype: str,
     scored: Sequence[ScoredSentence],
     table: Mapping[str, int] | None = None,
 ) -> str:
     """Join the top-n sentences for the question type in occurrence order."""
-    if not scored:
-        raise EmptyInput("cannot assemble an answer from no sentences")
-    lengths = DEFAULT_ANSWER_LENGTHS if table is None else table
-    n = lengths[qtype]
-    selected = sorted(scored, key=lambda s: (-s.score, s.occurrence_index))[:n]
-    selected.sort(key=lambda s: s.occurrence_index)
-    return " ".join(s.text for s in selected)
+    place = [s.occurrence_index for s in scored]
+    return " ".join(scored[i].text for i in _answer_places(qtype, [s.score for s in scored],
+                                                           table, place))
 
 
 @dataclass
@@ -586,49 +607,47 @@ def retrieve(question: QuestionRecord, config, resources: Resources) -> RankedLi
 
 
 def _select(question: QuestionRecord, ranked: RankedList, config, resources: Resources):
-    """:func:`select_snippets`, with the rest of :func:`_snip`'s result.
+    """The ranked documents by index ordinal, and :func:`_snip`'s result for them.
 
     A :class:`CosineScorer` in ``resources`` scores the snippets too,
     so answer scoring by cosine always finds the pool's term pairs."""
     index = resources.index
     scorer = CosineScorer() if config.snippets.strategy == "cosine" else resources.scorer
     ordinals = [_ordinal(index, doc_id) for doc_id, _ in ranked]
-    return _snip(question, ranked, index.sentences, ordinals, resources.collection, scorer,
-                 config.snippets.per_doc)
+    docs = {o: resources.collection[doc_id] for o, (doc_id, _) in zip(ordinals, ranked)}
+    return docs, _snip(question, index.sentences, ordinals, docs, scorer,
+                       config.snippets.per_doc)
 
 
 def select_snippets(
     question: QuestionRecord, ranked: RankedList, config, resources: Resources
 ) -> list[SnippetSpan]:
     """Snippets of the ranked documents by the configured strategy, unfiltered."""
-    return _select(question, ranked, config, resources)[0]
+    docs, (rows, *_) = _select(question, ranked, config, resources)
+    return _spans(resources.index.sentences, docs, rows)
 
 
-def _assemble(question: QuestionRecord, candidates: Sequence[SnippetSpan],
-              scores: Sequence[float], answer_table: Mapping[str, int] | None) -> str:
-    """The ideal answer from candidates scored in list order."""
-    scored = [ScoredSentence(c.text, c, i, s) for i, (c, s) in enumerate(zip(candidates, scores))]
-    return assemble_answer(question.qtype, scored, answer_table)
-
-
-def answer_question(
-    question: QuestionRecord, config, resources: Resources
-) -> AnswerResult:
+def answer_question(question: QuestionRecord, config, resources: Resources) -> AnswerResult:
     """Retrieve, snip, filter, score, and assemble one question's answer."""
     ranked = retrieve(question, config, resources)[: config.retrieval.final_doc_cap]
-    snippets, kept, pairs, asked = _select(question, ranked, config, resources)
-    feedback, qid = resources.feedback, question.id
-    returned = filter_judged(snippets, feedback, qid, EXCLUDE_ALL_JUDGED)
-    candidates = filter_judged(snippets, feedback, qid, EXCLUDE_IRRELEVANT_ONLY)
+    table = resources.index.sentences
+    docs, (rows, kept, pairs, asked) = _select(question, ranked, config, resources)
+    returned = candidates = rows
+    if judged := resources.feedback.judgments(question.id)[1]:  # some snippets are judged
+        polarity = [judged.get(row[:4]) for row in _rows(table, docs, rows)]  # by span key
+        shown, left = (np.array([p in keep for p in polarity], dtype=bool) for keep in
+                       map(kept_polarities, (EXCLUDE_ALL_JUDGED, EXCLUDE_IRRELEVANT_ONLY)))
+        returned, candidates = rows[shown], rows[left]
+        kept[kept] = left  # now marks the candidates
     if isinstance(resources.scorer, CosineScorer):
-        left = {id(c) for c in candidates}  # filter_judged keeps the span objects
-        kept[kept] = [id(s) in left for s in snippets]  # now marks the candidates
         scores = _cosines(asked, len(candidates), _subset(pairs, kept)).tolist()
     else:
-        scores = resources.scorer.score_sentences(
-            question, [c.text for c in candidates], list(range(len(candidates))))
-    return AnswerResult(qid, [d for d, _ in ranked], returned[: config.retrieval.final_snippet_cap],
-                        _assemble(question, candidates, scores, config.answer_table))
+        texts = [text for *_, text in _rows(table, docs, candidates)]
+        scores = resources.scorer.score_sentences(question, texts, list(range(len(texts))))
+    best = candidates[_answer_places(question.qtype, scores, config.answer_table)]
+    return AnswerResult(question.id, [d for d, _ in ranked],
+                        _spans(table, docs, returned[: config.retrieval.final_snippet_cap]),
+                        " ".join(text for *_, text in _rows(table, docs, best)))
 
 
 class ModelSpec(Protocol):
@@ -710,26 +729,18 @@ def cross_validate(
     fold_means: list[float] = []
     for fold_idx, fold in enumerate(folds):
         held_out = {int(i) for i in fold}
-        train_questions = [
-            q for i, q in enumerate(question_list) if i not in held_out
-        ]
+        train_questions = [q for i, q in enumerate(question_list) if i not in held_out]
         scorer = model_spec.fit(train_questions, collection)
         fold_scores = []
         for i in sorted(held_out):
             question = question_list[i]
-            candidates = _gold_candidates(question)
-            texts = [c.text for c in candidates]
+            texts = [c.text for c in _gold_candidates(question)]
             scores = scorer.score_sentences(question, texts, list(range(len(texts))))
-            answer = _assemble(question, candidates, scores, answer_table)
-            f1 = best_reference_f1(answer, question.ideal_answers)
+            best = _answer_places(question.qtype, scores, answer_table)
+            f1 = best_reference_f1(" ".join(texts[j] for j in best), question.ideal_answers)
             per_question[question.id] = f1
             fold_scores.append(f1)
         fold_means.append(sum(fold_scores) / len(fold_scores))
         logger.info("fold %d/%d: mean SU4-F1 %.4f", fold_idx + 1, k, fold_means[-1])
     mean_f1 = sum(per_question.values()) / len(per_question)
-    return CvResult(
-        fold_sizes=[len(f) for f in folds],
-        fold_mean_f1=fold_means,
-        mean_f1=mean_f1,
-        per_question=per_question,
-    )
+    return CvResult([len(f) for f in folds], fold_means, mean_f1, per_question)

@@ -438,6 +438,16 @@ BROKEN_INPUTS = {
     "label question type a list": lambda w: (
         "label", "--questions", write(w / "q.json", json.dumps([{"id": "q1", "type": []}])),
         "--out", w / "l.jsonl"),
+    # JSON's "\ud800" reads as a str that UTF-8 cannot encode, so no writer could.
+    "index document id a lone surrogate": lambda w: (
+        "index", "--docs", write(w / "d.jsonl", '{"id": "d\\ud800", "sections": []}\n'),
+        "--out", w / "i.qidx"),
+    "label question id a lone surrogate": lambda w: (
+        "label", "--questions", write(w / "q.json", json.dumps([{
+            "id": "d\ud800", "type": "summary", "body": "b", "ideal_answer": ["Some text."],
+            "snippets": [{"document": "d1", "section": "s1", "offsetInBeginSection": 0,
+                          "offsetInEndSection": 4, "text": "Some"}]}])),
+        "--out", w / "l.jsonl"),
 }
 
 
@@ -468,6 +478,16 @@ def test_non_string_text_names_file_and_field(tmp_path, case, where, field):
 def test_field_of_another_type_names_file_and_field(tmp_path, case, message):
     code, err = run_qfs(*BROKEN_INPUTS[case](tmp_path))
     assert (code, err) == (2, f"error: {tmp_path / message}\n")
+
+
+@pytest.mark.parametrize("case, where", [
+    ("index document id a lone surrogate", "d.jsonl:1: id"),
+    ("label question id a lone surrogate", "q.json: id"),
+])
+def test_id_that_utf8_cannot_encode_names_file_and_field(tmp_path, case, where):
+    code, err = run_qfs(*BROKEN_INPUTS[case](tmp_path))
+    message = "must be a non-empty string, not 'd\\ud800', which UTF-8 cannot encode"
+    assert (code, err) == (2, f"error: {tmp_path / where} {message}\n")
 
 
 SNIPPET = {"document": "d1", "section": "s1", "offsetInBeginSection": 0,

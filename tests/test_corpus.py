@@ -99,6 +99,8 @@ BAD_IDS = {
         ": question 'q1': snippet: document must be a non-empty string, not None"),
     "document id": ("docs.jsonl", {"id": None, "sections": []},
                     ":1: id must be a non-empty string, not None"),
+    "document id empty": ("docs.jsonl", {"id": "", "sections": []},
+                          ":1: id must be a non-empty string, not ''"),
     "section id": ("docs.jsonl", {"id": "d1", "sections": [{"id": None, "text": "a"}]},
                    ":1: section id must be a non-empty string, not None"),
     "feedback question_id": ("feedback.json", [{"question_id": 7, "items": []}],
@@ -110,6 +112,23 @@ BAD_IDS = {
         ": feedback for 'q1': ref must be a non-empty string, not None"),
     "submission id": ("submission.json", {"questions": [{"id": None}]},
                       ": submission question id must be a non-empty string, not None"),
+    # A lone surrogate (JSON "\ud800") is a str that no writer can encode.
+    **{f"{case} with a lone surrogate": (name, payload, f"{message}, not 'd\\ud800', "
+                                         "which UTF-8 cannot encode")
+       for case, name, payload, message in [
+           ("question id", "questions.json", [dict(MINIMAL_QUESTION, id="d\ud800")],
+            ": id must be a non-empty string"),
+           ("document id", "docs.jsonl", {"id": "d\ud800", "sections": []},
+            ":1: id must be a non-empty string"),
+           ("section id", "docs.jsonl", {"id": "d1", "sections": [{"id": "d\ud800"}]},
+            ":1: section id must be a non-empty string"),
+           ("feedback document ref", "feedback.json",
+            [{"question_id": "q1", "items": [{"kind": "document", "ref": "d\ud800",
+                                              "polarity": "relevant"}]}],
+            ": feedback for 'q1': ref must be a non-empty string"),
+           ("submission id", "submission.json", {"questions": [{"id": "d\ud800"}]},
+            ": submission question id must be a non-empty string"),
+       ]},
 }
 LOADERS = {"questions.json": load_question_set, "docs.jsonl": load_document_collection,
            "feedback.json": FeedbackStore.load, "submission.json": load_submission}

@@ -365,16 +365,19 @@ class TestSnippetsMatchTextPath:
 
 
 class TestAnswersMatchTextPath:
-    """Answer scoring reads the table's token ids; the text path is the oracle."""
+    """Answering reads table rows and token ids; the text path is the oracle."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([section_texts, repeated_texts, tokenless_texts]).flatmap(collections),
            st.lists(st.sampled_from(WORDS + ["beta", "straße end naïve"]), min_size=1,
                     max_size=4).map(" ".join),
-           st.integers(1, 10), st.data())
-    def test_cosine_answers_with_feedback(self, collection, body, per_doc, data):
-        question = make_question("q", body=body)
-        config = parse_config({"snippets": {"per_doc": per_doc}})
+           st.sampled_from(["summary", "factoid", "list"]),
+           st.integers(1, 10), st.integers(1, 12), st.data())
+    def test_cosine_answers_with_feedback(self, collection, body, qtype, per_doc, snippet_cap,
+                                          data):
+        question = make_question("q", body=body, qtype=qtype)
+        config = parse_config({"snippets": {"per_doc": per_doc},
+                               "retrieval": {"final_snippet_cap": snippet_cap}})
         feedback = FeedbackStore()
         for doc_id in sorted(doc.id for doc in collection):
             if polarity := data.draw(st.sampled_from([None] * 4 + [RELEVANT, IRRELEVANT])):
@@ -397,15 +400,23 @@ class TestAnswersMatchTextPath:
             return
         scored = [ScoredSentence(c.text, c, i, x)
                   for i, (c, x) in enumerate(zip(candidates, text_scores))]
-        expected = AnswerResult(
-            "q", [d for d, _ in ranked], returned[: config.retrieval.final_snippet_cap],
-            assemble_answer(question.qtype, scored, config.answer_table),
-        )
-        with mock.patch.object(pipeline, "assemble_answer", wraps=assemble_answer) as assemble:
+        answer = assemble_answer(question.qtype, scored, config.answer_table)
+        # The sort assemble_answer made before answering shared its selection:
+        # the best n, ties to the earlier candidate, joined in candidate order.
+        best = sorted(range(len(texts)), key=lambda i: (-text_scores[i], i))
+        assert answer == " ".join(texts[i] for i in sorted(best[: config.answer_table[qtype]]))
+        expected = AnswerResult("q", [d for d, _ in ranked], returned[:snippet_cap], answer)
+        # Answering scores its candidates by the last _cosines call, from table rows.
+        cosines, row_scores = pipeline._cosines, []
+
+        def recording(*args):
+            scores = cosines(*args)
+            row_scores.append(scores.tolist())
+            return scores
+
+        with mock.patch.object(pipeline, "_cosines", side_effect=recording):
             assert answer_question(question, config, resources) == expected
-        id_scored = assemble.call_args.args[1]
-        assert [x.source for x in id_scored] == candidates
-        assert [x.score for x in id_scored] == text_scores
+        assert row_scores[-1] == text_scores
 
     def test_answering_tokenizes_only_the_question(self, micro_collection):
         question = make_question("q", body="Does sleep help immunity?")
@@ -417,6 +428,27 @@ class TestAnswersMatchTextPath:
             result = answer_question(question, parse_config(ANSWER_CONFIG), resources)
         assert result.ideal_answer.startswith("Sleep improves immunity.")
         assert {c.args for c in tokenize.call_args_list} == {(question.body,)}
+
+    @pytest.mark.parametrize("judged", [False, True], ids=["no feedback", "snippet feedback"])
+    def test_answering_makes_spans_only_of_the_returned_snippets(self, micro_collection, judged):
+        question = make_question("q", body="Do vaccines, antibiotics or sleep help?")
+        config = parse_config({"snippets": {"per_doc": 2}, "retrieval": {"final_snippet_cap": 2}})
+        resources = Resources(collection=micro_collection, index=build_index(micro_collection),
+                              scorer=CosineScorer(), feedback=FeedbackStore())
+        ranked = retrieve(question, config, resources)
+        assert len(ranked) == 3
+        snippets = select_snippets(question, ranked, config, resources)
+        assert len(snippets) == 6
+        if judged:
+            resources.feedback.add_snippet("q", snippets[0], IRRELEVANT)
+            resources.feedback.add_snippet("q", snippets[3], RELEVANT)
+        with mock.patch.object(pipeline, "SnippetSpan", wraps=SnippetSpan) as spans, \
+             mock.patch.object(pipeline, "ScoredSentence", wraps=ScoredSentence) as scored:
+            result = answer_question(question, config, resources)
+        unjudged = [s for i, s in enumerate(snippets) if not judged or i not in (0, 3)]
+        assert result.snippets == unjudged[:2]
+        assert spans.call_count <= config.retrieval.final_snippet_cap
+        assert scored.call_count == 0
 
 
 # Pools of token-id sentences: tokenless ones, words repeated within and
