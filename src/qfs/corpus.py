@@ -14,6 +14,24 @@ File formats (all UTF-8):
   a snippet object without text) and polarity is ``"relevant"`` or
   ``"irrelevant"``.
 
+In memory a :class:`DocumentCollection` is columns, with no Python
+object per section:
+
+* ``text``, one UTF-8 buffer of every section text in order, each
+  followed by a newline (lone surrogates, which only an in-process
+  record can hold, are encoded with ``surrogatepass``);
+* ``ids``, the doc ids in insertion order, and ``ordinal``, id to place;
+* ``doc_ptr``: document d owns sections ``doc_ptr[d]:doc_ptr[d + 1]``;
+* per section: ``section_ids`` (interned), ``starts``, its int64 byte
+  start (one more entry closes the last section), and ``lengths``, its
+  int32 length in characters. A section is ASCII exactly when its byte
+  and character lengths agree, and then offsets into it are byte offsets.
+
+A :class:`DocumentRecord` is made only on demand: by
+``collection[doc_id]``, by iteration and by
+:func:`save_document_collection`. Indexing, answering and labelling
+read the columns.
+
 Loaded containers are immutable by convention and safe for concurrent
 reads; loading itself is single threaded.
 """
@@ -21,14 +39,19 @@ reads; loading itself is single threaded.
 from __future__ import annotations
 
 import json
+import sys
+import zlib
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence, TypeVar
+
+import numpy as np
 
 from .errors import MalformedInput
 from . import fileio
 from .fileio import (
-    ID, ID_LIST, INTEGER, LIST, STRING, open_output, read_json, read_jsonl, write_json,
+    ID, ID_LIST, INTEGER, LIST, STRING, STRING_LIST, open_output, read_json, read_jsonl, write_json,
 )
 
 QUESTION_TYPES = frozenset({"summary", "factoid", "yesno", "list"})
@@ -109,27 +132,102 @@ class QuestionSet:
 
 
 class DocumentCollection:
-    """Document records keyed by id, insertion ordered."""
+    """Documents keyed by id, insertion ordered, held as columns (module docstring)."""
 
-    def __init__(self, docs: Sequence[DocumentRecord]):
-        self.docs = list(docs)
-        self._by_id: dict[str, DocumentRecord] = {}
-        for d in self.docs:
-            if d.id in self._by_id:
-                raise MalformedInput(f"duplicate document id {d.id!r}")
-            self._by_id[d.id] = d
+    def __init__(self, docs: Iterable[DocumentRecord] = ()) -> None:
+        self._fill(("", doc.id, doc.sections) for doc in docs)
+
+    def _fill(self, entries: Iterable[tuple[str, str, Sequence[tuple[str, str]]]]) -> None:
+        """The columns of ``(where, doc id, sections)`` entries; a repeated id is
+        MalformedInput after ``where``."""
+        ids: list[str] = []
+        ordinal: dict[str, int] = {}
+        section_ids: list[str] = []
+        # Grown in place: a bytes copy at the end, or a list of chunks joined,
+        # leaves a freed hole as big as the text in the heap.
+        text = bytearray()
+        starts, lengths, doc_ptr = array("q", [0]), array("i"), array("q", [0])
+        for where, doc_id, sections in entries:
+            if ordinal.setdefault(doc_id, len(ids)) != len(ids):
+                raise MalformedInput(f"{where}duplicate document id {doc_id!r}")
+            ids.append(doc_id)
+            for section_id, section_text in sections:
+                section_ids.append(sys.intern(section_id))
+                text += section_text.encode("utf-8", "surrogatepass")
+                text += b"\n"
+                starts.append(len(text))
+                lengths.append(len(section_text))
+            doc_ptr.append(len(section_ids))
+        self.ids, self.ordinal, self.section_ids, self.text = ids, ordinal, section_ids, text
+        # numpy views for whole-column work; the arrays read one value faster.
+        self._starts, self._lengths, self._doc_ptr = starts, lengths, doc_ptr
+        self.starts, self.lengths, self.doc_ptr = (
+            np.frombuffer(column, dtype=column.typecode) for column in (starts, lengths, doc_ptr)
+        )
 
     def __len__(self) -> int:
-        return len(self.docs)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[DocumentRecord]:
-        return iter(self.docs)
+        return map(self._record, range(len(self.ids)))
 
     def __getitem__(self, doc_id: str) -> DocumentRecord:
-        return self._by_id[doc_id]
+        return self._record(self.ordinal[doc_id])
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._by_id
+        return doc_id in self.ordinal
+
+    def _record(self, d: int) -> DocumentRecord:
+        return DocumentRecord(self.ids[d], tuple(
+            (self.section_ids[s], self.chars(s, 0, self._lengths[s]))
+            for s in range(self._doc_ptr[d], self._doc_ptr[d + 1])
+        ))
+
+    def section(self, d: int, k: int) -> int:
+        """The number of document ``d``'s section ``k``."""
+        return self._doc_ptr[d] + k
+
+    def find_section(self, d: int, section_id: str) -> int | None:
+        """The number of document ``d``'s first section named ``section_id``, if any."""
+        try:
+            return self.section_ids.index(section_id, self._doc_ptr[d], self._doc_ptr[d + 1])
+        except ValueError:
+            return None
+
+    def chars(self, s: int, begin: int, end: int) -> str:
+        """Characters ``begin:end`` of section ``s``, clipped as a slice is; offsets are >= 0."""
+        start, stop = self._starts[s], self._starts[s + 1] - 1
+        if stop - start == self._lengths[s]:  # ASCII: character offsets are byte offsets
+            # A begin past the end gives an empty slice, as the end is clipped.
+            return self.text[start + begin : stop if start + end > stop else start + end].decode()
+        return self.text[start:stop].decode("utf-8", "surrogatepass")[begin:end]
+
+    def sections_of(self, ordinals: np.ndarray) -> np.ndarray:
+        """The section numbers of the documents ``ordinals``, in order."""
+        first = self.doc_ptr[ordinals]
+        counts = self.doc_ptr[ordinals + 1] - first
+        return np.arange(counts.sum()) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+
+    def joined(self, sections: np.ndarray) -> bytes:
+        """The UTF-8 bytes of ``sections``, joined by newlines: one slice of
+        ``text`` per run of consecutive section numbers."""
+        if not len(sections):
+            return b""
+        cut = np.flatnonzero(np.diff(sections) != 1) + 1
+        first, last = sections[np.r_[0, cut]], sections[np.r_[cut - 1, len(sections) - 1]]
+        spans = zip(self.starts[first].tolist(), (self.starts[last + 1] - 1).tolist())
+        return b"\n".join([self.text[a:e] for a, e in spans])
+
+    def crc32(self, ordinals: Sequence[int]) -> np.ndarray:
+        """Per document, the CRC32 of its section texts' bytes in order."""
+        starts, doc_ptr, view = self._starts, self._doc_ptr, memoryview(self.text)
+        crcs = np.zeros(len(ordinals), dtype=np.uint32)
+        for i, d in enumerate(ordinals):
+            crc = 0
+            for s in range(doc_ptr[d], doc_ptr[d + 1]):
+                crc = zlib.crc32(view[starts[s] : starts[s + 1] - 1], crc)
+            crcs[i] = crc
+        return crcs
 
 
 def snippet_from_json(obj: dict, where: str) -> SnippetSpan:
@@ -191,6 +289,7 @@ def question_from_json(obj: dict, where: str) -> QuestionRecord:
         ideal = [ideal]
     if not isinstance(ideal, list) or not all(isinstance(x, str) for x in ideal):
         raise MalformedInput(f"{where}: ideal_answer must be text or list")
+    fileio.check(ideal, STRING_LIST, where, "ideal_answer")
     documents, snippets = obj.get("documents", []), obj.get("snippets", [])
     if not isinstance(documents, list) or not isinstance(snippets, list):
         raise MalformedInput(f"{where}: documents and snippets must be lists")
@@ -220,16 +319,16 @@ def save_question_set(questions: QuestionSet, path: str | Path) -> None:
 
 
 def load_document_collection(path: str | Path) -> DocumentCollection:
-    """Read a JSONL document collection; section order is preserved."""
-    docs: dict[str, DocumentRecord] = {}
-    for where, obj in read_jsonl(path):
-        doc = document_from_json(obj, where)
-        if docs.setdefault(doc.id, doc) is not doc:
-            raise MalformedInput(f"{where}: duplicate document id {doc.id!r}")
-    return DocumentCollection(list(docs.values()))
+    """Read a JSONL document collection into columns in one pass; section
+    order is preserved."""
+    collection = DocumentCollection()
+    collection._fill((f"{where}: ", *document_from_json(obj, where))
+                     for where, obj in read_jsonl(path))
+    return collection
 
 
-def document_from_json(obj: dict, where: str = "document") -> DocumentRecord:
+def document_from_json(obj: dict, where: str = "document") -> tuple[str, list[tuple[str, str]]]:
+    """A document's id and its (section id, text) pairs, every field checked."""
     doc_id = fileio.field(obj, "id", ID, where)
     sections: list[tuple[str, str]] = []
     seen = set()
@@ -239,7 +338,7 @@ def document_from_json(obj: dict, where: str = "document") -> DocumentRecord:
             raise MalformedInput(f"{where}: duplicate section id {sid!r}")
         seen.add(sid)
         sections.append((sid, fileio.field(sec, "text", STRING, f"{where}: section {sid!r}", "")))
-    return DocumentRecord(id=doc_id, sections=tuple(sections))
+    return doc_id, sections
 
 
 def save_document_collection(collection: DocumentCollection, path: str | Path) -> None:

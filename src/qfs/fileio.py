@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import reprlib
 import struct
 import sys
@@ -165,6 +166,7 @@ def write_json(path: str | Path, payload, sort_keys: bool = False) -> None:
 class Rule:
     """What :func:`field` accepts: a value whose type is one of ``types``
     exactly, so that a bool is no integer, and that passes ``test``, if set.
+    A string must also be one that UTF-8 can encode (:func:`_encodable`).
     ``noun`` names the rule in a message and ``show`` renders a refused value;
     ``entry``, if set, is the rule each entry of an accepted list follows."""
 
@@ -175,15 +177,24 @@ class Rule:
     entry: Rule | None = None
 
     def refuses(self, value) -> bool:
-        return type(value) not in self.types or self.test is not None and not self.test(value)
+        return (type(value) not in self.types or self.test is not None and not self.test(value)
+                or type(value) is str and not _encodable(value))
 
 
-# Ids are written back out, and UTF-8 encodes all but surrogates (JSON's "\ud800").
-ID = Rule("a non-empty string", (str,),
-          lambda v: v != "" and (v.isascii() or not any("\ud800" <= c <= "\udfff" for c in v)),
-          show=lambda v: reprlib.repr(v) + (", which UTF-8 cannot encode" if v and type(v) is str
-                                            else ""))
-STRING = Rule("a string", (str,), show=lambda v: type(v).__name__)
+# Strings are written back out, and UTF-8 encodes all but lone surrogates
+# (JSON's "\ud800"). An ASCII string has none, which field() tests first.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_CANNOT = ", which UTF-8 cannot encode"
+
+
+def _encodable(value: str) -> bool:
+    return value.isascii() or _SURROGATE.search(value) is None
+
+
+ID = Rule("a non-empty string", (str,), bool,
+          show=lambda v: reprlib.repr(v) + (_CANNOT if v and type(v) is str else ""))
+STRING = Rule("a string", (str,),
+              show=lambda v: reprlib.repr(v) + _CANNOT if type(v) is str else type(v).__name__)
 INTEGER = Rule("an integer", (int,))
 COUNT = Rule("an integer >= 1", (int,), lambda v: v >= 1)
 # An int beyond the float range is not a finite number.
@@ -191,6 +202,7 @@ NUMBER = Rule("a finite number", (int, float), lambda v: abs(v) <= sys.float_inf
 OBJECT = Rule("an object", (dict,))
 LIST = Rule("a list", (list,))
 ID_LIST = replace(LIST, entry=ID)
+STRING_LIST = replace(LIST, entry=STRING)
 
 
 _REQUIRED = object()
@@ -211,18 +223,24 @@ def field(obj: dict, key: str, rule: Rule, where: str, default=_REQUIRED, *, nam
         raise MalformedInput(
             f"{where}: cannot read {name or key!r} from {reprlib.repr(obj)}, which is not an object"
         ) from None
-    if type(value) in rule.types and rule.entry is None and (rule.test is None or rule.test(value)):
+    if (type(value) in rule.types and rule.entry is None and (rule.test is None or rule.test(value))
+            and (type(value) is not str or value.isascii())):
         return value  # the common case, checked first
     if value is default:
         if default is _REQUIRED:
             raise MalformedInput(f"{where}: {name or key!r} is missing")
         return value
+    return check(value, rule, where, name or key)
+
+
+def check(value, rule: Rule, where: str, name: str):
+    """``value`` if it follows ``rule``, else :func:`field`'s MalformedInput for ``name``."""
     if rule.refuses(value):
-        raise MalformedInput(f"{where}: {name or key} must be {rule.noun}, not {rule.show(value)}")
+        raise MalformedInput(f"{where}: {name} must be {rule.noun}, not {rule.show(value)}")
     entry = rule.entry
     for item in value if entry is not None else ():
         if entry.refuses(item):
             raise MalformedInput(
-                f"{where}: {name or key} entry must be {entry.noun}, not {entry.show(item)}"
+                f"{where}: {name} entry must be {entry.noun}, not {entry.show(item)}"
             )
     return value

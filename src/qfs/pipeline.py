@@ -23,7 +23,11 @@ it sorts the pool's token ids once into (term, sentence, tf) triples
 from those, renumbered (:func:`_subset`): answering tokenizes no
 sentence and sorts no token twice. Any other scorer gets the texts,
 slices of the section texts at the table's offsets, and a snippet's
-position is its place among all sentences of its document.
+position is its place among all sentences of its document. A row's text
+is read from the collection's columns (:mod:`qfs.corpus`): the ranked
+documents' ordinals are looked up, and one section's bytes are sliced
+per row that needs text, so answering and labelling make no
+:class:`~qfs.corpus.DocumentRecord`.
 :func:`snip_cosine` does the same for a collection without an index,
 splitting just the ranked documents. Rows become :class:`SnippetSpan`
 objects (:func:`_spans`) only where returned: :func:`select_snippets`
@@ -74,7 +78,6 @@ from .corpus import (
     EXCLUDE_ALL_JUDGED,
     EXCLUDE_IRRELEVANT_ONLY,
     DocumentCollection,
-    DocumentRecord,
     FeedbackStore,
     QuestionRecord,
     QuestionSet,
@@ -87,7 +90,9 @@ from .corpus import (
 from .embeddings import DenseStore
 from .errors import EmptyInput, MalformedInput, MissingInput
 from . import fileio
-from .fileio import ID, INTEGER, STRING, open_output, read_json, read_jsonl, write_json
+from .fileio import (
+    ID, INTEGER, STRING, STRING_LIST, open_output, read_json, read_jsonl, write_json,
+)
 from .metrics import best_reference_f1, best_reference_f1s
 from .neural import KINDS, LabeledExample, TrainConfig, forward, train
 from .retrieval import (
@@ -95,6 +100,7 @@ from .retrieval import (
     RankedList,
     bm25_search,
     nir_search,
+    run_edges,
 )
 from .sentences import SentenceTable
 from .textproc import sentence_bounds, token_surfaces
@@ -172,6 +178,8 @@ def load_submission(path: str | Path) -> list[AnswerResult]:
         ideal_answer = obj.get("ideal_answer", "")
         if not all(isinstance(x, str) for x in [ideal_answer, *documents]):
             raise MalformedInput(f"{where}: document ids and ideal_answer must be strings")
+        fileio.check(ideal_answer, STRING, where, "ideal_answer")
+        fileio.check(documents, STRING_LIST, where, "documents")
         if len(set(documents)) < len(documents):
             raise MalformedInput(f"{where}: returned document list contains duplicates")
         snippets = [snippet_from_json(s, where) for s in snippets]
@@ -231,13 +239,6 @@ class ConstantScorer:
         return [0.5] * len(texts)
 
 
-def _run_edges(keys: np.ndarray) -> np.ndarray:
-    """Where each run of equal values in sorted ``keys`` starts, then ``len(keys)``."""
-    edge = np.ones(len(keys) + 1, bool)
-    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
-    return np.flatnonzero(edge)
-
-
 def _term_pairs(lengths: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, ...]:
     """The distinct (term, sentence, tf) triples of n sentences, as three arrays
     sorted by term, then sentence: one sort of a (term, sentence) key per token.
@@ -253,7 +254,7 @@ def _term_pairs(lengths: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, ...
     keys <<= bits
     keys |= np.repeat(np.arange(n, dtype=keys.dtype), lengths)
     keys.sort()
-    edges = _run_edges(keys)  # one run per (term, sentence) pair
+    edges = run_edges(keys)  # one run per (term, sentence) pair
     pairs = keys[edges[:-1]]
     return pairs >> bits, pairs & ((1 << bits) - 1), np.diff(edges)
 
@@ -279,7 +280,7 @@ def _cosines(asked: np.ndarray, n: int, pairs: tuple[np.ndarray, ...]) -> np.nda
     pair_term, pair_sent, tf = pairs
     if not len(pair_term):
         return np.zeros(n)
-    term_edges = _run_edges(pair_term)  # one run per distinct term
+    term_edges = run_edges(pair_term)  # one run per distinct term
     words, df = pair_term[term_edges[:-1]], np.diff(term_edges)
     present = np.flatnonzero(np.bincount(df))
     idf_of_df = np.zeros(present[-1] + 1)
@@ -385,21 +386,32 @@ def _ordinal(index: InvertedIndex, doc_id: str) -> int:
     return i
 
 
-def _rows(table: SentenceTable, docs: Mapping[int, DocumentRecord], rows: np.ndarray):
-    """Per row of ``table`` in ``rows``: its document id, section id, begin, end and
-    text, the slice of its section text; ``docs`` maps table document ordinals to records."""
+def _rows(table: SentenceTable, collection: DocumentCollection, docs: Mapping[int, int],
+          rows: np.ndarray):
+    """Per row of ``table`` in ``rows``: its span key (document id, section id,
+    begin, end) and its section's number in ``collection``; ``docs`` maps table
+    document ordinals to collection ordinals."""
     columns = (c[rows].tolist() for c in (table.doc, table.section, table.begin, table.end))
-    for d, section, b, e in zip(*columns):
-        section_id, text = docs[d].sections[section]
-        yield docs[d].id, section_id, b, e, text[b:e]
+    for t, k, b, e in zip(*columns):
+        d = docs[t]
+        s = collection.section(d, k)
+        yield (collection.ids[d], collection.section_ids[s], b, e), s
 
 
-def _spans(table: SentenceTable, docs: Mapping[int, DocumentRecord], rows) -> list[SnippetSpan]:
-    return [SnippetSpan(*row) for row in _rows(table, docs, rows)]
+def _texts(table: SentenceTable, collection: DocumentCollection, docs: Mapping[int, int],
+           rows) -> list[str]:
+    """The rows' texts, each a slice of its section's bytes."""
+    return [collection.chars(s, key[2], key[3]) for key, s in _rows(table, collection, docs, rows)]
+
+
+def _spans(table: SentenceTable, collection: DocumentCollection, docs: Mapping[int, int],
+           rows) -> list[SnippetSpan]:
+    return [SnippetSpan(*key, collection.chars(s, key[2], key[3]))
+            for key, s in _rows(table, collection, docs, rows)]
 
 
 def _snip(question: QuestionRecord, table: SentenceTable, ordinals: Sequence[int],
-          docs: Mapping[int, DocumentRecord], scorer: SentenceScorer,
+          collection: DocumentCollection, docs: Mapping[int, int], scorer: SentenceScorer,
           per_doc: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...] | None, np.ndarray]:
     """Snippets by one scoring over the sentences of every ranked document:
     the ``table`` rows of the kept pool sentences in occurrence order, a mask
@@ -407,10 +419,11 @@ def _snip(question: QuestionRecord, table: SentenceTable, ordinals: Sequence[int
     in ``table``.
 
     ``ordinals`` are the ranked documents' places in ``table``, in rank
-    order, and ``docs`` maps each to its record. A :class:`CosineScorer`
-    scores the pool's token ids through :func:`_term_pairs`, which are
-    returned for answer scoring; any other scorer gets the texts, with
-    per-document ordinals as positions, and the pairs are ``None``. Per
+    order, and ``docs`` maps each to its place in ``collection``. A
+    :class:`CosineScorer` scores the pool's token ids through
+    :func:`_term_pairs`, which are returned for answer scoring; any other
+    scorer gets the texts, with per-document ordinals as positions, and
+    the pairs are ``None``. Per
     document the top ``per_doc`` sentences (ties to the earlier one) are
     kept in occurrence order; per-document groups are collated in
     document-relevance order. No :class:`SnippetSpan` is made here: the
@@ -431,7 +444,7 @@ def _snip(question: QuestionRecord, table: SentenceTable, ordinals: Sequence[int
         pairs = _term_pairs(table.indptr[rows + 1] - table.indptr[rows], terms)
         scores = _cosines(asked, len(rows), pairs)
     else:
-        texts = [text for *_, text in _rows(table, docs, rows)]
+        texts = _texts(table, collection, docs, rows)
         positions = (rows - first[owner]).tolist()
         scores = np.asarray(scorer.score_sentences(question, texts, positions), dtype=float)
     order = np.lexsort((-scores, owner))  # stable; order[i] is in document owner[i]
@@ -455,9 +468,9 @@ def snip_cosine(
     same result.
     """
     table = SentenceTable.build(collection, [d for d, _ in ranked_docs])
-    docs = dict(enumerate(collection[d] for d, _ in ranked_docs))
-    rows = _snip(question, table, range(len(docs)), docs, CosineScorer(), per_doc)[0]
-    return _spans(table, docs, rows)
+    docs = dict(enumerate(collection.ordinal[d] for d, _ in ranked_docs))
+    rows = _snip(question, table, range(len(docs)), collection, docs, CosineScorer(), per_doc)[0]
+    return _spans(table, collection, docs, rows)
 
 
 def candidate_sentences(question: QuestionRecord) -> list[SnippetSpan]:
@@ -492,13 +505,14 @@ def _gold_candidates(question: QuestionRecord) -> list[SnippetSpan]:
 def _check_gold_offsets(question: QuestionRecord, collection: DocumentCollection) -> None:
     """Every gold snippet must be the exact slice of its section text."""
     for s in question.gold_snippets:
-        if s.doc_id not in collection:
+        d = collection.ordinal.get(s.doc_id)
+        if d is None:
             problem = "is not in the collection"
         else:
-            text = collection[s.doc_id].section_text(s.section_id)
-            if text is None:
+            section = collection.find_section(d, s.section_id)
+            if section is None:
                 problem = f"has no section {s.section_id!r}"
-            elif text[s.begin_char : s.end_char] != s.text:
+            elif collection.chars(section, s.begin_char, s.end_char) != s.text:
                 problem = (
                     f"section {s.section_id!r} does not hold the snippet text "
                     f"at offsets {s.begin_char}-{s.end_char}"
@@ -572,8 +586,11 @@ class Resources:
     The index must have been built from ``collection``: snippets slice
     its section texts at the offsets in the index's sentence table
     (:func:`qfs.retrieval.check_collection` checks a loaded index's
-    section lengths and text CRCs). Its BM25 impacts use the k1 and b it
-    was built or loaded with; the command line passes the config's.
+    section lengths and text CRCs). They are read from the collection's
+    columns, one section's bytes per row, and no
+    :class:`~qfs.corpus.DocumentRecord` is made. Its BM25 impacts use the
+    k1 and b it was built or loaded with; the command line passes the
+    config's.
     """
 
     collection: DocumentCollection
@@ -613,9 +630,10 @@ def _select(question: QuestionRecord, ranked: RankedList, config, resources: Res
     so answer scoring by cosine always finds the pool's term pairs."""
     index = resources.index
     scorer = CosineScorer() if config.snippets.strategy == "cosine" else resources.scorer
+    collection = resources.collection
     ordinals = [_ordinal(index, doc_id) for doc_id, _ in ranked]
-    docs = {o: resources.collection[doc_id] for o, (doc_id, _) in zip(ordinals, ranked)}
-    return docs, _snip(question, index.sentences, ordinals, docs, scorer,
+    docs = {o: collection.ordinal[doc_id] for o, (doc_id, _) in zip(ordinals, ranked)}
+    return docs, _snip(question, index.sentences, ordinals, collection, docs, scorer,
                        config.snippets.per_doc)
 
 
@@ -624,17 +642,17 @@ def select_snippets(
 ) -> list[SnippetSpan]:
     """Snippets of the ranked documents by the configured strategy, unfiltered."""
     docs, (rows, *_) = _select(question, ranked, config, resources)
-    return _spans(resources.index.sentences, docs, rows)
+    return _spans(resources.index.sentences, resources.collection, docs, rows)
 
 
 def answer_question(question: QuestionRecord, config, resources: Resources) -> AnswerResult:
     """Retrieve, snip, filter, score, and assemble one question's answer."""
     ranked = retrieve(question, config, resources)[: config.retrieval.final_doc_cap]
-    table = resources.index.sentences
+    table, collection = resources.index.sentences, resources.collection
     docs, (rows, kept, pairs, asked) = _select(question, ranked, config, resources)
     returned = candidates = rows
     if judged := resources.feedback.judgments(question.id)[1]:  # some snippets are judged
-        polarity = [judged.get(row[:4]) for row in _rows(table, docs, rows)]  # by span key
+        polarity = [judged.get(key) for key, _ in _rows(table, collection, docs, rows)]
         shown, left = (np.array([p in keep for p in polarity], dtype=bool) for keep in
                        map(kept_polarities, (EXCLUDE_ALL_JUDGED, EXCLUDE_IRRELEVANT_ONLY)))
         returned, candidates = rows[shown], rows[left]
@@ -642,12 +660,14 @@ def answer_question(question: QuestionRecord, config, resources: Resources) -> A
     if isinstance(resources.scorer, CosineScorer):
         scores = _cosines(asked, len(candidates), _subset(pairs, kept)).tolist()
     else:
-        texts = [text for *_, text in _rows(table, docs, candidates)]
+        texts = _texts(table, collection, docs, candidates)
         scores = resources.scorer.score_sentences(question, texts, list(range(len(texts))))
     best = candidates[_answer_places(question.qtype, scores, config.answer_table)]
-    return AnswerResult(question.id, [d for d, _ in ranked],
-                        _spans(table, docs, returned[: config.retrieval.final_snippet_cap]),
-                        " ".join(text for *_, text in _rows(table, docs, best)))
+    return AnswerResult(
+        question.id, [d for d, _ in ranked],
+        _spans(table, collection, docs, returned[: config.retrieval.final_snippet_cap]),
+        " ".join(_texts(table, collection, docs, best)),
+    )
 
 
 class ModelSpec(Protocol):

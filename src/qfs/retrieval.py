@@ -36,9 +36,11 @@ Binary formats (little-endian):
   i32 post_doc[n_postings], i32 post_tf[n_postings],
   i32 section_count[n_docs], i32 section_len[n_sections] (each
   document's section text lengths, in characters), u32 doc_crc[n_docs]
-  (the CRC32 of each document's section texts, UTF-8 with lone
-  surrogates passed through, in section order), the sentence table i32 doc, section, begin and
-  end[n_sentences], i64 indptr[n_sentences + 1] and
+  (the CRC32 of each document's section texts in section order, as the
+  collection's UTF-8 buffer holds them: a loaded collection holds no
+  lone surrogate, and one built in process encodes its lone surrogates
+  with ``surrogatepass``), the sentence table i32 doc, section, begin
+  and end[n_sentences], i64 indptr[n_sentences + 1] and
   i32 token_ids[n_tokens]; then u32 CRC32 of all preceding bytes.
   Versions 1 to 3 are rejected: an index is a derived file, rebuilt
   with ``qfs index``.
@@ -52,7 +54,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -94,7 +96,7 @@ class InvertedIndex:
     # of sections, and per section its length in characters.
     section_counts: np.ndarray
     section_lengths: np.ndarray
-    doc_crc: np.ndarray  # per document, _text_crc of its sections
+    doc_crc: np.ndarray  # per document, the CRC32 of its section texts (_text_columns)
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
     n_docs: int = field(init=False)
@@ -148,23 +150,25 @@ def build_index(
     if len(docs) == 0:
         raise EmptyInput("cannot index an empty collection")
     stop = stopwords or frozenset()
-    doc_ids = sorted(doc.id for doc in docs)
+    doc_ids = sorted(docs.ids)
     table = SentenceTable.build(docs, doc_ids)
     is_term = np.array([word not in stop for word in table.vocabulary], dtype=bool)
     terms = [word for word, keep in zip(table.vocabulary, is_term.tolist()) if keep]
     doc_len, indptr, post_doc, post_tf = _postings(table, is_term)
-    sections = [docs[doc_id].sections for doc_id in doc_ids]
     return InvertedIndex(
         doc_ids, doc_len, {term: r for r, term in enumerate(terms)}, indptr, post_doc, post_tf,
-        table, np.array([len(s) for s in sections], dtype=np.int32),
-        np.array([len(text) for s in sections for _, text in s], dtype=np.int32),
-        np.array([_text_crc(s) for s in sections], dtype=np.uint32), k1, b,
+        table, *_text_columns(docs, [docs.ordinal[doc_id] for doc_id in doc_ids]), k1, b,
     )
 
 
-def _text_crc(sections: Sequence[tuple[str, str]]) -> int:
-    """CRC32 of a document's section texts in order, UTF-8 (lone surrogates pass)."""
-    return zlib.crc32("".join(text for _, text in sections).encode("utf-8", "surrogatepass"))
+def _text_columns(collection: DocumentCollection, ordinals: list[int]) -> tuple[np.ndarray, ...]:
+    """Per document of ``ordinals`` its section count, per section its length
+    in characters, and per document the CRC32 of its section texts' bytes
+    in order; all read from the collection's columns."""
+    at = np.array(ordinals, dtype=np.int64)
+    counts = collection.doc_ptr[at + 1] - collection.doc_ptr[at]
+    return (counts.astype(np.int32), collection.lengths[collection.sections_of(at)],
+            collection.crc32(ordinals))
 
 
 def _doc_blocks(bounds: np.ndarray) -> list[tuple[int, int]]:
@@ -179,9 +183,16 @@ def _doc_blocks(bounds: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _token_docs(bounds: np.ndarray, first: int, last: int) -> np.ndarray:
+def _token_docs(bounds: np.ndarray, first: int, last: int, dtype=np.intp) -> np.ndarray:
     """For each token of documents first..last-1, its document ordinal minus ``first``."""
-    return np.repeat(np.arange(last - first), np.diff(bounds[first : last + 1]))
+    return np.repeat(np.arange(last - first, dtype=dtype), np.diff(bounds[first : last + 1]))
+
+
+def run_edges(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in sorted ``keys`` starts, then ``len(keys)``."""
+    edge = np.ones(len(keys) + 1, bool)
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    return np.flatnonzero(edge)
 
 
 def _postings(table: SentenceTable, is_term: np.ndarray):
@@ -201,10 +212,15 @@ def _postings(table: SentenceTable, is_term: np.ndarray):
         """Unique (term row, doc) pairs of docs first..last-1 by row then doc, and tfs."""
         rows = row_of[table.token_ids[bounds[first] : bounds[last]]]
         term, n = rows >= 0, last - first
-        keys = rows[term].astype(np.int64) * n + _token_docs(bounds, first, last)[term]
-        keys, tf = np.unique(keys, return_counts=True)
-        rows, docs = np.divmod(keys, n)
-        return rows, docs + first, tf
+        # A key is row * n + doc; int32 keys sort faster than int64 ones, when they fit.
+        dtype = np.int32 if n_terms * n < 1 << 31 else np.int64
+        keys = rows[term].astype(dtype)
+        keys *= n
+        keys += _token_docs(bounds, first, last, dtype)[term]
+        keys.sort()
+        edges = run_edges(keys)  # one run per (row, doc) pair
+        rows, docs = np.divmod(keys[edges[:-1]], n)
+        return rows, docs + first, np.diff(edges)
 
     df = np.zeros(n_terms, dtype=np.int64)
     for first, last in blocks:
@@ -496,18 +512,31 @@ def check_collection(index: InvertedIndex, collection: DocumentCollection, path)
     after ``qfs index`` is MalformedInput, named with the first such
     document.
     """
-    lengths, crcs = index.section_lengths.tolist(), index.doc_crc.tolist()
-    start = 0
-    for doc_id, count, crc in zip(index.doc_ids, index.section_counts.tolist(), crcs):
-        indexed, start = lengths[start : start + count], start + count
-        if doc_id not in collection:
+    ordinals = [collection.ordinal.get(doc_id) for doc_id in index.doc_ids]
+    counts, lengths, crcs = (column.tolist() for column in _text_columns(
+        collection, [o for o in ordinals if o is not None]))
+    now = zip(_per_doc(lengths, counts), crcs)
+    was = zip(_per_doc(index.section_lengths.tolist(), index.section_counts.tolist()),
+              index.doc_crc.tolist())
+    for doc_id, o, (indexed, crc) in zip(index.doc_ids, ordinals, was):
+        if o is None:
             problem = "is not in the collection"
-        elif [len(text) for _, text in collection[doc_id].sections] != indexed:
-            problem = "has other sections than when it was indexed"
-        elif _text_crc(collection[doc_id].sections) != crc:
-            problem = "has other text than when it was indexed"
         else:
-            continue
+            now_lengths, now_crc = next(now)
+            if now_lengths != indexed:
+                problem = "has other sections than when it was indexed"
+            elif now_crc != crc:
+                problem = "has other text than when it was indexed"
+            else:
+                continue
         raise MalformedInput(
             f"{path}: document {doc_id!r} {problem}; rebuild the index with `qfs index`"
         )
+
+
+def _per_doc(values: list, counts: list[int]) -> Iterator[list]:
+    """``values`` cut into consecutive runs of ``counts`` entries."""
+    start = 0
+    for count in counts:
+        yield values[start : start + count]
+        start += count

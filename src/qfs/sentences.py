@@ -15,8 +15,11 @@ characters. A block's sections, joined by newlines with each section
 start a cut, are split as one text (the join rule of
 :func:`qfs.textproc.sentence_bounds`) and, where ASCII, tokenized as one
 through :data:`qfs.textproc.TOKEN_BYTES`, with numpy for spans and counts.
-Other sections are tokenized one sentence at a time, and their tokens
-joined as UTF-8 bytes, so ids are found the same way for both.
+The joined bytes are sliced from the collection's UTF-8 buffer, one
+slice per run of consecutive sections, and are the text itself when the
+block is all ASCII; a block with other sections is decoded. Those
+sections are tokenized one sentence at a time, and their tokens joined
+as UTF-8 bytes, so ids are found the same way for both.
 
 A token's id is found without a Python string for words of up to 8 UTF-8
 bytes: each is packed into a ``uint64`` key and looked up, a block of
@@ -116,13 +119,22 @@ class _WordIds:
         return ids
 
 
-def _block_sentences(texts: Sequence[str], ids: _WordIds) -> tuple[np.ndarray, ...]:
-    """Per sentence of the texts, in order, its text's index, begin, end
-    and token count; and all their token ids, numbered first-seen in ``ids``."""
-    starts = np.zeros(len(texts) + 1, dtype=np.int64)
-    np.cumsum([len(text) + 1 for text in texts], out=starts[1:])
-    joined = "\n".join(texts)
-    data = joined.encode("ascii", ASCII_STAND_INS)  # one byte per character
+def _block_sentences(collection: DocumentCollection, sections: np.ndarray,
+                     ids: _WordIds) -> tuple[np.ndarray, ...]:
+    """Per sentence of the collection's ``sections``, in order, its place in
+    ``sections``, begin, end and token count; and all their token ids,
+    numbered first-seen in ``ids``."""
+    lengths = collection.lengths[sections]
+    starts = np.zeros(len(sections) + 1, dtype=np.int64)
+    np.cumsum(lengths + 1, out=starts[1:])
+    raw = collection.joined(sections)
+    # A section is ASCII when its bytes are as many as its characters.
+    other_text = collection.starts[sections + 1] - collection.starts[sections] - 1 != lengths
+    if other_text.any():
+        joined = raw.decode("utf-8", "surrogatepass")
+        data = joined.encode("ascii", ASCII_STAND_INS)  # one byte per character
+    else:
+        joined, data = raw.decode("ascii"), raw
     # A sentence is what a span between two cuts (text starts and breaks)
     # holds of runs of non-space characters, if anything. No cut falls
     # inside a run, so a repeated cut spans nothing.
@@ -136,16 +148,17 @@ def _block_sentences(texts: Sequence[str], ids: _WordIds) -> tuple[np.ndarray, .
     begin = np.maximum(run_begin[first[found]], cuts[:-1][found])
     end = np.minimum(run_end[last[found]], cuts[1:][found])
     text = np.searchsorted(starts, begin, "right") - 1
-    begin, end = begin - starts[text], end - starts[text]
     # Other texts are blanked here and tokenized one sentence at a time.
-    other = np.array([not t.isascii() for t in texts], dtype=bool)[text]
+    other = other_text[text]
     if other.any():
-        data = "\n".join(t if t.isascii() else " " * len(t) for t in texts).encode("ascii")
+        blanked = np.frombuffer(data, dtype=np.uint8).copy()
+        blanked[np.repeat(other_text, lengths + 1)[: len(data)]] = ord(" ")
+        data = blanked.tobytes()
     token_starts, token_ids = ids(data.translate(TOKEN_BYTES))
-    counts = np.diff(np.searchsorted(token_starts, end + starts[text]), prepend=0)
+    counts = np.diff(np.searchsorted(token_starts, end), prepend=0)
     more = []
     for s in np.flatnonzero(other).tolist():
-        tokens = token_surfaces(texts[text[s]][begin[s] : end[s]])
+        tokens = token_surfaces(joined[begin[s] : end[s]])
         counts[s] = len(tokens)
         more.extend(tokens)
     from_other = np.repeat(other, counts)
@@ -153,20 +166,24 @@ def _block_sentences(texts: Sequence[str], ids: _WordIds) -> tuple[np.ndarray, .
     merged[~from_other] = token_ids
     if more:
         merged[from_other] = ids(" ".join(more).encode())[1]
-    return text, begin, end, counts, merged
+    return text, begin - starts[text], end - starts[text], counts, merged
 
 
-def _blocks(sections: Iterable[Sequence[tuple[str, str]]]) -> Iterator[list[Sequence]]:
-    """Runs of whole documents with about ``_BLOCK_CHARS`` characters each."""
-    block, size = [], 0
-    for doc_sections in sections:
-        block.append(doc_sections)
-        size += sum(len(text) for _, text in doc_sections)
+def _blocks(collection: DocumentCollection, ordinals: np.ndarray) -> Iterator[np.ndarray]:
+    """Runs of whole documents of ``ordinals`` with about ``_BLOCK_CHARS`` characters each."""
+    sections = collection.sections_of(ordinals)
+    chars = np.zeros(len(sections) + 1, dtype=np.int64)
+    np.cumsum(collection.lengths[sections], out=chars[1:])
+    doc_ends = np.cumsum(collection.doc_ptr[ordinals + 1] - collection.doc_ptr[ordinals])
+    sizes = np.diff(chars[doc_ends], prepend=0).tolist()
+    first, size = 0, 0
+    for i, doc_size in enumerate(sizes):
+        size += doc_size
         if size >= _BLOCK_CHARS:
-            yield block
-            block, size = [], 0
-    if block:
-        yield block
+            yield ordinals[first : i + 1]
+            first, size = i + 1, 0
+    if first < len(sizes):
+        yield ordinals[first:]
 
 
 @dataclass(eq=False)
@@ -197,14 +214,17 @@ class SentenceTable:
         for doc_id in doc_ids:
             if doc_id not in collection:
                 raise MissingInput(f"document {doc_id!r} is not in the collection")
+        ordinals = np.array([collection.ordinal[doc_id] for doc_id in doc_ids], dtype=np.int64)
         word_ids = _WordIds()
         doc, section, begin, end, length, tokens = (array("i") for _ in range(6))
         n_docs = 0
-        for block in _blocks(collection[doc_id].sections for doc_id in doc_ids):
-            texts = [text for doc_sections in block for _, text in doc_sections]
-            text_doc = np.repeat(np.arange(n_docs, n_docs + len(block)), [len(s) for s in block])
-            text_section = np.concatenate([np.arange(len(s)) for s in block])
-            text, *columns, token_ids = _block_sentences(texts, word_ids)
+        for block in _blocks(collection, ordinals):
+            first = collection.doc_ptr[block]
+            counts = collection.doc_ptr[block + 1] - first
+            sections = collection.sections_of(block)
+            text_doc = np.repeat(np.arange(n_docs, n_docs + len(block)), counts)
+            text_section = sections - np.repeat(first, counts)
+            text, *columns, token_ids = _block_sentences(collection, sections, word_ids)
             for out, values in zip((doc, section, begin, end, length),
                                    (text_doc[text], text_section[text], *columns)):
                 out.frombytes(values.astype(np.int32).tobytes())

@@ -448,6 +448,16 @@ BROKEN_INPUTS = {
             "snippets": [{"document": "d1", "section": "s1", "offsetInBeginSection": 0,
                           "offsetInEndSection": 4, "text": "Some"}]}])),
         "--out", w / "l.jsonl"),
+    "label question body a lone surrogate": lambda w: (
+        "label", "--questions", write(w / "q.json", json.dumps([{
+            "id": "q1", "type": "summary", "body": "b\ud800", "ideal_answer": ["Some text."],
+            "snippets": [{"document": "d1", "section": "s1", "offsetInBeginSection": 0,
+                          "offsetInEndSection": 4, "text": "Some"}]}])),
+        "--out", w / "l.jsonl"),
+    "index section text a lone surrogate": lambda w: (
+        "index", "--docs", write(w / "d.jsonl", json.dumps(
+            {"id": "d1", "sections": [{"id": "s1", "text": "b\ud800"}]}) + "\n"),
+        "--out", w / "i.qidx"),
 }
 
 
@@ -487,6 +497,18 @@ def test_field_of_another_type_names_file_and_field(tmp_path, case, message):
 def test_id_that_utf8_cannot_encode_names_file_and_field(tmp_path, case, where):
     code, err = run_qfs(*BROKEN_INPUTS[case](tmp_path))
     message = "must be a non-empty string, not 'd\\ud800', which UTF-8 cannot encode"
+    assert (code, err) == (2, f"error: {tmp_path / where} {message}\n")
+
+
+@pytest.mark.parametrize("case, where", [
+    ("label question body a lone surrogate", "q.json: question 'q1': body"),
+    ("index section text a lone surrogate", "d.jsonl:1: section 's1': text"),
+])
+def test_text_that_utf8_cannot_encode_names_file_and_field(tmp_path, case, where):
+    # Before, `qfs label` read such a body and ended in a UnicodeEncodeError
+    # traceback from the labels writer, with exit 1.
+    code, err = run_qfs(*BROKEN_INPUTS[case](tmp_path))
+    message = "must be a string, not 'b\\ud800', which UTF-8 cannot encode"
     assert (code, err) == (2, f"error: {tmp_path / where} {message}\n")
 
 

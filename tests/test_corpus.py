@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,7 +26,7 @@ from qfs.corpus import (
     save_question_set,
 )
 from qfs.errors import MalformedInput
-from qfs.pipeline import load_submission
+from qfs.pipeline import load_labels, load_submission
 
 from conftest import make_doc, make_question
 
@@ -84,8 +87,9 @@ def test_every_question_error_names_the_file(tmp_path, case):
         load_question_set(path)
 
 
-# Each place an id is read, given one that is not a non-empty string: the
-# file written, its content, and the message that must follow the path.
+# Each place an id is read, given one that is not a non-empty string, and
+# each place a text is read, given one that UTF-8 cannot encode: the file
+# written, its content, and the message that must follow the path.
 BAD_IDS = {
     "question id null": ("questions.json", [dict(MINIMAL_QUESTION, id=None)],
                          ": question with empty or missing id"),
@@ -128,10 +132,35 @@ BAD_IDS = {
             ": feedback for 'q1': ref must be a non-empty string"),
            ("submission id", "submission.json", {"questions": [{"id": "d\ud800"}]},
             ": submission question id must be a non-empty string"),
+           # Text fields follow the same rule.
+           ("question body", "questions.json", [dict(MINIMAL_QUESTION, body="d\ud800")],
+            ": question 'q1': body must be a string"),
+           ("section text", "docs.jsonl",
+            {"id": "d1", "sections": [{"id": "s", "text": "d\ud800"}]},
+            ":1: section 's': text must be a string"),
+           ("snippet text", "questions.json",
+            [dict(MINIMAL_QUESTION, snippets=[dict(SNIPPET, text="d\ud800")])],
+            ": question 'q1': snippet: text must be a string"),
+           ("ideal answer", "questions.json", [dict(MINIMAL_QUESTION, ideal_answer="d\ud800")],
+            ": question 'q1': ideal_answer entry must be a string"),
+           ("feedback polarity", "feedback.json",
+            [{"question_id": "q1", "items": [{"kind": "document", "ref": "d1",
+                                              "polarity": "d\ud800"}]}],
+            ": feedback for 'q1': polarity must be a string"),
+           ("submission ideal answer", "submission.json",
+            {"questions": [{"id": "q1", "ideal_answer": "d\ud800"}]},
+            ": submission question 'q1': ideal_answer must be a string"),
+           ("submission document", "submission.json",
+            {"questions": [{"id": "q1", "documents": ["d\ud800"]}]},
+            ": submission question 'q1': documents entry must be a string"),
+           ("labeled question", "labels.jsonl",
+            {"pair_id": "p", "question": "d\ud800", "sentence": "s", "position": 0, "label": 1},
+            ":1: bad labeled example: question must be a string"),
        ]},
 }
 LOADERS = {"questions.json": load_question_set, "docs.jsonl": load_document_collection,
-           "feedback.json": FeedbackStore.load, "submission.json": load_submission}
+           "feedback.json": FeedbackStore.load, "submission.json": load_submission,
+           "labels.jsonl": load_labels}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_IDS))
@@ -290,7 +319,43 @@ class TestLoadDocuments:
         path = tmp_path / "docs.jsonl"
         save_document_collection(collection, path)
         reloaded = load_document_collection(path)
-        assert reloaded.docs == collection.docs
+        assert list(reloaded) == list(collection)
+
+
+# What a loaded collection may hold besides its text's UTF-8 bytes: per
+# document its id, the id's list and dict entries and a section pointer;
+# per section its newline, start, length and section-id pointer.
+HELD_PER_DOCUMENT = 200
+HELD_PER_SECTION = 40
+
+
+def test_a_loaded_collection_holds_its_text_bytes_and_a_fixed_allowance(tmp_path):
+    """No Python object per section: before the collection was columns, a
+    section cost a (section id, text) tuple and a str header, over 100 bytes."""
+    rng = random.Random(11)
+    ascii_words = ["alpha", "beta", "tea", "of", "Dr.", "end."]
+    other_words = ascii_words + ["Σίσυφος", "straße", "İstanbul", "naïve", "\U0001F600"]
+    path, text_bytes, n_sections = tmp_path / "docs.jsonl", 0, 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for d in range(2000):
+            words = ascii_words if d % 2 else other_words
+            texts = [" ".join(rng.choices(words, k=rng.randrange(30)))
+                     for _ in range(rng.randrange(5))]
+            text_bytes += sum(len(text.encode()) for text in texts)
+            n_sections += len(texts)
+            sections = [{"id": f"s{j}", "text": text} for j, text in enumerate(texts)]
+            fh.write(json.dumps({"id": f"doc{d:05d}", "sections": sections}) + "\n")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        collection = load_document_collection(path)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(collection) == 2000
+    # The text grows in one bytearray, which may keep up to 1/8 of it as slack.
+    allowed = text_bytes * 9 // 8 + HELD_PER_DOCUMENT * 2000 + HELD_PER_SECTION * n_sections
+    assert held <= allowed, f"{held} bytes held, {allowed} allowed"
 
 
 class TestSnippetSpan:

@@ -805,7 +805,8 @@ class TestIndexSnapshot:
         assert load_index(path, k1=1.5, b=0.5).impact.tobytes() == built.impact.tobytes()
 
     def test_text_with_a_lone_surrogate_is_checked_by_its_crc(self):
-        # The docs reader accepts a lone surrogate (JSON "\ud800") in a text.
+        # The docs reader refuses a lone surrogate (JSON "\ud800"), but a collection
+        # built in process may hold one: its buffer encodes it with surrogatepass.
         index = build_index(collection_of("caf\ud800 tea."))
         check_collection(index, collection_of("caf\ud800 tea."), "i.qidx")
         with pytest.raises(MalformedInput, match="'d1' has other text than when it was indexed"):

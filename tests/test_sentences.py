@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from array import array
 from collections import Counter, defaultdict
@@ -17,14 +18,15 @@ from qfs import pipeline, sentences
 from qfs.config import parse_config
 from qfs.corpus import (
     EXCLUDE_ALL_JUDGED, EXCLUDE_IRRELEVANT_ONLY, IRRELEVANT, RELEVANT, DocumentCollection,
-    FeedbackStore, SnippetSpan, filter_judged, load_document_collection,
+    DocumentRecord, FeedbackStore, SnippetSpan, filter_judged, load_document_collection,
+    load_question_set, save_document_collection,
 )
 from qfs.errors import EmptyInput, MissingInput
 from qfs.pipeline import (
     AnswerResult, CosineScorer, Resources, ScoredSentence, answer_question, assemble_answer,
     retrieve, select_snippets, snip_cosine,
 )
-from qfs.retrieval import build_index, load_index, save_index
+from qfs.retrieval import build_index, check_collection, load_index, save_index
 from qfs.sentences import SentenceTable
 from qfs.textproc import sentence_bounds, split_sentences, token_surfaces
 
@@ -509,3 +511,88 @@ class TestKernelMatchesReference:
         assert result.snippets == snippets
         assert store.calls == [text_path.calls[0],
                                ([s.text for s in snippets], list(range(len(snippets))))]
+
+
+# Sections of letters that change length or kind when lowercased, astral
+# characters (one upper case), sentence ends and every kind of space.
+COLUMN_ALPHABET = ["İ", "ß", "Σ", "\U0001F600", "\U00010400", "tea", "Dr.", "x.", "A", " ", "\n",
+                   "　"]
+
+
+def jsonl(records, ensure_ascii: bool = False) -> str:
+    """A docs file of ``records``, as the record writer wrote it (ensure_ascii off)."""
+    return "".join(
+        json.dumps({"id": r.id, "sections": [{"id": s, "text": t} for s, t in r.sections]},
+                   ensure_ascii=ensure_ascii) + "\n" for r in records)
+
+
+def reference_load(path) -> list[DocumentRecord]:
+    """The records the loader built before the collection was columns."""
+    records = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        obj = json.loads(line)
+        records.append(DocumentRecord(obj["id"], tuple(
+            (section["id"], section.get("text", "")) for section in obj["sections"])))
+    return records
+
+
+@st.composite
+def docs_files(draw):
+    """A docs file's records, in a file order other than sorted id order when
+    there are two or more: empty sections and documents without sections too."""
+    ids = draw(st.lists(st.sampled_from([f"d{i}" for i in range(12)]), unique=True, max_size=8))
+    if len(ids) > 1 and ids == sorted(ids):
+        ids.reverse()
+    text = st.lists(st.sampled_from(COLUMN_ALPHABET), max_size=20).map("".join)
+    return [DocumentRecord(doc_id, tuple((f"s{j}", t) for j, t in enumerate(
+        draw(st.lists(text, max_size=3))))) for doc_id in ids]
+
+
+class TestColumnarCollection:
+    """The columnar collection against the records the loader used to build."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(docs_files(), st.booleans(), st.sampled_from([1, 8, 1 << 20]), st.data())
+    def test_records_files_and_tables_match_the_record_loader(self, tmp_path_factory, records,
+                                                                ascii_json, block_chars, data):
+        tmp = tmp_path_factory.mktemp("docs")
+        path, again = tmp / "docs.jsonl", tmp / "again.jsonl"
+        path.write_text(jsonl(records, ascii_json), encoding="utf-8")
+        expected = reference_load(path)
+        collection = load_document_collection(path)
+        assert list(collection) == expected
+        assert [collection[r.id] for r in expected] == expected
+        save_document_collection(collection, again)
+        written = again.read_bytes()
+        assert written == jsonl(expected).encode()
+        save_document_collection(load_document_collection(again), again)
+        assert again.read_bytes() == written
+        by_id = {r.id: r for r in expected}
+        for doc_ids in (sorted(by_id), data.draw(st.permutations(list(by_id)))):
+            with mock.patch.object(sentences, "_BLOCK_CHARS", block_chars):
+                table = SentenceTable.build(collection, doc_ids)
+            want = reference_table(by_id, doc_ids)
+            assert table.vocabulary == want.vocabulary and table.n_docs == want.n_docs
+            for name in ("doc", "section", "begin", "end", "indptr", "token_ids", "doc_ptr"):
+                got, wanted = getattr(table, name), getattr(want, name)
+                assert got.dtype == wanted.dtype and np.array_equal(got, wanted), name
+
+    def test_no_record_is_made_to_index_answer_or_label(self, monkeypatch):
+        collection = load_document_collection(GOLDEN / "docs.jsonl")
+        question = load_question_set(GOLDEN / "questions.json")["q1"]
+        made = []
+        init = DocumentRecord.__init__
+        monkeypatch.setattr(DocumentRecord, "__init__",
+                            lambda self, *args: made.append(args) or init(self, *args))
+        index = build_index(collection)
+        check_collection(index, collection, "i.qidx")
+        feedback = FeedbackStore.load(GOLDEN / "feedback.json")
+        for scorer in (CosineScorer(), pipeline.ConstantScorer()):
+            resources = Resources(collection=collection, index=index, scorer=scorer,
+                                  feedback=feedback)
+            result = answer_question(question, parse_config(ANSWER_CONFIG), resources)
+        assert result.snippets and result.ideal_answer
+        assert pipeline.generate_labels([question], collection)
+        assert made == []
+        collection["d1"]  # the check counts what it should
+        assert len(made) == 1
