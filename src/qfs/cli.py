@@ -1,11 +1,10 @@
 """Command-line entry points for every pipeline stage.
 
 The commands compose the stages of :mod:`qfs.pipeline`. ``retrieve``
-writes ``pipeline.retrieve``; ``snippets`` writes
-``pipeline.select_snippets`` with judged snippets dropped and the list
-capped as ``pipeline.answer_question`` does, so ``snippets`` and
-``answer`` report the same snippets for the same config. Questions are
-answered one after another in one thread.
+writes ``pipeline.retrieve``; ``snippets`` writes the snippets of
+``pipeline.answer_question`` without scoring an answer, so ``snippets``
+and ``answer`` report the same snippets for the same config. Questions
+are answered one after another in one thread.
 
 Exit codes:
 
@@ -186,17 +185,10 @@ def cmd_snippets(config_path, questions_path, out_path, feedback_path) -> int:
     """Retrieve documents, extract snippets, and write them per question."""
     config = load_config(config_path)
     questions = corpus.load_question_set(questions_path)
-    needs_model = config.snippets.strategy == "model"
-    resources = _build_resources(config, feedback_path, needs_model=needs_model)
+    resources = _build_resources(config, feedback_path, config.snippets.strategy == "model")
     out = []
     for question in questions:
-        ranked = pipeline.retrieve(question, config, resources)
-        spans = pipeline.select_snippets(
-            question, ranked[: config.retrieval.final_doc_cap], config, resources
-        )
-        spans = corpus.filter_judged(
-            spans, resources.feedback, question.id, corpus.EXCLUDE_ALL_JUDGED
-        )[: config.retrieval.final_snippet_cap]
+        spans = pipeline.answer_question(question, config, resources, answer=False).snippets
         out.append({"id": question.id, "snippets": [corpus.snippet_to_json(s) for s in spans]})
     write_json(out_path, {"questions": out})
     click.echo(f"snippets for {len(out)} questions -> {out_path}")

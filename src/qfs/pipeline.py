@@ -473,33 +473,37 @@ def snip_cosine(
     return _spans(table, collection, docs, rows)
 
 
-def candidate_sentences(question: QuestionRecord) -> list[SnippetSpan]:
-    """Sentences of the question's gold snippets, in snippet order.
-
-    Multi-sentence snippets are split; each sentence inherits offsets
-    relative to its snippet's section. The snippet texts are joined by
-    ``"\\n"`` and split in one :func:`qfs.textproc.sentence_bounds` pass,
-    with each snippet's start as a cut, which splits each as it splits alone.
-    """
+def _gold_sentences(question: QuestionRecord) -> list[tuple[SnippetSpan, int, int, str]]:
+    """Each sentence of the question's gold snippets, in snippet order, as its
+    snippet, its bounds in the snippet's text and its text. The texts are joined
+    by ``"\\n"`` and split in one :func:`qfs.textproc.sentence_bounds` pass, with
+    each snippet's start as a cut, which splits each as it splits alone."""
     snippets = question.gold_snippets
     joined = "\n".join(s.text for s in snippets)
     starts = list(accumulate((len(s.text) + 1 for s in snippets[:-1]), initial=0))
     out = []
     for b, e in sentence_bounds(joined, starts):
         i = bisect_right(starts, b) - 1
-        s, offset = snippets[i], snippets[i].begin_char - starts[i]
-        out.append(SnippetSpan(s.doc_id, s.section_id, offset + b, offset + e, joined[b:e]))
+        out.append((snippets[i], b - starts[i], e - starts[i], joined[b:e]))
     return out
 
 
-def _gold_candidates(question: QuestionRecord) -> list[SnippetSpan]:
-    """Candidate sentences of a question that also has ideal answers."""
+def candidate_sentences(question: QuestionRecord) -> list[SnippetSpan]:
+    """Sentences of the question's gold snippets, in snippet order, with offsets
+    in their snippets' sections (:func:`_gold_sentences`). Labelling reads the
+    same split's texts and makes no span."""
+    return [SnippetSpan(s.doc_id, s.section_id, s.begin_char + b, s.begin_char + e, text)
+            for s, b, e, text in _gold_sentences(question)]
+
+
+def _gold_candidates(question: QuestionRecord) -> list[str]:
+    """Candidate sentence texts of a question that also has ideal answers."""
     if not question.ideal_answers:
         raise MissingInput(f"question {question.id!r} has no ideal answers")
-    candidates = candidate_sentences(question)
-    if not candidates:
+    texts = [text for *_, text in _gold_sentences(question)]
+    if not texts:
         raise EmptyInput(f"question {question.id!r} has no candidate sentences")
-    return candidates
+    return texts
 
 
 def _check_gold_offsets(question: QuestionRecord, collection: DocumentCollection) -> None:
@@ -542,15 +546,15 @@ def generate_labels(
         if collection is not None:
             _check_gold_offsets(question, collection)
         candidates = _gold_candidates(question)
-        tokens = [tuple(token_surfaces(c.text)) for c in candidates]
+        tokens = [tuple(token_surfaces(text)) for text in candidates]
         f1s = best_reference_f1s(tokens, [token_surfaces(a) for a in question.ideal_answers])
         ranked = sorted(range(len(candidates)), key=lambda i: (-f1s[i], i))
         positive = set(ranked[:POSITIVE_LABELS_PER_QUESTION])
         q_tokens = tuple(token_surfaces(question.body))
         examples.extend(
             LabeledExample(q_tokens, tokens[i], i, int(i in positive), pair_id(question.id, i),
-                           question.body, cand.text)
-            for i, cand in enumerate(candidates)
+                           question.body, text)
+            for i, text in enumerate(candidates)
         )
     return examples
 
@@ -645,8 +649,10 @@ def select_snippets(
     return _spans(resources.index.sentences, resources.collection, docs, rows)
 
 
-def answer_question(question: QuestionRecord, config, resources: Resources) -> AnswerResult:
-    """Retrieve, snip, filter, score, and assemble one question's answer."""
+def answer_question(question: QuestionRecord, config, resources: Resources,
+                    answer: bool = True) -> AnswerResult:
+    """Retrieve, snip, filter, score, and assemble one question's answer; with
+    ``answer=False``, only the documents and snippets (``qfs snippets``)."""
     ranked = retrieve(question, config, resources)[: config.retrieval.final_doc_cap]
     table, collection = resources.index.sentences, resources.collection
     docs, (rows, kept, pairs, asked) = _select(question, ranked, config, resources)
@@ -657,17 +663,18 @@ def answer_question(question: QuestionRecord, config, resources: Resources) -> A
                        map(kept_polarities, (EXCLUDE_ALL_JUDGED, EXCLUDE_IRRELEVANT_ONLY)))
         returned, candidates = rows[shown], rows[left]
         kept[kept] = left  # now marks the candidates
+    result = AnswerResult(question.id, [d for d, _ in ranked], _spans(
+        table, collection, docs, returned[: config.retrieval.final_snippet_cap]))
+    if not answer:
+        return result
     if isinstance(resources.scorer, CosineScorer):
         scores = _cosines(asked, len(candidates), _subset(pairs, kept)).tolist()
     else:
         texts = _texts(table, collection, docs, candidates)
         scores = resources.scorer.score_sentences(question, texts, list(range(len(texts))))
     best = candidates[_answer_places(question.qtype, scores, config.answer_table)]
-    return AnswerResult(
-        question.id, [d for d, _ in ranked],
-        _spans(table, collection, docs, returned[: config.retrieval.final_snippet_cap]),
-        " ".join(_texts(table, collection, docs, best)),
-    )
+    result.ideal_answer = " ".join(_texts(table, collection, docs, best))
+    return result
 
 
 class ModelSpec(Protocol):
@@ -754,7 +761,7 @@ def cross_validate(
         fold_scores = []
         for i in sorted(held_out):
             question = question_list[i]
-            texts = [c.text for c in _gold_candidates(question)]
+            texts = _gold_candidates(question)
             scores = scorer.score_sentences(question, texts, list(range(len(texts))))
             best = _answer_places(question.qtype, scores, answer_table)
             f1 = best_reference_f1(" ".join(texts[j] for j in best), question.ideal_answers)

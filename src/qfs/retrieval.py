@@ -15,7 +15,10 @@ each > 0 as ``idf = ln(1 + (N - df + 0.5) / (df + 0.5)) > 0`` (``df <= N``),
 The index is compressed sparse rows: term row ``r`` owns postings
 ``indptr[r]:indptr[r + 1]``, whose BM25 impacts are computed from the
 caller's ``k1`` and ``b`` when an index is built or loaded: a snapshot
-holds term frequencies and document lengths, not impacts, k1 or b.
+holds term frequencies and document lengths, not impacts, k1 or b. A
+term in at least half the documents (``2 * df >= n_docs``) is *dense*:
+its impacts are one float64 row over all documents (0.0 where it is
+absent), at most ``(n_docs - df) * 8`` bytes more than per-posting ones.
 Documents are numbered in ascending id order, so ordinal order is the
 tie order. An index also holds the collection's
 :class:`~qfs.sentences.SentenceTable` under the same ordinals: every
@@ -52,6 +55,7 @@ import logging
 import math
 import struct
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -101,7 +105,12 @@ class InvertedIndex:
     b: float = DEFAULT_B
     n_docs: int = field(init=False)
     avgdl: float = field(init=False)
+    # Impact rows of the dense terms (ascending rows); the other terms' impacts
+    # in posting order, less the dense postings skipped before each dense row.
+    dense_terms: list[int] = field(init=False, repr=False)
+    dense: np.ndarray = field(init=False, repr=False)
     impact: np.ndarray = field(init=False, repr=False)
+    skipped: list[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.n_docs = n_docs = len(self.doc_ids)
@@ -109,16 +118,39 @@ class InvertedIndex:
         df = np.diff(self.indptr)
         # idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)) in this
         # operand order, with math.log (np.log may differ in the last bit).
-        idf = [math.log(1.0 + (n_docs - d + 0.5) / (d + 0.5)) for d in df.tolist()]
+        distinct, of_df = np.unique(df, return_inverse=True)
+        idf = np.array([math.log(1.0 + (n_docs - d + 0.5) / (d + 0.5))
+                        for d in distinct.tolist()])[of_df]
         # avgdl is 0 only when every document is empty, with no postings.
         norm = self.k1 * (1.0 - self.b + self.b * self.doc_len / (self.avgdl or 1.0))
-        impact = np.repeat(np.array(idf), df)
-        impact *= self.post_tf
-        impact *= self.k1 + 1.0
-        for start in range(0, len(impact), 1 << 16):  # bounded temporaries
-            block = slice(start, start + (1 << 16))
-            impact[block] /= norm[self.post_doc[block]] + self.post_tf[block]
-        self.impact = impact
+        is_dense = 2 * df >= n_docs
+        self.dense_terms = dense = np.flatnonzero(is_dense).tolist()
+        self.skipped = skipped = [0, *np.cumsum(df[is_dense]).tolist()]
+        self.dense = np.zeros((len(dense), n_docs))
+        self.impact = np.repeat(idf, np.where(is_dense, 0, df))  # idf, scaled below
+        # Postings bounds[2j]:bounds[2j + 1] precede dense row j; the next run is its.
+        spans = np.column_stack((self.indptr[:-1][is_dense], self.indptr[1:][is_dense]))
+        bounds = [0, *spans.ravel().tolist(), int(self.indptr[-1])]
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            j, in_dense = divmod(i, 2)
+            for start in range(lo, hi, 1 << 16):  # bounded temporaries
+                at = slice(start, min(start + (1 << 16), hi))
+                values = (np.full(at.stop - start, idf[dense[j]]) if in_dense
+                          else self.impact[start - skipped[j] : at.stop - skipped[j]])
+                values *= self.post_tf[at]
+                values *= self.k1 + 1.0
+                values /= norm[self.post_doc[at]] + self.post_tf[at]
+                if in_dense:
+                    self.dense[j, self.post_doc[at]] = values
+
+    def term_impacts(self, row: int) -> tuple[np.ndarray | None, np.ndarray]:
+        """Term row ``row``'s impacts: ``(None, its impact per document)`` if it is
+        dense, else ``(its posting docs, their impacts)``."""
+        j = bisect_left(self.dense_terms, row)
+        if j < len(self.dense_terms) and self.dense_terms[j] == row:
+            return None, self.dense[j]
+        lo, hi = self.indptr[row : row + 2].tolist()
+        return self.post_doc[lo:hi], self.impact[lo - self.skipped[j] : hi - self.skipped[j]]
 
     @property
     def vocabulary_size(self) -> int:
@@ -246,14 +278,19 @@ def _postings(table: SentenceTable, is_term: np.ndarray):
 def _bm25(index: InvertedIndex, query: Sequence[str]) -> np.ndarray:
     """BM25 score of every document; the matched ones are those scoring > 0.
 
-    Unique query terms add their impacts in query order: each document
-    gets the same float additions as a term-by-term loop would make.
+    One unique query term at a time, in query order: a dense row by ``+=``,
+    another term's impacts at its postings by ``np.add.at`` (unbuffered). So
+    each document's impacts are added in query order, as a loop over the
+    postings adds them: a dense row's 0.0 leaves a score (>= 0) unchanged.
     """
-    rows = [index.terms[t] for t in dict.fromkeys(query) if t in index.terms]
-    spans = [slice(index.indptr[r], index.indptr[r + 1]) for r in rows]
-    docs = np.concatenate([index.post_doc[:0], *(index.post_doc[s] for s in spans)])
-    impact = np.concatenate([index.impact[:0], *(index.impact[s] for s in spans)])
-    return np.bincount(docs, weights=impact, minlength=index.n_docs)
+    scores = np.zeros(index.n_docs)
+    for row in [index.terms[t] for t in dict.fromkeys(query) if t in index.terms]:
+        docs, impact = index.term_impacts(row)
+        if docs is None:
+            scores += impact
+        else:
+            np.add.at(scores, docs, impact)
+    return scores
 
 
 def _top_k(scores: np.ndarray, k: int, floor: float = -math.inf) -> tuple[np.ndarray, np.ndarray]:

@@ -127,3 +127,14 @@ def random_unit_vectors(rng: np.random.Generator, ids: list[str], dim: int) -> d
         v = rng.uniform(0.1, 1.0, size=dim)
         out[doc_id] = (v / np.linalg.norm(v)).astype(np.float32)
     return out
+
+
+def posting_impacts(index) -> np.ndarray:
+    """Every posting's BM25 impact in CSR order, read row by row through
+    ``InvertedIndex.term_impacts`` (a dense row is read at its postings)."""
+    values = []
+    for row in range(len(index.terms)):
+        docs, impact = index.term_impacts(row)
+        at = index.post_doc[index.indptr[row] : index.indptr[row + 1]]
+        values.append(impact[at] if docs is None else impact)
+    return np.concatenate([np.zeros(0), *values])

@@ -17,11 +17,13 @@ from qfs import pipeline
 from qfs.cli import main
 from qfs.config import parse_config
 from qfs.corpus import (
+    FeedbackStore,
     QuestionSet,
     load_document_collection,
     load_question_set,
     save_document_collection,
     save_question_set,
+    snippet_to_json,
 )
 from qfs.embeddings import ContextEmbeddingRecord, write_context_embeddings
 from qfs.errors import EmptyInput, MalformedInput, MissingInput
@@ -252,6 +254,36 @@ class TestGoldenChain:
         assert [q["id"] for q in snippets] == [q["id"] for q in answers]
         assert [q["snippets"] for q in snippets] == [q["snippets"] for q in answers]
         assert any(q["snippets"] for q in snippets)
+
+
+@pytest.mark.parametrize("with_feedback", [False, True])
+def test_snippets_command_writes_the_answer_snippets(tmp_path, with_feedback):
+    """For every golden question, ``qfs snippets`` writes the snippets that
+    ``answer_question`` returns with a cosine scorer, with the judged ones dropped."""
+    feedback = GOLDEN / "feedback.json" if with_feedback else None
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"resources": {"docs_path": str(GOLDEN / "docs.jsonl")}}))
+    args = ("--feedback", feedback) if feedback else ()
+    assert run_qfs("snippets", "--config", config, "--questions", GOLDEN / "questions.json",
+                   *args, "--out", tmp_path / "s.json") == (0, "")
+    output = json.loads((tmp_path / "s.json").read_text())["questions"]
+    written = {q["id"]: q["snippets"] for q in output}
+    collection = load_document_collection(GOLDEN / "docs.jsonl")
+    resources = pipeline.Resources(
+        collection, build_index(collection), pipeline.CosineScorer(),
+        feedback=FeedbackStore.load(feedback) if feedback else FeedbackStore.empty(),
+    )
+    questions = load_question_set(GOLDEN / "questions.json")
+    assert list(written) == [q.id for q in questions]
+    for question in questions:
+        answer = pipeline.answer_question(question, parse_config({}), resources)
+        assert written[question.id] == [snippet_to_json(s) for s in answer.snippets]
+    # The feedback judges snippets that are returned without it, and none is written with it.
+    judged = FeedbackStore.load(GOLDEN / "feedback.json")
+    keys = {(qid, s["document"], s["section"], s["offsetInBeginSection"], s["offsetInEndSection"])
+            for qid, snippets in written.items() for s in snippets}
+    found = {(qid, *key) for qid in written for key in judged.judgments(qid)[1]}
+    assert found and (keys.isdisjoint(found) if with_feedback else found <= keys)
 
 
 def write(path: Path, text: str) -> Path:

@@ -451,6 +451,11 @@ class TestAnswersMatchTextPath:
         assert result.snippets == unjudged[:2]
         assert spans.call_count <= config.retrieval.final_snippet_cap
         assert scored.call_count == 0
+        # What `qfs snippets` writes: the same snippets, no answer, no other span.
+        with mock.patch.object(pipeline, "SnippetSpan", wraps=SnippetSpan) as spans:
+            shown = answer_question(question, config, resources, answer=False)
+        assert shown == AnswerResult("q", result.documents, result.snippets)
+        assert spans.call_count <= config.retrieval.final_snippet_cap
 
 
 # Pools of token-id sentences: tokenless ones, words repeated within and
