@@ -6,6 +6,10 @@ writes ``pipeline.retrieve``; ``snippets`` writes the snippets of
 and ``answer`` report the same snippets for the same config. Questions
 are answered one after another in one thread.
 
+``answer`` scores with the scorer ``model.kind`` names (``pipeline.SCORERS``);
+``snippets`` makes it only for the ``model`` strategy, so ``retrieve`` and
+cosine ``snippets`` open no model file. Only a classifier kind reads files.
+
 Exit codes:
 
 * 0: success;
@@ -27,11 +31,12 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 
 import click
 
 from . import corpus, pipeline, retrieval, textproc
-from .config import PipelineConfig, emit_config, load_config
+from .config import ModelConfig, PipelineConfig, emit_config, load_config
 from .errors import DimensionMismatch, EmptyInput, QfsError
 from .fileio import check_output, write_json
 from .metrics import evaluate_run
@@ -90,8 +95,10 @@ def _load_source(kind, path):
     return source
 
 
-def _load_scorer(config: PipelineConfig) -> pipeline.SentenceScorer:
-    model = config.model
+def _load_scorer(model: ModelConfig) -> pipeline.SentenceScorer:
+    """The scorer ``model.kind`` names; a classifier is read from its files."""
+    if model.kind not in KINDS:
+        return pipeline.SCORERS[model.kind]()
     if not model.params_path:
         raise QfsError("config.model.params_path is required to score sentences")
     if not model.embeddings_path:
@@ -108,10 +115,8 @@ def _load_scorer(config: PipelineConfig) -> pipeline.SentenceScorer:
     return pipeline.ModelScorer(params, source, clip_len)
 
 
-def _build_resources(
-    config: PipelineConfig, feedback_path: str | None, needs_model: bool = True
-) -> pipeline.Resources:
-    """Load the data files a run needs; the scorer only when asked for."""
+def _build_resources(config: PipelineConfig, feedback_path: str | None) -> pipeline.Resources:
+    """Load the data files a run needs, but no scorer."""
     if not config.resources.docs_path:
         raise QfsError("config.resources.docs_path is required")
     collection = corpus.load_document_collection(config.resources.docs_path)
@@ -135,20 +140,10 @@ def _build_resources(
                 f"{config.resources.query_vectors_path} holds {query_vectors.dim}-d query "
                 f"vectors, but {config.resources.dense_path} holds {dense.dim}-d document vectors"
             )
-    feedback = (
-        corpus.FeedbackStore.load(feedback_path)
-        if feedback_path
-        else corpus.FeedbackStore.empty()
-    )
-    scorer = _load_scorer(config) if needs_model else pipeline.ConstantScorer()
-    return pipeline.Resources(
-        collection=collection,
-        index=index,
-        scorer=scorer,
-        dense=dense,
-        query_vectors=query_vectors,
-        feedback=feedback,
-    )
+    feedback = (corpus.FeedbackStore.load(feedback_path) if feedback_path
+                else corpus.FeedbackStore.empty())
+    return pipeline.Resources(collection, index, dense=dense, query_vectors=query_vectors,
+                              feedback=feedback)
 
 
 @cli.command("retrieve")
@@ -160,7 +155,7 @@ def cmd_retrieve(config_path, questions_path, out_path, feedback_path) -> int:
     """Rank documents for every question and write the ranked lists."""
     config = load_config(config_path)
     questions = corpus.load_question_set(questions_path)
-    resources = _build_resources(config, feedback_path, needs_model=False)
+    resources = _build_resources(config, feedback_path)
     out = [
         {
             "id": question.id,
@@ -185,7 +180,9 @@ def cmd_snippets(config_path, questions_path, out_path, feedback_path) -> int:
     """Retrieve documents, extract snippets, and write them per question."""
     config = load_config(config_path)
     questions = corpus.load_question_set(questions_path)
-    resources = _build_resources(config, feedback_path, config.snippets.strategy == "model")
+    resources = _build_resources(config, feedback_path)
+    if config.snippets.strategy == "model":
+        resources.scorer = _load_scorer(config.model)
     out = []
     for question in questions:
         spans = pipeline.answer_question(question, config, resources, answer=False).snippets
@@ -216,16 +213,11 @@ def _train_config(model_kind, epochs, batch_size, dropout, lr, seed, clip_len) -
 
     ``TrainConfig`` owns the valid ranges; a flag outside them is a usage error.
     """
-    defaults = KINDS[model_kind].train_defaults
+    flags = {"epochs": epochs, "batch_size": batch_size, "dropout_rate": dropout,
+             "clip_len": clip_len}
     try:
-        return TrainConfig(
-            epochs=defaults.epochs if epochs is None else epochs,
-            batch_size=defaults.batch_size if batch_size is None else batch_size,
-            dropout_rate=defaults.dropout_rate if dropout is None else dropout,
-            learning_rate=lr,
-            seed=seed,
-            clip_len=defaults.clip_len if clip_len is None else clip_len,
-        )
+        return replace(KINDS[model_kind].train_defaults, learning_rate=lr, seed=seed,
+                       **{name: value for name, value in flags.items() if value is not None})
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
 
@@ -274,6 +266,7 @@ def cmd_answer(config_path, questions_path, out_path, feedback_path) -> int:
     config = load_config(config_path)
     questions = corpus.load_question_set(questions_path)
     resources = _build_resources(config, feedback_path)
+    resources.scorer = _load_scorer(config.model)
     results = []
     skipped = 0
     for question in questions:
@@ -310,7 +303,10 @@ def cmd_evaluate(questions_path, submission_path, out_path) -> int:
 @click.option("--questions", "questions_path", required=True, type=click.Path())
 @click.option("--docs", "docs_path", type=click.Path(), default=None)
 @click.option("--model", "model_kind", default="constant", show_default=True,
-              type=click.Choice(["constant", "oracle", *KINDS]))
+              type=click.Choice(list(pipeline.SCORERS)),
+              help="Sentence scorer. A classifier kind trains on each fold, reading "
+                   "--embeddings; the others need no training. oracle scores by SU4-F1 "
+                   "against the ideal answers, so it is a ceiling for evaluation only.")
 @click.option("--embeddings", "embeddings_path", type=click.Path(), default=None,
               help="Word-vector text file (nnc model) or CEMB file (pooled model).")
 @click.option("--k", type=click.IntRange(min=2), default=10, show_default=True)
@@ -325,14 +321,10 @@ def cmd_cv(questions_path, docs_path, model_kind, embeddings_path, k, out_path, 
     """k-fold cross-validation reporting mean SU4-F1."""
     questions = corpus.load_question_set(questions_path)
     collection = corpus.load_document_collection(docs_path) if docs_path else None
-    if model_kind == "constant":
-        spec: pipeline.ModelSpec = pipeline.ConstantModelSpec()
-    elif model_kind == "oracle":
-        spec = pipeline.OracleModelSpec()
-    else:
-        config = _train_config(model_kind, **training)
-        source = _model_source(model_kind, embeddings_path)
-        spec = pipeline.TrainedModelSpec(model_kind, source, config)
+    spec = pipeline.ModelSpec(model_kind)
+    if model_kind in KINDS:
+        spec.config = _train_config(model_kind, **training)
+        spec.source = _model_source(model_kind, embeddings_path)
     with _naming(questions_path), _naming(embeddings_path, "no context-embedding record "):
         result = pipeline.cross_validate(questions, collection, spec, k=k, seed=training["seed"])
     for i, (size, f1) in enumerate(zip(result.fold_sizes, result.fold_mean_f1), 1):

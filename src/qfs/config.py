@@ -15,13 +15,11 @@ from pathlib import Path
 from . import fileio
 from .errors import MalformedInput
 from .fileio import COUNT, NUMBER, OBJECT, STRING, read_json
-from .neural import KINDS
-from .pipeline import DEFAULT_ANSWER_LENGTHS, FINAL_DOC_CAP, FINAL_SNIPPET_CAP
+from .pipeline import DEFAULT_ANSWER_LENGTHS, FINAL_DOC_CAP, FINAL_SNIPPET_CAP, SCORERS
 from .retrieval import DEFAULT_B, DEFAULT_K1, check_bm25
 
 RETRIEVAL_METHODS = ("bm25", "nir", "rerank")
 SNIPPET_STRATEGIES = ("cosine", "model")
-MODEL_KINDS = tuple(KINDS)
 
 # Candidate documents requested per feedback round: fewer in the first
 # round, more afterwards.
@@ -87,6 +85,9 @@ def parse_config(payload: dict, where: str = "config") -> PipelineConfig:
         if not condition:
             raise MalformedInput(f"{where}: {message}")
 
+    def require_one_of(allowed, name: str, value: str) -> None:
+        require(value in allowed, f"bad {name} {value!r}; expected one of {', '.join(allowed)}")
+
     def section(name: str, known: tuple[str, ...]):
         """The reader of one section's fields; its unknown keys are refused."""
         obj = fileio.field(payload, name, OBJECT, where, {})
@@ -118,7 +119,7 @@ def parse_config(payload: dict, where: str = "config") -> PipelineConfig:
         r("final_doc_cap", COUNT, FINAL_DOC_CAP), r("final_snippet_cap", COUNT, FINAL_SNIPPET_CAP),
         float(r("bm25_k1", NUMBER, DEFAULT_K1)), float(r("bm25_b", NUMBER, DEFAULT_B)),
     )
-    require(retrieval.method in RETRIEVAL_METHODS, f"bad retrieval.method {retrieval.method!r}")
+    require_one_of(RETRIEVAL_METHODS, "retrieval.method", retrieval.method)
     require(0.0 <= retrieval.lam <= 1.0, "retrieval.lambda must be in [0, 1]")
     try:
         check_bm25(retrieval.bm25_k1, retrieval.bm25_b)
@@ -127,12 +128,12 @@ def parse_config(payload: dict, where: str = "config") -> PipelineConfig:
 
     s = section("snippets", ("strategy", "per_doc"))
     snippets = SnippetConfig(s("strategy", STRING, "cosine"), s("per_doc", COUNT, 3))
-    require(snippets.strategy in SNIPPET_STRATEGIES, f"bad snippets.strategy {snippets.strategy!r}")
+    require_one_of(SNIPPET_STRATEGIES, "snippets.strategy", snippets.strategy)
 
     m = section("model", ("kind", "params_path", "embeddings_path"))
     model = ModelConfig(m("kind", STRING, "pooled"), m("params_path", STRING, None),
                         m("embeddings_path", STRING, None))
-    require(model.kind in MODEL_KINDS, f"bad model.kind {model.kind!r}")
+    require_one_of(SCORERS, "model.kind", model.kind)
 
     names = tuple(f.name for f in fields(ResourcePaths))
     res = section("resources", names)

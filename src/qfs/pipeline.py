@@ -9,9 +9,9 @@ command line and ``cross_validate`` compose:
   and :func:`assemble_answer` joins the best into the ideal answer.
   Phase B (``cross_validate``) starts here, from gold snippet sentences.
 
-Every sentence score comes from a :class:`SentenceScorer`: tf-idf
-cosine, the SU4 oracle, or a trained classifier (:class:`ModelScorer`,
-either kind, with inputs built as in training).
+Every sentence score comes from a :class:`SentenceScorer` that :data:`SCORERS`
+names: constant, tf-idf cosine and the SU4 oracle, untrained, then the classifier
+kinds (:class:`ModelScorer`, with inputs built as in training).
 
 Snippets and answers are scored from the index's
 :class:`~qfs.sentences.SentenceTable`: every document was split and
@@ -55,10 +55,11 @@ order the scorer actually sees them.
 
 The benchmark (``bench/``) uses :func:`snip_cosine`, ``CosineScorer.score_sentences(
 question, texts, positions)``, :class:`ScoredSentence`, :func:`assemble_answer`,
-:class:`OracleModelSpec`, :func:`candidate_sentences`, :func:`qfs.metrics.best_reference_f1`
+``OracleModelSpec``, :func:`candidate_sentences`, :func:`qfs.metrics.best_reference_f1`
 and :func:`qfs.textproc.split_sentences`: removing any of them, or changing its signature,
 fails every benchmark run until ``bench/`` moves. ``bench/run.py`` replays answering with
-``ScoredSentence`` and ``assemble_answer``, which is why both stay public.
+``ScoredSentence`` and ``assemble_answer``, so both stay public; ``OracleModelSpec`` is
+an alias of ``ModelSpec("oracle")`` kept only for it.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate, chain, count
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
@@ -337,8 +339,9 @@ class CosineScorer:
 class OracleScorer:
     """Scores a sentence by its true SU4-F1 against the ideal answers.
 
-    An upper-bound scorer for harness comparisons; never used in a
-    production run. It scores a question's sentences in one
+    It reads the gold answers it is judged by, so it is an evaluation
+    ceiling, not a way to answer a new question: a question without ideal
+    answers scores 0 throughout. It scores a question's sentences in one
     :func:`qfs.metrics.su4_scores` call.
     """
 
@@ -594,12 +597,13 @@ class Resources:
     columns, one section's bytes per row, and no
     :class:`~qfs.corpus.DocumentRecord` is made. Its BM25 impacts use the
     k1 and b it was built or loaded with; the command line passes the
-    config's.
+    config's. ``scorer`` scores answers, and snippets under the ``model``
+    strategy; retrieval and cosine snippets need none.
     """
 
     collection: DocumentCollection
     index: InvertedIndex
-    scorer: SentenceScorer
+    scorer: SentenceScorer | None = None
     dense: DenseStore | None = None
     query_vectors: DenseStore | None = None
     feedback: FeedbackStore = field(default_factory=FeedbackStore.empty)
@@ -677,36 +681,34 @@ def answer_question(question: QuestionRecord, config, resources: Resources,
     return result
 
 
-class ModelSpec(Protocol):
-    """Builds a sentence scorer from a training split."""
-
-    def fit(
-        self, questions: Sequence[QuestionRecord], collection: DocumentCollection | None
-    ) -> SentenceScorer: ...
-
-
-class ConstantModelSpec:
-    def fit(self, questions, collection) -> SentenceScorer:
-        return ConstantScorer()
-
-
-class OracleModelSpec:
-    def fit(self, questions, collection) -> SentenceScorer:
-        return OracleScorer()
+# Every scorer name, in the order help and errors list them, and its scorer's class:
+# the untrained ones, then the classifier kinds, trained or read from a QFSM file.
+SCORERS: dict[str, type] = {
+    "constant": ConstantScorer, "cosine": CosineScorer, "oracle": OracleScorer,
+    **dict.fromkeys(KINDS, ModelScorer),
+}
 
 
 @dataclass
-class TrainedModelSpec:
-    """Trains a classifier of ``kind`` on the labels of each training split."""
+class ModelSpec:
+    """Makes the scorer ``name`` names in :data:`SCORERS` for a training split: an
+    untrained one ignores it, a classifier kind trains on its labels (``source``,
+    ``config``)."""
 
-    kind: str
-    source: DenseStore
-    config: TrainConfig
+    name: str
+    source: DenseStore | None = None
+    config: TrainConfig | None = None
 
-    def fit(self, questions, collection) -> SentenceScorer:
-        examples = generate_labels(questions, collection)
-        result = train(self.kind, examples, self.source, self.config)
+    def fit(self, questions: Sequence[QuestionRecord],
+            collection: DocumentCollection | None) -> SentenceScorer:
+        if self.name not in KINDS:
+            return SCORERS[self.name]()
+        result = train(self.name, generate_labels(questions, collection), self.source, self.config)
         return ModelScorer(result.params, self.source, self.config.clip_len)
+
+
+# The name bench/run.py builds its cross-validation scorer by.
+OracleModelSpec = partial(ModelSpec, "oracle")
 
 
 @dataclass

@@ -129,7 +129,7 @@ GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_OUTPUTS = (
     "retrieve.json", "retrieve-nir.json", "retrieve-rerank.json", "snippets.json",
     "labels.jsonl", "answer.json", "model-snippets.json", "model-answer.json", "cv.json",
-    "cv-nnc.json", "cv-pooled.json",
+    "cv-nnc.json", "cv-pooled.json", "cosine-answer.json", "cv-cosine.json",
 )
 # Model files are pinned by their sha256, listed in tests/golden/models.sha256.
 GOLDEN_MODELS = ("model.qfsm", "pooled.qfsm")
@@ -178,6 +178,9 @@ def run_chain(work: Path) -> dict[str, bytes]:
         path.write_text(json.dumps(
             {"snippets": {"strategy": strategy}, "model": model, "resources": resources}
         ))
+    # The tf-idf cosine baseline answers without a model file.
+    configs["baseline"] = work / "baseline.config"
+    configs["baseline"].write_text(json.dumps({"model": {"kind": "cosine"}, "resources": resources}))
     dense = {**resources, "dense_path": str(work / "docs.dvec"),
              "query_vectors_path": str(work / "queries.dvec")}
     # A pool of 3 of the 5 golden documents, of which 2 are returned.
@@ -197,12 +200,16 @@ def run_chain(work: Path) -> dict[str, bytes]:
          "--out", work / "retrieve-rerank.json"),
         ("snippets", "--config", configs["cosine"], *per_question, "--out", work / "snippets.json"),
         ("label", "--questions", questions, "--out", work / "labels.jsonl"),
+        ("answer", "--config", configs["baseline"], *per_question,
+         "--out", work / "cosine-answer.json"),
         ("train", "--labels", work / "labels.jsonl", "--model", "nnc", "--epochs", "1",
          "--embeddings", vectors, "--out", work / "model.qfsm"),
         ("answer", "--config", configs["cosine"], *per_question, "--out", work / "answer.json"),
         ("evaluate", "--questions", questions, "--submission", work / "answer.json",
          "--out", work / "evaluate.json"),
         ("cv", "--questions", questions, "--model", "oracle", "--k", "2", "--out", work / "cv.json"),
+        ("cv", "--questions", questions, "--model", "cosine", "--k", "2",
+         "--out", work / "cv-cosine.json"),
         ("snippets", "--config", configs["model"], *per_question,
          "--out", work / "model-snippets.json"),
         ("answer", "--config", configs["model"], *per_question, "--out", work / "model-answer.json"),
@@ -286,6 +293,41 @@ def test_snippets_command_writes_the_answer_snippets(tmp_path, with_feedback):
     assert found and (keys.isdisjoint(found) if with_feedback else found <= keys)
 
 
+def test_both_spellings_of_cosine_write_the_same_files(tmp_path):
+    """A cosine model scores the snippets under the model strategy as the
+    cosine strategy does, so both configs write the same bytes."""
+    per_question = (*QUESTIONS, "--feedback", GOLDEN / "feedback.json")
+    outputs = {}
+    for strategy in ("model", "cosine"):
+        work = tmp_path / strategy
+        work.mkdir()
+        config = config_file(work, snippets={"strategy": strategy}, model={"kind": "cosine"})
+        for command in ("snippets", "answer"):
+            out = work / f"{command}.json"
+            assert run_qfs(command, "--config", config, *per_question, "--out", out) == (0, "")
+            outputs[strategy, command] = out.read_bytes()
+    for command in ("snippets", "answer"):
+        assert outputs["model", command] == outputs["cosine", command], command
+
+
+@pytest.mark.parametrize("command", ["retrieve", "snippets"])
+def test_retrieve_and_cosine_snippets_open_no_model_file(tmp_path, command):
+    config = config_file(tmp_path, model={
+        "kind": "nnc", "params_path": str(tmp_path / "missing.qfsm"),
+        "embeddings_path": str(tmp_path / "missing.txt")})
+    out = tmp_path / "o.json"
+    assert run_qfs(command, "--config", config, *QUESTIONS, "--out", out) == (0, "")
+    assert json.loads(out.read_text())["questions"]
+
+
+def test_an_unknown_model_kind_names_the_scorers(tmp_path):
+    config = config_file(tmp_path, model={"kind": "bert"})
+    code, err = run_qfs("answer", "--config", config, *QUESTIONS, "--out", tmp_path / "a.json")
+    expected = "constant, cosine, oracle, nnc, pooled"
+    assert (code, err) == (2, f"error: {config}: bad model.kind 'bert'; expected one of {expected}\n")
+    assert not (tmp_path / "a.json").exists()
+
+
 def write(path: Path, text: str) -> Path:
     path.write_text(text, encoding="utf-8")
     return path
@@ -317,12 +359,9 @@ def mismatched_dense_config(w: Path) -> Path:
     docs, queries = w / "docs.dvec", w / "queries.dvec"
     save_dense_store(DenseStore.from_vectors({f"d{i}": np.ones(4) for i in range(1, 6)}), docs)
     save_dense_store(DenseStore.from_vectors({f"q{i}": np.ones(3) for i in range(1, 5)}), queries)
-    save_params(init_params("nnc", emb_dim=4, lstm_hidden=2, dense_hidden=2), w / "m.qfsm")
     return config_file(
-        w, retrieval={"method": "nir"},
+        w, retrieval={"method": "nir"}, model={"kind": "cosine"},
         resources={"dense_path": str(docs), "query_vectors_path": str(queries)},
-        model={"kind": "nnc", "params_path": str(w / "m.qfsm"),
-               "embeddings_path": str(GOLDEN / "vectors.txt")},
     )
 
 
@@ -592,7 +631,7 @@ UNWRITABLE_OUTPUTS = {
     "cv": lambda w, out: ("cv", *QUESTIONS, "--model", "oracle", "--k", "2", "--out", out),
     "index": lambda w, out: ("index", "--docs", GOLDEN / "docs.jsonl", "--out", out),
     "answer": lambda w, out: (
-        "answer", "--config", nnc_model_config(w), *QUESTIONS, "--out", out),
+        "answer", "--config", config_file(w, model={"kind": "cosine"}), *QUESTIONS, "--out", out),
     "retrieve": lambda w, out: ("retrieve", "--config", config_file(w), *QUESTIONS, "--out", out),
     "snippets": lambda w, out: ("snippets", "--config", config_file(w), *QUESTIONS, "--out", out),
     "train": lambda w, out: (*TRAIN, "--labels", write(w / "l.jsonl", LABEL), "--out", out),
@@ -736,7 +775,8 @@ def test_answer_exits_1_when_it_skips_a_question(tmp_path):
     golden = json.loads((GOLDEN / "questions.json").read_text())
     nothing = {**golden[0], "id": "q-none", "body": "Zyxwv qwrtp?"}  # matches no document
     questions = write(tmp_path / "q.json", json.dumps([*golden, nothing]))
-    code, err = run_qfs("answer", "--config", nnc_model_config(tmp_path), "--questions", questions,
+    config = config_file(tmp_path, model={"kind": "cosine"})
+    code, err = run_qfs("answer", "--config", config, "--questions", questions,
                         "--out", tmp_path / "a.json")
     assert code == 1, err
     answered = json.loads((tmp_path / "a.json").read_text())["questions"]
@@ -851,7 +891,7 @@ def test_a_pair_without_a_context_embedding_record_names_the_file(tmp_path, comm
 def test_cv_with_more_folds_than_questions_exits_2():
     questions = load_question_set(GOLDEN / "questions.json")
     with pytest.raises(EmptyInput, match="^4 questions for 10 folds$"):
-        pipeline.cross_validate(questions, None, pipeline.OracleModelSpec(), k=10)
+        pipeline.cross_validate(questions, None, pipeline.ModelSpec("oracle"), k=10)
     code, err = run_qfs("cv", *QUESTIONS, "--model", "oracle", "--k", "10")
     assert (code, err) == (2, "error: 4 questions for 10 folds\n")
 
@@ -859,7 +899,7 @@ def test_cv_with_more_folds_than_questions_exits_2():
 def test_cross_validate_needs_two_folds():
     questions = load_question_set(GOLDEN / "questions.json")
     with pytest.raises(ValueError, match="^cross-validation needs at least 2 folds, got 1$"):
-        pipeline.cross_validate(questions, None, pipeline.OracleModelSpec(), k=1)
+        pipeline.cross_validate(questions, None, pipeline.ModelSpec("oracle"), k=1)
 
 
 def test_assemble_answer_from_no_sentences_is_empty_input():
@@ -871,26 +911,27 @@ def test_nir_answer_skips_a_question_without_a_query_vector(tmp_path, caplog):
     docs, queries = tmp_path / "docs.dvec", tmp_path / "queries.dvec"
     save_dense_store(DenseStore.from_vectors({f"d{i}": np.ones(4) for i in range(1, 6)}), docs)
     save_dense_store(DenseStore.from_vectors({f"q{i}": np.ones(4) for i in range(1, 4)}), queries)
-    save_params(init_params("nnc", emb_dim=4, lstm_hidden=2, dense_hidden=2), tmp_path / "m.qfsm")
     config = config_file(
-        tmp_path, retrieval={"method": "nir"},
+        tmp_path, retrieval={"method": "nir"}, model={"kind": "cosine"},
         resources={"dense_path": str(docs), "query_vectors_path": str(queries)},
-        model={"kind": "nnc", "params_path": str(tmp_path / "m.qfsm"),
-               "embeddings_path": str(GOLDEN / "vectors.txt")},
     )
     code, err = run_qfs("answer", "--config", config, *QUESTIONS, "--out", tmp_path / "a.json")
     assert code == 1, err
     assert "skipping question q4: no query vector for question 'q4'" in caplog.text
-    answered = json.loads((tmp_path / "a.json").read_text())["questions"]
-    assert [q["id"] for q in answered] == ["q1", "q2", "q3"]
+    answered = json.loads((tmp_path / "a.json").read_text())
+    assert [q["id"] for q in answered["questions"]] == ["q1", "q2", "q3"]
 
+    # The command answers as the in-process pipeline does with a cosine scorer.
     collection = load_document_collection(GOLDEN / "docs.jsonl")
     resources = pipeline.Resources(
         collection, build_index(collection), pipeline.CosineScorer(),
         dense=load_dense_store(docs), query_vectors=load_dense_store(queries),
     )
-    q4 = load_question_set(GOLDEN / "questions.json")["q4"]
+    questions = load_question_set(GOLDEN / "questions.json")
     nir = parse_config({"retrieval": {"method": "nir"}})
+    in_process = [pipeline.answer_question(q, nir, resources) for q in list(questions)[:3]]
+    assert answered == pipeline.submission_to_json(in_process)
+    q4 = questions["q4"]
     with pytest.raises(MissingInput, match="^no query vector for question 'q4'$"):
         pipeline.retrieve(q4, nir, resources)
     resources.dense = None

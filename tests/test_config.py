@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfs.config import (
-    MODEL_KINDS,
     RETRIEVAL_METHODS,
     SNIPPET_STRATEGIES,
     ModelConfig,
@@ -21,7 +20,7 @@ from qfs.config import (
     parse_config,
 )
 from qfs.errors import MalformedInput
-from qfs.pipeline import DEFAULT_ANSWER_LENGTHS
+from qfs.pipeline import DEFAULT_ANSWER_LENGTHS, SCORERS
 from qfs.retrieval import MAX_K1
 
 counts = st.integers(min_value=1, max_value=10**6)
@@ -46,7 +45,7 @@ valid_configs = st.builds(
     ),
     model=st.builds(
         ModelConfig,
-        kind=st.sampled_from(MODEL_KINDS),
+        kind=st.sampled_from(list(SCORERS)),
         params_path=paths,
         embeddings_path=paths,
     ),
@@ -79,7 +78,7 @@ json_values = st.recursive(
     | st.integers()
     | st.floats()
     | st.text(max_size=6)
-    | st.sampled_from([*RETRIEVAL_METHODS, *SNIPPET_STRATEGIES, *MODEL_KINDS, "1", "0.5"]),
+    | st.sampled_from([*RETRIEVAL_METHODS, *SNIPPET_STRATEGIES, *SCORERS, "1", "0.5"]),
     lambda children: st.lists(children, max_size=3)
     | st.dictionaries(leaf_keys, children, max_size=3),
     max_leaves=8,
@@ -148,6 +147,10 @@ def test_fuzzed_payload_parses_or_raises_malformed_input(payload):
         {"retrieval": {"round_docs": {2: 10}}},
         {"retrieval": {"round_docs": {"default": 0}}},
         {"retrieval": {"round_docs": {"1": 0}}},
+        {"retrieval": {"method": "bm26"}},
+        {"snippets": {"strategy": "rouge"}},
+        {"model": {"kind": "bert"}},
+        {"model": {"kind": "Cosine"}},
     ],
 )
 def test_bad_payload_raises_malformed_input(payload):
@@ -157,3 +160,15 @@ def test_bad_payload_raises_malformed_input(payload):
 
 def test_empty_object_gives_defaults():
     assert parse_config({}) == PipelineConfig()
+
+
+@pytest.mark.parametrize("setting, allowed", [
+    ("retrieval.method", "bm25, nir, rerank"),
+    ("snippets.strategy", "cosine, model"),
+    ("model.kind", "constant, cosine, oracle, nnc, pooled"),
+])
+def test_a_bad_name_lists_the_allowed_names_in_order(setting, allowed):
+    section, key = setting.split(".")
+    with pytest.raises(MalformedInput) as exc:
+        parse_config({section: {key: "bert"}}, "c.json")
+    assert str(exc.value) == f"c.json: bad {setting} 'bert'; expected one of {allowed}"

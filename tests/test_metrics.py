@@ -25,7 +25,7 @@ from qfs.metrics import (
 )
 from qfs.pipeline import (
     DEFAULT_ANSWER_LENGTHS,
-    OracleModelSpec,
+    ModelSpec,
     candidate_sentences,
     cross_validate,
     generate_labels,
@@ -381,7 +381,7 @@ class TestCrossValidateMatchesCounterOracle:
 
     def test_golden_questions(self):
         questions = load_question_set(GOLDEN / "questions.json")
-        result = cross_validate(questions, None, OracleModelSpec(), k=2)
+        result = cross_validate(questions, None, ModelSpec("oracle"), k=2)
         assert result.per_question == counter_cv_f1s(questions)
 
     @settings(max_examples=60, deadline=None)
@@ -398,7 +398,7 @@ class TestCrossValidateMatchesCounterOracle:
     )
     def test_question_sets(self, specs):
         questions = [labelled_question(i, *spec) for i, spec in enumerate(specs)]
-        result = cross_validate(questions, None, OracleModelSpec(), k=2)
+        result = cross_validate(questions, None, ModelSpec("oracle"), k=2)
         assert result.per_question == counter_cv_f1s(questions)
 
 
