@@ -6,25 +6,46 @@ clipping so repeated candidate units cannot inflate precision. No
 begin-of-sentence marker is added. Scoring tokenization is
 ``textproc.token_surfaces`` (lowercased alphanumeric runs), no stemming.
 
-Labels, the oracle scorer, cross-validation and :func:`evaluate_run`
-score through :func:`su4_scores`, every candidate against every
-reference of a question in one call. With its V distinct tokens as
-first-seen ids 0..V-1, a unigram's key is its id a and a skip-bigram
-(a, b) at gap 1..5 within one text is V + a*V + b. A unit of text t
-(candidates first, then references) packs as key << S | t, where S is
-the bit width of the largest text number, and is checked to stay below
-2**63. The units come from one gap-major (6, N) array over the N
-tokens, row g holding each token with the token g later, so every row
-is long. Sorting the packed units and cutting them into runs counts
-each text's units. The join: runs of one key are one key group, each
-reference's count of every group is scattered into a reference-major
-(references, groups) table, and each run gathers its group's column,
-so ``np.minimum`` with its own count and ``np.bincount`` by (text,
-reference) give the clipped matches; the references' own runs fall in
-bins past the candidates' and are dropped. Those are exact integers,
-and precision, recall and F1 follow :meth:`RougeScore.from_pr`'s
-float64 operations in its order, so every score is exact. A text
-without tokens scores zero.
+Every SU4 score comes from one kernel, which scores each candidate of a
+question against each reference of the same question, for many
+questions at once. :func:`grouped_su4_scores` runs it chunk by chunk;
+labelling, cross-validation (one call per fold) and :func:`evaluate_run`
+pass it all their questions. :func:`su4_scores` is the one-question
+case, which the oracle scorer calls per question.
+
+Questions are taken in chunks of at most ``_CHUNK_SIZE`` (a question
+counts 1, plus 1 per text, plus its tokens); a larger question is a
+chunk of its own. In a chunk, with its V distinct tokens as first-seen
+ids 0..V-1, a unigram's key is its id a and a skip-bigram (a, b) at gap
+1..5 within one text is V + a*V + b. Texts are numbered question by
+question, as q << L | local: reference j of question q is local j and
+its candidate c is local R + c, where R is the most references any
+question of the chunk has and L the bit width of the largest local
+number. A unit packs as key << S | text, where S is L plus the bit width
+of the largest question number, and is checked to stay below 2**63. A
+chunk of several questions is at most 2**12 in size, so its keys stay
+below 2**49: only a question larger than a chunk, scored alone, can
+reach the bound. The units come from one gap-major (6, N) array over
+the N tokens, row g holding each token with the token g later, so every
+row is long. Sorting the packed units and cutting them into runs counts
+each text's units. The join: runs of one key in one question (one value
+of unit >> L) are one key group, each reference slot's count of every
+group is scattered into a slot-major (R, groups) table, and each run
+gathers its group's column, so ``np.minimum`` with its own count and
+``np.bincount`` by (text, slot) give the clipped matches. A candidate is
+matched only against its own question's references; the references' own
+runs fall in rows of no candidate and are dropped. Those are exact
+integers, and precision, recall and F1 follow
+:meth:`RougeScore.from_pr`'s float64 operations in its order, on a
+(questions, locals, R) block from which each question's (candidates,
+references) slice is cut, so every score is exact and does not depend
+on the chunk. A text without tokens scores zero.
+
+A question may have several ideal answers. A candidate's score for the
+question is its best over them: labels and the oracle scorer rank by the
+largest F1, and cross-validation scores an answer by it. :func:`evaluate_run`
+reports precision, recall and F1 against the first ideal answer with the
+largest F1.
 """
 
 from __future__ import annotations
@@ -42,6 +63,15 @@ from .textproc import token_surfaces
 
 SU4_SKIP = 4
 _INT64_SPAN = 2**63
+# A question's size in a chunk: 1, plus 1 per text, plus its tokens (see the
+# module docstring). A chunk pays ~40 fixed numpy calls, and its sort and its
+# padded (questions, locals, slots) blocks grow with it. On seed-2468 bench
+# inputs (2 shared CPUs, in process, min of 31 interleaved runs) at 2**10 to
+# 2**15: evaluate_run on abstracts-bm25 took 27.7, 26.9, 26.5, 27.1, 27.1 and
+# 27.2 ms; all of labels-cv's generate_labels 116.4, 112.8, 112.4, 113.9,
+# 117.0 and 117.9 ms; its 10-fold oracle cross_validate 156.8, 156.7, 158.1,
+# 160.5, 162.2 and 160.6 ms. 2**12 is fastest or within 1% of it on each.
+_CHUNK_SIZE = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -69,25 +99,86 @@ def _later(a: np.ndarray, n: int) -> np.ndarray:
     return np.ndarray((SU4_SKIP + 2, n), a.dtype, a, 0, (a.itemsize, a.itemsize))
 
 
+Scores = tuple[np.ndarray, np.ndarray, np.ndarray]  # precision, recall, F1
+Question = tuple[Sequence[Sequence[str]], Sequence[Sequence[str]]]  # candidates, references
+
+
 def su4_scores(
     candidates: Sequence[Sequence[str]], references: Sequence[Sequence[str]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Scores:
     """SU4 precision, recall and F1 of every candidate against every reference.
 
     Texts are token sequences; each result is a float64 array of shape
-    ``(len(candidates), len(references))``.
+    ``(len(candidates), len(references))``. This is :func:`grouped_su4_scores`
+    of one question.
     """
-    texts = [*candidates, *references]
-    n_c, n_r, n_t = len(candidates), len(references), len(texts)
+    n_r, n_t = len(references), len(candidates) + len(references)
+    precision, recall, f1 = _su4([*references, *candidates], np.arange(n_t + 1), 1, n_r,
+                                 max(n_t - 1, 0).bit_length())
+    return precision[0, n_r:n_t], recall[0, n_r:n_t], f1[0, n_r:n_t]
+
+
+def grouped_su4_scores(questions: Iterable[Question]) -> list[Scores]:
+    """:func:`su4_scores` of each ``(candidates, references)`` question, in order,
+    from one kernel call per chunk of at most ``_CHUNK_SIZE`` (or one question)."""
+    out: list[Scores] = []
+    chunk: list[Question] = []
+    size = 0
+    for question in questions:
+        candidates, references = question
+        n = 1 + len(candidates) + len(references) + sum(map(len, chain(candidates, references)))
+        if chunk and size + n > _CHUNK_SIZE:
+            out += _su4_chunk(chunk)
+            chunk, size = [], 0
+        chunk.append(question)
+        size += n
+    return out + _su4_chunk(chunk) if chunk else out
+
+
+def _su4_chunk(questions: Sequence[Question]) -> list[Scores]:
+    """:func:`su4_scores` of each of a non-empty list of questions, in one :func:`_su4`."""
+    if len(questions) == 1:  # the same numbers, from np.arange
+        return [su4_scores(*questions[0])]
+    slots = max(len(references) for _, references in questions)
+    local_bits = max(slots + max(len(c) for c, _ in questions) - 1, 0).bit_length()
+    texts: list[Sequence[str]] = []
+    numbers: list[int] = []
+    for q, (candidates, references) in enumerate(questions):
+        base = q << local_bits
+        texts += references
+        texts += candidates
+        numbers += range(base, base + len(references))
+        numbers += range(base + slots, base + slots + len(candidates))
+    numbers.append(len(questions) << local_bits)
+    blocks = _su4(texts, np.array(numbers), len(questions), slots, local_bits)
+    return [
+        tuple(a[q, slots : slots + len(candidates), : len(references)] for a in blocks)
+        for q, (candidates, references) in enumerate(questions)
+    ]
+
+
+def _su4(
+    texts: Sequence[Sequence[str]], numbers: np.ndarray, n_q: int, slots: int,
+    local_bits: int,
+) -> Scores:
+    """The SU4 kernel over ``n_q`` questions' texts.
+
+    Text i is number ``numbers[i]``, ``q << local_bits | local``: reference
+    j of question q is local j < ``slots``, its candidates follow. The last
+    number, no text's, owns the padding. Each result is a float64 array of
+    shape ``(n_q, 1 << local_bits, slots)``, indexed by question, local
+    number and reference slot; rows that are not candidates hold junk.
+    """
+    shift = local_bits + (n_q - 1).bit_length()
     lengths = list(map(len, texts))
     n = sum(lengths)
     vocab: defaultdict[str, int] = defaultdict(count().__next__)  # a new token: the next id
     ids = np.zeros(n + SU4_SKIP + 1, np.int64)  # padded, so that every token has 5 later
     ids[:n] = np.fromiter(map(vocab.__getitem__, chain.from_iterable(texts)), np.int64, n)
-    v, shift = len(vocab), max(n_t - 1, 0).bit_length()
+    v = len(vocab)
     if v * (v + 1) << shift > _INT64_SPAN:
-        raise ValueError(f"{v} distinct tokens in {n_t} texts overflow the SU4 unit keys")
-    owner = np.repeat(np.arange(n_t + 1), [*lengths, SU4_SKIP + 1])  # the padding's text: n_t
+        raise ValueError(f"{v} distinct tokens in {len(texts)} texts overflow the SU4 unit keys")
+    owner = numbers.repeat([*lengths, SU4_SKIP + 1])
     pair_base = (ids[:n] + 1) * (v << shift)  # (v + a * v) << shift
     ids <<= shift
     # Row 0: each token's unigram; row g: its pair with the token g later.
@@ -95,29 +186,33 @@ def su4_scores(
     units[1:] += pair_base
     units = units[_later(owner, n) == owner[:n]]  # both tokens in one text
     units.sort()
-    edge = np.ones(len(units) + 1, bool)  # run boundaries of equal (unit, text)
+    edge = np.empty(len(units) + 1, bool)  # run boundaries of equal (unit, text)
+    edge[0] = edge[-1] = True
     np.not_equal(units[1:], units[:-1], out=edge[1:-1])
-    edges = np.flatnonzero(edge)
+    edges = edge.nonzero()[0]
     counts, units = edges[1:] - edges[:-1], units[edges[:-1]]
     text = units & ((1 << shift) - 1)
-    total = np.bincount(text, counts, n_t)
+    total = np.bincount(text, counts, n_q << local_bits)
 
-    # Each run's key group, and every reference's count of each group.
-    key = units >> shift
-    group = np.zeros(len(units), np.int64)
-    group[1:] = key[1:] != key[:-1]
-    np.cumsum(group, out=group)
-    per_ref = np.zeros((n_r + 1, group[-1] + 1 if len(group) else 0), np.int64)
-    per_ref[np.maximum(text + 1 - n_c, 0), group] = counts  # row 0 takes the candidates
-    clipped = per_ref[1:].take(group, axis=1)
+    # Runs of one key in one question are a key group; every reference
+    # slot's count of each group is scattered into a slot-major table.
+    key = units >> local_bits
+    step = np.zeros(len(units), bool)
+    np.not_equal(key[1:], key[:-1], out=step[1:])
+    group = np.add.accumulate(step, dtype=np.int64)
+    n_groups = group[-1] + 1 if len(group) else 0
+    per_ref = np.zeros((slots + 1) * n_groups, np.int64)  # row slots takes the candidates
+    per_ref[np.minimum(text & ((1 << local_bits) - 1), slots) * n_groups + group] = counts
+    clipped = per_ref.reshape(slots + 1, n_groups)[:slots].take(group, axis=1)
     np.minimum(clipped, counts, out=clipped)
-    pair = text * n_r + np.arange(n_r)[:, None]
-    matches = np.bincount(pair.ravel(), clipped.ravel(), n_t * n_r)[: n_c * n_r]
-    matches = matches.reshape(n_c, n_r)
+    pair = text * slots + np.arange(slots)[:, None]
+    matches = np.bincount(pair.ravel(), clipped.ravel(), len(total) * slots)
+    matches = matches.reshape(n_q, 1 << local_bits, slots)
 
     # No units or no match scores 0.0: divide by 1 there, never by zero.
-    precision = matches / np.maximum(total[:n_c, None], 1)
-    recall = matches / np.maximum(total[n_c:], 1)
+    total = np.maximum(total, 1).reshape(n_q, 1 << local_bits)
+    precision = matches / total[:, :, None]
+    recall = matches / total[:, None, :slots]
     f1 = 2.0 * precision * recall / np.where(matches > 0, precision + recall, 1.0)
     return precision, recall, f1
 
@@ -272,6 +367,7 @@ def evaluate_run(question_set: Iterable[Any], answers: Iterable[Any]) -> EvalRep
     """
     by_id = {a.question_id: a for a in answers}
     report = EvalReport()
+    scored = []
     for q in question_set:
         answer = by_id.get(q.id)
         if answer is None:
@@ -281,11 +377,12 @@ def evaluate_run(question_set: Iterable[Any], answers: Iterable[Any]) -> EvalRep
             continue
         doc = document_f1(list(answer.documents), q.gold_documents)
         snip = snippet_f1(list(answer.snippets), q.gold_snippets)
+        report.per_question.append(QuestionEval(q.id, doc, snip, RougeScore.zero()))
         if q.ideal_answers and answer.ideal_answer:
-            refs = [token_surfaces(ref) for ref in q.ideal_answers]
-            scores = su4_scores([token_surfaces(answer.ideal_answer)], refs)
-            su4 = _first_candidate_score(scores, int(scores[2][0].argmax()))  # first best on ties
-        else:
-            su4 = RougeScore.zero()
-        report.per_question.append(QuestionEval(q.id, doc, snip, su4))
+            scored.append((report.per_question[-1], answer.ideal_answer, q.ideal_answers))
+    # Tokenized as the kernel takes them, so only one chunk's tokens are held.
+    texts = (([token_surfaces(text)], [token_surfaces(ref) for ref in refs])
+             for _, text, refs in scored)
+    for (row, *_), scores in zip(scored, grouped_su4_scores(texts)):
+        row.ideal_su4 = _first_candidate_score(scores, int(scores[2][0].argmax()))  # first best
     return report

@@ -59,7 +59,10 @@ question, texts, positions)``, :class:`ScoredSentence`, :func:`assemble_answer`,
 and :func:`qfs.textproc.split_sentences`: removing any of them, or changing its signature,
 fails every benchmark run until ``bench/`` moves. ``bench/run.py`` replays answering with
 ``ScoredSentence`` and ``assemble_answer``, so both stay public; ``OracleModelSpec`` is
-an alias of ``ModelSpec("oracle")`` kept only for it.
+an alias of ``ModelSpec("oracle")`` kept only for it. A traced run times
+cross-validation's SU4 scoring by wrapping this module's :func:`best_reference_f1`
+(a fold's answers, not :func:`qfs.metrics.best_reference_f1`'s one text), and needs at
+least one call to it.
 """
 
 from __future__ import annotations
@@ -95,7 +98,7 @@ from . import fileio
 from .fileio import (
     ID, INTEGER, STRING, STRING_LIST, open_output, read_json, read_jsonl, write_json,
 )
-from .metrics import best_reference_f1, best_reference_f1s
+from .metrics import best_reference_f1s, grouped_su4_scores
 from .neural import KINDS, LabeledExample, TrainConfig, forward, train
 from .retrieval import (
     InvertedIndex,
@@ -538,19 +541,27 @@ def generate_labels(
     """Binary labels from gold snippets: 1 for the top-5 sentences by SU4-F1.
 
     Candidates are the sentences of the gold snippets in order, each
-    scored by its best reference in one :func:`qfs.metrics.su4_scores`
-    call per question; ties at the cut-off rank resolve in favor of the
-    earlier occurrence. When a collection is given, every gold snippet
-    must be the exact slice of its section text, or ``MalformedInput``
-    names the question and the document.
+    scored by its best reference; ties at the cut-off rank resolve in
+    favor of the earlier occurrence. Every question is checked first, in
+    order: when a collection is given, every gold snippet must be the
+    exact slice of its section text, or ``MalformedInput`` names the
+    question and the document, and a question needs ideal answers and
+    candidate sentences. Then all questions are scored in one
+    :func:`qfs.metrics.grouped_su4_scores` call.
     """
-    examples: list[LabeledExample] = []
+    checked = []
     for question in questions:
         if collection is not None:
             _check_gold_offsets(question, collection)
         candidates = _gold_candidates(question)
-        tokens = [tuple(token_surfaces(text)) for text in candidates]
-        f1s = best_reference_f1s(tokens, [token_surfaces(a) for a in question.ideal_answers])
+        checked.append((question, candidates, [tuple(token_surfaces(t)) for t in candidates]))
+    scores = grouped_su4_scores(
+        (tokens, [token_surfaces(a) for a in question.ideal_answers])
+        for question, _, tokens in checked
+    )
+    examples: list[LabeledExample] = []
+    for (question, candidates, tokens), (*_, f1) in zip(checked, scores):
+        f1s = f1.max(axis=1).tolist()
         ranked = sorted(range(len(candidates)), key=lambda i: (-f1s[i], i))
         positive = set(ranked[:POSITIVE_LABELS_PER_QUESTION])
         q_tokens = tuple(token_surfaces(question.body))
@@ -711,6 +722,18 @@ class ModelSpec:
 OracleModelSpec = partial(ModelSpec, "oracle")
 
 
+def best_reference_f1(questions: Sequence[QuestionRecord], answers: Sequence[str]) -> list[float]:
+    """Each answer text's SU4-F1 against the best of its question's ideal answers,
+    from one :func:`qfs.metrics.grouped_su4_scores` call. :func:`cross_validate`
+    scores each fold's answers with it, and ``bench/run.py`` times that step by
+    this name."""
+    scores = grouped_su4_scores(
+        ([token_surfaces(answer)], [token_surfaces(a) for a in question.ideal_answers])
+        for question, answer in zip(questions, answers)
+    )
+    return [float(f1.max()) for *_, f1 in scores]
+
+
 @dataclass
 class CvResult:
     """Cross-validation outcome: per-fold means plus the overall mean."""
@@ -742,14 +765,21 @@ def cross_validate(
     Folds partition the shuffled questions with sizes differing by at
     most one. Each fold's questions are answered from their own gold
     snippets by a scorer fitted on the other folds, then scored with
-    best-reference SU4-F1 against the ideal answers. The overall mean
-    is over all questions (folds may differ in size by one).
+    best-reference SU4-F1 against the ideal answers, a fold's answers in
+    one :func:`best_reference_f1` call. The overall mean is over all
+    questions (folds may differ in size by one). When a collection is
+    given, every question's gold snippets are checked against it before
+    the first fold, as :func:`generate_labels` checks them; a classifier
+    kind checks its training questions again as it labels them.
     """
     if k < 2:
         raise ValueError(f"cross-validation needs at least 2 folds, got {k}")
     question_list = list(questions)
     if len(question_list) < k:
         raise EmptyInput(f"{len(question_list)} questions for {k} folds")
+    if collection is not None:
+        for question in question_list:
+            _check_gold_offsets(question, collection)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(question_list))
     folds = np.array_split(order, k)
@@ -760,15 +790,15 @@ def cross_validate(
         held_out = {int(i) for i in fold}
         train_questions = [q for i, q in enumerate(question_list) if i not in held_out]
         scorer = model_spec.fit(train_questions, collection)
-        fold_scores = []
-        for i in sorted(held_out):
-            question = question_list[i]
+        fold_questions = [question_list[i] for i in sorted(held_out)]
+        answers = []
+        for question in fold_questions:
             texts = _gold_candidates(question)
             scores = scorer.score_sentences(question, texts, list(range(len(texts))))
             best = _answer_places(question.qtype, scores, answer_table)
-            f1 = best_reference_f1(" ".join(texts[j] for j in best), question.ideal_answers)
-            per_question[question.id] = f1
-            fold_scores.append(f1)
+            answers.append(" ".join(texts[j] for j in best))
+        fold_scores = best_reference_f1(fold_questions, answers)
+        per_question.update(zip((q.id for q in fold_questions), fold_scores))
         fold_means.append(sum(fold_scores) / len(fold_scores))
         logger.info("fold %d/%d: mean SU4-F1 %.4f", fold_idx + 1, k, fold_means[-1])
     mean_f1 = sum(per_question.values()) / len(per_question)

@@ -129,7 +129,7 @@ GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_OUTPUTS = (
     "retrieve.json", "retrieve-nir.json", "retrieve-rerank.json", "snippets.json",
     "labels.jsonl", "answer.json", "model-snippets.json", "model-answer.json", "cv.json",
-    "cv-nnc.json", "cv-pooled.json", "cosine-answer.json", "cv-cosine.json",
+    "cv-nnc.json", "cv-pooled.json", "cosine-answer.json", "cv-cosine.json", "evaluate.json",
 )
 # Model files are pinned by their sha256, listed in tests/golden/models.sha256.
 GOLDEN_MODELS = ("model.qfsm", "pooled.qfsm")
@@ -840,18 +840,33 @@ GOLD_SNIPPET_DEFECTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(GOLD_SNIPPET_DEFECTS))
-def test_label_with_documents_rejects_a_gold_snippet_off_its_section(tmp_path, case):
+def check_rejects_gold_snippet_defect(tmp_path, case, *command):
+    """``qfs *command --questions <q1's first snippet edited> --docs <golden>`` exits 2
+    with one line naming the question and the snippet's document."""
     golden = json.loads((GOLDEN / "questions.json").read_text())
     first = golden[0]["snippets"][0]
     golden[0]["snippets"][0] = GOLD_SNIPPET_DEFECTS[case](first)
     questions = write(tmp_path / "q.json", json.dumps(golden))
-    code, err = run_qfs("label", "--questions", questions, "--docs", GOLDEN / "docs.jsonl",
-                        "--out", tmp_path / "l.jsonl")
+    code, err = run_qfs(*command, "--questions", questions, "--docs", GOLDEN / "docs.jsonl")
     assert code == 2, err
     assert err.startswith("error: ") and "Traceback" not in err
     assert repr(golden[0]["id"]) in err
     assert repr(golden[0]["snippets"][0]["document"]) in err
+
+
+@pytest.mark.parametrize("case", sorted(GOLD_SNIPPET_DEFECTS))
+def test_label_with_documents_rejects_a_gold_snippet_off_its_section(tmp_path, case):
+    check_rejects_gold_snippet_defect(tmp_path, case, "label", "--out", tmp_path / "l.jsonl")
+
+
+# A classifier kind checks through the labels it trains on; the untrained
+# scorers label nothing, so cross_validate checks every question up front.
+@pytest.mark.parametrize("model", ["constant", "cosine", "oracle"])
+@pytest.mark.parametrize("case", sorted(GOLD_SNIPPET_DEFECTS))
+def test_cv_with_documents_rejects_a_gold_snippet_off_its_section(tmp_path, case, model):
+    check_rejects_gold_snippet_defect(tmp_path, case, "cv", "--model", model, "--k", "2",
+                                      "--out", tmp_path / "cv.json")
+    assert not (tmp_path / "cv.json").exists()
 
 
 # Each case edits golden question q1: the error class and message `qfs label` exits 2 with.

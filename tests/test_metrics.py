@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain, count
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qfs.metrics import (
     best_reference_f1s,
     document_f1,
     evaluate_run,
+    grouped_su4_scores,
     rouge_su4_f1,
     snippet_f1,
     su4_scores,
@@ -274,6 +276,33 @@ class TestSu4KernelMatchesReference:
                              reference_su4_scores(candidates, references)):
             assert got.shape == want.shape and got.dtype == want.dtype
             assert (got == want).all()
+
+
+# Questions for one grouped call: 0..4 candidates and 1..4 references each, so
+# that reference counts differ between questions, and texts may be empty.
+su4_questions = st.lists(
+    st.tuples(st.lists(su4_token_lists, max_size=4),
+              st.lists(su4_token_lists, min_size=1, max_size=4)),
+    max_size=6,
+)
+
+
+class TestGroupedSu4Scores:
+    # A question counts 1, plus 1 per text, plus its tokens: with these chunk
+    # sizes a chunk holds one question, a few, or the whole draw.
+    @settings(max_examples=300, deadline=None)
+    @given(su4_questions, st.sampled_from([1, 12, 40, 1 << 12]))
+    @example([([["a", "b"]], [["a"]]),  # the second question outgrows a chunk
+              ([["a", "b", "c"] * 10, []], [["c", "a"], ["b"], []]),
+              ([], [["a"]])], 24)
+    def test_each_question_equals_the_reference(self, questions, chunk_size):
+        with mock.patch.object(metrics, "_CHUNK_SIZE", chunk_size):
+            got = grouped_su4_scores(questions)
+        assert len(got) == len(questions)
+        for scores, (candidates, references) in zip(got, questions):
+            for a, want in zip(scores, reference_su4_scores(candidates, references)):
+                assert a.shape == want.shape and a.dtype == want.dtype
+                assert (a == want).all()
 
 
 class TestRougeSu4:
