@@ -3,8 +3,11 @@
 The commands compose the stages of :mod:`qfs.pipeline`. ``retrieve``
 writes ``pipeline.retrieve``; ``snippets`` writes the snippets of
 ``pipeline.answer_question`` without scoring an answer, so ``snippets``
-and ``answer`` report the same snippets for the same config. Questions
-are answered one after another in one thread.
+and ``answer`` report the same snippets for the same config. These
+three share one runner: the same options, one loop over the questions,
+one after another in one thread, and one failure policy: a question
+whose step raises a data error is logged as ``skipping question <id>:
+<message>`` and left out of the output.
 
 ``answer`` scores with the scorer ``model.kind`` names (``pipeline.SCORERS``);
 ``snippets`` makes it only for the ``model`` strategy, so ``retrieve`` and
@@ -13,7 +16,8 @@ cosine ``snippets`` open no model file. Only a classifier kind reads files.
 Exit codes:
 
 * 0: success;
-* 1: partial failure (``answer`` skipped some questions);
+* 1: partial failure (``retrieve``, ``snippets`` or ``answer`` skipped
+  some questions);
 * 2: data error: a missing, unreadable or malformed input file or
   config, or an ``--out`` file that cannot be created (checked before
   any work), reported as one ``error: ...`` line on stderr;
@@ -32,6 +36,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import reduce
 
 import click
 
@@ -83,7 +88,7 @@ def cmd_index(docs_path, out_path, stopwords_path) -> int:
     stopwords = textproc.load_stopwords(stopwords_path) if stopwords_path else None
     index = retrieval.build_index(collection, stopwords)
     retrieval.save_index(index, out_path)
-    click.echo(f"{index.n_docs} documents, {index.vocabulary_size} terms -> {out_path}")
+    click.echo(f"{index.n_docs} documents, {len(index.indptr) - 1} terms -> {out_path}")
     return 0
 
 
@@ -146,50 +151,66 @@ def _build_resources(config: PipelineConfig, feedback_path: str | None) -> pipel
                               feedback=feedback)
 
 
-@cli.command("retrieve")
-@click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--questions", "questions_path", required=True, type=click.Path())
-@click.option("--out", "out_path", required=True, type=click.Path(), callback=_writable)
-@click.option("--feedback", "feedback_path", type=click.Path(), default=None)
-def cmd_retrieve(config_path, questions_path, out_path, feedback_path) -> int:
+def _options(*options):
+    """One decorator for ``options``, listed as they would be stacked on a command."""
+    return lambda command: reduce(lambda c, option: option(c), reversed(options), command)
+
+
+def _per_question(name: str, summary: str, scored=lambda config: True):
+    """Register ``step(question, config, resources)`` as the command ``name``,
+    with the step's docstring as its help.
+
+    The command loads the config, questions and resources once, and the
+    scorer only when ``scored(config)``. It writes ``{"questions": [...]}``,
+    one step result per question. A question whose step raises ``QfsError``
+    is logged and left out, and the command exits 1.
+    """
+    def register(step):
+        @cli.command(name, help=step.__doc__)
+        @click.option("--config", "config_path", required=True, type=click.Path())
+        @click.option("--questions", "questions_path", required=True, type=click.Path())
+        @click.option("--out", "out_path", required=True, type=click.Path(), callback=_writable)
+        @click.option("--feedback", "feedback_path", type=click.Path(), default=None)
+        def command(config_path, questions_path, out_path, feedback_path) -> int:
+            config = load_config(config_path)
+            questions = corpus.load_question_set(questions_path)
+            resources = _build_resources(config, feedback_path)
+            if scored(config):
+                resources.scorer = _load_scorer(config.model)
+            out = []
+            for question in questions:
+                try:
+                    out.append(step(question, config, resources))
+                except QfsError as exc:
+                    logger.error("skipping question %s: %s", question.id, exc)
+            write_json(out_path, {"questions": out})
+            skipped = len(questions) - len(out)
+            click.echo(summary.format(len(out)) + (f", skipped {skipped}" if skipped else "")
+                       + f" -> {out_path}")
+            return 1 if skipped else 0
+        return step
+    return register
+
+
+@_per_question("retrieve", "ranked {} questions", scored=lambda config: False)
+def _ranked(question, config, resources) -> dict:
     """Rank documents for every question and write the ranked lists."""
-    config = load_config(config_path)
-    questions = corpus.load_question_set(questions_path)
-    resources = _build_resources(config, feedback_path)
-    out = [
-        {
-            "id": question.id,
-            "ranked": [
-                {"document": d, "score": s}
-                for d, s in pipeline.retrieve(question, config, resources)
-            ],
-        }
-        for question in questions
-    ]
-    write_json(out_path, {"questions": out})
-    click.echo(f"ranked {len(out)} questions -> {out_path}")
-    return 0
+    ranked = pipeline.retrieve(question, config, resources)
+    return {"id": question.id, "ranked": [{"document": d, "score": s} for d, s in ranked]}
 
 
-@cli.command("snippets")
-@click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--questions", "questions_path", required=True, type=click.Path())
-@click.option("--out", "out_path", required=True, type=click.Path(), callback=_writable)
-@click.option("--feedback", "feedback_path", type=click.Path(), default=None)
-def cmd_snippets(config_path, questions_path, out_path, feedback_path) -> int:
+@_per_question("snippets", "snippets for {} questions",
+               scored=lambda config: config.snippets.strategy == "model")
+def _snippets(question, config, resources) -> dict:
     """Retrieve documents, extract snippets, and write them per question."""
-    config = load_config(config_path)
-    questions = corpus.load_question_set(questions_path)
-    resources = _build_resources(config, feedback_path)
-    if config.snippets.strategy == "model":
-        resources.scorer = _load_scorer(config.model)
-    out = []
-    for question in questions:
-        spans = pipeline.answer_question(question, config, resources, answer=False).snippets
-        out.append({"id": question.id, "snippets": [corpus.snippet_to_json(s) for s in spans]})
-    write_json(out_path, {"questions": out})
-    click.echo(f"snippets for {len(out)} questions -> {out_path}")
-    return 0
+    spans = pipeline.answer_question(question, config, resources, answer=False).snippets
+    return {"id": question.id, "snippets": [corpus.snippet_to_json(s) for s in spans]}
+
+
+@_per_question("answer", "answered {} questions")
+def _answer(question, config, resources) -> dict:
+    """Answer every question and write a submission file."""
+    return pipeline.answer_question(question, config, resources).to_json()
 
 
 @cli.command("label")
@@ -229,18 +250,28 @@ def _model_source(model_kind, embeddings_path):
     return _load_source(KINDS[model_kind], embeddings_path)
 
 
+# The training flags of train and cv.
+_EMBEDDINGS = click.option(
+    "--embeddings", "embeddings_path", type=click.Path(), default=None,
+    help="Word-vector text file (nnc model) or CEMB file (pooled model).")
+_TRAINING = _options(
+    click.option("--epochs", type=int, default=None),
+    click.option("--batch-size", type=int, default=None),
+    click.option("--dropout", type=float, default=None),
+    click.option("--lr", type=float, default=1e-3, show_default=True),
+)
+_SEED = click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+_CLIP_LEN = click.option("--clip-len", type=int, default=None)
+
+
 @cli.command("train")
 @click.option("--labels", "labels_path", required=True, type=click.Path())
 @click.option("--model", "model_kind", required=True, type=click.Choice(list(KINDS)))
 @click.option("--out", "out_path", required=True, type=click.Path(), callback=_writable)
-@click.option("--embeddings", "embeddings_path", type=click.Path(), default=None,
-              help="Word-vector text file (nnc model) or CEMB file (pooled model).")
-@click.option("--epochs", type=int, default=None)
-@click.option("--batch-size", type=int, default=None)
-@click.option("--dropout", type=float, default=None)
-@click.option("--lr", type=float, default=1e-3, show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--clip-len", type=int, default=None)
+@_EMBEDDINGS
+@_TRAINING
+@_SEED
+@_CLIP_LEN
 def cmd_train(labels_path, model_kind, out_path, embeddings_path, **training) -> int:
     """Train a sentence classifier on a labels file."""
     config = _train_config(model_kind, **training)
@@ -254,34 +285,6 @@ def cmd_train(labels_path, model_kind, out_path, embeddings_path, **training) ->
         f"final loss {result.loss_history[-1]:.4f} -> {out_path}"
     )
     return 0
-
-
-@cli.command("answer")
-@click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--questions", "questions_path", required=True, type=click.Path())
-@click.option("--out", "out_path", required=True, type=click.Path(), callback=_writable)
-@click.option("--feedback", "feedback_path", type=click.Path(), default=None)
-def cmd_answer(config_path, questions_path, out_path, feedback_path) -> int:
-    """Answer every question and write a submission file."""
-    config = load_config(config_path)
-    questions = corpus.load_question_set(questions_path)
-    resources = _build_resources(config, feedback_path)
-    resources.scorer = _load_scorer(config.model)
-    results = []
-    skipped = 0
-    for question in questions:
-        try:
-            results.append(pipeline.answer_question(question, config, resources))
-        except QfsError as exc:
-            skipped += 1
-            logger.error("skipping question %s: %s", question.id, exc)
-    pipeline.save_submission(results, out_path)
-    click.echo(
-        f"answered {len(results)} questions"
-        + (f", skipped {skipped}" if skipped else "")
-        + f" -> {out_path}"
-    )
-    return 1 if skipped else 0
 
 
 @cli.command("evaluate")
@@ -307,15 +310,11 @@ def cmd_evaluate(questions_path, submission_path, out_path) -> int:
               help="Sentence scorer. A classifier kind trains on each fold, reading "
                    "--embeddings; the others need no training. oracle scores by SU4-F1 "
                    "against the ideal answers, so it is a ceiling for evaluation only.")
-@click.option("--embeddings", "embeddings_path", type=click.Path(), default=None,
-              help="Word-vector text file (nnc model) or CEMB file (pooled model).")
+@_EMBEDDINGS
 @click.option("--k", type=click.IntRange(min=2), default=10, show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--epochs", type=int, default=None)
-@click.option("--batch-size", type=int, default=None)
-@click.option("--dropout", type=float, default=None)
-@click.option("--lr", type=float, default=1e-3, show_default=True)
-@click.option("--clip-len", type=int, default=None)
+@_SEED
+@_TRAINING
+@_CLIP_LEN
 @click.option("--out", "out_path", type=click.Path(), default=None, callback=_writable)
 def cmd_cv(questions_path, docs_path, model_kind, embeddings_path, k, out_path, **training) -> int:
     """k-fold cross-validation reporting mean SU4-F1."""

@@ -1,12 +1,13 @@
 """End-to-end answering: snippets, labels, answer assembly, cross-validation.
 
-A question is answered by three stages, which ``answer_question``, the
-command line and ``cross_validate`` compose:
+A question is answered by three stages, which :func:`answer_question`
+composes; the command line composes :func:`retrieve` (``qfs retrieve``)
+and :func:`answer_question` (``qfs snippets`` and ``qfs answer``):
 
 * :func:`retrieve` ranks documents and drops the judged ones;
-* :func:`select_snippets` picks sentences of the top documents;
+* snippet selection (:func:`_snip`) picks sentences of the top documents;
 * answer scoring scores the candidates left after feedback filtering,
-  and :func:`assemble_answer` joins the best into the ideal answer.
+  and the best are joined into the ideal answer.
   Phase B (``cross_validate``) starts here, from gold snippet sentences.
 
 Every sentence score comes from a :class:`SentenceScorer` that :data:`SCORERS`
@@ -30,10 +31,10 @@ per row that needs text, so answering and labelling make no
 :class:`~qfs.corpus.DocumentRecord`.
 :func:`snip_cosine` does the same for a collection without an index,
 splitting just the ranked documents. Rows become :class:`SnippetSpan`
-objects (:func:`_spans`) only where returned: :func:`select_snippets`
-and :func:`snip_cosine` make all kept rows, :func:`answer_question` only
-the first ``final_snippet_cap`` left by feedback filtering, which reads
-row keys through :func:`qfs.corpus.kept_polarities`. The answer is picked
+objects (:func:`_spans`) only where returned: :func:`snip_cosine` makes
+all kept rows, :func:`answer_question` only the first
+``final_snippet_cap`` left by feedback filtering, which reads row keys
+through :func:`qfs.corpus.kept_polarities`. The answer is picked
 by index (:func:`_answer_places`); no :class:`ScoredSentence` is made here.
 
 ``CosineScorer.score_sentences`` is the text adapter, for gold
@@ -96,7 +97,7 @@ from .embeddings import DenseStore
 from .errors import EmptyInput, MalformedInput, MissingInput
 from . import fileio
 from .fileio import (
-    ID, INTEGER, STRING, STRING_LIST, open_output, read_json, read_jsonl, write_json,
+    ID, INTEGER, STRING, STRING_LIST, open_output, read_json, read_jsonl,
 )
 from .metrics import best_reference_f1s, grouped_su4_scores
 from .neural import KINDS, LabeledExample, TrainConfig, forward, train
@@ -145,20 +146,19 @@ class AnswerResult:
     snippets: list[SnippetSpan] = field(default_factory=list)
     ideal_answer: str = ""
 
+    def to_json(self) -> dict:
+        """One question of a submission file: its evidence and answer."""
+        return {
+            "id": self.question_id,
+            "documents": list(self.documents),
+            "snippets": [snippet_to_json(s) for s in self.snippets],
+            "ideal_answer": self.ideal_answer,
+        }
+
 
 def submission_to_json(results: Sequence[AnswerResult]) -> dict:
     """Submission-file shape: a questions array with evidence and answer."""
-    return {
-        "questions": [
-            {
-                "id": r.question_id,
-                "documents": list(r.documents),
-                "snippets": [snippet_to_json(s) for s in r.snippets],
-                "ideal_answer": r.ideal_answer,
-            }
-            for r in results
-        ]
-    }
+    return {"questions": [r.to_json() for r in results]}
 
 
 def load_submission(path: str | Path) -> list[AnswerResult]:
@@ -190,10 +190,6 @@ def load_submission(path: str | Path) -> list[AnswerResult]:
         snippets = [snippet_from_json(s, where) for s in snippets]
         results.append(AnswerResult(qid, list(documents), snippets, ideal_answer))
     return results
-
-
-def save_submission(results: Sequence[AnswerResult], path: str | Path) -> None:
-    write_json(path, submission_to_json(results))
 
 
 def save_labels(examples: Sequence[LabeledExample], path: str | Path) -> None:
@@ -470,7 +466,7 @@ def snip_cosine(
     The tf-idf model is fitted on the sentences of all ranked documents,
     so scores are comparable across documents. The ranked documents are
     split and tokenized here into their own sentence table; answering
-    reads the index's table instead (:func:`select_snippets`), with the
+    reads the index's table instead (:func:`answer_question`), with the
     same result.
     """
     table = SentenceTable.build(collection, [d for d, _ in ranked_docs])
@@ -642,35 +638,19 @@ def retrieve(question: QuestionRecord, config, resources: Resources) -> RankedLi
     return [(d, s) for d, s in ranked if d in unjudged]
 
 
-def _select(question: QuestionRecord, ranked: RankedList, config, resources: Resources):
-    """The ranked documents by index ordinal, and :func:`_snip`'s result for them.
-
-    A :class:`CosineScorer` in ``resources`` scores the snippets too,
-    so answer scoring by cosine always finds the pool's term pairs."""
-    index = resources.index
-    scorer = CosineScorer() if config.snippets.strategy == "cosine" else resources.scorer
-    collection = resources.collection
-    ordinals = [_ordinal(index, doc_id) for doc_id, _ in ranked]
-    docs = {o: collection.ordinal[doc_id] for o, (doc_id, _) in zip(ordinals, ranked)}
-    return docs, _snip(question, index.sentences, ordinals, collection, docs, scorer,
-                       config.snippets.per_doc)
-
-
-def select_snippets(
-    question: QuestionRecord, ranked: RankedList, config, resources: Resources
-) -> list[SnippetSpan]:
-    """Snippets of the ranked documents by the configured strategy, unfiltered."""
-    docs, (rows, *_) = _select(question, ranked, config, resources)
-    return _spans(resources.index.sentences, resources.collection, docs, rows)
-
-
 def answer_question(question: QuestionRecord, config, resources: Resources,
                     answer: bool = True) -> AnswerResult:
     """Retrieve, snip, filter, score, and assemble one question's answer; with
     ``answer=False``, only the documents and snippets (``qfs snippets``)."""
     ranked = retrieve(question, config, resources)[: config.retrieval.final_doc_cap]
     table, collection = resources.index.sentences, resources.collection
-    docs, (rows, kept, pairs, asked) = _select(question, ranked, config, resources)
+    ordinals = [_ordinal(resources.index, doc_id) for doc_id, _ in ranked]
+    docs = {o: collection.ordinal[doc_id] for o, (doc_id, _) in zip(ordinals, ranked)}
+    # A CosineScorer in resources scores the snippets too, so answer scoring
+    # by cosine always finds the pool's term pairs.
+    scorer = CosineScorer() if config.snippets.strategy == "cosine" else resources.scorer
+    rows, kept, pairs, asked = _snip(question, table, ordinals, collection, docs, scorer,
+                                     config.snippets.per_doc)
     returned = candidates = rows
     if judged := resources.feedback.judgments(question.id)[1]:  # some snippets are judged
         polarity = [judged.get(key) for key, _ in _rows(table, collection, docs, rows)]
@@ -756,7 +736,6 @@ def cross_validate(
     questions: QuestionSet | Sequence[QuestionRecord],
     collection: DocumentCollection | None,
     model_spec: ModelSpec,
-    answer_table: Mapping[str, int] | None = None,
     k: int = 10,
     seed: int = 0,
 ) -> CvResult:
@@ -769,8 +748,8 @@ def cross_validate(
     one :func:`best_reference_f1` call. The overall mean is over all
     questions (folds may differ in size by one). When a collection is
     given, every question's gold snippets are checked against it before
-    the first fold, as :func:`generate_labels` checks them; a classifier
-    kind checks its training questions again as it labels them.
+    the first fold, as :func:`generate_labels` checks them, so each is
+    checked once: a classifier kind is fitted without the collection.
     """
     if k < 2:
         raise ValueError(f"cross-validation needs at least 2 folds, got {k}")
@@ -789,13 +768,13 @@ def cross_validate(
     for fold_idx, fold in enumerate(folds):
         held_out = {int(i) for i in fold}
         train_questions = [q for i, q in enumerate(question_list) if i not in held_out]
-        scorer = model_spec.fit(train_questions, collection)
+        scorer = model_spec.fit(train_questions, None)  # checked above
         fold_questions = [question_list[i] for i in sorted(held_out)]
         answers = []
         for question in fold_questions:
             texts = _gold_candidates(question)
             scores = scorer.score_sentences(question, texts, list(range(len(texts))))
-            best = _answer_places(question.qtype, scores, answer_table)
+            best = _answer_places(question.qtype, scores, None)
             answers.append(" ".join(texts[j] for j in best))
         fold_scores = best_reference_f1(fold_questions, answers)
         per_question.update(zip((q.id for q in fold_questions), fold_scores))

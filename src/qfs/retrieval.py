@@ -85,13 +85,16 @@ _QIDX_HEADER = struct.Struct("<4sI" + _QIDX_FIELDS[1:])
 class InvertedIndex:
     """CSR postings plus their BM25 impacts under ``k1`` and ``b``; immutable.
 
-    ``section_counts``, ``section_lengths`` and ``doc_crc`` record the
-    text the index was built from, for :func:`check_collection`.
+    ``is_term`` flags the words of ``sentences.vocabulary`` that have
+    postings (the others are stopwords); ``term_row`` maps each word to
+    its posting row, -1 for a stopword. ``section_counts``,
+    ``section_lengths`` and ``doc_crc`` record the text the index was
+    built from, for :func:`check_collection`.
     """
 
     doc_ids: list[str]
     doc_len: np.ndarray
-    terms: dict[str, int]
+    is_term: np.ndarray
     indptr: np.ndarray
     post_doc: np.ndarray
     post_tf: np.ndarray
@@ -105,6 +108,7 @@ class InvertedIndex:
     b: float = DEFAULT_B
     n_docs: int = field(init=False)
     avgdl: float = field(init=False)
+    term_row: np.ndarray = field(init=False, repr=False)
     # Impact rows of the dense terms (ascending rows); the other terms' impacts
     # in posting order, less the dense postings skipped before each dense row.
     dense_terms: list[int] = field(init=False, repr=False)
@@ -115,6 +119,7 @@ class InvertedIndex:
     def __post_init__(self) -> None:
         self.n_docs = n_docs = len(self.doc_ids)
         self.avgdl = int(self.doc_len.sum()) / n_docs
+        self.term_row = _term_rows(self.is_term)
         df = np.diff(self.indptr)
         # idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)) in this
         # operand order, with math.log (np.log may differ in the last bit).
@@ -152,9 +157,12 @@ class InvertedIndex:
         lo, hi = self.indptr[row : row + 2].tolist()
         return self.post_doc[lo:hi], self.impact[lo - self.skipped[j] : hi - self.skipped[j]]
 
-    @property
-    def vocabulary_size(self) -> int:
-        return len(self.terms)
+
+def _term_rows(is_term: np.ndarray) -> np.ndarray:
+    """Per word its posting row (the words with postings in order), -1 for a stopword."""
+    rows = np.cumsum(is_term, dtype=np.int32) - 1
+    rows[~is_term] = -1
+    return rows
 
 
 RankedList = list[tuple[str, float]]
@@ -185,10 +193,9 @@ def build_index(
     doc_ids = sorted(docs.ids)
     table = SentenceTable.build(docs, doc_ids)
     is_term = np.array([word not in stop for word in table.vocabulary], dtype=bool)
-    terms = [word for word, keep in zip(table.vocabulary, is_term.tolist()) if keep]
     doc_len, indptr, post_doc, post_tf = _postings(table, is_term)
     return InvertedIndex(
-        doc_ids, doc_len, {term: r for r, term in enumerate(terms)}, indptr, post_doc, post_tf,
+        doc_ids, doc_len, is_term, indptr, post_doc, post_tf,
         table, *_text_columns(docs, [docs.ordinal[doc_id] for doc_id in doc_ids]), k1, b,
     )
 
@@ -235,8 +242,7 @@ def _postings(table: SentenceTable, is_term: np.ndarray):
     second fills every term row in document order, one block at a time.
     """
     n_terms = int(is_term.sum())
-    row_of = np.cumsum(is_term, dtype=np.int32) - 1
-    row_of[~is_term] = -1
+    row_of = _term_rows(is_term)
     bounds = table.indptr[table.doc_ptr]
     blocks = _doc_blocks(bounds)
 
@@ -284,7 +290,8 @@ def _bm25(index: InvertedIndex, query: Sequence[str]) -> np.ndarray:
     postings adds them: a dense row's 0.0 leaves a score (>= 0) unchanged.
     """
     scores = np.zeros(index.n_docs)
-    for row in [index.terms[t] for t in dict.fromkeys(query) if t in index.terms]:
+    rows = index.term_row[index.sentences.word_ids(dict.fromkeys(query))]
+    for row in rows[rows >= 0].tolist():
         docs, impact = index.term_impacts(row)
         if docs is None:
             scores += impact
@@ -425,15 +432,13 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
     table = index.sentences
     names = (*index.doc_ids, *table.vocabulary)
     parts = [
-        _QIDX_HEADER.pack(_QIDX_MAGIC, _QIDX_VERSION, index.n_docs, len(index.terms),
+        _QIDX_HEADER.pack(_QIDX_MAGIC, _QIDX_VERSION, index.n_docs, len(index.indptr) - 1,
                           len(index.post_doc), len(table.vocabulary),
                           len(index.section_lengths), len(table), len(table.token_ids)),
         np.fromiter((len(name.encode("utf-8")) for name in names), "<u4", len(names)),
         "".join(names).encode("utf-8"),
-        np.fromiter((word in index.terms for word in table.vocabulary), "u1",
-                    len(table.vocabulary)),
         *(np.ascontiguousarray(values, dtype=dtype) for values, dtype in (
-            (index.doc_len, "<i4"), (index.indptr, "<i8"),
+            (index.is_term, "u1"), (index.doc_len, "<i4"), (index.indptr, "<i8"),
             (index.post_doc, "<i4"), (index.post_tf, "<i4"),
             (index.section_counts, "<i4"), (index.section_lengths, "<i4"),
             (index.doc_crc, "<u4"), (table.doc, "<i4"), (table.section, "<i4"),
@@ -534,9 +539,8 @@ def load_index(path: str | Path, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -
     ]
     require(np.array_equal(np.concatenate(term_tokens), doc_len),
             "doc lengths disagree with the sentence tokens")
-    terms = [word for word, flag in zip(vocabulary, is_term.tolist()) if flag]
     return InvertedIndex(
-        doc_ids, doc_len, {term: r for r, term in enumerate(terms)}, indptr, post_doc, post_tf,
+        doc_ids, doc_len, is_term.view(bool), indptr, post_doc, post_tf,
         table, section_counts, section_lengths, doc_crc, k1, b,
     )
 

@@ -129,11 +129,17 @@ def random_unit_vectors(rng: np.random.Generator, ids: list[str], dim: int) -> d
     return out
 
 
+def term_rows(index) -> dict[str, int]:
+    """Each term's posting row, from the index's vocabulary and term flags."""
+    terms = [w for w, flag in zip(index.sentences.vocabulary, index.is_term.tolist()) if flag]
+    return {term: r for r, term in enumerate(terms)}
+
+
 def posting_impacts(index) -> np.ndarray:
     """Every posting's BM25 impact in CSR order, read row by row through
     ``InvertedIndex.term_impacts`` (a dense row is read at its postings)."""
     values = []
-    for row in range(len(index.terms)):
+    for row in range(len(index.indptr) - 1):
         docs, impact = index.term_impacts(row)
         at = index.post_doc[index.indptr[row] : index.indptr[row + 1]]
         values.append(impact[at] if docs is None else impact)

@@ -34,7 +34,7 @@ from qfs.retrieval import (
     save_index,
 )
 
-from conftest import make_doc, posting_impacts, random_unit_vectors
+from conftest import make_doc, posting_impacts, random_unit_vectors, term_rows
 
 BLOCK = 1 << 16  # postings per block in InvertedIndex.__post_init__
 
@@ -56,7 +56,8 @@ def oracle_impact(index) -> np.ndarray:
 def oracle_bm25(index, query) -> np.ndarray:
     """The concatenate-and-bincount kernel: bincount adds in input order."""
     impact = oracle_impact(index)
-    rows = [index.terms[t] for t in dict.fromkeys(query) if t in index.terms]
+    terms = term_rows(index)
+    rows = [terms[t] for t in dict.fromkeys(query) if t in terms]
     spans = [slice(index.indptr[r], index.indptr[r + 1]) for r in rows]
     docs = np.concatenate([index.post_doc[:0], *(index.post_doc[s] for s in spans)])
     weights = np.concatenate([impact[:0], *(impact[s] for s in spans)])
@@ -123,11 +124,12 @@ def test_dense_rows_are_zero_where_the_term_is_absent():
         [make_doc("d1", ("body", "a b")), make_doc("d2", ("body", "a")),
          make_doc("d3", ("body", "c"))]
     ))
-    assert list(index.terms) == ["a", "b", "c"]
-    assert index.dense_terms == [index.terms["a"]]  # df 2 of 3 documents
-    docs, row = index.term_impacts(index.terms["a"])
+    terms = term_rows(index)
+    assert list(terms) == ["a", "b", "c"]
+    assert index.dense_terms == [terms["a"]]  # df 2 of 3 documents
+    docs, row = index.term_impacts(terms["a"])
     assert docs is None and row[2] == 0.0 and row[0] > 0.0 and row[1] > 0.0
-    docs, impact = index.term_impacts(index.terms["c"])
+    docs, impact = index.term_impacts(terms["c"])
     assert docs.tolist() == [2] and len(impact) == 1
 
 
@@ -145,7 +147,7 @@ def synthetic_postings(n_docs=5000, n_terms=3000, seed=0):
     indptr = np.r_[0, np.cumsum(df)].astype(np.int64)
     doc_len = np.bincount(post_doc, weights=post_tf, minlength=n_docs).astype(np.int32)
     return df, ([f"d{i:05d}" for i in range(n_docs)], doc_len,
-                {f"t{r}": r for r in range(n_terms)}, indptr, post_doc, post_tf)
+                np.ones(n_terms, dtype=bool), indptr, post_doc, post_tf)
 
 
 def test_impact_storage_and_build_peak_are_bounded():

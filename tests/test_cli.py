@@ -7,6 +7,7 @@ import json
 import os
 import re
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from click.testing import CliRunner
 
 from qfs import pipeline
 from qfs.cli import main
-from qfs.config import parse_config
+from qfs.config import ModelConfig, PipelineConfig, RetrievalConfig, SnippetConfig, parse_config
 from qfs.corpus import (
     FeedbackStore,
     QuestionSet,
@@ -27,7 +28,7 @@ from qfs.corpus import (
 )
 from qfs.embeddings import ContextEmbeddingRecord, write_context_embeddings
 from qfs.errors import EmptyInput, MalformedInput, MissingInput
-from qfs.neural import save_params
+from qfs.neural import KINDS, save_params
 from qfs.neural.models import init_params
 from qfs.retrieval import DenseStore, build_index, load_dense_store, save_dense_store
 
@@ -318,6 +319,36 @@ def test_retrieve_and_cosine_snippets_open_no_model_file(tmp_path, command):
     out = tmp_path / "o.json"
     assert run_qfs(command, "--config", config, *QUESTIONS, "--out", out) == (0, "")
     assert json.loads(out.read_text())["questions"]
+
+
+def run_qfs_stdout(*args) -> tuple[int, str]:
+    """Run the `qfs` entry point; returns its exit code and stdout."""
+    with CliRunner().isolation() as (stdout, _, _):
+        code = main([str(a) for a in args])
+        return code, stdout.getvalue().decode("utf-8")
+
+
+def test_config_emit_without_a_file_prints_the_defaults():
+    code, out = run_qfs_stdout("config", "emit")
+    assert code == 0
+    assert parse_config(json.loads(out)) == PipelineConfig()
+
+
+def test_config_emit_prints_the_config_it_reads(tmp_path):
+    config = write(tmp_path / "c.json", json.dumps({
+        "retrieval": {"method": "nir"}, "snippets": {"per_doc": 2}, "model": {"kind": "cosine"},
+        "round": 2}))
+    code, out = run_qfs_stdout("config", "emit", "--config", config)
+    assert code == 0
+    assert parse_config(json.loads(out)) == PipelineConfig(
+        retrieval=RetrievalConfig(method="nir"), snippets=SnippetConfig(per_doc=2),
+        model=ModelConfig(kind="cosine"), round=2,
+    )
+
+
+def test_config_validate_accepts_an_emitted_config(tmp_path):
+    emitted = write(tmp_path / "emitted.json", run_qfs_stdout("config", "emit")[1])
+    assert run_qfs_stdout("config", "validate", "--config", emitted) == (0, f"{emitted}: valid\n")
 
 
 def test_an_unknown_model_kind_names_the_scorers(tmp_path):
@@ -917,12 +948,36 @@ def test_cross_validate_needs_two_folds():
         pipeline.cross_validate(questions, None, pipeline.ModelSpec("oracle"), k=1)
 
 
+@pytest.mark.parametrize("model", ["oracle", "nnc"])
+def test_cross_validate_checks_each_gold_offset_once(monkeypatch, model):
+    """Every question is checked against the documents once, before the folds,
+    also when a classifier kind labels its training questions."""
+    checked = []
+    check = pipeline._check_gold_offsets
+
+    def counting(question, collection):
+        checked.append(question.id)
+        check(question, collection)
+
+    monkeypatch.setattr(pipeline, "_check_gold_offsets", counting)
+    spec = pipeline.ModelSpec(model)
+    if model in KINDS:
+        spec.source = KINDS[model].load_source(GOLDEN / "vectors.txt")
+        spec.config = replace(KINDS[model].train_defaults, epochs=1)
+    questions = load_question_set(GOLDEN / "questions.json")
+    collection = load_document_collection(GOLDEN / "docs.jsonl")
+    pipeline.cross_validate(questions, collection, spec, k=2)
+    assert checked == [q.id for q in questions]
+
+
 def test_assemble_answer_from_no_sentences_is_empty_input():
     with pytest.raises(EmptyInput, match="^cannot assemble an answer from no sentences$"):
         pipeline.assemble_answer("summary", [])
 
 
-def test_nir_answer_skips_a_question_without_a_query_vector(tmp_path, caplog):
+def nir_config_without_q4(tmp_path) -> tuple[Path, Path, Path]:
+    """A nir config over the golden documents whose query vectors cover q1-q3 only,
+    and its document and query vector files."""
     docs, queries = tmp_path / "docs.dvec", tmp_path / "queries.dvec"
     save_dense_store(DenseStore.from_vectors({f"d{i}": np.ones(4) for i in range(1, 6)}), docs)
     save_dense_store(DenseStore.from_vectors({f"q{i}": np.ones(4) for i in range(1, 4)}), queries)
@@ -930,6 +985,35 @@ def test_nir_answer_skips_a_question_without_a_query_vector(tmp_path, caplog):
         tmp_path, retrieval={"method": "nir"}, model={"kind": "cosine"},
         resources={"dense_path": str(docs), "query_vectors_path": str(queries)},
     )
+    return config, docs, queries
+
+
+@pytest.mark.parametrize("command, summary", [
+    ("retrieve", "ranked 3 questions, skipped 1"),
+    ("snippets", "snippets for 3 questions, skipped 1"),
+    ("answer", "answered 3 questions, skipped 1"),
+], ids=["retrieve", "snippets", "answer"])
+def test_every_per_question_command_skips_a_failing_question(tmp_path, caplog, command, summary):
+    """retrieve, snippets and answer log a question whose step fails, write the
+    others and exit 1; snippets still writes answer's snippets."""
+    config = nir_config_without_q4(tmp_path)[0]
+    out = tmp_path / f"{command}.json"
+    assert run_qfs_stdout(command, "--config", config, *QUESTIONS, "--out", out) == (
+        1, f"{summary} -> {out}\n")
+    assert "skipping question q4: no query vector for question 'q4'" in caplog.text
+    written = json.loads(out.read_text())["questions"]
+    assert [q["id"] for q in written] == ["q1", "q2", "q3"]
+    if command == "snippets":
+        answer = tmp_path / "answer.json"
+        code, err = run_qfs("answer", "--config", config, *QUESTIONS, "--out", answer)
+        assert code == 1, err
+        answered = json.loads(answer.read_text())["questions"]
+        assert [q["snippets"] for q in written] == [q["snippets"] for q in answered]
+        assert any(q["snippets"] for q in written)
+
+
+def test_nir_answer_skips_a_question_without_a_query_vector(tmp_path, caplog):
+    config, docs, queries = nir_config_without_q4(tmp_path)
     code, err = run_qfs("answer", "--config", config, *QUESTIONS, "--out", tmp_path / "a.json")
     assert code == 1, err
     assert "skipping question q4: no query vector for question 'q4'" in caplog.text

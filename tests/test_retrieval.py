@@ -39,6 +39,7 @@ from conftest import (
     make_doc,
     posting_impacts,
     random_unit_vectors,
+    term_rows,
 )
 
 
@@ -50,7 +51,7 @@ def collection_of(*texts: str) -> DocumentCollection:
 
 def postings(index, term: str) -> list[tuple[str, int]]:
     """One term's (doc id, tf) pairs, read from the CSR arrays."""
-    row = index.terms[term]
+    row = term_rows(index)[term]
     span = slice(index.indptr[row], index.indptr[row + 1])
     docs, tfs = index.post_doc[span].tolist(), index.post_tf[span].tolist()
     return [(index.doc_ids[d], tf) for d, tf in zip(docs, tfs)]
@@ -73,7 +74,7 @@ class TestBuildIndex:
 
     def test_stopwords_absent_from_postings(self):
         index = build_index(collection_of("the cat sat"), stopwords=frozenset({"the"}))
-        assert "the" not in index.terms
+        assert "the" not in term_rows(index)
         assert doc_length(index, "d1") == 2
 
     def test_sections_concatenated(self):
@@ -609,7 +610,7 @@ def restamp(data: bytes) -> bytes:
 def qidx_offsets(index) -> dict[str, int]:
     """Byte offset of each section of a QIDX v4 snapshot of ``index``."""
     table = index.sentences
-    n_docs, n_terms, n_post = index.n_docs, len(index.terms), len(index.post_doc)
+    n_docs, n_terms, n_post = index.n_docs, len(index.indptr) - 1, len(index.post_doc)
     n_words, n_sents = len(table.vocabulary), len(table)
     blob = sum(len(t.encode("utf-8")) for t in [*index.doc_ids, *table.vocabulary])
     offsets = {"n_docs": 8, "n_terms": 12, "n_post": 16, "n_words": 24, "n_sections": 28,
@@ -742,7 +743,7 @@ class TestIndexSnapshot:
         save_index(index, tmp_path / "u.qidx")
         loaded = load_index(tmp_path / "u.qidx")
         assert loaded.doc_ids == sorted(ids)
-        assert loaded.terms == index.terms
+        assert term_rows(loaded) == term_rows(index)
         query = ["na\u00efve", "w2"]
         assert bm25_search(loaded, query, 4) == bm25_search(index, query, 4)
 

@@ -7,6 +7,7 @@ import json
 import math
 from array import array
 from collections import Counter, defaultdict
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -24,13 +25,13 @@ from qfs.corpus import (
 from qfs.errors import EmptyInput, MissingInput
 from qfs.pipeline import (
     AnswerResult, CosineScorer, Resources, ScoredSentence, answer_question, assemble_answer,
-    retrieve, select_snippets, snip_cosine,
+    retrieve, snip_cosine,
 )
 from qfs.retrieval import build_index, check_collection, load_index, save_index
 from qfs.sentences import SentenceTable
 from qfs.textproc import sentence_bounds, split_sentences, token_surfaces
 
-from conftest import ascii_split_texts, make_doc, make_question, split_texts
+from conftest import ascii_split_texts, make_doc, make_question, split_texts, term_rows
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -254,7 +255,7 @@ class TestStoreMatchesCounterBuild:
             collection, stopwords
         )
         assert index.doc_ids == doc_ids
-        assert index.terms == terms
+        assert term_rows(index) == terms
         for got, want in ((index.doc_len, doc_len), (index.indptr, indptr),
                           (index.post_doc, post_doc), (index.post_tf, post_tf)):
             assert np.array_equal(got, want)
@@ -282,6 +283,16 @@ class TestStoreMatchesCounterBuild:
 
 
 ANSWER_CONFIG = {"snippets": {"per_doc": 2}}
+
+
+def select_snippets(question, ranked, config, resources) -> list[SnippetSpan]:
+    """The snippets answering selects from the ranked documents by the
+    configured strategy: all of them, with no feedback and no snippet cap."""
+    caps = replace(config.retrieval, final_doc_cap=len(ranked), final_snippet_cap=10**9)
+    with mock.patch.object(pipeline, "retrieve", return_value=ranked):
+        return answer_question(question, replace(config, retrieval=caps),
+                               replace(resources, feedback=FeedbackStore.empty()),
+                               answer=False).snippets
 
 
 class RecordingScorer:
