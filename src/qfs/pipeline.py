@@ -12,7 +12,8 @@ and :func:`answer_question` (``qfs snippets`` and ``qfs answer``):
 
 Every sentence score comes from a :class:`SentenceScorer` that :data:`SCORERS`
 names: constant, tf-idf cosine and the SU4 oracle, untrained, then the classifier
-kinds (:class:`ModelScorer`, with inputs built as in training).
+kinds (:class:`ModelScorer`, with inputs built as in training). Each scores a
+batch of questions per call: answering passes one, :func:`cross_validate` a fold.
 
 Snippets and answers are scored from the index's
 :class:`~qfs.sentences.SentenceTable`: every document was split and
@@ -37,8 +38,9 @@ all kept rows, :func:`answer_question` only the first
 through :func:`qfs.corpus.kept_polarities`. The answer is picked
 by index (:func:`_answer_places`); no :class:`ScoredSentence` is made here.
 
-``CosineScorer.score_sentences`` is the text adapter, for gold
-candidates (which have no table rows) and for ``bench/``. It composes
+``CosineScorer.score_sentences``, one question's text adapter, is the
+one scorer method besides ``score_questions``, kept only for ``bench/``'s
+replay of answering; gold candidates (no table rows) go through it. It composes
 the same two functions, :func:`_term_pairs` and :func:`_cosines`, so
 there is one kernel, and both paths score ``==``: a row's ids are the
 tokens of its text, both vocabularies sort by term, and the kernel reads
@@ -99,7 +101,7 @@ from . import fileio
 from .fileio import (
     ID, INTEGER, STRING, STRING_LIST, open_output, read_json, read_jsonl,
 )
-from .metrics import best_reference_f1s, grouped_su4_scores
+from .metrics import grouped_su4_scores
 from .neural import KINDS, LabeledExample, TrainConfig, forward, train
 from .retrieval import (
     InvertedIndex,
@@ -224,20 +226,22 @@ def load_labels(path: str | Path) -> list[LabeledExample]:
 
 
 class SentenceScorer(Protocol):
-    """Scores candidate sentences for one question; higher is better."""
+    """Scores a batch of questions' candidate sentences; higher is better.
 
-    def score_sentences(
-        self, question: QuestionRecord, texts: Sequence[str], positions: Sequence[int]
-    ) -> list[float]: ...
+    ``texts[i]`` and ``positions[i]`` are question i's candidates, and its
+    scores are those of a one-question batch. Only :class:`OracleScorer`
+    groups a batch's work; the others score question by question."""
+
+    def score_questions(self, questions: Sequence[QuestionRecord], texts: Sequence[Sequence[str]],
+                        positions: Sequence[Sequence[int]]) -> list[list[float]]: ...
 
 
 class ConstantScorer:
     """Scores every sentence 0.5; ties then resolve by occurrence."""
 
-    def score_sentences(
-        self, question: QuestionRecord, texts: Sequence[str], positions: Sequence[int]
-    ) -> list[float]:
-        return [0.5] * len(texts)
+    def score_questions(self, questions: Sequence[QuestionRecord], texts: Sequence[Sequence[str]],
+                        positions: Sequence[Sequence[int]]) -> list[list[float]]:
+        return [[0.5] * len(t) for t in texts]
 
 
 def _term_pairs(lengths: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -334,23 +338,30 @@ class CosineScorer:
         asked = np.array([vocab[t] for t in token_surfaces(question.body) if t in vocab], np.intp)
         return _cosines(asked, len(token_lists), pairs).tolist()
 
+    def score_questions(self, questions: Sequence[QuestionRecord], texts: Sequence[Sequence[str]],
+                        positions: Sequence[Sequence[int]]) -> list[list[float]]:
+        return list(map(self.score_sentences, questions, texts, positions))
+
 
 class OracleScorer:
     """Scores a sentence by its true SU4-F1 against the ideal answers.
 
     It reads the gold answers it is judged by, so it is an evaluation
     ceiling, not a way to answer a new question: a question without ideal
-    answers scores 0 throughout. It scores a question's sentences in one
-    :func:`qfs.metrics.su4_scores` call.
+    answers scores 0 throughout. The others of a batch are scored in one
+    :func:`qfs.metrics.grouped_su4_scores` call.
     """
 
-    def score_sentences(
-        self, question: QuestionRecord, texts: Sequence[str], positions: Sequence[int]
-    ) -> list[float]:
-        if not question.ideal_answers:
-            return [0.0] * len(texts)
-        references = [token_surfaces(a) for a in question.ideal_answers]
-        return best_reference_f1s([token_surfaces(t) for t in texts], references)
+    def score_questions(self, questions: Sequence[QuestionRecord], texts: Sequence[Sequence[str]],
+                        positions: Sequence[Sequence[int]]) -> list[list[float]]:
+        scores = [[0.0] * len(t) for t in texts]
+        answered = [i for i, q in enumerate(questions) if q.ideal_answers]
+        grouped = grouped_su4_scores(([token_surfaces(t) for t in texts[i]],
+                                      [token_surfaces(a) for a in questions[i].ideal_answers])
+                                     for i in answered)
+        for i, (*_, f1) in zip(answered, grouped):
+            scores[i] = f1.max(axis=1).tolist()
+        return scores
 
 
 def pair_id(question_id: str, position: int) -> str:
@@ -367,17 +378,19 @@ class ModelScorer:
         self.source = source
         self.clip_len = clip_len
 
-    def score_sentences(
-        self, question: QuestionRecord, texts: Sequence[str], positions: Sequence[int]
-    ) -> list[float]:
-        q_tokens = token_surfaces(question.body)
-        return [
-            forward(self.params, *self.kind.input(
-                self.source, q_tokens, token_surfaces(text), pair_id(question.id, pos),
-                pos, self.clip_len,
-            ))
-            for text, pos in zip(texts, positions)
-        ]
+    def score_questions(self, questions: Sequence[QuestionRecord], texts: Sequence[Sequence[str]],
+                        positions: Sequence[Sequence[int]]) -> list[list[float]]:
+        scores = []
+        for question, q_texts, q_positions in zip(questions, texts, positions):
+            q_tokens = token_surfaces(question.body)
+            scores.append([
+                forward(self.params, *self.kind.input(
+                    self.source, q_tokens, token_surfaces(text), pair_id(question.id, pos),
+                    pos, self.clip_len,
+                ))
+                for text, pos in zip(q_texts, q_positions)
+            ])
+        return scores
 
 
 def _ordinal(index: InvertedIndex, doc_id: str) -> int:
@@ -448,7 +461,7 @@ def _snip(question: QuestionRecord, table: SentenceTable, ordinals: Sequence[int
     else:
         texts = _texts(table, collection, docs, rows)
         positions = (rows - first[owner]).tolist()
-        scores = np.asarray(scorer.score_sentences(question, texts, positions), dtype=float)
+        scores = np.array(scorer.score_questions([question], [texts], [positions])[0], float)
     order = np.lexsort((-scores, owner))  # stable; order[i] is in document owner[i]
     kept = np.empty(len(order), dtype=bool)
     kept[order] = np.arange(len(order)) - starts[owner] < per_doc
@@ -498,14 +511,19 @@ def candidate_sentences(question: QuestionRecord) -> list[SnippetSpan]:
             for s, b, e, text in _gold_sentences(question)]
 
 
-def _gold_candidates(question: QuestionRecord) -> list[str]:
-    """Candidate sentence texts of a question that also has ideal answers."""
+def _check_gold(question: QuestionRecord) -> None:
+    """A question answered from its gold snippets needs ideal answers and a
+    candidate sentence: a snippet with text that is not all whitespace."""
     if not question.ideal_answers:
         raise MissingInput(f"question {question.id!r} has no ideal answers")
-    texts = [text for *_, text in _gold_sentences(question)]
-    if not texts:
+    if not any(s.text.strip() for s in question.gold_snippets):
         raise EmptyInput(f"question {question.id!r} has no candidate sentences")
-    return texts
+
+
+def _gold_candidates(question: QuestionRecord) -> list[str]:
+    """Candidate sentence texts of a question that passes :func:`_check_gold`."""
+    _check_gold(question)
+    return [text for *_, text in _gold_sentences(question)]
 
 
 def _check_gold_offsets(question: QuestionRecord, collection: DocumentCollection) -> None:
@@ -666,7 +684,7 @@ def answer_question(question: QuestionRecord, config, resources: Resources,
         scores = _cosines(asked, len(candidates), _subset(pairs, kept)).tolist()
     else:
         texts = _texts(table, collection, docs, candidates)
-        scores = resources.scorer.score_sentences(question, texts, list(range(len(texts))))
+        scores = resources.scorer.score_questions([question], [texts], [range(len(texts))])[0]
     best = candidates[_answer_places(question.qtype, scores, config.answer_table)]
     result.ideal_answer = " ".join(_texts(table, collection, docs, best))
     return result
@@ -744,21 +762,24 @@ def cross_validate(
     Folds partition the shuffled questions with sizes differing by at
     most one. Each fold's questions are answered from their own gold
     snippets by a scorer fitted on the other folds, then scored with
-    best-reference SU4-F1 against the ideal answers, a fold's answers in
-    one :func:`best_reference_f1` call. The overall mean is over all
-    questions (folds may differ in size by one). When a collection is
-    given, every question's gold snippets are checked against it before
-    the first fold, as :func:`generate_labels` checks them, so each is
-    checked once: a classifier kind is fitted without the collection.
+    best-reference SU4-F1 against the ideal answers. Per fold, the scorer
+    is fitted once, then one ``score_questions`` call scores the fold's
+    candidates, split only then, and one :func:`best_reference_f1` call
+    its answers. The overall mean is over all questions (folds may
+    differ in size by one). Every question is checked before the first
+    fold, as :func:`generate_labels` checks them: against the collection
+    when one is given, so each is checked once (a classifier kind is
+    fitted without it), and for ideal answers and a candidate sentence.
     """
     if k < 2:
         raise ValueError(f"cross-validation needs at least 2 folds, got {k}")
     question_list = list(questions)
     if len(question_list) < k:
         raise EmptyInput(f"{len(question_list)} questions for {k} folds")
-    if collection is not None:
-        for question in question_list:
+    for question in question_list:
+        if collection is not None:
             _check_gold_offsets(question, collection)
+        _check_gold(question)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(question_list))
     folds = np.array_split(order, k)
@@ -770,12 +791,10 @@ def cross_validate(
         train_questions = [q for i, q in enumerate(question_list) if i not in held_out]
         scorer = model_spec.fit(train_questions, None)  # checked above
         fold_questions = [question_list[i] for i in sorted(held_out)]
-        answers = []
-        for question in fold_questions:
-            texts = _gold_candidates(question)
-            scores = scorer.score_sentences(question, texts, list(range(len(texts))))
-            best = _answer_places(question.qtype, scores, None)
-            answers.append(" ".join(texts[j] for j in best))
+        texts = [_gold_candidates(q) for q in fold_questions]
+        scores = scorer.score_questions(fold_questions, texts, [range(len(t)) for t in texts])
+        answers = [" ".join(t[j] for j in _answer_places(q.qtype, s, None))
+                   for q, t, s in zip(fold_questions, texts, scores)]
         fold_scores = best_reference_f1(fold_questions, answers)
         per_question.update(zip((q.id for q in fold_questions), fold_scores))
         fold_means.append(sum(fold_scores) / len(fold_scores))

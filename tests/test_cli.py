@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import re
 import struct
@@ -131,6 +132,7 @@ GOLDEN_OUTPUTS = (
     "retrieve.json", "retrieve-nir.json", "retrieve-rerank.json", "snippets.json",
     "labels.jsonl", "answer.json", "model-snippets.json", "model-answer.json", "cv.json",
     "cv-nnc.json", "cv-pooled.json", "cosine-answer.json", "cv-cosine.json", "evaluate.json",
+    "cv-constant.json",
 )
 # Model files are pinned by their sha256, listed in tests/golden/models.sha256.
 GOLDEN_MODELS = ("model.qfsm", "pooled.qfsm")
@@ -211,6 +213,8 @@ def run_chain(work: Path) -> dict[str, bytes]:
         ("cv", "--questions", questions, "--model", "oracle", "--k", "2", "--out", work / "cv.json"),
         ("cv", "--questions", questions, "--model", "cosine", "--k", "2",
          "--out", work / "cv-cosine.json"),
+        ("cv", "--questions", questions, "--docs", GOLDEN / "docs.jsonl", "--model", "constant",
+         "--k", "2", "--out", work / "cv-constant.json"),
         ("snippets", "--config", configs["model"], *per_question,
          "--out", work / "model-snippets.json"),
         ("answer", "--config", configs["model"], *per_question, "--out", work / "model-answer.json"),
@@ -836,13 +840,13 @@ def test_nnc_trains_on_a_sentence_with_no_tokens(tmp_path):
 
 def test_answer_scores_at_the_trained_clip_len(tmp_path, monkeypatch):
     clips = []
-    score_sentences = pipeline.ModelScorer.score_sentences
+    score_questions = pipeline.ModelScorer.score_questions
 
     def recording(self, *args):
         clips.append(self.clip_len)
-        return score_sentences(self, *args)
+        return score_questions(self, *args)
 
-    monkeypatch.setattr(pipeline.ModelScorer, "score_sentences", recording)
+    monkeypatch.setattr(pipeline.ModelScorer, "score_questions", recording)
     code, err = run_qfs(*TRAIN, "--labels", GOLDEN / "labels.jsonl", "--epochs", "1",
                         "--clip-len", "2", "--out", tmp_path / "m.qfsm")
     assert (code, err) == (0, "")
@@ -905,6 +909,10 @@ LABEL_ERRORS = {
     "no ideal answer": ({"ideal_answer": []}, MissingInput,
                         "question 'q1' has no ideal answers"),
     "no snippets": ({"snippets": []}, EmptyInput, "question 'q1' has no candidate sentences"),
+    "whitespace snippets": ({"snippets": [{"document": "d1", "section": "abstract",
+                                           "offsetInBeginSection": 0, "offsetInEndSection": 3,
+                                           "text": " \t\n"}]},
+                            EmptyInput, "question 'q1' has no candidate sentences"),
 }
 
 
@@ -919,6 +927,22 @@ def test_label_without_answers_or_candidates_exits_2(tmp_path, case):
                     ("cv", "--model", "oracle", "--k", "2")):
         code, err = run_qfs(*command, "--questions", questions)
         assert (code, err) == (2, f"error: {questions}: {message}\n")
+
+
+@pytest.mark.parametrize("case", sorted(LABEL_ERRORS))
+def test_cv_checks_every_question_before_the_first_fold(tmp_path, caplog, case):
+    """q4 is held out in the second of two folds; its defect stops cv before
+    the first fold is scored: no fold line is logged or printed."""
+    edit, _, message = LABEL_ERRORS[case]
+    golden = json.loads((GOLDEN / "questions.json").read_text())
+    questions = write(tmp_path / "q.json", json.dumps([*golden[:3], {**golden[3], **edit}]))
+    caplog.set_level(logging.INFO, logger="qfs")
+    with CliRunner().isolation() as (stdout, stderr, _):
+        code = main(["cv", "--questions", str(questions), "--model", "oracle", "--k", "2"])
+        printed, err = stdout.getvalue().decode("utf-8"), stderr.getvalue().decode("utf-8")
+    assert (code, err) == (2, f"error: {questions}: {message.replace('q1', 'q4')}\n")
+    assert printed == ""
+    assert not [r for r in caplog.records if "fold" in r.getMessage()]
 
 
 @pytest.mark.parametrize("command, pair_id", [

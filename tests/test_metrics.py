@@ -27,7 +27,9 @@ from qfs.metrics import (
 )
 from qfs.pipeline import (
     DEFAULT_ANSWER_LENGTHS,
+    SCORERS,
     ModelSpec,
+    OracleScorer,
     candidate_sentences,
     cross_validate,
     generate_labels,
@@ -429,6 +431,41 @@ class TestCrossValidateMatchesCounterOracle:
         questions = [labelled_question(i, *spec) for i, spec in enumerate(specs)]
         result = cross_validate(questions, None, ModelSpec("oracle"), k=2)
         assert result.per_question == counter_cv_f1s(questions)
+
+
+# Questions to score as one batch: a body, candidates (some with no token) and
+# ideal answers, none for some questions.
+scored_questions = st.lists(
+    st.tuples(REPEATING_TEXTS, st.lists(REPEATING_TEXTS | SU4_TEXTS, max_size=6),
+              st.lists(SU4_TEXTS, max_size=2)),
+    max_size=5,
+)
+
+
+class TestScoreQuestions:
+    def test_oracle_scores_a_question_without_ideal_answers_zero(self):
+        texts = [["flu shot", "a1 flu"], ["flu shot works", "--", "shot"], ["Flu a1"]]
+        answers = [("flu shot a1",), (), ("a1 flu", "shot")]
+        questions = [make_question(f"q{i}", ideal_answers=a) for i, a in enumerate(answers)]
+        got = OracleScorer().score_questions(questions, texts, [range(len(t)) for t in texts])
+        assert got[1] == [0.0, 0.0, 0.0]
+        for i in (0, 2):
+            assert got[i] == [max(oracle_su4_f1(t, a) for a in answers[i]) for t in texts[i]]
+            assert all(got[i])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["constant", "cosine", "oracle"]), scored_questions,
+           st.sampled_from([1, 40, 1 << 12]))
+    def test_a_batch_scores_as_its_questions_alone(self, name, specs, chunk_size):
+        questions = [make_question(f"q{i}", body=body, ideal_answers=tuple(answers))
+                     for i, (body, _, answers) in enumerate(specs)]
+        texts = [candidates for _, candidates, _ in specs]
+        positions = [range(len(t)) for t in texts]
+        scorer = SCORERS[name]()
+        with mock.patch.object(metrics, "_CHUNK_SIZE", chunk_size):
+            batch = scorer.score_questions(questions, texts, positions)
+        assert batch == [scorer.score_questions([q], [t], [p])[0]
+                         for q, t, p in zip(questions, texts, positions)]
 
 
 class TestLabelsJsonl:

@@ -89,11 +89,11 @@ def reference_document_sentences(doc_id, collection) -> list[SnippetSpan]:
 def reference_snip_model(question, ranked_docs, collection, scorer, per_doc):
     """Snippet selection as it was before the store: split every ranked document."""
     per_doc_sents = [reference_document_sentences(d, collection) for d, _ in ranked_docs]
-    scores = scorer.score_sentences(
-        question,
-        [s.text for sents in per_doc_sents for s in sents],
-        [i for sents in per_doc_sents for i in range(len(sents))],
-    )
+    scores = scorer.score_questions(
+        [question],
+        [[s.text for sents in per_doc_sents for s in sents]],
+        [[i for sents in per_doc_sents for i in range(len(sents))]],
+    )[0]
     out, start = [], 0
     for sents in per_doc_sents:
         group = scores[start : start + len(sents)]
@@ -296,14 +296,14 @@ def select_snippets(question, ranked, config, resources) -> list[SnippetSpan]:
 
 
 class RecordingScorer:
-    """Scores by text length and keeps every call's texts and positions."""
+    """Scores by text length and keeps each scored question's texts and positions."""
 
     def __init__(self):
         self.calls = []
 
-    def score_sentences(self, question, texts, positions):
-        self.calls.append((list(texts), list(positions)))
-        return [float(len(t) % 7) for t in texts]
+    def score_questions(self, questions, texts, positions):
+        self.calls += [(list(t), list(p)) for t, p in zip(texts, positions)]
+        return [[float(len(x) % 7) for x in t] for t in texts]
 
 
 class TestSnippetsMatchTextPath:
@@ -479,6 +479,17 @@ pool_sentences = st.lists(
 # Question ids: some outside the pool, repeated, or none at all; long
 # enough that the question's own norm often adds 8 or more terms.
 asked_ids = st.lists(st.integers(0, 45), max_size=30)
+
+
+def test_term_pairs_at_the_int32_key_width():
+    """With 3 sentences a key is term << 2 | sentence, and 2**29 << 2 is 2**31:
+    a largest id of exactly 1 << (31 - bits) must take the int64 keys."""
+    big = 1 << 29
+    lengths = np.array([2, 1, 2], dtype=np.intp)
+    terms = np.array([big, 0, 5, big, big], dtype=np.intp)
+    term, sentence, tf = pipeline._term_pairs(lengths, terms)
+    assert list(zip(term.tolist(), sentence.tolist(), tf.tolist())) == [
+        (0, 0, 1), (5, 1, 1), (big, 0, 1), (big, 2, 2)]
 
 
 class TestKernelMatchesReference:
