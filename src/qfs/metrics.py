@@ -8,38 +8,48 @@ begin-of-sentence marker is added. Scoring tokenization is
 
 Every SU4 score comes from one kernel, which scores each candidate of a
 question against each reference of the same question, for many
-questions at once. :func:`grouped_su4_scores` runs it chunk by chunk;
-labelling, cross-validation (one call per fold) and :func:`evaluate_run`
-pass it all their questions. :func:`su4_scores` is the one-question
-case, which the oracle scorer calls per question.
+questions at once. It takes texts, so no caller tokenizes anything.
+:func:`grouped_su4_scores` runs it chunk by chunk; labelling,
+cross-validation (one call per fold) and :func:`evaluate_run` pass it
+all their questions. :func:`su4_scores` is the one-question case.
 
 Questions are taken in chunks of at most ``_CHUNK_SIZE`` (a question
-counts 1, plus 1 per text, plus its tokens); a larger question is a
-chunk of its own. In a chunk, with its V distinct tokens as first-seen
-ids 0..V-1, a unigram's key is its id a and a skip-bigram (a, b) at gap
-1..5 within one text is V + a*V + b. Texts are numbered question by
-question, as q << L | local: reference j of question q is local j and
-its candidate c is local R + c, where R is the most references any
-question of the chunk has and L the bit width of the largest local
-number. A unit packs as key << S | text, where S is L plus the bit width
-of the largest question number, and is checked to stay below 2**63. A
-chunk of several questions is at most 2**12 in size, so its keys stay
-below 2**49: only a question larger than a chunk, scored alone, can
-reach the bound. The units come from one gap-major (6, N) array over
-the N tokens, row g holding each token with the token g later, so every
-row is long. Sorting the packed units and cutting them into runs counts
-each text's units. The join: runs of one key in one question (one value
-of unit >> L) are one key group, each reference slot's count of every
-group is scattered into a slot-major (R, groups) table, and each run
-gathers its group's column, so ``np.minimum`` with its own count and
-``np.bincount`` by (text, slot) give the clipped matches. A candidate is
-matched only against its own question's references; the references' own
-runs fall in rows of no candidate and are dropped. Those are exact
-integers, and precision, recall and F1 follow
-:meth:`RougeScore.from_pr`'s float64 operations in its order, on a
-(questions, locals, R) block from which each question's (candidates,
-references) slice is cut, so every score is exact and does not depend
-on the chunk. A text without tokens scores zero.
+counts 1, plus 1 per text, plus its characters); a larger question is a
+chunk of its own. A chunk's texts are tokenized in one numpy pass over
+their bytes, joined by spaces: ASCII texts through one
+``bytes.translate`` with ``textproc.TOKEN_BYTES``, others as each text's
+``token_surfaces`` in UTF-8. Each token's text is a ``searchsorted`` on
+the text ends. One ``np.unique`` of the tokens' keys
+(:func:`qfs.textproc.split_words`: the packed bytes, or a number from a
+dict of the chunk for a word over 8 bytes) gives the V distinct tokens
+ids 0..V-1. Which id a token gets changes no score: counts and matches
+only compare ids, and V only sets the key packing. A unigram's key is
+its id a and a skip-bigram (a, b) at gap 1..5 within one text is
+V + a*V + b. Texts are numbered question by question, as q << L | local:
+reference j of question q is local j and its candidate c is local R + c,
+where R is the most references any question of the chunk has and L the
+bit width of the largest local number. A unit packs as key << S | text,
+where S is L plus the bit width of the largest question number, and is
+checked to stay below 2**63. A chunk of Q >= 2 questions, T texts and A
+characters has Q + T + A <= 2**15; a text of a characters holds at most
+(a + 1) / 2 tokens, so V <= (A + T) / 2 < 2**14, and 2**S < 2T * 2Q <=
+(T + Q)**2 <= 2**30. Its keys stay below V(V + 1) * 2**S < 2**58: only a
+question larger than a chunk, scored alone, can reach the bound. The
+units come from one gap-major (6, N) array over the N tokens, row g
+holding each token with the token g later, so every row is long. Sorting
+the packed units and cutting them into runs counts each text's units.
+The join: runs of one key in one question (one value of unit >> L) are
+one key group, each reference slot's count of every group is scattered
+into a slot-major (R, groups) table, and each run gathers its group's
+column, so ``np.minimum`` with its own count and ``np.bincount`` by
+(text, slot) give the clipped matches. A candidate is matched only
+against its own question's references; the references' own runs fall in
+rows of no candidate and are dropped. Those are exact integers, and
+precision, recall and F1 follow :meth:`RougeScore.from_pr`'s float64
+operations in its order, on a (questions, locals, R) block from which
+each question's (candidates, references) slice is cut, so every score is
+exact and does not depend on the chunk. A text without tokens scores
+zero.
 
 A question may have several ideal answers. A candidate's score for the
 question is its best over them: labels and the oracle scorer rank by the
@@ -59,19 +69,19 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .errors import EmptyInput, MalformedInput
-from .textproc import token_surfaces
+from .textproc import TOKEN_BYTES, split_words, token_surfaces
 
 SU4_SKIP = 4
 _INT64_SPAN = 2**63
-# A question's size in a chunk: 1, plus 1 per text, plus its tokens (see the
-# module docstring). A chunk pays ~40 fixed numpy calls, and its sort and its
-# padded (questions, locals, slots) blocks grow with it. On seed-2468 bench
-# inputs (2 shared CPUs, in process, min of 31 interleaved runs) at 2**10 to
-# 2**15: evaluate_run on abstracts-bm25 took 27.7, 26.9, 26.5, 27.1, 27.1 and
-# 27.2 ms; all of labels-cv's generate_labels 116.4, 112.8, 112.4, 113.9,
-# 117.0 and 117.9 ms; its 10-fold oracle cross_validate 156.8, 156.7, 158.1,
-# 160.5, 162.2 and 160.6 ms. 2**12 is fastest or within 1% of it on each.
-_CHUNK_SIZE = 1 << 12
+# A question's size in a chunk: 1, plus 1 per text, plus its characters (see
+# the module docstring). A chunk pays ~50 fixed numpy calls, and its sort and
+# its padded (questions, locals, slots) blocks grow with it. On seed-2468 bench
+# inputs (2 shared CPUs, in process, min of 31 interleaved runs) at 2**12 to
+# 2**16: evaluate_run on abstracts-bm25 took 19.9, 17.3, 17.5, 17.3 and 22.5
+# ms; all of labels-cv's generate_labels 92.3, 75.5, 72.0, 69.6 and 90.0 ms;
+# its 10-fold oracle cross_validate 121.1, 96.1, 89.7, 84.8 and 100.6 ms.
+# 2**15 is fastest on each.
+_CHUNK_SIZE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -100,17 +110,14 @@ def _later(a: np.ndarray, n: int) -> np.ndarray:
 
 
 Scores = tuple[np.ndarray, np.ndarray, np.ndarray]  # precision, recall, F1
-Question = tuple[Sequence[Sequence[str]], Sequence[Sequence[str]]]  # candidates, references
+Question = tuple[Sequence[str], Sequence[str]]  # candidate texts, reference texts
 
 
-def su4_scores(
-    candidates: Sequence[Sequence[str]], references: Sequence[Sequence[str]]
-) -> Scores:
-    """SU4 precision, recall and F1 of every candidate against every reference.
+def su4_scores(candidates: Sequence[str], references: Sequence[str]) -> Scores:
+    """SU4 precision, recall and F1 of every candidate text against every reference text.
 
-    Texts are token sequences; each result is a float64 array of shape
-    ``(len(candidates), len(references))``. This is :func:`grouped_su4_scores`
-    of one question.
+    Each result is a float64 array of shape ``(len(candidates), len(references))``.
+    This is :func:`grouped_su4_scores` of one question.
     """
     n_r, n_t = len(references), len(candidates) + len(references)
     precision, recall, f1 = _su4([*references, *candidates], np.arange(n_t + 1), 1, n_r,
@@ -125,8 +132,7 @@ def grouped_su4_scores(questions: Iterable[Question]) -> list[Scores]:
     chunk: list[Question] = []
     size = 0
     for question in questions:
-        candidates, references = question
-        n = 1 + len(candidates) + len(references) + sum(map(len, chain(candidates, references)))
+        n = 1 + sum(len(text) + 1 for text in chain(*question))
         if chunk and size + n > _CHUNK_SIZE:
             out += _su4_chunk(chunk)
             chunk, size = [], 0
@@ -141,7 +147,7 @@ def _su4_chunk(questions: Sequence[Question]) -> list[Scores]:
         return [su4_scores(*questions[0])]
     slots = max(len(references) for _, references in questions)
     local_bits = max(slots + max(len(c) for c, _ in questions) - 1, 0).bit_length()
-    texts: list[Sequence[str]] = []
+    texts: list[str] = []
     numbers: list[int] = []
     for q, (candidates, references) in enumerate(questions):
         base = q << local_bits
@@ -157,9 +163,26 @@ def _su4_chunk(questions: Sequence[Question]) -> list[Scores]:
     ]
 
 
+def _token_ids(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Each token's text (its place in ``texts``) and id, one of 0..V-1 for
+    the V distinct tokens, in token order and then ``SU4_SKIP + 1`` padding
+    slots of text ``len(texts)`` and id 0; and V."""
+    joined = " ".join(texts)
+    if joined.isascii():
+        words, pieces = joined.encode().translate(TOKEN_BYTES), texts
+    else:  # each text's tokens, joined as UTF-8
+        pieces = [" ".join(token_surfaces(text)).encode() for text in texts]
+        words = b" ".join(pieces)
+    begin, keys = split_words(words, defaultdict(count().__next__))
+    # Piece i ends with the space after it: the first i + 1 lengths, plus i + 1.
+    ends = np.cumsum(np.fromiter(map(len, pieces), np.int64, len(pieces)) + 1)
+    text = np.append(ends.searchsorted(begin, "right"), [len(texts)] * (SU4_SKIP + 1))
+    unique, inverse = np.unique(keys, return_inverse=True)
+    return text, np.append(inverse, np.zeros(SU4_SKIP + 1, np.int64)), len(unique)
+
+
 def _su4(
-    texts: Sequence[Sequence[str]], numbers: np.ndarray, n_q: int, slots: int,
-    local_bits: int,
+    texts: Sequence[str], numbers: np.ndarray, n_q: int, slots: int, local_bits: int,
 ) -> Scores:
     """The SU4 kernel over ``n_q`` questions' texts.
 
@@ -170,15 +193,11 @@ def _su4(
     number and reference slot; rows that are not candidates hold junk.
     """
     shift = local_bits + (n_q - 1).bit_length()
-    lengths = list(map(len, texts))
-    n = sum(lengths)
-    vocab: defaultdict[str, int] = defaultdict(count().__next__)  # a new token: the next id
-    ids = np.zeros(n + SU4_SKIP + 1, np.int64)  # padded, so that every token has 5 later
-    ids[:n] = np.fromiter(map(vocab.__getitem__, chain.from_iterable(texts)), np.int64, n)
-    v = len(vocab)
+    text, ids, v = _token_ids(texts)  # padded, so that every token has 5 later
+    n = len(ids) - SU4_SKIP - 1
     if v * (v + 1) << shift > _INT64_SPAN:
         raise ValueError(f"{v} distinct tokens in {len(texts)} texts overflow the SU4 unit keys")
-    owner = numbers.repeat([*lengths, SU4_SKIP + 1])
+    owner = numbers[text]
     pair_base = (ids[:n] + 1) * (v << shift)  # (v + a * v) << shift
     ids <<= shift
     # Row 0: each token's unigram; row g: its pair with the token g later.
@@ -223,23 +242,14 @@ def _first_candidate_score(scores: tuple[np.ndarray, ...], ref: int) -> RougeSco
 
 def rouge_su4_f1(candidate: str, reference: str) -> RougeScore:
     """Skip-bigram (gap <= 4) plus unigram F1 between two texts."""
-    scores = su4_scores([token_surfaces(candidate)], [token_surfaces(reference)])
-    return _first_candidate_score(scores, 0)
-
-
-def best_reference_f1s(
-    candidates: Sequence[Sequence[str]], references: Sequence[Sequence[str]]
-) -> list[float]:
-    """Each token-sequence candidate's max SU4-F1 over a non-empty reference list."""
-    if not references:
-        raise EmptyInput("at least one reference text is required")
-    return su4_scores(candidates, references)[2].max(axis=1).tolist()
+    return _first_candidate_score(su4_scores([candidate], [reference]), 0)
 
 
 def best_reference_f1(candidate: str, references: Sequence[str]) -> float:
     """Max SU4-F1 of the candidate text over a non-empty list of reference texts."""
-    refs = [token_surfaces(r) for r in references]
-    return best_reference_f1s([token_surfaces(candidate)], refs)[0]
+    if not references:
+        raise EmptyInput("at least one reference text is required")
+    return float(su4_scores([candidate], references)[2].max())
 
 
 def document_f1(returned: Sequence[str], gold: Iterable[str]) -> RougeScore:
@@ -380,9 +390,7 @@ def evaluate_run(question_set: Iterable[Any], answers: Iterable[Any]) -> EvalRep
         report.per_question.append(QuestionEval(q.id, doc, snip, RougeScore.zero()))
         if q.ideal_answers and answer.ideal_answer:
             scored.append((report.per_question[-1], answer.ideal_answer, q.ideal_answers))
-    # Tokenized as the kernel takes them, so only one chunk's tokens are held.
-    texts = (([token_surfaces(text)], [token_surfaces(ref) for ref in refs])
-             for _, text, refs in scored)
+    texts = (([text], refs) for _, text, refs in scored)
     for (row, *_), scores in zip(scored, grouped_su4_scores(texts)):
         row.ideal_su4 = _first_candidate_score(scores, int(scores[2][0].argmax()))  # first best
     return report

@@ -20,6 +20,7 @@ import numpy as np
 
 from ..embeddings import DenseStore
 from ..errors import EmptyInput, QfsError
+from ..textproc import token_surfaces
 from .models import (
     DEFAULT_DENSE_HIDDEN, DEFAULT_LSTM_HIDDEN, KINDS, Params, TrainConfig, init_params,
 )
@@ -32,15 +33,16 @@ DROPOUT_STREAM = 0x9E37
 
 @dataclass(frozen=True)
 class LabeledExample:
-    """One (question, candidate sentence) training unit."""
+    """One (question, candidate sentence) training unit, as the two texts; its
+    tokens are :func:`~qfs.textproc.token_surfaces` of them, made when read."""
 
-    question_tokens: tuple[str, ...]
-    sentence_tokens: tuple[str, ...]
+    question_text: str
+    sentence_text: str
     position: int
     label: int
     pair_id: str | None = None
-    question_text: str = ""
-    sentence_text: str = ""
+    question_tokens = property(lambda self: token_surfaces(self.question_text))
+    sentence_tokens = property(lambda self: token_surfaces(self.sentence_text))
 
     def __post_init__(self) -> None:
         if self.label not in (0, 1):

@@ -218,10 +218,7 @@ def load_labels(path: str | Path) -> list[LabeledExample]:
         if position < 0:
             raise MalformedInput(f"{where}: position must be >= 0, not {position!r}")
         pid = fileio.field(obj, "pair_id", STRING, where, None)
-        examples.append(LabeledExample(
-            tuple(token_surfaces(question)), tuple(token_surfaces(sentence)),
-            position, label, pid, question, sentence,
-        ))
+        examples.append(LabeledExample(question, sentence, position, label, pid))
     return examples
 
 
@@ -356,9 +353,7 @@ class OracleScorer:
                         positions: Sequence[Sequence[int]]) -> list[list[float]]:
         scores = [[0.0] * len(t) for t in texts]
         answered = [i for i, q in enumerate(questions) if q.ideal_answers]
-        grouped = grouped_su4_scores(([token_surfaces(t) for t in texts[i]],
-                                      [token_surfaces(a) for a in questions[i].ideal_answers])
-                                     for i in answered)
+        grouped = grouped_su4_scores((texts[i], questions[i].ideal_answers) for i in answered)
         for i, (*_, f1) in zip(answered, grouped):
             scores[i] = f1.max(axis=1).tolist()
         return scores
@@ -511,11 +506,15 @@ def candidate_sentences(question: QuestionRecord) -> list[SnippetSpan]:
             for s, b, e, text in _gold_sentences(question)]
 
 
+def _check_ideal_answers(question: QuestionRecord) -> None:
+    if not question.ideal_answers:
+        raise MissingInput(f"question {question.id!r} has no ideal answers")
+
+
 def _check_gold(question: QuestionRecord) -> None:
     """A question answered from its gold snippets needs ideal answers and a
     candidate sentence: a snippet with text that is not all whitespace."""
-    if not question.ideal_answers:
-        raise MissingInput(f"question {question.id!r} has no ideal answers")
+    _check_ideal_answers(question)
     if not any(s.text.strip() for s in question.gold_snippets):
         raise EmptyInput(f"question {question.id!r} has no candidate sentences")
 
@@ -568,20 +567,16 @@ def generate_labels(
         if collection is not None:
             _check_gold_offsets(question, collection)
         candidates = _gold_candidates(question)
-        checked.append((question, candidates, [tuple(token_surfaces(t)) for t in candidates]))
-    scores = grouped_su4_scores(
-        (tokens, [token_surfaces(a) for a in question.ideal_answers])
-        for question, _, tokens in checked
-    )
+        checked.append((question, candidates))
+    scores = grouped_su4_scores((candidates, question.ideal_answers)
+                                for question, candidates in checked)
     examples: list[LabeledExample] = []
-    for (question, candidates, tokens), (*_, f1) in zip(checked, scores):
+    for (question, candidates), (*_, f1) in zip(checked, scores):
         f1s = f1.max(axis=1).tolist()
         ranked = sorted(range(len(candidates)), key=lambda i: (-f1s[i], i))
         positive = set(ranked[:POSITIVE_LABELS_PER_QUESTION])
-        q_tokens = tuple(token_surfaces(question.body))
         examples.extend(
-            LabeledExample(q_tokens, tokens[i], i, int(i in positive), pair_id(question.id, i),
-                           question.body, text)
+            LabeledExample(question.body, text, i, int(i in positive), pair_id(question.id, i))
             for i, text in enumerate(candidates)
         )
     return examples
@@ -724,11 +719,11 @@ def best_reference_f1(questions: Sequence[QuestionRecord], answers: Sequence[str
     """Each answer text's SU4-F1 against the best of its question's ideal answers,
     from one :func:`qfs.metrics.grouped_su4_scores` call. :func:`cross_validate`
     scores each fold's answers with it, and ``bench/run.py`` times that step by
-    this name."""
-    scores = grouped_su4_scores(
-        ([token_surfaces(answer)], [token_surfaces(a) for a in question.ideal_answers])
-        for question, answer in zip(questions, answers)
-    )
+    this name. A question without ideal answers is ``MissingInput``."""
+    for question in questions:
+        _check_ideal_answers(question)
+    scores = grouped_su4_scores(([answer], question.ideal_answers)
+                                for question, answer in zip(questions, answers))
     return [float(f1.max()) for *_, f1 in scores]
 
 

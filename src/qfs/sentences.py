@@ -21,13 +21,13 @@ block is all ASCII; a block with other sections is decoded. Those
 sections are tokenized one sentence at a time, and their tokens joined
 as UTF-8 bytes, so ids are found the same way for both.
 
-A token's id is found without a Python string for words of up to 8 UTF-8
-bytes: each is packed into a ``uint64`` key and looked up, a block of
-keys at a time, in one sorted key table (sort-based inversion). Only
-longer words are split out as strings and looked up in a dict. Ids are
-numbered first-seen during the build and remapped at its end to the
-words' ranks in the sorted vocabulary. Temporaries are block sized; the
-columns grow in typed arrays that the table then views.
+A token's id is found by its ``uint64`` key (:func:`qfs.textproc.split_words`),
+a block of keys at a time, in one sorted key table (sort-based
+inversion): a word of up to 8 UTF-8 bytes is packed without a Python
+string, a longer one is sliced out as bytes and keyed by its number in a
+dict. Ids are numbered first-seen during the build and remapped at its
+end to the words' ranks in the sorted vocabulary. Temporaries are block
+sized; the columns grow in typed arrays that the table then views.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import defaultdict
-from itertools import count, islice
+from itertools import chain, count, islice
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -43,7 +43,9 @@ import numpy as np
 
 from .corpus import DocumentCollection
 from .errors import MissingInput
-from .textproc import ASCII_STAND_INS, TOKEN_BYTES, sentence_breaks, token_surfaces
+from .textproc import (
+    ASCII_STAND_INS, LONG_WORD_KEYS, TOKEN_BYTES, sentence_breaks, split_words, token_surfaces,
+)
 
 # Characters of text per block. Each block pays fixed numpy calls and, when
 # it holds a new word, one copy of the key table; its temporaries are a few
@@ -57,50 +59,20 @@ _SOLID_BYTES = bytes(0 if c < 128 and chr(c).isspace() else 1 for c in range(256
 
 
 class _WordIds:
-    """First-seen ids of the words of one build, all from one counter.
-
-    A word of at most 8 UTF-8 bytes is found by its packed key: its bytes
-    big-endian in a ``uint64``, zero-padded. No token holds a zero byte or
-    a space, so distinct words have distinct keys. A longer word is looked
-    up in a dict. The route is fixed by the word's byte length, so no word
-    takes both.
-    """
+    """First-seen ids of the words of one build, by their keys
+    (:func:`qfs.textproc.split_words`), in one sorted key table."""
 
     def __init__(self) -> None:
         self.counter = count()
-        # Sorted, ending in an all-ones key that no word has (0xFF is no
-        # UTF-8 byte), so every search lands inside the table.
+        # Sorted, ending in an all-ones key that no word has, so every search
+        # lands inside the table.
         self.keys = np.array([np.iinfo(np.uint64).max], dtype=np.uint64)
         self.key_ids = np.array([-1], dtype=np.int32)
-        self.long: defaultdict[str, int] = defaultdict(self.counter.__next__)
+        self.long: defaultdict[bytes, int] = defaultdict(count().__next__)
 
     def __call__(self, words: bytes) -> tuple[np.ndarray, np.ndarray]:
         """Where each space-separated token of ``words`` starts, and its id."""
-        # One space before the tokens ends a run at the start; eight after end
-        # one at the end and leave every token 8 bytes to read from its start.
-        padded = bytearray().join((b" ", words, b" " * 8))
-        data = np.frombuffer(padded, dtype=np.uint8)
-        in_word = data != ord(" ")
-        edges = np.flatnonzero(in_word[1:] != in_word[:-1])
-        begin, end = edges[::2], edges[1::2]  # offsets into ``words``
-        short = end - begin <= 8
-        first, last = begin[short], end[short]
-        ids = np.empty(len(begin), dtype=np.int32)
-        if len(first):
-            ids[short] = self._packed_ids(padded, first, last)
-        if len(first) < len(begin):  # blank any short tokens, split what is left
-            if len(first):
-                data[1 + np.minimum(first[:, None] + np.arange(8), last[:, None] - 1)] = ord(" ")
-            pieces = padded.decode().split()
-            ids[~short] = np.fromiter(map(self.long.__getitem__, pieces), np.int32, len(pieces))
-        return begin, ids
-
-    def _packed_ids(self, padded: bytearray, begin: np.ndarray, end: np.ndarray) -> np.ndarray:
-        """Ids of the tokens ``padded[1 + begin : 1 + end]``, each of at most 8 bytes."""
-        # The 8 bytes from each offset after the leading space, as one integer.
-        window = np.ndarray(len(padded) - 9, ">u8", padded, offset=1, strides=(1,))
-        shift = (64 - 8 * (end - begin)).astype(np.uint64)  # clears what follows
-        keys = window[begin].astype(np.uint64) >> shift << shift
+        begin, keys = split_words(words, self.long)
         unique, inverse = np.unique(keys, return_inverse=True)
         at = np.searchsorted(self.keys, unique)
         new = self.keys[at] != unique
@@ -109,14 +81,14 @@ class _WordIds:
             unique_ids[new] = np.fromiter(islice(self.counter, np.count_nonzero(new)), np.int32)
             self.keys = np.insert(self.keys, at[new], unique[new])
             self.key_ids = np.insert(self.key_ids, at[new], unique_ids[new])
-        return unique_ids[inverse]
+        return begin, unique_ids[inverse]
 
     def by_word(self) -> dict[str, int]:
         """Every word seen, as ``str``, with its id."""
-        short = self.keys[:-1].astype(">u8").view("S8").tolist()  # S8 drops the padding
-        ids = dict(zip([word.decode() for word in short], self.key_ids[:-1].tolist()))
-        ids.update(self.long)
-        return ids
+        # Long words' keys sort last, in the order ``self.long`` numbered them.
+        short = self.keys[self.keys < LONG_WORD_KEYS].astype(">u8").view("S8").tolist()
+        words = [word.decode() for word in chain(short, self.long)]  # S8 drops the padding
+        return dict(zip(words, self.key_ids[:-1].tolist()))
 
 
 def _block_sentences(collection: DocumentCollection, sections: np.ndarray,

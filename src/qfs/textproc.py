@@ -10,7 +10,8 @@ length, in which every other character stands in for its kind.
 
 Tokens are maximal runs of letters and digits, lowercased. ASCII text is
 tokenized by ``bytes.translate`` through one byte table, ``TOKEN_BYTES``,
-which the sentence table's block build shares; other text by a regex.
+which the sentence table's block build and the SU4 kernel share; other
+text by a regex. Both number tokens through :func:`split_words`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 from .fileio import read_lines
 
@@ -90,6 +93,34 @@ def token_surfaces(text: str) -> list[str]:
     if text.isascii():
         return text.encode().translate(TOKEN_BYTES).decode().split()
     return list(map(str.lower, _TOKEN_RE.findall(text)))
+
+
+# The top k bytes of a uint64, for a word of k <= 8 bytes.
+_WORD_MASKS = np.array([(1 << 64) - (1 << 64 - 8 * k) for k in range(9)], np.uint64)
+# The keys of words over 8 bytes start here: 0xFF is no UTF-8 byte.
+LONG_WORD_KEYS = 0xFF << 56
+
+
+def split_words(words: bytes, long_words: dict[bytes, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Where each space-separated token of ``words`` starts, and its key: up to
+    8 bytes, the bytes big-endian in a ``uint64``, zero-padded (distinct, as no
+    token holds a zero byte or a space); more, ``LONG_WORD_KEYS`` plus its
+    number in ``long_words``, a ``defaultdict`` that numbers a new word."""
+    # A space before the tokens ends a run at the start; eight after end one
+    # at the end and leave every token 8 bytes to read from its start.
+    padded = b"".join((b" ", words, b" " * 8))
+    in_word = np.frombuffer(padded, dtype=np.uint8) != ord(" ")
+    edges = np.flatnonzero(in_word[1:] != in_word[:-1])
+    begin = edges[::2]  # offsets into ``words``
+    size = edges[1::2] - begin
+    # The 8 bytes from each offset after the leading space, as one integer.
+    window = np.ndarray(len(padded) - 9, ">u8", padded, offset=1, strides=(1,))
+    keys = window[begin] & _WORD_MASKS[np.minimum(size, 8)]
+    at = np.flatnonzero(size > 8)
+    if len(at):
+        found = [padded[b + 1 : b + 1 + n] for b, n in zip(begin[at].tolist(), size[at].tolist())]
+        keys[at] = LONG_WORD_KEYS + np.fromiter(map(long_words.__getitem__, found), np.uint64)
+    return begin, keys
 
 
 def sentence_breaks(text: str) -> list[int]:

@@ -132,7 +132,7 @@ GOLDEN_OUTPUTS = (
     "retrieve.json", "retrieve-nir.json", "retrieve-rerank.json", "snippets.json",
     "labels.jsonl", "answer.json", "model-snippets.json", "model-answer.json", "cv.json",
     "cv-nnc.json", "cv-pooled.json", "cosine-answer.json", "cv-cosine.json", "evaluate.json",
-    "cv-constant.json",
+    "cv-constant.json", "cv-unicode.json",
 )
 # Model files are pinned by their sha256, listed in tests/golden/models.sha256.
 GOLDEN_MODELS = ("model.qfsm", "pooled.qfsm")
@@ -211,6 +211,9 @@ def run_chain(work: Path) -> dict[str, bytes]:
         ("evaluate", "--questions", questions, "--submission", work / "answer.json",
          "--out", work / "evaluate.json"),
         ("cv", "--questions", questions, "--model", "oracle", "--k", "2", "--out", work / "cv.json"),
+        # Non-ASCII text and words of 8 and 9 UTF-8 bytes, scored by the SU4 oracle.
+        ("cv", "--questions", GOLDEN / "questions-unicode.json", "--model", "oracle", "--k", "2",
+         "--out", work / "cv-unicode.json"),
         ("cv", "--questions", questions, "--model", "cosine", "--k", "2",
          "--out", work / "cv-cosine.json"),
         ("cv", "--questions", questions, "--docs", GOLDEN / "docs.jsonl", "--model", "constant",

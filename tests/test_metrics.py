@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qfs import metrics
+from qfs import metrics, pipeline
 from qfs.corpus import SnippetSpan, load_question_set
-from qfs.errors import EmptyInput, MalformedInput
+from qfs.errors import EmptyInput, MalformedInput, MissingInput
 from qfs.metrics import (
     RougeScore,
     best_reference_f1,
-    best_reference_f1s,
     document_f1,
     evaluate_run,
     grouped_su4_scores,
@@ -74,9 +73,10 @@ def oracle_su4_f1(candidate: str, reference: str) -> float:
 
 def reference_su4_scores(candidates, references):
     """``su4_scores`` as it was with keys ``key * texts + text``, kept as the
-    reference the array kernel must equal bit for bit."""
+    reference the array kernel must equal bit for bit. It takes texts and
+    tokenizes each with ``token_surfaces``."""
     gaps, pad = np.arange(1, 6), np.zeros(5, np.int64)
-    texts = [*candidates, *references]
+    texts = [token_surfaces(text) for text in [*candidates, *references]]
     n_c, n_r, n_t = len(candidates), len(references), len(texts)
     tokens = list(chain.from_iterable(texts))
     vocab = dict(zip(dict.fromkeys(tokens), count()))
@@ -207,7 +207,7 @@ class TestSuUnits:
     def test_pairs_stay_within_one_text(self):
         # Two one-token candidates next to each other, then the reference:
         # no pair (a, b) spans candidates, and none spans into the reference.
-        precision, recall, f1 = su4_scores([["a"], ["b"]], [["a", "b"]])
+        precision, recall, f1 = su4_scores(["a", "b"], ["a b"])
         assert precision.tolist() == [[1.0], [1.0]]
         assert recall.tolist() == [[1 / 3], [1 / 3]]
 
@@ -218,9 +218,7 @@ class TestSu4Scores:
         st.lists(SU4_TEXTS, max_size=4),
     )
     def test_every_pair_equals_the_oracle(self, candidates, references):
-        precision, recall, f1 = su4_scores(
-            [token_surfaces(c) for c in candidates], [token_surfaces(r) for r in references]
-        )
+        precision, recall, f1 = su4_scores(candidates, references)
         assert f1.shape == (len(candidates), len(references))
         for i, cand in enumerate(candidates):
             for j, ref in enumerate(references):
@@ -229,49 +227,89 @@ class TestSu4Scores:
 
     def test_empty_inputs(self):
         assert [a.shape for a in su4_scores([], [])] == [(0, 0)] * 3
-        assert [a.shape for a in su4_scores([], [["a"]])] == [(0, 1)] * 3
-        assert [a.shape for a in su4_scores([["a"]], [])] == [(1, 0)] * 3
-        assert [a.tolist() for a in su4_scores([[]], [[], ["a"]])] == [[[0.0, 0.0]]] * 3
+        assert [a.shape for a in su4_scores([], ["a"])] == [(0, 1)] * 3
+        assert [a.shape for a in su4_scores(["a"], [])] == [(1, 0)] * 3
+        assert [a.tolist() for a in su4_scores([""], ["--", "a"])] == [[[0.0, 0.0]]] * 3
 
     def test_key_span_is_checked(self, monkeypatch):
         # Keys stay below v * (v + 1) and pack above the bits of the largest
         # text number: 2 distinct tokens in 2 texts (1 bit) span 6 << 1 = 12
         # values, in 3 texts (2 bits) 6 << 2 = 24. A span of that many values
         # holds the keys, one value less does not.
-        for candidates, span in (([["a"]], 12), ([["a"], ["a"]], 24)):
+        for candidates, span in ((["a"], 12), (["a", "a"], 24)):
             monkeypatch.setattr(metrics, "_INT64_SPAN", span)
-            assert su4_scores(candidates, [["b"]])[2].tolist() == [[0.0]] * len(candidates)
+            assert su4_scores(candidates, ["b"])[2].tolist() == [[0.0]] * len(candidates)
             monkeypatch.setattr(metrics, "_INT64_SPAN", span - 1)
             with pytest.raises(ValueError, match="overflow"):
-                su4_scores(candidates, [["b"]])
+                su4_scores(candidates, ["b"])
 
 
-# Token sequences over a small vocabulary, so units repeat within and across
-# texts, and empty ones. The text number's bit width changes after 1, 2, 4, 8
-# and 16 texts, so the counts fall on both sides of each.
-su4_token_lists = st.lists(st.sampled_from(["a", "b", "c", "a1", "ß", "İ"]), max_size=12)
+# Words that take each route of the one-pass numbering: ASCII and not, of 7
+# bytes ("abcdefg", "straße"), of 8 ("abcdefgh", "straßen", and "STRAẞEN",
+# which lowercases to it), of 9 ("abcdefghi", "größere", and "proteinä",
+# whose "ä" holds the 8th and 9th bytes), longer, with lowercase that changes
+# length ("İ") or form ("ΣΑΣ"), and a combining mark that ends a token.
+NUMBERED_WORDS = ["a", "B", "x1", "--", "abcdefg", "straße", "abcdefgh", "straßen", "STRAẞEN",
+                  "abcdefghi", "ABCDEFGHI", "größere", "proteinä", "Proteinämie", "İ", "ΣΑΣ",
+                  "cafe\u0301"]
+numbered_texts = st.lists(
+    st.lists(st.sampled_from(NUMBERED_WORDS), max_size=8).map(" ".join) | st.text(max_size=12),
+    max_size=8,
+)
+
+
+class TestTokenIds:
+    @settings(max_examples=300, deadline=None)
+    @given(numbered_texts)
+    @example([])
+    @example(["", "--", " "])
+    @example(["abcdefg abcdefgh abcdefghi", "proteinä Proteinä straße straßen STRAẞEN", "",
+              "größere"])
+    def test_one_pass_numbering_equals_token_surfaces(self, texts):
+        text, ids, v = metrics._token_ids(texts)
+        tokens = [token_surfaces(t) for t in texts]
+        surfaces = list(chain.from_iterable(tokens))
+        n = len(surfaces)
+        assert text.tolist() == [i for i, t in enumerate(tokens) for _ in t] + [len(texts)] * 5
+        assert ids[n:].tolist() == [0] * 5
+        # Two tokens share an id exactly when their surfaces are equal, and
+        # the ids are 0..v-1: each surface has one id and each id one surface.
+        pairs = set(zip(surfaces, ids[:n].tolist()))
+        assert len(pairs) == len(set(surfaces)) == v
+        assert {i for _, i in pairs} == set(range(v))
+
+
+# Texts over a small vocabulary, so units repeat within and across texts:
+# ASCII and not, words of 8 and of 9 UTF-8 bytes ("straßen", "größere"), and
+# nothing to tokenize ("--"). The text number's bit width changes after 1,
+# 2, 4, 8 and 16 texts, so the counts fall on both sides of each.
+su4_texts = st.lists(
+    st.sampled_from(["a", "b", "c", "a1", "ß", "İ", "--", "straßen", "größere", "vaccination"]),
+    max_size=12,
+).map(" ".join)
 
 
 @st.composite
 def su4_inputs(draw):
     n_t = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17]))
     n_c = draw(st.integers(0, n_t))
-    texts = draw(st.lists(su4_token_lists, min_size=n_t, max_size=n_t))
+    texts = draw(st.lists(su4_texts, min_size=n_t, max_size=n_t))
     return texts[:n_c], texts[n_c:]
 
 
 class TestSu4KernelMatchesReference:
     @settings(max_examples=400, deadline=None)
     @given(su4_inputs())
-    @example(([], [["a", "b"]]))  # no candidates
-    @example(([[], ["a"]], [[], ["a", "a"]]))  # texts without tokens
-    @example(([["a"] * 9, ["a", "b"] * 4], [["a", "a", "b"] * 3]))  # repeated units
-    @example(([["a"]] * 3, [["a", "a"]]))  # 3 texts, then 4
-    @example(([["a"]] * 3, [["a", "a"], ["b"]]))
-    @example(([["b", "a"]] * 7, [["a"]]))  # 8 texts, then 9
-    @example(([["b", "a"]] * 7, [["a"], ["b"]]))
-    @example(([["a", "b", "c"]] * 15, [["c", "a"]]))  # 16 texts, then 17
-    @example(([["a", "b", "c"]] * 15, [["c", "a"], ["a"]]))
+    @example(([], ["a b"]))  # no candidates
+    @example((["", "a"], ["--", "a a"]))  # texts without tokens
+    @example((["a " * 9, "a b " * 4], ["a a b " * 3]))  # repeated units
+    @example((["a"] * 3, ["a a"]))  # 3 texts, then 4
+    @example((["a"] * 3, ["a a", "b"]))
+    @example((["b a"] * 7, ["a"]))  # 8 texts, then 9
+    @example((["b a"] * 7, ["a", "b"]))
+    @example((["a b c"] * 15, ["c a"]))  # 16 texts, then 17
+    @example((["a b c"] * 15, ["c a", "a"]))
+    @example((["Straßen größere a", "straßen"], ["STRAẞEN a", "vaccination größere"]))
     def test_scores_equal_the_reference(self, texts):
         candidates, references = texts
         for got, want in zip(su4_scores(candidates, references),
@@ -283,20 +321,19 @@ class TestSu4KernelMatchesReference:
 # Questions for one grouped call: 0..4 candidates and 1..4 references each, so
 # that reference counts differ between questions, and texts may be empty.
 su4_questions = st.lists(
-    st.tuples(st.lists(su4_token_lists, max_size=4),
-              st.lists(su4_token_lists, min_size=1, max_size=4)),
+    st.tuples(st.lists(su4_texts, max_size=4), st.lists(su4_texts, min_size=1, max_size=4)),
     max_size=6,
 )
 
 
 class TestGroupedSu4Scores:
-    # A question counts 1, plus 1 per text, plus its tokens: with these chunk
-    # sizes a chunk holds one question, a few, or the whole draw.
+    # A question counts 1, plus 1 per text, plus its characters: with these
+    # chunk sizes a chunk holds one question, a few, or the whole draw.
     @settings(max_examples=300, deadline=None)
-    @given(su4_questions, st.sampled_from([1, 12, 40, 1 << 12]))
-    @example([([["a", "b"]], [["a"]]),  # the second question outgrows a chunk
-              ([["a", "b", "c"] * 10, []], [["c", "a"], ["b"], []]),
-              ([], [["a"]])], 24)
+    @given(su4_questions, st.sampled_from([1, 40, 160, 1 << 14]))
+    @example([(["a b"], ["a"]),  # the second question outgrows a chunk
+              (["a b c " * 10, ""], ["c a", "b", ""]),
+              ([], ["a"])], 24)
     def test_each_question_equals_the_reference(self, questions, chunk_size):
         with mock.patch.object(metrics, "_CHUNK_SIZE", chunk_size):
             got = grouped_su4_scores(questions)
@@ -364,10 +401,6 @@ class TestBestReference:
         with pytest.raises(EmptyInput, match="^at least one reference text is required$"):
             best_reference_f1("a", [])
 
-    def test_empty_prepared_reference_list(self):
-        with pytest.raises(EmptyInput, match="^at least one reference text is required$"):
-            best_reference_f1s([["a"]], [])
-
     @given(
         st.lists(REPEATING_TEXTS, min_size=1, max_size=6),
         st.lists(REPEATING_TEXTS, min_size=1, max_size=3),
@@ -375,8 +408,11 @@ class TestBestReference:
     def test_prepared_strings_and_oracle_agree_exactly(self, candidates, references):
         oracle = [max(oracle_su4_f1(c, ref) for ref in references) for c in candidates]
         assert [best_reference_f1(c, references) for c in candidates] == oracle
-        tokens = [token_surfaces(c) for c in candidates]
-        assert best_reference_f1s(tokens, [token_surfaces(r) for r in references]) == oracle
+
+    def test_a_question_without_ideal_answers_is_missing_input(self):
+        questions = [make_question("q1", ideal_answers=("a b",)), make_question("q2")]
+        with pytest.raises(MissingInput, match="^question 'q2' has no ideal answers$"):
+            pipeline.best_reference_f1(questions, ["a b", "a"])
 
 
 def labelled_question(i: int, candidates: list[str], references: list[str],

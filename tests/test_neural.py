@@ -273,8 +273,8 @@ def separable_fixture(n_per_class=4):
             vectors[pair_id] = sign * np.array([2.0 + i, 1.5 + 0.5 * i])
             examples.append(
                 LabeledExample(
-                    question_tokens=("q",),
-                    sentence_tokens=("s",),
+                    question_text="q",
+                    sentence_text="s",
                     position=idx,
                     label=label,
                     pair_id=pair_id,
@@ -327,8 +327,8 @@ class TestTraining:
         path.write_text("3 2\nflu 1 0\nbad 0 1\ngood 1 1\n", encoding="utf-8")
         words = load_word_embeddings(path)
         examples = [
-            LabeledExample(("flu",), ("good", "flu"), position=0, label=1),
-            LabeledExample(("flu",), ("bad",), position=1, label=0),
+            LabeledExample("flu", "good flu", position=0, label=1),
+            LabeledExample("flu", "bad", position=1, label=0),
         ]
         config = TrainConfig(epochs=3, batch_size=2, seed=1, clip_len=10)
         a = train("nnc", examples, words, config, lstm_hidden=3, dense_hidden=4)
