@@ -44,7 +44,7 @@ import zlib
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,11 +56,12 @@ from .fileio import (
 
 QUESTION_TYPES = frozenset({"summary", "factoid", "yesno", "list"})
 
-EXCLUDE_ALL_JUDGED = "exclude_all_judged"
-EXCLUDE_IRRELEVANT_ONLY = "exclude_irrelevant_only"
-
 RELEVANT = "relevant"
 IRRELEVANT = "irrelevant"
+
+# A feedback filter mode: the judgments an item may have and stay (None: unjudged).
+EXCLUDE_ALL_JUDGED = frozenset({None})
+EXCLUDE_IRRELEVANT_ONLY = frozenset({None, RELEVANT})
 
 
 @dataclass(frozen=True)
@@ -108,14 +109,15 @@ class DocumentRecord:
 
 
 class QuestionSet:
-    """Ordered collection of questions with unique ids."""
+    """Ordered collection of questions with unique ids; a repeated id is
+    MalformedInput after ``where``."""
 
-    def __init__(self, questions: Sequence[QuestionRecord]):
+    def __init__(self, questions: Sequence[QuestionRecord], where: str = ""):
         self.questions = list(questions)
         self._by_id: dict[str, QuestionRecord] = {}
         for q in self.questions:
             if q.id in self._by_id:
-                raise MalformedInput(f"duplicate question id {q.id!r}")
+                raise MalformedInput(f"{where}duplicate question id {q.id!r}")
             self._by_id[q.id] = q
 
     def __len__(self) -> int:
@@ -265,12 +267,7 @@ def load_question_set(path: str | Path) -> QuestionSet:
         payload = payload["questions"]
     if not isinstance(payload, list):
         raise MalformedInput(f"{path}: expected a JSON array of questions")
-    questions: dict[str, QuestionRecord] = {}
-    for obj in payload:
-        q = question_from_json(obj, str(path))
-        if questions.setdefault(q.id, q) is not q:
-            raise MalformedInput(f"{path}: duplicate question id {q.id!r}")
-    return QuestionSet(list(questions.values()))
+    return QuestionSet([question_from_json(obj, str(path)) for obj in payload], f"{path}: ")
 
 
 def question_from_json(obj: dict, where: str) -> QuestionRecord:
@@ -353,12 +350,12 @@ def save_document_collection(collection: DocumentCollection, path: str | Path) -
 
 @dataclass
 class FeedbackStore:
-    """Per-question relevance judgments on documents and snippets."""
+    """Per question, one map from each judged item's key to its polarity: a
+    document's key is its id, a snippet's its :meth:`SnippetSpan.key` (exact
+    offsets, text ignored). An item stays under a filter mode exactly when
+    ``judgments(question_id).get(key) in mode``."""
 
-    _docs: dict[str, dict[str, str]] = field(default_factory=dict)
-    _snippets: dict[str, dict[tuple[str, str, int, int], str]] = field(
-        default_factory=dict
-    )
+    _judged: dict[str, dict[str | tuple[str, str, int, int], str]] = field(default_factory=dict)
 
     @classmethod
     def empty(cls) -> "FeedbackStore":
@@ -379,65 +376,35 @@ class FeedbackStore:
                 if polarity not in (RELEVANT, IRRELEVANT):
                     raise MalformedInput(f"{path}: bad polarity {polarity!r} for question {qid!r}")
                 if kind == "document":
-                    store.add_document(qid, fileio.field(item, "ref", ID, where), polarity)
+                    key = fileio.field(item, "ref", ID, where)
                 elif kind == "snippet":
-                    store.add_snippet(qid, snippet_from_json(item.get("ref"), where), polarity)
+                    key = snippet_from_json(item.get("ref"), where).key()
                 else:
                     raise MalformedInput(f"{path}: bad item kind {kind!r}")
+                store.add(qid, key, polarity)
         return store
 
-    def add_document(self, question_id: str, doc_id: str, polarity: str) -> None:
-        judged = self._docs.setdefault(question_id, {})
-        if judged.get(doc_id, polarity) != polarity:
-            raise MalformedInput(
-                f"conflicting feedback for document {doc_id!r} on {question_id!r}"
-            )
-        judged[doc_id] = polarity
+    def add(self, question_id: str, key: str | tuple[str, str, int, int], polarity: str) -> None:
+        """Judge the item ``key``; judging it again with the other polarity is MalformedInput."""
+        judged = self._judged.setdefault(question_id, {})
+        if judged.setdefault(key, polarity) != polarity:
+            what = f"snippet {key}" if isinstance(key, tuple) else f"document {key!r}"
+            raise MalformedInput(f"conflicting feedback for {what} on {question_id!r}")
 
-    def add_snippet(self, question_id: str, span: SnippetSpan, polarity: str) -> None:
-        judged = self._snippets.setdefault(question_id, {})
-        key = span.key()
-        if judged.get(key, polarity) != polarity:
-            raise MalformedInput(
-                f"conflicting feedback for snippet {key} on {question_id!r}"
-            )
-        judged[key] = polarity
-
-    def judgments(self, question_id: str) -> tuple[dict, dict]:
-        """The question's polarities by doc id and by snippet key; read only."""
-        return self._docs.get(question_id, {}), self._snippets.get(question_id, {})
+    def judgments(self, question_id: str) -> dict:
+        """The question's polarities by item key; read only."""
+        return self._judged.get(question_id, {})
 
 
-ItemT = TypeVar("ItemT", str, SnippetSpan)
+def filter_judged(candidates: Sequence[str | SnippetSpan], feedback: FeedbackStore,
+                  question_id: str, mode: frozenset) -> list:
+    """The candidates, doc ids or SnippetSpans, whose judgment is in ``mode``
+    (:class:`FeedbackStore`), in order, as a new list.
 
-
-def kept_polarities(mode: str) -> tuple[str | None, ...]:
-    """The judgments a candidate may have and survive filter ``mode``; None is unjudged."""
-    if mode not in (EXCLUDE_ALL_JUDGED, EXCLUDE_IRRELEVANT_ONLY):
-        raise ValueError(f"unknown filter mode {mode!r}")
-    return (None, RELEVANT) if mode == EXCLUDE_IRRELEVANT_ONLY else (None,)
-
-
-def filter_judged(
-    candidates: Sequence[ItemT],
-    feedback: FeedbackStore,
-    question_id: str,
-    mode: str,
-) -> list[ItemT]:
-    """Drop judged candidates, preserving the order of survivors.
-
-    ``exclude_all_judged`` removes every judged item (used before
-    retrieval output); ``exclude_irrelevant_only`` removes only items
-    judged irrelevant (used before answer generation). Items are doc-id
-    strings or SnippetSpans; span matching is by exact offsets, so an
-    overlapping-but-unequal span is not considered judged. An unjudged
-    question gets a new list of all the candidates.
+    :data:`EXCLUDE_ALL_JUDGED` keeps only unjudged items (what retrieval and
+    snippets return); :data:`EXCLUDE_IRRELEVANT_ONLY` also keeps items judged
+    relevant (what answers are scored from).
     """
-    kept = kept_polarities(mode)
-    docs, snippets = feedback.judgments(question_id)
-    if not docs and not snippets:
-        return list(candidates)
-    return [
-        item for item in candidates
-        if (snippets.get(item.key()) if isinstance(item, SnippetSpan) else docs.get(item)) in kept
-    ]
+    judged = feedback.judgments(question_id)
+    return [item for item in candidates
+            if judged.get(item.key() if isinstance(item, SnippetSpan) else item) in mode]

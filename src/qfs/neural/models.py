@@ -69,8 +69,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:  # NaN fails too
+            raise ValueError("learning_rate must be finite and positive")
         if self.clip_len < 1:
             raise ValueError("clip_len must be >= 1")
 

@@ -7,6 +7,8 @@ trained with, then every parameter block as raveled f64, in the kind's
 ``shapes`` order and at the shapes it gives for the header dims, and a
 trailing u32 CRC32 of all preceding bytes. Version 1 files have no
 ``clip_len`` field; they load with the kind's default ``clip_len``.
+A parameter that is NaN or infinite is ``MalformedInput`` behind a valid
+CRC, so a model that diverged cannot score.
 """
 
 from __future__ import annotations
@@ -76,4 +78,6 @@ def load_params(path: str | Path, expected_kind: str | None = None) -> tuple[Par
             for name, shape in shapes.items()
         }
         reader.finish()
+    if bad := [name for name, block in blocks.items() if not np.isfinite(block).all()]:
+        raise MalformedInput(f"{path}: parameter block {bad[0]!r} holds a non-finite value")
     return Params(kind.name, dims, blocks, seed), clip_len

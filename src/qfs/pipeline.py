@@ -34,9 +34,9 @@ per row that needs text, so answering and labelling make no
 splitting just the ranked documents. Rows become :class:`SnippetSpan`
 objects (:func:`_spans`) only where returned: :func:`snip_cosine` makes
 all kept rows, :func:`answer_question` only the first
-``final_snippet_cap`` left by feedback filtering, which reads row keys
-through :func:`qfs.corpus.kept_polarities`. The answer is picked
-by index (:func:`_answer_places`); no :class:`ScoredSentence` is made here.
+``final_snippet_cap`` whose judgment is in
+:data:`~qfs.corpus.EXCLUDE_ALL_JUDGED`. The answer is picked by index
+(:func:`_answer_places`); no :class:`ScoredSentence` is made here.
 
 ``CosineScorer.score_sentences``, one question's text adapter, is the
 one scorer method besides ``score_questions``, kept only for ``bench/``'s
@@ -90,8 +90,6 @@ from .corpus import (
     QuestionRecord,
     QuestionSet,
     SnippetSpan,
-    filter_judged,
-    kept_polarities,
     snippet_from_json,
     snippet_to_json,
 )
@@ -646,9 +644,8 @@ def retrieve(question: QuestionRecord, config, resources: Resources) -> RankedLi
             resources.index, resources.dense, tokens, resources.query_vectors[question.id],
             k, config.retrieval.lam, pool_size,
         )
-    doc_ids = [d for d, _ in ranked]
-    unjudged = set(filter_judged(doc_ids, resources.feedback, question.id, EXCLUDE_ALL_JUDGED))
-    return [(d, s) for d, s in ranked if d in unjudged]
+    judged = resources.feedback.judgments(question.id)
+    return [(d, s) for d, s in ranked if d not in judged]
 
 
 def answer_question(question: QuestionRecord, config, resources: Resources,
@@ -665,10 +662,10 @@ def answer_question(question: QuestionRecord, config, resources: Resources,
     rows, kept, pairs, asked = _snip(question, table, ordinals, collection, docs, scorer,
                                      config.snippets.per_doc)
     returned = candidates = rows
-    if judged := resources.feedback.judgments(question.id)[1]:  # some snippets are judged
+    if judged := resources.feedback.judgments(question.id):
         polarity = [judged.get(key) for key, _ in _rows(table, collection, docs, rows)]
-        shown, left = (np.array([p in keep for p in polarity], dtype=bool) for keep in
-                       map(kept_polarities, (EXCLUDE_ALL_JUDGED, EXCLUDE_IRRELEVANT_ONLY)))
+        shown, left = (np.array([p in mode for p in polarity], dtype=bool)
+                       for mode in (EXCLUDE_ALL_JUDGED, EXCLUDE_IRRELEVANT_ONLY))
         returned, candidates = rows[shown], rows[left]
         kept[kept] = left  # now marks the candidates
     result = AnswerResult(question.id, [d for d, _ in ranked], _spans(

@@ -297,7 +297,8 @@ def test_snippets_command_writes_the_answer_snippets(tmp_path, with_feedback):
     judged = FeedbackStore.load(GOLDEN / "feedback.json")
     keys = {(qid, s["document"], s["section"], s["offsetInBeginSection"], s["offsetInEndSection"])
             for qid, snippets in written.items() for s in snippets}
-    found = {(qid, *key) for qid in written for key in judged.judgments(qid)[1]}
+    found = {(qid, *key) for qid in written for key in judged.judgments(qid)
+             if isinstance(key, tuple)}
     assert found and (keys.isdisjoint(found) if with_feedback else found <= keys)
 
 
@@ -326,6 +327,84 @@ def test_retrieve_and_cosine_snippets_open_no_model_file(tmp_path, command):
     out = tmp_path / "o.json"
     assert run_qfs(command, "--config", config, *QUESTIONS, "--out", out) == (0, "")
     assert json.loads(out.read_text())["questions"]
+
+
+# Metamorphic relations over the golden fixture: an input edit whose effect on the
+# output is known, checked through the commands.
+ANSWER_GOLDENS = {"retrieve": "retrieve.json", "snippets": "snippets.json",
+                  "answer": "cosine-answer.json"}
+
+
+def answer_outputs(work: Path, docs: Path, index: Path | None, feedback: Path) -> dict[str, bytes]:
+    """The bytes of retrieve, snippets and the cosine answer over ``docs`` with ``feedback``,
+    reading ``index``, or building one when it is None."""
+    resources = {"docs_path": str(docs), **({"index_path": str(index)} if index else {})}
+    config = write(work / "answer-config.json",
+                   json.dumps({"model": {"kind": "cosine"}, "resources": resources}))
+    outputs = {}
+    for command in ANSWER_GOLDENS:
+        out = work / f"{command}.json"
+        assert run_qfs(command, "--config", config, *QUESTIONS, "--feedback", feedback,
+                       "--out", out) == (0, ""), command
+        outputs[command] = out.read_bytes()
+    return outputs
+
+
+def feedback_with_more(work: Path, items: dict[str, dict]) -> Path:
+    """The golden feedback file plus one judgment ``items[qid]`` per question."""
+    entries = json.loads((GOLDEN / "feedback.json").read_text())
+    entries += [{"question_id": qid, "items": [item]} for qid, item in items.items()]
+    return write(work / "more-feedback.json", json.dumps(entries))
+
+
+@pytest.mark.parametrize("order", [[4, 3, 2, 1, 0], [2, 4, 0, 3, 1]], ids=["reversed", "shuffled"])
+def test_docs_line_order_changes_no_output(tmp_path, order):
+    lines = (GOLDEN / "docs.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    docs = write(tmp_path / "docs.jsonl", "".join(lines[i] for i in order))
+    for name, source in (("golden.qidx", GOLDEN / "docs.jsonl"), ("permuted.qidx", docs)):
+        assert run_qfs("index", "--docs", source, "--out", tmp_path / name) == (0, "")
+    assert (tmp_path / "golden.qidx").read_bytes() == (tmp_path / "permuted.qidx").read_bytes()
+    expected = {command: (GOLDEN / name).read_bytes() for command, name in ANSWER_GOLDENS.items()}
+    # Each index with the docs file of the other order, and an index built in process.
+    for docs_file, index in ((docs, tmp_path / "golden.qidx"),
+                             (GOLDEN / "docs.jsonl", tmp_path / "permuted.qidx"), (docs, None)):
+        assert answer_outputs(tmp_path, docs_file, index, GOLDEN / "feedback.json") == expected
+
+
+@pytest.mark.parametrize("polarity", ["relevant", "irrelevant"])
+def test_judging_a_returned_document_removes_exactly_it(tmp_path, polarity):
+    golden = {q["id"]: q["ranked"]
+              for q in json.loads((GOLDEN / "retrieve.json").read_text())["questions"]}
+    # Question i judges its (i mod n)-th returned document, so each judges another rank.
+    judged = {qid: ranked[i % len(ranked)]["document"]
+              for i, (qid, ranked) in enumerate(golden.items())}
+    feedback = feedback_with_more(tmp_path, {
+        qid: {"kind": "document", "ref": doc, "polarity": polarity} for qid, doc in judged.items()})
+    out = tmp_path / "r.json"
+    assert run_qfs("retrieve", "--config", config_file(tmp_path), *QUESTIONS,
+                   "--feedback", feedback, "--out", out) == (0, "")
+    got = {q["id"]: q["ranked"] for q in json.loads(out.read_text())["questions"]}
+    assert got == {qid: [r for r in ranked if r["document"] != judged[qid]]
+                   for qid, ranked in golden.items()}
+
+
+def test_judging_a_returned_snippet_relevant_changes_no_answer(tmp_path):
+    golden = json.loads((GOLDEN / "cosine-answer.json").read_text())["questions"]
+    judged = {q["id"]: q["snippets"][i % len(q["snippets"])] for i, q in enumerate(golden)}
+    feedback = feedback_with_more(tmp_path, {
+        qid: {"kind": "snippet", "ref": {k: v for k, v in s.items() if k != "text"},
+              "polarity": "relevant"}
+        for qid, s in judged.items()})
+    got = json.loads(answer_outputs(tmp_path, GOLDEN / "docs.jsonl", None, feedback)["answer"])
+    for before, after in zip(golden, got["questions"], strict=True):
+        assert (after["id"], after["documents"]) == (before["id"], before["documents"])
+        assert after["ideal_answer"] == before["ideal_answer"]
+        # The judged snippet goes; the next one past the cap may take its place.
+        left = [s for s in before["snippets"] if s != judged[before["id"]]]
+        assert len(left) == len(before["snippets"]) - 1
+        assert after["snippets"][: len(left)] == left
+        assert judged[before["id"]] not in after["snippets"]
+        assert len(after["snippets"]) <= len(before["snippets"])
 
 
 def run_qfs_stdout(*args) -> tuple[int, str]:
@@ -796,7 +875,14 @@ USAGE_ERRORS = {
         f"train with {flag} {value}": lambda w, flag=flag, value=value: (
             *TRAIN, "--labels", GOLDEN / "labels.jsonl", "--out", w / "m", flag, value)
         for flag, value in [("--seed", "-1"), ("--epochs", "0"), ("--batch-size", "0"),
-                            ("--dropout", "1.5"), ("--lr", "-1"), ("--clip-len", "0")]
+                            ("--dropout", "1.5"), ("--lr", "-1"), ("--clip-len", "0"),
+                            ("--lr", "nan"), ("--lr", "inf")]
+    },
+    **{
+        f"cv with --lr {value}": lambda w, value=value: (
+            "cv", *QUESTIONS, "--model", "nnc", "--k", "2", "--embeddings", GOLDEN / "vectors.txt",
+            "--lr", value)
+        for value in ("nan", "inf")
     },
 }
 

@@ -371,9 +371,9 @@ class TestSnippetSpan:
 def feedback_with(qid="q1", doc=None, snippet=None, polarity="relevant"):
     store = FeedbackStore.empty()
     if doc is not None:
-        store.add_document(qid, doc, polarity)
+        store.add(qid, doc, polarity)
     if snippet is not None:
-        store.add_snippet(qid, snippet, polarity)
+        store.add(qid, snippet.key(), polarity)
     return store
 
 
@@ -427,14 +427,26 @@ class TestFilterJudged:
     def test_conflicting_polarity_rejected(self):
         store = feedback_with(doc="d1", polarity="relevant")
         with pytest.raises(MalformedInput):
-            store.add_document("q1", "d1", "irrelevant")
+            store.add("q1", "d1", "irrelevant")
+
+    @pytest.mark.parametrize("key, what", [
+        ("d1", "document 'd1'"), (("d1", "s", 0, 4), "snippet ('d1', 's', 0, 4)"),
+    ], ids=["document", "snippet"])
+    def test_conflict_names_the_item_and_keeps_the_first_judgment(self, key, what):
+        store = FeedbackStore.empty()
+        store.add("q1", key, "relevant")
+        message = re.escape(f"conflicting feedback for {what} on 'q1'")
+        with pytest.raises(MalformedInput, match=f"^{message}$"):
+            store.add("q1", key, "irrelevant")
+        assert store.judgments("q1") == {key: "relevant"}
 
     def test_repeated_identical_judgment_allowed(self):
         store = feedback_with(doc="d1", polarity="relevant")
-        store.add_document("q1", "d1", "relevant")
-        assert store.judgments("q1") == ({"d1": "relevant"}, {})
+        store.add("q1", "d1", "relevant")
+        assert store.judgments("q1") == {"d1": "relevant"}
 
-    @pytest.mark.parametrize("mode", [EXCLUDE_ALL_JUDGED, EXCLUDE_IRRELEVANT_ONLY])
+    @pytest.mark.parametrize("mode", [EXCLUDE_ALL_JUDGED, EXCLUDE_IRRELEVANT_ONLY],
+                             ids=["exclude_all_judged", "exclude_irrelevant_only"])
     def test_unjudged_question_gets_a_new_list(self, mode):
         store = feedback_with(qid="q2", doc="d1", polarity="irrelevant")
         candidates = ["d1", "d2"]
@@ -455,15 +467,12 @@ class TestFilterJudged:
         st.sampled_from([EXCLUDE_ALL_JUDGED, EXCLUDE_IRRELEVANT_ONLY]),
     )
     def test_drops_what_the_per_item_lookup_drops(self, candidates, judgments, qid, mode):
-        store = FeedbackStore.empty()
-        for item, polarity in judgments.items():
-            if isinstance(item, SnippetSpan):
-                store.add_snippet("q1", item, polarity)
-            else:
-                store.add_document("q1", item, polarity)
-
         def key(item):
             return item.key() if isinstance(item, SnippetSpan) else item
+
+        store = FeedbackStore.empty()
+        for item, polarity in judgments.items():
+            store.add("q1", key(item), polarity)
 
         judged = {key(j): p for j, p in judgments.items()} if qid == "q1" else {}
         expected = []
@@ -485,7 +494,7 @@ class TestFilterJudged:
     def test_idempotent_and_order_preserving(self, candidates, judgments, mode):
         store = FeedbackStore.empty()
         for doc, polarity in judgments.items():
-            store.add_document("q1", doc, polarity)
+            store.add("q1", doc, polarity)
         once = filter_judged(candidates, store, "q1", mode)
         assert filter_judged(once, store, "q1", mode) == once
         # order preserved: survivors appear in their original order
@@ -517,7 +526,7 @@ class TestFeedbackFile:
         path.write_text(json.dumps(payload), encoding="utf-8")
         store = FeedbackStore.load(path)
         span = SnippetSpan("d2", "abstract", 0, 4, "text ignored")
-        assert store.judgments("q1") == ({"d1": "irrelevant"}, {span.key(): "relevant"})
+        assert store.judgments("q1") == {"d1": "irrelevant", span.key(): "relevant"}
 
     def test_bad_polarity_rejected(self, tmp_path):
         payload = [

@@ -421,6 +421,16 @@ class TestParamsIO:
         with pytest.raises(MalformedInput, match="clip_len"):
             load_params(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected_behind_a_valid_crc(self, tmp_path, value):
+        params = init_params("nnc", emb_dim=2, lstm_hidden=1, dense_hidden=2, seed=4)
+        params.blocks["output.b"][...] = value
+        path = tmp_path / "m.qfsm"
+        save_params(params, path)
+        message = re.escape(f"{path}: parameter block 'output.b' holds a non-finite value")
+        with pytest.raises(MalformedInput, match=f"^{message}$"):
+            load_params(path)
+
     def test_kind_mismatch(self, tmp_path):
         params = init_params("nnc", emb_dim=2, lstm_hidden=2, dense_hidden=2)
         path = tmp_path / "m.qfsm"

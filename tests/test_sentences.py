@@ -394,7 +394,7 @@ class TestAnswersMatchTextPath:
         feedback = FeedbackStore()
         for doc_id in sorted(doc.id for doc in collection):
             if polarity := data.draw(st.sampled_from([None] * 4 + [RELEVANT, IRRELEVANT])):
-                feedback.add_document("q", doc_id, polarity)
+                feedback.add("q", doc_id, polarity)
         resources = Resources(collection=collection, index=build_index(collection),
                               scorer=CosineScorer(), feedback=feedback)
         # The text-path replay: select_snippets -> filter_judged -> score_sentences(texts).
@@ -402,7 +402,7 @@ class TestAnswersMatchTextPath:
         snippets = select_snippets(question, ranked, config, resources)
         for snippet in snippets:  # judging snippets changes neither ranking nor selection
             if polarity := data.draw(st.sampled_from([None, None, RELEVANT, IRRELEVANT])):
-                feedback.add_snippet("q", snippet, polarity)
+                feedback.add("q", snippet.key(), polarity)
         returned = filter_judged(snippets, feedback, "q", EXCLUDE_ALL_JUDGED)
         candidates = filter_judged(snippets, feedback, "q", EXCLUDE_IRRELEVANT_ONLY)
         texts = [c.text for c in candidates]
@@ -453,8 +453,8 @@ class TestAnswersMatchTextPath:
         snippets = select_snippets(question, ranked, config, resources)
         assert len(snippets) == 6
         if judged:
-            resources.feedback.add_snippet("q", snippets[0], IRRELEVANT)
-            resources.feedback.add_snippet("q", snippets[3], RELEVANT)
+            resources.feedback.add("q", snippets[0].key(), IRRELEVANT)
+            resources.feedback.add("q", snippets[3].key(), RELEVANT)
         with mock.patch.object(pipeline, "SnippetSpan", wraps=SnippetSpan) as spans, \
              mock.patch.object(pipeline, "ScoredSentence", wraps=ScoredSentence) as scored:
             result = answer_question(question, config, resources)
