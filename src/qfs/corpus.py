@@ -381,15 +381,17 @@ class FeedbackStore:
                     key = snippet_from_json(item.get("ref"), where).key()
                 else:
                     raise MalformedInput(f"{path}: bad item kind {kind!r}")
-                store.add(qid, key, polarity)
+                store.add(qid, key, polarity, f"{path}: ")
         return store
 
-    def add(self, question_id: str, key: str | tuple[str, str, int, int], polarity: str) -> None:
-        """Judge the item ``key``; judging it again with the other polarity is MalformedInput."""
+    def add(self, question_id: str, key: str | tuple[str, str, int, int], polarity: str,
+            where: str = "") -> None:
+        """Judge the item ``key``; judging it again with the other polarity is
+        MalformedInput, its message prefixed by ``where``."""
         judged = self._judged.setdefault(question_id, {})
         if judged.setdefault(key, polarity) != polarity:
             what = f"snippet {key}" if isinstance(key, tuple) else f"document {key!r}"
-            raise MalformedInput(f"conflicting feedback for {what} on {question_id!r}")
+            raise MalformedInput(f"{where}conflicting feedback for {what} on {question_id!r}")
 
     def judgments(self, question_id: str) -> dict:
         """The question's polarities by item key; read only."""

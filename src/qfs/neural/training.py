@@ -130,33 +130,34 @@ def train(
 
     n = len(examples)
     loss_history: list[float] = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            batch_grads: dict[str, np.ndarray] = {
-                k: np.zeros_like(v) for k, v in params.blocks.items()
-            }
-            batch_loss = 0.0
-            for idx in batch:
-                mask = None
-                if rate > 0.0:
-                    keep = drop_rng.random(dense_hidden) >= rate
-                    mask = keep.astype(np.float64) / (1.0 - rate)
-                prob, backward = kind.apply(params, *inputs[idx], dropout_mask=mask)
-                batch_loss += bce_loss(prob, labels[idx])
-                for k, g in backward(labels[idx]).items():
-                    batch_grads[k] += g
-            scale = 1.0 / len(batch)
-            for k in batch_grads:
-                batch_grads[k] *= scale
-            if not np.isfinite(batch_loss):
-                raise QfsError(
-                    f"non-finite loss at epoch {epoch + 1}, "
-                    f"batch starting at example {start}"
-                )
-            optimizer.step(params.blocks, batch_grads)
-            epoch_loss += batch_loss
-        loss_history.append(epoch_loss / n)
+    with np.errstate(all="ignore"):  # a diverging run is refused below, not warned about
+        for epoch in range(config.epochs):
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            for start in range(0, n, config.batch_size):
+                batch = order[start : start + config.batch_size]
+                batch_grads: dict[str, np.ndarray] = {
+                    k: np.zeros_like(v) for k, v in params.blocks.items()
+                }
+                batch_loss = 0.0
+                for idx in batch:
+                    mask = None
+                    if rate > 0.0:
+                        keep = drop_rng.random(dense_hidden) >= rate
+                        mask = keep.astype(np.float64) / (1.0 - rate)
+                    prob, backward = kind.apply(params, *inputs[idx], dropout_mask=mask)
+                    batch_loss += bce_loss(prob, labels[idx])
+                    for k, g in backward(labels[idx]).items():
+                        batch_grads[k] += g
+                scale = 1.0 / len(batch)
+                for k in batch_grads:
+                    batch_grads[k] *= scale
+                where = f"at epoch {epoch + 1}, batch starting at example {start}"
+                if not np.isfinite(batch_loss):
+                    raise QfsError(f"non-finite loss {where}")
+                optimizer.step(params.blocks, batch_grads)
+                if bad := [k for k, v in params.blocks.items() if not np.isfinite(v).all()]:
+                    raise QfsError(f"non-finite parameter block {bad[0]!r} {where}")
+                epoch_loss += batch_loss
+            loss_history.append(epoch_loss / n)
     return TrainResult(params=params, loss_history=loss_history)

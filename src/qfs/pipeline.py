@@ -4,7 +4,8 @@ A question is answered by three stages, which :func:`answer_question`
 composes; the command line composes :func:`retrieve` (``qfs retrieve``)
 and :func:`answer_question` (``qfs snippets`` and ``qfs answer``):
 
-* :func:`retrieve` ranks documents and drops the judged ones;
+* :func:`retrieve` ranks documents and drops the judged ones; answering
+  keeps them as index ordinals, and makes doc ids only for its output;
 * snippet selection (:func:`_snip`) picks sentences of the top documents;
 * answer scoring scores the candidates left after feedback filtering,
   and the best are joined into the ideal answer.
@@ -18,7 +19,8 @@ batch of questions per call: answering passes one, :func:`cross_validate` a fold
 Snippets and answers are scored from the index's
 :class:`~qfs.sentences.SentenceTable`: every document was split and
 tokenized once, when the index was built, so a question only slices
-the table rows of its ranked documents. Snippet selection (:func:`_snip`)
+the table rows of its ranked documents, and looks the question up in the
+vocabulary once, for BM25 and snippets. Snippet selection (:func:`_snip`)
 scores that pool at once and returns the kept rows. With tf-idf cosine,
 it sorts the pool's token ids once into (term, sentence, tf) triples
 (:func:`_term_pairs`), and answer scoring takes the candidates' triples
@@ -73,7 +75,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, count
@@ -101,13 +103,7 @@ from .fileio import (
 )
 from .metrics import grouped_su4_scores
 from .neural import KINDS, LabeledExample, TrainConfig, forward, train
-from .retrieval import (
-    InvertedIndex,
-    RankedList,
-    bm25_search,
-    nir_search,
-    run_edges,
-)
+from .retrieval import InvertedIndex, RankedList, _ranked, bm25_top, nir_top, run_edges
 from .sentences import SentenceTable
 from .textproc import sentence_bounds, token_surfaces
 
@@ -386,14 +382,6 @@ class ModelScorer:
         return scores
 
 
-def _ordinal(index: InvertedIndex, doc_id: str) -> int:
-    """A document's place in the index (doc ids are sorted)."""
-    i = bisect_left(index.doc_ids, doc_id)
-    if i == index.n_docs or index.doc_ids[i] != doc_id:
-        raise MissingInput(f"document {doc_id!r} is not in the index")
-    return i
-
-
 def _rows(table: SentenceTable, collection: DocumentCollection, docs: Mapping[int, int],
           rows: np.ndarray):
     """Per row of ``table`` in ``rows``: its span key (document id, section id,
@@ -420,11 +408,11 @@ def _spans(table: SentenceTable, collection: DocumentCollection, docs: Mapping[i
 
 def _snip(question: QuestionRecord, table: SentenceTable, ordinals: Sequence[int],
           collection: DocumentCollection, docs: Mapping[int, int], scorer: SentenceScorer,
-          per_doc: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...] | None, np.ndarray]:
+          per_doc: int, asked: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple | None]:
     """Snippets by one scoring over the sentences of every ranked document:
     the ``table`` rows of the kept pool sentences in occurrence order, a mask
-    of them over the pool, the pool's term pairs and the question's word ids
-    in ``table``.
+    of them over the pool and the pool's term pairs. ``asked`` holds the
+    question's word ids in ``table``.
 
     ``ordinals`` are the ranked documents' places in ``table``, in rank
     order, and ``docs`` maps each to its place in ``collection``. A
@@ -443,7 +431,6 @@ def _snip(question: QuestionRecord, table: SentenceTable, ordinals: Sequence[int
     owner = np.repeat(np.arange(len(ordinals)), counts)  # pool sentence -> ranked document
     starts = np.cumsum(counts) - counts  # pool place of each document's first sentence
     rows = np.arange(len(owner)) + (first - starts)[owner]
-    asked = table.word_ids(token_surfaces(question.body))
     pairs = None
     if isinstance(scorer, CosineScorer):
         # A document's sentences are consecutive rows, so its tokens are one slice.
@@ -458,7 +445,7 @@ def _snip(question: QuestionRecord, table: SentenceTable, ordinals: Sequence[int
     order = np.lexsort((-scores, owner))  # stable; order[i] is in document owner[i]
     kept = np.empty(len(order), dtype=bool)
     kept[order] = np.arange(len(order)) - starts[owner] < per_doc
-    return rows[kept], kept, pairs, asked
+    return rows[kept], kept, pairs
 
 
 def snip_cosine(
@@ -477,7 +464,9 @@ def snip_cosine(
     """
     table = SentenceTable.build(collection, [d for d, _ in ranked_docs])
     docs = dict(enumerate(collection.ordinal[d] for d, _ in ranked_docs))
-    rows = _snip(question, table, range(len(docs)), collection, docs, CosineScorer(), per_doc)[0]
+    asked = table.word_ids(token_surfaces(question.body))
+    rows = _snip(question, table, range(len(docs)), collection, docs, CosineScorer(), per_doc,
+                 asked)[0]
     return _spans(table, collection, docs, rows)
 
 
@@ -627,40 +616,49 @@ class Resources:
     feedback: FeedbackStore = field(default_factory=FeedbackStore.empty)
 
 
-def retrieve(question: QuestionRecord, config, resources: Resources) -> RankedList:
-    """The round's ranked (doc_id, score) pairs, judged documents removed."""
-    tokens = token_surfaces(question.body)
-    k = config.retrieval.docs_for_round(config.round)
+def _retrieve(question: QuestionRecord, config, resources: Resources,
+              words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The round's ranked index ordinals and scores for the question's word
+    ids ``words`` in the index's sentence table, judged documents removed."""
+    index, k = resources.index, config.retrieval.docs_for_round(config.round)
     method = config.retrieval.method
     if method == "bm25":
-        ranked = bm25_search(resources.index, tokens, k)
+        ordinals, scores = bm25_top(index, words, k)
     else:
         if resources.dense is None or resources.query_vectors is None:
             raise MissingInput(f"retrieval method {method!r} needs dense vectors and query vectors")
         if question.id not in resources.query_vectors:
             raise MissingInput(f"no query vector for question {question.id!r}")
         pool_size = None if method == "nir" else max(config.retrieval.pool_size, k)
-        ranked = nir_search(
-            resources.index, resources.dense, tokens, resources.query_vectors[question.id],
-            k, config.retrieval.lam, pool_size,
-        )
-    judged = resources.feedback.judgments(question.id)
-    return [(d, s) for d, s in ranked if d not in judged]
+        ordinals, scores = nir_top(index, resources.dense, words,
+                                   resources.query_vectors[question.id],
+                                   k, config.retrieval.lam, pool_size)
+    if judged := resources.feedback.judgments(question.id):
+        keep = [index.doc_ids[o] not in judged for o in ordinals.tolist()]
+        ordinals, scores = ordinals[keep], scores[keep]
+    return ordinals, scores
+
+
+def retrieve(question: QuestionRecord, config, resources: Resources) -> RankedList:
+    """The round's ranked (doc_id, score) pairs, judged documents removed."""
+    words = resources.index.sentences.word_ids(token_surfaces(question.body))
+    return _ranked(resources.index, *_retrieve(question, config, resources, words))
 
 
 def answer_question(question: QuestionRecord, config, resources: Resources,
                     answer: bool = True) -> AnswerResult:
     """Retrieve, snip, filter, score, and assemble one question's answer; with
     ``answer=False``, only the documents and snippets (``qfs snippets``)."""
-    ranked = retrieve(question, config, resources)[: config.retrieval.final_doc_cap]
     table, collection = resources.index.sentences, resources.collection
-    ordinals = [_ordinal(resources.index, doc_id) for doc_id, _ in ranked]
-    docs = {o: collection.ordinal[doc_id] for o, (doc_id, _) in zip(ordinals, ranked)}
+    asked = table.word_ids(token_surfaces(question.body))
+    ordinals = _retrieve(question, config, resources, asked)[0][: config.retrieval.final_doc_cap]
+    doc_ids = [resources.index.doc_ids[o] for o in ordinals.tolist()]
+    docs = {o: collection.ordinal[d] for o, d in zip(ordinals.tolist(), doc_ids)}
     # A CosineScorer in resources scores the snippets too, so answer scoring
     # by cosine always finds the pool's term pairs.
     scorer = CosineScorer() if config.snippets.strategy == "cosine" else resources.scorer
-    rows, kept, pairs, asked = _snip(question, table, ordinals, collection, docs, scorer,
-                                     config.snippets.per_doc)
+    rows, kept, pairs = _snip(question, table, ordinals, collection, docs, scorer,
+                              config.snippets.per_doc, asked)
     returned = candidates = rows
     if judged := resources.feedback.judgments(question.id):
         polarity = [judged.get(key) for key, _ in _rows(table, collection, docs, rows)]
@@ -668,7 +666,7 @@ def answer_question(question: QuestionRecord, config, resources: Resources,
                        for mode in (EXCLUDE_ALL_JUDGED, EXCLUDE_IRRELEVANT_ONLY))
         returned, candidates = rows[shown], rows[left]
         kept[kept] = left  # now marks the candidates
-    result = AnswerResult(question.id, [d for d, _ in ranked], _spans(
+    result = AnswerResult(question.id, doc_ids, _spans(
         table, collection, docs, returned[: config.retrieval.final_snippet_cap]))
     if not answer:
         return result

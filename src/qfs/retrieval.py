@@ -3,8 +3,12 @@
 Document relevance for hybrid (NIR) search is ``lambda * bm25_norm +
 (1 - lambda) * dense_cos`` where BM25 scores are min-max normalized per
 query over the candidate pool and dense cosines are clamped at 0 from
-below. All ranked output is strictly sorted under (-score, doc_id), so
-searches are deterministic.
+below. :func:`bm25_top` and :func:`nir_top` take the query's vocabulary
+ids and rank index ordinals, as ``(ordinals, scores)`` arrays; the
+id-level :func:`bm25_search` and :func:`nir_search` look up the query's
+tokens and return (doc_id, score) pairs. All ranked output is strictly
+sorted under (-score, ordinal), which is (-score, doc_id), so searches
+are deterministic.
 
 A document matches a BM25 query exactly when its score is > 0: it sums
 impacts ``idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl))``,
@@ -281,8 +285,9 @@ def _postings(table: SentenceTable, is_term: np.ndarray):
     return doc_len, indptr, post_doc, post_tf
 
 
-def _bm25(index: InvertedIndex, query: Sequence[str]) -> np.ndarray:
-    """BM25 score of every document; the matched ones are those scoring > 0.
+def _bm25(index: InvertedIndex, words: np.ndarray) -> np.ndarray:
+    """BM25 score of every document for the query's vocabulary ids ``words``;
+    the matched documents are those scoring > 0.
 
     One unique query term at a time, in query order: a dense row by ``+=``,
     another term's impacts at its postings by ``np.add.at`` (unbuffered). So
@@ -290,7 +295,7 @@ def _bm25(index: InvertedIndex, query: Sequence[str]) -> np.ndarray:
     postings adds them: a dense row's 0.0 leaves a score (>= 0) unchanged.
     """
     scores = np.zeros(index.n_docs)
-    rows = index.term_row[index.sentences.word_ids(dict.fromkeys(query))]
+    rows = index.term_row[list(dict.fromkeys(words.tolist()))]
     for row in rows[rows >= 0].tolist():
         docs, impact = index.term_impacts(row)
         if docs is None:
@@ -317,11 +322,17 @@ def _ranked(index: InvertedIndex, ordinals: np.ndarray, scores: np.ndarray) -> R
     return [(index.doc_ids[i], s) for i, s in zip(ordinals.tolist(), scores.tolist())]
 
 
-def bm25_search(index: InvertedIndex, query: Sequence[str], k: int) -> RankedList:
-    """Top-k documents by BM25; ties broken by ascending doc id."""
+def bm25_top(index: InvertedIndex, words: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ordinals and scores of the top-k documents by BM25 for the vocabulary
+    ids ``words``; ties broken by ascending ordinal."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _ranked(index, *_top_k(_bm25(index, query), k, floor=0.0))
+    return _top_k(_bm25(index, words), k, floor=0.0)
+
+
+def bm25_search(index: InvertedIndex, query: Sequence[str], k: int) -> RankedList:
+    """Top-k documents by BM25 (:func:`bm25_top`); ties broken by ascending doc id."""
+    return _ranked(index, *bm25_top(index, index.sentences.word_ids(query), k))
 
 
 def _minmax(scores: np.ndarray) -> np.ndarray:
@@ -388,20 +399,14 @@ def _check_query_vector(dense: DenseStore, query_vector: np.ndarray) -> np.ndarr
     return vec / norm
 
 
-def nir_search(
-    index: InvertedIndex,
-    dense: DenseStore,
-    query_tokens: Sequence[str],
-    query_vector: np.ndarray,
-    k: int,
-    lam: float,
-    pool_size: int | None = None,
-) -> RankedList:
-    """Hybrid search over the whole collection, or over a BM25 pool.
+def nir_top(index: InvertedIndex, dense: DenseStore, words: np.ndarray, query_vector: np.ndarray,
+            k: int, lam: float, pool_size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Ordinals and scores of the top-k documents by hybrid search for the
+    vocabulary ids ``words``, over the whole collection or over a BM25 pool.
 
     With ``pool_size=None`` every indexed document is a candidate;
     otherwise the BM25 top ``pool_size`` matched documents are (no match
-    gives an empty list). BM25 scores are min-max normalized over the
+    gives empty arrays). BM25 scores are min-max normalized over the
     candidates before interpolation; a document without a vector has
     cosine 0. Cosines come from :meth:`DenseStore.index_matrix`, the
     store's float64 copy in ordinal order, made on the first query with
@@ -410,21 +415,29 @@ def nir_search(
     if k < 1:
         raise ValueError("k must be >= 1")
     vec = _check_query_vector(dense, query_vector)
-    scores, matrix, pool = _bm25(index, query_tokens), dense.index_matrix(index), None
+    scores, matrix, pool = _bm25(index, words), dense.index_matrix(index), None
     if pool_size is not None:
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
         # In ordinal order, so that the position tie-break below is the ordinal one.
         pool = np.sort(_top_k(scores, pool_size, floor=0.0)[0])
         if not len(pool):
-            return []
+            return pool, scores[pool]
         scores, matrix = scores[pool], matrix[pool]
     # vecdot takes each row's dot product as np.dot does (matrix @ vec may
     # differ in the last bit); 0.0 first clamps -0.0 to 0.0 as max() does,
     # so a zero row scores 0.0.
     cosines = np.maximum(0.0, np.vecdot(matrix, vec))
     top, combined = _top_k(interpolate(_minmax(scores), cosines, lam), k)
-    return _ranked(index, top if pool is None else pool[top], combined)
+    return (top if pool is None else pool[top]), combined
+
+
+def nir_search(index: InvertedIndex, dense: DenseStore, query_tokens: Sequence[str],
+               query_vector: np.ndarray, k: int, lam: float,
+               pool_size: int | None = None) -> RankedList:
+    """Hybrid search (:func:`nir_top`) for the query's tokens, as (doc id, score) pairs."""
+    words = index.sentences.word_ids(query_tokens)
+    return _ranked(index, *nir_top(index, dense, words, query_vector, k, lam, pool_size))
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:

@@ -28,9 +28,11 @@ from qfs.retrieval import (
     DenseStore,
     InvertedIndex,
     bm25_search,
+    bm25_top,
     build_index,
     load_index,
     nir_search,
+    nir_top,
     save_index,
 )
 
@@ -53,10 +55,12 @@ def oracle_impact(index) -> np.ndarray:
     return impact
 
 
-def oracle_bm25(index, query) -> np.ndarray:
-    """The concatenate-and-bincount kernel: bincount adds in input order."""
+def oracle_bm25(index, words) -> np.ndarray:
+    """The concatenate-and-bincount kernel over the query's vocabulary ids:
+    bincount adds in input order."""
     impact = oracle_impact(index)
     terms = term_rows(index)
+    query = [index.sentences.vocabulary[w] for w in words.tolist()]
     rows = [terms[t] for t in dict.fromkeys(query) if t in terms]
     spans = [slice(index.indptr[r], index.indptr[r + 1]) for r in rows]
     docs = np.concatenate([index.post_doc[:0], *(index.post_doc[s] for s in spans)])
@@ -113,10 +117,37 @@ def test_term_loop_matches_the_bincount_kernel(case, k1, b):
     for index in (built, loaded):
         assert index.dense_terms == np.flatnonzero(2 * df >= index.n_docs).tolist()
         assert posting_impacts(index).tobytes() == oracle_impact(index).tobytes()
-        assert retrieval._bm25(index, query).tobytes() == oracle_bm25(index, query).tobytes()
+        words = index.sentences.word_ids(query)
+        assert retrieval._bm25(index, words).tobytes() == oracle_bm25(index, words).tobytes()
         got = searches(index, dense, query, vec)
         with mock.patch.object(retrieval, "_bm25", oracle_bm25):
             assert got == searches(index, dense, query, vec)
+
+
+@settings(max_examples=200, deadline=None)
+@example((*ORDER_CASE[:2], 1), 2, 1, 0.5)
+@example((ORDER_CASE[0], ["unknown", "unknown"], 2), 3, 2, 0.5)  # an empty rerank pool
+@given(kernel_cases(), st.integers(1, 12), st.integers(1, 12), st.sampled_from([0.0, 0.3, 1.0]))
+def test_ordinal_searches_are_the_id_searches(case, k, pool_size, lam):
+    """bm25_top and nir_top, their ordinals mapped through doc_ids, give the id
+    searches' lists: same documents, same order, == scores."""
+    collection, query, seed = case
+    index = build_index(collection)
+    rng = np.random.default_rng(seed)
+    dense = DenseStore.from_vectors(random_unit_vectors(rng, index.doc_ids, 3))
+    vec = rng.uniform(0.1, 1.0, size=3)
+    words = index.sentences.word_ids(query)
+
+    def ids(ordinals, scores):
+        assert ordinals.dtype.kind == "i" and scores.dtype == np.float64
+        return [(index.doc_ids[o], s) for o, s in zip(ordinals.tolist(), scores.tolist())]
+
+    assert ids(*bm25_top(index, words, k)) == bm25_search(index, query, k)
+    for pool in (None, pool_size):
+        got = ids(*nir_top(index, dense, words, vec, k, lam, pool))
+        assert got == nir_search(index, dense, query, vec, k, lam, pool)
+        # Only a rerank pool can be empty: when no document matches the query.
+        assert bool(got) == (pool is None or bool(bm25_search(index, query, 1)))
 
 
 def test_dense_rows_are_zero_where_the_term_is_absent():

@@ -8,6 +8,7 @@ import logging
 import os
 import re
 import struct
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -918,6 +919,34 @@ def test_nnc_answers_over_a_sentence_with_no_tokens(tmp_path):
     assert (code, err) == (0, "")
     answered = json.loads((tmp_path / "a.json").read_text())["questions"]
     assert [q["id"] for q in answered] == ["q1", "q2", "q3", "q4"]
+
+
+@pytest.mark.parametrize("epochs", ["2", "3"])
+def test_a_diverging_train_exits_2_without_warnings(tmp_path, epochs):
+    """At --lr 1e200 the update of epoch 2 makes the LSTM weights NaN. Training
+    refuses them after that update, so a two-epoch run writes no model either,
+    and numpy's warnings on the way stay inside."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = run_qfs(*TRAIN, "--labels", GOLDEN / "labels.jsonl", "--lr", "1e200",
+                            "--epochs", epochs, "--out", tmp_path / "m.qfsm")
+    assert (code, err) == (2, "error: non-finite parameter block 'lstm_fwd.w_x' at epoch 2, "
+                              "batch starting at example 0\n")
+    assert caught == []
+    assert not (tmp_path / "m.qfsm").exists()
+
+
+@pytest.mark.parametrize("kind, ref, what", [
+    ("document", "d1", "document 'd1'"),
+    ("snippet", {"document": "d1", "section": "abstract", "offsetInBeginSection": 0,
+                 "offsetInEndSection": 4}, "snippet ('d1', 'abstract', 0, 4)"),
+], ids=["document", "snippet"])
+def test_retrieve_names_the_feedback_file_of_a_conflict(tmp_path, kind, ref, what):
+    items = [{"kind": kind, "ref": ref, "polarity": p} for p in ("relevant", "irrelevant")]
+    feedback = write(tmp_path / "fb.json", json.dumps([{"question_id": "q1", "items": items}]))
+    code, err = run_qfs("retrieve", "--config", config_file(tmp_path), *QUESTIONS,
+                        "--feedback", feedback, "--out", tmp_path / "r.json")
+    assert (code, err) == (2, f"error: {feedback}: conflicting feedback for {what} on 'q1'\n")
 
 
 def test_nnc_trains_on_a_sentence_with_no_tokens(tmp_path):

@@ -432,13 +432,22 @@ class TestFilterJudged:
     @pytest.mark.parametrize("key, what", [
         ("d1", "document 'd1'"), (("d1", "s", 0, 4), "snippet ('d1', 's', 0, 4)"),
     ], ids=["document", "snippet"])
-    def test_conflict_names_the_item_and_keeps_the_first_judgment(self, key, what):
+    def test_conflict_names_the_item_and_keeps_the_first_judgment(self, tmp_path, key, what):
         store = FeedbackStore.empty()
         store.add("q1", key, "relevant")
         message = re.escape(f"conflicting feedback for {what} on 'q1'")
         with pytest.raises(MalformedInput, match=f"^{message}$"):
             store.add("q1", key, "irrelevant")
         assert store.judgments("q1") == {key: "relevant"}
+        # Read from a file, the conflict names the file first.
+        ref = key if isinstance(key, str) else dict(zip(
+            ("document", "section", "offsetInBeginSection", "offsetInEndSection"), key))
+        items = [{"kind": what.split()[0], "ref": ref, "polarity": polarity}
+                 for polarity in ("relevant", "irrelevant")]
+        path = tmp_path / "feedback.json"
+        path.write_text(json.dumps([{"question_id": "q1", "items": items}]), encoding="utf-8")
+        with pytest.raises(MalformedInput, match=f"^{re.escape(str(path))}: {message}$"):
+            FeedbackStore.load(path)
 
     def test_repeated_identical_judgment_allowed(self):
         store = feedback_with(doc="d1", polarity="relevant")

@@ -354,7 +354,8 @@ class TestTraining:
     def test_non_finite_loss_aborts_with_diagnostics(self):
         examples, vectors = separable_fixture(n_per_class=1)
         bad = DenseStore(vectors.ids, np.tile([np.inf, 1.0], (len(vectors), 1)))
-        with pytest.warns(RuntimeWarning), pytest.raises(
+        # No RuntimeWarning either: pytest turns any warning into an error.
+        with pytest.raises(
             QfsError, match="^non-finite loss at epoch 1, batch starting at example 0$"
         ) as err:
             train("pooled", examples, bad, TrainConfig(epochs=1, batch_size=2))

@@ -289,7 +289,9 @@ def select_snippets(question, ranked, config, resources) -> list[SnippetSpan]:
     """The snippets answering selects from the ranked documents by the
     configured strategy: all of them, with no feedback and no snippet cap."""
     caps = replace(config.retrieval, final_doc_cap=len(ranked), final_snippet_cap=10**9)
-    with mock.patch.object(pipeline, "retrieve", return_value=ranked):
+    ordinals = np.array([resources.index.doc_ids.index(d) for d, _ in ranked], dtype=np.intp)
+    scores = np.array([s for _, s in ranked])
+    with mock.patch.object(pipeline, "_retrieve", return_value=(ordinals, scores)):
         return answer_question(question, replace(config, retrieval=caps),
                                replace(resources, feedback=FeedbackStore.empty()),
                                answer=False).snippets
@@ -356,12 +358,6 @@ class TestSnippetsMatchTextPath:
         question = make_question("q")
         with pytest.raises(MissingInput, match="^document 'd9' is not in the collection$"):
             snip_cosine(question, [("d9", 1.0)], micro_collection)
-        resources = Resources(
-            collection=micro_collection, index=build_index(micro_collection),
-            scorer=CosineScorer(),
-        )
-        with pytest.raises(MissingInput, match="^document 'd9' is not in the index$"):
-            select_snippets(question, [("d9", 1.0)], parse_config({}), resources)
 
     def test_snip_cosine_splits_through_document_sentences(self, micro_collection, monkeypatch):
         """snip_cosine builds one table, from exactly the ranked documents, in rank order."""
@@ -441,6 +437,20 @@ class TestAnswersMatchTextPath:
             result = answer_question(question, parse_config(ANSWER_CONFIG), resources)
         assert result.ideal_answer.startswith("Sleep improves immunity.")
         assert {c.args for c in tokenize.call_args_list} == {(question.body,)}
+
+    @pytest.mark.parametrize("answer", [True, False], ids=["answer", "snippets"])
+    def test_answering_looks_up_the_question_once(self, micro_collection, answer):
+        """One vocabulary lookup of the question serves both BM25 and the snippets."""
+        question = make_question("q", body="Do vaccines, antibiotics or sleep help? Sleep.")
+        resources = Resources(collection=micro_collection, index=build_index(micro_collection),
+                              scorer=CosineScorer(), feedback=FeedbackStore())
+        resources.feedback.add("q", "d1", IRRELEVANT)
+        word_ids = SentenceTable.word_ids
+        with mock.patch.object(SentenceTable, "word_ids", autospec=True,
+                               side_effect=word_ids) as lookup:
+            result = answer_question(question, parse_config(ANSWER_CONFIG), resources, answer)
+        assert sorted(result.documents) == ["d2", "d3"]
+        assert lookup.call_count == 1
 
     @pytest.mark.parametrize("judged", [False, True], ids=["no feedback", "snippet feedback"])
     def test_answering_makes_spans_only_of_the_returned_snippets(self, micro_collection, judged):
