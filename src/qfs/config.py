@@ -110,8 +110,9 @@ def parse_config(payload: dict, where: str = "config") -> PipelineConfig:
         if key == "default":
             round_docs_default = count
         else:
-            require(isinstance(key, str) and re.fullmatch("-?[0-9]+", key) is not None,
-                    f"retrieval.round_docs keys must be integers or 'default', got {key!r}")
+            require(isinstance(key, str) and re.fullmatch("0|-?[1-9][0-9]{0,17}", key) is not None,
+                    "retrieval.round_docs keys must be integers in plain decimal form (one"
+                    f" key per round) of at most 18 digits, or 'default', got {key!r}")
             round_docs[int(key)] = count
     retrieval = RetrievalConfig(
         r("method", STRING, "bm25"), float(r("lambda", NUMBER, 0.5)),

@@ -46,11 +46,11 @@ replay of answering; gold candidates (no table rows) go through it. It composes
 the same two functions, :func:`_term_pairs` and :func:`_cosines`, so
 there is one kernel, and both paths score ``==``: a row's ids are the
 tokens of its text, both vocabularies sort by term, and the kernel reads
-only term order and equality. The sort is sized by the snippet pool's
-tokens, the scoring by its triples; no array is collection- or
-vocabulary-sized. The sums are sequential: every norm and dot product
-adds its terms one at a time in sorted term order, never pairwise, so
-scores are the same bit for bit on every platform.
+only term order and equality. Per-question code calls ndarray methods and
+ufuncs, not numpy's Python-level module functions: ``np.flatnonzero(x)`` is
+``x.nonzero()[0]`` behind about nine interpreter calls, and on a question's
+arrays of a few hundred elements such calls cost more than the work. Code run
+once per index, on large arrays, may use them.
 
 Candidate sentences keep their *occurrence index*, the 0-based position
 in the post-retrieval candidate list. Tie-breaking everywhere favors
@@ -248,19 +248,19 @@ def _term_pairs(lengths: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, ...
     narrow = not len(terms) or int(terms.max()) < 1 << (31 - bits)
     keys = terms.astype(np.int32 if narrow else np.int64)  # a copy, so built in place
     keys <<= bits
-    keys |= np.repeat(np.arange(n, dtype=keys.dtype), lengths)
+    keys |= np.arange(n, dtype=keys.dtype).repeat(lengths)
     keys.sort()
     edges = run_edges(keys)  # one run per (term, sentence) pair
     pairs = keys[edges[:-1]]
-    return pairs >> bits, pairs & ((1 << bits) - 1), np.diff(edges)
+    return pairs >> bits, pairs & ((1 << bits) - 1), edges[1:] - edges[:-1]
 
 
 def _subset(pairs: tuple[np.ndarray, ...], keep: np.ndarray) -> tuple[np.ndarray, ...]:
     """The triples of the sentences where boolean ``keep`` is true, those
     renumbered 0, 1, ... in order; still sorted by term, then sentence."""
     term, sentence, tf = pairs
-    at = np.flatnonzero(keep.take(sentence))  # take: half the time of fancy indexing here
-    return term.take(at), (np.cumsum(keep) - 1).take(sentence.take(at)), tf.take(at)
+    at = keep.take(sentence).nonzero()[0]  # take: half the time of fancy indexing here
+    return term.take(at), (keep.cumsum() - 1).take(sentence.take(at)), tf.take(at)
 
 
 def _cosines(asked: np.ndarray, n: int, pairs: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -270,33 +270,35 @@ def _cosines(asked: np.ndarray, n: int, pairs: tuple[np.ndarray, ...]) -> np.nda
     question's token ids, and ids no sentence holds are ignored. Every
     array is sized by the pairs, never by the vocabulary. Sums: the pairs
     are in term order and ``np.bincount`` adds in input order, so each
-    norm and dot product adds its terms one at a time in term order; idf
-    is ``math.log`` of each distinct df.
+    norm and dot product adds its terms one at a time in term order. idf is
+    1 + ``math.log`` (``np.log`` may differ in the last bit) of each distinct df's
+    ``(1 + n) / (1 + df)``: numpy divides these small integers as Python does, as
+    both are exact doubles and the IEEE division is correctly rounded.
     """
     pair_term, pair_sent, tf = pairs
     if not len(pair_term):
         return np.zeros(n)
     term_edges = run_edges(pair_term)  # one run per distinct term
-    words, df = pair_term[term_edges[:-1]], np.diff(term_edges)
-    present = np.flatnonzero(np.bincount(df))
-    idf_of_df = np.zeros(present[-1] + 1)
-    idf_of_df[present] = [math.log((1 + n) / (1 + d)) + 1.0 for d in present.tolist()]
+    words, df = pair_term[term_edges[:-1]], term_edges[1:] - term_edges[:-1]
+    present = np.bincount(df).nonzero()[0]
+    idf_of_df = np.ones(present[-1] + 1)
+    idf_of_df[present] += list(map(math.log, ((1 + n) / (1 + present)).tolist()))
     idf = idf_of_df[df]
-    weight = tf * np.repeat(idf, df)
+    weight = tf * idf.repeat(df)
     norms = np.sqrt(np.bincount(pair_sent, weight * weight, n))
 
-    at = np.minimum(np.searchsorted(words, asked), len(words) - 1)
+    at = np.minimum(words.searchsorted(asked), len(words) - 1)
     q_tf = np.bincount(at[words[at] == asked], minlength=len(words))
-    q_term = np.flatnonzero(q_tf)
+    q_term = q_tf.nonzero()[0]
     if not len(q_term):
         return np.zeros(n)
     q_weight = q_tf[q_term] * idf[q_term]
-    q_weight /= np.sqrt(np.cumsum(q_weight * q_weight)[-1])
+    q_weight /= np.sqrt((q_weight * q_weight).cumsum()[-1])
     begin, size = term_edges[q_term], df[q_term]
     # The pairs of the question's terms: one ragged arange over their runs.
-    shared = np.arange(size.sum()) + np.repeat(begin - (np.cumsum(size) - size), size)
+    shared = np.arange(size.sum()) + (begin - (size.cumsum() - size)).repeat(size)
     rows = pair_sent[shared]
-    products = np.repeat(q_weight, size) * (weight[shared] / norms[rows])
+    products = q_weight.repeat(size) * (weight[shared] / norms[rows])
     return np.minimum(np.bincount(rows, products, n), 1.0)  # each sum is >= 0
 
 
@@ -312,10 +314,8 @@ class CosineScorer:
     Answering never calls this text method: :func:`_snip` sorts the
     token ids of the snippet pool's table rows into :func:`_term_pairs`
     once, and the answer candidates, rows too, are scored from a subset
-    of those pairs. The scores are ``==``, as both vocabularies sort by
-    term and the kernel reads only term order and equality. This method,
-    the adapter for gold candidates and for ``bench/``, composes the
-    same two functions.
+    of those pairs. This method, the adapter for gold candidates and for
+    ``bench/``, composes the same two functions, so the scores are ``==``.
     """
 
     def score_sentences(
@@ -428,8 +428,8 @@ def _snip(question: QuestionRecord, table: SentenceTable, ordinals: Sequence[int
     ordinals = np.asarray(ordinals, dtype=np.intp)
     first = table.doc_ptr[ordinals]
     counts = table.doc_ptr[ordinals + 1] - first
-    owner = np.repeat(np.arange(len(ordinals)), counts)  # pool sentence -> ranked document
-    starts = np.cumsum(counts) - counts  # pool place of each document's first sentence
+    owner = np.arange(len(ordinals)).repeat(counts)  # pool sentence -> ranked document
+    starts = counts.cumsum() - counts  # pool place of each document's first sentence
     rows = np.arange(len(owner)) + (first - starts)[owner]
     pairs = None
     if isinstance(scorer, CosineScorer):
@@ -573,13 +573,15 @@ def _answer_places(qtype: str, scores: Sequence[float], table: Mapping[str, int]
                    place: Sequence[int] | None = None) -> list[int]:
     """The indices of the answer's sentences in place order: the best n scores for
     the question type in ``table`` (the defaults if None), ties to the earlier
-    place. Sentence i's place is ``place[i]``, or i."""
+    place. Sentence i's place is ``place[i]``, or i. Two stable sorts, by place
+    and then by score, give the order of the key ``(-scores[i], place[i])``."""
     if not len(scores):
         raise EmptyInput("cannot assemble an answer from no sentences")
-    place = range(len(scores)) if place is None else place
-    best = sorted(range(len(scores)), key=lambda i: (-scores[i], place[i]))
+    by_place = None if place is None else place.__getitem__
+    order = range(len(scores)) if place is None else sorted(range(len(scores)), key=by_place)
+    best = sorted(order, key=[-s for s in scores].__getitem__)
     return sorted(best[: (DEFAULT_ANSWER_LENGTHS if table is None else table)[qtype]],
-                  key=place.__getitem__)
+                  key=by_place)
 
 
 def assemble_answer(

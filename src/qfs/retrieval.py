@@ -233,9 +233,10 @@ def _token_docs(bounds: np.ndarray, first: int, last: int, dtype=np.intp) -> np.
 
 def run_edges(keys: np.ndarray) -> np.ndarray:
     """Where each run of equal values in sorted ``keys`` starts, then ``len(keys)``."""
-    edge = np.ones(len(keys) + 1, bool)
+    edge = np.empty(len(keys) + 1, bool)
+    edge[0] = edge[-1] = True
     np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
-    return np.flatnonzero(edge)
+    return edge.nonzero()[0]
 
 
 def _postings(table: SentenceTable, is_term: np.ndarray):
@@ -312,8 +313,12 @@ def _top_k(scores: np.ndarray, k: int, floor: float = -math.inf) -> tuple[np.nda
     it are sorted (all that tie with it, for the position tie-break), or
     all those above the floor when the k-th best is not.
     """
-    kth = np.partition(scores, len(scores) - k)[len(scores) - k] if 0 < k < len(scores) else floor
-    keep = np.flatnonzero(scores >= kth if kth > floor else scores > floor)
+    kth = floor
+    if 0 < k < len(scores):
+        part = scores.copy()
+        part.partition(len(scores) - k)
+        kth = part[len(scores) - k]
+    keep = (scores >= kth if kth > floor else scores > floor).nonzero()[0]
     top = keep[np.lexsort((keep, -scores[keep]))[:k]]
     return top, scores[top]
 

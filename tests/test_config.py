@@ -147,6 +147,10 @@ def test_fuzzed_payload_parses_or_raises_malformed_input(payload):
         {"retrieval": {"round_docs": {2: 10}}},
         {"retrieval": {"round_docs": {"default": 0}}},
         {"retrieval": {"round_docs": {"1": 0}}},
+        {"retrieval": {"round_docs": {"01": 7}}},
+        {"retrieval": {"round_docs": {"1": 5, "01": 7}}},
+        {"retrieval": {"round_docs": {"-0": 3}}},
+        {"retrieval": {"round_docs": {"1" * 5000: 3}}},
         {"retrieval": {"method": "bm26"}},
         {"snippets": {"strategy": "rouge"}},
         {"model": {"kind": "bert"}},

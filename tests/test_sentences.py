@@ -479,6 +479,27 @@ class TestAnswersMatchTextPath:
         assert spans.call_count <= config.retrieval.final_snippet_cap
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 20).flatmap(lambda n: st.tuples(
+           st.permutations(range(n)),
+           st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]), min_size=n, max_size=n),
+           st.integers(1, n + 2))),
+       st.sampled_from(sorted(pipeline.DEFAULT_ANSWER_LENGTHS)))
+def test_answer_takes_the_best_scores_ties_to_the_earlier_place(drawn, qtype):
+    """Sentences whose places are not in list order, with tied scores (0.0 and
+    -0.0 tie too): the answer is the best n under (-score, place), joined in
+    place order. Without places, a sentence's place is its index."""
+    place, scores, length = drawn
+    n, table = len(place), {**pipeline.DEFAULT_ANSWER_LENGTHS, qtype: length}
+    scored = [ScoredSentence(f"s{i}", SnippetSpan("d", "s", i, i + 1), place[i], scores[i])
+              for i in range(n)]
+    best = sorted(range(n), key=lambda i: (-scores[i], place[i]))[:length]
+    assert assemble_answer(qtype, scored, table) == " ".join(
+        f"s{i}" for i in sorted(best, key=place.__getitem__))
+    best = sorted(range(n), key=lambda i: (-scores[i], i))[:length]
+    assert pipeline._answer_places(qtype, scores, table) == sorted(best)
+
+
 # Pools of token-id sentences: tokenless ones, words repeated within and
 # across sentences, and up to 40 distinct terms, so that a norm or dot
 # product adds enough terms for a change of summation order to show.
