@@ -185,10 +185,6 @@ class DocumentCollection:
             for s in range(self._doc_ptr[d], self._doc_ptr[d + 1])
         ))
 
-    def section(self, d: int, k: int) -> int:
-        """The number of document ``d``'s section ``k``."""
-        return self._doc_ptr[d] + k
-
     def find_section(self, d: int, section_id: str) -> int | None:
         """The number of document ``d``'s first section named ``section_id``, if any."""
         try:

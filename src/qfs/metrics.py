@@ -19,13 +19,16 @@ chunk of its own. A chunk's texts are tokenized in one numpy pass over
 their bytes, joined by spaces: ASCII texts through one
 ``bytes.translate`` with ``textproc.TOKEN_BYTES``, others as each text's
 ``token_surfaces`` in UTF-8. Each token's text is a ``searchsorted`` on
-the text ends. One ``np.unique`` of the tokens' keys
+the text ends. A token's id is its key's rank among the V distinct keys
 (:func:`qfs.textproc.split_words`: the packed bytes, or a number from a
-dict of the chunk for a word over 8 bytes) gives the V distinct tokens
-ids 0..V-1. Which id a token gets changes no score: counts and matches
-only compare ids, and V only sets the key packing. A unigram's key is
-its id a and a skip-bigram (a, b) at gap 1..5 within one text is
-V + a*V + b. Texts are numbered question by question, as q << L | local:
+dict of the chunk for a word over 8 bytes), 0..V-1: one ``argsort`` of
+the keys, then a running count of the changes between consecutive sorted
+keys, written back at the tokens' places, which are the ids of
+``np.unique(keys, return_inverse=True)``. Which id a token gets changes
+no score, though: counts and matches only compare ids, and V only sets
+the key packing. A unigram's key is its id a and a skip-bigram (a, b)
+at gap 1..5 within one text is V + a*V + b.
+Texts are numbered question by question, as q << L | local:
 reference j of question q is local j and its candidate c is local R + c,
 where R is the most references any question of the chunk has and L the
 bit width of the largest local number. A unit packs as key << S | text,
@@ -49,7 +52,7 @@ precision, recall and F1 follow :meth:`RougeScore.from_pr`'s float64
 operations in its order, on a (questions, locals, R) block from which
 each question's (candidates, references) slice is cut, so every score is
 exact and does not depend on the chunk. A text without tokens scores
-zero.
+zero. The kernel keeps the per-call rule of :mod:`qfs`.
 
 A question may have several ideal answers. A candidate's score for the
 question is its best over them: labels and the oracle scorer rank by the
@@ -132,7 +135,7 @@ def grouped_su4_scores(questions: Iterable[Question]) -> list[Scores]:
     chunk: list[Question] = []
     size = 0
     for question in questions:
-        n = 1 + sum(len(text) + 1 for text in chain(*question))
+        n = 1 + sum(map(len, question)) + sum(map(len, chain(*question)))
         if chunk and size + n > _CHUNK_SIZE:
             out += _su4_chunk(chunk)
             chunk, size = [], 0
@@ -174,11 +177,18 @@ def _token_ids(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, int]:
         pieces = [" ".join(token_surfaces(text)).encode() for text in texts]
         words = b" ".join(pieces)
     begin, keys = split_words(words, defaultdict(count().__next__))
+    n = len(keys)
     # Piece i ends with the space after it: the first i + 1 lengths, plus i + 1.
-    ends = np.cumsum(np.fromiter(map(len, pieces), np.int64, len(pieces)) + 1)
-    text = np.append(ends.searchsorted(begin, "right"), [len(texts)] * (SU4_SKIP + 1))
-    unique, inverse = np.unique(keys, return_inverse=True)
-    return text, np.append(inverse, np.zeros(SU4_SKIP + 1, np.int64)), len(unique)
+    ends = (np.fromiter(map(len, pieces), np.int64, len(pieces)) + 1).cumsum()
+    text = np.empty(n + SU4_SKIP + 1, np.int64)
+    text[n:] = len(texts)
+    text[:n] = ends.searchsorted(begin, "right")
+    order = keys.argsort()
+    keys = keys[order]
+    rank = (keys[1:] != keys[:-1]).cumsum()
+    ids = np.zeros(n + SU4_SKIP + 1, np.int64)
+    ids[order[1:]] = rank  # the first sorted key's rank is 0
+    return text, ids, int(rank[-1]) + 1 if len(rank) else n
 
 
 def _su4(

@@ -46,11 +46,8 @@ replay of answering; gold candidates (no table rows) go through it. It composes
 the same two functions, :func:`_term_pairs` and :func:`_cosines`, so
 there is one kernel, and both paths score ``==``: a row's ids are the
 tokens of its text, both vocabularies sort by term, and the kernel reads
-only term order and equality. Per-question code calls ndarray methods and
-ufuncs, not numpy's Python-level module functions: ``np.flatnonzero(x)`` is
-``x.nonzero()[0]`` behind about nine interpreter calls, and on a question's
-arrays of a few hundred elements such calls cost more than the work. Code run
-once per index, on large arrays, may use them.
+only term order and equality. Per-question code keeps the per-call rule of
+:mod:`qfs`.
 
 Candidate sentences keep their *occurrence index*, the 0-based position
 in the post-retrieval candidate list. Tie-breaking everywhere favors
@@ -245,7 +242,7 @@ def _term_pairs(lengths: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, ...
     n = len(lengths)
     bits = n.bit_length()  # a key is term << bits | sentence
     # int32 keys sort about twice as fast as int64 ones, when they fit.
-    narrow = not len(terms) or int(terms.max()) < 1 << (31 - bits)
+    narrow = not len(terms) or int(np.maximum.reduce(terms)) < 1 << (31 - bits)
     keys = terms.astype(np.int32 if narrow else np.int64)  # a copy, so built in place
     keys <<= bits
     keys |= np.arange(n, dtype=keys.dtype).repeat(lengths)
@@ -281,9 +278,9 @@ def _cosines(asked: np.ndarray, n: int, pairs: tuple[np.ndarray, ...]) -> np.nda
     term_edges = run_edges(pair_term)  # one run per distinct term
     words, df = pair_term[term_edges[:-1]], term_edges[1:] - term_edges[:-1]
     present = np.bincount(df).nonzero()[0]
-    idf_of_df = np.ones(present[-1] + 1)
-    idf_of_df[present] += list(map(math.log, ((1 + n) / (1 + present)).tolist()))
-    idf = idf_of_df[df]
+    log_of_df = np.zeros(present[-1] + 1)
+    log_of_df[present] = list(map(math.log, ((1 + n) / (1 + present)).tolist()))
+    idf = log_of_df[df] + 1.0
     weight = tf * idf.repeat(df)
     norms = np.sqrt(np.bincount(pair_sent, weight * weight, n))
 
@@ -296,7 +293,7 @@ def _cosines(asked: np.ndarray, n: int, pairs: tuple[np.ndarray, ...]) -> np.nda
     q_weight /= np.sqrt((q_weight * q_weight).cumsum()[-1])
     begin, size = term_edges[q_term], df[q_term]
     # The pairs of the question's terms: one ragged arange over their runs.
-    shared = np.arange(size.sum()) + (begin - (size.cumsum() - size)).repeat(size)
+    shared = np.arange(np.add.reduce(size)) + (begin - (size.cumsum() - size)).repeat(size)
     rows = pair_sent[shared]
     products = q_weight.repeat(size) * (weight[shared] / norms[rows])
     return np.minimum(np.bincount(rows, products, n), 1.0)  # each sum is >= 0
@@ -386,12 +383,13 @@ def _rows(table: SentenceTable, collection: DocumentCollection, docs: Mapping[in
           rows: np.ndarray):
     """Per row of ``table`` in ``rows``: its span key (document id, section id,
     begin, end) and its section's number in ``collection``; ``docs`` maps table
-    document ordinals to collection ordinals."""
-    columns = (c[rows].tolist() for c in (table.doc, table.section, table.begin, table.end))
-    for t, k, b, e in zip(*columns):
-        d = docs[t]
-        s = collection.section(d, k)
-        yield (collection.ids[d], collection.section_ids[s], b, e), s
+    document ordinals to collection ordinals. No Python code runs per row."""
+    d = np.fromiter(map(docs.__getitem__, table.doc[rows].tolist()), np.intp, len(rows))
+    sections = (collection.doc_ptr[d] + table.section[rows]).tolist()
+    keys = zip(map(collection.ids.__getitem__, d.tolist()),
+               map(collection.section_ids.__getitem__, sections),
+               table.begin[rows].tolist(), table.end[rows].tolist())
+    return zip(keys, sections)
 
 
 def _texts(table: SentenceTable, collection: DocumentCollection, docs: Mapping[int, int],
@@ -559,8 +557,8 @@ def generate_labels(
                                 for question, candidates in checked)
     examples: list[LabeledExample] = []
     for (question, candidates), (*_, f1) in zip(checked, scores):
-        f1s = f1.max(axis=1).tolist()
-        ranked = sorted(range(len(candidates)), key=lambda i: (-f1s[i], i))
+        negated = (-np.maximum.reduce(f1, 1)).tolist()  # a stable sort: ties to the earlier
+        ranked = sorted(range(len(candidates)), key=negated.__getitem__)
         positive = set(ranked[:POSITIVE_LABELS_PER_QUESTION])
         examples.extend(
             LabeledExample(question.body, text, i, int(i in positive), pair_id(question.id, i))

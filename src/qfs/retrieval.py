@@ -344,7 +344,7 @@ def _minmax(scores: np.ndarray) -> np.ndarray:
     """Scale scores to [0, 1]; an all-equal array maps to all 1.0."""
     if not len(scores):
         raise EmptyInput("cannot normalize an empty score list")
-    lo, hi = scores.min(), scores.max()
+    lo, hi = np.minimum.reduce(scores), np.maximum.reduce(scores)
     if hi == lo:
         return np.ones(len(scores))
     return (scores - lo) / (hi - lo)
@@ -398,7 +398,7 @@ def _check_query_vector(dense: DenseStore, query_vector: np.ndarray) -> np.ndarr
         raise DimensionMismatch(
             f"query vector has shape {vec.shape}, store dim is {dense.dim}"
         )
-    norm = float(np.linalg.norm(vec))
+    norm = math.sqrt(vec.dot(vec))  # np.linalg.norm's value for a real vector
     if norm == 0.0 or not math.isfinite(norm):
         raise MalformedInput("query vector cannot be normalized")
     return vec / norm
@@ -425,7 +425,8 @@ def nir_top(index: InvertedIndex, dense: DenseStore, words: np.ndarray, query_ve
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
         # In ordinal order, so that the position tie-break below is the ordinal one.
-        pool = np.sort(_top_k(scores, pool_size, floor=0.0)[0])
+        pool = _top_k(scores, pool_size, floor=0.0)[0]
+        pool.sort()
         if not len(pool):
             return pool, scores[pool]
         scores, matrix = scores[pool], matrix[pool]

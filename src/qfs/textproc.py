@@ -11,7 +11,8 @@ length, in which every other character stands in for its kind.
 Tokens are maximal runs of letters and digits, lowercased. ASCII text is
 tokenized by ``bytes.translate`` through one byte table, ``TOKEN_BYTES``,
 which the sentence table's block build and the SU4 kernel share; other
-text by a regex. Both number tokens through :func:`split_words`.
+text by a regex. Both number tokens through :func:`split_words`, which
+keeps the per-call rule of :mod:`qfs`: the SU4 kernel calls it per chunk.
 """
 
 from __future__ import annotations
@@ -110,13 +111,13 @@ def split_words(words: bytes, long_words: dict[bytes, int]) -> tuple[np.ndarray,
     # at the end and leave every token 8 bytes to read from its start.
     padded = b"".join((b" ", words, b" " * 8))
     in_word = np.frombuffer(padded, dtype=np.uint8) != ord(" ")
-    edges = np.flatnonzero(in_word[1:] != in_word[:-1])
+    edges = (in_word[1:] != in_word[:-1]).nonzero()[0]
     begin = edges[::2]  # offsets into ``words``
     size = edges[1::2] - begin
     # The 8 bytes from each offset after the leading space, as one integer.
     window = np.ndarray(len(padded) - 9, ">u8", padded, offset=1, strides=(1,))
     keys = window[begin] & _WORD_MASKS[np.minimum(size, 8)]
-    at = np.flatnonzero(size > 8)
+    at = (size > 8).nonzero()[0]
     if len(at):
         found = [padded[b + 1 : b + 1 + n] for b, n in zip(begin[at].tolist(), size[at].tolist())]
         keys[at] = LONG_WORD_KEYS + np.fromiter(map(long_words.__getitem__, found), np.uint64)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import chain, count
 from pathlib import Path
 from unittest import mock
@@ -35,7 +35,7 @@ from qfs.pipeline import (
     load_labels,
     save_labels,
 )
-from qfs.textproc import token_surfaces
+from qfs.textproc import split_words, token_surfaces
 
 from conftest import make_question
 
@@ -258,6 +258,16 @@ numbered_texts = st.lists(
 )
 
 
+def unique_token_ids(texts: list[str]) -> tuple[np.ndarray, int]:
+    """The token ids and V as ``np.unique`` gave them before the kernel ranked
+    its keys by argsort: the inverse over the ``split_words`` keys of the
+    texts' tokens, and the number of distinct keys."""
+    words = " ".join(" ".join(token_surfaces(text)) for text in texts).encode()
+    keys = split_words(words, defaultdict(count().__next__))[1]
+    unique, inverse = np.unique(keys, return_inverse=True)
+    return inverse, len(unique)
+
+
 class TestTokenIds:
     @settings(max_examples=300, deadline=None)
     @given(numbered_texts)
@@ -277,6 +287,18 @@ class TestTokenIds:
         pairs = set(zip(surfaces, ids[:n].tolist()))
         assert len(pairs) == len(set(surfaces)) == v
         assert {i for _, i in pairs} == set(range(v))
+
+    @settings(max_examples=300, deadline=None)
+    @given(numbered_texts)
+    @example([])
+    @example(["", "--", " "])
+    @example(["abcdefg abcdefgh abcdefghi", "proteinä Proteinä straße straßen STRAẞEN", "",
+              "größere"])
+    def test_ids_are_the_inverse_of_np_unique(self, texts):
+        _, ids, v = metrics._token_ids(texts)
+        inverse, distinct = unique_token_ids(texts)
+        assert ids[: len(inverse)].tolist() == inverse.tolist()
+        assert v == distinct
 
 
 # Texts over a small vocabulary, so units repeat within and across texts:
@@ -423,24 +445,34 @@ def labelled_question(i: int, candidates: list[str], references: list[str],
                          ideal_answers=tuple(references))
 
 
+# (candidates, references) of 1 to 4 questions to label.
+label_specs = st.lists(
+    st.tuples(
+        st.lists(REPEATING_TEXTS.map(lambda t: f"Z {t}."), min_size=1, max_size=9),
+        st.lists(SU4_TEXTS, min_size=1, max_size=3),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
 class TestLabelsMatchCounterOracle:
     def test_golden_questions(self):
         questions = load_question_set(GOLDEN / "questions.json")
         assert [ex.label for ex in generate_labels(questions)] == counter_labels(questions)
 
-    @given(
-        st.lists(
-            st.tuples(
-                st.lists(REPEATING_TEXTS.map(lambda t: f"Z {t}."), min_size=1, max_size=9),
-                st.lists(SU4_TEXTS, min_size=1, max_size=3),
-            ),
-            min_size=1,
-            max_size=4,
-        )
-    )
+    @given(label_specs)
     def test_question_sets(self, specs):
         questions = [labelled_question(i, c, r) for i, (c, r) in enumerate(specs)]
         assert [ex.label for ex in generate_labels(questions)] == counter_labels(questions)
+
+    @given(label_specs, st.sampled_from([1, 40, 1 << 15]))
+    def test_one_question_at_a_time_labels_as_the_set(self, specs, chunk_size):
+        # The benchmark labels one question per call, `qfs label` the whole set.
+        questions = [labelled_question(i, c, r) for i, (c, r) in enumerate(specs)]
+        with mock.patch.object(metrics, "_CHUNK_SIZE", chunk_size):
+            together = generate_labels(questions)
+        assert [ex for q in questions for ex in generate_labels([q])] == together
 
 
 class TestCrossValidateMatchesCounterOracle:
