@@ -25,6 +25,7 @@ from __future__ import annotations
 import logging
 import struct
 import weakref
+from array import array
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
@@ -117,11 +118,6 @@ class DenseStore:
         return cls(list(raw), matrix)
 
 
-def _stacked(vectors: dict[str, np.ndarray], dim: int) -> DenseStore:
-    """A store of ``vectors`` in insertion order, each a float64 ``(dim,)`` array."""
-    return DenseStore(vectors, np.stack(list(vectors.values())) if vectors else np.zeros((0, dim)))
-
-
 def load_word_embeddings(path: str | Path) -> DenseStore:
     """Read a word-vector text file as a float64 store."""
     with closing(read_lines(path)) as lines:
@@ -157,7 +153,7 @@ def load_word_embeddings(path: str | Path) -> DenseStore:
         raise MalformedInput(
             f"{path}: header declares {count} words, file holds {len(table)}"
         )
-    return _stacked(table, dim)
+    return DenseStore(table, np.stack(list(table.values())) if table else np.zeros((0, dim)))
 
 
 @dataclass
@@ -269,10 +265,16 @@ def read_context_embeddings(path: str | Path) -> Iterator[ContextEmbeddingRecord
 def load_context_embeddings(path: str | Path) -> DenseStore:
     """A CEMB file as a float64 store: pair id -> the mean of the record's
     masked (candidate sentence) token rows, pooled as each record is read.
-    A file without records gives an empty store of dim 0."""
-    vectors: dict[str, np.ndarray] = {}
+    A file without records gives an empty store of dim 0. The vectors grow in
+    one ``array("d")``, which the store's matrix then views."""
+    rows: dict[str, int] = {}
+    pooled = array("d")
     for rec in read_context_embeddings(path):
-        if rec.pair_id in vectors:
+        vector = rec.tokens[rec.sentence_mask].astype(np.float64).mean(axis=0).tobytes()
+        at = rows.setdefault(rec.pair_id, len(rows)) * rec.dim
+        if at < len(pooled):
             logger.warning("duplicate pair id %r; last occurrence wins", rec.pair_id)
-        vectors[rec.pair_id] = rec.tokens[rec.sentence_mask].astype(np.float64).mean(axis=0)
-    return _stacked(vectors, 0)
+            pooled[at : at + rec.dim] = array("d", vector)
+        else:
+            pooled.frombytes(vector)
+    return DenseStore(rows, np.frombuffer(pooled).reshape(len(rows), -1 if rows else 0))

@@ -40,19 +40,20 @@ characters has Q + T + A <= 2**15; a text of a characters holds at most
 question larger than a chunk, scored alone, can reach the bound. The
 units come from one gap-major (6, N) array over the N tokens, row g
 holding each token with the token g later, so every row is long. Sorting
-the packed units and cutting them into runs counts each text's units.
-The join: runs of one key in one question (one value of unit >> L) are
-one key group, each reference slot's count of every group is scattered
-into a slot-major (R, groups) table, and each run gathers its group's
-column, so ``np.minimum`` with its own count and ``np.bincount`` by
-(text, slot) give the clipped matches. A candidate is matched only
-against its own question's references; the references' own runs fall in
-rows of no candidate and are dropped. Those are exact integers, and
-precision, recall and F1 follow :meth:`RougeScore.from_pr`'s float64
-operations in its order, on a (questions, locals, R) block from which
-each question's (candidates, references) slice is cut, so every score is
-exact and does not depend on the chunk. A text without tokens scores
-zero. The kernel keeps the per-call rule of :mod:`qfs`.
+the packed units and cutting them into runs
+(:func:`qfs.textproc.run_edges`) counts each text's units. The join:
+runs of one key in one question (one value of unit >> L) are one key
+group, each reference slot's count of every group is scattered into a
+slot-major (R, groups) table, and each run gathers its group's column,
+so ``np.minimum`` with its own count and ``np.bincount`` by (text, slot)
+give the clipped matches. A candidate is matched only against its own
+question's references; the references' own runs fall in rows of no
+candidate and are dropped. Those are exact integers, and precision,
+recall and F1 follow :meth:`RougeScore.from_pr`'s float64 operations in
+its order, on a (questions, locals, R) block from which each question's
+(candidates, references) slice is cut, so every score is exact and does
+not depend on the chunk. A text without tokens scores zero. The kernel
+keeps the per-call rule of :mod:`qfs`.
 
 A question may have several ideal answers. A candidate's score for the
 question is its best over them: labels and the oracle scorer rank by the
@@ -72,7 +73,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .errors import EmptyInput, MalformedInput
-from .textproc import TOKEN_BYTES, split_words, token_surfaces
+from .textproc import TOKEN_BYTES, run_edges, split_words, token_surfaces
 
 SU4_SKIP = 4
 _INT64_SPAN = 2**63
@@ -215,10 +216,7 @@ def _su4(
     units[1:] += pair_base
     units = units[_later(owner, n) == owner[:n]]  # both tokens in one text
     units.sort()
-    edge = np.empty(len(units) + 1, bool)  # run boundaries of equal (unit, text)
-    edge[0] = edge[-1] = True
-    np.not_equal(units[1:], units[:-1], out=edge[1:-1])
-    edges = edge.nonzero()[0]
+    edges = run_edges(units)  # one run per (unit, text)
     counts, units = edges[1:] - edges[:-1], units[edges[:-1]]
     text = units & ((1 << shift) - 1)
     total = np.bincount(text, counts, n_q << local_bits)

@@ -10,6 +10,9 @@ and :func:`answer_question` (``qfs snippets`` and ``qfs answer``):
 * answer scoring scores the candidates left after feedback filtering,
   and the best are joined into the ideal answer.
   Phase B (``cross_validate``) starts here, from gold snippet sentences.
+  Its labels are the :class:`OracleScorer`'s top five (picked as an answer
+  is, by :func:`_answer_places`) over one checked candidate list,
+  :func:`_gold_texts`, which cross-validation answers from too.
 
 Every sentence score comes from a :class:`SentenceScorer` that :data:`SCORERS`
 names: constant, tf-idf cosine and the SU4 oracle, untrained, then the classifier
@@ -100,9 +103,9 @@ from .fileio import (
 )
 from .metrics import grouped_su4_scores
 from .neural import KINDS, LabeledExample, TrainConfig, forward, train
-from .retrieval import InvertedIndex, RankedList, _ranked, bm25_top, nir_top, run_edges
+from .retrieval import InvertedIndex, RankedList, _ranked, bm25_top, nir_top
 from .sentences import SentenceTable
-from .textproc import sentence_bounds, token_surfaces
+from .textproc import run_edges, sentence_bounds, token_surfaces
 
 logger = logging.getLogger(__name__)
 
@@ -332,7 +335,7 @@ class CosineScorer:
 
 
 class OracleScorer:
-    """Scores a sentence by its true SU4-F1 against the ideal answers.
+    """Scores a sentence by its SU4-F1 against its best ideal answer; labels rank by it.
 
     It reads the gold answers it is judged by, so it is an evaluation
     ceiling, not a way to answer a new question: a question without ideal
@@ -346,7 +349,7 @@ class OracleScorer:
         answered = [i for i, q in enumerate(questions) if q.ideal_answers]
         grouped = grouped_su4_scores((texts[i], questions[i].ideal_answers) for i in answered)
         for i, (*_, f1) in zip(answered, grouped):
-            scores[i] = f1.max(axis=1).tolist()
+            scores[i] = np.maximum.reduce(f1, 1).tolist()
         return scores
 
 
@@ -496,20 +499,6 @@ def _check_ideal_answers(question: QuestionRecord) -> None:
         raise MissingInput(f"question {question.id!r} has no ideal answers")
 
 
-def _check_gold(question: QuestionRecord) -> None:
-    """A question answered from its gold snippets needs ideal answers and a
-    candidate sentence: a snippet with text that is not all whitespace."""
-    _check_ideal_answers(question)
-    if not any(s.text.strip() for s in question.gold_snippets):
-        raise EmptyInput(f"question {question.id!r} has no candidate sentences")
-
-
-def _gold_candidates(question: QuestionRecord) -> list[str]:
-    """Candidate sentence texts of a question that passes :func:`_check_gold`."""
-    _check_gold(question)
-    return [text for *_, text in _gold_sentences(question)]
-
-
 def _check_gold_offsets(question: QuestionRecord, collection: DocumentCollection) -> None:
     """Every gold snippet must be the exact slice of its section text."""
     for s in question.gold_snippets:
@@ -532,34 +521,41 @@ def _check_gold_offsets(question: QuestionRecord, collection: DocumentCollection
         )
 
 
+def _gold_texts(questions: Sequence[QuestionRecord],
+                collection: DocumentCollection | None) -> list[list[str]]:
+    """Each question's candidate sentence texts (:func:`_gold_sentences`), once
+    every question is checked, in order: when a collection is given, each gold
+    snippet must be the exact slice of its section text (``MalformedInput``
+    naming the question and the document), and a question needs ideal answers
+    and a candidate sentence, a snippet with text that is not all whitespace."""
+    for question in questions:
+        if collection is not None:
+            _check_gold_offsets(question, collection)
+        _check_ideal_answers(question)
+        if not any(s.text.strip() for s in question.gold_snippets):
+            raise EmptyInput(f"question {question.id!r} has no candidate sentences")
+    return [[text for *_, text in _gold_sentences(q)] for q in questions]
+
+
 def generate_labels(
     questions: QuestionSet | Sequence[QuestionRecord],
     collection: DocumentCollection | None = None,
 ) -> list[LabeledExample]:
-    """Binary labels from gold snippets: 1 for the top-5 sentences by SU4-F1.
+    """Binary labels from gold snippets: 1 for the oracle's top-5 sentences.
 
-    Candidates are the sentences of the gold snippets in order, each
-    scored by its best reference; ties at the cut-off rank resolve in
-    favor of the earlier occurrence. Every question is checked first, in
-    order: when a collection is given, every gold snippet must be the
-    exact slice of its section text, or ``MalformedInput`` names the
-    question and the document, and a question needs ideal answers and
-    candidate sentences. Then all questions are scored in one
-    :func:`qfs.metrics.grouped_su4_scores` call.
+    Candidates are the sentences of the gold snippets in order
+    (:func:`_gold_texts`, which checks every question first), each scored
+    by :class:`OracleScorer`, its SU4-F1 against its best reference, for
+    all questions in one call; the five best are picked as answers are
+    (:func:`_answer_places`), ties to the earlier occurrence.
     """
-    checked = []
-    for question in questions:
-        if collection is not None:
-            _check_gold_offsets(question, collection)
-        candidates = _gold_candidates(question)
-        checked.append((question, candidates))
-    scores = grouped_su4_scores((candidates, question.ideal_answers)
-                                for question, candidates in checked)
+    questions = list(questions)
+    texts = _gold_texts(questions, collection)
+    scores = OracleScorer().score_questions(questions, texts, [range(len(t)) for t in texts])
     examples: list[LabeledExample] = []
-    for (question, candidates), (*_, f1) in zip(checked, scores):
-        negated = (-np.maximum.reduce(f1, 1)).tolist()  # a stable sort: ties to the earlier
-        ranked = sorted(range(len(candidates)), key=negated.__getitem__)
-        positive = set(ranked[:POSITIVE_LABELS_PER_QUESTION])
+    for question, candidates, q_scores in zip(questions, texts, scores):
+        top = {question.qtype: POSITIVE_LABELS_PER_QUESTION}
+        positive = set(_answer_places(question.qtype, q_scores, top))
         examples.extend(
             LabeledExample(question.body, text, i, int(i in positive), pair_id(question.id, i))
             for i, text in enumerate(candidates)
@@ -711,15 +707,14 @@ OracleModelSpec = partial(ModelSpec, "oracle")
 
 
 def best_reference_f1(questions: Sequence[QuestionRecord], answers: Sequence[str]) -> list[float]:
-    """Each answer text's SU4-F1 against the best of its question's ideal answers,
-    from one :func:`qfs.metrics.grouped_su4_scores` call. :func:`cross_validate`
+    """Each answer text's SU4-F1 against the best of its question's ideal answers:
+    :class:`OracleScorer`'s score of it as a one-sentence list. :func:`cross_validate`
     scores each fold's answers with it, and ``bench/run.py`` times that step by
     this name. A question without ideal answers is ``MissingInput``."""
     for question in questions:
         _check_ideal_answers(question)
-    scores = grouped_su4_scores(([answer], question.ideal_answers)
-                                for question, answer in zip(questions, answers))
-    return [float(f1.max()) for *_, f1 in scores]
+    texts = [[answer] for answer in answers]
+    return [s for s, in OracleScorer().score_questions(questions, texts, [[0]] * len(texts))]
 
 
 @dataclass
@@ -754,22 +749,19 @@ def cross_validate(
     snippets by a scorer fitted on the other folds, then scored with
     best-reference SU4-F1 against the ideal answers. Per fold, the scorer
     is fitted once, then one ``score_questions`` call scores the fold's
-    candidates, split only then, and one :func:`best_reference_f1` call
-    its answers. The overall mean is over all questions (folds may
-    differ in size by one). Every question is checked before the first
-    fold, as :func:`generate_labels` checks them: against the collection
-    when one is given, so each is checked once (a classifier kind is
-    fitted without it), and for ideal answers and a candidate sentence.
+    candidates and one :func:`best_reference_f1` call its answers. The
+    overall mean is over all questions (folds may differ in size by one).
+    Every question is checked and split once, before the first fold, by
+    :func:`_gold_texts` as :func:`generate_labels` does: against the
+    collection when one is given (a classifier kind is fitted without it),
+    and for ideal answers and a candidate sentence.
     """
     if k < 2:
         raise ValueError(f"cross-validation needs at least 2 folds, got {k}")
     question_list = list(questions)
     if len(question_list) < k:
         raise EmptyInput(f"{len(question_list)} questions for {k} folds")
-    for question in question_list:
-        if collection is not None:
-            _check_gold_offsets(question, collection)
-        _check_gold(question)
+    gold_texts = _gold_texts(question_list, collection)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(question_list))
     folds = np.array_split(order, k)
@@ -781,7 +773,7 @@ def cross_validate(
         train_questions = [q for i, q in enumerate(question_list) if i not in held_out]
         scorer = model_spec.fit(train_questions, None)  # checked above
         fold_questions = [question_list[i] for i in sorted(held_out)]
-        texts = [_gold_candidates(q) for q in fold_questions]
+        texts = [gold_texts[i] for i in sorted(held_out)]
         scores = scorer.score_questions(fold_questions, texts, [range(len(t)) for t in texts])
         answers = [" ".join(t[j] for j in _answer_places(q.qtype, s, None))
                    for q, t, s in zip(fold_questions, texts, scores)]

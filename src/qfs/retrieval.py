@@ -70,7 +70,8 @@ from .corpus import DocumentCollection
 from .embeddings import DenseStore
 from .errors import DimensionMismatch, EmptyInput, MalformedInput
 from .fileio import BinaryReader, open_output
-from .sentences import SentenceTable
+from .sentences import SentenceTable, doc_blocks
+from .textproc import run_edges
 
 logger = logging.getLogger(__name__)
 
@@ -214,29 +215,9 @@ def _text_columns(collection: DocumentCollection, ordinals: list[int]) -> tuple[
             collection.crc32(ordinals))
 
 
-def _doc_blocks(bounds: np.ndarray) -> list[tuple[int, int]]:
-    """Runs of whole documents of about 2**16 tokens, as (first, last + 1) ordinals.
-
-    Document d holds tokens ``bounds[d]:bounds[d + 1]``. A run starts at
-    document 0 and at each document holding a token whose index is a
-    multiple of 2**16.
-    """
-    cuts = np.searchsorted(bounds, np.arange(1 << 16, bounds[-1], 1 << 16), "right") - 1
-    cuts = np.unique(np.r_[0, cuts, len(bounds) - 1]).tolist()
-    return list(zip(cuts, cuts[1:]))
-
-
 def _token_docs(bounds: np.ndarray, first: int, last: int, dtype=np.intp) -> np.ndarray:
     """For each token of documents first..last-1, its document ordinal minus ``first``."""
     return np.repeat(np.arange(last - first, dtype=dtype), np.diff(bounds[first : last + 1]))
-
-
-def run_edges(keys: np.ndarray) -> np.ndarray:
-    """Where each run of equal values in sorted ``keys`` starts, then ``len(keys)``."""
-    edge = np.empty(len(keys) + 1, bool)
-    edge[0] = edge[-1] = True
-    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
-    return edge.nonzero()[0]
 
 
 def _postings(table: SentenceTable, is_term: np.ndarray):
@@ -249,7 +230,7 @@ def _postings(table: SentenceTable, is_term: np.ndarray):
     n_terms = int(is_term.sum())
     row_of = _term_rows(is_term)
     bounds = table.indptr[table.doc_ptr]
-    blocks = _doc_blocks(bounds)
+    blocks = doc_blocks(bounds, 1 << 16)
 
     def pairs(first: int, last: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Unique (term row, doc) pairs of docs first..last-1 by row then doc, and tfs."""
@@ -554,7 +535,7 @@ def load_index(path: str | Path, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -
     term_tokens = [
         np.bincount(_token_docs(bounds, first, last), minlength=last - first,
                     weights=is_term[token_ids[bounds[first] : bounds[last]]])
-        for first, last in _doc_blocks(bounds)
+        for first, last in doc_blocks(bounds, 1 << 16)
     ]
     require(np.array_equal(np.concatenate(term_tokens), doc_len),
             "doc lengths disagree with the sentence tokens")

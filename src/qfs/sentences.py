@@ -10,11 +10,15 @@ tokens are ``token_ids[indptr[s]:indptr[s + 1]]`` (CSR form): ids into
 
 Sentences follow :func:`qfs.textproc.sentence_bounds` and a sentence's
 tokens are :func:`qfs.textproc.token_surfaces` of its text. The table is
-built from blocks of whole documents of about ``_BLOCK_CHARS``
-characters. A block's sections, joined by newlines with each section
-start a cut, are split as one text (the join rule of
-:func:`qfs.textproc.sentence_bounds`) and, where ASCII, tokenized as one
-through :data:`qfs.textproc.TOKEN_BYTES`, with numpy for spans and counts.
+built from blocks of whole documents cut by the one block rule,
+:func:`doc_blocks`, which the index's postings build and load share: here
+its unit is a byte of the collection's UTF-8 buffer, and a block starts at
+each document holding a byte whose offset is a multiple of ``_BLOCK_CHARS``.
+Block bounds change no column, as ids are remapped at the end. A block's sections,
+joined by newlines with each section start a cut, are split as one text
+(the join rule of :func:`qfs.textproc.sentence_bounds`) and, where ASCII,
+tokenized as one through :data:`qfs.textproc.TOKEN_BYTES`, with numpy for
+spans and counts.
 The joined bytes are sliced from the collection's UTF-8 buffer, one
 slice per run of consecutive sections, and are the text itself when the
 block is all ASCII; a block with other sections is decoded. Those
@@ -37,7 +41,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from itertools import chain, count, islice
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,12 +51,14 @@ from .textproc import (
     ASCII_STAND_INS, LONG_WORD_KEYS, TOKEN_BYTES, sentence_breaks, split_words, token_surfaces,
 )
 
-# Characters of text per block. Each block pays fixed numpy calls and, when
-# it holds a new word, one copy of the key table; its temporaries are a few
-# bytes per character. On seed-2468 abstracts-bm25 (2 CPUs, median of 3 in
-# process) build_index took 1.32, 1.22, 1.18, 1.17 and 1.31 s at 2**15 to
-# 2**19, and the bench's peak_rss_mb read 134.6-136.0 MB at 2**15 to 2**18
-# alike: 2**17 is the smallest block within the noise of the fastest.
+# Bytes of section text per block (:func:`doc_blocks`), counted in the
+# collection's UTF-8 buffer with one separator byte per section. Each block
+# pays fixed numpy calls and, when it holds a new word, one copy of the key
+# table; its temporaries are a few bytes per character. On seed-2468
+# abstracts-bm25 (2 CPUs, median of 3 in process) build_index took 1.32,
+# 1.22, 1.18, 1.17 and 1.31 s at 2**15 to 2**19 characters, and the bench's
+# peak_rss_mb read 134.6-136.0 MB at 2**15 to 2**18 alike: 2**17 is the
+# smallest block within the noise of the fastest.
 _BLOCK_CHARS = 1 << 17
 # Per byte: 0 if an ASCII character that ``str.isspace`` accepts, else 1.
 _SOLID_BYTES = bytes(0 if c < 128 and chr(c).isspace() else 1 for c in range(256))
@@ -141,21 +147,13 @@ def _block_sentences(collection: DocumentCollection, sections: np.ndarray,
     return text, begin - starts[text], end - starts[text], counts, merged
 
 
-def _blocks(collection: DocumentCollection, ordinals: np.ndarray) -> Iterator[np.ndarray]:
-    """Runs of whole documents of ``ordinals`` with about ``_BLOCK_CHARS`` characters each."""
-    sections = collection.sections_of(ordinals)
-    chars = np.zeros(len(sections) + 1, dtype=np.int64)
-    np.cumsum(collection.lengths[sections], out=chars[1:])
-    doc_ends = np.cumsum(collection.doc_ptr[ordinals + 1] - collection.doc_ptr[ordinals])
-    sizes = np.diff(chars[doc_ends], prepend=0).tolist()
-    first, size = 0, 0
-    for i, doc_size in enumerate(sizes):
-        size += doc_size
-        if size >= _BLOCK_CHARS:
-            yield ordinals[first : i + 1]
-            first, size = i + 1, 0
-    if first < len(sizes):
-        yield ordinals[first:]
+def doc_blocks(bounds: np.ndarray, size: int) -> list[tuple[int, int]]:
+    """Runs of whole documents, as (first, last + 1) places: document d spans
+    units ``bounds[d]:bounds[d + 1]``, and a run starts at document 0 and at
+    each document holding a unit whose offset is a multiple of ``size``."""
+    cuts = np.searchsorted(bounds, np.arange(size, bounds[-1], size), "right") - 1
+    cuts = np.unique(np.r_[0, cuts, len(bounds) - 1]).tolist()
+    return list(zip(cuts, cuts[1:]))
 
 
 @dataclass(eq=False)
@@ -189,19 +187,20 @@ class SentenceTable:
         ordinals = np.array([collection.ordinal[doc_id] for doc_id in doc_ids], dtype=np.int64)
         word_ids = _WordIds()
         doc, section, begin, end, length, tokens = (array("i") for _ in range(6))
-        n_docs = 0
-        for block in _blocks(collection, ordinals):
+        starts = collection.starts[collection.doc_ptr]  # each document's first section byte
+        ends = np.cumsum(starts[ordinals + 1] - starts[ordinals])
+        for run_first, run_last in doc_blocks(np.r_[0, ends], _BLOCK_CHARS):
+            block = ordinals[run_first:run_last]
             first = collection.doc_ptr[block]
             counts = collection.doc_ptr[block + 1] - first
             sections = collection.sections_of(block)
-            text_doc = np.repeat(np.arange(n_docs, n_docs + len(block)), counts)
+            text_doc = np.repeat(np.arange(run_first, run_last), counts)
             text_section = sections - np.repeat(first, counts)
             text, *columns, token_ids = _block_sentences(collection, sections, word_ids)
             for out, values in zip((doc, section, begin, end, length),
                                    (text_doc[text], text_section[text], *columns)):
                 out.frombytes(values.astype(np.int32).tobytes())
             tokens.frombytes(token_ids.tobytes())
-            n_docs += len(block)
         ids = word_ids.by_word()
         vocabulary = sorted(ids)
         rank = np.empty(len(ids), dtype=np.int32)
@@ -213,7 +212,7 @@ class SentenceTable:
         indptr = np.zeros(len(length) + 1, dtype=np.int64)
         np.cumsum(np.frombuffer(length, dtype=np.int32), out=indptr[1:])
         columns = [np.frombuffer(col, dtype=np.int32) for col in (doc, section, begin, end)]
-        return cls(*columns, indptr, token_ids, vocabulary, n_docs)
+        return cls(*columns, indptr, token_ids, vocabulary, len(ordinals))
 
     def word_ids(self, words: Iterable[str]) -> np.ndarray:
         """Vocabulary ids of the words that are in the vocabulary, in order."""

@@ -124,6 +124,14 @@ def split_words(words: bytes, long_words: dict[bytes, int]) -> tuple[np.ndarray,
     return begin, keys
 
 
+def run_edges(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in sorted ``keys`` starts, then ``len(keys)``."""
+    edge = np.empty(len(keys) + 1, bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    return edge.nonzero()[0]
+
+
 def sentence_breaks(text: str) -> list[int]:
     """End offsets (exclusive) of every detected sentence boundary."""
     if not text.isascii():

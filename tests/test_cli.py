@@ -976,6 +976,20 @@ def test_answer_scores_at_the_trained_clip_len(tmp_path, monkeypatch):
     assert clips and set(clips) == {2}
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("label", 2, "label must be 0 or 1, not 2"),
+    ("position", -1, "position must be >= 0, not -1"),
+])
+def test_train_refuses_a_label_or_position_out_of_range(tmp_path, field, value, message):
+    lines = (GOLDEN / "labels.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = json.dumps({**json.loads(lines[2]), field: value}) + "\n"
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text("".join(lines), encoding="utf-8")
+    code, err = run_qfs(*TRAIN, "--labels", labels, "--epochs", "1", "--out", tmp_path / "m.qfsm")
+    assert (code, err) == (2, f"error: {labels}:3: bad labeled example: {message}\n")
+    assert not (tmp_path / "m.qfsm").exists()
+
+
 def test_label_with_documents_keeps_the_labels(tmp_path):
     code, err = run_qfs("label", *QUESTIONS, "--docs", GOLDEN / "docs.jsonl",
                         "--out", tmp_path / "l.jsonl")

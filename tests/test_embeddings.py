@@ -334,7 +334,7 @@ class TestPooledLoad:
         finally:
             tracemalloc.stop()
         assert len(store) == n_pairs
-        assert peak < 16 << 20, f"peak {peak} bytes"
+        assert peak < 8 << 20, f"peak {peak} bytes"
 
 
 class TestRecordValidation:
