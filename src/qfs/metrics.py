@@ -11,7 +11,7 @@ question against each reference of the same question, for many
 questions at once. It takes texts, so no caller tokenizes anything.
 :func:`grouped_su4_scores` runs it chunk by chunk; labelling,
 cross-validation (one call per fold) and :func:`evaluate_run` pass it
-all their questions. :func:`su4_scores` is the one-question case.
+all their questions. :func:`su4_scores` is one chunk of one question.
 
 Questions are taken in chunks of at most ``_CHUNK_SIZE`` (a question
 counts 1, plus 1 per text, plus its characters); a larger question is a
@@ -28,7 +28,7 @@ keys, written back at the tokens' places, which are the ids of
 no score, though: counts and matches only compare ids, and V only sets
 the key packing. A unigram's key is its id a and a skip-bigram (a, b)
 at gap 1..5 within one text is V + a*V + b.
-Texts are numbered question by question, as q << L | local:
+Texts are numbered one way, in every chunk, as q << L | local:
 reference j of question q is local j and its candidate c is local R + c,
 where R is the most references any question of the chunk has and L the
 bit width of the largest local number. A unit packs as key << S | text,
@@ -121,12 +121,9 @@ def su4_scores(candidates: Sequence[str], references: Sequence[str]) -> Scores:
     """SU4 precision, recall and F1 of every candidate text against every reference text.
 
     Each result is a float64 array of shape ``(len(candidates), len(references))``.
-    This is :func:`grouped_su4_scores` of one question.
+    This is :func:`grouped_su4_scores` of one question: a chunk of its own.
     """
-    n_r, n_t = len(references), len(candidates) + len(references)
-    precision, recall, f1 = _su4([*references, *candidates], np.arange(n_t + 1), 1, n_r,
-                                 max(n_t - 1, 0).bit_length())
-    return precision[0, n_r:n_t], recall[0, n_r:n_t], f1[0, n_r:n_t]
+    return _su4_chunk([(candidates, references)])[0]
 
 
 def grouped_su4_scores(questions: Iterable[Question]) -> list[Scores]:
@@ -147,10 +144,8 @@ def grouped_su4_scores(questions: Iterable[Question]) -> list[Scores]:
 
 def _su4_chunk(questions: Sequence[Question]) -> list[Scores]:
     """:func:`su4_scores` of each of a non-empty list of questions, in one :func:`_su4`."""
-    if len(questions) == 1:  # the same numbers, from np.arange
-        return [su4_scores(*questions[0])]
-    slots = max(len(references) for _, references in questions)
-    local_bits = max(slots + max(len(c) for c, _ in questions) - 1, 0).bit_length()
+    slots = max([len(references) for _, references in questions])
+    local_bits = max(slots + max([len(c) for c, _ in questions]) - 1, 0).bit_length()
     texts: list[str] = []
     numbers: list[int] = []
     for q, (candidates, references) in enumerate(questions):

@@ -48,8 +48,6 @@ DEFAULT_DENSE_HIDDEN = 50
 
 def position_feature(position: int) -> float:
     """Bounded encoding of a 0-based list position."""
-    if position < 0:
-        raise ValueError("position must be >= 0")
     return 1.0 / (1.0 + position)
 
 

@@ -34,7 +34,8 @@ DROPOUT_STREAM = 0x9E37
 @dataclass(frozen=True)
 class LabeledExample:
     """One (question, candidate sentence) training unit, as the two texts; its
-    tokens are :func:`~qfs.textproc.token_surfaces` of them, made when read."""
+    tokens are :func:`~qfs.textproc.token_surfaces` of them, made when read.
+    The one check of a label (0 or 1) and a position (>= 0) is here."""
 
     question_text: str
     sentence_text: str
@@ -46,9 +47,9 @@ class LabeledExample:
 
     def __post_init__(self) -> None:
         if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
+            raise ValueError(f"label must be 0 or 1, not {self.label!r}")
         if self.position < 0:
-            raise ValueError("position must be >= 0")
+            raise ValueError(f"position must be >= 0, not {self.position!r}")
 
 
 class Adam:

@@ -4,53 +4,15 @@ A question is answered by three stages, which :func:`answer_question`
 composes; the command line composes :func:`retrieve` (``qfs retrieve``)
 and :func:`answer_question` (``qfs snippets`` and ``qfs answer``):
 
-* :func:`retrieve` ranks documents and drops the judged ones; answering
-  keeps them as index ordinals, and makes doc ids only for its output;
+* :func:`retrieve` ranks documents and drops the judged ones;
 * snippet selection (:func:`_snip`) picks sentences of the top documents;
 * answer scoring scores the candidates left after feedback filtering,
   and the best are joined into the ideal answer.
-  Phase B (``cross_validate``) starts here, from gold snippet sentences.
-  Its labels are the :class:`OracleScorer`'s top five (picked as an answer
-  is, by :func:`_answer_places`) over one checked candidate list,
-  :func:`_gold_texts`, which cross-validation answers from too.
+  Phase B starts here, from gold snippet sentences: :func:`generate_labels`
+  labels them, and :func:`cross_validate` answers from them.
 
 Every sentence score comes from a :class:`SentenceScorer` that :data:`SCORERS`
-names: constant, tf-idf cosine and the SU4 oracle, untrained, then the classifier
-kinds (:class:`ModelScorer`, with inputs built as in training). Each scores a
-batch of questions per call: answering passes one, :func:`cross_validate` a fold.
-
-Snippets and answers are scored from the index's
-:class:`~qfs.sentences.SentenceTable`: every document was split and
-tokenized once, when the index was built, so a question only slices
-the table rows of its ranked documents, and looks the question up in the
-vocabulary once, for BM25 and snippets. Snippet selection (:func:`_snip`)
-scores that pool at once and returns the kept rows. With tf-idf cosine,
-it sorts the pool's token ids once into (term, sentence, tf) triples
-(:func:`_term_pairs`), and answer scoring takes the candidates' triples
-from those, renumbered (:func:`_subset`): answering tokenizes no
-sentence and sorts no token twice. Any other scorer gets the texts,
-slices of the section texts at the table's offsets, and a snippet's
-position is its place among all sentences of its document. A row's text
-is read from the collection's columns (:mod:`qfs.corpus`): the ranked
-documents' ordinals are looked up, and one section's bytes are sliced
-per row that needs text, so answering and labelling make no
-:class:`~qfs.corpus.DocumentRecord`.
-:func:`snip_cosine` does the same for a collection without an index,
-splitting just the ranked documents. Rows become :class:`SnippetSpan`
-objects (:func:`_spans`) only where returned: :func:`snip_cosine` makes
-all kept rows, :func:`answer_question` only the first
-``final_snippet_cap`` whose judgment is in
-:data:`~qfs.corpus.EXCLUDE_ALL_JUDGED`. The answer is picked by index
-(:func:`_answer_places`); no :class:`ScoredSentence` is made here.
-
-``CosineScorer.score_sentences``, one question's text adapter, is the
-one scorer method besides ``score_questions``, kept only for ``bench/``'s
-replay of answering; gold candidates (no table rows) go through it. It composes
-the same two functions, :func:`_term_pairs` and :func:`_cosines`, so
-there is one kernel, and both paths score ``==``: a row's ids are the
-tokens of its text, both vocabularies sort by term, and the kernel reads
-only term order and equality. Per-question code keeps the per-call rule of
-:mod:`qfs`.
+names.
 
 Candidate sentences keep their *occurrence index*, the 0-based position
 in the post-retrieval candidate list. Tie-breaking everywhere favors
@@ -60,14 +22,11 @@ order the scorer actually sees them.
 
 The benchmark (``bench/``) uses :func:`snip_cosine`, ``CosineScorer.score_sentences(
 question, texts, positions)``, :class:`ScoredSentence`, :func:`assemble_answer`,
-``OracleModelSpec``, :func:`candidate_sentences`, :func:`qfs.metrics.best_reference_f1`
-and :func:`qfs.textproc.split_sentences`: removing any of them, or changing its signature,
+``OracleModelSpec``, :func:`candidate_sentences`, :func:`best_reference_f1`,
+:func:`qfs.metrics.best_reference_f1`, :func:`qfs.metrics.rouge_su4_f1` and
+:func:`qfs.textproc.split_sentences`: removing any of them, or changing its signature,
 fails every benchmark run until ``bench/`` moves. ``bench/run.py`` replays answering with
-``ScoredSentence`` and ``assemble_answer``, so both stay public; ``OracleModelSpec`` is
-an alias of ``ModelSpec("oracle")`` kept only for it. A traced run times
-cross-validation's SU4 scoring by wrapping this module's :func:`best_reference_f1`
-(a fold's answers, not :func:`qfs.metrics.best_reference_f1`'s one text), and needs at
-least one call to it.
+``ScoredSentence`` and ``assemble_answer``, so both stay public.
 """
 
 from __future__ import annotations
@@ -201,18 +160,18 @@ def save_labels(examples: Sequence[LabeledExample], path: str | Path) -> None:
 
 def load_labels(path: str | Path) -> list[LabeledExample]:
     """Labeled examples written by :func:`save_labels`; a field of the wrong
-    type or value is ``MalformedInput`` naming ``path:line``."""
+    type, or a value :class:`LabeledExample` refuses, is ``MalformedInput``
+    naming ``path:line``."""
     examples = []
     for where, obj in read_jsonl(path):
         where = f"{where}: bad labeled example"
         question, sentence = (fileio.field(obj, k, STRING, where) for k in ("question", "sentence"))
         label, position = (fileio.field(obj, k, INTEGER, where) for k in ("label", "position"))
-        if label not in (0, 1):
-            raise MalformedInput(f"{where}: label must be 0 or 1, not {label!r}")
-        if position < 0:
-            raise MalformedInput(f"{where}: position must be >= 0, not {position!r}")
         pid = fileio.field(obj, "pair_id", STRING, where, None)
-        examples.append(LabeledExample(question, sentence, position, label, pid))
+        try:
+            examples.append(LabeledExample(question, sentence, position, label, pid))
+        except ValueError as exc:
+            raise MalformedInput(f"{where}: {exc}") from exc
     return examples
 
 
@@ -315,7 +274,9 @@ class CosineScorer:
     token ids of the snippet pool's table rows into :func:`_term_pairs`
     once, and the answer candidates, rows too, are scored from a subset
     of those pairs. This method, the adapter for gold candidates and for
-    ``bench/``, composes the same two functions, so the scores are ``==``.
+    ``bench/``, composes the same two functions, so the scores are ``==``: a
+    row's ids are the tokens of its text, both vocabularies sort by term, and
+    the kernel reads only term order and equality.
     """
 
     def score_sentences(

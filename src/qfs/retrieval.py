@@ -257,8 +257,8 @@ def _postings(table: SentenceTable, is_term: np.ndarray):
     cursor = indptr[:-1].copy()
     for first, last in blocks:
         rows, docs, tf = pairs(first, last)
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        sizes = np.diff(np.r_[starts, len(rows)])
+        edges = run_edges(rows)  # one run per term row
+        starts, sizes = edges[:-1], edges[1:] - edges[:-1]
         at = cursor[rows] + np.arange(len(rows)) - np.repeat(starts, sizes)
         post_doc[at] = docs
         post_tf[at] = tf

@@ -33,6 +33,7 @@ from qfs.errors import EmptyInput, MalformedInput, MissingInput
 from qfs.neural import KINDS, save_params
 from qfs.neural.models import init_params
 from qfs.retrieval import DenseStore, build_index, load_dense_store, save_dense_store
+from qfs.textproc import split_sentences
 
 from conftest import make_question
 
@@ -974,6 +975,72 @@ def test_answer_scores_at_the_trained_clip_len(tmp_path, monkeypatch):
     code, err = run_qfs("answer", "--config", config, *QUESTIONS, "--out", tmp_path / "a.json")
     assert (code, err) == (0, "")
     assert clips and set(clips) == {2}
+
+
+@pytest.fixture
+def scored_positions(monkeypatch):
+    """Each ModelScorer.score_questions call, as (question id, texts, positions) per question."""
+    calls = []
+    score_questions = pipeline.ModelScorer.score_questions
+
+    def recording(self, questions, texts, positions):
+        calls.append([(q.id, list(t), list(p)) for q, t, p in zip(questions, texts, positions)])
+        return score_questions(self, questions, texts, positions)
+
+    monkeypatch.setattr(pipeline.ModelScorer, "score_questions", recording)
+    return calls
+
+
+def test_model_strategy_positions_restart_per_document_then_count_the_candidates(
+    tmp_path, scored_positions
+):
+    """Under the model snippet strategy, `qfs answer` scores twice per question:
+    snippet selection numbers each ranked document's sentences from 0, and
+    answer scoring numbers the candidates left after feedback 0..n-1."""
+    config = nnc_model_config(tmp_path, snippets={"strategy": "model"})
+    code, err = run_qfs("answer", "--config", config, *QUESTIONS,
+                        "--feedback", GOLDEN / "feedback.json", "--out", tmp_path / "a.json")
+    assert (code, err) == (0, "")
+    answered = json.loads((tmp_path / "a.json").read_text())["questions"]
+    # Each golden document's sentence texts, section by section.
+    sentences = {doc["id"]: [s.text for section in doc["sections"]
+                             for s in split_sentences(section["text"])]
+                 for doc in map(json.loads, (GOLDEN / "docs.jsonl").read_text().splitlines())}
+    assert len(scored_positions) == 2 * len(answered)
+    candidates = {}
+    for answer, [snip], [score] in zip(answered, scored_positions[::2], scored_positions[1::2]):
+        assert snip[0] == score[0] == answer["id"]
+        assert list(zip(snip[1], snip[2])) == [
+            (text, i) for d in answer["documents"] for i, text in enumerate(sentences[d])
+        ]
+        assert score[2] == list(range(len(score[1])))
+        left = iter(snip[1])
+        assert all(text in left for text in score[1])  # in snippet order
+        candidates[answer["id"]] = score[1]
+    # q4's one irrelevant snippet is an answer candidate only without feedback.
+    irrelevant = "Alcohol rubs are as effective as soap for most viruses."
+    assert irrelevant not in candidates["q4"]
+    scored_positions.clear()
+    code, err = run_qfs("answer", "--config", config, *QUESTIONS, "--out", tmp_path / "b.json")
+    assert (code, err) == (0, "")
+    [[(qid, texts, _)]] = scored_positions[-1:]
+    assert qid == "q4" and irrelevant in texts
+
+
+def test_cv_positions_are_the_label_positions(tmp_path, scored_positions):
+    """`qfs cv --model nnc` numbers each held-out question's candidates 0..n-1,
+    the position generate_labels writes for the same sentence."""
+    code, err = run_qfs("cv", *QUESTIONS, "--model", "nnc", "--k", "2", "--epochs", "1",
+                        "--embeddings", GOLDEN / "vectors.txt", "--out", tmp_path / "cv.json")
+    assert (code, err) == (0, "")
+    labels = pipeline.generate_labels(load_question_set(GOLDEN / "questions.json"))
+    held_out = [question for call in scored_positions for question in call]
+    assert sorted(qid for qid, _, _ in held_out) == ["q1", "q2", "q3", "q4"]
+    for qid, texts, positions in held_out:
+        assert positions == list(range(len(texts)))
+        assert list(zip(texts, positions)) == [
+            (ex.sentence_text, ex.position) for ex in labels if ex.pair_id.startswith(f"{qid}#")
+        ]
 
 
 @pytest.mark.parametrize("field, value, message", [

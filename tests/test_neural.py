@@ -347,6 +347,16 @@ class TestTraining:
         assert np.array_equal(q, np.zeros((1, 2)))
         assert np.array_equal(s, [[1.0, 0.0]])
 
+    # The words `qfs train` prints after a labels file's line (tests/test_cli.py).
+    @pytest.mark.parametrize("field, value, message", [
+        ("label", 2, "label must be 0 or 1, not 2"),
+        ("position", -1, "position must be >= 0, not -1"),
+    ])
+    def test_labeled_example_refuses_a_label_or_position_out_of_range(self, field, value,
+                                                                      message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LabeledExample("flu", "good flu", **{"position": 0, "label": 1, field: value})
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyInput, match="^training requires at least one example$"):
             train("pooled", [], NO_VECTORS, TrainConfig())
