@@ -119,7 +119,8 @@ class DenseStore:
 
 
 def load_word_embeddings(path: str | Path) -> DenseStore:
-    """Read a word-vector text file as a float64 store."""
+    """Read a word-vector text file as a float64 store. The vectors grow in
+    one ``array("d")``, which the store's matrix then views."""
     with closing(read_lines(path)) as lines:
         header = next(lines, "").split()
         if len(header) != 2:
@@ -130,7 +131,8 @@ def load_word_embeddings(path: str | Path) -> DenseStore:
             raise MalformedInput(f"{path}: non-numeric header: {exc}") from exc
         if dim < 1:
             raise MalformedInput(f"{path}: dimension must be positive")
-        table: dict[str, np.ndarray] = {}
+        rows: dict[str, int] = {}
+        vectors = array("d")
         for lineno, line in enumerate(lines, start=2):
             parts = line.split()
             if not parts:
@@ -146,14 +148,17 @@ def load_word_embeddings(path: str | Path) -> DenseStore:
                 raise MalformedInput(f"{path}:{lineno}: bad float: {exc}") from exc
             if not np.isfinite(vec).all():
                 raise MalformedInput(f"{path}:{lineno}: non-finite value for {word!r}")
-            if word in table:
+            at = rows.setdefault(word, len(rows)) * dim
+            if at < len(vectors):
                 logger.warning("duplicate word %r at line %d; last wins", word, lineno)
-            table[word] = vec
-    if len(table) != count:
+                vectors[at : at + dim] = array("d", vec.tobytes())
+            else:
+                vectors.frombytes(vec.tobytes())
+    if len(rows) != count:
         raise MalformedInput(
-            f"{path}: header declares {count} words, file holds {len(table)}"
+            f"{path}: header declares {count} words, file holds {len(rows)}"
         )
-    return DenseStore(table, np.stack(list(table.values())) if table else np.zeros((0, dim)))
+    return DenseStore(rows, np.frombuffer(vectors).reshape(len(rows), dim))
 
 
 @dataclass

@@ -24,7 +24,8 @@ that returns the gradient of BCE(prob, label) for each parameter block.
 Training, the QFSM codec, the scorer and the command line look the kind
 up there and nowhere else.
 A model's parameters are one :class:`Params`, whose blocks
-:func:`init_params` fills in the order of the kind's ``shapes``.
+:func:`init_params` fills in the order of the kind's ``shapes``; the
+nnc encoder reads them, and returns their gradients, by name.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from ..embeddings import DenseStore, load_context_embeddings, load_word_embeddings
 from ..errors import EmptyInput, MissingInput
-from .lstm import LstmParams, bilstm_encode
+from .lstm import bilstm_encode, lstm_shapes
 from .ops import relu, sigmoid
 
 _PROB_MIN = float(np.nextafter(0.0, 1.0))
@@ -90,14 +91,6 @@ class Params:
     seed: int = 0
 
 
-def _lstm_shapes(direction: str, emb_dim: int, hidden: int) -> Shapes:
-    return {
-        f"{direction}.w_x": (4 * hidden, emb_dim),
-        f"{direction}.w_h": (4 * hidden, hidden),
-        f"{direction}.b": (4 * hidden,),
-    }
-
-
 def _head_shapes(n_in: int, dense_hidden: int) -> Shapes:
     return {
         "hidden.w": (dense_hidden, n_in),
@@ -109,8 +102,7 @@ def _head_shapes(n_in: int, dense_hidden: int) -> Shapes:
 
 def _nnc_shapes(emb_dim: int, lstm_hidden: int, dense_hidden: int) -> Shapes:
     return {
-        **_lstm_shapes("lstm_fwd", emb_dim, lstm_hidden),
-        **_lstm_shapes("lstm_bwd", emb_dim, lstm_hidden),
+        **lstm_shapes(emb_dim, lstm_hidden),
         **_head_shapes(4 * lstm_hidden + 1, dense_hidden),
     }
 
@@ -133,11 +125,6 @@ def init_params(kind: str, seed: int = 0, **dims: int) -> Params:
         else:
             blocks[name] = rng.uniform(-0.05, 0.05, size=shape)
     return Params(kind, {name: dims[name] for name in KINDS[kind].header}, blocks, seed)
-
-
-def _lstm(params: Params, direction: str) -> LstmParams:
-    b = params.blocks
-    return LstmParams(b[f"{direction}.w_x"], b[f"{direction}.w_h"], b[f"{direction}.b"])
 
 
 Backward = Callable[[int], dict[str, np.ndarray]]  # label -> gradient per block name
@@ -181,9 +168,8 @@ def _nnc_apply(
 ) -> tuple[float, Backward]:
     if q_matrix.shape[0] == 0 or s_matrix.shape[0] == 0:
         raise EmptyInput("question and sentence matrices must be non-empty")
-    fwd, bwd = _lstm(params, "lstm_fwd"), _lstm(params, "lstm_bwd")
-    q_vec, q_backward = bilstm_encode(fwd, bwd, q_matrix)
-    s_vec, s_backward = bilstm_encode(fwd, bwd, s_matrix)
+    q_vec, q_backward = bilstm_encode(params.blocks, q_matrix)
+    s_vec, s_backward = bilstm_encode(params.blocks, s_matrix)
     x = np.concatenate([s_vec, s_vec * q_vec, [pos_feature]])
     prob, head_backward = _head(params, x, dropout_mask)
 
@@ -192,9 +178,9 @@ def _nnc_apply(
         two_h = s_vec.shape[0]
         d_s = dx[:two_h] + dx[two_h : 2 * two_h] * q_vec
         d_q = dx[two_h : 2 * two_h] * s_vec
-        for direction, gq, gs in zip(("lstm_fwd", "lstm_bwd"), q_backward(d_q), s_backward(d_s)):
-            for name in ("w_x", "w_h", "b"):
-                grads[f"{direction}.{name}"] = gq[name] + gs[name]
+        gq, gs = q_backward(d_q), s_backward(d_s)
+        for name in gq:
+            grads[name] = gq[name] + gs[name]
         return grads
 
     return prob, backward

@@ -53,19 +53,15 @@ class LabeledExample:
 
 
 class Adam:
-    """Adam with the usual bias correction; state keyed by parameter name."""
+    """Adam with the usual bias correction; state keyed by parameter name.
+    The decay rates and epsilon are the published defaults (Kingma & Ba, 2015)."""
 
-    def __init__(
-        self,
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -74,17 +70,17 @@ class Adam:
         self, params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]
     ) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - self.BETA1**self.t
+        bc2 = 1.0 - self.BETA2**self.t
         for name, p in params.items():
             g = grads[name]
             m = self._m.setdefault(name, np.zeros_like(p))
             v = self._v.setdefault(name, np.zeros_like(p))
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            p -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
 
 
 @dataclass
@@ -124,7 +120,7 @@ def train(
     params = init_params(model, config.seed, **{name: sizes[name] for name in kind.header})
 
     labels = [ex.label for ex in examples]
-    optimizer = Adam(learning_rate=config.learning_rate)
+    optimizer = Adam(config.learning_rate)
     rng = np.random.default_rng(config.seed)
     drop_rng = np.random.default_rng(config.seed + DROPOUT_STREAM)
     rate = config.dropout_rate

@@ -30,7 +30,7 @@ from qfs.corpus import (
 )
 from qfs.embeddings import ContextEmbeddingRecord, write_context_embeddings
 from qfs.errors import EmptyInput, MalformedInput, MissingInput
-from qfs.neural import KINDS, save_params
+from qfs.neural import KINDS, forward, save_params, train
 from qfs.neural.models import init_params
 from qfs.retrieval import DenseStore, build_index, load_dense_store, save_dense_store
 from qfs.textproc import split_sentences
@@ -1041,6 +1041,29 @@ def test_cv_positions_are_the_label_positions(tmp_path, scored_positions):
         assert list(zip(texts, positions)) == [
             (ex.sentence_text, ex.position) for ex in labels if ex.pair_id.startswith(f"{qid}#")
         ]
+
+
+@pytest.mark.parametrize("kind", ["nnc", "pooled"])
+def test_scoring_builds_the_input_that_training_builds(tmp_path, kind):
+    """A model trained on the golden labels scores each gold candidate, at
+    cv's positions, as ``forward`` over the input its kind built for the
+    example generate_labels writes for that sentence. Clip length 8 cuts
+    some golden texts and not others, so a scorer that clips elsewhere fails."""
+    if kind == "pooled":
+        write_context_file(tmp_path / "context.cemb")
+    source = KINDS[kind].load_source(
+        tmp_path / "context.cemb" if kind == "pooled" else GOLDEN / "vectors.txt")
+    config = replace(KINDS[kind].train_defaults, epochs=1, clip_len=8)
+    params = train(kind, pipeline.load_labels(GOLDEN / "labels.jsonl"), source, config).params
+    questions = list(load_question_set(GOLDEN / "questions.json"))
+    texts = pipeline._gold_texts(questions, None)
+    scores = pipeline.ModelScorer(params, source, config.clip_len).score_questions(
+        questions, texts, [range(len(t)) for t in texts])
+    assert [score for question in scores for score in question] == [
+        forward(params, *KINDS[kind].input(source, ex.question_tokens, ex.sentence_tokens,
+                                           ex.pair_id, ex.position, config.clip_len))
+        for ex in pipeline.generate_labels(questions)
+    ]
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -81,6 +81,26 @@ class TestLoadWordEmbeddings:
         # Only the file cut before its last newline still loads.
         assert load_each_corruption(path, path.read_bytes(), load) == 1
 
+    def test_file_without_words_loads_as_zero_rows(self, tmp_path):
+        store = load_word_embeddings(write_vectors(tmp_path, "0 3\n"))
+        assert store.matrix.shape == (0, 3) and store.matrix.dtype == np.float64
+
+    def test_load_holds_each_vector_once(self, tmp_path):
+        # 20,000 words at 32-d: 4.9 MiB of float64 vectors. Keeping each
+        # vector as its own array until one stack at the end reads 3.4x that.
+        n_words, dim = 20_000, 32
+        values = np.random.default_rng(11).normal(size=(n_words, dim))
+        lines = [f"w{i} " + " ".join(map(repr, row)) for i, row in enumerate(values.tolist())]
+        path = write_vectors(tmp_path, f"{n_words} {dim}\n" + "\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            store = load_word_embeddings(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(store.matrix, values)
+        assert peak < 2 * store.matrix.nbytes, f"peak {peak} bytes"
+
 
 class TestEmbedTokens:
     def test_clip_length(self, tmp_path):

@@ -22,7 +22,7 @@ from qfs.neural import (
     train,
     training,
 )
-from qfs.neural.lstm import LstmParams, bilstm_encode, lstm_forward
+from qfs.neural.lstm import bilstm_encode, lstm_forward, lstm_shapes
 from qfs.neural.models import Params, init_params, position_feature
 from qfs.neural.ops import bce_loss
 
@@ -30,8 +30,9 @@ from conftest import load_each_corruption
 from gradcheck import grad_check
 
 
-def oracle_lstm_states(w_x, w_h, b, xs):
+def oracle_lstm_states(blocks, direction, xs):
     """Independent scalar-loop implementation of the recurrences."""
+    w_x, w_h, b = (blocks[f"{direction}.{name}"] for name in ("w_x", "w_h", "b"))
 
     def sig(v):
         return 1.0 / (1.0 + math.exp(-v))
@@ -61,47 +62,50 @@ def oracle_lstm_states(w_x, w_h, b, xs):
     return states
 
 
-def random_lstm_params(rng, emb_dim, hidden_dim) -> LstmParams:
-    return LstmParams(
-        w_x=rng.uniform(-0.6, 0.6, size=(4 * hidden_dim, emb_dim)),
-        w_h=rng.uniform(-0.6, 0.6, size=(4 * hidden_dim, hidden_dim)),
-        b=rng.uniform(-0.3, 0.3, size=4 * hidden_dim),
-    )
+def random_lstm_blocks(rng, emb_dim, hidden_dim) -> dict[str, np.ndarray]:
+    """Both directions' blocks, drawn in block order: w_x, w_h, b per direction."""
+    blocks = {}
+    for name, shape in lstm_shapes(emb_dim, hidden_dim).items():
+        scale = 0.3 if name.endswith(".b") else 0.6
+        blocks[name] = rng.uniform(-scale, scale, size=shape)
+    return blocks
+
+
+def zero_lstm_blocks(emb_dim, hidden_dim) -> dict[str, np.ndarray]:
+    return {name: np.zeros(shape) for name, shape in lstm_shapes(emb_dim, hidden_dim).items()}
 
 
 class TestBilstmEncode:
     def test_zero_params_give_zero_vector(self):
-        params = LstmParams(w_x=np.zeros((8, 3)), w_h=np.zeros((8, 2)), b=np.zeros(8))
-        encoded, _ = bilstm_encode(params, params, np.random.default_rng(0).normal(size=(4, 3)))
+        blocks = zero_lstm_blocks(3, 2)
+        encoded, _ = bilstm_encode(blocks, np.random.default_rng(0).normal(size=(4, 3)))
         assert np.array_equal(encoded, np.zeros(4))
 
     def test_single_step_concatenates_both_directions(self):
         rng = np.random.default_rng(1)
-        fwd = random_lstm_params(rng, 3, 2)
-        bwd = random_lstm_params(rng, 3, 2)
+        blocks = random_lstm_blocks(rng, 3, 2)
         x = rng.normal(size=(1, 3))
-        encoded, _ = bilstm_encode(fwd, bwd, x)
-        hf, _ = lstm_forward(fwd, x)
-        hb, _ = lstm_forward(bwd, x)
+        encoded, _ = bilstm_encode(blocks, x)
+        hf, _ = lstm_forward(blocks, "lstm_fwd", x)
+        hb, _ = lstm_forward(blocks, "lstm_bwd", x)
         assert np.allclose(encoded, np.concatenate([hf[0], hb[0]]))
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(2)
-        fwd = random_lstm_params(rng, 3, 2)
-        bwd = random_lstm_params(rng, 3, 2)
+        blocks = random_lstm_blocks(rng, 3, 2)
         xs = rng.normal(size=(3, 3))
-        fwd_states = oracle_lstm_states(fwd.w_x, fwd.w_h, fwd.b, xs.tolist())
-        bwd_states = oracle_lstm_states(bwd.w_x, bwd.w_h, bwd.b, xs[::-1].tolist())[::-1]
+        fwd_states = oracle_lstm_states(blocks, "lstm_fwd", xs.tolist())
+        bwd_states = oracle_lstm_states(blocks, "lstm_bwd", xs[::-1].tolist())[::-1]
         expected = np.mean(
             [np.concatenate([f, b]) for f, b in zip(fwd_states, bwd_states)], axis=0
         )
-        encoded, _ = bilstm_encode(fwd, bwd, xs)
+        encoded, _ = bilstm_encode(blocks, xs)
         assert np.allclose(encoded, expected, atol=1e-9)
 
     def test_empty_sequence_rejected(self):
-        params = LstmParams(w_x=np.zeros((8, 3)), w_h=np.zeros((8, 2)), b=np.zeros(8))
+        blocks = zero_lstm_blocks(3, 2)
         with pytest.raises(EmptyInput, match=re.escape("encoder input must be a non-empty (n, E)")):
-            bilstm_encode(params, params, np.zeros((0, 3)))
+            bilstm_encode(blocks, np.zeros((0, 3)))
 
 
 def zeroed_nnc(emb_dim=3, lstm_hidden=2, dense_hidden=4) -> Params:
@@ -124,12 +128,7 @@ class TestNncForward:
         rng = np.random.default_rng(4)
         params = init_params("nnc", emb_dim=3, lstm_hidden=2, dense_hidden=4, seed=4)
         x = rng.normal(size=(3, 3))
-        b = params.blocks
-        s_vec, _ = bilstm_encode(
-            LstmParams(b["lstm_fwd.w_x"], b["lstm_fwd.w_h"], b["lstm_fwd.b"]),
-            LstmParams(b["lstm_bwd.w_x"], b["lstm_bwd.w_h"], b["lstm_bwd.b"]),
-            x,
-        )
+        s_vec, _ = bilstm_encode(params.blocks, x)
         _, backward = KINDS["nnc"].apply(params, x, x, 0.7)
         grads = backward(1)
         # d hidden.w = outer(d hidden.b, head input), so a row with a
@@ -145,15 +144,9 @@ class TestNncForward:
     def test_matches_hand_traced_forward(self):
         """Full forward recomputed with the independent scalar oracle."""
         rng = np.random.default_rng(5)
-        fwd = random_lstm_params(rng, 2, 2)
-        bwd = random_lstm_params(rng, 2, 2)
+        blocks = random_lstm_blocks(rng, 2, 2)
         hidden_w, hidden_b = rng.uniform(-0.4, 0.4, size=(3, 9)), rng.uniform(-0.1, 0.1, 3)
         output_w, output_b = rng.uniform(-0.4, 0.4, size=(1, 3)), np.array([0.05])
-        blocks = {
-            f"{direction}.{name}": getattr(lstm, name)
-            for direction, lstm in (("lstm_fwd", fwd), ("lstm_bwd", bwd))
-            for name in ("w_x", "w_h", "b")
-        }
         blocks.update({"hidden.w": hidden_w, "hidden.b": hidden_b,
                        "output.w": output_w, "output.b": output_b})
         params = Params("nnc", {"emb_dim": 2, "lstm_hidden": 2, "dense_hidden": 3}, blocks)
@@ -162,8 +155,8 @@ class TestNncForward:
         pos = 0.25
 
         def encode(xs):
-            f = oracle_lstm_states(fwd.w_x, fwd.w_h, fwd.b, xs.tolist())
-            b = oracle_lstm_states(bwd.w_x, bwd.w_h, bwd.b, xs[::-1].tolist())[::-1]
+            f = oracle_lstm_states(blocks, "lstm_fwd", xs.tolist())
+            b = oracle_lstm_states(blocks, "lstm_bwd", xs[::-1].tolist())[::-1]
             rows = [np.concatenate([fi, bi]) for fi, bi in zip(f, b)]
             return np.mean(rows, axis=0)
 
