@@ -39,6 +39,7 @@ from dataclasses import replace
 from functools import reduce
 
 import click
+import numpy as np
 
 from . import corpus, pipeline, retrieval, textproc
 from .config import ModelConfig, PipelineConfig, emit_config, load_config
@@ -88,7 +89,8 @@ def cmd_index(docs_path, out_path, stopwords_path) -> int:
     stopwords = textproc.load_stopwords(stopwords_path) if stopwords_path else None
     index = retrieval.build_index(collection, stopwords)
     retrieval.save_index(index, out_path)
-    click.echo(f"{index.n_docs} documents, {len(index.indptr) - 1} terms -> {out_path}")
+    terms = np.count_nonzero(np.diff(index.indptr))  # the words with postings
+    click.echo(f"{index.n_docs} documents, {terms} terms -> {out_path}")
     return 0
 
 

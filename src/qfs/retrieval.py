@@ -16,13 +16,14 @@ each > 0 as ``idf = ln(1 + (N - df + 0.5) / (df + 0.5)) > 0`` (``df <= N``),
 ``tf >= 1``, ``k1 + 1 > 0`` and the denominator is at least ``tf``;
 ``k1 <= MAX_K1`` keeps every factor finite. Unmatched documents score 0.
 
-The index is compressed sparse rows: term row ``r`` owns postings
-``indptr[r]:indptr[r + 1]``, whose BM25 impacts are computed from the
-caller's ``k1`` and ``b`` when an index is built or loaded: a snapshot
-holds term frequencies and document lengths, not impacts, k1 or b. A
-term in at least half the documents (``2 * df >= n_docs``) is *dense*:
-its impacts are one float64 row over all documents (0.0 where it is
-absent), at most ``(n_docs - df) * 8`` bytes more than per-posting ones.
+The index is compressed sparse rows: word ``w`` of the vocabulary owns
+postings ``indptr[w]:indptr[w + 1]`` (none for a stopword), whose BM25
+impacts are computed from the caller's ``k1`` and ``b`` when an index is
+built or loaded: a snapshot holds term frequencies, not impacts, k1, b
+or document lengths (each its postings' tf sum). A term in at least
+half the documents (``2 * df >= n_docs``) is *dense*: its impacts are
+one float64 row over all documents (0.0 where it is absent), at most
+``(n_docs - df) * 8`` bytes more than per-posting ones.
 Documents are numbered in ascending id order, so ordinal order is the
 tie order. An index also holds the collection's
 :class:`~qfs.sentences.SentenceTable` under the same ordinals: every
@@ -33,24 +34,22 @@ Binary formats (little-endian):
 
 * DVEC dense vectors: magic ``DVEC``, u32 version=1, u32 dim, then
   records of u32 id-length, UTF-8 id bytes, dim x f32.
-* QIDX index snapshot: magic ``QIDX``, u32 version=4, u32 n_docs,
-  u32 n_terms, u64 n_postings, u32 n_words, u32 n_sections,
-  u32 n_sentences, u64 n_tokens; then u32 byte lengths of
-  the doc ids and of the vocabulary words, followed by their UTF-8
-  bytes (both lists strictly ascending); then the raw arrays
-  u8 is_term[n_words] (1 for the n_terms words with postings, 0 for
-  stopwords), i32 doc_len[n_docs], i64 indptr[n_terms + 1],
+* QIDX index snapshot: magic ``QIDX``, u32 version=5, u32 n_docs,
+  u64 n_postings, u32 n_words, u32 n_sections, u32 n_sentences,
+  u64 n_tokens; then u32 byte lengths of the doc ids and of the
+  vocabulary words, followed by their UTF-8 bytes (both lists strictly
+  ascending); then the raw arrays i64 indptr[n_words + 1],
   i32 post_doc[n_postings], i32 post_tf[n_postings],
   i32 section_count[n_docs], i32 section_len[n_sections] (each
   document's section text lengths, in characters), u32 doc_crc[n_docs]
-  (the CRC32 of each document's section texts in section order, as the
-  collection's UTF-8 buffer holds them: a loaded collection holds no
-  lone surrogate, and one built in process encodes its lone surrogates
-  with ``surrogatepass``), the sentence table i32 doc, section, begin
-  and end[n_sentences], i64 indptr[n_sentences + 1] and
-  i32 token_ids[n_tokens]; then u32 CRC32 of all preceding bytes.
-  Versions 1 to 3 are rejected: an index is a derived file, rebuilt
-  with ``qfs index``.
+  (the CRC32 of each document's bytes in the collection's UTF-8 buffer:
+  its section texts in section order, each followed by a newline; a
+  loaded collection holds no lone surrogate, and one built in process
+  encodes its lone surrogates with ``surrogatepass``), the sentence
+  table i32 doc, section, begin and end[n_sentences],
+  i64 indptr[n_sentences + 1] and i32 token_ids[n_tokens]; then u32
+  CRC32 of all preceding bytes. Versions 1 to 4 are rejected: an index
+  is a derived file, rebuilt with ``qfs index``.
 """
 
 from __future__ import annotations
@@ -81,8 +80,8 @@ MAX_K1 = 1e6  # far above any useful k1, and no impact overflows to inf or NaN
 
 _DVEC_MAGIC = b"DVEC"
 _QIDX_MAGIC = b"QIDX"
-_QIDX_VERSION = 4
-_QIDX_FIELDS = "<IIQIIIQ"  # the counts that follow the magic and version
+_QIDX_VERSION = 5
+_QIDX_FIELDS = "<IQIIIQ"  # the counts that follow the magic and version
 _QIDX_HEADER = struct.Struct("<4sI" + _QIDX_FIELDS[1:])
 
 
@@ -90,16 +89,14 @@ _QIDX_HEADER = struct.Struct("<4sI" + _QIDX_FIELDS[1:])
 class InvertedIndex:
     """CSR postings plus their BM25 impacts under ``k1`` and ``b``; immutable.
 
-    ``is_term`` flags the words of ``sentences.vocabulary`` that have
-    postings (the others are stopwords); ``term_row`` maps each word to
-    its posting row, -1 for a stopword. ``section_counts``,
-    ``section_lengths`` and ``doc_crc`` record the text the index was
-    built from, for :func:`check_collection`.
+    Row ``w`` holds the postings of word ``w`` of ``sentences.vocabulary``;
+    a stopword's row is empty. ``section_counts``, ``section_lengths`` and
+    ``doc_crc`` record the text the index was built from, for
+    :func:`check_collection`.
     """
 
     doc_ids: list[str]
     doc_len: np.ndarray
-    is_term: np.ndarray
     indptr: np.ndarray
     post_doc: np.ndarray
     post_tf: np.ndarray
@@ -108,12 +105,11 @@ class InvertedIndex:
     # of sections, and per section its length in characters.
     section_counts: np.ndarray
     section_lengths: np.ndarray
-    doc_crc: np.ndarray  # per document, the CRC32 of its section texts (_text_columns)
+    doc_crc: np.ndarray  # per document, the CRC32 of its bytes (_text_columns)
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
     n_docs: int = field(init=False)
     avgdl: float = field(init=False)
-    term_row: np.ndarray = field(init=False, repr=False)
     # Impact rows of the dense terms (ascending rows); the other terms' impacts
     # in posting order, less the dense postings skipped before each dense row.
     dense_terms: list[int] = field(init=False, repr=False)
@@ -124,7 +120,6 @@ class InvertedIndex:
     def __post_init__(self) -> None:
         self.n_docs = n_docs = len(self.doc_ids)
         self.avgdl = int(self.doc_len.sum()) / n_docs
-        self.term_row = _term_rows(self.is_term)
         df = np.diff(self.indptr)
         # idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)) in this
         # operand order, with math.log (np.log may differ in the last bit).
@@ -154,20 +149,13 @@ class InvertedIndex:
                     self.dense[j, self.post_doc[at]] = values
 
     def term_impacts(self, row: int) -> tuple[np.ndarray | None, np.ndarray]:
-        """Term row ``row``'s impacts: ``(None, its impact per document)`` if it is
+        """Word ``row``'s impacts: ``(None, its impact per document)`` if it is
         dense, else ``(its posting docs, their impacts)``."""
         j = bisect_left(self.dense_terms, row)
         if j < len(self.dense_terms) and self.dense_terms[j] == row:
             return None, self.dense[j]
         lo, hi = self.indptr[row : row + 2].tolist()
         return self.post_doc[lo:hi], self.impact[lo - self.skipped[j] : hi - self.skipped[j]]
-
-
-def _term_rows(is_term: np.ndarray) -> np.ndarray:
-    """Per word its posting row (the words with postings in order), -1 for a stopword."""
-    rows = np.cumsum(is_term, dtype=np.int32) - 1
-    rows[~is_term] = -1
-    return rows
 
 
 RankedList = list[tuple[str, float]]
@@ -197,18 +185,17 @@ def build_index(
     stop = stopwords or frozenset()
     doc_ids = sorted(docs.ids)
     table = SentenceTable.build(docs, doc_ids)
-    is_term = np.array([word not in stop for word in table.vocabulary], dtype=bool)
-    doc_len, indptr, post_doc, post_tf = _postings(table, is_term)
+    counted = np.array([word not in stop for word in table.vocabulary], dtype=bool)
     return InvertedIndex(
-        doc_ids, doc_len, is_term, indptr, post_doc, post_tf,
+        doc_ids, *_postings(table, counted),
         table, *_text_columns(docs, [docs.ordinal[doc_id] for doc_id in doc_ids]), k1, b,
     )
 
 
 def _text_columns(collection: DocumentCollection, ordinals: list[int]) -> tuple[np.ndarray, ...]:
     """Per document of ``ordinals`` its section count, per section its length
-    in characters, and per document the CRC32 of its section texts' bytes
-    in order; all read from the collection's columns."""
+    in characters, and per document the CRC32 of its bytes
+    (:meth:`~qfs.corpus.DocumentCollection.crc32`); all read from the collection's columns."""
     at = np.array(ordinals, dtype=np.int64)
     counts = collection.doc_ptr[at + 1] - collection.doc_ptr[at]
     return (counts.astype(np.int32), collection.lengths[collection.sections_of(at)],
@@ -220,25 +207,25 @@ def _token_docs(bounds: np.ndarray, first: int, last: int, dtype=np.intp) -> np.
     return np.repeat(np.arange(last - first, dtype=dtype), np.diff(bounds[first : last + 1]))
 
 
-def _postings(table: SentenceTable, is_term: np.ndarray):
-    """doc_len, indptr, post_doc and post_tf of the table's term tokens.
+def _postings(table: SentenceTable, counted: np.ndarray):
+    """doc_len, indptr, post_doc and post_tf of the table's tokens of the
+    ``counted`` words (a row per word, empty for the others).
 
     Documents are taken in blocks of about 2**16 tokens, so temporaries
-    stay block sized. A first pass counts each term's documents; the
-    second fills every term row in document order, one block at a time.
+    stay block sized. A first pass counts each word's documents; the
+    second fills every row in document order, one block at a time.
     """
-    n_terms = int(is_term.sum())
-    row_of = _term_rows(is_term)
+    n_words = len(counted)
     bounds = table.indptr[table.doc_ptr]
     blocks = doc_blocks(bounds, 1 << 16)
 
     def pairs(first: int, last: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Unique (term row, doc) pairs of docs first..last-1 by row then doc, and tfs."""
-        rows = row_of[table.token_ids[bounds[first] : bounds[last]]]
-        term, n = rows >= 0, last - first
-        # A key is row * n + doc; int32 keys sort faster than int64 ones, when they fit.
-        dtype = np.int32 if n_terms * n < 1 << 31 else np.int64
-        keys = rows[term].astype(dtype)
+        """Unique (word, doc) pairs of docs first..last-1 by word then doc, and tfs."""
+        words = table.token_ids[bounds[first] : bounds[last]]
+        term, n = counted[words], last - first
+        # A key is word * n + doc; int32 keys sort faster than int64 ones, when they fit.
+        dtype = np.int32 if n_words * n < 1 << 31 else np.int64
+        keys = words[term].astype(dtype)
         keys *= n
         keys += _token_docs(bounds, first, last, dtype)[term]
         keys.sort()
@@ -246,10 +233,10 @@ def _postings(table: SentenceTable, is_term: np.ndarray):
         rows, docs = np.divmod(keys[edges[:-1]], n)
         return rows, docs + first, np.diff(edges)
 
-    df = np.zeros(n_terms, dtype=np.int64)
+    df = np.zeros(n_words, dtype=np.int64)
     for first, last in blocks:
-        df += np.bincount(pairs(first, last)[0], minlength=n_terms)
-    indptr = np.zeros(n_terms + 1, dtype=np.int64)
+        df += np.bincount(pairs(first, last)[0], minlength=n_words)
+    indptr = np.zeros(n_words + 1, dtype=np.int64)
     np.cumsum(df, out=indptr[1:])
     post_doc = np.empty(indptr[-1], dtype=np.int32)
     post_tf = np.empty(indptr[-1], dtype=np.int32)
@@ -257,7 +244,7 @@ def _postings(table: SentenceTable, is_term: np.ndarray):
     cursor = indptr[:-1].copy()
     for first, last in blocks:
         rows, docs, tf = pairs(first, last)
-        edges = run_edges(rows)  # one run per term row
+        edges = run_edges(rows)  # one run per word
         starts, sizes = edges[:-1], edges[1:] - edges[:-1]
         at = cursor[rows] + np.arange(len(rows)) - np.repeat(starts, sizes)
         post_doc[at] = docs
@@ -277,8 +264,7 @@ def _bm25(index: InvertedIndex, words: np.ndarray) -> np.ndarray:
     postings adds them: a dense row's 0.0 leaves a score (>= 0) unchanged.
     """
     scores = np.zeros(index.n_docs)
-    rows = index.term_row[list(dict.fromkeys(words.tolist()))]
-    for row in rows[rows >= 0].tolist():
+    for row in dict.fromkeys(words.tolist()):
         docs, impact = index.term_impacts(row)
         if docs is None:
             scores += impact
@@ -428,18 +414,17 @@ def nir_search(index: InvertedIndex, dense: DenseStore, query_tokens: Sequence[s
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
-    """Persist an index as a QIDX v4 snapshot."""
+    """Persist an index as a QIDX v5 snapshot."""
     table = index.sentences
     names = (*index.doc_ids, *table.vocabulary)
     parts = [
-        _QIDX_HEADER.pack(_QIDX_MAGIC, _QIDX_VERSION, index.n_docs, len(index.indptr) - 1,
+        _QIDX_HEADER.pack(_QIDX_MAGIC, _QIDX_VERSION, index.n_docs,
                           len(index.post_doc), len(table.vocabulary),
                           len(index.section_lengths), len(table), len(table.token_ids)),
         np.fromiter((len(name.encode("utf-8")) for name in names), "<u4", len(names)),
         "".join(names).encode("utf-8"),
         *(np.ascontiguousarray(values, dtype=dtype) for values, dtype in (
-            (index.is_term, "u1"), (index.doc_len, "<i4"), (index.indptr, "<i8"),
-            (index.post_doc, "<i4"), (index.post_tf, "<i4"),
+            (index.indptr, "<i8"), (index.post_doc, "<i4"), (index.post_tf, "<i4"),
             (index.section_counts, "<i4"), (index.section_lengths, "<i4"),
             (index.doc_crc, "<u4"), (table.doc, "<i4"), (table.section, "<i4"),
             (table.begin, "<i4"), (table.end, "<i4"), (table.indptr, "<i8"),
@@ -455,7 +440,7 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> InvertedIndex:
-    """Read a QIDX v4 snapshot written by :func:`save_index`; impacts use ``k1`` and ``b``.
+    """Read a QIDX v5 snapshot written by :func:`save_index`; impacts use ``k1`` and ``b``.
 
     Each array is read into its own buffer, checked against the bytes the
     file has left before it is allocated.
@@ -470,13 +455,11 @@ def load_index(path: str | Path, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -
             )
         if version != _QIDX_VERSION:
             raise MalformedInput(f"{path}: unsupported QIDX version {version}")
-        (n_docs, n_terms, n_post, n_words, n_sections, n_sents,
+        (n_docs, n_post, n_words, n_sections, n_sents,
          n_tokens) = reader.unpack(_QIDX_FIELDS, "header")
         text_lengths = reader.array("<u4", n_docs + n_words, "text lengths")
         blob = reader.read(int(text_lengths.sum()), "doc ids and words")
-        is_term = reader.array("u1", n_words, "term flags")
-        doc_len = reader.array("<i4", n_docs, "doc lengths")
-        indptr = reader.array("<i8", n_terms + 1, "indptr")
+        indptr = reader.array("<i8", n_words + 1, "indptr")
         post_doc = reader.array("<i4", n_post, "posting docs")
         post_tf = reader.array("<i4", n_post, "posting tfs")
         section_counts = reader.array("<i4", n_docs, "section counts")
@@ -503,17 +486,10 @@ def load_index(path: str | Path, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -
     doc_ids, vocabulary = texts[:n_docs], texts[n_docs:]
     for what, names in (("doc ids", doc_ids), ("words", vocabulary)):
         require(all(x < y for x, y in zip(names, names[1:])), f"{what} are not strictly ascending")
-    require(n_words == 0 or is_term.max() <= 1, "term flags must be 0 or 1")
-    require(int(is_term.sum()) == n_terms, f"term flags must mark {n_terms} terms")
     require(indptr[0] == 0 and indptr[-1] == n_post and np.all(np.diff(indptr) >= 0),
             f"indptr must rise from 0 to {n_post}")
     require(not n_post or (post_doc.min() >= 0 and post_doc.max() < n_docs and post_tf.min() >= 1),
             f"postings need doc ordinals below {n_docs} and tf >= 1")
-    tf_sums = np.zeros(n_docs)
-    for start in range(0, n_post, 1 << 16):  # bounded temporaries
-        block = slice(start, start + (1 << 16))
-        tf_sums += np.bincount(post_doc[block], weights=post_tf[block], minlength=n_docs)
-    require(np.array_equal(tf_sums, doc_len), "doc lengths disagree with the postings")
     require(section_counts.min() >= 0 and section_counts.sum() == n_sections
             and (not n_sections or section_lengths.min() >= 0),
             f"section counts must add up to {n_sections}")
@@ -531,16 +507,21 @@ def load_index(path: str | Path, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -
     require(not n_tokens or (token_ids.min() >= 0 and token_ids.max() < n_words),
             f"token ids must be below {n_words}")
     table = SentenceTable(sent_doc, section, begin, end, sent_indptr, token_ids, vocabulary, n_docs)
-    bounds = sent_indptr[table.doc_ptr]
-    term_tokens = [
+    tf_sums = np.zeros(n_docs)  # the document lengths
+    for start in range(0, n_post, 1 << 16):  # bounded temporaries
+        block = slice(start, start + (1 << 16))
+        tf_sums += np.bincount(post_doc[block], weights=post_tf[block], minlength=n_docs)
+    # Every word occurs in some document, so the words with postings are the counted ones.
+    counted, bounds = np.diff(indptr) > 0, sent_indptr[table.doc_ptr]
+    counted_tokens = [
         np.bincount(_token_docs(bounds, first, last), minlength=last - first,
-                    weights=is_term[token_ids[bounds[first] : bounds[last]]])
+                    weights=counted[token_ids[bounds[first] : bounds[last]]])
         for first, last in doc_blocks(bounds, 1 << 16)
     ]
-    require(np.array_equal(np.concatenate(term_tokens), doc_len),
-            "doc lengths disagree with the sentence tokens")
+    require(np.array_equal(np.concatenate(counted_tokens), tf_sums),
+            "postings disagree with the sentence tokens")
     return InvertedIndex(
-        doc_ids, doc_len, is_term.view(bool), indptr, post_doc, post_tf,
+        doc_ids, tf_sums.astype(np.int32), indptr, post_doc, post_tf,
         table, section_counts, section_lengths, doc_crc, k1, b,
     )
 

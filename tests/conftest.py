@@ -130,9 +130,9 @@ def random_unit_vectors(rng: np.random.Generator, ids: list[str], dim: int) -> d
 
 
 def term_rows(index) -> dict[str, int]:
-    """Each term's posting row, from the index's vocabulary and term flags."""
-    terms = [w for w, flag in zip(index.sentences.vocabulary, index.is_term.tolist()) if flag]
-    return {term: r for r, term in enumerate(terms)}
+    """Each term's posting row: the vocabulary id of each word with postings."""
+    counted = np.diff(index.indptr) > 0
+    return {w: r for r, w in enumerate(index.sentences.vocabulary) if counted[r]}
 
 
 def posting_impacts(index) -> np.ndarray:

@@ -177,8 +177,7 @@ def synthetic_postings(n_docs=5000, n_terms=3000, seed=0):
     post_tf = rng.integers(1, 5, len(post_doc)).astype(np.int32)
     indptr = np.r_[0, np.cumsum(df)].astype(np.int64)
     doc_len = np.bincount(post_doc, weights=post_tf, minlength=n_docs).astype(np.int32)
-    return df, ([f"d{i:05d}" for i in range(n_docs)], doc_len,
-                np.ones(n_terms, dtype=bool), indptr, post_doc, post_tf)
+    return df, ([f"d{i:05d}" for i in range(n_docs)], doc_len, indptr, post_doc, post_tf)
 
 
 def test_impact_storage_and_build_peak_are_bounded():
@@ -187,7 +186,7 @@ def test_impact_storage_and_build_peak_are_bounded():
     df, arrays = synthetic_postings()
     n_docs, n_terms = len(arrays[0]), len(df)
     dense_df = df[2 * df >= n_docs]
-    bound = 8 * len(arrays[4]) + 8 * int((n_docs - dense_df).sum())
+    bound = 8 * len(arrays[3]) + 8 * int((n_docs - dense_df).sum())
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

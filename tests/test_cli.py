@@ -439,6 +439,21 @@ def test_config_validate_accepts_an_emitted_config(tmp_path):
     assert run_qfs_stdout("config", "validate", "--config", emitted) == (0, f"{emitted}: valid\n")
 
 
+@pytest.mark.parametrize("stopwords, terms, golden", [
+    ((), 102, "retrieve.json"),
+    (("--stopwords", GOLDEN / "stopwords.txt"), 99, "retrieve-stopwords.json"),
+], ids=["all words", "stopwords"])
+def test_index_counts_the_words_with_postings(tmp_path, stopwords, terms, golden):
+    # A stopword keeps its vocabulary id with an empty posting row.
+    index = tmp_path / "i.qidx"
+    assert run_qfs_stdout("index", "--docs", GOLDEN / "docs.jsonl", *stopwords, "--out", index) == (
+        0, f"5 documents, {terms} terms -> {index}\n")
+    config = config_file(tmp_path, resources={"index_path": str(index)})
+    assert run_qfs("retrieve", "--config", config, *QUESTIONS, "--feedback",
+                   GOLDEN / "feedback.json", "--out", tmp_path / "r.json") == (0, "")
+    assert (tmp_path / "r.json").read_bytes() == (GOLDEN / golden).read_bytes()
+
+
 def test_an_unknown_model_kind_names_the_scorers(tmp_path):
     config = config_file(tmp_path, model={"kind": "bert"})
     code, err = run_qfs("answer", "--config", config, *QUESTIONS, "--out", tmp_path / "a.json")

@@ -608,16 +608,16 @@ def restamp(data: bytes) -> bytes:
 
 
 def qidx_offsets(index) -> dict[str, int]:
-    """Byte offset of each section of a QIDX v4 snapshot of ``index``."""
+    """Byte offset of each section of a QIDX v5 snapshot of ``index``."""
     table = index.sentences
-    n_docs, n_terms, n_post = index.n_docs, len(index.indptr) - 1, len(index.post_doc)
+    n_docs, n_post = index.n_docs, len(index.post_doc)
     n_words, n_sents = len(table.vocabulary), len(table)
     blob = sum(len(t.encode("utf-8")) for t in [*index.doc_ids, *table.vocabulary])
-    offsets = {"n_docs": 8, "n_terms": 12, "n_post": 16, "n_words": 24, "n_sections": 28,
-               "n_sents": 32, "n_tokens": 36, "lengths": 44}
+    offsets = {"n_docs": 8, "n_post": 12, "n_words": 20, "n_sections": 24,
+               "n_sents": 28, "n_tokens": 32, "lengths": 40}
     sizes = [
-        ("lengths", 4 * (n_docs + n_words)), ("blob", blob), ("is_term", n_words),
-        ("doc_len", 4 * n_docs), ("indptr", 8 * (n_terms + 1)), ("post_doc", 4 * n_post),
+        ("lengths", 4 * (n_docs + n_words)), ("blob", blob),
+        ("indptr", 8 * (n_words + 1)), ("post_doc", 4 * n_post),
         ("post_tf", 4 * n_post), ("section_counts", 4 * n_docs),
         ("section_lengths", 4 * len(index.section_lengths)), ("doc_crc", 4 * n_docs),
         ("sent_doc", 4 * n_sents), ("sent_section", 4 * n_sents), ("sent_begin", 4 * n_sents),
@@ -648,8 +648,6 @@ STRUCTURE_DEFECTS = {
     "n_docs+1": _count("n_docs", 1),
     "n_docs-1": _count("n_docs", -1),
     "n_docs=0": lambda data, at, index: patch_i32(data, at["n_docs"], lambda v: 0),
-    "n_terms+1": _count("n_terms", 1),
-    "n_terms-1": _count("n_terms", -1),
     "n_post+1": _count("n_post", 1),
     "n_post-1": _count("n_post", -1),
     "indptr[0]=1": lambda data, at, index: patch_i64(data, at["indptr"], lambda v: 1),
@@ -659,8 +657,6 @@ STRUCTURE_DEFECTS = {
     "n_words+1": _count("n_words", 1),
     "n_sents-1": _count("n_sents", -1),
     "n_tokens+1": _count("n_tokens", 1),
-    "term flag=2": lambda data, at, index: data.__setitem__(at["is_term"], 2),
-    "term flag=0": lambda data, at, index: data.__setitem__(at["is_term"], 0),
     "section count+1": lambda data, at, index: patch_i32(
         data, at["section_counts"], lambda v: v + 1
     ),
@@ -702,7 +698,8 @@ STRUCTURE_DEFECTS = {
     ),
     "post_doc<0": lambda data, at, index: patch_i32(data, at["post_doc"], lambda v: -1),
     "tf=0": lambda data, at, index: patch_i32(data, at["post_tf"], lambda v: 0),
-    "doc_len+1": lambda data, at, index: patch_i32(data, at["doc_len"], lambda v: v + 1),
+    # A document's tf sum then exceeds its counted sentence tokens.
+    "tf+1": lambda data, at, index: patch_i32(data, at["post_tf"], lambda v: v + 1),
     "doc ids unsorted": lambda data, at, index: data.__setitem__(at["blob"] + 1, ord("9")),
     "bad utf-8": lambda data, at, index: data.__setitem__(at["blob"], 0xFF),
     "trailing byte": lambda data, at, index: data.__setitem__(slice(-4, -4), b"\x00"),
@@ -783,22 +780,12 @@ class TestIndexSnapshot:
         path.write_bytes(restamp(bytes(corrupted)))
         assert_refused_within_the_file(path, load_index)
 
-    def test_version_1_asks_for_a_rebuild(self, tmp_path):
-        path = tmp_path / "old.qidx"
-        path.write_bytes(b"QIDX" + struct.pack("<Idd", 1, DEFAULT_K1, DEFAULT_B) + b"\x00" * 8)
-        with pytest.raises(MalformedInput, match="qfs index"):
-            load_index(path)
-
-    def test_version_2_asks_for_a_rebuild(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    def test_old_version_asks_for_a_rebuild(self, tmp_path, version):
         _, path, data = self.small_snapshot(tmp_path)
-        path.write_bytes(restamp(data[:4] + struct.pack("<I", 2) + data[8:]))
-        with pytest.raises(MalformedInput, match="version 2 .*rebuild the index with `qfs index`"):
-            load_index(path)
-
-    def test_version_3_asks_for_a_rebuild(self, tmp_path):
-        _, path, data = self.small_snapshot(tmp_path)
-        path.write_bytes(restamp(data[:4] + struct.pack("<I", 3) + data[8:]))
-        with pytest.raises(MalformedInput, match="version 3 .*rebuild the index with `qfs index`"):
+        path.write_bytes(restamp(data[:4] + struct.pack("<I", version) + data[8:]))
+        with pytest.raises(MalformedInput,
+                           match=f"version {version} .*rebuild the index with `qfs index`"):
             load_index(path)
 
     def test_impacts_follow_the_k1_and_b_of_the_load(self, tmp_path):

@@ -37,24 +37,25 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def reference_build_index(docs, stopwords=frozenset()):
-    """The Counter loop that built the postings before the sentence store."""
+    """The Counter loop that built the postings before the sentence store,
+    with a row per word of the vocabulary (empty for a stopword)."""
     doc_ids = sorted(doc.id for doc in docs)
     doc_len = array("i")
+    vocabulary: set[str] = set()
     rows: defaultdict[str, array] = defaultdict(lambda: array("i"))
     for ordinal, doc_id in enumerate(doc_ids):
-        tokens = [
-            t for _, text in docs[doc_id].sections for t in token_surfaces(text)
-            if t not in stopwords
-        ]
+        tokens = [t for _, text in docs[doc_id].sections for t in token_surfaces(text)]
+        vocabulary.update(tokens)
+        tokens = [t for t in tokens if t not in stopwords]
         doc_len.append(len(tokens))
         for term, tf in Counter(tokens).items():
             rows[term].extend((ordinal, tf))
-    terms = sorted(rows)
-    indptr = np.zeros(len(terms) + 1, dtype=np.int64)
-    np.cumsum([len(rows[t]) // 2 for t in terms], out=indptr[1:])
-    joined = np.frombuffer(b"".join([rows.pop(t) for t in terms]), dtype=np.int32)
+    words = sorted(vocabulary)
+    indptr = np.zeros(len(words) + 1, dtype=np.int64)
+    np.cumsum([len(rows.get(w, ())) // 2 for w in words], out=indptr[1:])
+    terms_by_row = {term: r for r, term in enumerate(words) if term in rows}
+    joined = np.frombuffer(b"".join([rows.pop(w, b"") for w in words]), dtype=np.int32)
     post_doc, post_tf = joined.reshape(-1, 2).T
-    terms_by_row = {term: r for r, term in enumerate(terms)}
     return doc_ids, np.array(doc_len, dtype=np.int32), terms_by_row, indptr, post_doc, post_tf
 
 
@@ -236,9 +237,11 @@ class TestBlockBuildMatchesRowOracle:
 
     def test_golden_index_bytes_are_unchanged(self, tmp_path):
         save_index(build_index(load_document_collection(GOLDEN / "docs.jsonl")), tmp_path / "i")
-        # QIDX v4: v3's bytes without the header's k1 and b, plus u32 doc_crc[n_docs].
+        # QIDX v5: v4's bytes without the header's n_terms, u8 is_term[n_words] and
+        # i32 doc_len[n_docs]; indptr has a row per word, and doc_crc covers each
+        # document's bytes with their newlines.
         assert hashlib.sha256((tmp_path / "i").read_bytes()).hexdigest() == (
-            "e6ead9f970f147cfe15f78dd8e70d55f97863d4bab0d6f70137344dd75fe6b1a"
+            "a9ff5186655a8108e49e9c7e9ea82a4477c7fd912ce7adc0cbe8e8590d0a9b4a"
         )
 
     def test_unknown_document_is_an_error(self, micro_collection):
