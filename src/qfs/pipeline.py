@@ -63,7 +63,7 @@ from .fileio import (
 from .metrics import grouped_su4_scores
 from .neural import KINDS, LabeledExample, TrainConfig, forward, train
 from .retrieval import InvertedIndex, RankedList, _ranked, bm25_top, nir_top
-from .sentences import SentenceTable
+from .sentences import SentenceTable, term_pairs
 from .textproc import run_edges, sentence_bounds, token_surfaces
 
 logger = logging.getLogger(__name__)
@@ -194,26 +194,6 @@ class ConstantScorer:
         return [[0.5] * len(t) for t in texts]
 
 
-def _term_pairs(lengths: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The distinct (term, sentence, tf) triples of n sentences, as three arrays
-    sorted by term, then sentence: one sort of a (term, sentence) key per token.
-
-    Sentence i holds the next ``lengths[i]`` ids of ``terms``; ids are
-    ordered as their terms sort.
-    """
-    n = len(lengths)
-    bits = n.bit_length()  # a key is term << bits | sentence
-    # int32 keys sort about twice as fast as int64 ones, when they fit.
-    narrow = not len(terms) or int(np.maximum.reduce(terms)) < 1 << (31 - bits)
-    keys = terms.astype(np.int32 if narrow else np.int64)  # a copy, so built in place
-    keys <<= bits
-    keys |= np.arange(n, dtype=keys.dtype).repeat(lengths)
-    keys.sort()
-    edges = run_edges(keys)  # one run per (term, sentence) pair
-    pairs = keys[edges[:-1]]
-    return pairs >> bits, pairs & ((1 << bits) - 1), edges[1:] - edges[:-1]
-
-
 def _subset(pairs: tuple[np.ndarray, ...], keep: np.ndarray) -> tuple[np.ndarray, ...]:
     """The triples of the sentences where boolean ``keep`` is true, those
     renumbered 0, 1, ... in order; still sorted by term, then sentence."""
@@ -225,7 +205,7 @@ def _subset(pairs: tuple[np.ndarray, ...], keep: np.ndarray) -> tuple[np.ndarray
 def _cosines(asked: np.ndarray, n: int, pairs: tuple[np.ndarray, ...]) -> np.ndarray:
     """tf-idf cosine of each of n sentences against a question, clipped to [0, 1].
 
-    ``pairs`` are the sentences' :func:`_term_pairs`; ``asked`` holds the
+    ``pairs`` are the sentences' :func:`~qfs.sentences.term_pairs`; ``asked`` holds the
     question's token ids, and ids no sentence holds are ignored. Every
     array is sized by the pairs, never by the vocabulary. Sums: the pairs
     are in term order and ``np.bincount`` adds in input order, so each
@@ -271,7 +251,7 @@ class CosineScorer:
     same on every platform. Scores are clipped to [0, 1].
 
     Answering never calls this text method: :func:`_snip` sorts the
-    token ids of the snippet pool's table rows into :func:`_term_pairs`
+    token ids of the snippet pool's table rows into :func:`~qfs.sentences.term_pairs`
     once, and the answer candidates, rows too, are scored from a subset
     of those pairs. This method, the adapter for gold candidates and for
     ``bench/``, composes the same two functions, so the scores are ``==``: a
@@ -285,10 +265,11 @@ class CosineScorer:
         token_lists = [token_surfaces(t) for t in texts]
         tokens = list(chain.from_iterable(token_lists))
         vocab = dict(zip(sorted(set(tokens)), count()))  # ids in term order
-        pairs = _term_pairs(np.fromiter(map(len, token_lists), np.intp, len(token_lists)),
-                            np.fromiter(map(vocab.__getitem__, tokens), np.intp, len(tokens)))
+        n = len(token_lists)
+        pairs = term_pairs(np.arange(n, dtype=np.int32).repeat(list(map(len, token_lists))), n,
+                           np.fromiter(map(vocab.__getitem__, tokens), np.intp, len(tokens)))
         asked = np.array([vocab[t] for t in token_surfaces(question.body) if t in vocab], np.intp)
-        return _cosines(asked, len(token_lists), pairs).tolist()
+        return _cosines(asked, n, pairs).tolist()
 
     def score_questions(self, questions: Sequence[QuestionRecord], texts: Sequence[Sequence[str]],
                         positions: Sequence[Sequence[int]]) -> list[list[float]]:
@@ -379,7 +360,7 @@ def _snip(question: QuestionRecord, table: SentenceTable, ordinals: Sequence[int
     ``ordinals`` are the ranked documents' places in ``table``, in rank
     order, and ``docs`` maps each to its place in ``collection``. A
     :class:`CosineScorer` scores the pool's token ids through
-    :func:`_term_pairs`, which are returned for answer scoring; any other
+    :func:`~qfs.sentences.term_pairs`, which are returned for answer scoring; any other
     scorer gets the texts, with per-document ordinals as positions, and
     the pairs are ``None``. Per
     document the top ``per_doc`` sentences (ties to the earlier one) are
@@ -398,7 +379,8 @@ def _snip(question: QuestionRecord, table: SentenceTable, ordinals: Sequence[int
         # A document's sentences are consecutive rows, so its tokens are one slice.
         tokens = zip(table.indptr[first].tolist(), table.indptr[first + counts].tolist())
         terms = np.concatenate([table.token_ids[:0], *(table.token_ids[a:e] for a, e in tokens)])
-        pairs = _term_pairs(table.indptr[rows + 1] - table.indptr[rows], terms)
+        lengths = table.indptr[rows + 1] - table.indptr[rows]
+        pairs = term_pairs(np.arange(len(rows), dtype=np.int32).repeat(lengths), len(rows), terms)
         scores = _cosines(asked, len(rows), pairs)
     else:
         texts = _texts(table, collection, docs, rows)

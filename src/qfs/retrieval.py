@@ -69,7 +69,7 @@ from .corpus import DocumentCollection
 from .embeddings import DenseStore
 from .errors import DimensionMismatch, EmptyInput, MalformedInput
 from .fileio import BinaryReader, open_output
-from .sentences import SentenceTable, doc_blocks
+from .sentences import SentenceTable, doc_blocks, term_pairs
 from .textproc import run_edges
 
 logger = logging.getLogger(__name__)
@@ -202,9 +202,9 @@ def _text_columns(collection: DocumentCollection, ordinals: list[int]) -> tuple[
             collection.crc32(ordinals))
 
 
-def _token_docs(bounds: np.ndarray, first: int, last: int, dtype=np.intp) -> np.ndarray:
-    """For each token of documents first..last-1, its document ordinal minus ``first``."""
-    return np.repeat(np.arange(last - first, dtype=dtype), np.diff(bounds[first : last + 1]))
+def _token_docs(bounds: np.ndarray, first: int, last: int) -> np.ndarray:
+    """For each token of documents first..last-1, its int32 document ordinal minus ``first``."""
+    return np.repeat(np.arange(last - first, dtype=np.int32), np.diff(bounds[first : last + 1]))
 
 
 def _postings(table: SentenceTable, counted: np.ndarray):
@@ -222,16 +222,10 @@ def _postings(table: SentenceTable, counted: np.ndarray):
     def pairs(first: int, last: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Unique (word, doc) pairs of docs first..last-1 by word then doc, and tfs."""
         words = table.token_ids[bounds[first] : bounds[last]]
-        term, n = counted[words], last - first
-        # A key is word * n + doc; int32 keys sort faster than int64 ones, when they fit.
-        dtype = np.int32 if n_words * n < 1 << 31 else np.int64
-        keys = words[term].astype(dtype)
-        keys *= n
-        keys += _token_docs(bounds, first, last, dtype)[term]
-        keys.sort()
-        edges = run_edges(keys)  # one run per (row, doc) pair
-        rows, docs = np.divmod(keys[edges[:-1]], n)
-        return rows, docs + first, np.diff(edges)
+        term = counted[words]
+        rows, docs, tf = term_pairs(_token_docs(bounds, first, last)[term], last - first,
+                                    words[term])
+        return rows, docs + first, tf
 
     df = np.zeros(n_words, dtype=np.int64)
     for first, last in blocks:
@@ -443,7 +437,12 @@ def load_index(path: str | Path, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -
     """Read a QIDX v5 snapshot written by :func:`save_index`; impacts use ``k1`` and ``b``.
 
     Each array is read into its own buffer, checked against the bytes the
-    file has left before it is allocated.
+    file has left before it is allocated. Behind a valid CRC, each row's
+    documents must strictly rise, and each document's and each counted
+    word's tf sum must be its number of counted tokens in the sentence
+    table. A change of two or more values that keeps all of these still
+    loads: tf(w1, d1) and tf(w2, d2) one up, tf(w1, d2) and tf(w2, d1) one
+    down, say; only postings counted from the tokens would tell.
     """
     check_bm25(k1, b)
     with BinaryReader(path, crc=True) as reader:
@@ -507,19 +506,28 @@ def load_index(path: str | Path, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -
     require(not n_tokens or (token_ids.min() >= 0 and token_ids.max() < n_words),
             f"token ids must be below {n_words}")
     table = SentenceTable(sent_doc, section, begin, end, sent_indptr, token_ids, vocabulary, n_docs)
-    tf_sums = np.zeros(n_docs)  # the document lengths
+    tf_sums, falls = np.zeros(n_docs), [indptr[:0]]  # the document lengths; where docs fall
     for start in range(0, n_post, 1 << 16):  # bounded temporaries
         block = slice(start, start + (1 << 16))
         tf_sums += np.bincount(post_doc[block], weights=post_tf[block], minlength=n_docs)
+        docs = post_doc[start : block.stop + 1]
+        falls.append(np.flatnonzero(docs[1:] <= docs[:-1]) + (start + 1))
+    falls = np.concatenate(falls)
+    require(np.array_equal(indptr[indptr.searchsorted(falls)], falls),
+            "a posting row's documents must strictly rise")
     # Every word occurs in some document, so the words with postings are the counted ones.
     counted, bounds = np.diff(indptr) > 0, sent_indptr[table.doc_ptr]
-    counted_tokens = [
-        np.bincount(_token_docs(bounds, first, last), minlength=last - first,
-                    weights=counted[token_ids[bounds[first] : bounds[last]]])
-        for first, last in doc_blocks(bounds, 1 << 16)
-    ]
-    require(np.array_equal(np.concatenate(counted_tokens), tf_sums),
+    doc_tokens, word_tokens = [], np.zeros(n_words, dtype=np.int64)
+    for first, last in doc_blocks(bounds, 1 << 16):
+        words = token_ids[bounds[first] : bounds[last]]
+        doc_tokens.append(np.bincount(_token_docs(bounds, first, last), minlength=last - first,
+                                      weights=counted[words]))
+        word_tokens += np.bincount(words, minlength=n_words)
+    word_tf = np.add.reduceat(post_tf, indptr[:-1][counted], dtype=np.int64)
+    require(np.array_equal(np.concatenate(doc_tokens), tf_sums)
+            and np.array_equal(word_tokens[counted], word_tf),
             "postings disagree with the sentence tokens")
+    del falls, word_tokens, word_tf  # else they raise the peak while impacts are built
     return InvertedIndex(
         doc_ids, tf_sums.astype(np.int32), indptr, post_doc, post_tf,
         table, section_counts, section_lengths, doc_crc, k1, b,

@@ -48,7 +48,8 @@ import numpy as np
 from .corpus import DocumentCollection
 from .errors import MissingInput
 from .textproc import (
-    ASCII_STAND_INS, LONG_WORD_KEYS, TOKEN_BYTES, sentence_breaks, split_words, token_surfaces,
+    ASCII_STAND_INS, LONG_WORD_KEYS, TOKEN_BYTES, run_edges, sentence_breaks, split_words,
+    token_surfaces,
 )
 
 # Bytes of section text per block (:func:`doc_blocks`), counted in the
@@ -118,8 +119,8 @@ def _block_sentences(collection: DocumentCollection, sections: np.ndarray,
     # inside a run, so a repeated cut spans nothing.
     cuts = np.sort(np.concatenate([starts, np.array(sentence_breaks(joined), dtype=np.int64)]))
     solid = np.frombuffer(b"\0" + data.translate(_SOLID_BYTES) + b"\0", dtype=bool)
-    run_edges = np.flatnonzero(solid[1:] != solid[:-1])
-    run_begin, run_end = run_edges[::2], run_edges[1::2]
+    runs = np.flatnonzero(solid[1:] != solid[:-1])
+    run_begin, run_end = runs[::2], runs[1::2]
     first = np.searchsorted(run_end, cuts[:-1], "right")  # first run ending after the cut
     last = np.searchsorted(run_begin, cuts[1:]) - 1  # last run beginning before the next
     found = first <= last
@@ -154,6 +155,23 @@ def doc_blocks(bounds: np.ndarray, size: int) -> list[tuple[int, int]]:
     cuts = np.searchsorted(bounds, np.arange(size, bounds[-1], size), "right") - 1
     cuts = np.unique(np.r_[0, cuts, len(bounds) - 1]).tolist()
     return list(zip(cuts, cuts[1:]))
+
+
+def term_pairs(groups: np.ndarray, n: int, terms: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The distinct (term, group, tf) triples of the tokens ``terms``, token i
+    in group ``groups[i]`` of n, as three arrays sorted by term, then group:
+    one sort of a (term, group) key per token. The index's postings group
+    tokens by document, the snippet pool by sentence."""
+    bits = n.bit_length()  # a key is term << bits | group
+    # int32 keys sort about twice as fast as int64 ones, when they fit.
+    narrow = not len(terms) or int(np.maximum.reduce(terms)) < 1 << (31 - bits)
+    keys = terms.astype(np.int32 if narrow else np.int64)  # a copy, so built in place
+    keys <<= bits
+    keys |= groups  # int32 groups go into int32 keys without a cast
+    keys.sort()
+    edges = run_edges(keys)  # one run per (term, group) pair
+    pairs = keys[edges[:-1]]
+    return pairs >> bits, pairs & ((1 << bits) - 1), edges[1:] - edges[:-1]
 
 
 @dataclass(eq=False)

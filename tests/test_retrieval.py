@@ -643,6 +643,13 @@ def _count(name, delta):
     return lambda data, at, index: patch_i32(data, at[name], lambda v: v + delta)
 
 
+def swap_first_postings(data: bytearray, at: dict[str, int], index) -> None:
+    """Swap the first two postings, doc and tf alike, so every tf sum holds."""
+    for name in ("post_doc", "post_tf"):
+        first, second = struct.unpack_from("<ii", data, at[name])
+        struct.pack_into("<ii", data, at[name], second, first)
+
+
 # Each corrupts one field of the small snapshot; the CRC is then restamped.
 STRUCTURE_DEFECTS = {
     "n_docs+1": _count("n_docs", 1),
@@ -693,6 +700,12 @@ STRUCTURE_DEFECTS = {
     "indptr falls": lambda data, at, index: patch_i64(
         data, at["indptr"] + 8, lambda v: len(index.post_doc) + 1
     ),
+    # Gives "a" the row [d1, d3, d1]: every document's tf sum holds.
+    "indptr boundary+1": lambda data, at, index: patch_i64(
+        data, at["indptr"] + 8, lambda v: v + 1
+    ),
+    # "a"'s row becomes [d3, d1], its tfs going with their documents.
+    "postings swapped": swap_first_postings,
     "post_doc=n_docs": lambda data, at, index: patch_i32(
         data, at["post_doc"], lambda v: index.n_docs
     ),
@@ -768,6 +781,43 @@ class TestIndexSnapshot:
         path.write_bytes(restamp(bytes(corrupted)))
         with pytest.raises(MalformedInput):
             load_index(path)
+
+    def test_boundary_shift_that_keeps_every_document_sum_is_refused(self, tmp_path):
+        # Rows a = [d1, d2] and b = [d3, d4]; a boundary one later gives
+        # a = [d1, d2, d3] and b = [d4]. Both rise and no document's tf sum
+        # moves, but a's tf sum exceeds its two tokens.
+        index = build_index(collection_of("a", "a", "b", "b"))
+        save_index(index, tmp_path / "i.qidx")
+        corrupted = bytearray((tmp_path / "i.qidx").read_bytes())
+        patch_i64(corrupted, qidx_offsets(index)["indptr"] + 8, lambda v: v + 1)
+        (tmp_path / "i.qidx").write_bytes(restamp(bytes(corrupted)))
+        with pytest.raises(MalformedInput, match="postings disagree with the sentence tokens"):
+            load_index(tmp_path / "i.qidx")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([("indptr", "<q"), ("post_doc", "<i"), ("post_tf", "<i")]),
+           st.data())
+    def test_one_changed_posting_value_is_refused_or_harmless(self, tmp_path_factory, field,
+                                                              data):
+        """Any one indptr, post_doc or post_tf value changed behind a valid
+        CRC is refused, or the loaded index ranks every word as the original."""
+        index = build_index(collection_of("a b a", "b c", "c d a", "d d e b"))
+        path = tmp_path_factory.mktemp("qidx") / "i.qidx"
+        save_index(index, path)
+        name, fmt = field
+        values = getattr(index, name)
+        at = qidx_offsets(index)[name] + struct.calcsize(fmt) * data.draw(
+            st.integers(0, len(values) - 1), "position")
+        corrupted = bytearray(path.read_bytes())
+        struct.pack_into(fmt, corrupted, at, data.draw(st.integers(-2, 12), "value"))
+        path.write_bytes(restamp(bytes(corrupted)))
+        try:
+            loaded = load_index(path)
+        except MalformedInput:
+            return
+        for word in index.sentences.vocabulary:
+            assert bm25_search(loaded, [word], index.n_docs) == bm25_search(index, [word],
+                                                                             index.n_docs)
 
     def test_every_corruption_names_the_file(self, tmp_path):
         _, path, data = self.small_snapshot(tmp_path)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfs import pipeline, sentences
+from qfs import pipeline, retrieval, sentences
 from qfs.config import parse_config
 from qfs.corpus import (
     EXCLUDE_ALL_JUDGED, EXCLUDE_IRRELEVANT_ONLY, IRRELEVANT, RELEVANT, DocumentCollection,
@@ -28,7 +28,7 @@ from qfs.pipeline import (
     retrieve, snip_cosine,
 )
 from qfs.retrieval import build_index, check_collection, load_index, save_index
-from qfs.sentences import SentenceTable
+from qfs.sentences import SentenceTable, term_pairs
 from qfs.textproc import sentence_bounds, split_sentences, token_surfaces
 
 from conftest import ascii_split_texts, make_doc, make_question, split_texts, term_rows
@@ -280,6 +280,43 @@ class TestStoreMatchesCounterBuild:
                          for r in rows if table.section[r] == s]
                 assert spans == [(x.begin, x.end) for x in split_sentences(text)]
 
+    def test_postings_past_the_int32_key_width(self):
+        """The first postings block holds 65,536 one-word documents, so a key's
+        document takes 17 bits and word ids from 2**14 up need int64 keys."""
+        collection = DocumentCollection([make_doc(f"d{i:05d}", ("s", f"w{i % 20_000:05d}"))
+                                         for i in range(70_000)])
+        with mock.patch.object(retrieval, "term_pairs", wraps=retrieval.term_pairs) as pairs:
+            index = build_index(collection)
+        assert any(n == 1 << 16 and terms.max() >= 1 << 14
+                   for _, n, terms in (c.args for c in pairs.call_args_list))
+        doc_ids, doc_len, terms, indptr, post_doc, post_tf = reference_build_index(collection)
+        assert index.doc_ids == doc_ids and term_rows(index) == terms
+        for got, want in ((index.doc_len, doc_len), (index.indptr, indptr),
+                          (index.post_doc, post_doc), (index.post_tf, post_tf)):
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(collections(), st.one_of(st.just(frozenset()), st.frozensets(st.sampled_from(
+        sorted({t for w in WORDS for t in token_surfaces(w)})))))
+    def test_a_loaded_index_is_the_built_index(self, tmp_path_factory, collection, stopwords):
+        index = build_index(collection, stopwords)
+        path = tmp_path_factory.mktemp("qidx") / "i.qidx"
+        save_index(index, path)
+        loaded = load_index(path)
+        assert loaded.doc_ids == index.doc_ids
+        assert loaded.dense_terms == index.dense_terms
+        assert loaded.sentences.vocabulary == index.sentences.vocabulary
+        for name in ("doc_len", "indptr", "post_doc", "post_tf", "impact", "dense",
+                     "section_counts", "section_lengths", "doc_crc"):
+            got, want = getattr(loaded, name), getattr(index, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        for name in ("doc", "section", "begin", "end", "indptr", "token_ids", "doc_ptr"):
+            got, want = getattr(loaded.sentences, name), getattr(index.sentences, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        written = path.read_bytes()
+        save_index(loaded, path)
+        assert path.read_bytes() == written
+
     def test_vocabulary_is_sorted_and_unique(self, micro_collection):
         table = build_index(micro_collection).sentences
         assert table.vocabulary == sorted(set(table.vocabulary))
@@ -521,7 +558,7 @@ def test_term_pairs_at_the_int32_key_width():
     big = 1 << 29
     lengths = np.array([2, 1, 2], dtype=np.intp)
     terms = np.array([big, 0, 5, big, big], dtype=np.intp)
-    term, sentence, tf = pipeline._term_pairs(lengths, terms)
+    term, sentence, tf = term_pairs(np.arange(3).repeat(lengths), 3, terms)
     assert list(zip(term.tolist(), sentence.tolist(), tf.tolist())) == [
         (0, 0, 1), (5, 1, 1), (big, 0, 1), (big, 2, 2)]
 
@@ -538,7 +575,7 @@ class TestKernelMatchesReference:
         lengths = np.array([len(s) for s in sentences], dtype=np.intp)
         terms = np.array([t for s in sentences for t in s], dtype=np.int32)
         asked = np.array(asked, dtype=np.int32) + offset
-        pairs = pipeline._term_pairs(lengths, terms)
+        pairs = term_pairs(np.arange(len(lengths)).repeat(lengths), len(lengths), terms)
         got = pipeline._cosines(asked, len(sentences), pairs)
         assert got.tolist() == reference_tfidf_cosines(asked, lengths, terms).tolist()
 
@@ -553,7 +590,7 @@ class TestKernelMatchesReference:
         question = make_question("q", body="Does sleep help immunity?")
         resources = Resources(collection=micro_collection, index=build_index(micro_collection),
                               scorer=CosineScorer())
-        with mock.patch.object(pipeline, "_term_pairs", wraps=pipeline._term_pairs) as pairs:
+        with mock.patch.object(pipeline, "term_pairs", wraps=pipeline.term_pairs) as pairs:
             result = answer_question(question, parse_config(ANSWER_CONFIG), resources)
         assert result.ideal_answer.startswith("Sleep improves immunity.")
         assert pairs.call_count == 1
@@ -565,7 +602,7 @@ class TestKernelMatchesReference:
         resources = Resources(collection=micro_collection, index=build_index(micro_collection),
                               scorer=store)
         ranked = retrieve(question, config, resources)[: config.retrieval.final_doc_cap]
-        with mock.patch.object(pipeline, "_term_pairs",
+        with mock.patch.object(pipeline, "term_pairs",
                                side_effect=AssertionError("term pairs were built")):
             result = answer_question(question, config, resources)
         snippets = reference_snip_model(question, ranked, micro_collection, text_path, 2)
